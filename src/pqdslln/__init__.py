@@ -29,6 +29,7 @@ from .conditions import (
     condition_terms,
     majorant_sum,
     tail_condition,
+    verdict_from_terms,
 )
 from .copulas import (
     FunctionDescriptor,
@@ -36,7 +37,6 @@ from .copulas import (
     PerturbationCopula,
     ThetaSchedule,
     pqd_grid_check,
-    sample_pair,
     sample_pairs,
     theta_admissible_bound,
 )

@@ -2,9 +2,8 @@
 
 Everything here is computed analytically from the copula and the marginal;
 Monte Carlo lives in :mod:`pqdslln.simulate`.  The objects of interest are
-the threshold-exceedance events A_k = {X_k > k^(1/p)} (upper side) and
-B_k = {X_k <= -k^(1/p)} (lower side, identically null for supports above 0),
-their exact pairwise joint probabilities, the Renyi-Lamperti pair-sum ratio
+the threshold-exceedance events A_k = {X_k > k^(1/p)}, their exact
+pairwise joint probabilities, the Renyi-Lamperti pair-sum ratio
 
     sum_{k,j<=n} P(A_k n A_j) / (sum_{k<=n} P(A_k))^2
 
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import GfmCopula, ThetaSchedule
+from .copulas import GfmCopula, ThetaSchedule, power_factor, separable_pair_sums
 from .errors import DomainError, NumericError, ParameterError, UndefinedRatioError
 from .marginals import ParetoMarginal
 from .quadrature import adaptive_quad_2d
@@ -46,10 +45,6 @@ __all__ = [
     "scaled_tail_ratio",
 ]
 
-UPPER = "upper"
-LOWER = "lower"
-
-
 @dataclass(frozen=True)
 class GfmDependence:
     """Pairwise power-family dependence with a pair-indexed strength schedule."""
@@ -67,33 +62,26 @@ class GfmDependence:
 class EventSystem:
     """Threshold-exceedance event family for one normalising exponent p.
 
-    ``dependence`` is None for independent coordinates.  The lower side is
-    vacuous for marginals supported above 0: every probability is exactly 0.
+    ``dependence`` is None for independent coordinates.
     """
 
     p: float
     marginal: ParetoMarginal
     dependence: GfmDependence | None = None
-    side: str = UPPER
 
     def __post_init__(self):
         if not 1.0 <= self.p < 2.0:
             raise ParameterError(f"event system requires 1 <= p < 2, got p={self.p!r}")
-        if self.side not in (UPPER, LOWER):
-            raise ParameterError(f"side must be {UPPER!r} or {LOWER!r}, got {self.side!r}")
 
     def threshold(self, k: int) -> float:
         return float(k) ** (1.0 / self.p)
 
 
 def event_prob(es: EventSystem, k: int) -> float:
-    """P(A_k) = P{X > k^(1/p)} (upper side) or P(B_k) = P{X <= -k^(1/p)} (lower)."""
+    """P(A_k) = P{X > k^(1/p)}."""
     if k < 1:
         raise DomainError(f"event index must be a positive integer, got {k!r}")
-    t = es.threshold(k)
-    if es.side == UPPER:
-        return float(es.marginal.survival(t))
-    return float(es.marginal.cdf(-t))
+    return float(es.marginal.survival(es.threshold(k)))
 
 
 def event_probs(es: EventSystem, n: int) -> np.ndarray:
@@ -101,19 +89,7 @@ def event_probs(es: EventSystem, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError(f"event count must be positive, got {n!r}")
     t = np.arange(1, n + 1, dtype=float) ** (1.0 / es.p)
-    if es.side == UPPER:
-        return np.asarray(es.marginal.survival(t), dtype=float)
-    return np.asarray(es.marginal.cdf(-t), dtype=float)
-
-
-def _perturbation_at_thresholds(es: EventSystem, n: int) -> np.ndarray:
-    """Factor h_k = F^s (1 - F)^r evaluated at the k-th threshold, k = 1..n."""
-    if es.dependence is None:
-        return np.zeros(n)
-    t = np.arange(1, n + 1, dtype=float) ** (1.0 / es.p)
-    sign = 1.0 if es.side == UPPER else -1.0
-    f = np.asarray(es.marginal.cdf(sign * t), dtype=float)
-    return f**es.dependence.s * (1.0 - f) ** es.dependence.r
+    return np.asarray(es.marginal.survival(t), dtype=float)
 
 
 def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
@@ -131,11 +107,9 @@ def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
         return pk * pj
     lo, hi = (k, j) if k < j else (j, k)
     theta = es.dependence.schedule.theta(lo, hi)
-    sign = 1.0 if es.side == UPPER else -1.0
-    fk = float(es.marginal.cdf(sign * es.threshold(k)))
-    fj = float(es.marginal.cdf(sign * es.threshold(j)))
-    hk = fk**es.dependence.s * (1.0 - fk) ** es.dependence.r
-    hj = fj**es.dependence.s * (1.0 - fj) ** es.dependence.r
+    # Python floats, not numpy scalars: the two powers differ in the last bit
+    hk = power_factor(float(es.marginal.cdf(es.threshold(k))), es.dependence.r, es.dependence.s)
+    hj = power_factor(float(es.marginal.cdf(es.threshold(j))), es.dependence.r, es.dependence.s)
     return pk * pj + theta * hk * hj
 
 
@@ -155,12 +129,12 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
     if es.dependence is None:
         dep = np.zeros(n_max)
     else:
-        h = _perturbation_at_thresholds(es, n_max)
         idx = np.arange(1, n_max + 1, dtype=float)
+        f = np.asarray(es.marginal.cdf(idx ** (1.0 / es.p)), dtype=float)  # F at each threshold
+        h = power_factor(f, es.dependence.r, es.dependence.s)
         k_part = idx**es.dependence.schedule.mu * h
         j_part = idx**es.dependence.schedule.nu * h
-        prefix = np.cumsum(k_part) - k_part
-        dep = 2.0 * np.cumsum(j_part * prefix)
+        dep = 2.0 * np.cumsum(separable_pair_sums(k_part, j_part))
     denom = s1[ns - 1]
     if np.any(denom <= 0.0):
         raise UndefinedRatioError("all event probabilities vanish; the pair-sum ratio is undefined")
@@ -189,8 +163,7 @@ def _joint_survival_fn(es: EventSystem, k: int, j: int):
             return np.asarray(marginal.survival(x)) * np.asarray(marginal.survival(y))
 
         return fn
-    lo, hi = (k, j) if k < j else (j, k)
-    copula = GfmCopula(theta=es.dependence.schedule.theta(lo, hi), r=es.dependence.r, s=es.dependence.s)
+    copula = es.dependence.copula(k, j)
 
     def fn(x, y):
         sx = np.asarray(marginal.survival(x))

@@ -18,15 +18,17 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .borel_cantelli import EventSystem, GfmDependence, epsilon_bracket_check, renyi_lamperti_ratios
-from .conditions import condition_sum, condition_terms, majorant_sum, tail_condition
+from .conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, ThetaSchedule
 from .errors import DomainError, NumericError, ParameterError
 from .gfun import DeltaField, g_closed_form, g_factor, g_numeric
@@ -65,14 +67,10 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -93,10 +91,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-
-
-def _series_verdict_dict(verdict) -> dict:
-    return asdict(verdict)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +123,10 @@ def _parse_n_grid(spec: str) -> list[int]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParameterError(f"log grid must be 'log:<max>:<points>', got {spec!r}")
-        n_max, points = int(parts[1]), int(parts[2])
+        try:
+            n_max, points = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ParameterError(f"log grid must be 'log:<max>:<points>', got {spec!r}") from exc
         if n_max < 1 or points < 1:
             raise ParameterError(f"log grid needs positive max and point count, got {spec!r}")
         raw = np.unique(np.geomspace(1, n_max, points).astype(int))
@@ -154,29 +151,35 @@ def _dependence_from_params(params: dict) -> GfmDependence | None:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: params dict -> (result dict, {csv name: (header, rows)}, stdout lines)
+# subcommand handlers: (params dict, worker count) -> (result dict,
+# {csv name: (header, rows)}, stdout lines); only simulate uses the workers
 # --------------------------------------------------------------------------
 
 
-def _run_specfun_eval(params: dict):
+# function name -> (function, the parameters it takes in order)
+_SPECFUN = {
+    "gamma": (gamma, ("x",)),
+    "pochhammer": (pochhammer, ("a", "n")),
+    "2f1": (gauss_2f1, ("a", "b", "c", "z")),
+}
+
+
+def _run_specfun_eval(params: dict, workers: int):
     fn = params["fn"]
-    if fn == "gamma":
-        value = gamma(params["x"])
-        echo = {"fn": fn, "x": params["x"]}
-    elif fn == "pochhammer":
-        value = pochhammer(params["a"], int(params["n"]))
-        echo = {"fn": fn, "a": params["a"], "n": params["n"]}
-    elif fn == "2f1":
-        value = gauss_2f1(params["a"], params["b"], params["c"], params["z"])
-        echo = {"fn": fn, "a": params["a"], "b": params["b"], "c": params["c"], "z": params["z"]}
-    else:
+    if fn not in _SPECFUN:
         raise ParameterError(f"unknown function {fn!r}; expected gamma, pochhammer or 2f1")
-    result = dict(echo, value=value)
-    return result, {}, [f"{value:.15g}"]
+    function, names = _SPECFUN[fn]
+    missing = [f"--{name}" for name in names if name not in params]
+    if missing:
+        raise ParameterError(f"--fn {fn} needs {' '.join(missing)}")
+    args = {name: params[name] for name in names}
+    value = function(*args.values())
+    return dict(args, fn=fn, value=value), {}, [f"{value:.15g}"]
 
 
-def _run_g_eval(params: dict):
-    theta, r, s, u, v = (params[k] for k in ("theta", "r", "s", "u", "v"))
+def _run_g_eval(params: dict, workers: int):
+    echo = {k: params[k] for k in ("theta", "r", "s", "u", "v")}
+    theta, r, s, u, v = echo.values()
     method = params["method"]
     marginal = ParetoMarginal(2.0)
     methods: dict[str, float] = {}
@@ -190,80 +193,55 @@ def _run_g_eval(params: dict):
         methods["factor"] = theta * g_factor(r, s, marginal, u) * g_factor(r, s, marginal, v)
     values = list(methods.values())
     discrepancy = max(values) - min(values) if len(values) > 1 else 0.0
-    result = {
-        "theta": theta,
-        "r": r,
-        "s": s,
-        "u": u,
-        "v": v,
-        "methods": methods,
-        "max_discrepancy": discrepancy,
-    }
+    result = dict(echo, methods=methods, max_discrepancy=discrepancy)
     lines = [f"{name}: {value:.15g}" for name, value in methods.items()]
     lines.append(f"max discrepancy: {discrepancy:.3e}")
     return result, {}, lines
 
 
-def _run_condition_check(params: dict):
+def _run_condition_check(params: dict, workers: int):
     schedule = ThetaSchedule(mu=params["mu"], nu=params["nu"], p=params["p"])
     marginal = ParetoMarginal(params["alpha"])
     kind = params["kind"]
-    verdict = condition_sum(kind, params["p"], schedule, params["r"], params["s"], marginal, params["N"])
     j_values, terms = condition_terms(
         kind, params["p"], schedule, params["r"], params["s"], marginal, params["N"]
     )
-    result = dict(_series_verdict_dict(verdict), kind=kind)
+    verdict = verdict_from_terms(j_values, terms)
+    result = dict(asdict(verdict), kind=kind)
     tables = {"terms": (["j", "term"], zip(j_values.tolist(), terms.tolist()))}
     return result, tables, [f"{kind}: {verdict.verdict} (partial sum {verdict.partial_sum:.9g})"]
 
 
-def _run_bc_ratio(params: dict):
+def _run_bc_ratio(params: dict, workers: int):
     es = EventSystem(p=params["p"], marginal=ParetoMarginal(params["alpha"]), dependence=_dependence_from_params(params))
     grid = params["n_grid"]
     ratios = renyi_lamperti_ratios(es, grid)
     running_min = np.minimum.accumulate(ratios)
-    result = {
-        "p": params["p"],
-        "alpha": params["alpha"],
-        "n_grid": grid,
-        "final_ratio": float(ratios[-1]),
-        "running_min": float(running_min[-1]),
-    }
+    result = {k: params[k] for k in ("p", "alpha", "n_grid")}
+    result.update(final_ratio=float(ratios[-1]), running_min=float(running_min[-1]))
     tables = {"ratio": (["n", "ratio", "running_min"], zip(grid, ratios.tolist(), running_min.tolist()))}
     return result, tables, [f"ratio at n={grid[-1]}: {ratios[-1]:.9g} (running min {running_min[-1]:.9g})"]
 
 
-def _run_bc_bracket(params: dict):
+def _run_bc_bracket(params: dict, workers: int):
     es = EventSystem(p=params["p"], marginal=ParetoMarginal(params["alpha"]), dependence=_dependence_from_params(params))
     check = epsilon_bracket_check(es, params["k"], params["j"], params["eps"])
-    result = {
-        "p": params["p"],
-        "alpha": params["alpha"],
-        "k": params["k"],
-        "j": params["j"],
-        "eps": params["eps"],
-        "lhs": check.lhs,
-        "rhs": check.rhs,
-        "holds": check.holds,
-        "quad_error": check.quad_error,
-    }
+    result = {k: params[k] for k in ("p", "alpha", "k", "j", "eps")} | check._asdict()
     return result, {}, [f"lhs={check.lhs:.9g} rhs={check.rhs:.9g} holds={check.holds}"]
 
 
-def _run_simulate_slln(params: dict, workers: int = 1):
+def _run_simulate_slln(params: dict, workers: int):
     theta = params["theta_spec"]
-    n_cap = params["n_max"]
-    if theta["kind"] == "zero":
-        model = None
-    else:
+    model = None
+    if theta["kind"] != "zero":
         model = MultivariateFgmModel.from_power_schedule(
-            n_cap, theta["mu"], theta["nu"], theta.get("scale", 1.0), window=params.get("window")
+            params["n_max"], theta["mu"], theta["nu"], theta.get("scale", 1.0), window=params.get("window")
         )
     run = SlnnRun(
         p=params["p"],
         marginal=ParetoMarginal(params["alpha"]),
         model=model,
-        n_max=n_cap,
+        n_max=params["n_max"],
         replicates=params["replicates"],
         seed=params["seed"],
         c=params.get("c"),
@@ -289,7 +267,7 @@ def _run_simulate_slln(params: dict, workers: int = 1):
     return result, tables, lines
 
 
-def _run_report_example(params: dict):
+def _run_report_example(params: dict, workers: int):
     p, mu, nu, r, s, n_terms = (params[k] for k in ("p", "mu", "nu", "r", "s", "N"))
     schedule = ThetaSchedule(mu=mu, nu=nu, p=p)
     marginal = ParetoMarginal(params["alpha"])
@@ -312,8 +290,8 @@ def _run_report_example(params: dict):
             max_disc = max(max_disc, diff)
             g_rows.append((u, v, closed, numeric, diff))
 
-    verdict = condition_sum("nec12", p, schedule, r, s, marginal, n_terms)
     j_values, terms = condition_terms("nec12", p, schedule, r, s, marginal, n_terms)
+    verdict = verdict_from_terms(j_values, terms)
     majorant = majorant_sum(p, mu, nu, r, s, n_terms)
     partial_cum = np.cumsum(terms)
     majorant_cum = majorant.c_const * np.cumsum(j_values.astype(float) ** majorant.exponent)
@@ -322,23 +300,19 @@ def _run_report_example(params: dict):
     tail = tail_condition(p, marginal, n_terms)
     moment = marginal.abs_moment(p)
 
-    result = {
-        "p": p,
-        "alpha": params["alpha"],
-        "schedule": {"mu": mu, "nu": nu},
-        "r": r,
-        "s": s,
-        "N": n_terms,
-        "window": window,
-        "g_oracle_max_discrepancy": max_disc,
-        "series": _series_verdict_dict(verdict),
-        "verdict": verdict.verdict,
-        "majorant": asdict(majorant),
-        "majorant_bound_holds_at_every_checkpoint": bound_holds,
-        "tail_condition": _series_verdict_dict(tail),
-        "abs_moment": moment,
-        "dependence_label": "pairwise PQD",
-    }
+    result = {k: params[k] for k in ("p", "alpha", "r", "s", "N")}
+    result.update(
+        schedule={"mu": mu, "nu": nu},
+        window=window,
+        g_oracle_max_discrepancy=max_disc,
+        series=asdict(verdict),
+        verdict=verdict.verdict,
+        majorant=asdict(majorant),
+        majorant_bound_holds_at_every_checkpoint=bound_holds,
+        tail_condition=asdict(tail),
+        abs_moment=moment,
+        dependence_label="pairwise PQD",
+    )
     tables = {
         "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], g_rows),
         "terms": (["j", "term"], zip(j_values.tolist(), terms.tolist())),
@@ -352,30 +326,101 @@ def _run_report_example(params: dict):
     return result, tables, lines
 
 
-_HANDLERS = {
-    "specfun eval": _run_specfun_eval,
-    "g eval": _run_g_eval,
-    "condition check": _run_condition_check,
-    "bc ratio": _run_bc_ratio,
-    "bc bracket": _run_bc_bracket,
-    "simulate slln": _run_simulate_slln,
-    "report example": _run_report_example,
+class _Flag(NamedTuple):
+    """Flag ``--name`` (underscores spelled as dashes) setting parameter ``name``."""
+
+    name: str
+    type: Callable = float
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    parse: Callable | None = None  # structured values; runs after argparse to keep ParameterError
+
+
+_THETA_SPEC = _Flag("theta_spec", str, default="zero", parse=_parse_theta_spec)
+_SERIES_MODEL = (
+    *(_Flag(name, required=True) for name in ("p", "mu", "nu")),
+    _Flag("r", default=1.0),
+    _Flag("s", default=1.0),
+    _Flag("alpha", default=2.0),
+    _Flag("N", int, default=2000),
+)
+_EVENT_SYSTEM = (
+    _Flag("alpha", required=True),
+    _Flag("p", required=True),
+    _THETA_SPEC,
+    _Flag("r", default=1.0),
+    _Flag("s", default=1.0),
+)
+
+# Every subcommand's handler and flags, declared once: the argparse tree and
+# the manifest parameters (every flag whose value is not None) come from here.
+_COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
+    "specfun eval": (
+        _run_specfun_eval,
+        (
+            _Flag("fn", str, required=True, choices=("gamma", "pochhammer", "2f1")),
+            *(_Flag(name) for name in ("x", "a", "b", "c", "z")),
+            _Flag("n", int),
+        ),
+    ),
+    "g eval": (
+        _run_g_eval,
+        (
+            *(_Flag(name, required=True) for name in ("theta", "r", "s", "u", "v")),
+            _Flag("method", str, default="all", choices=("closed", "numeric", "factor", "all")),
+            _Flag("quad_tol", default=1e-9),
+            _Flag("max_panels", int, default=1 << 16),
+        ),
+    ),
+    "condition check": (
+        _run_condition_check,
+        (_Flag("kind", str, required=True, choices=("cs11", "nec12", "l1")), *_SERIES_MODEL),
+    ),
+    "bc ratio": (
+        _run_bc_ratio,
+        (*_EVENT_SYSTEM, _Flag("n_grid", str, default="log:10000:25", parse=_parse_n_grid)),
+    ),
+    "bc bracket": (
+        _run_bc_bracket,
+        (*_EVENT_SYSTEM, _Flag("k", int, required=True), _Flag("j", int, required=True), _Flag("eps", required=True)),
+    ),
+    "simulate slln": (
+        _run_simulate_slln,
+        (
+            *(_Flag(name, required=True) for name in ("p", "alpha")),
+            _THETA_SPEC,
+            _Flag("n_max", int, required=True),
+            _Flag("replicates", int, default=32),
+            _Flag("seed", int, default=0),
+            _Flag("c"),
+            _Flag("window", int),
+        ),
+    ),
+    "report example": (_run_report_example, _SERIES_MODEL),
 }
 
-_TAKES_WORKERS = {"simulate slln"}
+_GROUP_HELP = {
+    "specfun": "special-function debugging",
+    "g": "covariance functional",
+    "condition": "series conditions",
+    "bc": "Borel-Cantelli diagnostics",
+    "simulate": "seeded Monte Carlo",
+    "report": "end-to-end reports",
+}
 
 
 def dispatch(config: RunConfig) -> int:
     """Execute a resolved run: compute, write artifacts, write the manifest."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
+    if config.subcommand not in _COMMANDS:
         raise ParameterError(f"unknown subcommand {config.subcommand!r}")
     if config.fmt not in ("json", "csv", "both"):
         raise ParameterError(f"output format must be json, csv or both, got {config.fmt!r}")
-    if config.subcommand in _TAKES_WORKERS:
-        result, tables, lines = handler(config.parameters, workers=max(1, config.workers))
-    else:
-        result, tables, lines = handler(config.parameters)
+    handler, flags = _COMMANDS[config.subcommand]
+    missing = [f.name for f in flags if (f.required or f.default is not None) and f.name not in config.parameters]
+    if missing:
+        raise ParameterError(f"{config.subcommand} parameters lack {', '.join(missing)}")
+    result, tables, lines = handler(config.parameters, max(1, config.workers))
 
     config.outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -406,6 +451,14 @@ def dispatch(config: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads '-1.5e0' or '-8.8e-05' as a value, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir", type=Path, default=None, help="output directory (default: $PQDSLLN_OUTDIR or ./runs/<subcommand>)")
     parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -414,87 +467,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=_TOOL, description=__doc__)
+    parser = _Parser(prog=_TOOL, description=__doc__)
     parser.add_argument("--version", action="version", version=f"{_TOOL} {__version__}")
     top = parser.add_subparsers(dest="group", required=True)
-
-    spec = top.add_parser("specfun", help="special-function debugging").add_subparsers(dest="action", required=True)
-    p = spec.add_parser("eval")
-    p.add_argument("--fn", choices=("gamma", "pochhammer", "2f1"), required=True)
-    p.add_argument("--x", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--z", type=float)
-    p.add_argument("--n", type=int)
-    _add_common(p)
-
-    g = top.add_parser("g", help="covariance functional").add_subparsers(dest="action", required=True)
-    p = g.add_parser("eval")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--method", choices=("closed", "numeric", "factor", "all"), default="all")
-    p.add_argument("--quad-tol", type=float, default=1e-9)
-    p.add_argument("--max-panels", type=int, default=1 << 16)
-    _add_common(p)
-
-    cond = top.add_parser("condition", help="series conditions").add_subparsers(dest="action", required=True)
-    p = cond.add_parser("check")
-    p.add_argument("--kind", choices=("cs11", "nec12", "l1"), required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--N", type=int, default=2000)
-    _add_common(p)
-
-    bc = top.add_parser("bc", help="Borel-Cantelli diagnostics").add_subparsers(dest="action", required=True)
-    p = bc.add_parser("ratio")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--theta-spec", default="zero")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--n-grid", default="log:10000:25")
-    _add_common(p)
-    p = bc.add_parser("bracket")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--theta-spec", default="zero")
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    _add_common(p)
-
-    sim = top.add_parser("simulate", help="seeded Monte Carlo").add_subparsers(dest="action", required=True)
-    p = sim.add_parser("slln")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--theta-spec", default="zero")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--replicates", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    _add_common(p)
-
-    rep = top.add_parser("report", help="end-to-end reports").add_subparsers(dest="action", required=True)
-    p = rep.add_parser("example")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--N", type=int, default=2000)
-    _add_common(p)
+    groups = {}
+    for subcommand, (_, flags) in _COMMANDS.items():
+        group, action = subcommand.split(" ")
+        if group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(dest="action", required=True)
+        p = groups[group].add_parser(action)
+        for flag in flags:
+            p.add_argument(
+                "--" + flag.name.replace("_", "-"),
+                type=flag.type,
+                default=flag.default,
+                required=flag.required,
+                choices=flag.choices,
+            )
+        _add_common(p)
 
     p = top.add_parser("rerun", help="replay a manifest byte-for-byte")
     p.add_argument("--manifest", type=Path, required=True)
@@ -503,81 +493,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_namespace(subcommand: str, ns: argparse.Namespace) -> dict:
-    if subcommand == "specfun eval":
-        keep = {"fn": ns.fn}
-        for key in ("x", "a", "b", "c", "z", "n"):
-            value = getattr(ns, key)
-            if value is not None:
-                keep[key] = value
-        return keep
-    if subcommand == "g eval":
-        return {
-            "theta": ns.theta,
-            "r": ns.r,
-            "s": ns.s,
-            "u": ns.u,
-            "v": ns.v,
-            "method": ns.method,
-            "quad_tol": ns.quad_tol,
-            "max_panels": ns.max_panels,
-        }
-    if subcommand == "condition check":
-        return {
-            "kind": ns.kind,
-            "p": ns.p,
-            "mu": ns.mu,
-            "nu": ns.nu,
-            "r": ns.r,
-            "s": ns.s,
-            "alpha": ns.alpha,
-            "N": ns.N,
-        }
-    if subcommand == "bc ratio":
-        return {
-            "p": ns.p,
-            "alpha": ns.alpha,
-            "theta_spec": _parse_theta_spec(ns.theta_spec),
-            "r": ns.r,
-            "s": ns.s,
-            "n_grid": _parse_n_grid(ns.n_grid),
-        }
-    if subcommand == "bc bracket":
-        return {
-            "p": ns.p,
-            "alpha": ns.alpha,
-            "theta_spec": _parse_theta_spec(ns.theta_spec),
-            "r": ns.r,
-            "s": ns.s,
-            "k": ns.k,
-            "j": ns.j,
-            "eps": ns.eps,
-        }
-    if subcommand == "simulate slln":
-        params = {
-            "p": ns.p,
-            "alpha": ns.alpha,
-            "theta_spec": _parse_theta_spec(ns.theta_spec),
-            "n_max": ns.n_max,
-            "replicates": ns.replicates,
-            "seed": ns.seed,
-        }
-        if ns.c is not None:
-            params["c"] = ns.c
-        if ns.window is not None:
-            params["window"] = ns.window
-        return params
-    if subcommand == "report example":
-        return {
-            "p": ns.p,
-            "mu": ns.mu,
-            "nu": ns.nu,
-            "r": ns.r,
-            "s": ns.s,
-            "alpha": ns.alpha,
-            "N": ns.N,
-        }
-    raise ParameterError(f"unknown subcommand {subcommand!r}")
+def _parameters(flags: tuple[_Flag, ...], ns: argparse.Namespace) -> dict:
+    """Every flag whose value is not None, structured values parsed."""
+    params = {}
+    for flag in flags:
+        value = getattr(ns, flag.name)
+        if value is not None:
+            params[flag.name] = flag.parse(value) if flag.parse else value
+    return params
+
+
+def _read_manifest(path: Path) -> dict:
+    """Load a manifest that this version of the tool can replay."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read manifest {path}: {exc}") from exc
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("subcommand"), str)
+        and isinstance(manifest.get("parameters"), dict)
+    ):
+        raise ParameterError(f"manifest {path} lacks a 'subcommand' string or a 'parameters' object")
+    if (manifest.get("tool"), manifest.get("version")) != (_TOOL, __version__):
+        origin = f"{manifest.get('tool')} {manifest.get('version')}"
+        raise ParameterError(f"manifest {path} is from {origin}, not {_TOOL} {__version__}")
+    return manifest
 
 
 def _default_outdir(subcommand: str) -> Path:
@@ -585,32 +526,23 @@ def _default_outdir(subcommand: str) -> Path:
     return base / subcommand.replace(" ", "-")
 
 
-def _structured_config_flags(key: str, value: str) -> list[str] | None:
-    """Translate structured config spellings to primitive flags.
+# structured config spellings: key -> (head, the flags its arguments set)
+_STRUCTURED_CONFIG = {
+    "marginal": ("pareto", ("alpha",)),
+    "copula": ("gfm", ("theta", "r", "s")),
+    "schedule": ("power", ("mu", "nu")),
+}
 
-    Supported: marginal = pareto(alpha); copula = gfm(theta, r, s);
-    schedule = power(mu, nu).
-    """
-    value = value.strip()
-    if key == "marginal":
-        if not (value.startswith("pareto(") and value.endswith(")")):
-            raise ParameterError(f"marginal must be 'pareto(alpha)', got {value!r}")
-        return ["--alpha", value[len("pareto(") : -1].strip()]
-    if key == "copula":
-        if not (value.startswith("gfm(") and value.endswith(")")):
-            raise ParameterError(f"copula must be 'gfm(theta, r, s)', got {value!r}")
-        parts = [part.strip() for part in value[len("gfm(") : -1].split(",")]
-        if len(parts) != 3:
-            raise ParameterError(f"copula must be 'gfm(theta, r, s)', got {value!r}")
-        return ["--theta", parts[0], "--r", parts[1], "--s", parts[2]]
-    if key == "schedule":
-        if not (value.startswith("power(") and value.endswith(")")):
-            raise ParameterError(f"schedule must be 'power(mu, nu)', got {value!r}")
-        parts = [part.strip() for part in value[len("power(") : -1].split(",")]
-        if len(parts) != 2:
-            raise ParameterError(f"schedule must be 'power(mu, nu)', got {value!r}")
-        return ["--mu", parts[0], "--nu", parts[1]]
-    return None
+
+def _config_flags(key: str, value: str) -> list[str]:
+    """Flags for one config line; structured spellings such as power(mu, nu) expand."""
+    if key not in _STRUCTURED_CONFIG:
+        return [f"--{key.replace('_', '-')}", value]
+    head, names = _STRUCTURED_CONFIG[key]
+    parts = [part.strip() for part in value[len(head) + 1 : -1].split(",")]
+    if not (value.startswith(head + "(") and value.endswith(")") and len(parts) == len(names)):
+        raise ParameterError(f"{key} must be '{head}({', '.join(names)})', got {value!r}")
+    return [token for name, part in zip(names, parts) for token in (f"--{name}", part)]
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
@@ -635,11 +567,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        structured = _structured_config_flags(key, value)
-        if structured is not None:
-            flags.extend(structured)
-        else:
-            flags.extend([f"--{key.replace('_', '-')}", value])
+        flags.extend(_config_flags(key, value))
     n_sub = 0
     while n_sub < len(rest) and not rest[n_sub].startswith("-"):
         n_sub += 1
@@ -656,27 +584,23 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         if ns.group == "rerun":
-            manifest = json.loads(ns.manifest.read_text())
+            manifest = _read_manifest(ns.manifest)
             subcommand = manifest["subcommand"]
             params = manifest["parameters"]
             if "n_grid" in params:
                 params["n_grid"] = [int(v) for v in params["n_grid"]]
-            config = RunConfig(
-                subcommand=subcommand,
-                parameters=params,
-                outdir=ns.outdir or _default_outdir(subcommand),
-                fmt=manifest.get("format", "both"),
-                workers=ns.workers,
-            )
+            fmt = manifest.get("format", "both")
         else:
             subcommand = f"{ns.group} {ns.action}"
-            config = RunConfig(
-                subcommand=subcommand,
-                parameters=_params_from_namespace(subcommand, ns),
-                outdir=ns.outdir or _default_outdir(subcommand),
-                fmt=ns.format,
-                workers=ns.workers,
-            )
+            params = _parameters(_COMMANDS[subcommand][1], ns)
+            fmt = ns.format
+        config = RunConfig(
+            subcommand=subcommand,
+            parameters=params,
+            outdir=ns.outdir or _default_outdir(subcommand),
+            fmt=fmt,
+            workers=ns.workers,
+        )
         return dispatch(config)
     except (ParameterError, DomainError) as exc:
         print(f"{_TOOL}: error: [parameter] {exc}", file=sys.stderr)

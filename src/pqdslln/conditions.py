@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import ThetaSchedule
+from .copulas import ThetaSchedule, separable_pair_sums
 from .errors import ParameterError
 from .gfun import bracket_limit, g_closed_bracket, g_factor
 from .marginals import ParetoMarginal
@@ -39,6 +39,7 @@ __all__ = [
     "MajorantBound",
     "condition_terms",
     "condition_sum",
+    "verdict_from_terms",
     "classify_series",
     "majorant_sum",
     "tail_condition",
@@ -161,8 +162,7 @@ def condition_terms(
     b = _factor_values(r, s, marginal, idx**inv_p)
     k_part = idx ** (wk + schedule.mu) * b
     j_part = idx ** (wj + schedule.nu) * b
-    prefix = np.cumsum(k_part) - k_part  # exclusive prefix sums: sum over k < j
-    terms = j_part[1:] * prefix[1:]
+    terms = separable_pair_sums(k_part, j_part)[1:]
     return idx[1:].astype(int), terms
 
 
@@ -176,12 +176,16 @@ def condition_sum(
     n_terms: int,
 ) -> SeriesVerdict:
     """Evaluate a weighted covariance series up to N and classify its decay."""
-    j_values, terms = condition_terms(kind, p, schedule, r, s, marginal, n_terms)
+    return verdict_from_terms(*condition_terms(kind, p, schedule, r, s, marginal, n_terms))
+
+
+def verdict_from_terms(j_values: np.ndarray, terms: np.ndarray) -> SeriesVerdict:
+    """Partial sum and decay classification of the (j_values, terms) of :func:`condition_terms`."""
     partial = math.fsum(terms)
     exponent, verdict, tail = classify_series(j_values, terms)
     return SeriesVerdict(
         partial_sum=partial,
-        n_terms=n_terms,
+        n_terms=int(j_values[-1]),
         fitted_decay_exponent=exponent,
         tail_estimate=tail,
         verdict=verdict,

@@ -36,7 +36,6 @@ __all__ = [
     "ThetaSchedule",
     "pqd_grid_check",
     "theta_admissible_bound",
-    "sample_pair",
     "sample_pairs",
 ]
 
@@ -45,6 +44,11 @@ _BISECT_STEPS = 52  # halves [0, 1] down to ~2e-16, well inside the 1e-12 contra
 
 def _scalar_or_array(out: np.ndarray):
     return out if out.ndim else float(out)
+
+
+def power_factor(f, r: float, s: float):
+    """The power-family factor f^s (1 - f)^r, in the operand types it is given."""
+    return f**s * (1.0 - f) ** r
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,7 @@ class GfmCopula:
 
     def perturbation_factor(self, u):
         """The separable factor u^s (1 - u)^r of the dependence perturbation."""
-        arr = np.asarray(u, dtype=float)
-        out = arr**self.s * (1.0 - arr) ** self.r
-        return _scalar_or_array(out)
+        return _scalar_or_array(power_factor(np.asarray(u, dtype=float), self.r, self.s))
 
     def cdf(self, u, v):
         uu = np.asarray(u, dtype=float)
@@ -197,6 +199,15 @@ class ThetaSchedule:
         return float(k) ** self.mu * float(j) ** self.nu
 
 
+def separable_pair_sums(k_part: np.ndarray, j_part: np.ndarray) -> np.ndarray:
+    """j_part[j] * sum_{k<j} k_part[k] for every index j (0 at the first).
+
+    A separable pair weight such as the power schedule k^mu j^nu turns a
+    double sum over k < j into this single pass of exclusive prefix sums.
+    """
+    return j_part * (np.cumsum(k_part) - k_part)
+
+
 def _solve_conditional(copula: GfmCopula, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve conditional(u, v) = w for v by bisection, to ~1e-12 in v."""
     lo = np.zeros_like(w)
@@ -224,9 +235,3 @@ def sample_pairs(copula: GfmCopula, marginal: Marginal, rng: np.random.Generator
     else:
         v = _solve_conditional(copula, u, w)
     return marginal.quantile(u), marginal.quantile(v)
-
-
-def sample_pair(copula: GfmCopula, marginal: Marginal, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one dependent pair (X, Y)."""
-    x, y = sample_pairs(copula, marginal, rng, 1)
-    return float(x[0]), float(y[0])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import GfmCopula, PerturbationCopula
+from .copulas import GfmCopula, PerturbationCopula, power_factor
 from .errors import DomainError
 from .marginals import Marginal, ParetoMarginal
 from .quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d
@@ -88,8 +88,7 @@ def g_factor(r: float, s: float, marginal: Marginal, u: float, *, abs_tol: float
         return 0.0
 
     def integrand(x):
-        fx = np.asarray(marginal.cdf(x), dtype=float)
-        return fx**s * (1.0 - fx) ** r
+        return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
 
     value, _ = adaptive_quad(integrand, lo, u, abs_tol=abs_tol)
     return value

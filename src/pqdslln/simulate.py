@@ -338,9 +338,7 @@ def run_slln(run: SlnnRun, *, workers: int = 1) -> PathReport:
         )
 
     def one(rep: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = replicate_rng(run.seed, rep)
-        u = sample_uniform_paths(run.model, rng, 1, n_sampled)[0]
-        x = np.asarray(run.marginal.quantile(u), dtype=float)
+        x = sample_sequence(run.model, run.marginal, replicate_rng(run.seed, rep), n_sampled)
         sums = np.cumsum(x)
         m_vals = (sums[idx] - ns * c) / ns ** (1.0 / run.p)
         e_vals = count_exceedances(x, run.p)[idx]

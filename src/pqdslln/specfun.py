@@ -101,9 +101,6 @@ class HypergeometricArgs:
                 f"2F1 series does not terminate and |z| >= 1 is outside the supported range, got z={self.z!r}"
             )
 
-    def evaluate(self) -> float:
-        return gauss_2f1(self.a, self.b, self.c, self.z)
-
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric sum_{n>=0} (a)_n (b)_n / ((c)_n n!) z^n.

@@ -17,7 +17,7 @@ from pqdslln.borel_cantelli import (
     scaled_tail_ratio,
 )
 from pqdslln.copulas import GfmCopula, ThetaSchedule
-from pqdslln.errors import DomainError, ParameterError, UndefinedRatioError
+from pqdslln.errors import DomainError, ParameterError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.copulas import sample_pairs
 
@@ -37,11 +37,6 @@ class TestEventProb:
         assert event_prob(independent(1.0, 1.0), 7) == pytest.approx(1.0 / 7.0)
         assert event_prob(independent(2.0, 1.0), 1) == 1.0
 
-    def test_lower_side_vacuous(self):
-        es = EventSystem(p=1.0, marginal=ParetoMarginal(2.0), side="lower")
-        assert all(event_prob(es, k) == 0.0 for k in (1, 2, 10, 1000))
-        assert np.all(event_probs(es, 100) == 0.0)
-
     def test_vector_matches_scalar(self):
         es = independent(1.5, 1.3)
         vec = event_probs(es, 20)
@@ -53,8 +48,6 @@ class TestEventProb:
             event_prob(independent(2.0, 1.0), 0)
         with pytest.raises(ParameterError):
             EventSystem(p=2.5, marginal=ParetoMarginal(2.0))
-        with pytest.raises(ParameterError):
-            EventSystem(p=1.0, marginal=ParetoMarginal(2.0), side="sideways")
 
 
 class TestPairEventProb:
@@ -161,11 +154,6 @@ class TestRenyiLampertiRatio:
         dep = renyi_lamperti_ratio(gfm_system(2.0, 1.0), 500)
         ind = renyi_lamperti_ratio(independent(2.0, 1.0), 500)
         assert dep >= ind
-
-    def test_lower_side_undefined(self):
-        es = EventSystem(p=1.0, marginal=ParetoMarginal(2.0), side="lower")
-        with pytest.raises(UndefinedRatioError):
-            renyi_lamperti_ratio(es, 100)
 
 
 class TestEpsilonBracket:

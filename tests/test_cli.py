@@ -6,6 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import pqdslln.cli
+import pqdslln.conditions
+from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
 
 SCHEMA = json.loads(
@@ -45,6 +48,11 @@ class TestSpecfunEval:
         code = run_cli(["specfun", "eval", "--fn", "gamma", "--x", "-1"], tmp_path)
         assert code == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
+
+    def test_missing_argument_is_parameter_error(self, tmp_path, capsys):
+        code = run_cli(["specfun", "eval", "--fn", "2f1", "--a", "1", "--c", "2"], tmp_path)
+        assert code == EXIT_PARAMETER
+        assert "--fn 2f1 needs --b --z" in capsys.readouterr().err
 
 
 class TestGEval:
@@ -121,6 +129,12 @@ class TestBc:
         lines = (tmp_path / "ratio.csv").read_text().splitlines()
         assert lines[0] == "n,ratio,running_min"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("grid", ["log:a:3", "log:100", "10,x", "0,5"])
+    def test_malformed_grid_is_parameter_error(self, tmp_path, capsys, grid):
+        code = run_cli(["bc", "ratio", "--alpha", "1", "--p", "1", "--n-grid", grid], tmp_path)
+        assert code == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
 
     def test_ratio_with_dependence(self, tmp_path):
         code = run_cli(
@@ -213,6 +227,92 @@ class TestManifestRerun:
         assert main(["rerun", "--manifest", str(first / "manifest.json"), "--outdir", str(second), "--workers", "3"]) == EXIT_OK
         for name in ("manifest.json", "result.json", "paths.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+class TestRerunRefusals:
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        run = tmp_path / "run"
+        args = ["specfun", "eval", "--fn", "gamma", "--x", "5", "--outdir", str(run)]
+        assert main(args) == EXIT_OK
+        return run / "manifest.json"
+
+    def rerun(self, path: Path, tmp_path: Path) -> int:
+        return main(["rerun", "--manifest", str(path), "--outdir", str(tmp_path / "replay")])
+
+    @pytest.mark.parametrize("key, value", [("version", "0.0.1"), ("tool", "other"), ("tool", None)])
+    def test_other_version_or_tool_is_parameter_error(self, manifest, tmp_path, capsys, key, value):
+        doc = read_json(manifest)
+        assert doc["version"] == __version__
+        doc[key] = value
+        manifest.write_text(json.dumps(doc))
+        assert self.rerun(manifest, tmp_path) == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,  # missing file
+            "{not json",
+            "\xff\xfe",
+            "[1, 2]",
+            '{"tool": "pqdslln", "version": "%s", "parameters": {"fn": "gamma", "x": 5.0}}' % __version__,
+            '{"tool": "pqdslln", "version": "%s", "subcommand": "specfun eval"}' % __version__,
+            '{"tool": "pqdslln", "version": "%s", "subcommand": "specfun eval", "parameters": {"x": 5.0}}'
+            % __version__,
+            '{"tool": "pqdslln", "version": "%s", "subcommand": "rerun", "parameters": {}}' % __version__,
+        ],
+        ids=["missing", "not-json", "not-utf8", "not-object", "no-subcommand", "no-parameters", "lacks-fn", "rerun"],
+    )
+    def test_unusable_manifest_is_parameter_error(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_bytes(text.encode("latin-1"))
+        assert self.rerun(path, tmp_path) == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize(
+        "p, mu, nu, plain_mu, plain_nu",
+        [("1", "0.2", "-1.5e0", "0.2", "-1.5"), ("1.5", "-8.8e-05", "-1.5e0", "-0.000088", "-1.5")],
+    )
+    def test_exponent_form_parses_as_value(self, tmp_path, p, mu, nu, plain_mu, plain_nu):
+        spellings = [
+            ["--p", p, "--mu", mu, "--nu", nu],
+            [f"--p={p}", f"--mu={mu}", f"--nu={nu}"],
+            ["--p", p, "--mu", plain_mu, "--nu", plain_nu],
+        ]
+        outputs = []
+        for i, args in enumerate(spellings):
+            out = tmp_path / str(i)
+            assert main(["condition", "check", "--kind", "nec12", "--N", "50", *args, "--outdir", str(out)]) == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert f'"mu": {float(mu)!r}'.encode() in outputs[0]["manifest.json"]
+
+
+class TestSeriesComputedOnce:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["condition", "check", "--kind", "cs11", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "100"],
+            ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "100"],
+        ],
+    )
+    def test_condition_terms_runs_once(self, args, tmp_path, monkeypatch):
+        calls = []
+        original = pqdslln.conditions.condition_terms
+
+        def counting(*a, **k):
+            calls.append(a)
+            return original(*a, **k)
+
+        monkeypatch.setattr(pqdslln.conditions, "condition_terms", counting)
+        monkeypatch.setattr(pqdslln.cli, "condition_terms", counting)
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert len(calls) == 1
 
 
 class TestConfigFile:

@@ -36,12 +36,13 @@ def beta_bracket(r: float, s: float, u: float) -> float:
 
 
 def brute_force_partial(kind: str, p: float, mu: float, nu: float, r: float, s: float, n: int) -> float:
+    # one quadrature per index, reused for every pair it enters
+    b = [None] + [beta_bracket(r, s, float(i) ** (1.0 / p)) for i in range(1, n + 1)]
     terms = []
     for j in range(2, n + 1):
-        bj = beta_bracket(r, s, float(j) ** (1.0 / p))
         for k in range(1, j):
             theta = float(k) ** mu * float(j) ** nu
-            g = theta * beta_bracket(r, s, float(k) ** (1.0 / p)) * bj
+            g = theta * b[k] * b[j]
             if kind == "cs11":
                 w = float(j) ** (-2.0 / p)
             elif kind == "nec12":
@@ -152,8 +153,9 @@ class TestConditionSum:
                 return 0.0
             return float(mpmath.quad(lambda x: (1 - x**-3.0) * x**-3.0, [1.0, u]))
 
+        factors = [None] + [factor(float(i)) for i in range(1, 41)]
         total = math.fsum(
-            (k * j) ** -1.0 * sched.theta(k, j) * factor(float(k)) * factor(float(j))
+            (k * j) ** -1.0 * sched.theta(k, j) * factors[k] * factors[j]
             for j in range(2, 41)
             for k in range(1, j)
         )

@@ -10,7 +10,6 @@ from pqdslln.copulas import (
     PerturbationCopula,
     ThetaSchedule,
     pqd_grid_check,
-    sample_pair,
     sample_pairs,
     theta_admissible_bound,
 )
@@ -173,8 +172,9 @@ class TestSamplePair:
             assert stat < threshold
 
     def test_single_pair(self, rng):
-        x, y = sample_pair(GfmCopula(theta=0.5), ParetoMarginal(2.0), rng)
-        assert x >= 1.0 and y >= 1.0
+        x, y = sample_pairs(GfmCopula(theta=0.5), ParetoMarginal(2.0), rng, 1)
+        assert x.shape == y.shape == (1,)
+        assert x[0] >= 1.0 and y[0] >= 1.0
 
     @given(THETAS, EXPONENTS, EXPONENTS)
     @settings(max_examples=10)
