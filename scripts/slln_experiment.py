@@ -30,20 +30,19 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=2**15)
     parser.add_argument("--replicates", type=int, default=16)
     parser.add_argument("--seed", type=int, default=20260810)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     convergent = SlnnRun(
         p=1.0, marginal=ParetoMarginal(2.0), model=None,
         n_max=args.n_max, replicates=args.replicates, seed=args.seed, c=2.0,
     )
-    digest("convergent regime", run_slln(convergent, workers=args.workers))
+    digest("convergent regime", run_slln(convergent))
 
     divergent = SlnnRun(
         p=1.0, marginal=ParetoMarginal(1.0), model=None,
         n_max=args.n_max, replicates=args.replicates, seed=args.seed, c=0.0,
     )
-    digest("divergent regime", run_slln(divergent, workers=args.workers))
+    digest("divergent regime", run_slln(divergent))
 
     model = MultivariateFgmModel.from_power_schedule(
         args.n_max, mu=-0.3, nu=-1.2, scale=0.25
@@ -52,7 +51,7 @@ def main() -> int:
         p=1.2, marginal=ParetoMarginal(2.0), model=model,
         n_max=args.n_max, replicates=args.replicates, seed=args.seed, c=2.0,
     )
-    report = run_slln(dependent, workers=args.workers)
+    report = run_slln(dependent)
     digest("dependent regime", report)
     window = report.metadata["window"]
     if window is not None:

@@ -67,7 +67,6 @@ from .simulate import (
     count_exceedances,
     replicate_rng,
     run_slln,
-    sample_sequence,
     sample_uniform_paths,
 )
 from .specfun import HypergeometricArgs, gamma, gauss_2f1, pochhammer

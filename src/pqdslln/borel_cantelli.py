@@ -53,6 +53,9 @@ class GfmDependence:
     s: float
     schedule: ThetaSchedule
 
+    def __post_init__(self):
+        GfmCopula(theta=0.0, r=self.r, s=self.s)  # the family's r, s >= 1 rule
+
     def copula(self, k: int, j: int) -> GfmCopula:
         lo, hi = (k, j) if k < j else (j, k)
         return GfmCopula(theta=self.schedule.theta(lo, hi), r=self.r, s=self.s)

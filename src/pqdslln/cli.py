@@ -3,8 +3,8 @@
 One binary, subcommand style.  Every run writes ``manifest.json`` echoing
 the fully resolved, result-affecting parameter set plus the tool version;
 ``rerun`` replays a manifest and reproduces every output byte for byte.
-Execution details that cannot affect results (worker count, output
-directory) are deliberately kept out of the manifest.  A flat key=value
+The output directory cannot affect results and is kept out of the
+manifest; ``--workers`` is accepted and ignored.  A flat key=value
 config file may supply defaults; explicit flags win.
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
@@ -53,7 +53,6 @@ class RunConfig:
     parameters: dict
     outdir: Path
     fmt: str = "both"
-    workers: int = 1
 
 
 # --------------------------------------------------------------------------
@@ -116,6 +115,16 @@ def _parse_theta_spec(spec: str) -> dict:
     raise ParameterError(f"theta spec must be 'zero' or 'power:mu,nu[,scale]', got {spec!r}")
 
 
+def _is_theta_spec(value) -> bool:
+    """Whether a manifest value has the form ``_parse_theta_spec`` returns."""
+    return value == {"kind": "zero"} or (
+        isinstance(value, dict)
+        and value.keys() == {"kind", "mu", "nu", "scale"}
+        and value["kind"] == "power"
+        and all(type(value[key]) is float for key in ("mu", "nu", "scale"))
+    )
+
+
 def _parse_n_grid(spec: str) -> list[int]:
     """Parse 'log:<max>:<points>' or a comma list of sizes into an n grid."""
     spec = spec.strip()
@@ -140,6 +149,11 @@ def _parse_n_grid(spec: str) -> list[int]:
     return values
 
 
+def _is_n_grid(value) -> bool:
+    """Whether a manifest value has the form ``_parse_n_grid`` returns."""
+    return isinstance(value, list) and bool(value) and all(type(n) is int and n >= 1 for n in value)
+
+
 def _dependence_from_params(params: dict) -> GfmDependence | None:
     theta = params["theta_spec"]
     if theta["kind"] == "zero":
@@ -151,8 +165,8 @@ def _dependence_from_params(params: dict) -> GfmDependence | None:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: (params dict, worker count) -> (result dict,
-# {csv name: (header, rows)}, stdout lines); only simulate uses the workers
+# subcommand handlers: params dict -> (result dict, {csv name: (header,
+# rows)}, stdout lines)
 # --------------------------------------------------------------------------
 
 
@@ -164,10 +178,8 @@ _SPECFUN = {
 }
 
 
-def _run_specfun_eval(params: dict, workers: int):
+def _run_specfun_eval(params: dict):
     fn = params["fn"]
-    if fn not in _SPECFUN:
-        raise ParameterError(f"unknown function {fn!r}; expected gamma, pochhammer or 2f1")
     function, names = _SPECFUN[fn]
     missing = [f"--{name}" for name in names if name not in params]
     if missing:
@@ -177,7 +189,7 @@ def _run_specfun_eval(params: dict, workers: int):
     return dict(args, fn=fn, value=value), {}, [f"{value:.15g}"]
 
 
-def _run_g_eval(params: dict, workers: int):
+def _run_g_eval(params: dict):
     echo = {k: params[k] for k in ("theta", "r", "s", "u", "v")}
     theta, r, s, u, v = echo.values()
     method = params["method"]
@@ -199,7 +211,7 @@ def _run_g_eval(params: dict, workers: int):
     return result, {}, lines
 
 
-def _run_condition_check(params: dict, workers: int):
+def _run_condition_check(params: dict):
     schedule = ThetaSchedule(mu=params["mu"], nu=params["nu"], p=params["p"])
     marginal = ParetoMarginal(params["alpha"])
     kind = params["kind"]
@@ -212,7 +224,7 @@ def _run_condition_check(params: dict, workers: int):
     return result, tables, [f"{kind}: {verdict.verdict} (partial sum {verdict.partial_sum:.9g})"]
 
 
-def _run_bc_ratio(params: dict, workers: int):
+def _run_bc_ratio(params: dict):
     es = EventSystem(p=params["p"], marginal=ParetoMarginal(params["alpha"]), dependence=_dependence_from_params(params))
     grid = params["n_grid"]
     ratios = renyi_lamperti_ratios(es, grid)
@@ -223,14 +235,14 @@ def _run_bc_ratio(params: dict, workers: int):
     return result, tables, [f"ratio at n={grid[-1]}: {ratios[-1]:.9g} (running min {running_min[-1]:.9g})"]
 
 
-def _run_bc_bracket(params: dict, workers: int):
+def _run_bc_bracket(params: dict):
     es = EventSystem(p=params["p"], marginal=ParetoMarginal(params["alpha"]), dependence=_dependence_from_params(params))
     check = epsilon_bracket_check(es, params["k"], params["j"], params["eps"])
     result = {k: params[k] for k in ("p", "alpha", "k", "j", "eps")} | check._asdict()
     return result, {}, [f"lhs={check.lhs:.9g} rhs={check.rhs:.9g} holds={check.holds}"]
 
 
-def _run_simulate_slln(params: dict, workers: int):
+def _run_simulate_slln(params: dict):
     theta = params["theta_spec"]
     model = None
     if theta["kind"] != "zero":
@@ -246,7 +258,7 @@ def _run_simulate_slln(params: dict, workers: int):
         seed=params["seed"],
         c=params.get("c"),
     )
-    report = run_slln(run, workers=workers)
+    report = run_slln(run)
     result = {
         "checkpoints": list(report.checkpoints),
         "median_abs_m": report.median_abs_m().tolist(),
@@ -267,7 +279,7 @@ def _run_simulate_slln(params: dict, workers: int):
     return result, tables, lines
 
 
-def _run_report_example(params: dict, workers: int):
+def _run_report_example(params: dict):
     p, mu, nu, r, s, n_terms = (params[k] for k in ("p", "mu", "nu", "r", "s", "N"))
     schedule = ThetaSchedule(mu=mu, nu=nu, p=p)
     marginal = ParetoMarginal(params["alpha"])
@@ -335,9 +347,10 @@ class _Flag(NamedTuple):
     required: bool = False
     choices: tuple | None = None
     parse: Callable | None = None  # structured values; runs after argparse to keep ParameterError
+    is_parsed: Callable | None = None  # whether a manifest value has the form parse returns
 
 
-_THETA_SPEC = _Flag("theta_spec", str, default="zero", parse=_parse_theta_spec)
+_THETA_SPEC = _Flag("theta_spec", str, default="zero", parse=_parse_theta_spec, is_parsed=_is_theta_spec)
 _SERIES_MODEL = (
     *(_Flag(name, required=True) for name in ("p", "mu", "nu")),
     _Flag("r", default=1.0),
@@ -379,7 +392,7 @@ _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
     ),
     "bc ratio": (
         _run_bc_ratio,
-        (*_EVENT_SYSTEM, _Flag("n_grid", str, default="log:10000:25", parse=_parse_n_grid)),
+        (*_EVENT_SYSTEM, _Flag("n_grid", str, default="log:10000:25", parse=_parse_n_grid, is_parsed=_is_n_grid)),
     ),
     "bc bracket": (
         _run_bc_bracket,
@@ -410,17 +423,32 @@ _GROUP_HELP = {
 }
 
 
+def _check_parameters(subcommand: str, params: dict) -> None:
+    """Refuse parameters the subcommand lacks, does not declare, or cannot take from its flags."""
+    if subcommand not in _COMMANDS:
+        raise ParameterError(f"unknown subcommand {subcommand!r}")
+    flags = {flag.name: flag for flag in _COMMANDS[subcommand][1]}
+    missing = [f.name for f in flags.values() if (f.required or f.default is not None) and f.name not in params]
+    if missing:
+        raise ParameterError(f"{subcommand} parameters lack {', '.join(missing)}")
+    for name, value in params.items():
+        flag = flags.get(name)
+        if flag is None:
+            raise ParameterError(f"{subcommand} takes no parameter {name!r}")
+        if flag.is_parsed:
+            valid = flag.is_parsed(value)
+        else:
+            valid = type(value) is flag.type and (flag.choices is None or value in flag.choices)
+        if not valid:
+            raise ParameterError(f"parameter {name}={value!r} is not a value {subcommand} takes")
+
+
 def dispatch(config: RunConfig) -> int:
     """Execute a resolved run: compute, write artifacts, write the manifest."""
-    if config.subcommand not in _COMMANDS:
-        raise ParameterError(f"unknown subcommand {config.subcommand!r}")
+    _check_parameters(config.subcommand, config.parameters)
     if config.fmt not in ("json", "csv", "both"):
         raise ParameterError(f"output format must be json, csv or both, got {config.fmt!r}")
-    handler, flags = _COMMANDS[config.subcommand]
-    missing = [f.name for f in flags if (f.required or f.default is not None) and f.name not in config.parameters]
-    if missing:
-        raise ParameterError(f"{config.subcommand} parameters lack {', '.join(missing)}")
-    result, tables, lines = handler(config.parameters, max(1, config.workers))
+    result, tables, lines = _COMMANDS[config.subcommand][0](config.parameters)
 
     config.outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -462,7 +490,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir", type=Path, default=None, help="output directory (default: $PQDSLLN_OUTDIR or ./runs/<subcommand>)")
     parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, help="accepted and ignored")
     parser.add_argument("--config", type=Path, default=None, help="flat key=value file supplying defaults; flags win")
 
 
@@ -587,8 +615,6 @@ def main(argv: list[str] | None = None) -> int:
             manifest = _read_manifest(ns.manifest)
             subcommand = manifest["subcommand"]
             params = manifest["parameters"]
-            if "n_grid" in params:
-                params["n_grid"] = [int(v) for v in params["n_grid"]]
             fmt = manifest.get("format", "both")
         else:
             subcommand = f"{ns.group} {ns.action}"
@@ -599,7 +625,6 @@ def main(argv: list[str] | None = None) -> int:
             parameters=params,
             outdir=ns.outdir or _default_outdir(subcommand),
             fmt=fmt,
-            workers=ns.workers,
         )
         return dispatch(config)
     except (ParameterError, DomainError) as exc:

@@ -22,22 +22,22 @@ truncate dependence to a sliding index window, which is recorded in the
 report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
-(seed, replicate), so replicate-level parallelism cannot change any draw:
-identical seeds give bit-identical reports under any worker count.
+(seed, replicate).  A run samples its replicates in batches, each row
+drawing from its own stream, so identical seeds give bit-identical reports
+however the replicates are grouped.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .marginals import Marginal, ParetoMarginal
+from .marginals import ParetoMarginal
 
 __all__ = [
     "EXACT_DIMENSION_CAP",
@@ -45,7 +45,6 @@ __all__ = [
     "MultivariateFgmModel",
     "SlnnRun",
     "PathReport",
-    "sample_sequence",
     "sample_uniform_paths",
     "run_slln",
     "count_exceedances",
@@ -54,6 +53,10 @@ __all__ = [
 
 EXACT_DIMENSION_CAP = 1 << 12
 DEFAULT_WINDOW = 64
+# Uniforms run_slln samples at once (rows x path length).  It bounds peak
+# memory: a 131072-step run holds 2 rows at a time, while every exact-model
+# run (n <= 4096) of up to 64 replicates fits in one group.
+_GROUP_ELEMENTS = 1 << 18
 
 _MASK64 = (1 << 64) - 1
 
@@ -147,12 +150,11 @@ class MultivariateFgmModel:
         if n < 2 or scale == 0.0:
             return 0.0
         idx = np.arange(1, n + 1, dtype=float)
-        kp = np.cumsum(idx**mu)
-        inner = np.empty(n)
-        for j in range(2, n + 1):
-            lo = 0 if window is None else max(0, j - 1 - window)
-            inner[j - 1] = kp[j - 2] - (kp[lo - 1] if lo >= 1 else 0.0)
-        return scale * float(np.dot(idx[1:] ** nu, inner[1:]))
+        kp = np.concatenate(([0.0], np.cumsum(idx**mu)))  # kp[i] = sum_{k <= i} k^mu
+        j = np.arange(2, n + 1)
+        lo = 0 if window is None else np.maximum(0, j - 1 - window)
+        inner = kp[j - 1] - kp[lo]
+        return scale * float(np.dot(idx[1:] ** nu, inner))
 
     def theta(self, k: int, j: int) -> float:
         """Pairwise strength for 1 <= k < j <= n (0 outside the window)."""
@@ -183,66 +185,59 @@ def _invert_linear_density(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sample_uniform_paths(
-    model: MultivariateFgmModel | None, rng: np.random.Generator, batch: int, n: int | None = None
+    model: MultivariateFgmModel | None, rng: np.random.Generator | Sequence, batch: int, n: int | None = None
 ) -> np.ndarray:
     """Draw ``batch`` uniform-margin paths of length n from the joint model.
 
     ``model`` None (or a zero schedule) means independent coordinates.
-    Returns a (batch, n) array.
+    ``rng`` is one Generator, filling the rows one after another, or a
+    sequence of one Generator per row, whose row then depends on its own
+    stream only.  Returns a (batch, n) array.
     """
     if model is None:
         if n is None:
             raise ParameterError("independent sampling needs an explicit length n")
-        return rng.random((batch, n))
-    n = model.n if n is None else n
-    if n > model.n:
-        raise ParameterError(f"requested length {n!r} exceeds model dimension {model.n!r}")
-    if model.theta_sum == 0.0:
-        return rng.random((batch, n))
-
+    else:
+        n = model.n if n is None else n
+        if n > model.n:
+            raise ParameterError(f"requested length {n!r} exceeds model dimension {model.n!r}")
     u = np.empty((batch, n))
-    etas = np.empty((batch, n))
+    if isinstance(rng, np.random.Generator):
+        rng.random(out=u)
+    elif len(rng) == batch:
+        for row, row_rng in zip(u, rng):
+            row_rng.random(out=row)
+    else:
+        raise ParameterError(f"{len(rng)!r} generators given for a batch of {batch!r} rows")
+    if model is None or model.theta_sum == 0.0:
+        return u
+
+    # u holds the drawn uniforms; column m is replaced by the inverted u_m,
+    # from which eta_m = 1 - 2 u_m is recomputed where a later step needs it
     d = np.ones(batch)
     power_form = model.pairs is None
-    if power_form:
-        g_hist = np.empty((batch, n))  # k^mu * eta_k, for the telescoped inner sum
-        w_run = np.zeros(batch)
+    w_run = np.zeros(batch)  # windowed sum of k^mu * eta_k, the telescoped inner sum of power schedules
     for m in range(1, n + 1):
         if power_form:
             a_m = (model.scale * float(m) ** model.nu) * w_run
         else:
             ks, thetas = model._rows[m - 1]
-            in_win = ks if model.window is None else ks[m - ks <= model.window]
-            th = thetas if model.window is None else thetas[m - ks <= model.window]
-            a_m = etas[:, in_win - 1] @ th if in_win.size else np.zeros(batch)
+            a_m = (1.0 - 2.0 * u[:, ks - 1]) @ thetas
         if np.any(d <= 0.0):
             raise NumericError("conditional normalizer became nonpositive (internal bug)")
         a = a_m / d
         if np.any(np.abs(a) > 1.0 + 1e-9):
             raise NumericError("conditional slope left [-1, 1] (internal normalizer bug)")
-        u_m = _invert_linear_density(np.clip(a, -1.0, 1.0), rng.random(batch))
+        u_m = _invert_linear_density(np.clip(a, -1.0, 1.0), u[:, m - 1])
         eta = 1.0 - 2.0 * u_m
         u[:, m - 1] = u_m
-        etas[:, m - 1] = eta
         d = d + eta * a_m
         if power_form:
-            g = float(m) ** model.mu * eta
-            g_hist[:, m - 1] = g
-            w_run = w_run + g
-            if model.window is not None and m - model.window >= 1:
-                w_run = w_run - g_hist[:, m - model.window - 1]
+            w_run = w_run + float(m) ** model.mu * eta
+            if model.window is not None and m > model.window:
+                k = m - model.window
+                w_run = w_run - float(k) ** model.mu * (1.0 - 2.0 * u[:, k - 1])
     return u
-
-
-def sample_sequence(
-    model: MultivariateFgmModel | None,
-    marginal: Marginal,
-    rng: np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    """One dependent sequence (X_1, ..., X_n) = quantile of a joint-uniform path."""
-    u = sample_uniform_paths(model, rng, 1, n)[0]
-    return np.asarray(marginal.quantile(u), dtype=float)
 
 
 def count_exceedances(path, p: float) -> np.ndarray:
@@ -320,12 +315,12 @@ class PathReport:
         return float(np.max(np.abs(self.m_values[:, -last:])))
 
 
-def run_slln(run: SlnnRun, *, workers: int = 1) -> PathReport:
+def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
-    Each replicate owns its own counter-based stream, and replicate results
-    are merged in index order, so the report is bit-identical under any
-    worker count.
+    Replicates are sampled in groups of at most 2^18 uniforms (one row per
+    replicate), each row from its own counter-based stream, so a
+    replicate's results do not depend on the grouping.
     """
     c = run.centering()
     cps = run.checkpoints()
@@ -336,22 +331,19 @@ def run_slln(run: SlnnRun, *, workers: int = 1) -> PathReport:
         raise ParameterError(
             f"model dimension {run.model.n!r} is smaller than the last checkpoint {n_sampled!r}"
         )
-
-    def one(rep: int) -> tuple[np.ndarray, np.ndarray]:
-        x = sample_sequence(run.model, run.marginal, replicate_rng(run.seed, rep), n_sampled)
-        sums = np.cumsum(x)
-        m_vals = (sums[idx] - ns * c) / ns ** (1.0 / run.p)
-        e_vals = count_exceedances(x, run.p)[idx]
-        return m_vals, e_vals
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(run.replicates)))
-    else:
-        results = [one(rep) for rep in range(run.replicates)]
-
-    m_matrix = np.stack([m for m, _ in results])
-    e_matrix = np.stack([e for _, e in results])
+    thresholds = np.arange(1, n_sampled + 1, dtype=float) ** (1.0 / run.p)
+    segment_starts = (0, *cps[:-1])
+    group = max(1, _GROUP_ELEMENTS // n_sampled)
+    m_matrix = np.empty((run.replicates, len(cps)))
+    e_matrix = np.empty((run.replicates, len(cps)), dtype=np.int64)
+    for start in range(0, run.replicates, group):
+        rows = range(start, min(start + group, run.replicates))
+        rngs = [replicate_rng(run.seed, rep) for rep in rows]
+        x = run.marginal.quantile(sample_uniform_paths(run.model, rngs, len(rngs), n_sampled))
+        hits = np.add.reduceat(x > thresholds, segment_starts, axis=1, dtype=np.int64)
+        e_matrix[rows] = np.cumsum(hits, axis=1)
+        sums = np.cumsum(x, axis=1, out=x)  # x is not needed after the hit counts
+        m_matrix[rows] = (sums[:, idx] - ns * c) / ns ** (1.0 / run.p)
     model = run.model
     metadata = {
         "p": run.p,

@@ -168,7 +168,7 @@ def test_criterion_08_slln_desk_scale():
     convergent = SlnnRun(
         p=1.0, marginal=ParetoMarginal(2.0), model=None, n_max=2**17, replicates=32, seed=SEED, c=2.0
     )
-    report = run_slln(convergent, workers=4)
+    report = run_slln(convergent)
     assert report.max_abs_m()[-1] < 0.2
     med = report.median_abs_m()
     from_idx = list(report.checkpoints).index(1024)
@@ -178,7 +178,7 @@ def test_criterion_08_slln_desk_scale():
     divergent = SlnnRun(
         p=1.0, marginal=ParetoMarginal(1.0), model=None, n_max=2**17, replicates=32, seed=SEED, c=0.0
     )
-    assert run_slln(divergent, workers=4).tail_max_abs_m(3) > 1.0
+    assert run_slln(divergent).tail_max_abs_m(3) > 1.0
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     _pass(8, "seeded SLLN demonstration")

@@ -31,6 +31,13 @@ def gfm_system(alpha: float, p: float, mu: float = 0.2, nu: float = -1.5, r: flo
     return EventSystem(p=p, marginal=ParetoMarginal(alpha), dependence=dep)
 
 
+class TestGfmDependence:
+    @pytest.mark.parametrize("r, s", [(0.5, 1.0), (1.0, 0.5), (0.5, 0.5)])
+    def test_rejects_exponents_below_one(self, r, s):
+        with pytest.raises(ParameterError, match="r >= 1 and s >= 1"):
+            GfmDependence(r=r, s=s, schedule=ThetaSchedule(mu=0.2, nu=-1.5, p=1.0))
+
+
 class TestEventProb:
     def test_upper_values(self):
         assert event_prob(independent(2.0, 1.0), 10) == pytest.approx(0.01)

@@ -146,6 +146,13 @@ class TestBc:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("action", ["ratio", "bracket"])
+    def test_exponents_below_one_are_parameter_error(self, tmp_path, capsys, action):
+        model = ["--alpha", "2", "--p", "1", "--theta-spec", "power:0.2,-1.5", "--r", "0.5", "--s", "0.5"]
+        extra = ["--n-grid", "10,100"] if action == "ratio" else ["--k", "2", "--j", "3", "--eps", "2"]
+        assert run_cli(["bc", action, *model, *extra], tmp_path) == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+
     def test_bracket(self, tmp_path):
         code = run_cli(
             ["bc", "bracket", "--alpha", "2", "--p", "1", "--k", "2", "--j", "3", "--eps", "2"],
@@ -271,6 +278,39 @@ class TestRerunRefusals:
             path.write_bytes(text.encode("latin-1"))
         assert self.rerun(path, tmp_path) == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
+
+    CONDITION = ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "50"]
+    BC = ["bc", "ratio", "--alpha", "2", "--p", "1", "--theta-spec", "power:0.2,-1.5", "--n-grid", "10,100"]
+
+    @pytest.mark.parametrize(
+        "args, key, value",
+        [
+            (CONDITION, "N", "50"),
+            (CONDITION, "N", 50.0),
+            (CONDITION, "p", "1"),
+            (CONDITION, "p", 1),
+            (CONDITION, "p", True),
+            (CONDITION, "kind", "other"),
+            (CONDITION, "bogus", 1),
+            (BC, "n_grid", [10, "100"]),
+            (BC, "n_grid", 100),
+            (BC, "theta_spec", {"kind": "power", "mu": 0.2, "nu": -1.5}),
+            (BC, "theta_spec", "power:0.2,-1.5"),
+        ],
+        ids=[
+            "int-as-string", "int-as-float", "float-as-string", "float-as-int", "float-as-bool",
+            "not-a-choice", "undeclared", "grid-entry-string", "grid-not-list", "theta-lacks-scale", "theta-unparsed",
+        ],
+    )
+    def test_mistyped_or_undeclared_parameter_is_parameter_error(self, tmp_path, capsys, args, key, value):
+        run = tmp_path / "run"
+        assert main([*args, "--outdir", str(run)]) == EXIT_OK
+        doc = read_json(run / "manifest.json")
+        doc["parameters"][key] = value
+        (run / "manifest.json").write_text(json.dumps(doc))
+        assert self.rerun(run / "manifest.json", tmp_path) == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "replay").exists()
 
 
 class TestNegativeExponentValues:

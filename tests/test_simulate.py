@@ -15,7 +15,6 @@ from pqdslln.simulate import (
     count_exceedances,
     replicate_rng,
     run_slln,
-    sample_sequence,
     sample_uniform_paths,
 )
 
@@ -129,11 +128,19 @@ class TestSampler:
         b = sample_uniform_paths(windowed, replicate_rng(9, 0), 8)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
-    def test_sample_sequence_support(self, rng):
+    def test_quantile_of_paths_support(self, rng):
         model = MultivariateFgmModel.from_power_schedule(32, mu=-0.3, nu=-1.2, scale=0.25)
-        x = sample_sequence(model, ParetoMarginal(2.0), rng)
-        assert x.shape == (32,)
+        x = ParetoMarginal(2.0).quantile(sample_uniform_paths(model, rng, 1))
+        assert x.shape == (1, 32)
         assert np.all(x >= 1.0)
+
+    def test_row_generators_match_single_row_draws(self):
+        model = MultivariateFgmModel.from_power_schedule(48, mu=-0.3, nu=-1.2, scale=0.25)
+        rows = sample_uniform_paths(model, [replicate_rng(9, rep) for rep in range(3)], 3)
+        for rep in range(3):
+            np.testing.assert_array_equal(rows[rep], sample_uniform_paths(model, replicate_rng(9, rep), 1)[0])
+        with pytest.raises(ParameterError):
+            sample_uniform_paths(model, [replicate_rng(9, 0)], 2)
 
 
 class TestCountExceedances:
@@ -179,12 +186,45 @@ class TestRunSlln:
         run = self.run(n_max=5000)
         assert run.checkpoints() == (128, 256, 512, 1024, 2048, 4096)
 
-    def test_determinism_and_worker_independence(self):
-        run = self.run()
-        a = run_slln(run, workers=1)
-        b = run_slln(run, workers=4)
-        np.testing.assert_array_equal(a.m_values, b.m_values)
-        np.testing.assert_array_equal(a.exceedances, b.exceedances)
+    @staticmethod
+    def reference_rows(run):
+        """Each replicate sampled on its own, as one row from its own stream."""
+        cps = run.checkpoints()
+        idx = np.array(cps) - 1
+        ns = np.array(cps, dtype=float)
+        m_rows, e_rows = [], []
+        for rep in range(run.replicates):
+            u = sample_uniform_paths(run.model, replicate_rng(run.seed, rep), 1, cps[-1])[0]
+            x = run.marginal.quantile(u)
+            m_rows.append((np.cumsum(x)[idx] - ns * run.centering()) / ns ** (1.0 / run.p))
+            e_rows.append(count_exceedances(x, run.p)[idx])
+        return np.array(m_rows), np.array(e_rows)
+
+    @pytest.mark.parametrize("case", ["independent", "exact", "window"])
+    def test_rows_do_not_depend_on_grouping(self, case):
+        run = {
+            # 2^17 steps: replicates go in groups of 2 and 1
+            "independent": lambda: self.run(n_max=2**17, replicates=3),
+            "exact": lambda: self.run(
+                p=1.2, n_max=2**10, replicates=4,
+                model=MultivariateFgmModel.from_power_schedule(2**10, mu=-0.3, nu=-1.2, scale=0.25),
+            ),
+            "window": lambda: self.run(
+                p=1.2, n_max=2**11, replicates=3,
+                model=MultivariateFgmModel.from_power_schedule(2**11, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+            ),
+        }[case]()
+        report = run_slln(run)
+        m_rows, e_rows = self.reference_rows(run)
+        np.testing.assert_array_equal(report.m_values, m_rows)
+        np.testing.assert_array_equal(report.exceedances, e_rows)
+
+    def test_more_replicates_keep_leading_rows(self):
+        # replicate 2 has a group of its own in a run of 3 and shares one with replicate 3 in a run of 4
+        fewer = run_slln(self.run(n_max=2**17, replicates=3))
+        more = run_slln(self.run(n_max=2**17, replicates=4))
+        np.testing.assert_array_equal(more.m_values[:3], fewer.m_values)
+        np.testing.assert_array_equal(more.exceedances[:3], fewer.exceedances)
 
     def test_convergent_regime(self):
         report = run_slln(self.run(n_max=2**15, replicates=16))
