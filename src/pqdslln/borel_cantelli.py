@@ -125,24 +125,32 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0 or np.any(ns < 1):
         raise DomainError("ratio grid must contain positive integers")
-    n_max = int(ns.max())
-    probs = event_probs(es, n_max)
-    s1 = np.cumsum(probs)
-    s2 = np.cumsum(probs * probs)
-    if es.dependence is None:
-        dep = np.zeros(n_max)
-    else:
-        idx = np.arange(1, n_max + 1, dtype=float)
-        f = np.asarray(es.marginal.cdf(idx ** (1.0 / es.p)), dtype=float)  # F at each threshold
-        h = power_factor(f, es.dependence.r, es.dependence.s)
-        k_part = idx**es.dependence.schedule.mu * h
-        j_part = idx**es.dependence.schedule.nu * h
-        dep = 2.0 * np.cumsum(separable_pair_sums(k_part, j_part))
-    denom = s1[ns - 1]
-    if np.any(denom <= 0.0):
+    # In-place steps and early deletes hold at most five length-max(ns) arrays.
+    at = ns - 1
+    idx = np.arange(1, int(ns.max()) + 1, dtype=float)
+    thresholds = idx ** (1.0 / es.p)
+    probs = np.asarray(es.marginal.survival(thresholds), dtype=float)
+    s1 = np.cumsum(probs)[at]
+    if np.any(s1 <= 0.0):
         raise UndefinedRatioError("all event probabilities vanish; the pair-sum ratio is undefined")
-    numer = s1[ns - 1] + s1[ns - 1] ** 2 - s2[ns - 1] + dep[ns - 1]
-    return numer / denom**2
+    probs *= probs
+    s2 = np.cumsum(probs)[at]
+    del probs
+    dep = 0.0
+    if es.dependence is not None:
+        f = np.asarray(es.marginal.cdf(thresholds), dtype=float)  # F at each threshold
+        del thresholds
+        h = power_factor(f, es.dependence.r, es.dependence.s)
+        del f
+        k_part = idx**es.dependence.schedule.mu
+        k_part *= h
+        idx **= es.dependence.schedule.nu
+        idx *= h  # now j_part
+        del h
+        pair = separable_pair_sums(k_part, idx)
+        del k_part, idx
+        dep = 2.0 * np.cumsum(pair)[at]
+    return (s1 + s1**2 - s2 + dep) / s1**2
 
 
 def renyi_lamperti_ratio(es: EventSystem, n: int) -> float:

@@ -5,7 +5,8 @@ the fully resolved, result-affecting parameter set plus the tool version;
 ``rerun`` replays a manifest and reproduces every output byte for byte.
 The output directory cannot affect results and is kept out of the
 manifest; ``--workers`` is accepted and ignored.  A flat key=value
-config file may supply defaults; explicit flags win.
+config file may supply defaults; explicit flags win.  CSV table cells are
+Python scalars (int, float, str), so every float is written as its repr().
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
 Verdicts are data, not errors: a "diverges" result still exits 0.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -78,18 +80,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a table whose cells are Python scalars; csv writes a float as its repr()."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def _dependence_from_params(params: dict) -> GfmDependence | None:
 
 # --------------------------------------------------------------------------
 # subcommand handlers: params dict -> (result dict, {csv name: (header,
-# rows)}, stdout lines)
+# rows)}, stdout lines); table cells are Python scalars (int, float, str)
 # --------------------------------------------------------------------------
 
 
@@ -266,10 +262,11 @@ def _run_simulate_slln(params: dict):
         "mean_exceedances": report.mean_exceedances().tolist(),
         "metadata": report.metadata,
     }
-    rows = []
-    for rep in range(report.m_values.shape[0]):
-        for i, n in enumerate(report.checkpoints):
-            rows.append((rep, n, report.m_values[rep, i], int(report.exceedances[rep, i])))
+    rows = [
+        (rep, n, m, e)
+        for rep, (m_row, e_row) in enumerate(zip(report.m_values.tolist(), report.exceedances.tolist()))
+        for n, m, e in zip(report.checkpoints, m_row, e_row)
+    ]
     tables = {"paths": (["replicate", "checkpoint_n", "m_n", "e_n"], rows)}
     lines = [
         f"checkpoints: {list(report.checkpoints)}",
@@ -494,7 +491,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="flat key=value file supplying defaults; flags win")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built at the first call and reused: parsing never changes it."""
     parser = _Parser(prog=_TOOL, description=__doc__)
     parser.add_argument("--version", action="version", version=f"{_TOOL} {__version__}")
     top = parser.add_subparsers(dest="group", required=True)

@@ -8,10 +8,11 @@ weight and the thresholds fed to the covariance functional G:
 * ``l1``     weight (kj)^(-1),    thresholds (k, j)  (first-moment case)
 
 With a power schedule theta_{k,j} = k^mu j^nu the functional factorizes as
-G = theta * B(k') * B(j'), so the double sum reduces to O(N) factor
-evaluations plus cumulative products.  Partial sums are accumulated with
-exact (fsum) summation, so results are independent of any parallel
-partitioning of the terms.
+G = theta * B(k') * B(j'), so the double sum reduces to B at the N
+thresholds (one array pass of the closed form at alpha = 2, one quadrature
+per threshold otherwise) plus cumulative products.  Partial sums are
+accumulated with exact (fsum) summation, so results are independent of any
+parallel partitioning of the terms.
 
 Truncated sums cannot prove convergence; verdicts are an honest
 classification of the fitted decay rate of the per-j aggregated terms over
@@ -120,7 +121,7 @@ def classify_series(j_values: np.ndarray, terms: np.ndarray) -> tuple[float, str
 def _factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds: np.ndarray) -> np.ndarray:
     """Covariance factor B at each threshold; closed form when alpha = 2."""
     if marginal.alpha == 2.0:
-        return np.array([g_closed_bracket(r, s, float(u)) if u > 1.0 else 0.0 for u in thresholds])
+        return g_closed_bracket(r, s, thresholds)
     return np.array([g_factor(r, s, marginal, float(u)) for u in thresholds])
 
 

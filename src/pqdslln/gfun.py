@@ -21,6 +21,8 @@ its double integral over [-u, u] x [-v, v].  Three routes are provided:
 with G the gamma function and H the Gauss hypergeometric sum.  B(u) -> 0 as
 u -> 1+ and increases to the first term as u -> inf, which also furnishes a
 k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
+``g_closed_bracket`` evaluates B at a scalar or at a whole array of
+thresholds in one pass; the other routes take scalars.
 """
 
 from __future__ import annotations
@@ -57,20 +59,26 @@ def bracket_limit(r: float, s: float) -> float:
     return s * gamma(s) * gamma(r + 0.5) / ((2.0 * r - 1.0) * gamma(r + s + 0.5))
 
 
-def g_closed_bracket(r: float, s: float, u: float) -> float:
+def g_closed_bracket(r: float, s: float, u):
     """Closed-form factor B(u) for the alpha = 2 Pareto marginal, u >= 1.
 
     Equals integral(1..u) (1 - x^-2)^s x^(-2r) dx; returns exactly 0 at the
-    support edge u = 1.
+    support edge u = 1.  Accepts a scalar or an array u and returns a float
+    or an array of the same shape.
     """
-    _validate_rs(r, s)
-    if not u >= 1.0:
-        raise DomainError(f"closed-form factor requires u >= 1, got {u!r}")
-    if u == 1.0:
-        return 0.0
-    z = 1.0 / (u * u)
-    correction = gauss_2f1(-s, r - 0.5, r + 0.5, z) / ((2.0 * r - 1.0) * u ** (2.0 * r - 1.0))
-    return bracket_limit(r, s) - correction
+    limit = bracket_limit(r, s)
+    us = np.asarray(u, dtype=float)
+    if not np.all(us >= 1.0):
+        raise DomainError(f"closed-form factor requires u >= 1, got {float(np.min(us))!r}")
+    out = np.zeros(us.shape)
+    inner = us != 1.0
+    ui = us[inner]
+    # Python's float ** (libm pow), not np.power, which differs from it in
+    # the last bit for some arguments
+    powers = np.array([x ** (2.0 * r - 1.0) for x in ui.tolist()])
+    correction = gauss_2f1(-s, r - 0.5, r + 0.5, 1.0 / (ui * ui)) / ((2.0 * r - 1.0) * powers)
+    out[inner] = limit - correction
+    return out if out.ndim else float(out)
 
 
 def g_closed_form(theta: float, r: float, s: float, u: float, v: float) -> float:

@@ -5,13 +5,17 @@ supported: positive gamma arguments, and 2F1 series that either terminate
 (first or second parameter a nonpositive integer) or converge absolutely
 (|z| < 1).  No analytic continuation is attempted; out-of-range arguments
 raise :class:`~pqdslln.errors.DomainError` instead of silently returning
-garbage.  All functions are pure and safe for concurrent use.
+garbage.  ``gauss_2f1`` takes a scalar or a numpy array z and works
+elementwise; the other functions take scalars.  All functions are pure and
+safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NumericError
 
@@ -84,8 +88,9 @@ def _terminating_order(a: float, b: float) -> int | None:
 class HypergeometricArgs:
     """Validated argument bundle for the Gauss hypergeometric series.
 
-    Invariants: c is not zero or a negative integer, and either |z| < 1 or
-    the series terminates because a (or b) is a nonpositive integer.
+    Invariants: no argument is NaN, c is not zero or a negative integer, and
+    either |z| < 1 or the series terminates because a (or b) is a
+    nonpositive integer.
     """
 
     a: float
@@ -94,6 +99,8 @@ class HypergeometricArgs:
     z: float
 
     def __post_init__(self):
+        if any(math.isnan(x) for x in (self.a, self.b, self.c, self.z)):
+            raise DomainError(f"2F1 arguments must not be NaN, got a={self.a!r}, b={self.b!r}, c={self.c!r}, z={self.z!r}")
         if _nonpositive_int_order(self.c) is not None:
             raise DomainError(f"2F1 parameter c must not be zero or a negative integer, got {self.c!r}")
         if abs(self.z) >= 1.0 and _terminating_order(self.a, self.b) is None:
@@ -102,25 +109,35 @@ class HypergeometricArgs:
             )
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric sum_{n>=0} (a)_n (b)_n / ((c)_n n!) z^n.
+def gauss_2f1(a: float, b: float, c: float, z):
+    """Gauss hypergeometric sum_{n>=0} (a)_n (b)_n / ((c)_n n!) z^n, elementwise over z.
 
     Terminating series (a or b a nonpositive integer -m) are summed over
-    exactly m + 1 terms; otherwise the series is truncated once the running
-    term drops below 1e-15 times the running sum.
+    exactly m + 1 terms; otherwise each element's series is truncated once
+    its running term drops below 1e-15 times its running sum.  Every element
+    sees the same floating-point operations as a scalar call.  A scalar z
+    gives a float, an array z an array of its shape.
     """
-    HypergeometricArgs(a, b, c, z)
+    zs = np.asarray(z, dtype=float)
+    live_z = zs.ravel()
+    HypergeometricArgs(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
     m = _terminating_order(a, b)
-    total = 1.0
-    term = 1.0
-    if m is not None:
-        for n in range(m):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-            total += term
-        return total
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+    out = np.empty(zs.size)
+    live = np.arange(zs.size)  # elements still summing, compacted as they converge
+    term, total = np.ones(zs.size), np.ones(zs.size)
+    for n in range(_MAX_TERMS if m is None else m):
+        if not live.size:
+            break
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
         total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-    raise NumericError(f"2F1 series did not converge within {_MAX_TERMS} terms (z={z!r})")
+        if m is None:
+            done = np.abs(term) <= _SERIES_RTOL * np.abs(total)
+            if done.any():
+                out[live[done]] = total[done]
+                keep = ~done
+                live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
+    if m is None and live.size:
+        raise NumericError(f"2F1 series did not converge within {_MAX_TERMS} terms (z={float(live_z[0])!r})")
+    out[live] = total
+    out = out.reshape(zs.shape)
+    return out if out.ndim else float(out)

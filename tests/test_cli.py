@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 import pqdslln.cli
 import pqdslln.conditions
+import pqdslln.gfun
 from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
 
@@ -355,6 +358,56 @@ class TestSeriesComputedOnce:
         assert len(calls) == 1
 
 
+class TestClosedFormOnePass:
+    @pytest.mark.parametrize("kind", ["cs11", "nec12", "l1"])
+    def test_one_series_and_one_limit_per_check(self, kind, tmp_path, monkeypatch):
+        calls = {"gauss_2f1": 0, "bracket_limit": 0}
+
+        def counting(name):
+            original = getattr(pqdslln.gfun, name)
+
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return original(*a, **k)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pqdslln.gfun, name, counting(name))
+        args = ["condition", "check", "--kind", kind, "--p", "1.3", "--mu", "0.2", "--nu", "-1.5", "--N", "300"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert calls == {"gauss_2f1": 1, "bracket_limit": 1}
+
+
+class TestTableCells:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "60"],
+            ["bc", "ratio", "--alpha", "2", "--p", "1", "--theta-spec", "power:0.2,-1.5", "--n-grid", "10,100"],
+            ["simulate", "slln", "--p", "1.2", "--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "2"],
+            [
+                "simulate", "slln", "--p", "1.2", "--alpha", "2", "--n-max", "256", "--replicates", "2",
+                "--theta-spec", "power:-0.3,-1.2,0.25", "--c", "2",
+            ],
+            ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "40"],
+        ],
+    )
+    def test_cells_are_python_scalars(self, argv):
+        # csv writes a float cell as its repr(), which for a numpy scalar is not the number
+        subcommand = " ".join(argv[:2])
+        handler, flags = pqdslln.cli._COMMANDS[subcommand]
+        params = pqdslln.cli._parameters(flags, pqdslln.cli._build_parser().parse_args(argv))
+        _, tables, _ = handler(params)
+        assert tables
+        for header, rows in tables.values():
+            rows = list(rows)
+            assert rows
+            for row in rows:
+                assert len(row) == len(header)
+                assert all(type(cell) in (int, float, str) for cell in row), row
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -388,6 +441,32 @@ class TestConfigFile:
         assert code == EXIT_OK
         result = read_json(out / "result.json")
         assert result["methods"]["closed"] == pytest.approx(0.5 * (5.0 / 24.0) ** 2, rel=1e-12)
+
+    def test_requests_in_one_process_match_separate_runs(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("fn = gamma\nx = 5\n")
+        commands = [
+            ["specfun", "eval", "--config", str(config)],
+            ["specfun", "eval", "--fn", "pochhammer", "--a", "3", "--n", "2"],  # inherits no config value
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "50"],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pqdslln.cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        for i, argv in enumerate(commands):
+            assert run_cli(argv, tmp_path / f"same{i}") == EXIT_OK
+        assert pqdslln.cli._build_parser() is pqdslln.cli._build_parser()
+        for i, argv in enumerate(commands):
+            separate = tmp_path / f"separate{i}"
+            done = subprocess.run(
+                [sys.executable, "-m", "pqdslln.cli", *argv, "--outdir", str(separate)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            names = sorted(path.name for path in separate.iterdir())
+            assert names == sorted(path.name for path in (tmp_path / f"same{i}").iterdir())
+            for name in names:
+                assert (tmp_path / f"same{i}" / name).read_bytes() == (separate / name).read_bytes(), (argv, name)
+        assert "x" not in read_json(tmp_path / "same1" / "manifest.json")["parameters"]
 
     def test_missing_config_is_parameter_error(self, tmp_path, capsys):
         code = main(["specfun", "eval", "--fn", "gamma", "--x", "1", "--config", str(tmp_path / "nope.cfg")])

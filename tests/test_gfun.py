@@ -26,6 +26,26 @@ def closed_bracket_r1s1(u: float) -> float:
     return 2.0 / 3.0 - 1.0 / u + 1.0 / (3.0 * u**3)
 
 
+def scalar_2f1(a: float, b: float, c: float, z: float) -> float:
+    """The 2F1 series one z at a time, as a Python-float loop (test oracle)."""
+    m = int(-a) if a <= 0.0 and a == math.floor(a) else None
+    total = term = 1.0
+    for n in range(m if m is not None else 1_000_000):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        if m is None and abs(term) <= 1e-15 * abs(total):
+            break
+    return total
+
+
+def scalar_closed_bracket(r: float, s: float, u: float) -> float:
+    """B(u) one threshold at a time through the scalar series (test oracle)."""
+    if u == 1.0:
+        return 0.0
+    correction = scalar_2f1(-s, r - 0.5, r + 0.5, 1.0 / (u * u)) / ((2.0 * r - 1.0) * u ** (2.0 * r - 1.0))
+    return bracket_limit(r, s) - correction
+
+
 class TestDelta:
     def test_zero_for_independence(self):
         field = DeltaField(GfmCopula(theta=0.0), ParetoMarginal(2.0))
@@ -106,6 +126,32 @@ class TestClosedForm:
         values = [g_closed_bracket(r, s, u) for u in (1.0, 1.2, 1.5, 2.0, 5.0, 20.0, 1e3)]
         assert all(v >= 0.0 for v in values)
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_thresholds_match_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for case in range(60):
+            r = float(rng.uniform(1.0, 4.0))
+            s = float(rng.integers(1, 5)) if case % 3 == 0 else float(rng.uniform(1.0, 4.0))
+            p = float(rng.uniform(1.0, 2.0))
+            n = 2 if case < 3 else int(np.exp(rng.uniform(math.log(2.0), math.log(3000.0))))
+            u = np.arange(1, n + 1, dtype=float) ** (1.0 / p)  # u[0] == 1, the support edge
+            expected = np.array([scalar_closed_bracket(r, s, float(x)) for x in u])
+            got = g_closed_bracket(r, s, u)
+            assert got[0] == 0.0
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (r, s, p, n)
+
+    def test_scalar_and_zero_dim_give_float(self):
+        for u in (2.5, np.float64(2.5), np.array(2.5)):
+            value = g_closed_bracket(1.5, 2.5, u)
+            assert type(value) is float
+            assert value == scalar_closed_bracket(1.5, 2.5, 2.5)
+        assert type(g_closed_bracket(1.5, 2.5, np.array(1.0))) is float
+
+    def test_array_shape_and_domain(self):
+        u = np.array([[1.0, 2.0], [3.0, 40.0]])
+        assert g_closed_bracket(2.0, 3.0, u).shape == (2, 2)
+        with pytest.raises(DomainError):
+            g_closed_bracket(1.0, 1.0, np.array([2.0, 0.8]))
 
     @pytest.mark.parametrize("r,s", PARAM_GRID)
     def test_asymptote(self, r, s):

@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqdslln.errors import DomainError
+import pqdslln.specfun
+from pqdslln.errors import DomainError, NumericError
 from pqdslln.specfun import HypergeometricArgs, gamma, gauss_2f1, pochhammer
 
 
@@ -112,6 +113,14 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, 1.5, -1.5)
 
+    @pytest.mark.parametrize("args", [(1.5, 1.0, 2.0, math.nan), (math.nan, 1.0, 2.0, 0.5), (-2.0, 1.0, 3.0, math.nan)])
+    def test_nan_is_domain_error(self, args):
+        # a NaN series never meets the truncation test; refuse it before summing
+        with pytest.raises(DomainError):
+            gauss_2f1(*args)
+        with pytest.raises(DomainError):
+            gauss_2f1(*args[:3], np.array([0.25, args[3], 0.5]))
+
     def test_terminating_allows_large_z(self):
         # a = -2 terminates, so |z| >= 1 is fine
         value = gauss_2f1(-2.0, 1.0, 3.0, 2.0)
@@ -123,3 +132,33 @@ class TestGauss2F1:
         assert gauss_2f1(-1.0, 0.5, 1.5, 0.25) == pytest.approx(1.0 - 0.25 / 3.0, abs=1e-14)
         with pytest.raises(DomainError):
             HypergeometricArgs(a=0.5, b=0.5, c=1.5, z=1.0)
+
+    @pytest.mark.parametrize("a,b,c", [(-3.0, 0.5, 1.5), (-1.7, 1.3, 2.3), (1.0, 1.0, 2.0)])
+    def test_array_matches_scalar_calls(self, a, b, c):
+        z = np.random.default_rng(3).uniform(-0.95, 0.95, size=(7, 11))
+        z[0, 0] = 0.0
+        got = gauss_2f1(a, b, c, z)
+        expected = np.array([gauss_2f1(a, b, c, float(v)) for v in z.ravel()]).reshape(z.shape)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_scalar_gives_float(self):
+        assert type(gauss_2f1(1.0, 1.0, 2.0, 0.5)) is float
+        assert type(gauss_2f1(-2.0, 1.0, 3.0, np.array(0.5))) is float
+
+    @pytest.mark.parametrize("a", [-2.0, 1.5])
+    def test_empty_array(self, a):
+        got = gauss_2f1(a, 1.0, 2.0, np.empty((0, 3)))
+        assert got.shape == (0, 3)
+
+    def test_array_domain_uses_largest_modulus(self):
+        with pytest.raises(DomainError):
+            gauss_2f1(1.1, 1.0, 2.0, np.array([0.5, -1.0]))
+        assert gauss_2f1(-2.0, 1.0, 3.0, np.array([0.5, 2.0]))[1] == gauss_2f1(-2.0, 1.0, 3.0, 2.0)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(pqdslln.specfun, "_MAX_TERMS", 40)
+        assert gauss_2f1(1.0, 1.0, 2.0, 0.1) == pytest.approx(-math.log1p(-0.1) / 0.1, rel=1e-14)
+        for z in (0.99, np.array([0.1, 0.99, 0.2])):
+            with pytest.raises(NumericError):
+                gauss_2f1(1.0, 1.0, 2.0, z)
