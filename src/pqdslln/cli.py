@@ -293,7 +293,7 @@ def _run_report_example(params: dict):
     max_disc = 0.0
     for u in grid:
         for v in grid:
-            closed = g_closed_form(1.0, r, s, u, v)
+            closed = g_closed_form(1.0, r, s, u, v, marginal.alpha)
             numeric = g_numeric(field, u, v)
             diff = abs(closed - numeric)
             max_disc = max(max_disc, diff)

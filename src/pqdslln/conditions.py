@@ -9,10 +9,10 @@ weight and the thresholds fed to the covariance functional G:
 
 With a power schedule theta_{k,j} = k^mu j^nu the functional factorizes as
 G = theta * B(k') * B(j'), so the double sum reduces to B at the N
-thresholds (one array pass of the closed form at alpha = 2, one quadrature
-per threshold otherwise) plus cumulative products.  Partial sums are
-accumulated with exact (fsum) summation, so results are independent of any
-parallel partitioning of the terms.
+thresholds (one array pass of the closed form when r alpha > 1, one
+quadrature per threshold otherwise) plus cumulative products.  Partial sums
+are accumulated with exact (fsum) summation, so results are independent of
+any parallel partitioning of the terms.
 
 Truncated sums cannot prove convergence; verdicts are an honest
 classification of the fitted decay rate of the per-j aggregated terms over
@@ -119,9 +119,13 @@ def classify_series(j_values: np.ndarray, terms: np.ndarray) -> tuple[float, str
 
 
 def _factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds: np.ndarray) -> np.ndarray:
-    """Covariance factor B at each threshold; closed form when alpha = 2."""
-    if marginal.alpha == 2.0:
-        return g_closed_bracket(r, s, thresholds)
+    """Covariance factor B at each threshold.
+
+    The closed form serves r alpha > 1; below that B(inf) diverges, so B
+    comes from one quadrature per threshold.
+    """
+    if r * marginal.alpha > 1.0:
+        return g_closed_bracket(r, s, thresholds, marginal.alpha)
     return np.array([g_factor(r, s, marginal, float(u)) for u in thresholds])
 
 

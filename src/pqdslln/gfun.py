@@ -12,14 +12,25 @@ its double integral over [-u, u] x [-v, v].  Three routes are provided:
                     for any copula/marginal pair),
 * ``g_factor``      the separable factor integral(support..u) F^s (1-F)^r dx,
                     valid because the power-family gap factorizes,
-* ``g_closed_form`` the closed form for the alpha = 2 Pareto marginal,
+* ``g_closed_form`` the closed form for a Pareto(alpha) marginal,
 
     G(u, v) = theta * B(u) * B(v),
-    B(u) = s G(s) G(r+1/2) / ((2r-1) G(r+s+1/2))
-           - H(-s, r-1/2; r+1/2; 1/u^2) / ((2r-1) u^(2r-1)),
+    B(u) = (1/alpha) * B_{F(u)}(s+1, r-1/alpha),
 
-with G the gamma function and H the Gauss hypergeometric sum.  B(u) -> 0 as
-u -> 1+ and increases to the first term as u -> inf, which also furnishes a
+an incomplete beta function (substitute t = F(x)), finite as u -> inf
+exactly when r alpha > 1.  Writing b = r - 1/alpha, it is evaluated with
+the Gauss hypergeometric sum H (DLMF 8.17.4, 8.17.7 and 8.17.8) in one of
+two forms, each keeping the series argument at most 1/2:
+
+    B(u) = B(inf) - H(-s, b; b+1; u^-alpha) / ((alpha r - 1) u^(alpha r - 1))
+                                                        where u^-alpha <= 1/2,
+    B(u) = F^(s+1) (1-F)^b / ((s+1) alpha) * H(1, s+1+b; s+2; F)
+                                                        where F(u) < 1/2,
+    B(inf) = s G(s) G(b+1) / ((alpha r - 1) G(r+s+1-1/alpha)),
+
+with G the gamma function.  The second form sums positive terms only, so
+it keeps its relative accuracy up to the support edge.  B(u) -> 0 as
+u -> 1+ and increases to B(inf) as u -> inf, which also furnishes a
 k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
 ``g_closed_bracket`` evaluates B at a scalar or at a whole array of
 thresholds in one pass; the other routes take scalars.
@@ -53,39 +64,59 @@ def _validate_rs(r: float, s: float) -> None:
         raise DomainError(f"power-family exponents require r >= 1 and s >= 1, got r={r!r}, s={s!r}")
 
 
-def bracket_limit(r: float, s: float) -> float:
-    """Limit of the closed-form factor as u -> inf: s G(s) G(r+1/2) / ((2r-1) G(r+s+1/2))."""
-    _validate_rs(r, s)
-    return s * gamma(s) * gamma(r + 0.5) / ((2.0 * r - 1.0) * gamma(r + s + 0.5))
+def bracket_limit(r: float, s: float, alpha: float = 2.0) -> float:
+    """Limit B(inf) of the closed-form factor: s G(s) G(r+1-1/alpha) / ((alpha r-1) G(r+s+1-1/alpha)).
 
-
-def g_closed_bracket(r: float, s: float, u):
-    """Closed-form factor B(u) for the alpha = 2 Pareto marginal, u >= 1.
-
-    Equals integral(1..u) (1 - x^-2)^s x^(-2r) dx; returns exactly 0 at the
-    support edge u = 1.  Accepts a scalar or an array u and returns a float
-    or an array of the same shape.
+    Raises DomainError when r alpha <= 1, where the factor diverges.
     """
-    limit = bracket_limit(r, s)
+    _validate_rs(r, s)
+    if not alpha * r > 1.0:
+        raise DomainError(f"closed-form factor requires r * alpha > 1, got r={r!r}, alpha={alpha!r}")
+    shift = 1.0 - 1.0 / alpha
+    return s * gamma(s) * gamma(r + shift) / ((alpha * r - 1.0) * gamma(r + s + shift))
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    """Python's float x ** y (libm pow), or inf where it overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
+    """Closed-form factor B(u) for the Pareto(alpha) marginal, u >= 1, r alpha > 1.
+
+    Equals integral(1..u) (1 - x^-alpha)^s x^(-alpha r) dx; returns exactly
+    0 at the support edge u = 1.  Accepts a scalar or an array u and returns
+    a float or an array of the same shape.
+    """
+    limit = bracket_limit(r, s, alpha)
     us = np.asarray(u, dtype=float)
     if not np.all(us >= 1.0):
         raise DomainError(f"closed-form factor requires u >= 1, got {float(np.min(us))!r}")
     out = np.zeros(us.shape)
-    inner = us != 1.0
-    ui = us[inner]
-    # Python's float ** (libm pow), not np.power, which differs from it in
-    # the last bit for some arguments
-    powers = np.array([x ** (2.0 * r - 1.0) for x in ui.tolist()])
-    correction = gauss_2f1(-s, r - 0.5, r + 0.5, 1.0 / (ui * ui)) / ((2.0 * r - 1.0) * powers)
-    out[inner] = limit - correction
+    b, e = r - 1.0 / alpha, alpha * r - 1.0
+    with np.errstate(over="ignore"):
+        z = 1.0 / us**alpha
+    tail = (us != 1.0) & (z <= 0.5)
+    edge = (us != 1.0) & (z > 0.5)
+    if tail.any():
+        # Python's float ** (libm pow), not np.power, which differs from it in
+        # the last bit for some arguments; a power that overflows leaves B(inf)
+        powers = np.array([_pow_or_inf(x, e) for x in us[tail].tolist()])
+        out[tail] = limit - gauss_2f1(-s, b, b + 1.0, z[tail]) / (e * powers)
+    if edge.any():
+        f = -np.expm1(-alpha * np.log(us[edge]))
+        out[edge] = f ** (s + 1.0) * (1.0 - f) ** b / ((s + 1.0) * alpha) * gauss_2f1(1.0, s + 1.0 + b, s + 2.0, f)
     return out if out.ndim else float(out)
 
 
-def g_closed_form(theta: float, r: float, s: float, u: float, v: float) -> float:
-    """Closed-form covariance functional theta * B(u) * B(v) (alpha = 2 Pareto)."""
+def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: float = 2.0) -> float:
+    """Closed-form covariance functional theta * B(u) * B(v) (Pareto(alpha) marginal)."""
     if not 0.0 <= theta <= 1.0:
         raise DomainError(f"dependence strength must lie in [0, 1], got {theta!r}")
-    return theta * g_closed_bracket(r, s, u) * g_closed_bracket(r, s, v)
+    return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
 
 
 def g_factor(r: float, s: float, marginal: Marginal, u: float, *, abs_tol: float = 1e-10) -> float:

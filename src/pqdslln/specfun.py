@@ -49,7 +49,8 @@ def gamma(x: float) -> float:
     """Gamma function for real x > 0 via a fixed-coefficient Lanczos sum.
 
     Relative error <= 1e-12 on [0.5, 50].  Nonpositive (or NaN) arguments
-    raise DomainError.
+    raise DomainError; arguments whose Lanczos power overflows (x above
+    about 142.37) raise NumericError.
     """
     if not x > 0.0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
@@ -58,7 +59,11 @@ def gamma(x: float) -> float:
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        power = t ** (z + 0.5)
+    except OverflowError:
+        raise NumericError(f"gamma({x!r}) overflows double precision") from None
+    return _SQRT_TWO_PI * power * math.exp(-t) * acc
 
 
 def pochhammer(a: float, n: int) -> float:

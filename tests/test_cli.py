@@ -6,13 +6,16 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from scipy.special import beta, betainc
 
 import pqdslln.cli
 import pqdslln.conditions
 import pqdslln.gfun
 from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
+from pqdslln.gfun import bracket_limit, g_closed_bracket
 
 SCHEMA = json.loads(
     resources.files("pqdslln").joinpath("schemas/outputs.schema.json").read_text()
@@ -90,6 +93,22 @@ class TestGEval:
         assert code == EXIT_NUMERIC
         assert "[numeric]" in capsys.readouterr().err
 
+    def test_overflowing_power_gives_limit(self, tmp_path):
+        args = ["g", "eval", "--theta", "1", "--r", "50", "--s", "1", "--u", "1e6", "--v", "2",
+                "--method", "closed"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        closed = read_json(tmp_path / "result.json")["methods"]["closed"]
+        assert closed == bracket_limit(50.0, 1.0) * g_closed_bracket(50.0, 1.0, 2.0)
+
+    def test_closed_form_near_support_edge(self, tmp_path):
+        args = ["g", "eval", "--theta", "1", "--r", "1.5", "--s", "1.5", "--u", "1.00000001", "--v", "2",
+                "--method", "closed"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        closed = read_json(tmp_path / "result.json")["methods"]["closed"]
+        f = -np.expm1(-2.0 * np.log([1.00000001, 2.0]))
+        expected = np.prod(betainc(2.5, 1.0, f) * beta(2.5, 1.0) / 2.0)
+        assert closed == pytest.approx(expected, rel=1e-10)
+
 
 class TestConditionCheck:
     def test_nec12_example(self, tmp_path):
@@ -118,6 +137,12 @@ class TestConditionCheck:
         )
         assert code == EXIT_PARAMETER
         assert "1/p - 1 < mu" in capsys.readouterr().err
+
+    def test_gamma_overflow_is_numeric_error(self, tmp_path, capsys):
+        args = ["condition", "check", "--kind", "l1", "--p", "1", "--mu", "0.2", "--nu", "-1.5",
+                "--r", "200", "--N", "20"]
+        assert run_cli(args, tmp_path) == EXIT_NUMERIC
+        assert "[numeric]" in capsys.readouterr().err
 
 
 class TestBc:
@@ -215,6 +240,16 @@ class TestReportExample:
         assert result["majorant_bound_holds_at_every_checkpoint"] is True
         assert (tmp_path / "gtable.csv").exists()
         assert (tmp_path / "terms.csv").exists()
+
+    def test_closed_column_follows_alpha(self, tmp_path):
+        args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", "1.5", "--N", "200"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert read_json(tmp_path / "result.json")["g_oracle_max_discrepancy"] <= 1e-6
+
+    def test_divergent_closed_form_is_parameter_error(self, tmp_path, capsys):
+        args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", "1", "--N", "200"]
+        assert run_cli(args, tmp_path) == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
 
 
 class TestManifestRerun:

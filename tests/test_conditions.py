@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import pqdslln.conditions
 from pqdslln.conditions import (
     CONVERGES,
     DIVERGES,
@@ -160,6 +161,23 @@ class TestConditionSum:
             for k in range(1, j)
         )
         assert verdict.partial_sum == pytest.approx(total, rel=1e-8)
+
+
+class TestFactorRoute:
+    @pytest.mark.parametrize(
+        "alpha,r,quadratures", [(2.0, 1.0, 0), (2.5, 1.0, 0), (1.5, 1.0, 0), (1.0, 1.0, 30), (0.5, 1.5, 30)]
+    )
+    def test_quadrature_only_where_the_closed_form_diverges(self, alpha, r, quadratures, monkeypatch):
+        calls = []
+        original = pqdslln.conditions.g_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pqdslln.conditions, "g_factor", counting)
+        condition_terms("nec12", 1.0, example_schedule(), r, 1.0, ParetoMarginal(alpha), 30)
+        assert len(calls) == quadratures
 
 
 class TestTermwiseWeightComparison:

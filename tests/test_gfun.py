@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta, betainc
 
+import pqdslln.specfun
 from pqdslln.copulas import FunctionDescriptor, GfmCopula, PerturbationCopula
 from pqdslln.errors import DomainError
 from pqdslln.gfun import (
@@ -19,6 +21,7 @@ from pqdslln.marginals import ParetoMarginal
 
 PARAM_GRID = [(1.0, 1.0), (2.0, 1.0), (1.5, 2.0), (3.0, 3.0)]
 UV_GRID = [1.5, 2.0, 5.0, 20.0]
+ALPHA_GRID = [1.1, 1.5, 2.0, 2.5, 3.7, 6.0]
 
 
 def closed_bracket_r1s1(u: float) -> float:
@@ -44,6 +47,12 @@ def scalar_closed_bracket(r: float, s: float, u: float) -> float:
         return 0.0
     correction = scalar_2f1(-s, r - 0.5, r + 0.5, 1.0 / (u * u)) / ((2.0 * r - 1.0) * u ** (2.0 * r - 1.0))
     return bracket_limit(r, s) - correction
+
+
+def incomplete_beta_bracket(r: float, s: float, u, alpha: float):
+    """B(u) = (1/alpha) B_F(s+1, r-1/alpha) through scipy's regularized incomplete beta (test oracle)."""
+    f = -np.expm1(-alpha * np.log(u))
+    return betainc(s + 1.0, r - 1.0 / alpha, f) * beta(s + 1.0, r - 1.0 / alpha) / alpha
 
 
 class TestDelta:
@@ -158,6 +167,49 @@ class TestClosedForm:
         # at r = 1 the correction is 1/u - 1/(3u^3), i.e. 1e-6 minus an
         # unrepresentable 3e-19 at u = 1e6; allow float-level headroom
         assert g_closed_bracket(r, s, 1e6) == pytest.approx(bracket_limit(r, s), abs=1.01e-6)
+
+
+class TestClosedFormEveryAlpha:
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_relative_accuracy_against_incomplete_beta(self, alpha):
+        rng = np.random.default_rng(int(alpha * 10))
+        edge = 2.0 ** (1.0 / alpha)  # where the evaluation switches form
+        for _ in range(10):
+            r, s = rng.uniform(1.0, 3.0, 2)
+            u = np.exp(rng.uniform(math.log1p(1e-9), math.log(1e4), 300))
+            u = np.concatenate([u, [edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12)]])
+            expected = incomplete_beta_bracket(r, s, u, alpha)
+            got = g_closed_bracket(r, s, u, alpha)
+            assert np.max(np.abs(got - expected) / expected) <= 1e-10, (r, s)
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_series_stays_short(self, alpha, monkeypatch):
+        monkeypatch.setattr(pqdslln.specfun, "_MAX_TERMS", 100)
+        for r, s in ((1.0, 1.0), (1.5, 1.5), (3.0, 3.0)):
+            for u in (1.0 + 1e-12, 1e6):
+                expected = incomplete_beta_bracket(r, s, u, alpha)
+                assert g_closed_bracket(r, s, u, alpha) == pytest.approx(expected, rel=1e-10)
+
+    def test_limit_is_the_incomplete_beta_limit(self):
+        for alpha in ALPHA_GRID:
+            for r, s in PARAM_GRID:
+                expected = beta(s + 1.0, r - 1.0 / alpha) / alpha
+                assert bracket_limit(r, s, alpha) == pytest.approx(expected, rel=1e-12)
+
+    def test_overflowing_power_gives_limit(self):
+        assert g_closed_bracket(50.0, 1.0, 1e6) == bracket_limit(50.0, 1.0)
+        values = g_closed_bracket(50.0, 1.0, np.array([2.0, 1e6, 1e300]), 1.5)
+        assert values[1] == values[2] == bracket_limit(50.0, 1.0, 1.5)
+        assert values[0] == pytest.approx(incomplete_beta_bracket(50.0, 1.0, 2.0, 1.5), rel=1e-10)
+
+    @pytest.mark.parametrize("r,alpha", [(1.0, 1.0), (1.0, 0.5), (2.0, 0.5), (1.0, math.nan)])
+    def test_divergent_limit_is_domain_error(self, r, alpha):
+        with pytest.raises(DomainError):
+            bracket_limit(r, 1.0, alpha)
+        with pytest.raises(DomainError):
+            g_closed_bracket(r, 1.0, 2.0, alpha)
+        with pytest.raises(DomainError):
+            g_closed_form(1.0, r, 1.0, 2.0, 2.0, alpha)
 
 
 class TestOracleEquivalence:

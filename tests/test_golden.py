@@ -9,6 +9,9 @@ To add a case, add its command line to ``CASES`` and capture it from a
 commit whose outputs are trusted:
 
     PYTHONPATH=src python tests/test_golden.py <case>
+
+Capture refuses a case whose directory already exists; to recapture one,
+delete its directory first.
 """
 
 import json
@@ -33,6 +36,7 @@ CASES = {
     "condition-nec12": ["condition", "check", "--kind", "nec12", *_SERIES, "--r", "1.5", "--s", "2.5", "--N", "300"],
     "condition-l1": ["condition", "check", "--kind", "l1", "--p", "1.3", "--mu", "-0.1", "--nu", "-0.9", "--N", "300"],
     "condition-nec12-alpha": ["condition", "check", "--kind", "nec12", *_SERIES, "--alpha", "2.5", "--N", "40"],
+    "condition-nec12-alpha1": ["condition", "check", "--kind", "nec12", *_SERIES, "--alpha", "1", "--N", "40"],
     "condition-csv-only": ["condition", "check", "--kind", "nec12", *_SERIES, "--N", "50", "--format", "csv"],
     "bc-ratio-zero": ["bc", "ratio", "--alpha", "1", "--p", "1", "--n-grid", "10,100,1000"],
     "bc-ratio-power": [
@@ -85,5 +89,7 @@ def test_command_line_reproduces_golden_bytes(case, tmp_path):
 
 if __name__ == "__main__":
     for name in sys.argv[1:]:
+        if (GOLDEN / name).exists():
+            raise SystemExit(f"{GOLDEN / name} exists; delete it to recapture {name}")
         if main([*CASES[name], "--outdir", str(GOLDEN / name)]) != EXIT_OK:
             raise SystemExit(f"capture of {name} failed")

@@ -33,6 +33,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(x)
 
+    @pytest.mark.parametrize("x", [142.5, 200.5, 1e6])
+    def test_overflow_is_numeric_error(self, x):
+        with pytest.raises(NumericError):
+            gamma(x)
+
 
 class TestPochhammer:
     def test_empty_product(self):
