@@ -22,9 +22,8 @@ truncate dependence to a sliding index window, which is recorded in the
 report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
-(seed, replicate).  A run samples its replicates in batches, each row
-drawing from its own stream, so identical seeds give bit-identical reports
-however the replicates are grouped.
+(seed, replicate).  A run makes one blocked pass for all its replicates,
+each row drawing from its own stream, so no report depends on the blocking.
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ __all__ = [
 
 EXACT_DIMENSION_CAP = 1 << 12
 DEFAULT_WINDOW = 64
-# Uniforms run_slln samples at once (rows x path length).  It bounds peak
-# memory: a 131072-step run holds 2 rows at a time, while every exact-model
-# run (n <= 4096) of up to 64 replicates fits in one group.
+# Uniforms run_slln holds at once (replicates x block columns): bounds peak memory.
 _GROUP_ELEMENTS = 1 << 18
 
 _MASK64 = (1 << 64) - 1
@@ -139,11 +136,11 @@ class MultivariateFgmModel:
         total = math.fsum(clean.values())
         if total > 1.0 + 1e-9:
             raise ParameterError(f"pairwise strengths sum to {total!r} > 1; the joint density would go negative")
-        rows: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0, dtype=int), np.empty(0))]
-        for m in range(2, n + 1):
-            ks = sorted(k for (k, j) in clean if j == m)
-            rows.append((np.array(ks, dtype=int), np.array([clean[(k, m)] for k in ks])))
-        return cls(n=n, pairs=dict(clean), theta_sum=min(total, 1.0), _rows=tuple(rows))
+        ks_of: list[list[int]] = [[] for _ in range(n)]  # ks_of[j - 1]: the k of every pair (k, j), ascending
+        for k, j in sorted(clean):
+            ks_of[j - 1].append(k)
+        rows = tuple((np.array(ks, dtype=int), np.array([clean[(k, j)] for k in ks])) for j, ks in enumerate(ks_of, 1))
+        return cls(n=n, pairs=dict(clean), theta_sum=min(total, 1.0), _rows=rows)
 
     @staticmethod
     def _power_theta_sum(n: int, mu: float, nu: float, scale: float, window: int | None) -> float:
@@ -169,19 +166,54 @@ class MultivariateFgmModel:
         return self.scale * float(k) ** self.mu * float(j) ** self.nu
 
 
-def _invert_linear_density(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Invert the CDF u (1 + a (1 - u)) = w for u in [0, 1], |a| <= 1.
+def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, width: int):
+    """Yield (start, u), the rows' paths in column blocks of at most ``width`` steps.
 
-    Stable quadratic root u = 2w / (1 + a + sqrt((1+a)^2 - 4 a w)); the
-    discriminant is nonnegative for every admissible a, so a failure here
-    signals a normalizer bug upstream.
+    Row i draws from ``rngs[i]``, and each block overwrites the last.  The normalizer D, the
+    telescoped inner sum with a ring of its last ``window`` terms k^mu * eta_k, and for explicit
+    pairs the past path carry over; the running invariants are checked before every yield.
     """
-    disc = (1.0 + a) ** 2 - 4.0 * a * w
-    if np.any(disc < -1e-12):
-        raise NumericError("conditional-inversion discriminant went negative (internal normalizer bug)")
-    denom = 1.0 + a + np.sqrt(np.maximum(disc, 0.0))
-    u = np.divide(2.0 * w, denom, out=np.zeros_like(w), where=denom > 0.0)
-    return np.where(np.abs(a) < 1e-14, w, u)
+    batch = len(rngs)
+    dependent = model is not None and model.theta_sum != 0.0
+    pairs = dependent and model.pairs is not None
+    buf = np.empty((batch, n if pairs else min(width, n)))  # explicit pairs keep the whole past path
+    window = getattr(model, "window", None)
+    ring = np.zeros((window, batch)) if dependent and window is not None and window < n else None
+    d, w_run, d_min, a_max, disc_min = (np.full(batch, v) for v in (1.0, 0.0, 1.0, 0.0, 0.0))
+    for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
+        u = buf[:, start : start + width] if pairs else buf[:, : n - start]
+        for row, row_rng in zip(u, rngs):
+            row_rng.random(out=row)
+        # invert column j in place: u (1 + a (1 - u)) = w has the stable root 2w / (1 + a + sqrt((1+a)^2 - 4aw))
+        for j, m in enumerate(range(start + 1, start + u.shape[1] + 1) if dependent else ()):
+            if pairs:
+                ks, thetas = model._rows[m - 1]
+                a_m = (1.0 - 2.0 * buf[:, ks - 1]) @ thetas
+            else:
+                a_m = (model.scale * float(m) ** model.nu) * w_run
+            np.minimum(d_min, d, out=d_min)
+            a = a_m / d
+            np.maximum(a_max, np.abs(a), out=a_max)
+            a = np.clip(a, -1.0, 1.0)
+            w = u[:, j]
+            disc = (1.0 + a) ** 2 - 4.0 * a * w
+            np.minimum(disc_min, disc, out=disc_min)
+            denom = 1.0 + a + np.sqrt(np.maximum(disc, 0.0))
+            u_m = np.divide(2.0 * w, denom, out=np.zeros_like(w), where=denom > 0.0)
+            u[:, j] = u_m = np.where(np.abs(a) < 1e-14, w, u_m)
+            eta = 1.0 - 2.0 * u_m
+            d = d + eta * a_m
+            if not pairs:
+                term = float(m) ** model.mu * eta
+                w_run = w_run + term
+                if ring is not None:  # its slot holds the term of step m - window, or 0.0
+                    w_run = w_run - ring[(m - 1) % window]
+                    ring[(m - 1) % window] = term
+        for ok, what in ((a_max <= 1.0 + 1e-9, "slope left [-1, 1]"), (d_min > 0.0, "normalizer became nonpositive"),
+                         (disc_min >= -1e-12, "inversion discriminant went negative")):
+            if not np.all(ok):  # NaN fails every comparison too
+                raise NumericError(f"conditional {what} (internal normalizer bug)")
+        yield start, u
 
 
 def sample_uniform_paths(
@@ -201,43 +233,10 @@ def sample_uniform_paths(
         n = model.n if n is None else n
         if n > model.n:
             raise ParameterError(f"requested length {n!r} exceeds model dimension {model.n!r}")
-    u = np.empty((batch, n))
-    if isinstance(rng, np.random.Generator):
-        rng.random(out=u)
-    elif len(rng) == batch:
-        for row, row_rng in zip(u, rng):
-            row_rng.random(out=row)
-    else:
-        raise ParameterError(f"{len(rng)!r} generators given for a batch of {batch!r} rows")
-    if model is None or model.theta_sum == 0.0:
-        return u
-
-    # u holds the drawn uniforms; column m is replaced by the inverted u_m,
-    # from which eta_m = 1 - 2 u_m is recomputed where a later step needs it
-    d = np.ones(batch)
-    power_form = model.pairs is None
-    w_run = np.zeros(batch)  # windowed sum of k^mu * eta_k, the telescoped inner sum of power schedules
-    for m in range(1, n + 1):
-        if power_form:
-            a_m = (model.scale * float(m) ** model.nu) * w_run
-        else:
-            ks, thetas = model._rows[m - 1]
-            a_m = (1.0 - 2.0 * u[:, ks - 1]) @ thetas
-        if np.any(d <= 0.0):
-            raise NumericError("conditional normalizer became nonpositive (internal bug)")
-        a = a_m / d
-        if np.any(np.abs(a) > 1.0 + 1e-9):
-            raise NumericError("conditional slope left [-1, 1] (internal normalizer bug)")
-        u_m = _invert_linear_density(np.clip(a, -1.0, 1.0), u[:, m - 1])
-        eta = 1.0 - 2.0 * u_m
-        u[:, m - 1] = u_m
-        d = d + eta * a_m
-        if power_form:
-            w_run = w_run + float(m) ** model.mu * eta
-            if model.window is not None and m > model.window:
-                k = m - model.window
-                w_run = w_run - float(k) ** model.mu * (1.0 - 2.0 * u[:, k - 1])
-    return u
+    rngs = [rng] * batch if isinstance(rng, np.random.Generator) else rng
+    if len(rngs) != batch:
+        raise ParameterError(f"{len(rngs)!r} generators given for a batch of {batch!r} rows")
+    return next(_uniform_blocks(model, rngs, n, max(n, 1)))[1]
 
 
 def count_exceedances(path, p: float) -> np.ndarray:
@@ -318,13 +317,13 @@ class PathReport:
 def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
-    Replicates are sampled in groups of at most 2^18 uniforms (one row per
-    replicate), each row from its own counter-based stream, so a
-    replicate's results do not depend on the grouping.
+    All replicates share one pass over the steps in column blocks of at most
+    2^18 uniforms.  Each row draws from its own counter-based stream and
+    carries its running sum and hit count across blocks in sequential order,
+    so its results depend neither on the blocks nor on the other replicates.
     """
     c = run.centering()
     cps = run.checkpoints()
-    idx = np.array(cps, dtype=int) - 1
     ns = np.array(cps, dtype=float)
     n_sampled = cps[-1]
     if run.model is not None and run.model.n < n_sampled:
@@ -332,18 +331,19 @@ def run_slln(run: SlnnRun) -> PathReport:
             f"model dimension {run.model.n!r} is smaller than the last checkpoint {n_sampled!r}"
         )
     thresholds = np.arange(1, n_sampled + 1, dtype=float) ** (1.0 / run.p)
-    segment_starts = (0, *cps[:-1])
-    group = max(1, _GROUP_ELEMENTS // n_sampled)
-    m_matrix = np.empty((run.replicates, len(cps)))
-    e_matrix = np.empty((run.replicates, len(cps)), dtype=np.int64)
-    for start in range(0, run.replicates, group):
-        rows = range(start, min(start + group, run.replicates))
-        rngs = [replicate_rng(run.seed, rep) for rep in rows]
-        x = run.marginal.quantile(sample_uniform_paths(run.model, rngs, len(rngs), n_sampled))
-        hits = np.add.reduceat(x > thresholds, segment_starts, axis=1, dtype=np.int64)
-        e_matrix[rows] = np.cumsum(hits, axis=1)
-        sums = np.cumsum(x, axis=1, out=x)  # x is not needed after the hit counts
-        m_matrix[rows] = (sums[:, idx] - ns * c) / ns ** (1.0 / run.p)
+    rngs = [replicate_rng(run.seed, rep) for rep in range(run.replicates)]
+    s_matrix, e_matrix = np.empty((run.replicates, len(cps))), np.empty((run.replicates, len(cps)), dtype=np.int64)
+    s_run, e_run = np.zeros(run.replicates), np.zeros(run.replicates, dtype=np.int64)
+    for start, u in _uniform_blocks(run.model, rngs, n_sampled, max(1, _GROUP_ELEMENTS // run.replicates)):
+        x = run.marginal.quantile(u)
+        hits = x > thresholds[start : start + x.shape[1]]
+        x[:, 0] += s_run  # continue each row's sum in sequential order
+        s_run = np.cumsum(x, axis=1, out=x)[:, -1].copy()
+        for i in np.flatnonzero((start < ns) & (ns <= start + x.shape[1])):
+            s_matrix[:, i] = x[:, cps[i] - 1 - start]
+            e_matrix[:, i] = e_run + np.count_nonzero(hits[:, : cps[i] - start], axis=1)
+        e_run += np.count_nonzero(hits, axis=1)
+    m_matrix = (s_matrix - ns * c) / ns ** (1.0 / run.p)
     model = run.model
     metadata = {
         "p": run.p,

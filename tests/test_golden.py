@@ -59,6 +59,14 @@ CASES = {
         "simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2",
         "--n-max", "512", "--replicates", "2", "--seed", "7", "--c", "2", "--window", "16",
     ],
+    # the two cases below span several sampler blocks of 2^18 uniforms
+    "simulate-window-blocks": [
+        "simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2,0.25",
+        "--n-max", "8192", "--replicates", "40", "--window", "16", "--seed", "13", "--c", "2",
+    ],
+    "simulate-independent-blocks": [
+        "simulate", "slln", "--p", "1.5", "--alpha", "1.5", "--n-max", "16384", "--replicates", "40", "--seed", "17",
+    ],
     "report-example": ["report", "example", *_SERIES, "--r", "1", "--s", "1", "--N", "200"],
 }
 

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from pqdslln import simulate
 from pqdslln.copulas import GfmCopula
-from pqdslln.errors import ParameterError
+from pqdslln.errors import NumericError, ParameterError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.simulate import (
     DEFAULT_WINDOW,
@@ -40,6 +42,18 @@ class TestModel:
             MultivariateFgmModel.from_pairs(3, {(2, 2): 0.1})
         with pytest.raises(ParameterError):
             MultivariateFgmModel.from_pairs(3, {(1, 4): 0.1})
+
+    def test_from_pairs_rows_match_per_step_construction(self):
+        n = 60
+        gen = np.random.default_rng(31)
+        pairs = {(int(k), int(j)): 1e-3 for k, j in gen.integers(1, n + 1, size=(400, 2)) if k < j}
+        model = MultivariateFgmModel.from_pairs(n, pairs)
+        assert len(model._rows) == n
+        for m, (ks, thetas) in enumerate(model._rows, 1):
+            expected = sorted(k for (k, j) in pairs if j == m)
+            assert ks.dtype == np.array(expected, dtype=int).dtype and thetas.dtype == np.float64
+            np.testing.assert_array_equal(ks, expected)
+            np.testing.assert_array_equal(thetas, [pairs[(k, m)] for k in expected])
 
     def test_power_schedule_rescales_with_warning(self):
         with pytest.warns(UserWarning, match="rescaling"):
@@ -142,6 +156,12 @@ class TestSampler:
         with pytest.raises(ParameterError):
             sample_uniform_paths(model, [replicate_rng(9, 0)], 2)
 
+    def test_inadmissible_model_raises(self):
+        # every pair at strength 1: the strengths sum far past the budget of 1
+        model = MultivariateFgmModel(n=64, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0)
+        with pytest.raises(NumericError):
+            sample_uniform_paths(model, replicate_rng(3, 0), 4)
+
 
 class TestCountExceedances:
     def test_constant_path_at_support_min(self):
@@ -203,7 +223,7 @@ class TestRunSlln:
     @pytest.mark.parametrize("case", ["independent", "exact", "window"])
     def test_rows_do_not_depend_on_grouping(self, case):
         run = {
-            # 2^17 steps: replicates go in groups of 2 and 1
+            # 2^17 steps: 3 replicates share two blocks of 2^18 // 3 and 43691 columns
             "independent": lambda: self.run(n_max=2**17, replicates=3),
             "exact": lambda: self.run(
                 p=1.2, n_max=2**10, replicates=4,
@@ -220,11 +240,51 @@ class TestRunSlln:
         np.testing.assert_array_equal(report.exceedances, e_rows)
 
     def test_more_replicates_keep_leading_rows(self):
-        # replicate 2 has a group of its own in a run of 3 and shares one with replicate 3 in a run of 4
+        # a run of 3 splits its path into blocks at column 87381, a run of 4 at column 65536
         fewer = run_slln(self.run(n_max=2**17, replicates=3))
         more = run_slln(self.run(n_max=2**17, replicates=4))
         np.testing.assert_array_equal(more.m_values[:3], fewer.m_values)
         np.testing.assert_array_equal(more.exceedances[:3], fewer.exceedances)
+
+    @pytest.mark.parametrize("cap", [1, 3 * 37])
+    @pytest.mark.parametrize("case", ["independent", "exact", "window", "pairs"])
+    def test_rows_match_across_block_boundaries(self, case, cap, monkeypatch):
+        # blocks of 1 or 37 columns end between checkpoints and inside the 16-step window
+        monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
+        gen = np.random.default_rng(8)
+        model = {
+            "independent": None,
+            "exact": MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
+            "window": MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+            "pairs": MultivariateFgmModel.from_pairs(
+                512, {(int(k), int(j)): 4e-3 for k, j in gen.integers(1, 513, size=(300, 2)) if k < j}
+            ),
+        }[case]
+        run = self.run(p=1.2, n_max=512, replicates=3, model=model)
+        report = run_slln(run)
+        m_rows, e_rows = self.reference_rows(run)
+        np.testing.assert_array_equal(report.m_values, m_rows)
+        np.testing.assert_array_equal(report.exceedances, e_rows)
+
+    @pytest.mark.parametrize(
+        "n_max,replicates,dependent", [(2**17, 32, False), (2**12, 1024, True)], ids=["independent", "exact"]
+    )
+    def test_memory_stays_below_the_path(self, n_max, replicates, dependent):
+        # the whole path would take 32 MB
+        model = MultivariateFgmModel.from_power_schedule(n_max, mu=-0.3, nu=-1.2, scale=0.25) if dependent else None
+        run = self.run(p=1.2, n_max=n_max, replicates=replicates, model=model)
+        tracemalloc.start()
+        try:
+            run_slln(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_inadmissible_model_raises(self):
+        model = MultivariateFgmModel(n=128, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0)
+        with pytest.raises(NumericError):
+            run_slln(self.run(n_max=128, replicates=3, model=model))
 
     def test_convergent_regime(self):
         report = run_slln(self.run(n_max=2**15, replicates=16))
