@@ -11,8 +11,8 @@ With a power schedule theta_{k,j} = k^mu j^nu the functional factorizes as
 G = theta * B(k') * B(j'), so the double sum reduces to B at the N
 thresholds (one array pass of the closed form when r alpha > 1, one
 quadrature per threshold otherwise) plus cumulative products.  Partial sums
-are accumulated with exact (fsum) summation, so results are independent of
-any parallel partitioning of the terms.
+are accumulated with exact (fsum) summation, so they do not depend on the
+order of the terms.
 
 Truncated sums cannot prove convergence; verdicts are an honest
 classification of the fitted decay rate of the per-j aggregated terms over

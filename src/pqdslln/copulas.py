@@ -69,11 +69,14 @@ class GfmCopula:
         """The separable factor u^s (1 - u)^r of the dependence perturbation."""
         return _scalar_or_array(power_factor(np.asarray(u, dtype=float), self.r, self.s))
 
+    def gap(self, u, v):
+        """The dependence gap C(u, v) - u v = theta u^s v^s (1-u)^r (1-v)^r, without cancellation."""
+        return _scalar_or_array(np.asarray(self.theta * self.perturbation_factor(u) * self.perturbation_factor(v)))
+
     def cdf(self, u, v):
         uu = np.asarray(u, dtype=float)
         vv = np.asarray(v, dtype=float)
-        out = uu * vv + self.theta * self.perturbation_factor(uu) * self.perturbation_factor(vv)
-        return _scalar_or_array(np.asarray(out))
+        return _scalar_or_array(np.asarray(uu * vv + self.gap(uu, vv)))
 
     def conditional(self, u, v):
         """Conditional CDF P{V <= v | U = u} = dC/du; a CDF in v for admissible theta."""
@@ -132,13 +135,17 @@ class PerturbationCopula:
                 f"theta must lie in [0, {bound!r}] for these perturbation profiles, got {self.theta!r}"
             )
 
+    def gap(self, u, v):
+        """The dependence gap C(u, v) - u v = theta phi(u) psi(v), without cancellation."""
+        uu = np.asarray(u, dtype=float)
+        vv = np.asarray(v, dtype=float)
+        out = self.theta * np.asarray(self.phi.fn(uu), dtype=float) * np.asarray(self.psi.fn(vv), dtype=float)
+        return _scalar_or_array(np.asarray(out))
+
     def cdf(self, u, v):
         uu = np.asarray(u, dtype=float)
         vv = np.asarray(v, dtype=float)
-        out = uu * vv + self.theta * np.asarray(self.phi.fn(uu), dtype=float) * np.asarray(
-            self.psi.fn(vv), dtype=float
-        )
-        return _scalar_or_array(np.asarray(out))
+        return _scalar_or_array(np.asarray(uu * vv + self.gap(uu, vv)))
 
 
 def pqd_grid_check(cdf, m: int) -> bool:

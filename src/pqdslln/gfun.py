@@ -6,10 +6,16 @@ dependence gap is
     delta(x, y) = C(F(x), F(y)) - F(x) F(y),
 
 identical in survival form and CDF form, and the covariance functional is
-its double integral over [-u, u] x [-v, v].  Three routes are provided:
+its double integral over [-u, u] x [-v, v].  Both shipped copula families
+are C(u, v) = u v + gap(u, v), so delta is evaluated as gap(F(x), F(y)),
+free of the cancellation in the difference.  Three routes are provided:
 
-* ``g_numeric``     adaptive product quadrature of delta (the oracle; works
-                    for any copula/marginal pair),
+* ``g_numeric``     adaptive product quadrature of delta in y = log x on
+                    both axes (the oracle: it integrates the copula's own
+                    gap, never the closed form; needs a marginal with
+                    positive support, where the substitution puts the
+                    mass near the support edge and the far tail on a
+                    comparable scale),
 * ``g_factor``      the separable factor integral(support..u) F^s (1-F)^r dx,
                     valid because the power-family gap factorizes,
 * ``g_closed_form`` the closed form for a Pareto(alpha) marginal,
@@ -137,36 +143,46 @@ def g_factor(r: float, s: float, marginal: Marginal, u: float, *, abs_tol: float
 class DeltaField:
     """Pointwise dependence gap of a copula-coupled pair with common marginal.
 
-    delta(x, y) >= 0 everywhere when the copula is PQD, and vanishes whenever
-    either argument is below the marginal's support.
+    delta(x, y) = gap(F(x), F(y)) is taken from the copula's own gap, never
+    as C(F(x), F(y)) - F(x) F(y), so it keeps its relative accuracy where
+    the gap is far below F(x) F(y).  It is >= 0 everywhere when the copula
+    is PQD, and vanishes whenever either argument is below the marginal's
+    support.
     """
 
     copula: GfmCopula | PerturbationCopula
     marginal: Marginal
 
     def delta(self, x, y):
-        fx = np.asarray(self.marginal.cdf(x), dtype=float)
-        fy = np.asarray(self.marginal.cdf(y), dtype=float)
-        out = np.asarray(self.copula.cdf(fx, fy)) - fx * fy
-        return out if out.ndim else float(out)
+        return self.copula.gap(self.marginal.cdf(x), self.marginal.cdf(y))
 
 
 def g_numeric(field: DeltaField, u: float, v: float, spec: QuadSpec | None = None) -> float:
-    """Covariance functional by adaptive product quadrature of the gap field.
+    """Covariance functional by adaptive product quadrature of the gap field in log x.
 
-    Integrates delta over [max(-u, support), u] x [max(-v, support), v]; the
-    truncation is exact because delta vanishes below the support.  Raises
-    QuadratureError (carrying the best estimate and bound) if the panel
-    budget is exhausted.
+    Integrates delta over [support, u] x [support, v] (empty, giving 0, when
+    u or v is at or below the support's infimum) after substituting
+    y = log x on both axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over
+    [log support, log u] x [log support, log v].  The truncation at the
+    support is exact because delta vanishes below it.  Requires a marginal
+    with positive support (DomainError otherwise).  Raises QuadratureError
+    (carrying the best estimate and bound) if the panel budget is exhausted.
     """
     if not (u > 0.0 and v > 0.0):
         raise DomainError(f"integration half-widths must be positive, got u={u!r}, v={v!r}")
-    spec = spec or QuadSpec()
-    lo_x = max(-u, field.marginal.support_min)
-    lo_y = max(-v, field.marginal.support_min)
-    if not (u > lo_x and v > lo_y):
+    lo = field.marginal.support_min
+    if not lo > 0.0:
+        raise DomainError(f"log-space quadrature needs a marginal with positive support, got support_min={lo!r}")
+    if not (u > lo and v > lo):
         return 0.0
+    spec = spec or QuadSpec()
+
+    def integrand(y1, y2):
+        x1, x2 = np.exp(y1), np.exp(y2)
+        return field.delta(x1, x2) * (x1 * x2)
+
+    log_lo = math.log(lo)
     value, _ = adaptive_quad_2d(
-        field.delta, lo_x, u, lo_y, v, abs_tol=spec.abs_tol, max_panels=spec.max_panels
+        integrand, log_lo, math.log(u), log_lo, math.log(v), abs_tol=spec.abs_tol, max_panels=spec.max_panels
     )
     return value

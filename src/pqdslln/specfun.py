@@ -43,6 +43,9 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # tolerances are 1e-6; this leaves nine orders of margin.
 _SERIES_RTOL = 1e-15
 _MAX_TERMS = 1_000_000
+# Headroom by which a projected series must miss the truncation test before
+# it is refused early; the projection itself is good to a factor of e^(1/8).
+_PROJECTION_MARGIN = 10.0
 
 
 def gamma(x: float) -> float:
@@ -114,6 +117,27 @@ class HypergeometricArgs:
             )
 
 
+def _settled_step(a: float, b: float, c: float) -> int:
+    """A step past which every factor of the term ratio is within 1/64 of 1."""
+    return 64 * math.ceil(max(abs(a), abs(b), abs(c), 1.0)) ** 2
+
+
+def _beyond_budget(a: float, b: float, c: float, k: int, z, term, total):
+    """Which series, at term k >= _settled_step, cannot truncate within _MAX_TERMS terms.
+
+    From term k on, |t_n| = |t_k| |z|^(n-k) (n/k)^kappa with kappa = a+b-c-1,
+    up to a factor within e^(1/8).  On [k, _MAX_TERMS] that projection is
+    smallest at an end, and the running sum stays below
+    |S_k| + |t_k| (N/k)^max(kappa, 0) min(N - k, 1/(1-|z|)).
+    """
+    kappa, n = a + b - c - 1.0, _MAX_TERMS
+    t, mod = np.abs(term), np.abs(z)
+    with np.errstate(divide="ignore", over="ignore"):
+        smallest = t * np.exp(np.minimum(0.0, (n - k) * np.log(mod) + kappa * math.log(n / k)))
+        bound = np.abs(total) + t * np.power(n / k, max(kappa, 0.0)) * np.minimum(n - k, 1.0 / (1.0 - mod))
+    return smallest > _PROJECTION_MARGIN * _SERIES_RTOL * bound
+
+
 def gauss_2f1(a: float, b: float, c: float, z):
     """Gauss hypergeometric sum_{n>=0} (a)_n (b)_n / ((c)_n n!) z^n, elementwise over z.
 
@@ -122,11 +146,17 @@ def gauss_2f1(a: float, b: float, c: float, z):
     its running term drops below 1e-15 times its running sum.  Every element
     sees the same floating-point operations as a scalar call.  A scalar z
     gives a float, an array z an array of its shape.
+
+    A nonterminating series that cannot meet its truncation test within
+    _MAX_TERMS terms raises NumericError: at once, from a projection made at
+    the step _settled_step (a few hundred terms for small parameters), when
+    the projection misses by a wide margin, and otherwise at the budget's end.
     """
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
     HypergeometricArgs(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
     m = _terminating_order(a, b)
+    settled = _settled_step(a, b, c)
     out = np.empty(zs.size)
     live = np.arange(zs.size)  # elements still summing, compacted as they converge
     term, total = np.ones(zs.size), np.ones(zs.size)
@@ -141,6 +171,11 @@ def gauss_2f1(a: float, b: float, c: float, z):
                 out[live[done]] = total[done]
                 keep = ~done
                 live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
+            if n + 1 == settled and live.size:
+                hopeless = _beyond_budget(a, b, c, settled, live_z, term, total)
+                if hopeless.any():
+                    z_bad = float(live_z[np.argmax(hopeless)])
+                    raise NumericError(f"2F1 series cannot converge within {_MAX_TERMS} terms (z={z_bad!r})")
     if m is None and live.size:
         raise NumericError(f"2F1 series did not converge within {_MAX_TERMS} terms (z={float(live_z[0])!r})")
     out[live] = total

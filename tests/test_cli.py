@@ -82,6 +82,21 @@ class TestGEval:
         result = read_json(tmp_path / "result.json")
         assert result["max_discrepancy"] <= 1e-6
 
+    @pytest.mark.parametrize(
+        "r,u,rel,abs_",
+        [
+            (1.0, 1e4, 0.0, 1e-9),  # 6.6 s, 16.6 M integrand nodes when integrated in x
+            (3.0, 3000.0, 1e-6, 0.0),  # a peak the x-space quadrature missed (9.4e-13 for 1.9e-4)
+            (1.0, 1e6, 0.0, 1e-9),  # the x-space panel budget ran out here
+        ],
+    )
+    def test_numeric_matches_closed_at_far_thresholds(self, tmp_path, r, u, rel, abs_):
+        args = ["g", "eval", "--theta", "1", "--r", str(r), "--s", str(r), "--u", str(u), "--v", str(u),
+                "--method", "all"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        methods = read_json(tmp_path / "result.json")["methods"]
+        assert methods["numeric"] == pytest.approx(methods["closed"], rel=rel, abs=abs_)
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         code = run_cli(
             [

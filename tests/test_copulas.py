@@ -42,6 +42,32 @@ class TestGfmCdf:
         value = GfmCopula(theta=theta, r=r, s=s).cdf(u, v)
         assert 0.0 <= value <= 1.0
 
+    def test_cdf_is_product_plus_gap_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            theta, r, s = rng.uniform(0.0, 1.0), rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)
+            u, v = rng.random((2, 9, 13))
+            c = GfmCopula(theta=theta, r=r, s=s)
+            gap = theta * (u**s * (1.0 - u) ** r) * (v**s * (1.0 - v) ** r)
+            expected = u * v + gap
+            assert np.array_equal(c.cdf(u, v).view(np.int64), expected.view(np.int64))
+            assert np.array_equal(c.gap(u, v).view(np.int64), gap.view(np.int64))
+            assert c.cdf(float(u[0, 0]), float(v[0, 0])) == expected[0, 0]
+
+    def test_perturbation_cdf_is_product_plus_gap_bit_for_bit(self):
+        phi = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
+        c = PerturbationCopula(theta=0.75, phi=phi, psi=phi)
+        u, v = np.random.default_rng(8).random((2, 50))
+        expected = u * v + 0.75 * (u * (1.0 - u)) * (v * (1.0 - v))
+        assert np.array_equal(c.cdf(u, v).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(c.gap(u, v), 0.75 * (u * (1.0 - u)) * (v * (1.0 - v)))
+
+    def test_gap_keeps_relative_accuracy_near_one(self):
+        # 1 - 1e-12 is where C(u, v) - u v loses every digit of the gap
+        c = GfmCopula(theta=1.0, r=1.0, s=1.0)
+        u = 1.0 - 1e-12
+        assert c.gap(u, u) == pytest.approx((u * (1.0 - u)) ** 2, rel=1e-15)
+
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
             GfmCopula(theta=1.5, r=1.0, s=1.0)

@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -160,6 +162,27 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(1.1, 1.0, 2.0, np.array([0.5, -1.0]))
         assert gauss_2f1(-2.0, 1.0, 3.0, np.array([0.5, 2.0]))[1] == gauss_2f1(-2.0, 1.0, 3.0, 2.0)
+
+    @pytest.mark.parametrize("z", [0.9999999999, -0.9999999999, np.array([0.5, 0.9999999999])])
+    def test_hopeless_series_fails_fast(self, z):
+        # summed to the 1e6-term budget this took 12.5 s before raising
+        start = time.perf_counter()
+        with pytest.raises(NumericError):
+            gauss_2f1(1.0, 1.0, 2.0, z)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "a,b,c,z",
+        [
+            (1.0, 1.0, 2.0, 0.99),  # ~3,000 terms, past the projection step
+            (0.5, 0.5, 100.0, 0.9999999999),  # |z| near 1, but the terms fall like n^-100
+            (2.5, -1.5, 1.2, 0.999),  # kappa < 0 with a sign change in the early terms
+            (-3.0, 1.5, 2.0, 0.9999999999),  # terminating: never projected
+        ],
+    )
+    def test_convergent_series_near_one_are_summed(self, a, b, c, z):
+        expected = float(mpmath.hyp2f1(a, b, c, z))
+        assert gauss_2f1(a, b, c, z) == pytest.approx(expected, rel=1e-11)
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(pqdslln.specfun, "_MAX_TERMS", 40)
