@@ -23,7 +23,13 @@ report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replicate).  A run makes one blocked pass for all its replicates,
-each row drawing from its own stream, so no report depends on the blocking.
+each row drawing from its own stream.  A dependent batch of at most
+``_SCALAR_ROWS`` rows steps through the recurrence one row at a time in
+Python floats, a larger one a column at a time in numpy.  Both make the
+same correctly rounded operations in the same order, and A_m of explicit
+pairs is summed in ascending k from 0.0 rather than by a matrix product,
+whose order follows the batch shape.  So a row's path depends neither on
+the blocking nor on the rows sampled with it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ EXACT_DIMENSION_CAP = 1 << 12
 DEFAULT_WINDOW = 64
 # Uniforms run_slln holds at once (replicates x block columns): bounds peak memory.
 _GROUP_ELEMENTS = 1 << 18
+# Dependent batches of at most this many rows step in Python floats, larger ones in numpy: the
+# measured crossover, where a numpy step over one column costs as much as this many scalar steps.
+_SCALAR_ROWS = 56
+_SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the scalar route holds as Python floats at once
+_INVARIANTS = ("slope left [-1, 1]", "normalizer became nonpositive", "inversion discriminant went negative")
 
 _MASK64 = (1 << 64) - 1
 
@@ -171,7 +182,11 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
 
     Row i draws from ``rngs[i]``, and each block overwrites the last.  The normalizer D, the
     telescoped inner sum with a ring of its last ``window`` terms k^mu * eta_k, and for explicit
-    pairs the past path carry over; the running invariants are checked before every yield.
+    pairs the past path carry over.  A dependent batch of at most ``_SCALAR_ROWS`` rows steps
+    through the recurrence one row at a time in Python floats (:func:`_invert_rows`), a larger
+    one one column at a time in numpy (:func:`_invert_columns`).  Both routes make the same
+    correctly rounded float operations in the same order, so a row's bytes do not depend on the
+    route.  The running invariants are checked before every yield.
     """
     batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
@@ -179,41 +194,116 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
     buf = np.empty((batch, n if pairs else min(width, n)))  # explicit pairs keep the whole past path
     window = getattr(model, "window", None)
     ring = np.zeros((window, batch)) if dependent and window is not None and window < n else None
-    d, w_run, d_min, a_max, disc_min = (np.full(batch, v) for v in (1.0, 0.0, 1.0, 0.0, 0.0))
+    d, w_run, failed = np.ones(batch), np.zeros(batch), [False] * len(_INVARIANTS)
+    invert = _invert_rows if batch <= _SCALAR_ROWS else _invert_columns
     for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
         u = buf[:, start : start + width] if pairs else buf[:, : n - start]
         for row, row_rng in zip(u, rngs):
             row_rng.random(out=row)
-        # invert column j in place: u (1 + a (1 - u)) = w has the stable root 2w / (1 + a + sqrt((1+a)^2 - 4aw))
-        for j, m in enumerate(range(start + 1, start + u.shape[1] + 1) if dependent else ()):
-            if pairs:
-                ks, thetas = model._rows[m - 1]
-                a_m = (1.0 - 2.0 * buf[:, ks - 1]) @ thetas
-            else:
-                a_m = (model.scale * float(m) ** model.nu) * w_run
-            np.minimum(d_min, d, out=d_min)
-            a = a_m / d
-            np.maximum(a_max, np.abs(a), out=a_max)
-            a = np.clip(a, -1.0, 1.0)
-            w = u[:, j]
-            disc = (1.0 + a) ** 2 - 4.0 * a * w
-            np.minimum(disc_min, disc, out=disc_min)
-            denom = 1.0 + a + np.sqrt(np.maximum(disc, 0.0))
-            u_m = np.divide(2.0 * w, denom, out=np.zeros_like(w), where=denom > 0.0)
-            u[:, j] = u_m = np.where(np.abs(a) < 1e-14, w, u_m)
-            eta = 1.0 - 2.0 * u_m
-            d = d + eta * a_m
-            if not pairs:
-                term = float(m) ** model.mu * eta
-                w_run = w_run + term
-                if ring is not None:  # its slot holds the term of step m - window, or 0.0
-                    w_run = w_run - ring[(m - 1) % window]
-                    ring[(m - 1) % window] = term
-        for ok, what in ((a_max <= 1.0 + 1e-9, "slope left [-1, 1]"), (d_min > 0.0, "normalizer became nonpositive"),
-                         (disc_min >= -1e-12, "inversion discriminant went negative")):
-            if not np.all(ok):  # NaN fails every comparison too
+        if dependent:
+            invert(model, buf, u, start, d, w_run, ring, failed)
+        for bad, what in zip(failed, _INVARIANTS):
+            if bad:
                 raise NumericError(f"conditional {what} (internal normalizer bug)")
         yield start, u
+
+
+def _invert_columns(model, buf, u, start, d, w_run, ring, failed) -> None:
+    """Invert block ``u`` in place one column at a time, each step a numpy operation over the rows.
+
+    ``d``, ``w_run`` and ``ring`` are updated in place; ``failed[i]`` is set when invariant i broke.
+    """
+    batch, pairs = u.shape[0], model.pairs is not None
+    d_min, a_max, disc_min = np.full(batch, np.inf), np.zeros(batch), np.full(batch, np.inf)
+    # invert column j in place: u (1 + a (1 - u)) = w has the stable root 2w / (1 + a + sqrt((1+a)^2 - 4aw))
+    for j, m in enumerate(range(start + 1, start + u.shape[1] + 1)):
+        if pairs:  # A_m summed in ascending k; a matmul's order would change with the batch shape
+            ks, thetas = model._rows[m - 1]
+            a_m = np.cumsum((1.0 - 2.0 * buf[:, ks - 1]) * thetas, axis=1)[:, -1] if ks.size else np.zeros(batch)
+        else:
+            a_m = (model.scale * float(m) ** model.nu) * w_run
+        np.minimum(d_min, d, out=d_min)
+        a = a_m / d
+        np.maximum(a_max, np.abs(a), out=a_max)
+        a = np.clip(a, -1.0, 1.0)
+        w = u[:, j]
+        disc = (1.0 + a) ** 2 - 4.0 * a * w
+        np.minimum(disc_min, disc, out=disc_min)
+        denom = 1.0 + a + np.sqrt(np.maximum(disc, 0.0))
+        u_m = np.divide(2.0 * w, denom, out=np.zeros_like(w), where=denom > 0.0)
+        u[:, j] = u_m = np.where(np.abs(a) < 1e-14, w, u_m)
+        eta = 1.0 - 2.0 * u_m
+        d += eta * a_m
+        if not pairs:
+            term = float(m) ** model.mu * eta
+            w_run += term
+            if ring is not None:  # its slot holds the term of step m - window, or 0.0
+                slot = (m - 1) % len(ring)
+                w_run -= ring[slot]
+                ring[slot] = term
+    for i, ok in enumerate((a_max <= 1.0 + 1e-9, d_min > 0.0, disc_min >= -1e-12)):
+        failed[i] |= not np.all(ok)  # NaN fails every comparison too
+
+
+def _invert_rows(model, buf, u, start, d, w_run, ring, failed) -> None:
+    """:func:`_invert_columns` one row at a time in Python floats, with the same operations in order.
+
+    Rows are read and written through memoryviews of ``buf``, and the per-step coefficients, which
+    the rows share, are made for ``_SCALAR_COLUMNS`` columns at a time, so the route holds few
+    Python floats however wide the block.
+    """
+    batch, cols, pairs = u.shape[0], u.shape[1], model.pairs is not None
+    window = 0 if ring is None else len(ring)
+    slope_ok = positive = real_root = True
+    for c0 in range(0, cols, _SCALAR_COLUMNS):
+        ms = range(start + c0 + 1, start + min(cols, c0 + _SCALAR_COLUMNS) + 1)
+        if pairs:
+            steps = [(ks.tolist(), thetas.tolist()) for ks, thetas in model._rows[ms.start - 1 : ms.stop - 1]]
+        else:
+            steps = [(model.scale * float(m) ** model.nu, float(m) ** model.mu) for m in ms]
+        for row in range(batch):
+            path, past = memoryview(u[row]), memoryview(buf[row])
+            d_r, w_r = float(d[row]), float(w_run[row])
+            terms = ring[:, row].tolist() if window else None
+            slot = (ms.start - 1) % window if window else 0
+            for j, (first, second) in enumerate(steps, c0):
+                if pairs:  # first: the k of every pair (k, m), ascending; second: their strengths
+                    a_m = 0.0
+                    for k, theta in zip(first, second):
+                        a_m += (1.0 - 2.0 * past[k - 1]) * theta
+                else:  # first: scale * m^nu; second: m^mu
+                    a_m = first * w_r
+                if not d_r > 0.0:
+                    positive = False
+                a = a_m / d_r if d_r else math.nan  # numpy's a_m / 0 is inf or nan: a broken slope either way
+                if not -1.0 <= a <= 1.0:
+                    if not -1.0 - 1e-9 <= a <= 1.0 + 1e-9:
+                        slope_ok = False
+                    a = 1.0 if a > 1.0 else -1.0 if a < -1.0 else a
+                w = path[j]
+                if -1e-14 < a < 1e-14:  # the root is w; the discriminant is about 1
+                    u_m = w
+                else:
+                    b = 1.0 + a
+                    disc = b * b - 4.0 * a * w
+                    if not disc >= -1e-12:
+                        real_root = False
+                    denom = b + (math.sqrt(disc) if disc > 0.0 else 0.0)
+                    path[j] = u_m = 2.0 * w / denom if denom > 0.0 else 0.0
+                eta = 1.0 - 2.0 * u_m
+                d_r = d_r + eta * a_m
+                if not pairs:
+                    term = second * eta
+                    w_r = w_r + term
+                    if window:
+                        w_r = w_r - terms[slot]
+                        terms[slot] = term
+                        slot = slot + 1 if slot + 1 < window else 0
+            d[row], w_run[row] = d_r, w_r
+            if window:
+                ring[:, row] = terms
+    for i, ok in enumerate((slope_ok, positive, real_root)):
+        failed[i] |= not ok
 
 
 def sample_uniform_paths(
@@ -224,7 +314,9 @@ def sample_uniform_paths(
     ``model`` None (or a zero schedule) means independent coordinates.
     ``rng`` is one Generator, filling the rows one after another, or a
     sequence of one Generator per row, whose row then depends on its own
-    stream only.  Returns a (batch, n) array.
+    stream only, bit for bit, for power schedules and explicit pairs alike:
+    the batch size picks the inversion route, never the row's bytes.
+    Returns a (batch, n) array.
     """
     if model is None:
         if n is None:
@@ -318,9 +410,11 @@ def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
     All replicates share one pass over the steps in column blocks of at most
-    2^18 uniforms.  Each row draws from its own counter-based stream and
-    carries its running sum and hit count across blocks in sequential order,
-    so its results depend neither on the blocks nor on the other replicates.
+    2^18 uniforms; a few dependent replicates step through the recurrence
+    in Python floats, many in numpy, with the same bytes.  Each row draws
+    from its own counter-based stream and carries its running sum and hit
+    count across blocks in sequential order, so its results depend neither
+    on the blocks nor on the other replicates.
     """
     c = run.centering()
     cps = run.checkpoints()

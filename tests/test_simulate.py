@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -162,6 +163,76 @@ class TestSampler:
         with pytest.raises(NumericError):
             sample_uniform_paths(model, replicate_rng(3, 0), 4)
 
+    @pytest.mark.parametrize("batch", [8, 32, simulate._SCALAR_ROWS + 8])
+    def test_pairs_rows_do_not_depend_on_the_batch(self, batch):
+        # every pair of 40 coordinates at strength 1/1600: many terms in each A_m, whose
+        # summation order must not follow the batch shape as a matrix product's would
+        model = MultivariateFgmModel.from_pairs(40, {(k, j): 1 / 1600 for j in range(2, 41) for k in range(1, j)})
+        rows = sample_uniform_paths(model, [replicate_rng(9, rep) for rep in range(batch)], batch)
+        for rep in range(batch):
+            assert rows[rep].tobytes() == sample_uniform_paths(model, replicate_rng(9, rep), 1)[0].tobytes()
+
+
+class _Reached(Exception):
+    pass
+
+
+class TestRoutes:
+    """Small batches step in Python floats, large ones in numpy: the same bytes and errors."""
+
+    MODELS = {
+        "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
+        "window": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+        "pairs": lambda: MultivariateFgmModel.from_pairs(
+            512, {(int(k), int(j)): 4e-3 for k, j in np.random.default_rng(8).integers(1, 513, size=(300, 2)) if k < j}
+        ),
+    }
+
+    @staticmethod
+    def path(model, rows, width, scalar_rows, monkeypatch):
+        monkeypatch.setattr(simulate, "_SCALAR_ROWS", scalar_rows)
+        rngs = [replicate_rng(4, rep) for rep in range(rows)]
+        return np.hstack([u.copy() for _, u in simulate._uniform_blocks(model, rngs, model.n, width)])
+
+    # blocks of 1 or 37 columns end inside the 16-step window and split the past path of pairs
+    @pytest.mark.parametrize("width", [1, 37])
+    @pytest.mark.parametrize("rows", [1, 2, 32, simulate._SCALAR_ROWS + 1])
+    @pytest.mark.parametrize("case", ["exact", "window", "pairs"])
+    def test_routes_agree_bit_for_bit(self, case, rows, width, monkeypatch):
+        model = self.MODELS[case]()
+        scalar = self.path(model, rows, width, rows, monkeypatch)
+        vector = self.path(model, rows, width, 0, monkeypatch)
+        assert scalar.shape == (rows, 512) and scalar.tobytes() == vector.tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            MultivariateFgmModel(n=64, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0),
+            MultivariateFgmModel.from_power_schedule(64, mu=-0.3, nu=-1.2, scale=math.nan),
+        ],
+        ids=["inadmissible", "nan-scale"],
+    )
+    def test_routes_raise_the_same_error(self, model, monkeypatch):
+        messages = []
+        for scalar_rows in (4, 0):
+            monkeypatch.setattr(simulate, "_SCALAR_ROWS", scalar_rows)
+            with pytest.raises(NumericError) as info:
+                sample_uniform_paths(model, replicate_rng(3, 0), 4)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_route_follows_the_batch_size(self, monkeypatch):
+        def vectorised(*args):
+            raise _Reached
+
+        monkeypatch.setattr(simulate, "_invert_columns", vectorised)
+        model = MultivariateFgmModel.from_power_schedule(128, mu=-0.3, nu=-1.2, scale=0.25)
+        run = SlnnRun(p=1.2, marginal=ParetoMarginal(2.0), model=model, n_max=128,
+                      replicates=simulate._SCALAR_ROWS, seed=1, c=2.0)
+        run_slln(run)
+        with pytest.raises(_Reached):
+            run_slln(dataclasses.replace(run, replicates=simulate._SCALAR_ROWS + 1))
+
 
 class TestCountExceedances:
     def test_constant_path_at_support_min(self):
@@ -280,6 +351,20 @@ class TestRunSlln:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_scalar_route_memory_stays_below_the_path(self, monkeypatch):
+        # one row: blocks of 2^12 steps; its 2^14 steps as Python floats would take 512 kB
+        monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 1 << 12)
+        model = MultivariateFgmModel.from_power_schedule(2**14, mu=-0.3, nu=-1.2, scale=0.25)
+        run = self.run(p=1.2, n_max=2**14, replicates=1, model=model)
+        run_slln(run)  # what the first call imports stays out of the measure
+        tracemalloc.start()
+        try:
+            run_slln(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
     def test_inadmissible_model_raises(self):
         model = MultivariateFgmModel(n=128, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0)
