@@ -23,13 +23,13 @@ report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replicate).  A run makes one blocked pass for all its replicates,
-each row drawing from its own stream.  A dependent batch of at most
+each row drawing from its own stream.  A power-schedule batch of at most
 ``_SCALAR_ROWS`` rows steps through the recurrence one row at a time in
-Python floats, a larger one a column at a time in numpy.  Both make the
-same correctly rounded operations in the same order, and A_m of explicit
-pairs is summed in ascending k from 0.0 rather than by a matrix product,
-whose order follows the batch shape.  So a row's path depends neither on
-the blocking nor on the rows sampled with it.
+Python floats, a larger one a column at a time in numpy; both make the
+same correctly rounded operations in the same order.  Explicit pairs always
+take the numpy step, which sums A_m in ascending k rather than by a matrix
+product, whose order follows the batch shape.  So a row's path depends
+neither on the blocking nor on the rows sampled with it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ EXACT_DIMENSION_CAP = 1 << 12
 DEFAULT_WINDOW = 64
 # Uniforms run_slln holds at once (replicates x block columns): bounds peak memory.
 _GROUP_ELEMENTS = 1 << 18
-# Dependent batches of at most this many rows step in Python floats, larger ones in numpy: the
+# Power-schedule batches of at most this many rows step in Python floats, larger ones in numpy: the
 # measured crossover, where a numpy step over one column costs as much as this many scalar steps.
 _SCALAR_ROWS = 56
 _SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the scalar route holds as Python floats at once
@@ -182,11 +182,12 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
 
     Row i draws from ``rngs[i]``, and each block overwrites the last.  The normalizer D, the
     telescoped inner sum with a ring of its last ``window`` terms k^mu * eta_k, and for explicit
-    pairs the past path carry over.  A dependent batch of at most ``_SCALAR_ROWS`` rows steps
-    through the recurrence one row at a time in Python floats (:func:`_invert_rows`), a larger
-    one one column at a time in numpy (:func:`_invert_columns`).  Both routes make the same
-    correctly rounded float operations in the same order, so a row's bytes do not depend on the
-    route.  The running invariants are checked before every yield.
+    pairs the past path carry over.  A power-schedule batch of at most ``_SCALAR_ROWS`` rows
+    steps through the recurrence one row at a time in Python floats (:func:`_invert_rows`); a
+    larger one, and explicit pairs at any size, one column at a time in numpy
+    (:func:`_invert_columns`).  Both routes make the same correctly rounded float operations in
+    the same order, so a row's bytes do not depend on the route.  The running invariants are
+    checked before every yield.
     """
     batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
@@ -195,7 +196,7 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
     window = getattr(model, "window", None)
     ring = np.zeros((window, batch)) if dependent and window is not None and window < n else None
     d, w_run, failed = np.ones(batch), np.zeros(batch), [False] * len(_INVARIANTS)
-    invert = _invert_rows if batch <= _SCALAR_ROWS else _invert_columns
+    invert = _invert_rows if batch <= _SCALAR_ROWS and not pairs else _invert_columns
     for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
         u = buf[:, start : start + width] if pairs else buf[:, : n - start]
         for row, row_rng in zip(u, rngs):
@@ -246,33 +247,26 @@ def _invert_columns(model, buf, u, start, d, w_run, ring, failed) -> None:
 
 
 def _invert_rows(model, buf, u, start, d, w_run, ring, failed) -> None:
-    """:func:`_invert_columns` one row at a time in Python floats, with the same operations in order.
+    """:func:`_invert_columns` for a power schedule, one row at a time in Python floats, with the
+    same operations in order.
 
-    Rows are read and written through memoryviews of ``buf``, and the per-step coefficients, which
+    Rows are read and written through a memoryview of ``u``, and the per-step coefficients, which
     the rows share, are made for ``_SCALAR_COLUMNS`` columns at a time, so the route holds few
     Python floats however wide the block.
     """
-    batch, cols, pairs = u.shape[0], u.shape[1], model.pairs is not None
+    batch, cols = u.shape
     window = 0 if ring is None else len(ring)
     slope_ok = positive = real_root = True
     for c0 in range(0, cols, _SCALAR_COLUMNS):
         ms = range(start + c0 + 1, start + min(cols, c0 + _SCALAR_COLUMNS) + 1)
-        if pairs:
-            steps = [(ks.tolist(), thetas.tolist()) for ks, thetas in model._rows[ms.start - 1 : ms.stop - 1]]
-        else:
-            steps = [(model.scale * float(m) ** model.nu, float(m) ** model.mu) for m in ms]
+        steps = [(model.scale * float(m) ** model.nu, float(m) ** model.mu) for m in ms]
         for row in range(batch):
-            path, past = memoryview(u[row]), memoryview(buf[row])
+            path = memoryview(u[row])
             d_r, w_r = float(d[row]), float(w_run[row])
             terms = ring[:, row].tolist() if window else None
             slot = (ms.start - 1) % window if window else 0
-            for j, (first, second) in enumerate(steps, c0):
-                if pairs:  # first: the k of every pair (k, m), ascending; second: their strengths
-                    a_m = 0.0
-                    for k, theta in zip(first, second):
-                        a_m += (1.0 - 2.0 * past[k - 1]) * theta
-                else:  # first: scale * m^nu; second: m^mu
-                    a_m = first * w_r
+            for j, (coeff, power) in enumerate(steps, c0):  # scale * m^nu, m^mu
+                a_m = coeff * w_r
                 if not d_r > 0.0:
                     positive = False
                 a = a_m / d_r if d_r else math.nan  # numpy's a_m / 0 is inf or nan: a broken slope either way
@@ -292,13 +286,12 @@ def _invert_rows(model, buf, u, start, d, w_run, ring, failed) -> None:
                     path[j] = u_m = 2.0 * w / denom if denom > 0.0 else 0.0
                 eta = 1.0 - 2.0 * u_m
                 d_r = d_r + eta * a_m
-                if not pairs:
-                    term = second * eta
-                    w_r = w_r + term
-                    if window:
-                        w_r = w_r - terms[slot]
-                        terms[slot] = term
-                        slot = slot + 1 if slot + 1 < window else 0
+                term = power * eta
+                w_r = w_r + term
+                if window:
+                    w_r = w_r - terms[slot]
+                    terms[slot] = term
+                    slot = slot + 1 if slot + 1 < window else 0
             d[row], w_run[row] = d_r, w_r
             if window:
                 ring[:, row] = terms
@@ -315,7 +308,7 @@ def sample_uniform_paths(
     ``rng`` is one Generator, filling the rows one after another, or a
     sequence of one Generator per row, whose row then depends on its own
     stream only, bit for bit, for power schedules and explicit pairs alike:
-    the batch size picks the inversion route, never the row's bytes.
+    the batch size may pick the inversion route, never the row's bytes.
     Returns a (batch, n) array.
     """
     if model is None:
@@ -410,8 +403,8 @@ def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
     All replicates share one pass over the steps in column blocks of at most
-    2^18 uniforms; a few dependent replicates step through the recurrence
-    in Python floats, many in numpy, with the same bytes.  Each row draws
+    2^18 uniforms; a few replicates of a power schedule step through the
+    recurrence in Python floats, many in numpy, with the same bytes.  Each row draws
     from its own counter-based stream and carries its running sum and hit
     count across blocks in sequential order, so its results depend neither
     on the blocks nor on the other replicates.

@@ -178,14 +178,11 @@ class _Reached(Exception):
 
 
 class TestRoutes:
-    """Small batches step in Python floats, large ones in numpy: the same bytes and errors."""
+    """Small power-schedule batches step in Python floats, large ones in numpy: the same bytes and errors."""
 
     MODELS = {
         "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
         "window": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
-        "pairs": lambda: MultivariateFgmModel.from_pairs(
-            512, {(int(k), int(j)): 4e-3 for k, j in np.random.default_rng(8).integers(1, 513, size=(300, 2)) if k < j}
-        ),
     }
 
     @staticmethod
@@ -194,10 +191,10 @@ class TestRoutes:
         rngs = [replicate_rng(4, rep) for rep in range(rows)]
         return np.hstack([u.copy() for _, u in simulate._uniform_blocks(model, rngs, model.n, width)])
 
-    # blocks of 1 or 37 columns end inside the 16-step window and split the past path of pairs
+    # blocks of 1 or 37 columns end inside the 16-step window
     @pytest.mark.parametrize("width", [1, 37])
     @pytest.mark.parametrize("rows", [1, 2, 32, simulate._SCALAR_ROWS + 1])
-    @pytest.mark.parametrize("case", ["exact", "window", "pairs"])
+    @pytest.mark.parametrize("case", ["exact", "window"])
     def test_routes_agree_bit_for_bit(self, case, rows, width, monkeypatch):
         model = self.MODELS[case]()
         scalar = self.path(model, rows, width, rows, monkeypatch)
@@ -208,7 +205,7 @@ class TestRoutes:
         "model",
         [
             MultivariateFgmModel(n=64, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0),
-            MultivariateFgmModel.from_power_schedule(64, mu=-0.3, nu=-1.2, scale=math.nan),
+            MultivariateFgmModel(n=64, mu=-0.3, nu=-1.2, scale=math.nan, theta_sum=0.5),
         ],
         ids=["inadmissible", "nan-scale"],
     )
@@ -232,6 +229,8 @@ class TestRoutes:
         run_slln(run)
         with pytest.raises(_Reached):
             run_slln(dataclasses.replace(run, replicates=simulate._SCALAR_ROWS + 1))
+        with pytest.raises(_Reached):  # explicit pairs take the numpy step at any batch size
+            run_slln(dataclasses.replace(run, replicates=1, model=MultivariateFgmModel.from_pairs(128, {(1, 2): 0.5})))
 
 
 class TestCountExceedances:
