@@ -14,8 +14,9 @@ probabilities, and the ceiling-scaled tail-ratio chain
     1 <= sum_{k<=n} P{eps X > k^(1/p)} / sum_{k<=n} P{X > k^(1/p)}
       <= eps^p + eps^p / sum_{k<=n} P{X > k^(1/p)}.
 
-Double sums use cumulative prefix reductions in fixed index order, so
-results are reproducible to well under 1e-12 regardless of scheduling.
+The dependence term of every pair law is the pair copula's own gap
+(:meth:`GfmCopula.gap`); double sums use cumulative prefix reductions in
+fixed index order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
     "epsilon_bracket_check",
     "scaled_tail_ratio",
 ]
+
+_BRACKET_ABS_TOL = 1e-9  # absolute tolerance of the bracket integral, shared by its pieces
 
 @dataclass(frozen=True)
 class GfmDependence:
@@ -95,6 +98,13 @@ def event_probs(es: EventSystem, n: int) -> np.ndarray:
     return np.asarray(es.marginal.survival(t), dtype=float)
 
 
+def _pair_copula(es: EventSystem, k: int, j: int) -> GfmCopula:
+    """The copula of (X_k, X_j); the independence copula (zero gap) when there is no dependence."""
+    if es.dependence is None:
+        return GfmCopula(theta=0.0)
+    return es.dependence.copula(k, j)
+
+
 def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
     """Exact joint probability of the k-th and j-th events (k != j).
 
@@ -104,16 +114,8 @@ def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
     """
     if k == j:
         raise DomainError("pair events require k != j")
-    pk = event_prob(es, k)
-    pj = event_prob(es, j)
-    if es.dependence is None:
-        return pk * pj
-    lo, hi = (k, j) if k < j else (j, k)
-    theta = es.dependence.schedule.theta(lo, hi)
-    # Python floats, not numpy scalars: the two powers differ in the last bit
-    hk = power_factor(float(es.marginal.cdf(es.threshold(k))), es.dependence.r, es.dependence.s)
-    hj = power_factor(float(es.marginal.cdf(es.threshold(j))), es.dependence.r, es.dependence.s)
-    return pk * pj + theta * hk * hj
+    gap = _pair_copula(es, k, j).gap(es.marginal.cdf(es.threshold(k)), es.marginal.cdf(es.threshold(j)))
+    return event_prob(es, k) * event_prob(es, j) + gap
 
 
 def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
@@ -168,20 +170,12 @@ class BracketCheck(NamedTuple):
 def _joint_survival_fn(es: EventSystem, k: int, j: int):
     """P{X_k > x, X_j > y} as a broadcastable function of (x, y)."""
     marginal = es.marginal
-    if es.dependence is None:
-
-        def fn(x, y):
-            return np.asarray(marginal.survival(x)) * np.asarray(marginal.survival(y))
-
-        return fn
-    copula = es.dependence.copula(k, j)
+    copula = _pair_copula(es, k, j)
 
     def fn(x, y):
         sx = np.asarray(marginal.survival(x))
         sy = np.asarray(marginal.survival(y))
-        fx = 1.0 - sx
-        fy = 1.0 - sy
-        return sx * sy + copula.perturbation_factor(fx) * copula.perturbation_factor(fy) * copula.theta
+        return sx * sy + copula.gap(1.0 - sx, 1.0 - sy)
 
     return fn
 
@@ -193,9 +187,7 @@ def _segments(lo: float, hi: float, cut: float) -> list[tuple[float, float]]:
     return [(lo, hi)]
 
 
-def epsilon_bracket_check(
-    es: EventSystem, k: int, j: int, eps: float, *, abs_tol: float = 1e-9
-) -> BracketCheck:
+def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> BracketCheck:
     """Check the bracket inequality for one pair and one eps > 1.
 
     lhs  = integral of the joint survival over
@@ -216,7 +208,7 @@ def epsilon_bracket_check(
     errors = []
     for x0, x1 in _segments(xk / eps, xk, cut):
         for y0, y1 in _segments(xj / eps, xj, cut):
-            val, err = adaptive_quad_2d(fn, x0, x1, y0, y1, abs_tol=abs_tol / 4.0)
+            val, err = adaptive_quad_2d(fn, x0, x1, y0, y1, abs_tol=_BRACKET_ABS_TOL / 4.0)
             pieces.append(val)
             errors.append(err)
     lhs = math.fsum(pieces)

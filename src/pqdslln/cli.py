@@ -33,7 +33,7 @@ from .borel_cantelli import EventSystem, GfmDependence, epsilon_bracket_check, r
 from .conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, ThetaSchedule
 from .errors import DomainError, NumericError, ParameterError
-from .gfun import DeltaField, g_closed_form, g_factor, g_numeric
+from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec
 from .simulate import MultivariateFgmModel, SlnnRun, run_slln
@@ -117,7 +117,7 @@ def _is_theta_spec(value) -> bool:
         isinstance(value, dict)
         and value.keys() == {"kind", "mu", "nu", "scale"}
         and value["kind"] == "power"
-        and all(type(value[key]) is float for key in ("mu", "nu", "scale"))
+        and all(type(value[key]) is float and math.isfinite(value[key]) for key in ("mu", "nu", "scale"))
     )
 
 
@@ -150,14 +150,17 @@ def _is_n_grid(value) -> bool:
     return isinstance(value, list) and bool(value) and all(type(n) is int and n >= 1 for n in value)
 
 
-def _dependence_from_params(params: dict) -> GfmDependence | None:
+def _event_system(params: dict) -> EventSystem:
+    """The Pareto event system of ``bc ratio`` and ``bc bracket``."""
+    marginal = ParetoMarginal(params["alpha"])
     theta = params["theta_spec"]
-    if theta["kind"] == "zero":
-        return None
-    schedule = ThetaSchedule(mu=theta["mu"], nu=theta["nu"], p=params["p"])
-    if theta.get("scale", 1.0) != 1.0:
-        raise ParameterError("analytic event systems take the schedule as-is; scale is only for 'simulate'")
-    return GfmDependence(r=params["r"], s=params["s"], schedule=schedule)
+    dependence = None
+    if theta["kind"] != "zero":
+        schedule = ThetaSchedule(mu=theta["mu"], nu=theta["nu"], p=params["p"])
+        if theta["scale"] != 1.0:
+            raise ParameterError("analytic event systems take the schedule as-is; scale is only for 'simulate'")
+        dependence = GfmDependence(r=params["r"], s=params["s"], schedule=schedule)
+    return EventSystem(p=params["p"], marginal=marginal, dependence=dependence)
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +224,7 @@ def _run_condition_check(params: dict):
 
 
 def _run_bc_ratio(params: dict):
-    es = EventSystem(p=params["p"], marginal=ParetoMarginal(params["alpha"]), dependence=_dependence_from_params(params))
+    es = _event_system(params)
     grid = params["n_grid"]
     ratios = renyi_lamperti_ratios(es, grid)
     running_min = np.minimum.accumulate(ratios)
@@ -232,7 +235,7 @@ def _run_bc_ratio(params: dict):
 
 
 def _run_bc_bracket(params: dict):
-    es = EventSystem(p=params["p"], marginal=ParetoMarginal(params["alpha"]), dependence=_dependence_from_params(params))
+    es = _event_system(params)
     check = epsilon_bracket_check(es, params["k"], params["j"], params["eps"])
     result = {k: params[k] for k in ("p", "alpha", "k", "j", "eps")} | check._asdict()
     return result, {}, [f"lhs={check.lhs:.9g} rhs={check.rhs:.9g} holds={check.holds}"]
@@ -289,11 +292,12 @@ def _run_report_example(params: dict):
 
     grid = (1.5, 2.0, 5.0, 20.0)
     field = DeltaField(GfmCopula(theta=1.0, r=r, s=s), marginal)
+    bracket = g_closed_bracket(r, s, grid, marginal.alpha).tolist()
     g_rows = []
     max_disc = 0.0
-    for u in grid:
-        for v in grid:
-            closed = g_closed_form(1.0, r, s, u, v, marginal.alpha)
+    for u, bu in zip(grid, bracket):
+        for v, bv in zip(grid, bracket):
+            closed = bu * bv  # G = theta B(u) B(v) at theta = 1
             numeric = g_numeric(field, u, v)
             diff = abs(closed - numeric)
             max_disc = max(max_disc, diff)
@@ -436,7 +440,7 @@ def _check_parameters(subcommand: str, params: dict) -> None:
             valid = flag.is_parsed(value)
         else:
             valid = type(value) is flag.type and (flag.choices is None or value in flag.choices)
-        if not valid:
+        if not valid or (type(value) is float and not math.isfinite(value)):
             raise ParameterError(f"parameter {name}={value!r} is not a value {subcommand} takes")
 
 

@@ -51,6 +51,13 @@ def power_factor(f, r: float, s: float):
     return f**s * (1.0 - f) ** r
 
 
+def _cdf_from_gap(copula, u, v):
+    """C(u, v) = u v + gap(u, v), the CDF of either family from its dependence gap."""
+    uu = np.asarray(u, dtype=float)
+    vv = np.asarray(v, dtype=float)
+    return _scalar_or_array(np.asarray(uu * vv + copula.gap(uu, vv)))
+
+
 @dataclass(frozen=True)
 class GfmCopula:
     """Power-family copula u v + theta u^s v^s (1-u)^r (1-v)^r."""
@@ -67,16 +74,14 @@ class GfmCopula:
 
     def perturbation_factor(self, u):
         """The separable factor u^s (1 - u)^r of the dependence perturbation."""
-        return _scalar_or_array(power_factor(np.asarray(u, dtype=float), self.r, self.s))
+        # [()] powers a 0-d input as a numpy scalar (libm pow, as a Python float), not by vector pow
+        return _scalar_or_array(power_factor(np.asarray(u, dtype=float)[()], self.r, self.s))
 
     def gap(self, u, v):
         """The dependence gap C(u, v) - u v = theta u^s v^s (1-u)^r (1-v)^r, without cancellation."""
         return _scalar_or_array(np.asarray(self.theta * self.perturbation_factor(u) * self.perturbation_factor(v)))
 
-    def cdf(self, u, v):
-        uu = np.asarray(u, dtype=float)
-        vv = np.asarray(v, dtype=float)
-        return _scalar_or_array(np.asarray(uu * vv + self.gap(uu, vv)))
+    cdf = _cdf_from_gap
 
     def conditional(self, u, v):
         """Conditional CDF P{V <= v | U = u} = dC/du; a CDF in v for admissible theta."""
@@ -142,10 +147,7 @@ class PerturbationCopula:
         out = self.theta * np.asarray(self.phi.fn(uu), dtype=float) * np.asarray(self.psi.fn(vv), dtype=float)
         return _scalar_or_array(np.asarray(out))
 
-    def cdf(self, u, v):
-        uu = np.asarray(u, dtype=float)
-        vv = np.asarray(v, dtype=float)
-        return _scalar_or_array(np.asarray(uu * vv + self.gap(uu, vv)))
+    cdf = _cdf_from_gap
 
 
 def pqd_grid_check(cdf, m: int) -> bool:

@@ -64,6 +64,8 @@ __all__ = [
     "g_numeric",
 ]
 
+_FACTOR_ABS_TOL = 1e-10  # absolute tolerance of the separable factor quadrature
+
 
 def _validate_rs(r: float, s: float) -> None:
     if not (r >= 1.0 and s >= 1.0):
@@ -125,7 +127,7 @@ def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: f
     return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
 
 
-def g_factor(r: float, s: float, marginal: Marginal, u: float, *, abs_tol: float = 1e-10) -> float:
+def g_factor(r: float, s: float, marginal: Marginal, u: float) -> float:
     """Separable factor integral(max(-u, support)..u) F(x)^s (1 - F(x))^r dx by quadrature."""
     _validate_rs(r, s)
     lo = max(-u, marginal.support_min)
@@ -135,7 +137,7 @@ def g_factor(r: float, s: float, marginal: Marginal, u: float, *, abs_tol: float
     def integrand(x):
         return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
 
-    value, _ = adaptive_quad(integrand, lo, u, abs_tol=abs_tol)
+    value, _ = adaptive_quad(integrand, lo, u, abs_tol=_FACTOR_ABS_TOL)
     return value
 
 

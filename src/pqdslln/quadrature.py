@@ -8,8 +8,7 @@ carrying the best estimate and its error bound.
 
 Integrands must accept numpy arrays and evaluate elementwise.  The whole
 procedure is deterministic: refinement order is a pure function of the
-inputs, and the final value is accumulated over panels in spatial order with
-exactly rounded (fsum) summation, so results do not depend on scheduling.
+inputs, and the final value is the exactly rounded (fsum) sum over panels.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ def _refine(initial, split, abs_tol: float, max_panels: int, what: str) -> tuple
             err_total += child_err
 
     panels = done + list(heap)
-    panels.sort(key=lambda p: p[2])  # spatial order makes the sum scheduling-free
     value = math.fsum(p[3] for p in panels)
     bound = math.fsum(p[4] for p in panels)
     if bound > abs_tol:

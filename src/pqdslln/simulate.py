@@ -107,8 +107,8 @@ class MultivariateFgmModel:
         """theta_{kj} = scale * k^mu * j^nu, globally rescaled so sum <= 1."""
         if n < 1:
             raise ParameterError(f"model dimension must be positive, got {n!r}")
-        if scale < 0.0:
-            raise ParameterError(f"schedule scale must be nonnegative, got {scale!r}")
+        if not (math.isfinite(mu) and math.isfinite(nu) and 0.0 <= scale < math.inf):
+            raise ParameterError(f"schedule needs finite mu, nu and scale >= 0, got mu={mu!r}, nu={nu!r}, scale={scale!r}")
         if window is None and n > EXACT_DIMENSION_CAP:
             window = DEFAULT_WINDOW
         if window is not None and window < 1:

@@ -51,12 +51,12 @@ _PROJECTION_MARGIN = 10.0
 def gamma(x: float) -> float:
     """Gamma function for real x > 0 via a fixed-coefficient Lanczos sum.
 
-    Relative error <= 1e-12 on [0.5, 50].  Nonpositive (or NaN) arguments
-    raise DomainError; arguments whose Lanczos power overflows (x above
-    about 142.37) raise NumericError.
+    Relative error <= 1e-12 on [0.5, 50].  Nonpositive or non-finite
+    arguments raise DomainError; arguments whose Lanczos power overflows
+    (x above about 142.37) raise NumericError.
     """
-    if not x > 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"gamma requires finite x > 0, got {x!r}")
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
@@ -96,7 +96,7 @@ def _terminating_order(a: float, b: float) -> int | None:
 class HypergeometricArgs:
     """Validated argument bundle for the Gauss hypergeometric series.
 
-    Invariants: no argument is NaN, c is not zero or a negative integer, and
+    Invariants: every argument is finite, c is not zero or a negative integer, and
     either |z| < 1 or the series terminates because a (or b) is a
     nonpositive integer.
     """
@@ -107,8 +107,8 @@ class HypergeometricArgs:
     z: float
 
     def __post_init__(self):
-        if any(math.isnan(x) for x in (self.a, self.b, self.c, self.z)):
-            raise DomainError(f"2F1 arguments must not be NaN, got a={self.a!r}, b={self.b!r}, c={self.c!r}, z={self.z!r}")
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.c, self.z)):
+            raise DomainError(f"2F1 arguments must be finite, got a={self.a!r}, b={self.b!r}, c={self.c!r}, z={self.z!r}")
         if _nonpositive_int_order(self.c) is not None:
             raise DomainError(f"2F1 parameter c must not be zero or a negative integer, got {self.c!r}")
         if abs(self.z) >= 1.0 and _terminating_order(self.a, self.b) is None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pqdslln.borel_cantelli import (
     EventSystem,
     GfmDependence,
+    _joint_survival_fn,
     epsilon_bracket_check,
     event_prob,
     event_probs,
@@ -183,6 +184,21 @@ class TestEpsilonBracket:
         es = gfm_system(2.0, 1.0)
         check = epsilon_bracket_check(es, k, j, eps)
         assert check.holds
+
+    @pytest.mark.parametrize(
+        "es",
+        [independent(2.0, 1.0), gfm_system(2.0, 1.0), gfm_system(3.7, 1.3, mu=-0.2, nu=-0.9, r=2.0, s=1.5)],
+        ids=["independent", "gfm", "gfm-r2-s1.5"],
+    )
+    def test_integrand_is_cdf_form(self, es):
+        # P{X_k > x, X_j > y} = 1 - F(x) - F(y) + C(F(x), F(y)), across the support edge x = 1
+        k, j = 4, 9
+        copula = es.dependence.copula(k, j) if es.dependence else GfmCopula(theta=0.0)
+        grid = np.concatenate([np.linspace(0.5, 3.0, 26), [10.0, 1e3, 1e6]])
+        x, y = grid[:, None], grid[None, :]
+        fx, fy = es.marginal.cdf(x), es.marginal.cdf(y)
+        expected = 1.0 - fx - fy + copula.cdf(fx, fy)
+        np.testing.assert_allclose(_joint_survival_fn(es, k, j)(x, y), expected, rtol=0.0, atol=1e-15)
 
     def test_validation(self):
         es = independent(2.0, 1.0)

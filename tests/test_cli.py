@@ -366,6 +366,53 @@ class TestRerunRefusals:
         assert not (tmp_path / "replay").exists()
 
 
+class TestNonFiniteValues:
+    SLLN = ["simulate", "slln", "--p", "1.2", "--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "2"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "inf", "--v", "2", "--method", "closed"],
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--s", "inf"],
+            ["specfun", "eval", "--fn", "2f1", "--a", "inf", "--b", "1", "--c", "2", "--z", "0.5"],
+            ["simulate", "slln", "--p", "1", "--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "nan"],
+            ["bc", "bracket", "--alpha", "2", "--p", "1", "--k", "2", "--j", "3", "--eps", "inf"],
+            ["specfun", "eval", "--fn", "gamma", "--x", "inf"],
+            ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--quad-tol", "nan"],
+            [*SLLN, "--theta-spec", "power:-0.3,-1.2,nan"],
+            [*SLLN, "--theta-spec", "power:-0.3,-1.2,inf"],
+            [*SLLN, "--theta-spec", "power:nan,-1.2"],
+        ],
+        ids=[
+            "g-u-inf", "condition-s-inf", "2f1-a-inf", "slln-c-nan", "bracket-eps-inf", "gamma-x-inf",
+            "quad-tol-nan", "theta-scale-nan", "theta-scale-inf", "theta-mu-nan",
+        ],
+    )
+    def test_flag_is_parameter_error(self, args, tmp_path, capsys):
+        assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, spelled, nan",
+        [
+            (SLLN, '"c": 2.0', '"c": NaN'),
+            ([*SLLN, "--theta-spec", "power:-0.3,-1.2,0.25"], '"scale": 0.25', '"scale": NaN'),
+        ],
+        ids=["slln-c", "theta-scale"],
+    )
+    def test_manifest_is_parameter_error(self, args, spelled, nan, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert run_cli(args, run) == EXIT_OK
+        text = (run / "manifest.json").read_text()
+        assert spelled in text
+        (run / "manifest.json").write_text(text.replace(spelled, nan))
+        replay = tmp_path / "replay"
+        assert main(["rerun", "--manifest", str(run / "manifest.json"), "--outdir", str(replay)]) == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (replay / "manifest.json").exists()
+
+
 class TestNegativeExponentValues:
     @pytest.mark.parametrize(
         "p, mu, nu, plain_mu, plain_nu",
@@ -427,6 +474,28 @@ class TestClosedFormOnePass:
         args = ["condition", "check", "--kind", kind, "--p", "1.3", "--mu", "0.2", "--nu", "-1.5", "--N", "300"]
         assert run_cli(args, tmp_path) == EXIT_OK
         assert calls == {"gauss_2f1": 1, "bracket_limit": 1}
+
+    def test_report_grid_takes_one_bracket_call(self, tmp_path, monkeypatch):
+        calls = {"g_closed_form": 0, "g_closed_bracket": 0}
+
+        def counting(name):
+            original = getattr(pqdslln.gfun, name)
+
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return original(*a, **k)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            for module in (pqdslln.gfun, pqdslln.conditions, pqdslln.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "100"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        # one call for the series, one for the 4 x 4 G grid
+        assert calls == {"g_closed_form": 0, "g_closed_bracket": 2}
 
 
 class TestTableCells:

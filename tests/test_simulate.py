@@ -34,6 +34,13 @@ class TestModel:
         assert model.theta(1, 3) == 0.0
         assert model.theta_sum == pytest.approx(0.75)
 
+    @pytest.mark.parametrize(
+        "mu, nu, scale", [(math.nan, -1.2, 0.25), (-0.3, math.inf, 0.25), (-0.3, -1.2, math.nan), (-0.3, -1.2, math.inf)]
+    )
+    def test_power_schedule_rejects_non_finite(self, mu, nu, scale):
+        with pytest.raises(ParameterError):
+            MultivariateFgmModel.from_power_schedule(64, mu=mu, nu=nu, scale=scale)
+
     def test_from_pairs_rejects_overbudget(self):
         with pytest.raises(ParameterError):
             MultivariateFgmModel.from_pairs(3, {(1, 2): 0.7, (1, 3): 0.7})

@@ -30,7 +30,7 @@ class TestGamma:
     def test_recurrence(self, x):
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_domain(self, x):
         with pytest.raises(DomainError):
             gamma(x)
@@ -127,6 +127,12 @@ class TestGauss2F1:
             gauss_2f1(*args)
         with pytest.raises(DomainError):
             gauss_2f1(*args[:3], np.array([0.25, args[3], 0.5]))
+
+    @pytest.mark.parametrize("args", [(math.inf, 1.0, 2.0, 0.5), (1.0, 1.0, -math.inf, 0.5), (-2.0, 1.0, 3.0, math.inf)])
+    def test_infinite_argument_is_domain_error(self, args):
+        # math.floor and math.ceil of an infinite parameter would raise OverflowError
+        with pytest.raises(DomainError):
+            gauss_2f1(*args)
 
     def test_terminating_allows_large_z(self):
         # a = -2 terminates, so |z| >= 1 is fine
