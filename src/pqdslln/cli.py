@@ -2,7 +2,8 @@
 
 One binary, subcommand style.  Every run writes ``manifest.json`` echoing
 the fully resolved, result-affecting parameter set plus the tool version;
-``rerun`` replays a manifest and reproduces every output byte for byte.
+``rerun`` replays a manifest and reproduces every output byte for byte,
+once parsing its parameters as flags has given them back unchanged.
 The output directory cannot affect results and is kept out of the
 manifest; ``--workers`` is accepted and ignored.  A flat key=value
 config file may supply defaults; explicit flags win.  CSV table cells are
@@ -107,18 +108,15 @@ def _parse_theta_spec(spec: str) -> dict:
             scale = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParameterError(f"theta spec has non-numeric fields: {spec!r}") from exc
+        if not all(map(math.isfinite, (mu, nu, scale))):
+            raise ParameterError(f"theta spec must have finite fields, got {spec!r}")
         return {"kind": "power", "mu": mu, "nu": nu, "scale": scale}
     raise ParameterError(f"theta spec must be 'zero' or 'power:mu,nu[,scale]', got {spec!r}")
 
 
-def _is_theta_spec(value) -> bool:
-    """Whether a manifest value has the form ``_parse_theta_spec`` returns."""
-    return value == {"kind": "zero"} or (
-        isinstance(value, dict)
-        and value.keys() == {"kind", "mu", "nu", "scale"}
-        and value["kind"] == "power"
-        and all(type(value[key]) is float and math.isfinite(value[key]) for key in ("mu", "nu", "scale"))
-    )
+def _theta_spec_text(theta: dict) -> str:
+    """The text that ``_parse_theta_spec`` reads back as ``theta``."""
+    return "zero" if theta == {"kind": "zero"} else "power:{mu},{nu},{scale}".format_map(theta)
 
 
 def _parse_n_grid(spec: str) -> list[int]:
@@ -145,9 +143,9 @@ def _parse_n_grid(spec: str) -> list[int]:
     return values
 
 
-def _is_n_grid(value) -> bool:
-    """Whether a manifest value has the form ``_parse_n_grid`` returns."""
-    return isinstance(value, list) and bool(value) and all(type(n) is int and n >= 1 for n in value)
+def _n_grid_text(grid: list[int]) -> str:
+    """The text that ``_parse_n_grid`` reads back as ``grid`` when ``grid`` is sorted and unique."""
+    return ",".join(map(str, grid))
 
 
 def _event_system(params: dict) -> EventSystem:
@@ -193,11 +191,11 @@ def _run_g_eval(params: dict):
     theta, r, s, u, v = echo.values()
     method = params["method"]
     marginal = ParetoMarginal(2.0)
+    spec = QuadSpec(abs_tol=params["quad_tol"], max_panels=params["max_panels"])
     methods: dict[str, float] = {}
     if method in ("closed", "all"):
         methods["closed"] = g_closed_form(theta, r, s, u, v)
     if method in ("numeric", "all"):
-        spec = QuadSpec(abs_tol=params["quad_tol"], max_panels=params["max_panels"])
         field = DeltaField(GfmCopula(theta=theta, r=r, s=s), marginal)
         methods["numeric"] = g_numeric(field, u, v, spec)
     if method in ("factor", "all"):
@@ -258,10 +256,11 @@ def _run_simulate_slln(params: dict):
         c=params.get("c"),
     )
     report = run_slln(run)
+    median_abs_m, max_abs_m = report.median_abs_m().tolist(), report.max_abs_m().tolist()
     result = {
         "checkpoints": list(report.checkpoints),
-        "median_abs_m": report.median_abs_m().tolist(),
-        "max_abs_m": report.max_abs_m().tolist(),
+        "median_abs_m": median_abs_m,
+        "max_abs_m": max_abs_m,
         "mean_exceedances": report.mean_exceedances().tolist(),
         "metadata": report.metadata,
     }
@@ -273,8 +272,8 @@ def _run_simulate_slln(params: dict):
     tables = {"paths": (["replicate", "checkpoint_n", "m_n", "e_n"], rows)}
     lines = [
         f"checkpoints: {list(report.checkpoints)}",
-        f"median |M_n|: {[f'{v:.4g}' for v in report.median_abs_m()]}",
-        f"max |M_n| at n_max: {report.max_abs_m()[-1]:.6g}",
+        f"median |M_n|: {[f'{v:.4g}' for v in median_abs_m]}",
+        f"max |M_n| at n_max: {max_abs_m[-1]:.6g}",
     ]
     return result, tables, lines
 
@@ -347,11 +346,11 @@ class _Flag(NamedTuple):
     default: object = None
     required: bool = False
     choices: tuple | None = None
-    parse: Callable | None = None  # structured values; runs after argparse to keep ParameterError
-    is_parsed: Callable | None = None  # whether a manifest value has the form parse returns
+    parse: Callable | None = None  # structured values; runs after argparse to keep its message
+    text: Callable = str  # the flag text of a parameter value: parse(text(value)) == value
 
 
-_THETA_SPEC = _Flag("theta_spec", str, default="zero", parse=_parse_theta_spec, is_parsed=_is_theta_spec)
+_THETA_SPEC = _Flag("theta_spec", str, default="zero", parse=_parse_theta_spec, text=_theta_spec_text)
 _SERIES_MODEL = (
     *(_Flag(name, required=True) for name in ("p", "mu", "nu")),
     _Flag("r", default=1.0),
@@ -383,8 +382,8 @@ _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
         (
             *(_Flag(name, required=True) for name in ("theta", "r", "s", "u", "v")),
             _Flag("method", str, default="all", choices=("closed", "numeric", "factor", "all")),
-            _Flag("quad_tol", default=1e-9),
-            _Flag("max_panels", int, default=1 << 16),
+            _Flag("quad_tol", default=QuadSpec.abs_tol),
+            _Flag("max_panels", int, default=QuadSpec.max_panels),
         ),
     ),
     "condition check": (
@@ -393,7 +392,7 @@ _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
     ),
     "bc ratio": (
         _run_bc_ratio,
-        (*_EVENT_SYSTEM, _Flag("n_grid", str, default="log:10000:25", parse=_parse_n_grid, is_parsed=_is_n_grid)),
+        (*_EVENT_SYSTEM, _Flag("n_grid", str, default="log:10000:25", parse=_parse_n_grid, text=_n_grid_text)),
     ),
     "bc bracket": (
         _run_bc_bracket,
@@ -424,31 +423,8 @@ _GROUP_HELP = {
 }
 
 
-def _check_parameters(subcommand: str, params: dict) -> None:
-    """Refuse parameters the subcommand lacks, does not declare, or cannot take from its flags."""
-    if subcommand not in _COMMANDS:
-        raise ParameterError(f"unknown subcommand {subcommand!r}")
-    flags = {flag.name: flag for flag in _COMMANDS[subcommand][1]}
-    missing = [f.name for f in flags.values() if (f.required or f.default is not None) and f.name not in params]
-    if missing:
-        raise ParameterError(f"{subcommand} parameters lack {', '.join(missing)}")
-    for name, value in params.items():
-        flag = flags.get(name)
-        if flag is None:
-            raise ParameterError(f"{subcommand} takes no parameter {name!r}")
-        if flag.is_parsed:
-            valid = flag.is_parsed(value)
-        else:
-            valid = type(value) is flag.type and (flag.choices is None or value in flag.choices)
-        if not valid or (type(value) is float and not math.isfinite(value)):
-            raise ParameterError(f"parameter {name}={value!r} is not a value {subcommand} takes")
-
-
 def dispatch(config: RunConfig) -> int:
-    """Execute a resolved run: compute, write artifacts, write the manifest."""
-    _check_parameters(config.subcommand, config.parameters)
-    if config.fmt not in ("json", "csv", "both"):
-        raise ParameterError(f"output format must be json, csv or both, got {config.fmt!r}")
+    """Execute a run whose parameters came from the flag parser: compute, write artifacts, write the manifest."""
     result, tables, lines = _COMMANDS[config.subcommand][0](config.parameters)
 
     config.outdir.mkdir(parents=True, exist_ok=True)
@@ -486,6 +462,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        """Raise a usage error as a ParameterError naming the subcommand, so it exits 2 in one line."""
+        command = self.prog.removeprefix(_TOOL).lstrip()
+        raise ParameterError(f"{command}: {message}" if command else message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -525,13 +506,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parameters(flags: tuple[_Flag, ...], ns: argparse.Namespace) -> dict:
-    """Every flag whose value is not None, structured values parsed."""
+    """Every flag whose value is not None, structured values parsed; non-finite numbers refused."""
     params = {}
     for flag in flags:
         value = getattr(ns, flag.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"--{flag.name.replace('_', '-')} must be finite, got {value!r}")
         if value is not None:
             params[flag.name] = flag.parse(value) if flag.parse else value
     return params
+
+
+def _run_config(ns: argparse.Namespace, outdir: Path | None) -> RunConfig:
+    subcommand = f"{ns.group} {ns.action}"
+    params = _parameters(_COMMANDS[subcommand][1], ns)
+    return RunConfig(subcommand, params, outdir or _default_outdir(subcommand), ns.format)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -543,13 +532,25 @@ def _read_manifest(path: Path) -> dict:
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("subcommand"), str)
+        and manifest["subcommand"] in _COMMANDS
         and isinstance(manifest.get("parameters"), dict)
     ):
-        raise ParameterError(f"manifest {path} lacks a 'subcommand' string or a 'parameters' object")
+        raise ParameterError(f"manifest {path} lacks a known 'subcommand' or a 'parameters' object")
     if (manifest.get("tool"), manifest.get("version")) != (_TOOL, __version__):
         origin = f"{manifest.get('tool')} {manifest.get('version')}"
         raise ParameterError(f"manifest {path} is from {origin}, not {_TOOL} {__version__}")
     return manifest
+
+
+def _replay_argv(manifest: dict) -> list[str]:
+    """The command line a manifest records: its subcommand, format and one --name=text per parameter."""
+    subcommand, params = manifest["subcommand"], manifest["parameters"]
+    text = {flag.name: flag.text for flag in _COMMANDS[subcommand][1]}
+    try:
+        flags = [f"--{name.replace('_', '-')}={text.get(name, str)(value)}" for name, value in params.items()]
+    except (TypeError, KeyError) as exc:
+        raise ParameterError(f"{subcommand} parameters cannot be spelled as flags: {exc!r}") from exc
+    return [*subcommand.split(" "), f"--format={manifest.get('format', 'both')}", *flags]
 
 
 def _default_outdir(subcommand: str) -> Path:
@@ -608,27 +609,19 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _apply_config_file(argv)
         parser = _build_parser()
         try:
-            ns = parser.parse_args(argv)
-        except SystemExit as exc:
+            ns = parser.parse_args(_apply_config_file(argv))
+        except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
-        if ns.group == "rerun":
-            manifest = _read_manifest(ns.manifest)
-            subcommand = manifest["subcommand"]
-            params = manifest["parameters"]
-            fmt = manifest.get("format", "both")
-        else:
-            subcommand = f"{ns.group} {ns.action}"
-            params = _parameters(_COMMANDS[subcommand][1], ns)
-            fmt = ns.format
-        config = RunConfig(
-            subcommand=subcommand,
-            parameters=params,
-            outdir=ns.outdir or _default_outdir(subcommand),
-            fmt=fmt,
-        )
+        if ns.group != "rerun":
+            return dispatch(_run_config(ns, ns.outdir))
+        # a manifest replays only if parsing its own parameters as flags gives them back;
+        # json text tells 1, 1.0 and true apart, where == would not
+        manifest = _read_manifest(ns.manifest)
+        config = _run_config(parser.parse_args(_replay_argv(manifest)), ns.outdir)
+        if json.dumps(config.parameters, sort_keys=True) != json.dumps(manifest["parameters"], sort_keys=True):
+            raise ParameterError(f"manifest {ns.manifest} holds parameters that its flags do not give back")
         return dispatch(config)
     except (ParameterError, DomainError) as exc:
         print(f"{_TOOL}: error: [parameter] {exc}", file=sys.stderr)

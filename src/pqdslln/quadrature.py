@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ParameterError, QuadratureError
 
 __all__ = ["QuadSpec", "adaptive_quad", "adaptive_quad_2d"]
 
@@ -34,6 +34,10 @@ class QuadSpec:
 
     abs_tol: float = 1e-9
     max_panels: int = 1 << 16
+
+    def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0 and self.max_panels >= 1):
+            raise ParameterError(f"quadrature needs a finite abs_tol > 0 and max_panels >= 1, got {self}")
 
 
 def _panel_1d(f: Callable, a: float, b: float) -> tuple[float, float]:
@@ -104,7 +108,7 @@ def adaptive_quad(
     b: float,
     *,
     abs_tol: float = 1e-10,
-    max_panels: int = 1 << 16,
+    max_panels: int = QuadSpec.max_panels,
 ) -> tuple[float, float]:
     """Integrate f over [a, b]; returns (value, error_bound)."""
     if not b > a:
@@ -132,8 +136,8 @@ def adaptive_quad_2d(
     ay: float,
     by: float,
     *,
-    abs_tol: float = 1e-9,
-    max_panels: int = 1 << 16,
+    abs_tol: float = QuadSpec.abs_tol,
+    max_panels: int = QuadSpec.max_panels,
 ) -> tuple[float, float]:
     """Integrate f over [ax, bx] x [ay, by]; returns (value, error_bound).
 

@@ -1,13 +1,18 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import beta, betainc
 
 import pqdslln.cli
@@ -17,6 +22,7 @@ from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
 from pqdslln.gfun import bracket_limit, g_closed_bracket
 
+README = Path(__file__).parents[1] / "README.md"
 SCHEMA = json.loads(
     resources.files("pqdslln").joinpath("schemas/outputs.schema.json").read_text()
 )
@@ -107,6 +113,26 @@ class TestGEval:
         )
         assert code == EXIT_NUMERIC
         assert "[numeric]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, u, flag, value",
+        [
+            ("numeric", "2", "--quad-tol", "0"),
+            ("numeric", "2", "--quad-tol", "-1"),
+            ("numeric", "2", "--max-panels", "-5"),
+            ("numeric", "1e4", "--max-panels", "-5"),
+            ("numeric", "2", "--max-panels", "0"),
+            ("closed", "2", "--quad-tol", "0"),
+            ("factor", "2", "--max-panels", "-5"),
+        ],
+    )
+    def test_unusable_quadrature_budget_is_parameter_error(self, tmp_path, capsys, method, u, flag, value):
+        args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", u, "--v", u, "--method", method, flag, value]
+        start = time.perf_counter()
+        assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+        assert time.perf_counter() - start < 1.0
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_overflowing_power_gives_limit(self, tmp_path):
         args = ["g", "eval", "--theta", "1", "--r", "50", "--s", "1", "--u", "1e6", "--v", "2",
@@ -347,12 +373,15 @@ class TestRerunRefusals:
             (CONDITION, "bogus", 1),
             (BC, "n_grid", [10, "100"]),
             (BC, "n_grid", 100),
+            (BC, "n_grid", [100, 10]),
+            (BC, "n_grid", [10, 10, 100]),
             (BC, "theta_spec", {"kind": "power", "mu": 0.2, "nu": -1.5}),
             (BC, "theta_spec", "power:0.2,-1.5"),
         ],
         ids=[
             "int-as-string", "int-as-float", "float-as-string", "float-as-int", "float-as-bool",
-            "not-a-choice", "undeclared", "grid-entry-string", "grid-not-list", "theta-lacks-scale", "theta-unparsed",
+            "not-a-choice", "undeclared", "grid-entry-string", "grid-not-list", "grid-unordered", "grid-repeated",
+            "theta-lacks-scale", "theta-unparsed",
         ],
     )
     def test_mistyped_or_undeclared_parameter_is_parameter_error(self, tmp_path, capsys, args, key, value):
@@ -364,6 +393,53 @@ class TestRerunRefusals:
         assert self.rerun(run / "manifest.json", tmp_path) == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
         assert not (tmp_path / "replay").exists()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestReplayRoundTrip:
+    """A value written into a real manifest comes back from ``rerun`` bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        run = tmp_path_factory.mktemp("bc")
+        assert main([*TestRerunRefusals.BC, "--outdir", str(run)]) == EXIT_OK
+        return (run / "manifest.json").read_text()
+
+    def replay(self, recorded: str, key: str, value):
+        doc = json.loads(recorded)
+        doc["parameters"][key] = value
+        _, flags = pqdslln.cli._COMMANDS["bc ratio"]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            # arbitrary values need not make an admissible model: replay only the parameters
+            patch.setitem(pqdslln.cli._COMMANDS, "bc ratio", (lambda params: ({}, {}, []), flags))
+            path = Path(tmp) / "manifest.json"
+            path.write_text(json.dumps(doc))
+            assert main(["rerun", "--manifest", str(path), "--outdir", str(Path(tmp) / "replay")]) == EXIT_OK
+            return read_json(Path(tmp) / "replay" / "manifest.json")["parameters"][key]
+
+    @given(key=st.sampled_from(["alpha", "p", "r", "s"]), value=FINITE)
+    @example(key="p", value=-8.8e-05)
+    @example(key="alpha", value=1e300)
+    @example(key="r", value=5e-324)
+    @example(key="s", value=-0.0)
+    def test_float(self, recorded, key, value):
+        replayed = self.replay(recorded, key, value)
+        assert type(replayed) is float and replayed.hex() == value.hex()
+
+    @given(grid=st.lists(st.integers(1, 2**62), min_size=1, max_size=20, unique=True).map(sorted))
+    def test_sorted_n_grid(self, recorded, grid):
+        assert self.replay(recorded, "n_grid", grid) == grid
+
+    @given(
+        theta=st.just({"kind": "zero"})
+        | st.builds(lambda mu, nu, scale: {"kind": "power", "mu": mu, "nu": nu, "scale": scale}, FINITE, FINITE, FINITE)
+    )
+    @example(theta={"kind": "power", "mu": -8.8e-05, "nu": 1e300, "scale": 5e-324})
+    def test_power_theta_spec(self, recorded, theta):
+        # json text spells every float by its repr, so equal text is equal bits
+        assert json.dumps(self.replay(recorded, "theta_spec", theta)) == json.dumps(theta)
 
 
 class TestNonFiniteValues:
@@ -613,7 +689,25 @@ class TestConfigFile:
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["g", "eval", "--bogus", "1"]) == 2
+        assert "[parameter]" in capsys.readouterr().err
+
+    def test_missing_required_flag_exits_2(self, capsys):
+        assert main(["g", "eval", "--theta", "1"]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[parameter] g eval:" in err
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "pqdslln" in capsys.readouterr().out
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_runs(self, tmp_path, monkeypatch):
+        block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("pqdslln ")]
+        assert len(commands) == 9
+        monkeypatch.chdir(tmp_path)  # the rerun example reads runs/condition-check/manifest.json
+        monkeypatch.delenv("PQDSLLN_OUTDIR", raising=False)
+        for argv in commands:
+            assert main(argv) == EXIT_OK, argv

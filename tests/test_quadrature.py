@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from pqdslln.errors import QuadratureError
-from pqdslln.quadrature import adaptive_quad, adaptive_quad_2d
+from pqdslln.errors import ParameterError, QuadratureError
+from pqdslln.quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"abs_tol": 0.0}, {"abs_tol": -1.0}, {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 0}],
+)
+def test_quad_spec_refuses_a_budget_that_cannot_work(kwargs):
+    with pytest.raises(ParameterError):
+        QuadSpec(**kwargs)
 
 
 class TestAdaptiveQuad:
