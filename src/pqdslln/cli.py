@@ -553,6 +553,15 @@ def _replay_argv(manifest: dict) -> list[str]:
     return [*subcommand.split(" "), f"--format={manifest.get('format', 'both')}", *flags]
 
 
+def _parse(argv: list[str], source: str = "") -> argparse.Namespace:
+    """Parse a command line; leftover arguments are refused naming the subcommand (and ``source``)."""
+    ns, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        command = " ".join(filter(None, (ns.group, getattr(ns, "action", None))))
+        raise ParameterError(f"{source}{command}: unrecognized arguments: {' '.join(extra)}")
+    return ns
+
+
 def _default_outdir(subcommand: str) -> Path:
     base = Path(os.environ.get(OUTDIR_ENV, "runs"))
     return base / subcommand.replace(" ", "-")
@@ -609,9 +618,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = _build_parser()
         try:
-            ns = parser.parse_args(_apply_config_file(argv))
+            ns = _parse(_apply_config_file(argv))
         except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
         if ns.group != "rerun":
@@ -619,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
         # a manifest replays only if parsing its own parameters as flags gives them back;
         # json text tells 1, 1.0 and true apart, where == would not
         manifest = _read_manifest(ns.manifest)
-        config = _run_config(parser.parse_args(_replay_argv(manifest)), ns.outdir)
+        config = _run_config(_parse(_replay_argv(manifest), f"manifest {ns.manifest}: "), ns.outdir)
         if json.dumps(config.parameters, sort_keys=True) != json.dumps(manifest["parameters"], sort_keys=True):
             raise ParameterError(f"manifest {ns.manifest} holds parameters that its flags do not give back")
         return dispatch(config)

@@ -394,6 +394,17 @@ class TestRerunRefusals:
         assert "[parameter]" in capsys.readouterr().err
         assert not (tmp_path / "replay").exists()
 
+    def test_undeclared_parameter_names_the_manifest_and_subcommand(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main([*self.CONDITION, "--outdir", str(run)]) == EXIT_OK
+        doc = read_json(run / "manifest.json")
+        doc["parameters"]["bogus"] = 1
+        (run / "manifest.json").write_text(json.dumps(doc))
+        assert self.rerun(run / "manifest.json", tmp_path) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"[parameter] manifest {run / 'manifest.json'}: condition check: unrecognized arguments: --bogus=1" in err
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -690,6 +701,12 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["g", "eval", "--bogus", "1"]) == 2
         assert "[parameter]" in capsys.readouterr().err
+
+    def test_unknown_flag_names_the_subcommand(self, capsys):
+        argv = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--bogus", "1"]
+        assert main(argv) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[parameter] g eval: unrecognized arguments: --bogus 1" in err
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert main(["g", "eval", "--theta", "1"]) == EXIT_PARAMETER

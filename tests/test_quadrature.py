@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from pqdslln.errors import ParameterError, QuadratureError
-from pqdslln.quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d
+from pqdslln.quadrature import _W7, _W15, _X7, _X15, QuadSpec, _panels_1d, _panels_2d, adaptive_quad, adaptive_quad_2d
 
 
 @pytest.mark.parametrize(
@@ -15,6 +15,118 @@ from pqdslln.quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d
 def test_quad_spec_refuses_a_budget_that_cannot_work(kwargs):
     with pytest.raises(ParameterError):
         QuadSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"abs_tol": 0.0}, {"abs_tol": -1.0}, {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 0},
+     {"max_panels": -5}],
+)
+def test_quadrature_keywords_are_refused_before_any_evaluation(kwargs):
+    calls = []
+
+    def root_1d(x):
+        calls.append(x)
+        return x**0.5
+
+    def root_2d(x, y):
+        calls.append(x)
+        return (x * y) ** 0.5
+
+    with pytest.raises(ParameterError):
+        adaptive_quad(root_1d, 0.0, 1.0, **kwargs)
+    with pytest.raises(ParameterError):
+        adaptive_quad_2d(root_2d, 0.0, 1.0, 0.0, 1.0, **kwargs)
+    assert calls == []
+
+
+# The one-panel evaluators that the batched ones replaced, kept as the oracle
+# for their bits: every panel of a batch must reduce exactly as it did alone.
+def _panel_1d(f, a, b):
+    h = 0.5 * (b - a)
+    m = 0.5 * (a + b)
+    lo = h * float(_W7 @ np.asarray(f(m + h * _X7), dtype=float))
+    hi = h * float(_W15 @ np.asarray(f(m + h * _X15), dtype=float))
+    return hi, abs(hi - lo)
+
+
+def _panel_2d(f, ax, bx, ay, by):
+    hx, mx = 0.5 * (bx - ax), 0.5 * (bx + ax)
+    hy, my = 0.5 * (by - ay), 0.5 * (by + ay)
+    f7 = np.asarray(f((mx + hx * _X7)[:, None], (my + hy * _X7)[None, :]), dtype=float)
+    f15 = np.asarray(f((mx + hx * _X15)[:, None], (my + hy * _X15)[None, :]), dtype=float)
+    lo = hx * hy * float(_W7 @ f7 @ _W7)
+    hi = hx * hy * float(_W15 @ f15 @ _W15)
+    return hi, abs(hi - lo)
+
+
+def _random_panels(rng, k, dims):
+    """k panels with edges in (1e-3, 50), each axis ordered."""
+    edges = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(50.0), size=(k, dims, 2))), axis=2)
+    return [tuple(float(e) for e in panel.ravel()) for panel in edges]
+
+
+class TestBatchedPanels:
+    """A batch of panels gives each panel the bits of a one-panel evaluation."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_1d_matches_one_panel_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        a, e = rng.uniform(0.5, 4.0, size=2)
+        integrands = [
+            lambda x: np.exp(-a * x) * np.power(x, e),
+            lambda x: np.power(1.0 - np.power(np.maximum(x, 1.0), -a), e) * x,
+        ]
+        for k in (1, 2, 3, 4, 9):
+            panels = _random_panels(rng, k, 1)
+            for f in integrands:
+                expected = [(bounds, *_panel_1d(f, *bounds)) for bounds in panels]
+                assert _panels_1d(f, panels) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_2d_matches_one_panel_at_a_time(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        a, e = rng.uniform(0.5, 4.0, size=2)
+        integrands = [
+            lambda x, y: np.exp(-a * x * y) * np.power(x + y, e),
+            lambda x, y: np.power(np.exp(-x), e) * np.power(np.exp(-y), e) * np.exp(x + y),
+        ]
+        for k in (1, 2, 3, 4, 9):
+            panels = _random_panels(rng, k, 2)
+            for f in integrands:
+                expected = [(bounds, *_panel_2d(f, *bounds)) for bounds in panels]
+                assert _panels_2d(f, panels) == expected
+
+
+class TestIntegrandCalls:
+    """A split evaluates all its children in one integrand call per rule."""
+
+    def test_2d_split_costs_two_calls(self):
+        shapes = []
+
+        def fn(x, y):
+            shapes.append((x.shape, y.shape))
+            return np.sqrt(x * y)
+
+        adaptive_quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
+        first, rest = shapes[:2], shapes[2:]
+        assert first == [((1, 7, 1), (1, 1, 7)), ((1, 15, 1), (1, 1, 15))]
+        assert rest and rest == [((4, 7, 1), (4, 1, 7)), ((4, 15, 1), (4, 1, 15))] * (len(rest) // 2)
+        nodes = sum(math.prod(np.broadcast_shapes(*pair)) for pair in shapes)
+        panels = 1 + 4 * (len(rest) // 2)
+        assert nodes == 274 * panels
+
+    def test_1d_split_costs_two_calls(self):
+        shapes = []
+
+        def fn(x):
+            shapes.append(x.shape)
+            return np.sqrt(x)
+
+        adaptive_quad(fn, 0.0, 1.0)
+        first, rest = shapes[:2], shapes[2:]
+        assert first == [(1, 7), (1, 15)]
+        assert rest and rest == [(2, 7), (2, 15)] * (len(rest) // 2)
 
 
 class TestAdaptiveQuad:
