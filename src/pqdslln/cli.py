@@ -5,9 +5,10 @@ the fully resolved, result-affecting parameter set plus the tool version;
 ``rerun`` replays a manifest and reproduces every output byte for byte,
 once parsing its parameters as flags has given them back unchanged.
 The output directory cannot affect results and is kept out of the
-manifest; ``--workers`` is accepted and ignored.  A flat key=value
-config file may supply defaults; explicit flags win.  CSV table cells are
-Python scalars (int, float, str), so every float is written as its repr().
+manifest; ``--workers`` is accepted and ignored.  ``_COMMANDS`` declares
+every subcommand's flags once.  A flat key=value config file (``--config
+FILE`` or ``--config=FILE``) may supply defaults; explicit flags win.  CSV
+cells are Python scalars (int, float, str): a float is written as its repr().
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
 Verdicts are data, not errors: a "diverges" result still exits 0.
@@ -192,14 +193,14 @@ def _run_g_eval(params: dict):
     method = params["method"]
     marginal = ParetoMarginal(2.0)
     spec = QuadSpec(abs_tol=params["quad_tol"], max_panels=params["max_panels"])
+    copula = GfmCopula(theta=theta, r=r, s=s)  # refuses theta outside [0, 1] whatever the --method
     methods: dict[str, float] = {}
     if method in ("closed", "all"):
-        methods["closed"] = g_closed_form(theta, r, s, u, v)
+        methods["closed"] = g_closed_form(copula.theta, r, s, u, v)
     if method in ("numeric", "all"):
-        field = DeltaField(GfmCopula(theta=theta, r=r, s=s), marginal)
-        methods["numeric"] = g_numeric(field, u, v, spec)
+        methods["numeric"] = g_numeric(DeltaField(copula, marginal), u, v, spec)
     if method in ("factor", "all"):
-        methods["factor"] = theta * g_factor(r, s, marginal, u) * g_factor(r, s, marginal, v)
+        methods["factor"] = copula.theta * g_factor(r, s, marginal, u) * g_factor(r, s, marginal, v)
     values = list(methods.values())
     discrepancy = max(values) - min(values) if len(values) > 1 else 0.0
     result = dict(echo, methods=methods, max_discrepancy=discrepancy)
@@ -473,7 +474,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir", type=Path, default=None, help="output directory (default: $PQDSLLN_OUTDIR or ./runs/<subcommand>)")
     parser.add_argument("--format", choices=("json", "csv", "both"), default="both")
     parser.add_argument("--workers", type=int, help="accepted and ignored")
-    parser.add_argument("--config", type=Path, default=None, help="flat key=value file supplying defaults; flags win")
 
 
 @functools.cache
@@ -586,32 +586,36 @@ def _config_flags(key: str, value: str) -> list[str]:
     return [token for name, part in zip(names, parts) for token in (f"--{name}", part)]
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The one declaration of --config: takes FILE or =FILE, never an abbreviation, so "--c 2" stays a flag."""
+    parser = _Parser(prog=_TOOL, add_help=False, allow_abbrev=False)
+    parser.add_argument("--config", type=Path)
+    return parser
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the user's flags.
+    """Expand --config FILE into flags placed right after the subcommand, before the user's flags.
 
     Argparse keeps the last occurrence of a flag, so explicit flags win.
     """
-    if "--config" not in argv:
+    ns, rest = _config_parser().parse_known_args(argv)
+    if ns.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ParameterError("--config requires a file path")
-    path = Path(argv[idx + 1])
-    rest = argv[:idx] + argv[idx + 2 :]
-    if not path.exists():
-        raise ParameterError(f"config file {path} does not exist")
+    try:
+        text = ns.config.read_text()
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read config file {ns.config}: {exc}") from exc
     flags: list[str] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected key = value, got {line!r}")
+            raise ParameterError(f"{ns.config}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flags.extend(_config_flags(key, value))
-    n_sub = 0
-    while n_sub < len(rest) and not rest[n_sub].startswith("-"):
-        n_sub += 1
+    n_sub = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
     return rest[:n_sub] + flags + rest[n_sub:]
 
 

@@ -131,8 +131,6 @@ def g_factor(r: float, s: float, marginal: Marginal, u: float) -> float:
     """Separable factor integral(max(-u, support)..u) F(x)^s (1 - F(x))^r dx by quadrature."""
     _validate_rs(r, s)
     lo = max(-u, marginal.support_min)
-    if not u > lo:
-        return 0.0
 
     def integrand(x):
         return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
@@ -175,8 +173,6 @@ def g_numeric(field: DeltaField, u: float, v: float, spec: QuadSpec | None = Non
     lo = field.marginal.support_min
     if not lo > 0.0:
         raise DomainError(f"log-space quadrature needs a marginal with positive support, got support_min={lo!r}")
-    if not (u > lo and v > lo):
-        return 0.0
     spec = spec or QuadSpec()
 
     def integrand(y1, y2):

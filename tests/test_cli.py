@@ -141,6 +141,14 @@ class TestGEval:
         closed = read_json(tmp_path / "result.json")["methods"]["closed"]
         assert closed == bracket_limit(50.0, 1.0) * g_closed_bracket(50.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("method", ["closed", "numeric", "factor", "all"])
+    @pytest.mark.parametrize("theta", ["-1", "2"])
+    def test_theta_outside_unit_interval_is_refused(self, tmp_path, capsys, method, theta):
+        args = ["g", "eval", "--theta", theta, "--r", "1", "--s", "1", "--u", "3", "--v", "2", "--method", method]
+        assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
     def test_closed_form_near_support_edge(self, tmp_path):
         args = ["g", "eval", "--theta", "1", "--r", "1.5", "--s", "1.5", "--u", "1.00000001", "--v", "2",
                 "--method", "closed"]
@@ -678,6 +686,50 @@ class TestConfigFile:
         code = main(["specfun", "eval", "--fn", "gamma", "--x", "1", "--config", str(tmp_path / "nope.cfg")])
         assert code == EXIT_PARAMETER
 
+    def test_equals_spelling_matches_space_spelling(self, tmp_path):
+        config = tmp_path / "a.cfg"
+        config.write_text("alpha = 1.5\nN = 300\n")
+        argv = ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5"]
+        assert run_cli([*argv, "--config", str(config)], tmp_path / "space") == EXIT_OK
+        assert run_cli([*argv, f"--config={config}"], tmp_path / "equals") == EXIT_OK
+        space = read_json(tmp_path / "space" / "manifest.json")["parameters"]
+        assert read_json(tmp_path / "equals" / "manifest.json")["parameters"] == space
+        assert (space["alpha"], space["N"]) == (1.5, 300)
+
+    @pytest.mark.parametrize("spelling", ["--conf", "--co"])
+    def test_abbreviated_config_is_refused(self, tmp_path, capsys, spelling):
+        config = tmp_path / "a.cfg"
+        config.write_text("x = 5\n")
+        code = run_cli(["specfun", "eval", "--fn", "gamma", "--x", "1", spelling, str(config)], tmp_path / "run")
+        assert code == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_config_naming_a_config_is_refused(self, tmp_path, capsys):
+        inner, outer = tmp_path / "inner.cfg", tmp_path / "outer.cfg"
+        inner.write_text("x = 5\n")
+        outer.write_text(f"fn = gamma\nx = 1\nconfig = {inner}\n")
+        assert run_cli(["specfun", "eval", "--config", str(outer)], tmp_path / "run") == EXIT_PARAMETER
+        assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("equals", [True, False])
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_writes_no_manifest(self, tmp_path, capsys, equals, name):
+        path = tmp_path / name
+        spelling = [f"--config={path}"] if equals else ["--config", str(path)]
+        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "1", *spelling], tmp_path / "run") == EXIT_PARAMETER
+        assert "[parameter] cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_c_flag_next_to_config_stays_c(self, tmp_path):
+        config = tmp_path / "s.cfg"
+        config.write_text("c = 1\nseed = 3\n")
+        argv = ["simulate", "slln", "--p", "1", "--alpha", "2", "--n-max", "128", "--replicates", "1", "--c", "2"]
+        assert run_cli([*argv, "--config", str(config)], tmp_path) == EXIT_OK
+        params = read_json(tmp_path / "manifest.json")["parameters"]
+        assert (params["c"], params["seed"]) == (2.0, 3)
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PQDSLLN_OUTDIR", str(tmp_path / "envbase"))
         code = main(["specfun", "eval", "--fn", "gamma", "--x", "2"])
@@ -723,7 +775,7 @@ class TestReadmeExamples:
         block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         lines = block.replace("\\\n", " ").splitlines()
         commands = [shlex.split(line)[1:] for line in lines if line.startswith("pqdslln ")]
-        assert len(commands) == 9
+        assert len(commands) == 12
         monkeypatch.chdir(tmp_path)  # the rerun example reads runs/condition-check/manifest.json
         monkeypatch.delenv("PQDSLLN_OUTDIR", raising=False)
         for argv in commands:
