@@ -305,9 +305,11 @@ def _run_report_example(params: dict):
 
     j_values, terms = condition_terms("nec12", p, schedule, r, s, marginal, n_terms)
     verdict = verdict_from_terms(j_values, terms)
-    majorant = majorant_sum(p, mu, nu, r, s, n_terms)
+    majorant = majorant_sum(p, mu, nu, r, s, n_terms, marginal.alpha)
     partial_cum = np.cumsum(terms)
-    majorant_cum = majorant.c_const * np.cumsum(j_values.astype(float) ** majorant.exponent)
+    majorant_cum = majorant.c_const * majorant.inner_sum_factor * np.cumsum(
+        j_values.astype(float) ** majorant.exponent
+    )
     bound_holds = bool(np.all(partial_cum <= majorant_cum + 1e-12))
 
     tail = tail_condition(p, marginal, n_terms)

@@ -81,14 +81,17 @@ class SeriesVerdict:
 class MajorantBound:
     """Pair-independent constant and power-series majorant for the nec12 sum.
 
-    The full-series bound is c_const * (partial_sum + tail_bound); the tail
-    bound is infinite when the majorant exponent is at or above -1.
+    The term bound is T_j <= c_const * inner_sum_factor * j^exponent, and the
+    full-series bound c_const * inner_sum_factor * (partial_sum + tail_bound).
+    The tail bound is infinite when the majorant exponent is at or above -1,
+    the inner-sum factor when mu - 1/p + 1 <= 0.
     """
 
     c_const: float
     partial_sum: float
     tail_bound: float
     exponent: float
+    inner_sum_factor: float
 
 
 def classify_series(j_values: np.ndarray, terms: np.ndarray) -> tuple[float, str, float]:
@@ -197,20 +200,26 @@ def verdict_from_terms(j_values: np.ndarray, terms: np.ndarray) -> SeriesVerdict
     )
 
 
-def majorant_sum(p: float, mu: float, nu: float, r: float, s: float, n_terms: int) -> MajorantBound:
-    """Constant C = B(inf)^2 and power majorant sum_{j=2}^N j^(mu+nu-2/p+1).
+def majorant_sum(
+    p: float, mu: float, nu: float, r: float, s: float, n_terms: int, alpha: float = 2.0
+) -> MajorantBound:
+    """Constant C = B(inf)^2 at the Pareto(alpha) marginal, the inner-sum factor
+    1/(mu - 1/p + 1), and the power majorant sum_{j=2}^N j^(mu+nu-2/p+1).
 
-    Dominates the nec12 partial sum at every truncation N because each
-    factor B is bounded by its limit and theta_{k,j} = k^mu j^nu.  Exponents
-    are taken as given (no window check) so out-of-window schedules can be
-    diagnosed: at or above the harmonic exponent -1 the tail bound is
-    flagged infinite.
+    Their product dominates the nec12 partial sum at every truncation N: each
+    factor B is bounded by its limit, theta_{k,j} = k^mu j^nu, and the
+    integral test gives sum_{k<j} k^(mu-1/p) <= j^(mu-1/p+1) / (mu-1/p+1)
+    when mu - 1/p + 1 > 0; otherwise the inner sum is not bounded by that
+    power and the factor is infinite.  Exponents are taken as given (no
+    window check) so out-of-window schedules can be diagnosed: at or above
+    the harmonic exponent -1 the tail bound is flagged infinite.
     """
     if not 1.0 <= p < 2.0:
         raise ParameterError(f"majorant requires 1 <= p < 2, got p={p!r}")
     if n_terms < 2:
         raise ParameterError(f"majorant truncation requires N >= 2, got {n_terms!r}")
-    c_const = bracket_limit(r, s) ** 2
+    c_const = bracket_limit(r, s, alpha) ** 2
+    inner = mu - 1.0 / p + 1.0
     exponent = mu + nu - 2.0 / p + 1.0
     js = np.arange(2, n_terms + 1, dtype=float)
     partial = math.fsum(js**exponent)
@@ -218,7 +227,13 @@ def majorant_sum(p: float, mu: float, nu: float, r: float, s: float, n_terms: in
         tail = n_terms ** (exponent + 1.0) / (-exponent - 1.0)
     else:
         tail = math.inf
-    return MajorantBound(c_const=c_const, partial_sum=partial, tail_bound=tail, exponent=exponent)
+    return MajorantBound(
+        c_const=c_const,
+        partial_sum=partial,
+        tail_bound=tail,
+        exponent=exponent,
+        inner_sum_factor=1.0 / inner if inner > 0.0 else math.inf,
+    )
 
 
 def tail_condition(p: float, marginal: ParetoMarginal, n_terms: int) -> SeriesVerdict:

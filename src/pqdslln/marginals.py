@@ -37,8 +37,13 @@ class Marginal(ABC):
         """P{X <= x}."""
 
     @abstractmethod
-    def quantile(self, u):
-        """Inverse CDF on [0, 1)."""
+    def quantile(self, u, out=None):
+        """Inverse CDF on [0, 1).
+
+        With ``out``, a float64 array of u's shape that does not overlap ``u``, the values are
+        written into ``out`` and ``out`` is returned: a caller that inverts block after block can
+        reuse one buffer.
+        """
 
     @abstractmethod
     def abs_moment(self, p: float) -> float:
@@ -83,12 +88,14 @@ class ParetoMarginal(Marginal):
         out = np.where(arr <= 1.0, 1.0, np.power(np.maximum(arr, 1.0), -self.alpha))
         return _scalar_or_array(out)
 
-    def quantile(self, u):
+    def quantile(self, u, out=None):
         arr = np.asarray(u, dtype=float)
-        if np.any((arr < 0.0) | (arr >= 1.0)):
+        if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails both comparisons
             raise DomainError("quantile argument must lie in [0, 1)")
-        out = np.power(1.0 - arr, -1.0 / self.alpha)
-        return _scalar_or_array(out)
+        if out is None:
+            return _scalar_or_array(np.power(1.0 - arr, -1.0 / self.alpha))
+        np.subtract(1.0, arr, out=out)
+        return np.power(out, -1.0 / self.alpha, out=out)
 
     def abs_moment(self, p: float) -> float:
         if not p > 0.0:

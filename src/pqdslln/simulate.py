@@ -23,18 +23,24 @@ report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replicate).  A run makes one blocked pass for all its replicates,
-each row drawing from its own stream.  A power-schedule batch of at most
-``_SCALAR_ROWS`` rows steps through the recurrence one row at a time in
-Python floats, a larger one a column at a time in numpy; both make the
-same correctly rounded operations in the same order.  Explicit pairs always
-take the numpy step, which sums A_m in ascending k rather than by a matrix
-product, whose order follows the batch shape.  So a row's path depends
-neither on the blocking nor on the rows sampled with it.
+each row drawing from its own stream.  An independent run that fills a
+block splits its replicates into contiguous row slices, one per usable CPU,
+each sampled on its own thread, since every stage of its block pipeline is
+a numpy call that releases the GIL; a dependent run is one slice.  A
+power-schedule batch of at most ``_SCALAR_ROWS`` rows steps through the
+recurrence one row at a time in Python floats, a larger one a column at a
+time in numpy; both make the same correctly rounded operations in the same
+order.  Explicit pairs always take the numpy step, which sums A_m in
+ascending k rather than by a matrix product, whose order follows the batch
+shape.  So a row's path depends neither on the blocking, nor on the slices,
+nor on the rows sampled with it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -399,15 +405,56 @@ class PathReport:
         return float(np.max(np.abs(self.m_values[:, -last:])))
 
 
+def _slice_count(model: MultivariateFgmModel | None, replicates: int, n: int) -> int:
+    """Row slices, each on its own thread, that a run of ``replicates`` paths of n steps takes.
+
+    One per usable CPU, at most one per replicate, for an independent run that fills at least one
+    block of ``_GROUP_ELEMENTS`` uniforms: its block pipeline is numpy calls that release the GIL.
+    A dependent run stays whole, since its inversion steps in Python and holds the GIL.
+    """
+    if (model is not None and model.theta_sum != 0.0) or replicates * n < _GROUP_ELEMENTS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, replicates)
+
+
+def _sample_slice(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e_matrix) -> None:
+    """Sample replicates ``rows`` of ``run`` and write their rows of the checkpoint matrices.
+
+    Each row draws from its own stream and carries its running sum and hit count across blocks
+    in sequential order.  The quantiles go to one buffer reused for every block, never into the
+    uniforms, which an explicit-pairs sampler reads back as its past path.
+    """
+    cps = run.checkpoints()
+    ns = np.array(cps)
+    rngs = [replicate_rng(run.seed, rep) for rep in rows]
+    s_out, e_out = s_matrix[rows.start : rows.stop], e_matrix[rows.start : rows.stop]
+    x_buf = np.empty((len(rows), min(width, len(thresholds))))
+    hit_buf = np.empty(x_buf.shape, dtype=bool)
+    s_run, e_run = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
+    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), width):
+        stop = start + u.shape[1]
+        x = run.marginal.quantile(u, out=x_buf[:, : u.shape[1]])
+        hits = np.greater(x, thresholds[start:stop], out=hit_buf[:, : u.shape[1]])
+        x[:, 0] += s_run  # continue each row's sum in sequential order
+        s_run[:] = np.cumsum(x, axis=1, out=x)[:, -1]
+        for i in np.flatnonzero((start < ns) & (ns <= stop)):
+            s_out[:, i] = x[:, cps[i] - 1 - start]
+            e_out[:, i] = e_run + np.count_nonzero(hits[:, : cps[i] - start], axis=1)
+        e_run += np.count_nonzero(hits, axis=1)
+
+
 def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
-    All replicates share one pass over the steps in column blocks of at most
-    2^18 uniforms; a few replicates of a power schedule step through the
-    recurrence in Python floats, many in numpy, with the same bytes.  Each row draws
-    from its own counter-based stream and carries its running sum and hit
-    count across blocks in sequential order, so its results depend neither
-    on the blocks nor on the other replicates.
+    Replicates are sampled in column blocks of at most 2^18 uniforms in all.  An
+    independent run that fills a block splits its replicates into contiguous row
+    slices, one per usable CPU, each sampled on its own thread; a dependent run is one
+    slice, whose few replicates of a power schedule step through the recurrence in
+    Python floats, many in numpy, with the same bytes.  Each row draws from its own
+    counter-based stream and carries its running sum and hit count across blocks in
+    sequential order, so its results depend neither on the blocks, nor on the slices,
+    nor on the other replicates.
     """
     c = run.centering()
     cps = run.checkpoints()
@@ -418,18 +465,30 @@ def run_slln(run: SlnnRun) -> PathReport:
             f"model dimension {run.model.n!r} is smaller than the last checkpoint {n_sampled!r}"
         )
     thresholds = np.arange(1, n_sampled + 1, dtype=float) ** (1.0 / run.p)
-    rngs = [replicate_rng(run.seed, rep) for rep in range(run.replicates)]
     s_matrix, e_matrix = np.empty((run.replicates, len(cps))), np.empty((run.replicates, len(cps)), dtype=np.int64)
-    s_run, e_run = np.zeros(run.replicates), np.zeros(run.replicates, dtype=np.int64)
-    for start, u in _uniform_blocks(run.model, rngs, n_sampled, max(1, _GROUP_ELEMENTS // run.replicates)):
-        x = run.marginal.quantile(u)
-        hits = x > thresholds[start : start + x.shape[1]]
-        x[:, 0] += s_run  # continue each row's sum in sequential order
-        s_run = np.cumsum(x, axis=1, out=x)[:, -1].copy()
-        for i in np.flatnonzero((start < ns) & (ns <= start + x.shape[1])):
-            s_matrix[:, i] = x[:, cps[i] - 1 - start]
-            e_matrix[:, i] = e_run + np.count_nonzero(hits[:, : cps[i] - start], axis=1)
-        e_run += np.count_nonzero(hits, axis=1)
+    width = max(1, _GROUP_ELEMENTS // run.replicates)
+    count = _slice_count(run.model, run.replicates, n_sampled)
+    edges = [run.replicates * i // count for i in range(count + 1)]
+    errors: list = [None] * count
+
+    def sample(i: int) -> None:
+        try:
+            _sample_slice(run, range(edges[i], edges[i + 1]), width, thresholds, s_matrix, e_matrix)
+        except BaseException as exc:  # re-raised below, once every slice has joined
+            errors[i] = exc
+
+    threads = [threading.Thread(target=sample, args=(i,)) for i in range(1, count)]
+    try:
+        for thread in threads:
+            thread.start()
+        sample(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     m_matrix = (s_matrix - ns * c) / ns ** (1.0 / run.p)
     model = run.model
     metadata = {

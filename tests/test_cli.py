@@ -290,6 +290,15 @@ class TestReportExample:
         assert (tmp_path / "gtable.csv").exists()
         assert (tmp_path / "terms.csv").exists()
 
+    def test_majorant_follows_alpha(self, tmp_path, capsys):
+        args = ["report", "example", "--p", "1", "--mu", "0.01", "--nu", "-1.2", "--alpha", "1.2", "--N", "200"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert "majorant bound holds at every checkpoint: True" in capsys.readouterr().out
+        result = read_json(tmp_path / "result.json")
+        validate(result, "example_report")
+        assert result["majorant"]["c_const"] == bracket_limit(1.0, 1.0, 1.2) ** 2
+        assert result["majorant_bound_holds_at_every_checkpoint"] is True
+
     def test_closed_column_follows_alpha(self, tmp_path):
         args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", "1.5", "--N", "200"]
         assert run_cli(args, tmp_path) == EXIT_OK

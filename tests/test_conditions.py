@@ -18,7 +18,7 @@ from pqdslln.conditions import (
 )
 from pqdslln.copulas import GfmCopula, ThetaSchedule
 from pqdslln.errors import ParameterError
-from pqdslln.gfun import DeltaField, g_numeric
+from pqdslln.gfun import DeltaField, bracket_limit, g_numeric
 from pqdslln.marginals import ParetoMarginal
 
 EXAMPLE = dict(p=1.0, mu=0.2, nu=-1.5, r=1.0, s=1.0)
@@ -221,6 +221,29 @@ class TestMajorant:
         bound = majorant_sum(1.0, -0.5, -1.5, 1.0, 1.0, 100)
         assert bound.exponent == pytest.approx(-3.0)
         assert math.isfinite(bound.tail_bound)
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0])
+    def test_inner_sum_factor_infinite_without_a_power_bound(self, mu):
+        # mu - 1/p + 1 <= 0: sum_{k<j} k^(mu-1/p) is not bounded by j^(mu-1/p+1)/(mu-1/p+1)
+        assert majorant_sum(1.0, mu, -1.5, 1.0, 1.0, 100).inner_sum_factor == math.inf
+
+    @pytest.mark.parametrize(
+        "p, mu, nu, r, s, alpha",
+        [
+            (1.0, 0.2, -1.5, 1.0, 1.0, 2.0),
+            (1.0, 0.01, -1.2, 1.0, 1.0, 1.2),  # B(inf)^2 = 18.4 at alpha = 1.2, not the alpha = 2 value 4/9
+            (1.3, -0.221, -0.9615, 2.0, 1.0, 3.7),  # needs the inner-sum factor 1/(mu - 1/p + 1) = 102
+        ],
+    )
+    def test_majorant_bounds_every_term_at_the_marginal_alpha(self, p, mu, nu, r, s, alpha):
+        schedule = ThetaSchedule(mu=mu, nu=nu, p=p)
+        j_values, terms = condition_terms("nec12", p, schedule, r, s, ParetoMarginal(alpha), 200)
+        bound = majorant_sum(p, mu, nu, r, s, 200, alpha)
+        assert bound.c_const == bracket_limit(r, s, alpha) ** 2
+        assert bound.inner_sum_factor == pytest.approx(1.0 / (mu - 1.0 / p + 1.0), rel=1e-12)
+        majorant_terms = bound.c_const * bound.inner_sum_factor * j_values.astype(float) ** bound.exponent
+        assert np.all(terms <= majorant_terms)
+        assert np.all(np.cumsum(terms) <= np.cumsum(majorant_terms))
 
 
 class TestClassifier:

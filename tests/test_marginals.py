@@ -30,6 +30,24 @@ class TestCdfQuantile:
             with pytest.raises(DomainError):
                 m.quantile(u)
 
+    @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan], [math.nan, 0.5], [[0.5], [math.nan]]])
+    def test_quantile_refuses_nan(self, u):
+        with pytest.raises(DomainError):
+            ParetoMarginal(2.0).quantile(u)
+
+    def test_quantile_of_empty_is_empty(self):
+        assert ParetoMarginal(2.0).quantile(np.array([])).shape == (0,)
+
+    def test_quantile_into_out_matches_bit_for_bit(self):
+        m = ParetoMarginal(1.7)
+        u = np.random.default_rng(4).random((3, 50))
+        before = u.copy()
+        buf = np.empty((3, 60))
+        out = m.quantile(u, out=buf[:, :50])  # a strided view, as a partial sampler block
+        assert np.shares_memory(out, buf)
+        assert out.tobytes() == m.quantile(u).tobytes()
+        assert u.tobytes() == before.tobytes()
+
     @given(ALPHAS, st.floats(min_value=0.0, max_value=0.999999))
     def test_roundtrip_u(self, alpha, u):
         m = ParetoMarginal(alpha)

@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +268,93 @@ class TestCountExceedances:
             finals[rep] = count_exceedances(x, 1.0)[-1]
         se = float(np.std(finals, ddof=1)) / math.sqrt(replicates)
         assert abs(float(np.mean(finals)) - expected) <= 3.0 * se
+
+
+_PAIR_DRAWS = np.random.default_rng(8).integers(1, 513, size=(300, 2))
+
+
+class TestSlices:
+    """An independent run splits its replicates into row slices, one thread each: the same bytes."""
+
+    MODELS = {
+        "independent": lambda: None,
+        "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
+        "window": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+        "pairs": lambda: MultivariateFgmModel.from_pairs(
+            512, {(int(k), int(j)): 4e-3 for k, j in _PAIR_DRAWS if k < j}
+        ),
+    }
+
+    @staticmethod
+    def run(replicates, model=None):
+        return SlnnRun(
+            p=1.2, marginal=ParetoMarginal(2.0), model=model, n_max=512, replicates=replicates, seed=19, c=2.0
+        )
+
+    @staticmethod
+    def force_slices(monkeypatch, count):
+        monkeypatch.setattr(simulate, "_slice_count", lambda model, replicates, n: min(count, replicates))
+
+    # blocks of 1 or 37 columns (cap 111 over 3 rows) end between checkpoints and inside the window
+    @pytest.mark.parametrize("cap", [1, 111])
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 33])
+    @pytest.mark.parametrize("case", ["independent", "exact", "window", "pairs"])
+    def test_rows_do_not_depend_on_the_slices(self, case, replicates, cap, monkeypatch):
+        monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
+        run = self.run(replicates, self.MODELS[case]())
+        reports = []
+        for count in (1, 2, 3):
+            self.force_slices(monkeypatch, count)
+            reports.append(run_slln(run))
+        for report in reports[1:]:
+            assert report.m_values.tobytes() == reports[0].m_values.tobytes()
+            assert report.exceedances.tobytes() == reports[0].exceedances.tobytes()
+
+    def test_slice_count_follows_cpus_dependence_and_size(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert simulate._slice_count(None, 32, 2**17) == min(cpus, 32)
+        assert simulate._slice_count(None, 1, 2**18) == 1
+        assert simulate._slice_count(MultivariateFgmModel(n=2**17), 32, 2**17) == min(cpus, 32)  # a zero schedule
+        assert simulate._slice_count(self.MODELS["exact"](), 32, 2**17) == 1
+        assert simulate._slice_count(None, 2, 2**17 - 1) == 1  # below one block of 2^18 uniforms
+
+    def test_slices_run_on_threads_that_end_with_the_run(self, monkeypatch):
+        self.force_slices(monkeypatch, 3)
+        real, idents = simulate._sample_slice, set()
+
+        def traced(*args):
+            idents.add(threading.get_ident())
+            real(*args)
+
+        monkeypatch.setattr(simulate, "_sample_slice", traced)
+        baseline = threading.active_count()
+        run_slln(self.run(6))
+        assert len(idents) == 3
+        assert threading.active_count() == baseline
+
+    # replicates 0-1 are the caller's slice, 2-3 and 4-5 run on worker threads
+    @pytest.mark.parametrize("replicate", [1, 5], ids=["caller-slice", "worker-slice"])
+    def test_error_in_a_slice_reaches_the_caller(self, replicate, monkeypatch):
+        real = simulate.replicate_rng
+
+        def refusing(seed, rep):
+            if rep == replicate:
+                raise NumericError(f"stream {rep} refused")
+            return real(seed, rep)
+
+        self.force_slices(monkeypatch, 3)
+        monkeypatch.setattr(simulate, "replicate_rng", refusing)
+        baseline = threading.active_count()
+        with pytest.raises(NumericError, match=f"^stream {replicate} refused$"):
+            run_slln(self.run(6))
+        assert threading.active_count() == baseline
+
+    def test_cli_import_does_not_load_concurrent_futures(self):
+        src = Path(simulate.__file__).parents[1]
+        code = "import sys, pqdslln.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestRunSlln:
