@@ -93,9 +93,9 @@ class ParetoMarginal(Marginal):
         if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails both comparisons
             raise DomainError("quantile argument must lie in [0, 1)")
         if out is None:
-            return _scalar_or_array(np.power(1.0 - arr, -1.0 / self.alpha))
+            out = np.empty(arr.shape)
         np.subtract(1.0, arr, out=out)
-        return np.power(out, -1.0 / self.alpha, out=out)
+        return _scalar_or_array(np.power(out, -1.0 / self.alpha, out=out))
 
     def abs_moment(self, p: float) -> float:
         if not p > 0.0:

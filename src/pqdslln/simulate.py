@@ -414,8 +414,7 @@ def _slice_count(model: MultivariateFgmModel | None, replicates: int, n: int) ->
     """
     if (model is not None and model.theta_sum != 0.0) or replicates * n < _GROUP_ELEMENTS:
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, replicates)
+    return min(len(os.sched_getaffinity(0)), replicates)
 
 
 def _sample_slice(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e_matrix) -> None:

@@ -46,6 +46,7 @@ class TestCdfQuantile:
         out = m.quantile(u, out=buf[:, :50])  # a strided view, as a partial sampler block
         assert np.shares_memory(out, buf)
         assert out.tobytes() == m.quantile(u).tobytes()
+        assert out.tobytes() == np.power(1.0 - u, -1.0 / 1.7).tobytes()  # the same float operations
         assert u.tobytes() == before.tobytes()
 
     @given(ALPHAS, st.floats(min_value=0.0, max_value=0.999999))

@@ -320,16 +320,18 @@ class TestSlices:
 
     def test_slices_run_on_threads_that_end_with_the_run(self, monkeypatch):
         self.force_slices(monkeypatch, 3)
-        real, idents = simulate._sample_slice, set()
+        real, threads = simulate._sample_slice, set()
+        together = threading.Barrier(3, timeout=30)  # breaks unless all three slices run at once
 
         def traced(*args):
-            idents.add(threading.get_ident())
+            threads.add(threading.current_thread())
+            together.wait()
             real(*args)
 
         monkeypatch.setattr(simulate, "_sample_slice", traced)
         baseline = threading.active_count()
         run_slln(self.run(6))
-        assert len(idents) == 3
+        assert len(threads) == 3
         assert threading.active_count() == baseline
 
     # replicates 0-1 are the caller's slice, 2-3 and 4-5 run on worker threads
