@@ -24,16 +24,18 @@ report metadata.
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replicate).  A run makes one blocked pass for all its replicates,
 each row drawing from its own stream.  An independent run that fills a
-block splits its replicates into contiguous row slices, one per usable CPU,
-each sampled on its own thread, since every stage of its block pipeline is
-a numpy call that releases the GIL; a dependent run is one slice.  A
-power-schedule batch of at most ``_SCALAR_ROWS`` rows steps through the
+block is cut into pieces of contiguous replicates, a few per usable CPU, and
+one thread per CPU samples them, each taking the next piece when it has
+finished its last, since every stage of its block pipeline is a numpy call
+that releases the GIL; a CPU that runs slower than the others then samples
+fewer pieces instead of holding the run up.  A dependent run is one piece.
+A power-schedule batch of at most ``_SCALAR_ROWS`` rows steps through the
 recurrence one row at a time in Python floats, a larger one a column at a
 time in numpy; both make the same correctly rounded operations in the same
 order.  Explicit pairs always take the numpy step, which sums A_m in
 ascending k rather than by a matrix product, whose order follows the batch
-shape.  So a row's path depends neither on the blocking, nor on the slices,
-nor on the rows sampled with it.
+shape.  So a row's path depends neither on the blocking, nor on the pieces
+or threads, nor on the rows sampled with it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ EXACT_DIMENSION_CAP = 1 << 12
 DEFAULT_WINDOW = 64
 # Uniforms run_slln holds at once (replicates x block columns): bounds peak memory.
 _GROUP_ELEMENTS = 1 << 18
+# Pieces of replicates per thread in a threaded run: enough that a thread whose CPU runs slower
+# hands pieces to the others instead of holding the run up.
+_PIECES_PER_THREAD = 4
 # Power-schedule batches of at most this many rows step in Python floats, larger ones in numpy: the
 # measured crossover, where a numpy step over one column costs as much as this many scalar steps.
 _SCALAR_ROWS = 56
@@ -405,19 +410,20 @@ class PathReport:
         return float(np.max(np.abs(self.m_values[:, -last:])))
 
 
-def _slice_count(model: MultivariateFgmModel | None, replicates: int, n: int) -> int:
-    """Row slices, each on its own thread, that a run of ``replicates`` paths of n steps takes.
+def _thread_count(model: MultivariateFgmModel | None, replicates: int, n: int) -> int:
+    """Threads that sample a run of ``replicates`` paths of n steps.
 
     One per usable CPU, at most one per replicate, for an independent run that fills at least one
     block of ``_GROUP_ELEMENTS`` uniforms: its block pipeline is numpy calls that release the GIL.
-    A dependent run stays whole, since its inversion steps in Python and holds the GIL.
+    A dependent run stays on the caller's thread, since its inversion steps in Python and holds
+    the GIL.
     """
     if (model is not None and model.theta_sum != 0.0) or replicates * n < _GROUP_ELEMENTS:
         return 1
     return min(len(os.sched_getaffinity(0)), replicates)
 
 
-def _sample_slice(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e_matrix) -> None:
+def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e_matrix) -> None:
     """Sample replicates ``rows`` of ``run`` and write their rows of the checkpoint matrices.
 
     Each row draws from its own stream and carries its running sum and hit count across blocks
@@ -436,7 +442,9 @@ def _sample_slice(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
         x = run.marginal.quantile(u, out=x_buf[:, : u.shape[1]])
         hits = np.greater(x, thresholds[start:stop], out=hit_buf[:, : u.shape[1]])
         x[:, 0] += s_run  # continue each row's sum in sequential order
-        s_run[:] = np.cumsum(x, axis=1, out=x)[:, -1]
+        for row in x:  # row by row: numpy releases the GIL in a 1-D accumulate, not in a 2-D one
+            row.cumsum(out=row)
+        s_run[:] = x[:, -1]
         for i in np.flatnonzero((start < ns) & (ns <= stop)):
             s_out[:, i] = x[:, cps[i] - 1 - start]
             e_out[:, i] = e_run + np.count_nonzero(hits[:, : cps[i] - start], axis=1)
@@ -447,13 +455,14 @@ def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
     Replicates are sampled in column blocks of at most 2^18 uniforms in all.  An
-    independent run that fills a block splits its replicates into contiguous row
-    slices, one per usable CPU, each sampled on its own thread; a dependent run is one
-    slice, whose few replicates of a power schedule step through the recurrence in
-    Python floats, many in numpy, with the same bytes.  Each row draws from its own
-    counter-based stream and carries its running sum and hit count across blocks in
-    sequential order, so its results depend neither on the blocks, nor on the slices,
-    nor on the other replicates.
+    independent run that fills a block is cut into pieces of contiguous replicates,
+    ``_PIECES_PER_THREAD`` per usable CPU, and one thread per CPU samples them, each
+    taking the next piece when it has finished its last, so that a thread whose CPU
+    runs slower takes fewer.  A dependent run is one piece on the caller's thread, whose
+    few replicates of a power schedule step through the recurrence in Python floats,
+    many in numpy, with the same bytes.  Each row draws from its own counter-based
+    stream and carries its running sum and hit count across blocks in sequential order,
+    so its results depend neither on the blocks, nor on the pieces, nor on the threads.
     """
     c = run.centering()
     cps = run.checkpoints()
@@ -465,29 +474,34 @@ def run_slln(run: SlnnRun) -> PathReport:
         )
     thresholds = np.arange(1, n_sampled + 1, dtype=float) ** (1.0 / run.p)
     s_matrix, e_matrix = np.empty((run.replicates, len(cps))), np.empty((run.replicates, len(cps)), dtype=np.int64)
-    width = max(1, _GROUP_ELEMENTS // run.replicates)
-    count = _slice_count(run.model, run.replicates, n_sampled)
-    edges = [run.replicates * i // count for i in range(count + 1)]
-    errors: list = [None] * count
+    count = _thread_count(run.model, run.replicates, n_sampled)
+    rows = run.replicates if count == 1 else max(1, run.replicates // (_PIECES_PER_THREAD * count))
+    width = max(1, _GROUP_ELEMENTS // (count * rows))  # the blocks in flight hold _GROUP_ELEMENTS
+    pieces = iter(range(0, run.replicates, rows))  # shared: each piece goes to the first free thread
+    errors: dict = {}
 
-    def sample(i: int) -> None:
-        try:
-            _sample_slice(run, range(edges[i], edges[i + 1]), width, thresholds, s_matrix, e_matrix)
-        except BaseException as exc:  # re-raised below, once every slice has joined
-            errors[i] = exc
+    def sample() -> None:
+        for first in pieces:
+            if errors:  # another piece failed: the run is lost
+                return
+            piece = range(first, min(first + rows, run.replicates))
+            try:
+                _sample_piece(run, piece, width, thresholds, s_matrix, e_matrix)
+            except BaseException as exc:  # re-raised below, once every thread has joined
+                errors[first] = exc
+                return
 
-    threads = [threading.Thread(target=sample, args=(i,)) for i in range(1, count)]
+    threads = [threading.Thread(target=sample) for _ in range(1, count)]
     try:
         for thread in threads:
             thread.start()
-        sample(0)
+        sample()
     finally:
         for thread in threads:
             if thread.ident is not None:
                 thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise errors[min(errors)]
     m_matrix = (s_matrix - ns * c) / ns ** (1.0 / run.p)
     model = run.model
     metadata = {

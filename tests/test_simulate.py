@@ -273,8 +273,8 @@ class TestCountExceedances:
 _PAIR_DRAWS = np.random.default_rng(8).integers(1, 513, size=(300, 2))
 
 
-class TestSlices:
-    """An independent run splits its replicates into row slices, one thread each: the same bytes."""
+class TestPieces:
+    """An independent run is cut into pieces of replicates that threads take in turn: the same bytes."""
 
     MODELS = {
         "independent": lambda: None,
@@ -292,51 +292,75 @@ class TestSlices:
         )
 
     @staticmethod
-    def force_slices(monkeypatch, count):
-        monkeypatch.setattr(simulate, "_slice_count", lambda model, replicates, n: min(count, replicates))
+    def force_threads(monkeypatch, count):
+        monkeypatch.setattr(simulate, "_thread_count", lambda model, replicates, n: min(count, replicates))
 
-    # blocks of 1 or 37 columns (cap 111 over 3 rows) end between checkpoints and inside the window
+    # blocks of 1 or 37 columns (cap 111 over 3 rows) end between checkpoints and inside the window;
+    # 1 piece per thread cuts 33 replicates 11/11/11 over 3 threads, 4 per thread cuts them 2/2/.../1
     @pytest.mark.parametrize("cap", [1, 111])
     @pytest.mark.parametrize("replicates", [1, 2, 3, 33])
     @pytest.mark.parametrize("case", ["independent", "exact", "window", "pairs"])
-    def test_rows_do_not_depend_on_the_slices(self, case, replicates, cap, monkeypatch):
+    def test_rows_do_not_depend_on_the_pieces(self, case, replicates, cap, monkeypatch):
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
         run = self.run(replicates, self.MODELS[case]())
         reports = []
-        for count in (1, 2, 3):
-            self.force_slices(monkeypatch, count)
+        for count, per_thread in ((1, 4), (2, 1), (2, 4), (3, 1), (3, 4)):
+            self.force_threads(monkeypatch, count)
+            monkeypatch.setattr(simulate, "_PIECES_PER_THREAD", per_thread)
             reports.append(run_slln(run))
         for report in reports[1:]:
             assert report.m_values.tobytes() == reports[0].m_values.tobytes()
             assert report.exceedances.tobytes() == reports[0].exceedances.tobytes()
 
-    def test_slice_count_follows_cpus_dependence_and_size(self):
+    def test_thread_count_follows_cpus_dependence_and_size(self):
         cpus = len(os.sched_getaffinity(0))
-        assert simulate._slice_count(None, 32, 2**17) == min(cpus, 32)
-        assert simulate._slice_count(None, 1, 2**18) == 1
-        assert simulate._slice_count(MultivariateFgmModel(n=2**17), 32, 2**17) == min(cpus, 32)  # a zero schedule
-        assert simulate._slice_count(self.MODELS["exact"](), 32, 2**17) == 1
-        assert simulate._slice_count(None, 2, 2**17 - 1) == 1  # below one block of 2^18 uniforms
+        assert simulate._thread_count(None, 32, 2**17) == min(cpus, 32)
+        assert simulate._thread_count(None, 1, 2**18) == 1
+        assert simulate._thread_count(MultivariateFgmModel(n=2**17), 32, 2**17) == min(cpus, 32)  # a zero schedule
+        assert simulate._thread_count(self.MODELS["exact"](), 32, 2**17) == 1
+        assert simulate._thread_count(None, 2, 2**17 - 1) == 1  # below one block of 2^18 uniforms
 
-    def test_slices_run_on_threads_that_end_with_the_run(self, monkeypatch):
-        self.force_slices(monkeypatch, 3)
-        real, threads = simulate._sample_slice, set()
-        together = threading.Barrier(3, timeout=30)  # breaks unless all three slices run at once
+    def test_pieces_run_on_threads_that_end_with_the_run(self, monkeypatch):
+        self.force_threads(monkeypatch, 3)
+        real, threads = simulate._sample_piece, set()
+        together = threading.Barrier(3, timeout=30)  # breaks unless three pieces run at once
 
         def traced(*args):
             threads.add(threading.current_thread())
             together.wait()
             real(*args)
 
-        monkeypatch.setattr(simulate, "_sample_slice", traced)
+        monkeypatch.setattr(simulate, "_sample_piece", traced)
         baseline = threading.active_count()
-        run_slln(self.run(6))
+        run_slln(self.run(6))  # six one-replicate pieces, two rounds of the barrier
         assert len(threads) == 3
         assert threading.active_count() == baseline
 
-    # replicates 0-1 are the caller's slice, 2-3 and 4-5 run on worker threads
-    @pytest.mark.parametrize("replicate", [1, 5], ids=["caller-slice", "worker-slice"])
-    def test_error_in_a_slice_reaches_the_caller(self, replicate, monkeypatch):
+    def test_a_stalled_thread_holds_up_one_piece_only(self, monkeypatch):
+        self.force_threads(monkeypatch, 2)
+        real, caller, taken = simulate._sample_piece, threading.current_thread(), {"caller": 0, "worker": 0}
+        others_done = threading.Event()
+
+        def traced(run, rows, *args):
+            if threading.current_thread() is caller:
+                real(run, rows, *args)
+                taken["caller"] += 1
+                if taken["caller"] == 7:  # all eight pieces but the worker's first
+                    others_done.set()
+            else:
+                taken["worker"] += 1
+                assert others_done.wait(timeout=30)  # stalls until the caller has sampled the rest
+                real(run, rows, *args)
+
+        monkeypatch.setattr(simulate, "_sample_piece", traced)
+        report = run_slln(self.run(8))  # 4 pieces per thread: eight one-replicate pieces
+        assert taken["worker"] <= 1 and taken["caller"] + taken["worker"] == 8
+        monkeypatch.setattr(simulate, "_sample_piece", real)
+        assert report.m_values.tobytes() == run_slln(self.run(8)).m_values.tobytes()
+
+    # six one-replicate pieces go to whichever of three threads is free: the first and last piece fail
+    @pytest.mark.parametrize("replicate", [0, 5], ids=["first-piece", "last-piece"])
+    def test_error_in_a_piece_reaches_the_caller(self, replicate, monkeypatch):
         real = simulate.replicate_rng
 
         def refusing(seed, rep):
@@ -344,7 +368,7 @@ class TestSlices:
                 raise NumericError(f"stream {rep} refused")
             return real(seed, rep)
 
-        self.force_slices(monkeypatch, 3)
+        self.force_threads(monkeypatch, 3)
         monkeypatch.setattr(simulate, "replicate_rng", refusing)
         baseline = threading.active_count()
         with pytest.raises(NumericError, match=f"^stream {replicate} refused$"):
