@@ -477,7 +477,9 @@ def run_slln(run: SlnnRun) -> PathReport:
     count = _thread_count(run.model, run.replicates, n_sampled)
     rows = run.replicates if count == 1 else max(1, run.replicates // (_PIECES_PER_THREAD * count))
     width = max(1, _GROUP_ELEMENTS // (count * rows))  # the blocks in flight hold _GROUP_ELEMENTS
-    pieces = iter(range(0, run.replicates, rows))  # shared: each piece goes to the first free thread
+    # shared by the threads: next() on a range iterator is one step under the GIL, so each piece
+    # goes to exactly one thread, the first to be free
+    pieces = iter(range(0, run.replicates, rows))
     errors: dict = {}
 
     def sample() -> None:

@@ -358,6 +358,28 @@ class TestPieces:
         monkeypatch.setattr(simulate, "_sample_piece", real)
         assert report.m_values.tobytes() == run_slln(self.run(8)).m_values.tobytes()
 
+    def test_every_piece_is_sampled_once_by_more_threads_than_cpus(self, monkeypatch):
+        self.force_threads(monkeypatch, 8)
+        real, sampled = simulate._sample_piece, []
+
+        def traced(run, rows, *args):
+            sampled.extend(rows)
+            real(run, rows, *args)
+
+        monkeypatch.setattr(simulate, "_sample_piece", traced)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            reports = [run_slln(self.run(64)) for _ in range(3)]  # 32 two-replicate pieces per run
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sampled) == sorted(list(range(64)) * 3)
+        monkeypatch.setattr(simulate, "_thread_count", lambda model, replicates, n: 1)
+        whole = run_slln(self.run(64))
+        for report in reports:
+            assert report.m_values.tobytes() == whole.m_values.tobytes()
+            assert report.exceedances.tobytes() == whole.exceedances.tobytes()
+
     # six one-replicate pieces go to whichever of three threads is free: the first and last piece fail
     @pytest.mark.parametrize("replicate", [0, 5], ids=["first-piece", "last-piece"])
     def test_error_in_a_piece_reaches_the_caller(self, replicate, monkeypatch):
