@@ -7,8 +7,9 @@ once parsing its parameters as flags has given them back unchanged.
 The output directory cannot affect results and is kept out of the
 manifest; ``--workers`` is accepted and ignored.  ``_COMMANDS`` declares
 every subcommand's flags once.  A flat key=value config file (``--config
-FILE`` or ``--config=FILE``) may supply defaults; explicit flags win.  CSV
-cells are Python scalars (int, float, str): a float is written as its repr().
+FILE`` or ``--config=FILE``) may supply defaults; explicit flags win.  A CSV
+table is a header row and columns of Python ints and floats: an int is
+written in decimal, a float as its repr().
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
 Verdicts are data, not errors: a "diverges" result still exits 0.
@@ -17,7 +18,6 @@ Verdicts are data, not errors: a "diverges" result still exits 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -82,12 +82,23 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a table whose cells are Python scalars; csv writes a float as its repr()."""
+# rows formatted and written at a time: bounds the text held in memory
+_CSV_ROWS = 1 << 10
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a table given as equal-length columns (lists or tuples) of Python ints and floats.
+
+    The bytes are those of ``csv.writer(handle, lineterminator="\\n")`` on the
+    same rows: the header line, then one line per row with its cells joined
+    by commas, an int in decimal and a float as its repr(), every line ended
+    by ``\\n``.  No cell is quoted, so a cell must be a number, never a str.
+    """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            cells = [list(map(str, column[start:start + _CSV_ROWS])) for column in columns]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +175,7 @@ def _event_system(params: dict) -> EventSystem:
 
 # --------------------------------------------------------------------------
 # subcommand handlers: params dict -> (result dict, {csv name: (header,
-# rows)}, stdout lines); table cells are Python scalars (int, float, str)
+# columns)}, stdout lines); table cells are Python ints and floats
 # --------------------------------------------------------------------------
 
 
@@ -218,7 +229,7 @@ def _run_condition_check(params: dict):
     )
     verdict = verdict_from_terms(j_values, terms)
     result = dict(asdict(verdict), kind=kind)
-    tables = {"terms": (["j", "term"], zip(j_values.tolist(), terms.tolist()))}
+    tables = {"terms": (["j", "term"], (j_values.tolist(), terms.tolist()))}
     return result, tables, [f"{kind}: {verdict.verdict} (partial sum {verdict.partial_sum:.9g})"]
 
 
@@ -229,7 +240,7 @@ def _run_bc_ratio(params: dict):
     running_min = np.minimum.accumulate(ratios)
     result = {k: params[k] for k in ("p", "alpha", "n_grid")}
     result.update(final_ratio=float(ratios[-1]), running_min=float(running_min[-1]))
-    tables = {"ratio": (["n", "ratio", "running_min"], zip(grid, ratios.tolist(), running_min.tolist()))}
+    tables = {"ratio": (["n", "ratio", "running_min"], (grid, ratios.tolist(), running_min.tolist()))}
     return result, tables, [f"ratio at n={grid[-1]}: {ratios[-1]:.9g} (running min {running_min[-1]:.9g})"]
 
 
@@ -258,21 +269,23 @@ def _run_simulate_slln(params: dict):
     )
     report = run_slln(run)
     median_abs_m, max_abs_m = report.median_abs_m().tolist(), report.max_abs_m().tolist()
+    checkpoints = list(report.checkpoints)
     result = {
-        "checkpoints": list(report.checkpoints),
+        "checkpoints": checkpoints,
         "median_abs_m": median_abs_m,
         "max_abs_m": max_abs_m,
         "mean_exceedances": report.mean_exceedances().tolist(),
         "metadata": report.metadata,
     }
-    rows = [
-        (rep, n, m, e)
-        for rep, (m_row, e_row) in enumerate(zip(report.m_values.tolist(), report.exceedances.tolist()))
-        for n, m, e in zip(report.checkpoints, m_row, e_row)
-    ]
-    tables = {"paths": (["replicate", "checkpoint_n", "m_n", "e_n"], rows)}
+    columns = (
+        np.repeat(np.arange(run.replicates), len(checkpoints)).tolist(),
+        checkpoints * run.replicates,
+        report.m_values.ravel().tolist(),
+        report.exceedances.ravel().tolist(),
+    )
+    tables = {"paths": (["replicate", "checkpoint_n", "m_n", "e_n"], columns)}
     lines = [
-        f"checkpoints: {list(report.checkpoints)}",
+        f"checkpoints: {checkpoints}",
         f"median |M_n|: {[f'{v:.4g}' for v in median_abs_m]}",
         f"max |M_n| at n_max: {max_abs_m[-1]:.6g}",
     ]
@@ -329,8 +342,8 @@ def _run_report_example(params: dict):
         dependence_label="pairwise PQD",
     )
     tables = {
-        "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], g_rows),
-        "terms": (["j", "term"], zip(j_values.tolist(), terms.tolist())),
+        "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], tuple(zip(*g_rows))),
+        "terms": (["j", "term"], (j_values.tolist(), terms.tolist())),
     }
     lines = [
         f"window holds: {window['lower']:.6g} < mu={mu} < {window['upper']:.6g}",
@@ -436,8 +449,8 @@ def dispatch(config: RunConfig) -> int:
         _write_json(config.outdir / "result.json", result)
         outputs.append("result.json")
     if config.fmt in ("csv", "both"):
-        for name, (header, rows) in tables.items():
-            _write_csv(config.outdir / f"{name}.csv", header, rows)
+        for name, (header, columns) in tables.items():
+            _write_csv(config.outdir / f"{name}.csv", header, columns)
             outputs.append(f"{name}.csv")
     manifest = {
         "tool": _TOOL,

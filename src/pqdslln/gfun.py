@@ -44,6 +44,7 @@ thresholds in one pass; the other routes take scalars.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,7 +113,8 @@ def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
     if tail.any():
         # Python's float ** (libm pow), not np.power, which differs from it in
         # the last bit for some arguments; a power that overflows leaves B(inf)
-        powers = np.array([_pow_or_inf(x, e) for x in us[tail].tolist()])
+        xs = us[tail]
+        powers = np.fromiter(map(_pow_or_inf, xs.tolist(), itertools.repeat(e)), float, xs.size)
         out[tail] = limit - gauss_2f1(-s, b, b + 1.0, z[tail]) / (e * powers)
     if edge.any():
         f = -np.expm1(-alpha * np.log(us[edge]))

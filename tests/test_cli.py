@@ -1,4 +1,8 @@
+import csv
+import io
+import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -20,7 +24,9 @@ import pqdslln.conditions
 import pqdslln.gfun
 from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
+from pqdslln.copulas import ThetaSchedule
 from pqdslln.gfun import bracket_limit, g_closed_bracket
+from pqdslln.marginals import ParetoMarginal
 
 README = Path(__file__).parents[1] / "README.md"
 SCHEMA = json.loads(
@@ -38,6 +44,15 @@ def read_json(path: Path):
 
 def run_cli(args, outdir: Path) -> int:
     return main([*args, "--outdir", str(outdir)])
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    """The bytes the standard csv module writes for a header and rows: the reference for every CSV table."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return handle.getvalue().encode()
 
 
 class TestSpecfunEval:
@@ -331,6 +346,24 @@ class TestManifestRerun:
         for name in ("manifest.json", "result.json", "paths.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_multi_chunk_terms_match_csv_module(self, tmp_path):
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        args = [
+            "condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2",
+            "--nu", "-1.5", "--N", "20000", "--format", "csv", "--outdir", str(first),
+        ]
+        assert main(args) == EXIT_OK
+        j_values, terms = pqdslln.conditions.condition_terms(
+            "nec12", 1.0, ThetaSchedule(mu=0.2, nu=-1.5, p=1.0), 1.0, 1.0, ParetoMarginal(2.0), 20000
+        )
+        assert len(j_values) > 4 * pqdslln.cli._CSV_ROWS  # the table spans several write chunks
+        expected = csv_module_bytes(["j", "term"], zip(j_values.tolist(), terms.tolist()))
+        assert (first / "terms.csv").read_bytes() == expected
+        assert main(["rerun", "--manifest", str(first / "manifest.json"), "--outdir", str(second)]) == EXIT_OK
+        for name in ("manifest.json", "terms.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
 
 class TestRerunRefusals:
     @pytest.fixture
@@ -617,18 +650,46 @@ class TestTableCells:
         ],
     )
     def test_cells_are_python_scalars(self, argv):
-        # csv writes a float cell as its repr(), which for a numpy scalar is not the number
+        # the writer's bytes are the csv module's only for Python ints and floats:
+        # a str cell would go unquoted, a numpy scalar formats through numpy
         subcommand = " ".join(argv[:2])
         handler, flags = pqdslln.cli._COMMANDS[subcommand]
         params = pqdslln.cli._parameters(flags, pqdslln.cli._build_parser().parse_args(argv))
         _, tables, _ = handler(params)
         assert tables
-        for header, rows in tables.values():
-            rows = list(rows)
-            assert rows
-            for row in rows:
-                assert len(row) == len(header)
-                assert all(type(cell) in (int, float, str) for cell in row), row
+        for header, columns in tables.values():
+            assert len(columns) == len(header)
+            lengths = {len(column) for column in columns}
+            assert len(lengths) == 1 and lengths != {0}, lengths
+            for column in columns:
+                assert all(type(cell) in (int, float) for cell in column), column
+
+
+# the float repr switches to exponent notation at 1e16 and below 1e-4
+REPR_SWITCHES = [
+    x
+    for v in (1e16, 1e-4, -1e16, -1e-4)
+    for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.copysign(math.inf, v)))
+]
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, *REPR_SWITCHES]
+# a column is a short drawn pattern repeated to the table's length
+INT_PATTERN = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)
+FLOAT_PATTERN = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=8)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, pqdslln.cli._CSV_ROWS - 1, pqdslln.cli._CSV_ROWS, pqdslln.cli._CSV_ROWS + 1, 3 * pqdslln.cli._CSV_ROWS + 7],
+    )
+    @given(patterns=st.lists(st.one_of(INT_PATTERN, FLOAT_PATTERN), min_size=1, max_size=5))
+    def test_bytes_match_csv_module(self, n_rows, patterns):
+        columns = [list(itertools.islice(itertools.cycle(pattern), n_rows)) for pattern in patterns]
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            pqdslln.cli._write_csv(path, header, columns)
+            assert path.read_bytes() == csv_module_bytes(header, zip(*columns))
 
 
 class TestConfigFile:
