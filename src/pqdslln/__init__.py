@@ -54,10 +54,12 @@ from .gfun import (
     g_closed_bracket,
     g_closed_form,
     g_factor,
+    g_factor_many,
     g_numeric,
+    g_numeric_many,
 )
 from .marginals import Marginal, ParetoMarginal
-from .quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d
+from .quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d, adaptive_quad_2d_many, adaptive_quad_many
 from .simulate import (
     DEFAULT_WINDOW,
     EXACT_DIMENSION_CAP,

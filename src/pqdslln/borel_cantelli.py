@@ -30,7 +30,7 @@ import numpy as np
 from .copulas import GfmCopula, ThetaSchedule, power_factor, separable_pair_sums
 from .errors import DomainError, NumericError, ParameterError, UndefinedRatioError
 from .marginals import ParetoMarginal
-from .quadrature import adaptive_quad_2d
+from .quadrature import adaptive_quad_2d_many
 
 __all__ = [
     "GfmDependence",
@@ -204,13 +204,8 @@ def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> Bracke
     xk, xj = es.threshold(k), es.threshold(j)
     fn = _joint_survival_fn(es, k, j)
     cut = es.marginal.support_min
-    pieces = []
-    errors = []
-    for x0, x1 in _segments(xk / eps, xk, cut):
-        for y0, y1 in _segments(xj / eps, xj, cut):
-            val, err = adaptive_quad_2d(fn, x0, x1, y0, y1, abs_tol=_BRACKET_ABS_TOL / 4.0)
-            pieces.append(val)
-            errors.append(err)
+    boxes = [(x0, x1, y0, y1) for x0, x1 in _segments(xk / eps, xk, cut) for y0, y1 in _segments(xj / eps, xj, cut)]
+    pieces, errors = adaptive_quad_2d_many(fn, boxes, abs_tol=_BRACKET_ABS_TOL / 4.0)
     lhs = math.fsum(pieces)
     quad_error = math.fsum(errors)
     rhs = ((eps - 1.0) / eps) ** 2 * xk * xj * pair_event_prob(es, k, j)

@@ -35,7 +35,7 @@ from .borel_cantelli import EventSystem, GfmDependence, epsilon_bracket_check, r
 from .conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, ThetaSchedule
 from .errors import DomainError, NumericError, ParameterError
-from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
+from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor_many, g_numeric, g_numeric_many
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec
 from .simulate import MultivariateFgmModel, SlnnRun, run_slln
@@ -211,7 +211,8 @@ def _run_g_eval(params: dict):
     if method in ("numeric", "all"):
         methods["numeric"] = g_numeric(DeltaField(copula, marginal), u, v, spec)
     if method in ("factor", "all"):
-        methods["factor"] = copula.theta * g_factor(r, s, marginal, u) * g_factor(r, s, marginal, v)
+        bu, bv = g_factor_many(r, s, marginal, (u, v)).tolist()
+        methods["factor"] = copula.theta * bu * bv
     values = list(methods.values())
     discrepancy = max(values) - min(values) if len(values) > 1 else 0.0
     result = dict(echo, methods=methods, max_discrepancy=discrepancy)
@@ -306,12 +307,13 @@ def _run_report_example(params: dict):
     grid = (1.5, 2.0, 5.0, 20.0)
     field = DeltaField(GfmCopula(theta=1.0, r=r, s=s), marginal)
     bracket = g_closed_bracket(r, s, grid, marginal.alpha).tolist()
+    numerics = iter(g_numeric_many(field, [(u, v) for u in grid for v in grid]).tolist())
     g_rows = []
     max_disc = 0.0
     for u, bu in zip(grid, bracket):
         for v, bv in zip(grid, bracket):
             closed = bu * bv  # G = theta B(u) B(v) at theta = 1
-            numeric = g_numeric(field, u, v)
+            numeric = next(numerics)
             diff = abs(closed - numeric)
             max_disc = max(max_disc, diff)
             g_rows.append((u, v, closed, numeric, diff))

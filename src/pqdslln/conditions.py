@@ -29,7 +29,7 @@ import numpy as np
 
 from .copulas import ThetaSchedule, separable_pair_sums
 from .errors import ParameterError
-from .gfun import bracket_limit, g_closed_bracket, g_factor
+from .gfun import bracket_limit, g_closed_bracket, g_factor_many
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -125,11 +125,11 @@ def _factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds: np.
     """Covariance factor B at each threshold.
 
     The closed form serves r alpha > 1; below that B(inf) diverges, so B
-    comes from one quadrature per threshold.
+    comes from one quadrature per threshold, refined in lockstep.
     """
     if r * marginal.alpha > 1.0:
         return g_closed_bracket(r, s, thresholds, marginal.alpha)
-    return np.array([g_factor(r, s, marginal, float(u)) for u in thresholds])
+    return g_factor_many(r, s, marginal, thresholds)
 
 
 def _weight_exponents(kind: str, p: float) -> tuple[float, float, float]:

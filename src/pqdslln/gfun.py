@@ -39,7 +39,9 @@ it keeps its relative accuracy up to the support edge.  B(u) -> 0 as
 u -> 1+ and increases to B(inf) as u -> inf, which also furnishes a
 k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
 ``g_closed_bracket`` evaluates B at a scalar or at a whole array of
-thresholds in one pass; the other routes take scalars.
+thresholds in one pass; ``g_factor_many`` and ``g_numeric_many`` refine the
+quadratures of many thresholds or (u, v) pairs in lockstep, and
+``g_factor`` and ``g_numeric`` are their one-point calls.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 from .copulas import GfmCopula, PerturbationCopula, power_factor
 from .errors import DomainError
 from .marginals import Marginal, ParetoMarginal
-from .quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d
+from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
 __all__ = [
@@ -62,7 +64,9 @@ __all__ = [
     "g_closed_bracket",
     "g_closed_form",
     "g_factor",
+    "g_factor_many",
     "g_numeric",
+    "g_numeric_many",
 ]
 
 _FACTOR_ABS_TOL = 1e-10  # absolute tolerance of the separable factor quadrature
@@ -113,8 +117,11 @@ def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
     if tail.any():
         # Python's float ** (libm pow), not np.power, which differs from it in
         # the last bit for some arguments; a power that overflows leaves B(inf)
-        xs = us[tail]
-        powers = np.fromiter(map(_pow_or_inf, xs.tolist(), itertools.repeat(e)), float, xs.size)
+        xs = us[tail].tolist()
+        try:
+            powers = np.fromiter(map(pow, xs, itertools.repeat(e)), float, len(xs))
+        except OverflowError:
+            powers = np.fromiter(map(_pow_or_inf, xs, itertools.repeat(e)), float, len(xs))
         out[tail] = limit - gauss_2f1(-s, b, b + 1.0, z[tail]) / (e * powers)
     if edge.any():
         f = -np.expm1(-alpha * np.log(us[edge]))
@@ -129,16 +136,25 @@ def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: f
     return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
 
 
-def g_factor(r: float, s: float, marginal: Marginal, u: float) -> float:
-    """Separable factor integral(max(-u, support)..u) F(x)^s (1 - F(x))^r dx by quadrature."""
+def g_factor_many(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
+    """Separable factor integral(max(-u, support)..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
+
+    The integrals are refined in lockstep (:func:`adaptive_quad_many`), each
+    to the bits it gets alone.
+    """
     _validate_rs(r, s)
-    lo = max(-u, marginal.support_min)
 
     def integrand(x):
         return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
 
-    value, _ = adaptive_quad(integrand, lo, u, abs_tol=_FACTOR_ABS_TOL)
-    return value
+    intervals = ((max(-u, marginal.support_min), u) for u in map(float, us))
+    values, _ = adaptive_quad_many(integrand, intervals, abs_tol=_FACTOR_ABS_TOL)
+    return values
+
+
+def g_factor(r: float, s: float, marginal: Marginal, u: float) -> float:
+    """The factor of :func:`g_factor_many` at one u."""
+    return float(g_factor_many(r, s, marginal, [u])[0])
 
 
 @dataclass(frozen=True)
@@ -159,19 +175,23 @@ class DeltaField:
         return self.copula.gap(self.marginal.cdf(x), self.marginal.cdf(y))
 
 
-def g_numeric(field: DeltaField, u: float, v: float, spec: QuadSpec | None = None) -> float:
-    """Covariance functional by adaptive product quadrature of the gap field in log x.
+def g_numeric_many(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndarray:
+    """Covariance functional at each (u, v), by adaptive product quadrature of the gap field in log x.
 
     Integrates delta over [support, u] x [support, v] (empty, giving 0, when
     u or v is at or below the support's infimum) after substituting
     y = log x on both axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over
     [log support, log u] x [log support, log v].  The truncation at the
     support is exact because delta vanishes below it.  Requires a marginal
-    with positive support (DomainError otherwise).  Raises QuadratureError
-    (carrying the best estimate and bound) if the panel budget is exhausted.
+    with positive support (DomainError otherwise).  The integrals are refined
+    in lockstep (:func:`adaptive_quad_2d_many`), each to the bits it gets
+    alone.  Raises the QuadratureError (carrying the best estimate and
+    bound) of the first pair whose integral fails.
     """
-    if not (u > 0.0 and v > 0.0):
-        raise DomainError(f"integration half-widths must be positive, got u={u!r}, v={v!r}")
+    pairs = list(pairs)
+    for u, v in pairs:
+        if not (u > 0.0 and v > 0.0):
+            raise DomainError(f"integration half-widths must be positive, got u={u!r}, v={v!r}")
     lo = field.marginal.support_min
     if not lo > 0.0:
         raise DomainError(f"log-space quadrature needs a marginal with positive support, got support_min={lo!r}")
@@ -182,7 +202,11 @@ def g_numeric(field: DeltaField, u: float, v: float, spec: QuadSpec | None = Non
         return field.delta(x1, x2) * (x1 * x2)
 
     log_lo = math.log(lo)
-    value, _ = adaptive_quad_2d(
-        integrand, log_lo, math.log(u), log_lo, math.log(v), abs_tol=spec.abs_tol, max_panels=spec.max_panels
-    )
-    return value
+    boxes = [(log_lo, math.log(u), log_lo, math.log(v)) for u, v in pairs]
+    values, _ = adaptive_quad_2d_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
+    return values
+
+
+def g_numeric(field: DeltaField, u: float, v: float, spec: QuadSpec | None = None) -> float:
+    """The covariance functional of :func:`g_numeric_many` at one (u, v)."""
+    return float(g_numeric_many(field, [(u, v)], spec)[0])

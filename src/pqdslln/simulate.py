@@ -115,7 +115,11 @@ class MultivariateFgmModel:
         *,
         window: int | None = None,
     ) -> "MultivariateFgmModel":
-        """theta_{kj} = scale * k^mu * j^nu, globally rescaled so sum <= 1."""
+        """theta_{kj} = scale * k^mu * j^nu, globally rescaled so sum <= 1.
+
+        Raises ParameterError when the strengths' sum is not finite, as when
+        k^mu or j^nu overflows double precision.
+        """
         if n < 1:
             raise ParameterError(f"model dimension must be positive, got {n!r}")
         if not (math.isfinite(mu) and math.isfinite(nu) and 0.0 <= scale < math.inf):
@@ -125,6 +129,10 @@ class MultivariateFgmModel:
         if window is not None and window < 1:
             raise ParameterError(f"dependence window must be positive, got {window!r}")
         raw = cls._power_theta_sum(n, mu, nu, scale, window)
+        if not math.isfinite(raw):
+            raise ParameterError(
+                f"pairwise strengths k^mu j^nu overflow double precision at n={n!r}, mu={mu!r}, nu={nu!r}"
+            )
         factor = 1.0 if raw <= 1.0 else 1.0 / raw
         if factor < 1.0:
             warnings.warn(
@@ -169,11 +177,12 @@ class MultivariateFgmModel:
         if n < 2 or scale == 0.0:
             return 0.0
         idx = np.arange(1, n + 1, dtype=float)
-        kp = np.concatenate(([0.0], np.cumsum(idx**mu)))  # kp[i] = sum_{k <= i} k^mu
-        j = np.arange(2, n + 1)
-        lo = 0 if window is None else np.maximum(0, j - 1 - window)
-        inner = kp[j - 1] - kp[lo]
-        return scale * float(np.dot(idx[1:] ** nu, inner))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused by the caller
+            kp = np.concatenate(([0.0], np.cumsum(idx**mu)))  # kp[i] = sum_{k <= i} k^mu
+            j = np.arange(2, n + 1)
+            lo = 0 if window is None else np.maximum(0, j - 1 - window)
+            inner = kp[j - 1] - kp[lo]
+            return scale * float(np.dot(idx[1:] ** nu, inner))
 
     def theta(self, k: int, j: int) -> float:
         """Pairwise strength for 1 <= k < j <= n (0 outside the window)."""

@@ -51,12 +51,18 @@ _PROJECTION_MARGIN = 10.0
 def gamma(x: float) -> float:
     """Gamma function for real x > 0 via a fixed-coefficient Lanczos sum.
 
-    Relative error <= 1e-12 on [0.5, 50].  Nonpositive or non-finite
-    arguments raise DomainError; arguments whose Lanczos power overflows
-    (x above about 142.37) raise NumericError.
+    Relative error <= 1e-12 on (0, 50]; below 0.5 it is Gamma(x + 1) / x.
+    Nonpositive or non-finite arguments raise DomainError; arguments where
+    the result overflows raise NumericError: x above about 142.37, where the
+    Lanczos power overflows, and x below about 5.6e-309, where 1/x does.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"gamma requires finite x > 0, got {x!r}")
+    if x < 0.5:
+        value = gamma(x + 1.0) / x
+        if value == math.inf:
+            raise NumericError(f"gamma({x!r}) overflows double precision")
+        return value
     z = x - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):

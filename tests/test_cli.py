@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -62,6 +63,14 @@ class TestSpecfunEval:
         assert out.splitlines()[0] == "24"
         validate(read_json(tmp_path / "result.json"), "specfun_result")
         validate(read_json(tmp_path / "manifest.json"), "manifest")
+
+    def test_gamma_of_a_tiny_argument(self, tmp_path, capsys):
+        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "1e-200"], tmp_path / "ok") == EXIT_OK
+        assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(1e200, rel=1e-12)
+        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "5e-309"], tmp_path / "over") == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "[numeric]" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "over" / "manifest.json").exists()
 
     def test_2f1_fifteen_digits(self, tmp_path, capsys):
         code = run_cli(
@@ -528,6 +537,17 @@ class TestNonFiniteValues:
     def test_flag_is_parameter_error(self, args, tmp_path, capsys):
         assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mu", ["200", "1e8"])
+    def test_overflowing_power_schedule_is_parameter_error(self, mu, tmp_path, capsys):
+        args = ["simulate", "slln", "--p", "1.5", "--alpha", "2", "--theta-spec", f"power:{mu},0.5",
+                "--n-max", "1000", "--replicates", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the refusal
+            assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[parameter]" in err[0] and "overflow" in err[0]
         assert not (tmp_path / "run" / "manifest.json").exists()
 
     @pytest.mark.parametrize(

@@ -168,16 +168,16 @@ class TestFactorRoute:
         "alpha,r,quadratures", [(2.0, 1.0, 0), (2.5, 1.0, 0), (1.5, 1.0, 0), (1.0, 1.0, 30), (0.5, 1.5, 30)]
     )
     def test_quadrature_only_where_the_closed_form_diverges(self, alpha, r, quadratures, monkeypatch):
-        calls = []
-        original = pqdslln.conditions.g_factor
+        integrals = []  # one threshold per factor integral handed to the batched route
+        original = pqdslln.conditions.g_factor_many
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(r, s, marginal, us):
+            integrals.extend(us)
+            return original(r, s, marginal, us)
 
-        monkeypatch.setattr(pqdslln.conditions, "g_factor", counting)
+        monkeypatch.setattr(pqdslln.conditions, "g_factor_many", counting)
         condition_terms("nec12", 1.0, example_schedule(), r, 1.0, ParetoMarginal(alpha), 30)
-        assert len(calls) == quadratures
+        assert len(integrals) == quadratures
 
 
 class TestTermwiseWeightComparison:

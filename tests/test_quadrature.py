@@ -1,11 +1,33 @@
+import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pqdslln.gfun
+import pqdslln.quadrature
+from pqdslln.borel_cantelli import EventSystem, GfmDependence, _joint_survival_fn
+from pqdslln.copulas import GfmCopula, ThetaSchedule
 from pqdslln.errors import ParameterError, QuadratureError
-from pqdslln.quadrature import _W7, _W15, _X7, _X15, QuadSpec, _panels_1d, _panels_2d, adaptive_quad, adaptive_quad_2d
+from pqdslln.gfun import DeltaField
+from pqdslln.marginals import ParetoMarginal
+from pqdslln.quadrature import (
+    _W7,
+    _W15,
+    _X7,
+    _X15,
+    QuadSpec,
+    _panels_1d,
+    _panels_2d,
+    adaptive_quad,
+    adaptive_quad_2d,
+    adaptive_quad_2d_many,
+    adaptive_quad_many,
+)
 
 
 @pytest.mark.parametrize(
@@ -196,3 +218,214 @@ class TestAdaptiveQuad2D:
         a = adaptive_quad_2d(fn, 0.0, 3.0, 0.0, 2.0, abs_tol=1e-10)
         b = adaptive_quad_2d(fn, 0.0, 3.0, 0.0, 2.0, abs_tol=1e-10)
         assert a == b
+
+
+# The one-integral refinement loop that lockstep refinement replaced, on the
+# one-panel evaluators above: the oracle for the bits of every integral of a
+# batch, through a route that cannot share one.
+def _halves(bounds):
+    lo, hi = bounds
+    mid = 0.5 * (lo + hi)
+    return None if mid <= lo or mid >= hi else [(lo, mid), (mid, hi)]
+
+
+def _quarters(bounds):
+    x0, x1, y0, y1 = bounds
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    if xm <= x0 or xm >= x1 or ym <= y0 or ym >= y1:
+        return None
+    return [(a, b, c, d) for a, b in ((x0, xm), (xm, x1)) for c, d in ((y0, ym), (ym, y1))]
+
+
+def _quad_alone(panel, split, region, abs_tol, max_panels, what):
+    heap, done = [], []
+    val, err = panel(*region)
+    heapq.heappush(heap, (-err, 0, region, val, err))
+    seq, err_total = 1, math.fsum([err])
+    while err_total > abs_tol and heap:
+        if len(heap) + len(done) >= max_panels:
+            panels = done + heap
+            bound = math.fsum(p[4] for p in panels)
+            raise QuadratureError(
+                f"{what}: panel budget {max_panels} exhausted (error bound {bound:.3e} > {abs_tol:.3e})",
+                math.fsum(p[3] for p in panels),
+                bound,
+            )
+        _, _, bounds, val, err = heapq.heappop(heap)
+        children = split(bounds)
+        if children is None:
+            done.append((None, None, bounds, val, err))
+            continue
+        err_total -= err
+        for child in children:
+            child_val, child_err = panel(*child)
+            heapq.heappush(heap, (-child_err, seq, child, child_val, child_err))
+            seq += 1
+            err_total += child_err
+    panels = done + heap
+    value, bound = math.fsum(p[3] for p in panels), math.fsum(p[4] for p in panels)
+    if bound > abs_tol:
+        raise QuadratureError(f"{what}: could not reach tolerance {abs_tol:.3e}", value, bound)
+    return value, bound
+
+
+def _alone_1d(f, a, b, abs_tol=1e-10, max_panels=QuadSpec.max_panels):
+    if not b > a:
+        return 0.0, 0.0
+    return _quad_alone(lambda *bounds: _panel_1d(f, *bounds), _halves, (a, b), abs_tol, max_panels, "adaptive_quad")
+
+
+def _alone_2d(f, ax, bx, ay, by, abs_tol=QuadSpec.abs_tol, max_panels=QuadSpec.max_panels):
+    if not (bx > ax and by > ay):
+        return 0.0, 0.0
+    return _quad_alone(
+        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, max_panels, "adaptive_quad_2d"
+    )
+
+
+def _integrand_of(name, call):
+    """The integrand that a gfun entry hands to its batched quadrature ``name``."""
+    seen = []
+
+    def capture(f, regions, **kwargs):
+        seen.append(f)
+        zeros = np.zeros(len(list(regions)))
+        return zeros, zeros
+
+    with mock.patch.object(pqdslln.gfun, name, capture):
+        call()
+    return seen[0]
+
+
+def _bits(pairs):
+    """The exact bits of a list of (value, bound) pairs."""
+    return [(float(value).hex(), float(bound).hex()) for value, bound in pairs]
+
+
+def _batched(many, f, regions, **kwargs):
+    """The (value, bound) pairs of a batched entry, as the bits of each."""
+    values, bounds = many(f, regions, **kwargs)
+    return _bits(zip(values, bounds))
+
+
+_WINDOWS = st.sampled_from([1, 2, 3, pqdslln.quadrature._IN_FLIGHT])  # small windows admit integrals mid-batch
+
+
+class TestLockstep:
+    """Integrals refined in lockstep keep the bits each gets alone."""
+
+    @given(
+        alpha=st.sampled_from([1.0, 1.5, 2.5]),
+        r=st.floats(1.0, 3.0),
+        s=st.floats(1.0, 3.0),
+        us=st.lists(st.floats(0.5, 1e3), min_size=1, max_size=8),
+        in_flight=_WINDOWS,
+    )
+    @settings(max_examples=30)
+    def test_factor_integrals(self, alpha, r, s, us, in_flight):
+        marginal = ParetoMarginal(alpha)
+        f = _integrand_of("adaptive_quad_many", lambda: pqdslln.gfun.g_factor_many(r, s, marginal, [2.0]))
+        intervals = [(max(-u, marginal.support_min), u) for u in us]
+        with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
+            batched = _batched(adaptive_quad_many, f, intervals)
+        assert batched == _bits(_alone_1d(f, a, b) for a, b in intervals)
+        assert batched == _bits(adaptive_quad(f, a, b) for a, b in intervals)
+
+    @given(
+        theta=st.floats(0.0, 1.0),
+        r=st.sampled_from([1.0, 2.0, 3.0]),
+        s=st.sampled_from([1.0, 2.0, 3.0]),
+        alpha=st.sampled_from([1.5, 2.0, 3.7]),
+        uv=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(0.5, 50.0)), min_size=1, max_size=5),
+        in_flight=_WINDOWS,
+    )
+    @settings(max_examples=20)
+    def test_gap_integrals(self, theta, r, s, alpha, uv, in_flight):
+        field = DeltaField(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(alpha))
+        f = _integrand_of("adaptive_quad_2d_many", lambda: pqdslln.gfun.g_numeric_many(field, [(2.0, 2.0)]))
+        boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in uv]
+        with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
+            batched = _batched(adaptive_quad_2d_many, f, boxes)
+        assert batched == _bits(_alone_2d(f, *box) for box in boxes)
+        assert batched == _bits(adaptive_quad_2d(f, *box) for box in boxes)
+
+    @given(
+        p=st.floats(1.0, 1.9),
+        alpha=st.sampled_from([1.0, 2.0, 3.0]),
+        kj=st.tuples(st.integers(1, 50), st.integers(1, 50)).filter(lambda kj: kj[0] != kj[1]),
+        edges=st.lists(st.lists(st.floats(1.0, 20.0), min_size=4, max_size=4), min_size=1, max_size=4),
+        in_flight=_WINDOWS,
+    )
+    @settings(max_examples=20)
+    def test_joint_survival_integrals(self, p, alpha, kj, edges, in_flight):
+        schedule = ThetaSchedule(mu=1.0 / p - 0.5, nu=-1.5, p=p)
+        es = EventSystem(p=p, marginal=ParetoMarginal(alpha), dependence=GfmDependence(r=1.0, s=1.0, schedule=schedule))
+        f = _joint_survival_fn(es, *kj)
+        boxes = [(min(e[:2]), max(e[:2]), min(e[2:]), max(e[2:])) for e in edges]
+        with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
+            batched = _batched(adaptive_quad_2d_many, f, boxes, abs_tol=2.5e-10)
+        assert batched == _bits(_alone_2d(f, *box, abs_tol=2.5e-10) for box in boxes)
+
+    def test_one_integrand_call_per_rule_per_round(self):
+        shapes = []
+
+        def fn(x, y):
+            shapes.append((x.shape, y.shape))
+            return np.sqrt(x * y)
+
+        adaptive_quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
+        alone = list(shapes)
+        shapes.clear()
+        adaptive_quad_2d_many(fn, [(0.0, 1.0, 0.0, 1.0)] * 3, abs_tol=1e-6)
+        assert shapes == [((3 * a[0], *a[1:]), (3 * b[0], *b[1:])) for a, b in alone]
+
+    def test_empty_regions_cost_nothing(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return x
+
+        assert _batched(adaptive_quad_many, fn, [(2.0, 2.0), (3.0, 1.0)]) == _bits([(0.0, 0.0)] * 2)
+        assert _batched(adaptive_quad_many, fn, []) == []
+        assert calls == []
+
+
+class TestLockstepErrors:
+    """A failing batch raises the error of its lowest-index failing integral, as one at a time would."""
+
+    @staticmethod
+    def _raised(call):
+        with pytest.raises(QuadratureError) as excinfo:
+            call()
+        exc = excinfo.value
+        return str(exc), exc.estimate, exc.error_bound
+
+    def test_budget_exhausted_mid_batch_1d(self):
+        spike = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300))
+        intervals = [(1.0, 2.0), (0.0, 1.0), (2.0, 3.0), (0.0, 0.5)]
+        kwargs = dict(abs_tol=1e-12, max_panels=8)
+        expected = self._raised(lambda: _alone_1d(spike, 0.0, 1.0, **kwargs))
+        assert "panel budget 8 exhausted" in expected[0]
+        assert self._raised(lambda: adaptive_quad_many(spike, intervals, **kwargs)) == expected
+        assert self._raised(lambda: adaptive_quad(spike, 0.0, 1.0, **kwargs)) == expected
+
+    def test_budget_exhausted_mid_batch_2d(self):
+        spike = lambda x, y: 1.0 / np.sqrt(np.maximum(x * y, 1e-300))
+        boxes = [(1.0, 2.0, 1.0, 2.0), (0.0, 1.0, 0.0, 1.0), (0.0, 0.5, 0.0, 0.5)]
+        kwargs = dict(abs_tol=1e-9, max_panels=40)
+        expected = self._raised(lambda: _alone_2d(spike, 0.0, 1.0, 0.0, 1.0, **kwargs))
+        assert self._raised(lambda: adaptive_quad_2d_many(spike, boxes, **kwargs)) == expected
+
+    def test_lowest_index_wins_though_a_later_one_fails_first(self):
+        # (1, 1 + ulp) cannot be split, and its GL7 and GL15 sums of the
+        # spike at 1 differ, so it fails in its first round; (0, 1) fails
+        # only once its budget is spent, some rounds later
+        top = math.nextafter(1.0, 2.0)
+        f = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)) + 1e30 * (x == 1.0)
+        kwargs = dict(abs_tol=1e-12, max_panels=8)
+        budget = self._raised(lambda: _alone_1d(f, 0.0, 1.0, **kwargs))
+        narrow = self._raised(lambda: _alone_1d(f, 1.0, top, **kwargs))
+        assert "panel budget" in budget[0] and "could not reach tolerance" in narrow[0]
+        assert self._raised(lambda: adaptive_quad_many(f, [(0.0, 1.0), (1.0, top)], **kwargs)) == budget
+        assert self._raised(lambda: adaptive_quad_many(f, [(1.0, top), (0.0, 1.0)], **kwargs)) == narrow

@@ -46,6 +46,12 @@ class TestModel:
         with pytest.raises(ParameterError):
             MultivariateFgmModel.from_power_schedule(64, mu=mu, nu=nu, scale=scale)
 
+    @pytest.mark.parametrize("mu, nu", [(200.0, 0.5), (1e8, 0.5), (0.5, 200.0), (0.5, 1e8)])
+    @pytest.mark.parametrize("window", [None, 8])
+    def test_power_schedule_rejects_overflowing_strengths(self, mu, nu, window):
+        with pytest.raises(ParameterError, match="overflow"):
+            MultivariateFgmModel.from_power_schedule(1000, mu=mu, nu=nu, window=window)
+
     def test_from_pairs_rejects_overbudget(self):
         with pytest.raises(ParameterError):
             MultivariateFgmModel.from_pairs(3, {(1, 2): 0.7, (1, 3): 0.7})

@@ -26,6 +26,26 @@ class TestGamma:
         for x in np.linspace(0.5, 50.0, 997):
             assert gamma(float(x)) == pytest.approx(math.gamma(x), rel=1e-12)
 
+    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+    def test_below_half_against_math_gamma(self, x):
+        # contract: relative error <= 1e-12 below 0.5 too, where 1/x does not overflow
+        try:
+            expected = math.gamma(x)
+        except OverflowError:
+            with pytest.raises(NumericError):
+                gamma(x)
+            return
+        assert gamma(x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-10, 1e-14, 1e-16, 1e-200, 1e-308])
+    def test_small_arguments(self, x):
+        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [5e-309, 5e-324])
+    def test_reciprocal_overflow_is_numeric_error(self, x):
+        with pytest.raises(NumericError):
+            gamma(x)
+
     @given(st.floats(min_value=0.5, max_value=49.0))
     def test_recurrence(self, x):
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
