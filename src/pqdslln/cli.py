@@ -257,7 +257,7 @@ def _run_simulate_slln(params: dict):
     model = None
     if theta["kind"] != "zero":
         model = MultivariateFgmModel.from_power_schedule(
-            params["n_max"], theta["mu"], theta["nu"], theta.get("scale", 1.0), window=params.get("window")
+            params["n_max"], theta["mu"], theta["nu"], theta["scale"], window=params.get("window")
         )
     run = SlnnRun(
         p=params["p"],

@@ -40,9 +40,9 @@ class Marginal(ABC):
     def quantile(self, u, out=None):
         """Inverse CDF on [0, 1).
 
-        With ``out``, a float64 array of u's shape that does not overlap ``u``, the values are
-        written into ``out`` and ``out`` is returned: a caller that inverts block after block can
-        reuse one buffer.
+        With ``out``, a float64 array of u's shape that is ``u`` itself or does not overlap it,
+        the values are written into ``out`` and ``out`` is returned: a caller can invert a block
+        of uniforms in place.
         """
 
     @abstractmethod

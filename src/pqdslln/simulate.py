@@ -3,7 +3,7 @@
 The joint model is the multivariate bilinear-perturbation law on the unit
 cube with density
 
-    1 + sum_{k<j} theta_{kj} (1 - 2 u_k)(1 - 2 u_j),
+    1 + sum_{k<j} theta_{kj} (1 - 2 u_k)(1 - 2 u_j),   theta_{kj} = scale * k^mu j^nu,
 
 admissible when sum theta_{kj} <= 1 (each factor pair lies in [-1, 1]); its
 bivariate margins are exactly the r = s = 1 power-family copulas with the
@@ -15,9 +15,9 @@ Sampling is sequential conditional inversion: given the first m - 1
 coordinates, the conditional density of u_m is 1 + eta_m * A_m / D_{m-1}
 with eta_i = 1 - 2 u_i, A_m = sum_{k<m} theta_{km} eta_k, and the running
 normalizer D_m = D_{m-1} + eta_m A_m.  The conditional CDF is an explicitly
-invertible quadratic, so every draw consumes exactly one uniform.  For power
-schedules theta_{kj} = scale * k^mu j^nu the inner sum telescopes, giving
-O(n) sampling; long sequences (above the exact-model dimension cap 4096)
+invertible quadratic, so every draw consumes exactly one uniform.  The inner
+sum telescopes, A_m = scale * m^nu * sum_{k<m} k^mu eta_k, giving O(n)
+sampling; long sequences (above the exact-model dimension cap 4096)
 truncate dependence to a sliding index window, which is recorded in the
 report metadata.
 
@@ -29,13 +29,11 @@ one thread per CPU samples them, each taking the next piece when it has
 finished its last, since every stage of its block pipeline is a numpy call
 that releases the GIL; a CPU that runs slower than the others then samples
 fewer pieces instead of holding the run up.  A dependent run is one piece.
-A power-schedule batch of at most ``_SCALAR_ROWS`` rows steps through the
-recurrence one row at a time in Python floats, a larger one a column at a
-time in numpy; both make the same correctly rounded operations in the same
-order.  Explicit pairs always take the numpy step, which sums A_m in
-ascending k rather than by a matrix product, whose order follows the batch
-shape.  So a row's path depends neither on the blocking, nor on the pieces
-or threads, nor on the rows sampled with it.
+A batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one
+row at a time in Python floats, a larger one a column at a time in numpy;
+both make the same correctly rounded operations in the same order.  So a
+row's path depends neither on the blocking, nor on the pieces or threads,
+nor on the rows sampled with it.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,8 +69,8 @@ _GROUP_ELEMENTS = 1 << 18
 # Pieces of replicates per thread in a threaded run: enough that a thread whose CPU runs slower
 # hands pieces to the others instead of holding the run up.
 _PIECES_PER_THREAD = 4
-# Power-schedule batches of at most this many rows step in Python floats, larger ones in numpy: the
-# measured crossover, where a numpy step over one column costs as much as this many scalar steps.
+# Batches of at most this many rows step in Python floats, larger ones in numpy: the measured
+# crossover, where a numpy step over one column costs as much as this many scalar steps.
 _SCALAR_ROWS = 56
 _SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the scalar route holds as Python floats at once
 _INVARIANTS = ("slope left [-1, 1]", "normalizer became nonpositive", "inversion discriminant went negative")
@@ -88,22 +86,19 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class MultivariateFgmModel:
-    """Joint bilinear-perturbation law with pair-indexed strengths.
+    """Joint bilinear-perturbation law with strengths theta_{kj} = scale * k^mu * j^nu.
 
-    Build via :meth:`from_power_schedule` (power-law strengths, rescaled to
-    the admissibility budget with a warning) or :meth:`from_pairs` (explicit
-    strengths, rejected when the budget is exceeded).
+    Build via :meth:`from_power_schedule`, which rescales the strengths to the
+    admissibility budget with a warning.
     """
 
     n: int
-    mu: float | None = None
-    nu: float | None = None
+    mu: float = 0.0
+    nu: float = 0.0
     scale: float = 0.0
-    pairs: Mapping[tuple[int, int], float] | None = None
     window: int | None = None
     theta_sum: float = 0.0
     rescale_factor: float = 1.0
-    _rows: tuple = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_power_schedule(
@@ -150,28 +145,6 @@ class MultivariateFgmModel:
             rescale_factor=factor,
         )
 
-    @classmethod
-    def from_pairs(cls, n: int, thetas: Mapping[tuple[int, int], float]) -> "MultivariateFgmModel":
-        """Explicit pairwise strengths; sum_{k<j} theta_{kj} must not exceed 1."""
-        if n < 1:
-            raise ParameterError(f"model dimension must be positive, got {n!r}")
-        clean: dict[tuple[int, int], float] = {}
-        for (k, j), theta in thetas.items():
-            if not 1 <= k < j <= n:
-                raise ParameterError(f"pair index ({k!r}, {j!r}) must satisfy 1 <= k < j <= n")
-            if theta < 0.0:
-                raise ParameterError(f"pairwise strength must be nonnegative, got {theta!r}")
-            if theta > 0.0:
-                clean[(k, j)] = float(theta)
-        total = math.fsum(clean.values())
-        if total > 1.0 + 1e-9:
-            raise ParameterError(f"pairwise strengths sum to {total!r} > 1; the joint density would go negative")
-        ks_of: list[list[int]] = [[] for _ in range(n)]  # ks_of[j - 1]: the k of every pair (k, j), ascending
-        for k, j in sorted(clean):
-            ks_of[j - 1].append(k)
-        rows = tuple((np.array(ks, dtype=int), np.array([clean[(k, j)] for k in ks])) for j, ks in enumerate(ks_of, 1))
-        return cls(n=n, pairs=dict(clean), theta_sum=min(total, 1.0), _rows=rows)
-
     @staticmethod
     def _power_theta_sum(n: int, mu: float, nu: float, scale: float, window: int | None) -> float:
         if n < 2 or scale == 0.0:
@@ -190,8 +163,6 @@ class MultivariateFgmModel:
             raise ParameterError(f"pair index ({k!r}, {j!r}) must satisfy 1 <= k < j <= n")
         if self.window is not None and j - k > self.window:
             return 0.0
-        if self.pairs is not None:
-            return self.pairs.get((k, j), 0.0)
         if self.scale == 0.0:
             return 0.0
         return self.scale * float(k) ** self.mu * float(j) ** self.nu
@@ -200,49 +171,43 @@ class MultivariateFgmModel:
 def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, width: int):
     """Yield (start, u), the rows' paths in column blocks of at most ``width`` steps.
 
-    Row i draws from ``rngs[i]``, and each block overwrites the last.  The normalizer D, the
-    telescoped inner sum with a ring of its last ``window`` terms k^mu * eta_k, and for explicit
-    pairs the past path carry over.  A power-schedule batch of at most ``_SCALAR_ROWS`` rows
-    steps through the recurrence one row at a time in Python floats (:func:`_invert_rows`); a
-    larger one, and explicit pairs at any size, one column at a time in numpy
+    Row i draws from ``rngs[i]``, and each block overwrites the last.  The normalizer D and the
+    telescoped inner sum, with a ring of its last ``window`` terms k^mu * eta_k, carry over.  A
+    batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one row at a time in
+    Python floats (:func:`_invert_rows`), a larger one a column at a time in numpy
     (:func:`_invert_columns`).  Both routes make the same correctly rounded float operations in
     the same order, so a row's bytes do not depend on the route.  The running invariants are
     checked before every yield.
     """
     batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
-    pairs = dependent and model.pairs is not None
-    buf = np.empty((batch, n if pairs else min(width, n)))  # explicit pairs keep the whole past path
+    buf = np.empty((batch, min(width, n)))
     window = getattr(model, "window", None)
     ring = np.zeros((window, batch)) if dependent and window is not None and window < n else None
     d, w_run, failed = np.ones(batch), np.zeros(batch), [False] * len(_INVARIANTS)
-    invert = _invert_rows if batch <= _SCALAR_ROWS and not pairs else _invert_columns
+    invert = _invert_rows if batch <= _SCALAR_ROWS else _invert_columns
     for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
-        u = buf[:, start : start + width] if pairs else buf[:, : n - start]
+        u = buf[:, : n - start]
         for row, row_rng in zip(u, rngs):
             row_rng.random(out=row)
         if dependent:
-            invert(model, buf, u, start, d, w_run, ring, failed)
+            invert(model, u, start, d, w_run, ring, failed)
         for bad, what in zip(failed, _INVARIANTS):
             if bad:
                 raise NumericError(f"conditional {what} (internal normalizer bug)")
         yield start, u
 
 
-def _invert_columns(model, buf, u, start, d, w_run, ring, failed) -> None:
+def _invert_columns(model, u, start, d, w_run, ring, failed) -> None:
     """Invert block ``u`` in place one column at a time, each step a numpy operation over the rows.
 
     ``d``, ``w_run`` and ``ring`` are updated in place; ``failed[i]`` is set when invariant i broke.
     """
-    batch, pairs = u.shape[0], model.pairs is not None
+    batch = u.shape[0]
     d_min, a_max, disc_min = np.full(batch, np.inf), np.zeros(batch), np.full(batch, np.inf)
     # invert column j in place: u (1 + a (1 - u)) = w has the stable root 2w / (1 + a + sqrt((1+a)^2 - 4aw))
     for j, m in enumerate(range(start + 1, start + u.shape[1] + 1)):
-        if pairs:  # A_m summed in ascending k; a matmul's order would change with the batch shape
-            ks, thetas = model._rows[m - 1]
-            a_m = np.cumsum((1.0 - 2.0 * buf[:, ks - 1]) * thetas, axis=1)[:, -1] if ks.size else np.zeros(batch)
-        else:
-            a_m = (model.scale * float(m) ** model.nu) * w_run
+        a_m = (model.scale * float(m) ** model.nu) * w_run
         np.minimum(d_min, d, out=d_min)
         a = a_m / d
         np.maximum(a_max, np.abs(a), out=a_max)
@@ -255,20 +220,19 @@ def _invert_columns(model, buf, u, start, d, w_run, ring, failed) -> None:
         u[:, j] = u_m = np.where(np.abs(a) < 1e-14, w, u_m)
         eta = 1.0 - 2.0 * u_m
         d += eta * a_m
-        if not pairs:
-            term = float(m) ** model.mu * eta
-            w_run += term
-            if ring is not None:  # its slot holds the term of step m - window, or 0.0
-                slot = (m - 1) % len(ring)
-                w_run -= ring[slot]
-                ring[slot] = term
+        term = float(m) ** model.mu * eta
+        w_run += term
+        if ring is not None:  # its slot holds the term of step m - window, or 0.0
+            slot = (m - 1) % len(ring)
+            w_run -= ring[slot]
+            ring[slot] = term
     for i, ok in enumerate((a_max <= 1.0 + 1e-9, d_min > 0.0, disc_min >= -1e-12)):
         failed[i] |= not np.all(ok)  # NaN fails every comparison too
 
 
-def _invert_rows(model, buf, u, start, d, w_run, ring, failed) -> None:
-    """:func:`_invert_columns` for a power schedule, one row at a time in Python floats, with the
-    same operations in order.
+def _invert_rows(model, u, start, d, w_run, ring, failed) -> None:
+    """:func:`_invert_columns` one row at a time in Python floats, with the same operations in
+    order.
 
     Rows are read and written through a memoryview of ``u``, and the per-step coefficients, which
     the rows share, are made for ``_SCALAR_COLUMNS`` columns at a time, so the route holds few
@@ -327,8 +291,8 @@ def sample_uniform_paths(
     ``model`` None (or a zero schedule) means independent coordinates.
     ``rng`` is one Generator, filling the rows one after another, or a
     sequence of one Generator per row, whose row then depends on its own
-    stream only, bit for bit, for power schedules and explicit pairs alike:
-    the batch size may pick the inversion route, never the row's bytes.
+    stream only, bit for bit: the batch size may pick the inversion route,
+    never the row's bytes.
     Returns a (batch, n) array.
     """
     if model is None:
@@ -436,19 +400,17 @@ def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
     """Sample replicates ``rows`` of ``run`` and write their rows of the checkpoint matrices.
 
     Each row draws from its own stream and carries its running sum and hit count across blocks
-    in sequential order.  The quantiles go to one buffer reused for every block, never into the
-    uniforms, which an explicit-pairs sampler reads back as its past path.
+    in sequential order.  Each block's quantiles overwrite its uniforms.
     """
     cps = run.checkpoints()
     ns = np.array(cps)
     rngs = [replicate_rng(run.seed, rep) for rep in rows]
     s_out, e_out = s_matrix[rows.start : rows.stop], e_matrix[rows.start : rows.stop]
-    x_buf = np.empty((len(rows), min(width, len(thresholds))))
-    hit_buf = np.empty(x_buf.shape, dtype=bool)
+    hit_buf = np.empty((len(rows), min(width, len(thresholds))), dtype=bool)
     s_run, e_run = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
     for start, u in _uniform_blocks(run.model, rngs, len(thresholds), width):
         stop = start + u.shape[1]
-        x = run.marginal.quantile(u, out=x_buf[:, : u.shape[1]])
+        x = run.marginal.quantile(u, out=u)
         hits = np.greater(x, thresholds[start:stop], out=hit_buf[:, : u.shape[1]])
         x[:, 0] += s_run  # continue each row's sum in sequential order
         for row in x:  # row by row: numpy releases the GIL in a 1-D accumulate, not in a 2-D one
@@ -468,7 +430,7 @@ def run_slln(run: SlnnRun) -> PathReport:
     ``_PIECES_PER_THREAD`` per usable CPU, and one thread per CPU samples them, each
     taking the next piece when it has finished its last, so that a thread whose CPU
     runs slower takes fewer.  A dependent run is one piece on the caller's thread, whose
-    few replicates of a power schedule step through the recurrence in Python floats,
+    few replicates step through the recurrence in Python floats,
     many in numpy, with the same bytes.  Each row draws from its own counter-based
     stream and carries its running sum and hit count across blocks in sequential order,
     so its results depend neither on the blocks, nor on the pieces, nor on the threads.

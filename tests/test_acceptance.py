@@ -185,7 +185,7 @@ def test_criterion_08_slln_desk_scale():
 
 
 def test_criterion_09_sampler_fidelity():
-    model = MultivariateFgmModel.from_pairs(2, {(1, 2): 1.0})
+    model = MultivariateFgmModel.from_power_schedule(2, 0.0, 0.0, 1.0)
     rng = replicate_rng(SEED, 1)
     n_pairs = 10**5
     u = sample_uniform_paths(model, rng, n_pairs)

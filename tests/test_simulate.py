@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pqdslln import simulate
 from pqdslln.copulas import GfmCopula
@@ -32,13 +34,6 @@ pytestmark = pytest.mark.filterwarnings("ignore:pairwise strengths sum")
 
 
 class TestModel:
-    def test_from_pairs_margins(self):
-        model = MultivariateFgmModel.from_pairs(3, {(1, 2): 0.5, (2, 3): 0.25})
-        assert model.theta(1, 2) == 0.5
-        assert model.theta(2, 3) == 0.25
-        assert model.theta(1, 3) == 0.0
-        assert model.theta_sum == pytest.approx(0.75)
-
     @pytest.mark.parametrize(
         "mu, nu, scale", [(math.nan, -1.2, 0.25), (-0.3, math.inf, 0.25), (-0.3, -1.2, math.nan), (-0.3, -1.2, math.inf)]
     )
@@ -51,28 +46,6 @@ class TestModel:
     def test_power_schedule_rejects_overflowing_strengths(self, mu, nu, window):
         with pytest.raises(ParameterError, match="overflow"):
             MultivariateFgmModel.from_power_schedule(1000, mu=mu, nu=nu, window=window)
-
-    def test_from_pairs_rejects_overbudget(self):
-        with pytest.raises(ParameterError):
-            MultivariateFgmModel.from_pairs(3, {(1, 2): 0.7, (1, 3): 0.7})
-
-    def test_from_pairs_rejects_bad_indices(self):
-        with pytest.raises(ParameterError):
-            MultivariateFgmModel.from_pairs(3, {(2, 2): 0.1})
-        with pytest.raises(ParameterError):
-            MultivariateFgmModel.from_pairs(3, {(1, 4): 0.1})
-
-    def test_from_pairs_rows_match_per_step_construction(self):
-        n = 60
-        gen = np.random.default_rng(31)
-        pairs = {(int(k), int(j)): 1e-3 for k, j in gen.integers(1, n + 1, size=(400, 2)) if k < j}
-        model = MultivariateFgmModel.from_pairs(n, pairs)
-        assert len(model._rows) == n
-        for m, (ks, thetas) in enumerate(model._rows, 1):
-            expected = sorted(k for (k, j) in pairs if j == m)
-            assert ks.dtype == np.array(expected, dtype=int).dtype and thetas.dtype == np.float64
-            np.testing.assert_array_equal(ks, expected)
-            np.testing.assert_array_equal(thetas, [pairs[(k, m)] for k in expected])
 
     def test_power_schedule_rescales_with_warning(self):
         with pytest.warns(UserWarning, match="rescaling"):
@@ -100,7 +73,7 @@ class TestModel:
 
 class TestSampler:
     def test_zero_dependence_equals_bulk_uniforms(self):
-        model = MultivariateFgmModel.from_pairs(16, {})
+        model = MultivariateFgmModel.from_power_schedule(16, 0.0, 0.0, 0.0)
         u_model = sample_uniform_paths(model, replicate_rng(5, 0), 4)
         u_plain = replicate_rng(5, 0).random((4, 16))
         np.testing.assert_array_equal(u_model, u_plain)
@@ -110,7 +83,7 @@ class TestSampler:
             sample_uniform_paths(None, replicate_rng(0, 0), 2)
 
     def test_pairwise_copula_matches_bivariate_family(self, rng):
-        model = MultivariateFgmModel.from_pairs(2, {(1, 2): 1.0})
+        model = MultivariateFgmModel.from_power_schedule(2, 0.0, 0.0, 1.0)
         u = sample_uniform_paths(model, rng, 10**5)
         copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
         target = copula.cdf(0.5, 0.5)
@@ -120,7 +93,7 @@ class TestSampler:
 
     def test_three_coordinate_pairwise_margins(self, rng):
         theta = 1.0 / 3.0
-        model = MultivariateFgmModel.from_pairs(3, {(1, 2): theta, (1, 3): theta, (2, 3): theta})
+        model = MultivariateFgmModel.from_power_schedule(3, 0.0, 0.0, theta)
         u = sample_uniform_paths(model, rng, 10**5)
         copula = GfmCopula(theta=theta, r=1.0, s=1.0)
         grid = (0.25, 0.5, 0.75)
@@ -134,7 +107,7 @@ class TestSampler:
                     assert abs(hit - target) <= 3.0 * se
 
     def test_empirical_pqd_on_grid(self, rng):
-        model = MultivariateFgmModel.from_pairs(2, {(1, 2): 1.0})
+        model = MultivariateFgmModel.from_power_schedule(2, 0.0, 0.0, 1.0)
         u = sample_uniform_paths(model, rng, 10**5)
         n = u.shape[0]
         for ua in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
@@ -145,7 +118,7 @@ class TestSampler:
 
     def test_margin_fidelity_ks(self, rng):
         m = ParetoMarginal(2.0)
-        model = MultivariateFgmModel.from_pairs(3, {(1, 2): 0.5, (2, 3): 0.5})
+        model = MultivariateFgmModel.from_power_schedule(3, 0.0, 0.0, 0.5, window=1)  # pairs (1, 2), (2, 3)
         u = sample_uniform_paths(model, rng, 10**5)
         threshold = math.sqrt(-math.log(0.001 / 2.0) / 2.0) / math.sqrt(u.shape[0])
         for col in range(3):
@@ -181,22 +154,13 @@ class TestSampler:
         with pytest.raises(NumericError):
             sample_uniform_paths(model, replicate_rng(3, 0), 4)
 
-    @pytest.mark.parametrize("batch", [8, 32, simulate._SCALAR_ROWS + 8])
-    def test_pairs_rows_do_not_depend_on_the_batch(self, batch):
-        # every pair of 40 coordinates at strength 1/1600: many terms in each A_m, whose
-        # summation order must not follow the batch shape as a matrix product's would
-        model = MultivariateFgmModel.from_pairs(40, {(k, j): 1 / 1600 for j in range(2, 41) for k in range(1, j)})
-        rows = sample_uniform_paths(model, [replicate_rng(9, rep) for rep in range(batch)], batch)
-        for rep in range(batch):
-            assert rows[rep].tobytes() == sample_uniform_paths(model, replicate_rng(9, rep), 1)[0].tobytes()
-
 
 class _Reached(Exception):
     pass
 
 
 class TestRoutes:
-    """Small power-schedule batches step in Python floats, large ones in numpy: the same bytes and errors."""
+    """Small batches step in Python floats, large ones in numpy: the same bytes and errors."""
 
     MODELS = {
         "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
@@ -218,6 +182,28 @@ class TestRoutes:
         scalar = self.path(model, rows, width, rows, monkeypatch)
         vector = self.path(model, rows, width, 0, monkeypatch)
         assert scalar.shape == (rows, 512) and scalar.tobytes() == vector.tobytes()
+
+    @given(
+        schedule=st.tuples(st.floats(-3.0, 2.0), st.floats(-3.0, 2.0), st.floats(0.0, 4.0)),
+        n=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_routes_agree_on_drawn_schedules(self, schedule, n, data):
+        # rescaled to the budget where the strengths exceed it; row counts on both sides of
+        # _SCALAR_ROWS, each forced through both routes
+        window = data.draw(st.none() | st.integers(1, n), label="window")
+        rows = data.draw(st.integers(1, simulate._SCALAR_ROWS + 8), label="rows")
+        group = data.draw(st.integers(1, rows * n), label="group elements")
+        width = max(1, group // rows)  # as run_slln cuts a dependent run's blocks from _GROUP_ELEMENTS
+        model = MultivariateFgmModel.from_power_schedule(n, *schedule, window=window)
+        outcomes = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for scalar_rows in (rows, 0):
+                try:
+                    outcomes.append(self.path(model, rows, width, scalar_rows, monkeypatch).tobytes())
+                except NumericError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize(
         "model",
@@ -247,8 +233,6 @@ class TestRoutes:
         run_slln(run)
         with pytest.raises(_Reached):
             run_slln(dataclasses.replace(run, replicates=simulate._SCALAR_ROWS + 1))
-        with pytest.raises(_Reached):  # explicit pairs take the numpy step at any batch size
-            run_slln(dataclasses.replace(run, replicates=1, model=MultivariateFgmModel.from_pairs(128, {(1, 2): 0.5})))
 
 
 class TestCountExceedances:
@@ -276,9 +260,6 @@ class TestCountExceedances:
         assert abs(float(np.mean(finals)) - expected) <= 3.0 * se
 
 
-_PAIR_DRAWS = np.random.default_rng(8).integers(1, 513, size=(300, 2))
-
-
 class TestPieces:
     """An independent run is cut into pieces of replicates that threads take in turn: the same bytes."""
 
@@ -286,9 +267,6 @@ class TestPieces:
         "independent": lambda: None,
         "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
         "window": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
-        "pairs": lambda: MultivariateFgmModel.from_pairs(
-            512, {(int(k), int(j)): 4e-3 for k, j in _PAIR_DRAWS if k < j}
-        ),
     }
 
     @staticmethod
@@ -305,7 +283,7 @@ class TestPieces:
     # 1 piece per thread cuts 33 replicates 11/11/11 over 3 threads, 4 per thread cuts them 2/2/.../1
     @pytest.mark.parametrize("cap", [1, 111])
     @pytest.mark.parametrize("replicates", [1, 2, 3, 33])
-    @pytest.mark.parametrize("case", ["independent", "exact", "window", "pairs"])
+    @pytest.mark.parametrize("case", ["independent", "exact", "window"])
     def test_rows_do_not_depend_on_the_pieces(self, case, replicates, cap, monkeypatch):
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
         run = self.run(replicates, self.MODELS[case]())
@@ -470,18 +448,14 @@ class TestRunSlln:
         np.testing.assert_array_equal(more.exceedances[:3], fewer.exceedances)
 
     @pytest.mark.parametrize("cap", [1, 3 * 37])
-    @pytest.mark.parametrize("case", ["independent", "exact", "window", "pairs"])
+    @pytest.mark.parametrize("case", ["independent", "exact", "window"])
     def test_rows_match_across_block_boundaries(self, case, cap, monkeypatch):
         # blocks of 1 or 37 columns end between checkpoints and inside the 16-step window
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
-        gen = np.random.default_rng(8)
         model = {
             "independent": None,
             "exact": MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
             "window": MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
-            "pairs": MultivariateFgmModel.from_pairs(
-                512, {(int(k), int(j)): 4e-3 for k, j in gen.integers(1, 513, size=(300, 2)) if k < j}
-            ),
         }[case]
         run = self.run(p=1.2, n_max=512, replicates=3, model=model)
         report = run_slln(run)
@@ -493,16 +467,17 @@ class TestRunSlln:
         "n_max,replicates,dependent", [(2**17, 32, False), (2**12, 1024, True)], ids=["independent", "exact"]
     )
     def test_memory_stays_below_the_path(self, n_max, replicates, dependent):
-        # the whole path would take 32 MB
+        # the whole path would take 32 MB; the block of uniforms, inverted in place, takes 2 MB
         model = MultivariateFgmModel.from_power_schedule(n_max, mu=-0.3, nu=-1.2, scale=0.25) if dependent else None
         run = self.run(p=1.2, n_max=n_max, replicates=replicates, model=model)
+        run_slln(self.run(n_max=128, replicates=1))  # what the first call imports stays out of the measure
         tracemalloc.start()
         try:
             run_slln(run)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
 
     def test_scalar_route_memory_stays_below_the_path(self, monkeypatch):
         # one row: blocks of 2^12 steps; its 2^14 steps as Python floats would take 512 kB
