@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import GfmCopula, ThetaSchedule, power_factor, separable_pair_sums
+from .copulas import GfmCopula, ThetaSchedule, carried_cumsum, power_factor, separable_pair_sums
 from .errors import DomainError, NumericError, ParameterError, UndefinedRatioError
 from .marginals import ParetoMarginal
 from .quadrature import adaptive_quad_2d_many
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _BRACKET_ABS_TOL = 1e-9  # absolute tolerance of the bracket integral, shared by its pieces
+_CHUNK = 1 << 15  # indices per pass of the pair-sum ratio: 256 KB per array, small enough to stay in cache
 
 @dataclass(frozen=True)
 class GfmDependence:
@@ -122,37 +123,38 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
     """Pair-sum ratio at each requested n (diagonal terms enter as P(A_k)).
 
     For the power schedule the dependent part of the double sum is separable,
-    so the whole grid costs one pass of cumulative sums up to max(ns).
+    so the whole grid costs one pass of cumulative sums up to max(ns).  The
+    pass runs over chunks of _CHUNK indices, carrying each running sum from
+    chunk to chunk, so it holds a fixed number of chunk-length arrays however
+    large n is, and every sum keeps the bits of one pass over the whole range.
     """
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0 or np.any(ns < 1):
         raise DomainError("ratio grid must contain positive integers")
-    # In-place steps and early deletes hold at most five length-max(ns) arrays.
     at = ns - 1
-    idx = np.arange(1, int(ns.max()) + 1, dtype=float)
-    thresholds = idx ** (1.0 / es.p)
-    probs = np.asarray(es.marginal.survival(thresholds), dtype=float)
-    s1 = np.cumsum(probs)[at]
+    sums = np.zeros((3, ns.size))  # sum P(A_k), sum P(A_k)^2 and sum over pairs k < j, at each n
+    carry = [0.0, 0.0, 0.0]
+    k_carry = 0.0
+    n_max = int(ns.max())
+    for lo in range(0, n_max, _CHUNK):
+        idx = np.arange(lo + 1, min(lo + _CHUNK, n_max) + 1, dtype=float)
+        probs = np.asarray(es.marginal.survival(idx ** (1.0 / es.p)), dtype=float)
+        terms = [probs, probs * probs]
+        if es.dependence is not None:
+            # 1 - P(A_k) is the Pareto cdf at the threshold, bit for bit: both share one power
+            h = power_factor(1.0 - probs, es.dependence.r, es.dependence.s)
+            schedule = es.dependence.schedule
+            pairs, k_carry = separable_pair_sums(idx**schedule.mu * h, idx**schedule.nu * h, k_carry)
+            terms.append(pairs)
+        here = (at >= lo) & (at < lo + idx.size)
+        for i, term in enumerate(terms):
+            run = carried_cumsum(term, carry[i])
+            carry[i] = run[-1]
+            sums[i, here] = run[at[here] - lo]
+    s1, s2, pair_sums = sums
     if np.any(s1 <= 0.0):
         raise UndefinedRatioError("all event probabilities vanish; the pair-sum ratio is undefined")
-    probs *= probs
-    s2 = np.cumsum(probs)[at]
-    del probs
-    dep = 0.0
-    if es.dependence is not None:
-        f = np.asarray(es.marginal.cdf(thresholds), dtype=float)  # F at each threshold
-        del thresholds
-        h = power_factor(f, es.dependence.r, es.dependence.s)
-        del f
-        k_part = idx**es.dependence.schedule.mu
-        k_part *= h
-        idx **= es.dependence.schedule.nu
-        idx *= h  # now j_part
-        del h
-        pair = separable_pair_sums(k_part, idx)
-        del k_part, idx
-        dep = 2.0 * np.cumsum(pair)[at]
-    return (s1 + s1**2 - s2 + dep) / s1**2
+    return (s1 + s1**2 - s2 + 2.0 * pair_sums) / s1**2
 
 
 def renyi_lamperti_ratio(es: EventSystem, n: int) -> float:

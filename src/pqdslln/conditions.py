@@ -170,7 +170,7 @@ def condition_terms(
     b = _factor_values(r, s, marginal, idx**inv_p)
     k_part = idx ** (wk + schedule.mu) * b
     j_part = idx ** (wj + schedule.nu) * b
-    terms = separable_pair_sums(k_part, j_part)[1:]
+    terms = separable_pair_sums(k_part, j_part)[0][1:]
     return idx[1:].astype(int), terms
 
 

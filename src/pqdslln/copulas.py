@@ -208,13 +208,27 @@ class ThetaSchedule:
         return float(k) ** self.mu * float(j) ** self.nu
 
 
-def separable_pair_sums(k_part: np.ndarray, j_part: np.ndarray) -> np.ndarray:
-    """j_part[j] * sum_{k<j} k_part[k] for every index j (0 at the first).
+def carried_cumsum(x: np.ndarray, carry: float = 0.0) -> np.ndarray:
+    """Running sums of x that continue from carry, the last running sum of the chunks before x.
+
+    Adding carry to the first element before the pass makes the same
+    additions, in the same order, as one cumsum over the whole array, so a
+    chunk's running sums keep the whole array's bits.
+    """
+    out = np.array(x, dtype=float)
+    out[0] += carry
+    return np.cumsum(out, out=out)
+
+
+def separable_pair_sums(k_part: np.ndarray, j_part: np.ndarray, carry: float = 0.0) -> tuple[np.ndarray, float]:
+    """j_part[j] * (carry + sum_{k<j} k_part[k]) for every index j, and the carry for the next chunk.
 
     A separable pair weight such as the power schedule k^mu j^nu turns a
     double sum over k < j into this single pass of exclusive prefix sums.
+    ``carry`` is the sum of k_part over earlier chunks (see carried_cumsum).
     """
-    return j_part * (np.cumsum(k_part) - k_part)
+    prefix = carried_cumsum(k_part, carry)
+    return j_part * (prefix - k_part), float(prefix[-1])
 
 
 def _solve_conditional(copula: GfmCopula, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -59,39 +59,30 @@ class QuadSpec:
 
 def _panels_1d(f: Callable, panels: list[tuple[float, float]]) -> list:
     """(bounds, value, |GL15 - GL7|) of each panel (a, b), from one integrand call per rule."""
-    h = [0.5 * (b - a) for a, b in panels]
-    m = np.array([0.5 * (a + b) for a, b in panels])[:, None]
-    hh = np.array(h)[:, None]
-    f7 = np.asarray(f(m + hh * _X7), dtype=float)
-    f15 = np.asarray(f(m + hh * _X15), dtype=float)
-    out = []
-    for bounds, hk, g7, g15 in zip(panels, h, f7, f15):
-        lo = hk * float(_W7 @ g7)
-        hi = hk * float(_W15 @ g15)
-        out.append((bounds, hi, abs(hi - lo)))
-    return out
+    a, b = np.array(panels).T
+    h = 0.5 * (b - a)
+    m, hh = (0.5 * (a + b))[:, None], h[:, None]
+    lo = h * np.vecdot(np.asarray(f(m + hh * _X7), dtype=float), _W7)
+    hi = h * np.vecdot(np.asarray(f(m + hh * _X15), dtype=float), _W15)
+    return list(zip(panels, hi.tolist(), np.abs(hi - lo).tolist()))
 
 
 def _panels_2d(f: Callable, panels: list[tuple[float, float, float, float]]) -> list:
     """(bounds, value, |GL15 - GL7|) of each panel (ax, bx, ay, by), from one integrand call per rule.
 
     The nodes of panel i are x[i] (a column) and y[i] (a row): x has shape
-    (k, n, 1) and y (k, 1, n), so f returns k stacked n x n grids, each
-    reduced on its own exactly as a single panel would be.
+    (k, n, 1) and y (k, 1, n), so f returns k stacked n x n grids.  Each is
+    reduced with the bits of a single panel's W @ g @ W: np.vecdot keeps
+    them, where (W @ f) @ W does not for k > 1.
     """
-    hx = [0.5 * (bx - ax) for ax, bx, _, _ in panels]
-    hy = [0.5 * (by - ay) for _, _, ay, by in panels]
-    mx = np.array([0.5 * (bx + ax) for ax, bx, _, _ in panels])[:, None, None]
-    my = np.array([0.5 * (by + ay) for _, _, ay, by in panels])[:, None, None]
-    hhx, hhy = np.array(hx)[:, None, None], np.array(hy)[:, None, None]
-    f7 = np.asarray(f(mx + hhx * _X7[:, None], my + hhy * _X7), dtype=float)
-    f15 = np.asarray(f(mx + hhx * _X15[:, None], my + hhy * _X15), dtype=float)
-    out = []
-    for bounds, hxk, hyk, g7, g15 in zip(panels, hx, hy, f7, f15):
-        lo = hxk * hyk * float(_W7 @ g7 @ _W7)
-        hi = hxk * hyk * float(_W15 @ g15 @ _W15)
-        out.append((bounds, hi, abs(hi - lo)))
-    return out
+    ax, bx, ay, by = np.array(panels).T
+    hx, hy = 0.5 * (bx - ax), 0.5 * (by - ay)
+    mx, my, sx, sy = (v[:, None, None] for v in (0.5 * (bx + ax), 0.5 * (by + ay), hx, hy))
+    f7 = np.asarray(f(mx + sx * _X7[:, None], my + sy * _X7), dtype=float)
+    f15 = np.asarray(f(mx + sx * _X15[:, None], my + sy * _X15), dtype=float)
+    lo = hx * hy * np.vecdot(_W7 @ f7, _W7)
+    hi = hx * hy * np.vecdot(_W15 @ f15, _W15)
+    return list(zip(panels, hi.tolist(), np.abs(hi - lo).tolist()))
 
 
 def _split_1d(bounds):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqdslln.borel_cantelli import (
+    _CHUNK,
     EventSystem,
     GfmDependence,
     _joint_survival_fn,
@@ -17,7 +19,7 @@ from pqdslln.borel_cantelli import (
     renyi_lamperti_ratios,
     scaled_tail_ratio,
 )
-from pqdslln.copulas import GfmCopula, ThetaSchedule
+from pqdslln.copulas import GfmCopula, ThetaSchedule, power_factor
 from pqdslln.errors import DomainError, ParameterError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.copulas import sample_pairs
@@ -117,7 +119,74 @@ class TestPairEventProb:
         assert pair_event_prob(es, k, j) >= event_prob(es, k) * event_prob(es, j) - 1e-15
 
 
+def _whole_array_ratios(es: EventSystem, ns) -> np.ndarray:
+    """The pair-sum ratio from running sums over the whole range 1..max(ns), the oracle of the chunked pass."""
+    at = np.asarray(ns, dtype=int) - 1
+    idx = np.arange(1, int(at.max()) + 2, dtype=float)
+    thresholds = idx ** (1.0 / es.p)
+    probs = np.asarray(es.marginal.survival(thresholds), dtype=float)
+    s1 = np.cumsum(probs)[at]
+    s2 = np.cumsum(probs * probs)[at]
+    dep = 0.0
+    if es.dependence is not None:
+        h = power_factor(np.asarray(es.marginal.cdf(thresholds), dtype=float), es.dependence.r, es.dependence.s)
+        k_part = idx**es.dependence.schedule.mu * h
+        j_part = idx**es.dependence.schedule.nu * h
+        dep = 2.0 * np.cumsum(j_part * (np.cumsum(k_part) - k_part))[at]
+    return (s1 + s1**2 - s2 + dep) / s1**2
+
+
+@st.composite
+def _event_systems(draw):
+    """A Pareto event system, independent (zero schedule) or with a power schedule inside its window."""
+    alpha = draw(st.floats(min_value=0.5, max_value=4.0))
+    p = draw(st.floats(min_value=1.0, max_value=1.99))
+    if not draw(st.booleans()):
+        return independent(alpha, p)
+    lo = 1.0 / p - 1.0
+    nu = lo - draw(st.floats(min_value=0.01, max_value=2.0))
+    mu = lo + draw(st.floats(min_value=0.01, max_value=0.99)) * (2.0 / p - 2.0 - nu - lo)
+    r, s = draw(st.floats(min_value=1.0, max_value=3.0)), draw(st.floats(min_value=1.0, max_value=3.0))
+    return gfm_system(alpha, p, mu=mu, nu=nu, r=r, s=s)
+
+
+# largest n from one to four chunks, at chunk edges and off them
+_CHUNK_EDGES = [k * _CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [4 * _CHUNK - 1, 4 * _CHUNK]
+_N_MAX = st.one_of(st.sampled_from(_CHUNK_EDGES), st.integers(min_value=1, max_value=4 * _CHUNK))
+
+
 class TestRenyiLampertiRatio:
+    @given(_event_systems(), _N_MAX, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_keep_the_bits_of_the_whole_array(self, es, n_max, data):
+        grid = data.draw(st.lists(st.integers(min_value=1, max_value=n_max), max_size=8)) + [n_max]
+        grid = data.draw(st.permutations(grid))
+        assert renyi_lamperti_ratios(es, grid).tobytes() == _whole_array_ratios(es, grid).tobytes()
+
+    @given(
+        st.floats(min_value=0.5, max_value=4.0),
+        st.floats(min_value=1.0, max_value=1.99),
+        st.lists(st.floats(min_value=-2.0, max_value=1.0), max_size=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_minus_survival_is_the_cdf(self, alpha, p, low):
+        # the chunked pass takes F = 1 - P(A_k) in place of a second power pass through cdf
+        marginal = ParetoMarginal(alpha)
+        t = np.concatenate([np.arange(1, 5001, dtype=float) ** (1.0 / p), low, [1.0]])
+        assert np.asarray(marginal.cdf(t)).tobytes() == (1.0 - np.asarray(marginal.survival(t))).tobytes()
+
+    def test_memory_does_not_grow_with_n(self):
+        # running sums over the whole range 1..2^20 would hold 40 MB; the chunks hold about 2.5 MB
+        es = gfm_system(2.0, 1.0)
+        renyi_lamperti_ratios(es, [100])  # what the first call imports stays out of the measure
+        tracemalloc.start()
+        try:
+            renyi_lamperti_ratios(es, [2**20])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_n_one(self):
         assert renyi_lamperti_ratio(independent(2.0, 1.0), 1) == pytest.approx(1.0)
 
