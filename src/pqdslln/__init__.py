@@ -14,7 +14,6 @@ from .borel_cantelli import (
     event_prob,
     event_probs,
     pair_event_prob,
-    renyi_lamperti_ratio,
     renyi_lamperti_ratios,
     scaled_tail_ratio,
 )
@@ -25,7 +24,6 @@ from .conditions import (
     MajorantBound,
     SeriesVerdict,
     classify_series,
-    condition_sum,
     condition_terms,
     majorant_sum,
     tail_condition,
@@ -54,12 +52,10 @@ from .gfun import (
     g_closed_bracket,
     g_closed_form,
     g_factor,
-    g_factor_many,
     g_numeric,
-    g_numeric_many,
 )
 from .marginals import Marginal, ParetoMarginal
-from .quadrature import QuadSpec, adaptive_quad, adaptive_quad_2d, adaptive_quad_2d_many, adaptive_quad_many
+from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
 from .simulate import (
     DEFAULT_WINDOW,
     EXACT_DIMENSION_CAP,

@@ -40,7 +40,6 @@ __all__ = [
     "event_prob",
     "event_probs",
     "pair_event_prob",
-    "renyi_lamperti_ratio",
     "renyi_lamperti_ratios",
     "epsilon_bracket_check",
     "scaled_tail_ratio",
@@ -81,13 +80,14 @@ class EventSystem:
             raise ParameterError(f"event system requires 1 <= p < 2, got p={self.p!r}")
 
     def threshold(self, k: int) -> float:
+        """The threshold k^(1/p) of the event A_k; raises DomainError for k < 1."""
+        if k < 1:
+            raise DomainError(f"event index must be a positive integer, got {k!r}")
         return float(k) ** (1.0 / self.p)
 
 
 def event_prob(es: EventSystem, k: int) -> float:
     """P(A_k) = P{X > k^(1/p)}."""
-    if k < 1:
-        raise DomainError(f"event index must be a positive integer, got {k!r}")
     return float(es.marginal.survival(es.threshold(k)))
 
 
@@ -155,11 +155,6 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
     if np.any(s1 <= 0.0):
         raise UndefinedRatioError("all event probabilities vanish; the pair-sum ratio is undefined")
     return (s1 + s1**2 - s2 + 2.0 * pair_sums) / s1**2
-
-
-def renyi_lamperti_ratio(es: EventSystem, n: int) -> float:
-    """Pair-sum ratio at a single n."""
-    return float(renyi_lamperti_ratios(es, [n])[0])
 
 
 class BracketCheck(NamedTuple):

@@ -35,7 +35,7 @@ from .borel_cantelli import EventSystem, GfmDependence, epsilon_bracket_check, r
 from .conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, ThetaSchedule
 from .errors import DomainError, NumericError, ParameterError
-from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor_many, g_numeric, g_numeric_many
+from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec
 from .simulate import MultivariateFgmModel, SlnnRun, run_slln
@@ -209,9 +209,9 @@ def _run_g_eval(params: dict):
     if method in ("closed", "all"):
         methods["closed"] = g_closed_form(copula.theta, r, s, u, v)
     if method in ("numeric", "all"):
-        methods["numeric"] = g_numeric(DeltaField(copula, marginal), u, v, spec)
+        methods["numeric"] = float(g_numeric(DeltaField(copula, marginal), [(u, v)], spec)[0])
     if method in ("factor", "all"):
-        bu, bv = g_factor_many(r, s, marginal, (u, v)).tolist()
+        bu, bv = g_factor(r, s, marginal, (u, v)).tolist()
         methods["factor"] = copula.theta * bu * bv
     values = list(methods.values())
     discrepancy = max(values) - min(values) if len(values) > 1 else 0.0
@@ -307,7 +307,7 @@ def _run_report_example(params: dict):
     grid = (1.5, 2.0, 5.0, 20.0)
     field = DeltaField(GfmCopula(theta=1.0, r=r, s=s), marginal)
     bracket = g_closed_bracket(r, s, grid, marginal.alpha).tolist()
-    numerics = iter(g_numeric_many(field, [(u, v) for u in grid for v in grid]).tolist())
+    numerics = iter(g_numeric(field, [(u, v) for u in grid for v in grid]).tolist())
     g_rows = []
     max_disc = 0.0
     for u, bu in zip(grid, bracket):

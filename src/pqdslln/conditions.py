@@ -29,7 +29,7 @@ import numpy as np
 
 from .copulas import ThetaSchedule, separable_pair_sums
 from .errors import ParameterError
-from .gfun import bracket_limit, g_closed_bracket, g_factor_many
+from .gfun import bracket_limit, g_closed_bracket, g_factor
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "SeriesVerdict",
     "MajorantBound",
     "condition_terms",
-    "condition_sum",
     "verdict_from_terms",
     "classify_series",
     "majorant_sum",
@@ -129,7 +128,7 @@ def _factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds: np.
     """
     if r * marginal.alpha > 1.0:
         return g_closed_bracket(r, s, thresholds, marginal.alpha)
-    return g_factor_many(r, s, marginal, thresholds)
+    return g_factor(r, s, marginal, thresholds)
 
 
 def _weight_exponents(kind: str, p: float) -> tuple[float, float, float]:
@@ -172,19 +171,6 @@ def condition_terms(
     j_part = idx ** (wj + schedule.nu) * b
     terms = separable_pair_sums(k_part, j_part)[0][1:]
     return idx[1:].astype(int), terms
-
-
-def condition_sum(
-    kind: str,
-    p: float,
-    schedule: ThetaSchedule,
-    r: float,
-    s: float,
-    marginal: ParetoMarginal,
-    n_terms: int,
-) -> SeriesVerdict:
-    """Evaluate a weighted covariance series up to N and classify its decay."""
-    return verdict_from_terms(*condition_terms(kind, p, schedule, r, s, marginal, n_terms))
 
 
 def verdict_from_terms(j_values: np.ndarray, terms: np.ndarray) -> SeriesVerdict:

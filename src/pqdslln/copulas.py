@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .marginals import Marginal
+from .marginals import Marginal, _scalar_or_array
 
 __all__ = [
     "GfmCopula",
@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 _BISECT_STEPS = 52  # halves [0, 1] down to ~2e-16, well inside the 1e-12 contract
-
-
-def _scalar_or_array(out: np.ndarray):
-    return out if out.ndim else float(out)
 
 
 def power_factor(f, r: float, s: float):

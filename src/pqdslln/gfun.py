@@ -39,9 +39,9 @@ it keeps its relative accuracy up to the support edge.  B(u) -> 0 as
 u -> 1+ and increases to B(inf) as u -> inf, which also furnishes a
 k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
 ``g_closed_bracket`` evaluates B at a scalar or at a whole array of
-thresholds in one pass; ``g_factor_many`` and ``g_numeric_many`` refine the
-quadratures of many thresholds or (u, v) pairs in lockstep, and
-``g_factor`` and ``g_numeric`` are their one-point calls.
+thresholds in one pass; ``g_factor`` and ``g_numeric`` take a list of
+thresholds or (u, v) pairs and refine their quadratures in lockstep, so one
+point is a one-element list.
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ __all__ = [
     "g_closed_bracket",
     "g_closed_form",
     "g_factor",
-    "g_factor_many",
     "g_numeric",
-    "g_numeric_many",
 ]
 
 _FACTOR_ABS_TOL = 1e-10  # absolute tolerance of the separable factor quadrature
@@ -136,7 +134,7 @@ def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: f
     return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
 
 
-def g_factor_many(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
+def g_factor(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
     """Separable factor integral(max(-u, support)..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
 
     The integrals are refined in lockstep (:func:`adaptive_quad_many`), each
@@ -150,11 +148,6 @@ def g_factor_many(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
     intervals = ((max(-u, marginal.support_min), u) for u in map(float, us))
     values, _ = adaptive_quad_many(integrand, intervals, abs_tol=_FACTOR_ABS_TOL)
     return values
-
-
-def g_factor(r: float, s: float, marginal: Marginal, u: float) -> float:
-    """The factor of :func:`g_factor_many` at one u."""
-    return float(g_factor_many(r, s, marginal, [u])[0])
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ class DeltaField:
         return self.copula.gap(self.marginal.cdf(x), self.marginal.cdf(y))
 
 
-def g_numeric_many(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndarray:
+def g_numeric(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndarray:
     """Covariance functional at each (u, v), by adaptive product quadrature of the gap field in log x.
 
     Integrates delta over [support, u] x [support, v] (empty, giving 0, when
@@ -205,8 +198,3 @@ def g_numeric_many(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np
     boxes = [(log_lo, math.log(u), log_lo, math.log(v)) for u, v in pairs]
     values, _ = adaptive_quad_2d_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
     return values
-
-
-def g_numeric(field: DeltaField, u: float, v: float, spec: QuadSpec | None = None) -> float:
-    """The covariance functional of :func:`g_numeric_many` at one (u, v)."""
-    return float(g_numeric_many(field, [(u, v)], spec)[0])

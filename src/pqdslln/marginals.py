@@ -53,14 +53,6 @@ class Marginal(ABC):
         """P{X > x}."""
         return 1.0 - self.cdf(x)
 
-    def tail_prob_at_threshold(self, k: int, p: float) -> float:
-        """P{X > k^(1/p)} for integer k >= 1 and 1 <= p < 2."""
-        if k < 1 or k != int(k):
-            raise DomainError(f"threshold index k must be a positive integer, got {k!r}")
-        if not 1.0 <= p < 2.0:
-            raise DomainError(f"normalising exponent p must lie in [1, 2), got {p!r}")
-        return float(self.survival(float(k) ** (1.0 / p)))
-
 
 @dataclass(frozen=True)
 class ParetoMarginal(Marginal):
@@ -103,11 +95,3 @@ class ParetoMarginal(Marginal):
         if p < self.alpha:
             return self.alpha / (self.alpha - p)
         return math.inf
-
-    def tail_prob_at_threshold(self, k: int, p: float) -> float:
-        # same value as survival(k^(1/p)) but in the exact power form k^(-alpha/p)
-        if k < 1 or k != int(k):
-            raise DomainError(f"threshold index k must be a positive integer, got {k!r}")
-        if not 1.0 <= p < 2.0:
-            raise DomainError(f"normalising exponent p must lie in [1, 2), got {p!r}")
-        return float(k) ** (-self.alpha / p)

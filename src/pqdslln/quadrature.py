@@ -7,8 +7,8 @@ exhausted, in which case :class:`~pqdslln.errors.QuadratureError` is raised
 carrying the best estimate and its error bound.
 
 Several integrals of one integrand are refined in lockstep
-(``adaptive_quad_many``, ``adaptive_quad_2d_many``; the single-integral
-entries are their one-region calls).  Each round pops the worst splittable
+(``adaptive_quad_many``, ``adaptive_quad_2d_many``; one integral is a
+one-region call).  Each round pops the worst splittable
 panel of every integral still short of its tolerance and evaluates all their
 children in one integrand call per rule.  Each integral keeps its own heap,
 so it makes the same pops and splits, and gets the same bits, as it would
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 
-__all__ = ["QuadSpec", "adaptive_quad", "adaptive_quad_2d", "adaptive_quad_2d_many", "adaptive_quad_many"]
+__all__ = ["QuadSpec", "adaptive_quad_2d_many", "adaptive_quad_many"]
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
@@ -230,7 +230,7 @@ def adaptive_quad_many(
         ((a, b) if b > a else None for a, b in intervals),
         abs_tol,
         max_panels,
-        "adaptive_quad",
+        "adaptive_quad_many",
     )
 
 
@@ -256,41 +256,6 @@ def adaptive_quad_2d_many(
         ((ax, bx, ay, by) if bx > ax and by > ay else None for ax, bx, ay, by in boxes),
         abs_tol,
         max_panels,
-        "adaptive_quad_2d",
+        "adaptive_quad_2d_many",
     )
 
-
-def adaptive_quad(
-    f: Callable,
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = 1e-10,
-    max_panels: int = QuadSpec.max_panels,
-) -> tuple[float, float]:
-    """Integrate f over [a, b]; returns (value, error_bound).
-
-    The one-interval call of :func:`adaptive_quad_many`, which states the
-    integrand's contract.
-    """
-    values, bounds = adaptive_quad_many(f, [(a, b)], abs_tol=abs_tol, max_panels=max_panels)
-    return float(values[0]), float(bounds[0])
-
-
-def adaptive_quad_2d(
-    f: Callable,
-    ax: float,
-    bx: float,
-    ay: float,
-    by: float,
-    *,
-    abs_tol: float = QuadSpec.abs_tol,
-    max_panels: int = QuadSpec.max_panels,
-) -> tuple[float, float]:
-    """Integrate f over [ax, bx] x [ay, by]; returns (value, error_bound).
-
-    The one-box call of :func:`adaptive_quad_2d_many`, which states the
-    integrand's contract.
-    """
-    values, bounds = adaptive_quad_2d_many(f, [(ax, bx, ay, by)], abs_tol=abs_tol, max_panels=max_panels)
-    return float(values[0]), float(bounds[0])

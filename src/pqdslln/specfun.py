@@ -76,12 +76,22 @@ def gamma(x: float) -> float:
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
+
+    For a nonpositive integer a = -m with m < n the factor a + m is zero, so
+    the product is the signed zero (-1)^m * 0.0, returned without a loop.  A
+    product that overflows raises NumericError at the factor where it does.
+    """
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
+    m = _nonpositive_int_order(a)
+    if m is not None and m < n:
+        return (-1.0) ** m * 0.0
     out = 1.0
     for i in range(int(n)):
         out *= a + i
+        if math.isinf(out):
+            raise NumericError(f"pochhammer({a!r}, {n!r}) overflows double precision")
     return out
 
 
@@ -157,6 +167,7 @@ def gauss_2f1(a: float, b: float, c: float, z):
     _MAX_TERMS terms raises NumericError: at once, from a projection made at
     the step _settled_step (a few hundred terms for small parameters), when
     the projection misses by a wide margin, and otherwise at the budget's end.
+    A sum that overflows double precision raises NumericError too.
     """
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
@@ -166,24 +177,28 @@ def gauss_2f1(a: float, b: float, c: float, z):
     out = np.empty(zs.size)
     live = np.arange(zs.size)  # elements still summing, compacted as they converge
     term, total = np.ones(zs.size), np.ones(zs.size)
-    for n in range(_MAX_TERMS if m is None else m):
-        if not live.size:
-            break
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
-        total += term
-        if m is None:
-            done = np.abs(term) <= _SERIES_RTOL * np.abs(total)
-            if done.any():
-                out[live[done]] = total[done]
-                keep = ~done
-                live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
-            if n + 1 == settled and live.size:
-                hopeless = _beyond_budget(a, b, c, settled, live_z, term, total)
-                if hopeless.any():
-                    z_bad = float(live_z[np.argmax(hopeless)])
-                    raise NumericError(f"2F1 series cannot converge within {_MAX_TERMS} terms (z={z_bad!r})")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is refused below
+        for n in range(_MAX_TERMS if m is None else m):
+            if not live.size:
+                break
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
+            total += term
+            if m is None:
+                done = np.abs(term) <= _SERIES_RTOL * np.abs(total)
+                if done.any():
+                    out[live[done]] = total[done]
+                    keep = ~done
+                    live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
+                if n + 1 == settled and live.size:
+                    hopeless = _beyond_budget(a, b, c, settled, live_z, term, total)
+                    if hopeless.any():
+                        z_bad = float(live_z[np.argmax(hopeless)])
+                        raise NumericError(f"2F1 series cannot converge within {_MAX_TERMS} terms (z={z_bad!r})")
     if m is None and live.size:
         raise NumericError(f"2F1 series did not converge within {_MAX_TERMS} terms (z={float(live_z[0])!r})")
     out[live] = total
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NumericError(f"2F1 series overflows double precision (z={float(zs.ravel()[np.argmin(finite)])!r})")
     out = out.reshape(zs.shape)
     return out if out.ndim else float(out)

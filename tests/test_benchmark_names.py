@@ -3,17 +3,22 @@
 ``perfbench/tracing.py`` patches each public function of the modules it
 lists, a few methods through their class ``__dict__``, and two CLI entry
 points.  A refactor that renames or moves one of them breaks ``--trace 1``
-only when the benchmark runs; these checks fail at once instead.
+only when the benchmark runs; these checks fail at once instead.  The
+package's own exports are pinned to those lists too, so a name deleted from
+a module cannot linger in ``pqdslln/__init__.py``.
 """
 
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import pqdslln
 import pqdslln.cli
+import pqdslln.errors
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +50,11 @@ def test_wrapped_methods_sit_in_their_class(short, cls_name, attr, span):
 def test_cli_entry_points_exist():
     for name in tracing.CLI_PUBLIC:
         assert inspect.isfunction(getattr(pqdslln.cli, name, None)), name
+
+
+def test_package_exports_exactly_the_module_lists():
+    expected = {name for name, value in vars(pqdslln.errors).items() if isinstance(value, type) and issubclass(value, Exception)}
+    for info in pkgutil.iter_modules(pqdslln.__path__):
+        expected.update(getattr(importlib.import_module(f"pqdslln.{info.name}"), "__all__", ()))
+    exported = {name for name, value in vars(pqdslln).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == expected

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pqdslln.borel_cantelli
 from pqdslln.borel_cantelli import (
     _CHUNK,
     EventSystem,
@@ -15,7 +16,6 @@ from pqdslln.borel_cantelli import (
     event_prob,
     event_probs,
     pair_event_prob,
-    renyi_lamperti_ratio,
     renyi_lamperti_ratios,
     scaled_tail_ratio,
 )
@@ -54,8 +54,12 @@ class TestEventProb:
             assert vec[k - 1] == pytest.approx(event_prob(es, k), rel=1e-14)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            event_prob(independent(2.0, 1.0), 0)
+        es = independent(2.0, 1.2)
+        for k, j in ((0, 3), (-1, 3), (3, -1)):
+            with pytest.raises(DomainError, match="event index"):
+                event_prob(es, min(k, j))
+            with pytest.raises(DomainError, match="event index"):
+                pair_event_prob(es, k, j)
         with pytest.raises(ParameterError):
             EventSystem(p=2.5, marginal=ParetoMarginal(2.0))
 
@@ -188,48 +192,46 @@ class TestRenyiLampertiRatio:
         assert peak < 4 * 2**20
 
     def test_n_one(self):
-        assert renyi_lamperti_ratio(independent(2.0, 1.0), 1) == pytest.approx(1.0)
+        assert renyi_lamperti_ratios(independent(2.0, 1.0), [1])[0] == pytest.approx(1.0)
 
     def test_harmonic_exact_formula(self):
         # alpha = 1, p = 1: ratio = 1 + (H_n - H_n^(2)) / H_n^2 exactly
-        es = independent(1.0, 1.0)
-        for n in (10, 10**3, 10**4):
+        grid = (10, 10**3, 10**4)
+        for n, ratio in zip(grid, renyi_lamperti_ratios(independent(1.0, 1.0), grid)):
             k = np.arange(1, n + 1, dtype=float)
             h1 = math.fsum(1.0 / k)
             h2 = math.fsum(1.0 / k**2)
             expected = 1.0 + (h1 - h2) / h1**2
-            assert renyi_lamperti_ratio(es, n) == pytest.approx(expected, abs=1e-10)
+            assert ratio == pytest.approx(expected, abs=1e-10)
 
     def test_harmonic_value_at_1e4(self):
-        assert renyi_lamperti_ratio(independent(1.0, 1.0), 10**4) == pytest.approx(1.0850000756939122, abs=1e-10)
+        assert renyi_lamperti_ratios(independent(1.0, 1.0), [10**4])[0] == pytest.approx(1.0850000756939122, abs=1e-10)
 
     def test_divergent_systems_approach_one_from_above(self):
         # strictly divergent tail index: ratio - 1 decays like 1/S_n
         for alpha, p in ((0.8, 1.0), (1.0, 1.5)):
-            es = independent(alpha, p)
-            r4 = renyi_lamperti_ratio(es, 10**4)
-            r6 = renyi_lamperti_ratio(es, 10**6)
+            r4, r6 = renyi_lamperti_ratios(independent(alpha, p), [10**4, 10**6])
             assert 1.0 < r6 < r4
             assert r4 - 1.0 <= 0.2
             assert r6 - 1.0 <= 0.05
 
     def test_convergent_case_stays_away_from_one(self):
         # alpha = 2, p = 1: limit 1 + (zeta(2) - zeta(4)) / zeta(2)^2 = 1.2079
-        es = independent(2.0, 1.0)
-        assert renyi_lamperti_ratio(es, 10**4) == pytest.approx(1.207915423617771, abs=1e-9)
-        for n in (2, 10, 100, 10**4):
-            assert renyi_lamperti_ratio(es, n) >= 1.1
+        ratios = renyi_lamperti_ratios(independent(2.0, 1.0), [2, 10, 100, 10**4])
+        assert ratios[-1] == pytest.approx(1.207915423617771, abs=1e-9)
+        assert np.all(ratios >= 1.1)
 
     def test_grid_version_matches_scalar(self):
+        # each ratio of a grid is the ratio of its n alone
         es = gfm_system(2.0, 1.0)
         grid = np.array([1, 2, 10, 50, 200])
         ratios = renyi_lamperti_ratios(es, grid)
         for n, r in zip(grid, ratios):
-            assert r == pytest.approx(renyi_lamperti_ratio(es, int(n)), rel=1e-14)
+            assert r == pytest.approx(renyi_lamperti_ratios(es, [int(n)])[0], rel=1e-14)
 
     def test_dependence_increases_pair_sum(self):
-        dep = renyi_lamperti_ratio(gfm_system(2.0, 1.0), 500)
-        ind = renyi_lamperti_ratio(independent(2.0, 1.0), 500)
+        (dep,) = renyi_lamperti_ratios(gfm_system(2.0, 1.0), [500])
+        (ind,) = renyi_lamperti_ratios(independent(2.0, 1.0), [500])
         assert dep >= ind
 
 
@@ -275,6 +277,15 @@ class TestEpsilonBracket:
             epsilon_bracket_check(es, 2, 2, 1.5)
         with pytest.raises(DomainError):
             epsilon_bracket_check(es, 2, 3, 1.0)
+
+    @pytest.mark.parametrize("k, j", [(0, 3), (-1, 3), (3, -1)])
+    def test_event_index_is_refused_before_any_quadrature(self, k, j, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the bracket integral ran")
+
+        monkeypatch.setattr(pqdslln.borel_cantelli, "adaptive_quad_2d_many", no_quadrature)
+        with pytest.raises(DomainError, match="event index"):
+            epsilon_bracket_check(independent(2.0, 1.2), k, j, 2.0)
 
 
 class TestScaledTailRatio:

@@ -90,6 +90,21 @@ class TestSpecfunEval:
         assert code == EXIT_PARAMETER
         assert "--fn 2f1 needs --b --z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--fn", "2f1", "--a", "200", "--b", "200", "--c", "1", "--z", "0.9"],
+            ["--fn", "pochhammer", "--a", "0.5", "--n", "30000000"],
+        ],
+    )
+    def test_overflow_is_numeric_error(self, tmp_path, capsys, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning before the refusal
+            assert run_cli(["specfun", "eval", *args], tmp_path / "run") == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[numeric]" in err[0] and "overflows" in err[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
 
 class TestGEval:
     def test_zero_theta_all_methods(self, tmp_path, capsys):
@@ -253,6 +268,14 @@ class TestBc:
         extra = ["--n-grid", "10,100"] if action == "ratio" else ["--k", "2", "--j", "3", "--eps", "2"]
         assert run_cli(["bc", action, *model, *extra], tmp_path) == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, j", [(-1, 3), (3, -1), (0, 3)])
+    def test_bracket_event_index_below_one_is_parameter_error(self, tmp_path, capsys, k, j):
+        args = ["bc", "bracket", "--alpha", "2", "--p", "1.2", "--k", str(k), "--j", str(j), "--eps", "2"]
+        assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[parameter]" in err[0] and "event index" in err[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_bracket(self, tmp_path):
         code = run_cli(

@@ -11,10 +11,10 @@ from pqdslln.conditions import (
     INCONCLUSIVE,
     SeriesVerdict,
     classify_series,
-    condition_sum,
     condition_terms,
     majorant_sum,
     tail_condition,
+    verdict_from_terms,
 )
 from pqdslln.copulas import GfmCopula, ThetaSchedule
 from pqdslln.errors import ParameterError
@@ -59,7 +59,7 @@ class TestConditionSum:
         # scale-free check: a schedule cannot be identically zero, but the
         # k = 1 column of terms always vanishes because the factor at the
         # support edge is 0; N = 2 therefore gives an exactly zero sum
-        verdict = condition_sum("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2)
+        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2))
         assert verdict.partial_sum == 0.0
         assert verdict.verdict == CONVERGES
         assert verdict.tail_estimate == 0.0
@@ -67,15 +67,15 @@ class TestConditionSum:
     @pytest.mark.parametrize("kind", ["cs11", "nec12"])
     def test_brute_force_oracle_small_n(self, kind):
         sched = example_schedule()
-        verdict = condition_sum(kind, 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 60)
+        verdict = verdict_from_terms(*condition_terms(kind, 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 60))
         expected = brute_force_partial(kind, 1.0, sched.mu, sched.nu, 1.0, 1.0, 60)
         assert verdict.partial_sum == pytest.approx(expected, rel=1e-10)
 
     def test_l1_equals_nec12_at_p1(self):
         sched = example_schedule()
         m = ParetoMarginal(2.0)
-        a = condition_sum("l1", 1.0, sched, 1.0, 1.0, m, 200)
-        b = condition_sum("nec12", 1.0, sched, 1.0, 1.0, m, 200)
+        a = verdict_from_terms(*condition_terms("l1", 1.0, sched, 1.0, 1.0, m, 200))
+        b = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 200))
         assert a.partial_sum == pytest.approx(b.partial_sum, rel=1e-12)
 
     def test_small_n_quadrature_cross_route(self):
@@ -88,14 +88,15 @@ class TestConditionSum:
             for k in range(1, j):
                 theta = sched.theta(k, j)
                 field = DeltaField(GfmCopula(theta=theta, r=1.0, s=1.0), m)
-                g = g_numeric(field, float(k), float(j))
+                g = g_numeric(field, [(float(k), float(j))])[0]
                 total.append((k * j) ** -1.0 * g)
         expected = math.fsum(total)
-        verdict = condition_sum("nec12", 1.0, sched, 1.0, 1.0, m, n)
+        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, n))
         assert verdict.partial_sum == pytest.approx(expected, abs=1e-7)
 
     def test_example_configuration_converges(self):
-        verdict = condition_sum("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2000)
+        terms = condition_terms("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2000)
+        verdict = verdict_from_terms(*terms)
         assert verdict.verdict == CONVERGES
         # frozen from the incomplete-beta brute-force oracle
         assert verdict.partial_sum == pytest.approx(0.0426566684892755, rel=1e-9)
@@ -107,8 +108,8 @@ class TestConditionSum:
         # 1/(mu - 1/p + 1) = 5 on top of C; C alone only bounds end to end
         sched = example_schedule()
         m = ParetoMarginal(2.0)
-        s1000 = condition_sum("nec12", 1.0, sched, 1.0, 1.0, m, 1000).partial_sum
-        s2000 = condition_sum("nec12", 1.0, sched, 1.0, 1.0, m, 2000).partial_sum
+        s1000 = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 1000)).partial_sum
+        s2000 = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 2000)).partial_sum
         assert s2000 >= s1000
         c_term = (4.0 / 9.0) / (sched.mu - 1.0 + 1.0)
         tail = math.fsum(float(j) ** -2.3 for j in range(1001, 2001))
@@ -118,14 +119,17 @@ class TestConditionSum:
         # mu = 0.4, nu = -1.4 sits inside the window, majorant exponent
         # mu + nu - 2/p + 1 = -2: clearly summable
         sched = ThetaSchedule(mu=0.4, nu=-1.4, p=1.0)
-        verdict = condition_sum("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 2000)
+        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 2000))
         assert verdict.verdict == CONVERGES
         assert verdict.fitted_decay_exponent == pytest.approx(-2.0, abs=0.2)
 
     def test_partial_sum_nondecreasing_in_n(self):
         sched = example_schedule()
         m = ParetoMarginal(2.0)
-        sums = [condition_sum("nec12", 1.0, sched, 1.0, 1.0, m, n).partial_sum for n in (10, 50, 200, 800)]
+        sums = [
+            verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, n)).partial_sum
+            for n in (10, 50, 200, 800)
+        ]
         assert all(s >= 0.0 for s in sums)
         assert all(b >= a for a, b in zip(sums, sums[1:]))
 
@@ -137,15 +141,15 @@ class TestConditionSum:
     def test_p_mismatch_rejected(self):
         sched = ThetaSchedule(mu=0.1, nu=-1.4, p=1.2)
         with pytest.raises(ParameterError):
-            condition_sum("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 100)
+            condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 100)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            condition_sum("bogus", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 100)
+            condition_terms("bogus", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 100)
 
     def test_nonstandard_alpha_uses_quadrature_factors(self):
         sched = example_schedule()
-        verdict = condition_sum("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(3.0), 40)
+        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(3.0), 40))
         # brute force with quadrature brackets for alpha = 3
         m = ParetoMarginal(3.0)
 
@@ -169,13 +173,13 @@ class TestFactorRoute:
     )
     def test_quadrature_only_where_the_closed_form_diverges(self, alpha, r, quadratures, monkeypatch):
         integrals = []  # one threshold per factor integral handed to the batched route
-        original = pqdslln.conditions.g_factor_many
+        original = pqdslln.conditions.g_factor
 
         def counting(r, s, marginal, us):
             integrals.extend(us)
             return original(r, s, marginal, us)
 
-        monkeypatch.setattr(pqdslln.conditions, "g_factor_many", counting)
+        monkeypatch.setattr(pqdslln.conditions, "g_factor", counting)
         condition_terms("nec12", 1.0, example_schedule(), r, 1.0, ParetoMarginal(alpha), 30)
         assert len(integrals) == quadratures
 

@@ -119,18 +119,18 @@ class TestDelta:
 class TestGFactor:
     def test_empty_range(self):
         m = ParetoMarginal(2.0)
-        assert g_factor(1.0, 1.0, m, 1.0) == 0.0
-        assert g_factor(1.0, 1.0, m, 0.5) == 0.0
+        assert g_factor(1.0, 1.0, m, [1.0, 0.5]).tolist() == [0.0, 0.0]
 
     def test_closed_antiderivative_r1s1(self):
         m = ParetoMarginal(2.0)
-        for u in (1.1, 2.0, 10.0, 1e3):
-            assert g_factor(1.0, 1.0, m, u) == pytest.approx(closed_bracket_r1s1(u), abs=1e-10)
+        us = (1.1, 2.0, 10.0, 1e3)
+        for u, factor in zip(us, g_factor(1.0, 1.0, m, us)):
+            assert factor == pytest.approx(closed_bracket_r1s1(u), abs=1e-10)
 
     def test_limit_matches_bracket_limit(self):
         m = ParetoMarginal(2.0)
         assert bracket_limit(1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-13)
-        assert g_factor(1.0, 1.0, m, 1e5) == pytest.approx(2.0 / 3.0, abs=1e-4)
+        assert g_factor(1.0, 1.0, m, [1e5])[0] == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
 class TestClosedForm:
@@ -246,37 +246,38 @@ class TestOracleEquivalence:
         field = DeltaField(GfmCopula(theta=theta, r=r, s=s), m)
         for u, v in ((1.5, 2.0), (5.0, 20.0)):
             closed = g_closed_form(theta, r, s, u, v)
-            numeric = g_numeric(field, u, v)
+            numeric = g_numeric(field, [(u, v)])[0]
             assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
     def test_r2_s1_example(self):
         m = ParetoMarginal(2.0)
         field = DeltaField(GfmCopula(theta=1.0, r=2.0, s=1.0), m)
         closed = g_closed_form(1.0, 2.0, 1.0, 3.0, 3.0)
-        numeric = g_numeric(field, 3.0, 3.0)
+        numeric = g_numeric(field, [(3.0, 3.0)])[0]
         assert abs(closed - numeric) <= 1e-6
 
     @pytest.mark.parametrize("r,s", PARAM_GRID)
     def test_factorization(self, r, s):
         m = ParetoMarginal(2.0)
+        factors = dict(zip(UV_GRID, g_factor(r, s, m, UV_GRID)))
         for theta in (0.25, 1.0):
             for u in UV_GRID:
                 for v in (1.5, 20.0):
                     closed = g_closed_form(theta, r, s, u, v)
-                    factored = theta * g_factor(r, s, m, u) * g_factor(r, s, m, v)
+                    factored = theta * factors[u] * factors[v]
                     assert abs(closed - factored) <= 1e-8
 
     def test_numeric_trivial_cases(self):
         m = ParetoMarginal(2.0)
         field = DeltaField(GfmCopula(theta=1.0, r=1.0, s=1.0), m)
-        assert g_numeric(field, 1.0, 5.0) == 0.0  # x-range collapses at the support edge
+        assert g_numeric(field, [(1.0, 5.0)])[0] == 0.0  # x-range collapses at the support edge
         zero_field = DeltaField(GfmCopula(theta=0.0), m)
-        assert g_numeric(zero_field, 2.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert g_numeric(zero_field, [(2.0, 2.0)])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_numeric_domain(self):
         field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(2.0))
         with pytest.raises(DomainError):
-            g_numeric(field, -1.0, 2.0)
+            g_numeric(field, [(-1.0, 2.0)])
 
     @pytest.mark.parametrize("support_min", [-math.inf, -1.0, 0.0])
     def test_numeric_needs_positive_support(self, support_min):
@@ -284,7 +285,7 @@ class TestOracleEquivalence:
         marginal = SymmetricMarginal()
         marginal.support_min = support_min
         with pytest.raises(DomainError):
-            g_numeric(DeltaField(GfmCopula(theta=1.0), marginal), 0.5, 0.5)
+            g_numeric(DeltaField(GfmCopula(theta=1.0), marginal), [(0.5, 0.5)])
 
     def test_numeric_handles_perturbation_family(self):
         # phi = psi = t(1-t) is the r = s = 1 power family, so the generic
@@ -292,7 +293,7 @@ class TestOracleEquivalence:
         phi = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
         copula = PerturbationCopula(theta=1.0, phi=phi, psi=phi)
         field = DeltaField(copula, ParetoMarginal(2.0))
-        value = g_numeric(field, 2.0, 3.0)
+        value = g_numeric(field, [(2.0, 3.0)])[0]
         assert value == pytest.approx(g_closed_form(1.0, 1.0, 1.0, 2.0, 3.0), abs=1e-8)
 
     @given(
@@ -307,7 +308,7 @@ class TestOracleEquivalence:
         m = ParetoMarginal(2.0)
         field = DeltaField(GfmCopula(theta=theta, r=r, s=s), m)
         closed = g_closed_form(theta, r, s, u, v)
-        numeric = g_numeric(field, u, v)
+        numeric = g_numeric(field, [(u, v)])[0]
         assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
 
@@ -331,7 +332,7 @@ class TestLogSpaceQuadrature:
             copula = PerturbationCopula(theta=1.0, phi=profile, psi=profile)
         else:
             copula = GfmCopula(theta=1.0, r=r, s=s)
-        numeric = g_numeric(DeltaField(copula, ParetoMarginal(alpha)), u, v)
+        numeric = g_numeric(DeltaField(copula, ParetoMarginal(alpha)), [(u, v)])[0]
         expected = float(incomplete_beta_bracket(r, s, u, alpha) * incomplete_beta_bracket(r, s, v, alpha))
         # the quadrature is asked for QuadSpec().abs_tol absolute; relative 1e-6 above that
         assert abs(numeric - expected) <= max(1e-6 * expected, QuadSpec().abs_tol), (u, v)
@@ -339,18 +340,18 @@ class TestLogSpaceQuadrature:
     def test_far_peak_is_found(self):
         # in x the peak near 1 sits in one of 3000 units of width and the first panel misses it
         expected = float(incomplete_beta_bracket(3.0, 3.0, 3000.0, 2.0) ** 2)
-        numeric = g_numeric(DeltaField(GfmCopula(theta=1.0, r=3.0, s=3.0), ParetoMarginal(2.0)), 3000.0, 3000.0)
+        numeric = g_numeric(DeltaField(GfmCopula(theta=1.0, r=3.0, s=3.0), ParetoMarginal(2.0)), [(3000.0, 3000.0)])[0]
         assert numeric == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.7])
     def test_far_thresholds(self, alpha):
         field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(alpha))
         expected = float(incomplete_beta_bracket(1.0, 1.0, 1e6, alpha) ** 2)
-        assert g_numeric(field, 1e6, 1e6) == pytest.approx(expected, rel=1e-9)
+        assert g_numeric(field, [(1e6, 1e6)])[0] == pytest.approx(expected, rel=1e-9)
 
     def test_node_count_stays_small(self):
         # a slowdown guard without timing: 16.6 M nodes when this row was integrated in x
         field, nodes = counting_field(GfmCopula(theta=1.0), ParetoMarginal(2.0))
-        value = g_numeric(field, 1e4, 1e4)
+        value = g_numeric(field, [(1e4, 1e4)])[0]
         assert value == pytest.approx(g_closed_form(1.0, 1.0, 1.0, 1e4, 1e4), abs=1e-9)
         assert sum(nodes) < 50_000

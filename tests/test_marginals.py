@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqdslln.borel_cantelli import EventSystem, event_prob
 from pqdslln.errors import DomainError, ParameterError
 from pqdslln.marginals import ParetoMarginal
 
@@ -82,15 +83,17 @@ class TestCdfQuantile:
 
 
 class TestTailProb:
+    """P{X > k^(1/p)} of a Pareto marginal, read as the event probability P(A_k)."""
+
     def test_values(self):
-        assert ParetoMarginal(2.0).tail_prob_at_threshold(4, 1.0) == pytest.approx(1.0 / 16.0)
-        assert ParetoMarginal(2.0).tail_prob_at_threshold(9, 1.8) == pytest.approx(9.0 ** (-2.0 / 1.8))
-        assert ParetoMarginal(3.5).tail_prob_at_threshold(1, 1.3) == 1.0
+        assert event_prob(EventSystem(1.0, ParetoMarginal(2.0)), 4) == pytest.approx(1.0 / 16.0)
+        assert event_prob(EventSystem(1.8, ParetoMarginal(2.0)), 9) == pytest.approx(9.0 ** (-2.0 / 1.8))
+        assert event_prob(EventSystem(1.3, ParetoMarginal(3.5)), 1) == 1.0
 
     @given(ALPHAS, st.floats(min_value=1.0, max_value=1.99))
     def test_nonincreasing(self, alpha, p):
-        m = ParetoMarginal(alpha)
-        probs = [m.tail_prob_at_threshold(k, p) for k in range(1, 40)]
+        es = EventSystem(p, ParetoMarginal(alpha))
+        probs = [event_prob(es, k) for k in range(1, 40)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0, 3.0])
@@ -98,8 +101,7 @@ class TestTailProb:
     def test_partial_sums_vs_integral_test(self, alpha, p):
         # Sum_{k<=N} k^(-alpha/p) stays within the integral-test envelope of
         # N^(1-alpha/p)/(alpha/p - 1) exactly when alpha/p > 1
-        m = ParetoMarginal(alpha)
-        assert m.tail_prob_at_threshold(17, p) == pytest.approx(17.0 ** (-alpha / p), rel=1e-14)
+        assert event_prob(EventSystem(p, ParetoMarginal(alpha)), 17) == pytest.approx(17.0 ** (-alpha / p), rel=1e-14)
         n_grid = (10**2, 10**3, 10**4)
         sums = []
         for n in n_grid:
@@ -112,11 +114,10 @@ class TestTailProb:
             assert sums[-1] > sums[0] + 0.5  # keeps growing without a finite cap
 
     def test_domain(self):
-        m = ParetoMarginal(2.0)
         with pytest.raises(DomainError):
-            m.tail_prob_at_threshold(0, 1.0)
-        with pytest.raises(DomainError):
-            m.tail_prob_at_threshold(3, 2.5)
+            event_prob(EventSystem(1.0, ParetoMarginal(2.0)), 0)
+        with pytest.raises(ParameterError):
+            EventSystem(2.5, ParetoMarginal(2.0))
 
 
 class TestMoments:

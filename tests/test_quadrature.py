@@ -23,11 +23,21 @@ from pqdslln.quadrature import (
     QuadSpec,
     _panels_1d,
     _panels_2d,
-    adaptive_quad,
-    adaptive_quad_2d,
     adaptive_quad_2d_many,
     adaptive_quad_many,
 )
+
+
+def _quad(f, a, b, **kwargs):
+    """(value, bound) of one integral over [a, b]: a one-interval batch."""
+    (value,), (bound,) = adaptive_quad_many(f, [(a, b)], **kwargs)
+    return value, bound
+
+
+def _quad_2d(f, ax, bx, ay, by, **kwargs):
+    """(value, bound) of one integral over [ax, bx] x [ay, by]: a one-box batch."""
+    (value,), (bound,) = adaptive_quad_2d_many(f, [(ax, bx, ay, by)], **kwargs)
+    return value, bound
 
 
 @pytest.mark.parametrize(
@@ -56,9 +66,9 @@ def test_quadrature_keywords_are_refused_before_any_evaluation(kwargs):
         return (x * y) ** 0.5
 
     with pytest.raises(ParameterError):
-        adaptive_quad(root_1d, 0.0, 1.0, **kwargs)
+        _quad(root_1d, 0.0, 1.0, **kwargs)
     with pytest.raises(ParameterError):
-        adaptive_quad_2d(root_2d, 0.0, 1.0, 0.0, 1.0, **kwargs)
+        _quad_2d(root_2d, 0.0, 1.0, 0.0, 1.0, **kwargs)
     assert calls == []
 
 
@@ -139,7 +149,7 @@ class TestIntegrandCalls:
             shapes.append((x.shape, y.shape))
             return np.sqrt(x * y)
 
-        adaptive_quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
+        _quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
         first, rest = shapes[:2], shapes[2:]
         assert first == [((1, 7, 1), (1, 1, 7)), ((1, 15, 1), (1, 1, 15))]
         assert rest and rest == [((4, 7, 1), (4, 1, 7)), ((4, 15, 1), (4, 1, 15))] * (len(rest) // 2)
@@ -154,7 +164,7 @@ class TestIntegrandCalls:
             shapes.append(x.shape)
             return np.sqrt(x)
 
-        adaptive_quad(fn, 0.0, 1.0)
+        _quad(fn, 0.0, 1.0)
         first, rest = shapes[:2], shapes[2:]
         assert first == [(1, 7), (1, 15)]
         assert rest and rest == [(2, 7), (2, 15)] * (len(rest) // 2)
@@ -162,46 +172,46 @@ class TestIntegrandCalls:
 
 class TestAdaptiveQuad:
     def test_polynomial(self):
-        value, err = adaptive_quad(lambda x: x**2, 0.0, 1.0)
+        value, err = _quad(lambda x: x**2, 0.0, 1.0)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-13)
         assert err <= 1e-10
 
     def test_inverse_square(self):
-        value, _ = adaptive_quad(lambda x: x**-2.0, 1.0, 2.0)
+        value, _ = _quad(lambda x: x**-2.0, 1.0, 2.0)
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_kink(self):
-        value, _ = adaptive_quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, abs_tol=1e-11)
+        value, _ = _quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, abs_tol=1e-11)
         exact = (1.0 / 3.0) ** 2 / 2.0 + (2.0 / 3.0) ** 2 / 2.0
         assert value == pytest.approx(exact, abs=1e-10)
 
     def test_oscillatory_vs_scipy(self):
         fn = lambda x: np.sin(7.0 * x) * np.exp(-x)
-        value, _ = adaptive_quad(fn, 0.0, 5.0, abs_tol=1e-11)
+        value, _ = _quad(fn, 0.0, 5.0, abs_tol=1e-11)
         expected, _ = scipy.integrate.quad(lambda x: math.sin(7.0 * x) * math.exp(-x), 0.0, 5.0)
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_empty_range(self):
-        assert adaptive_quad(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
-        assert adaptive_quad(lambda x: x, 3.0, 2.0) == (0.0, 0.0)
+        assert _quad(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
+        assert _quad(lambda x: x, 3.0, 2.0) == (0.0, 0.0)
 
     def test_budget_exhaustion(self):
         # integrable endpoint singularity: every split leaves a hard panel
         spike = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300))
         with pytest.raises(QuadratureError) as excinfo:
-            adaptive_quad(spike, 0.0, 1.0, abs_tol=1e-12, max_panels=8)
+            _quad(spike, 0.0, 1.0, abs_tol=1e-12, max_panels=8)
         assert excinfo.value.estimate == pytest.approx(2.0, rel=0.5)
         assert excinfo.value.error_bound > 1e-12
 
 
 class TestAdaptiveQuad2D:
     def test_separable_polynomial(self):
-        value, _ = adaptive_quad_2d(lambda x, y: x * y**2, 0.0, 1.0, 0.0, 2.0)
+        value, _ = _quad_2d(lambda x, y: x * y**2, 0.0, 1.0, 0.0, 2.0)
         assert value == pytest.approx(0.5 * 8.0 / 3.0, abs=1e-11)
 
     def test_vs_scipy_dblquad(self):
         fn = lambda x, y: np.exp(-x * y) / (1.0 + x + y)
-        value, _ = adaptive_quad_2d(fn, 0.0, 2.0, 0.0, 3.0, abs_tol=1e-10)
+        value, _ = _quad_2d(fn, 0.0, 2.0, 0.0, 3.0, abs_tol=1e-10)
         expected, _ = scipy.integrate.dblquad(
             lambda y, x: math.exp(-x * y) / (1.0 + x + y), 0.0, 2.0, 0.0, 3.0
         )
@@ -214,18 +224,18 @@ class TestAdaptiveQuad2D:
         )
         # interior kinks not aligned with dyadic panel edges converge slowly;
         # production integrations pre-split at the support edge instead
-        value, _ = adaptive_quad_2d(fn, 0.5, 2.0, 0.5, 3.0, abs_tol=1e-8)
+        value, _ = _quad_2d(fn, 0.5, 2.0, 0.5, 3.0, abs_tol=1e-8)
         one_d = 0.5 + (1.0 - 0.5)  # integral of min(1, x^-2) over [0.5, 2]
         other = 0.5 + (1.0 - 1.0 / 3.0)
         assert value == pytest.approx(one_d * other, abs=1e-7)
 
     def test_empty(self):
-        assert adaptive_quad_2d(lambda x, y: x + y, 1.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
+        assert _quad_2d(lambda x, y: x + y, 1.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
 
     def test_determinism(self):
         fn = lambda x, y: np.cos(x) * np.sin(y + 0.2) + x * y
-        a = adaptive_quad_2d(fn, 0.0, 3.0, 0.0, 2.0, abs_tol=1e-10)
-        b = adaptive_quad_2d(fn, 0.0, 3.0, 0.0, 2.0, abs_tol=1e-10)
+        a = _quad_2d(fn, 0.0, 3.0, 0.0, 2.0, abs_tol=1e-10)
+        b = _quad_2d(fn, 0.0, 3.0, 0.0, 2.0, abs_tol=1e-10)
         assert a == b
 
 
@@ -281,14 +291,16 @@ def _quad_alone(panel, split, region, abs_tol, max_panels, what):
 def _alone_1d(f, a, b, abs_tol=1e-10, max_panels=QuadSpec.max_panels):
     if not b > a:
         return 0.0, 0.0
-    return _quad_alone(lambda *bounds: _panel_1d(f, *bounds), _halves, (a, b), abs_tol, max_panels, "adaptive_quad")
+    return _quad_alone(
+        lambda *bounds: _panel_1d(f, *bounds), _halves, (a, b), abs_tol, max_panels, "adaptive_quad_many"
+    )
 
 
 def _alone_2d(f, ax, bx, ay, by, abs_tol=QuadSpec.abs_tol, max_panels=QuadSpec.max_panels):
     if not (bx > ax and by > ay):
         return 0.0, 0.0
     return _quad_alone(
-        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, max_panels, "adaptive_quad_2d"
+        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, max_panels, "adaptive_quad_2d_many"
     )
 
 
@@ -333,12 +345,11 @@ class TestLockstep:
     @settings(max_examples=30)
     def test_factor_integrals(self, alpha, r, s, us, in_flight):
         marginal = ParetoMarginal(alpha)
-        f = _integrand_of("adaptive_quad_many", lambda: pqdslln.gfun.g_factor_many(r, s, marginal, [2.0]))
+        f = _integrand_of("adaptive_quad_many", lambda: pqdslln.gfun.g_factor(r, s, marginal, [2.0]))
         intervals = [(max(-u, marginal.support_min), u) for u in us]
         with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
             batched = _batched(adaptive_quad_many, f, intervals)
         assert batched == _bits(_alone_1d(f, a, b) for a, b in intervals)
-        assert batched == _bits(adaptive_quad(f, a, b) for a, b in intervals)
 
     @given(
         theta=st.floats(0.0, 1.0),
@@ -351,12 +362,11 @@ class TestLockstep:
     @settings(max_examples=20)
     def test_gap_integrals(self, theta, r, s, alpha, uv, in_flight):
         field = DeltaField(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(alpha))
-        f = _integrand_of("adaptive_quad_2d_many", lambda: pqdslln.gfun.g_numeric_many(field, [(2.0, 2.0)]))
+        f = _integrand_of("adaptive_quad_2d_many", lambda: pqdslln.gfun.g_numeric(field, [(2.0, 2.0)]))
         boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in uv]
         with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
             batched = _batched(adaptive_quad_2d_many, f, boxes)
         assert batched == _bits(_alone_2d(f, *box) for box in boxes)
-        assert batched == _bits(adaptive_quad_2d(f, *box) for box in boxes)
 
     @given(
         p=st.floats(1.0, 1.9),
@@ -382,7 +392,7 @@ class TestLockstep:
             shapes.append((x.shape, y.shape))
             return np.sqrt(x * y)
 
-        adaptive_quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
+        _quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
         alone = list(shapes)
         shapes.clear()
         adaptive_quad_2d_many(fn, [(0.0, 1.0, 0.0, 1.0)] * 3, abs_tol=1e-6)
@@ -417,7 +427,6 @@ class TestLockstepErrors:
         expected = self._raised(lambda: _alone_1d(spike, 0.0, 1.0, **kwargs))
         assert "panel budget 8 exhausted" in expected[0]
         assert self._raised(lambda: adaptive_quad_many(spike, intervals, **kwargs)) == expected
-        assert self._raised(lambda: adaptive_quad(spike, 0.0, 1.0, **kwargs)) == expected
 
     def test_budget_exhausted_mid_batch_2d(self):
         spike = lambda x, y: 1.0 / np.sqrt(np.maximum(x * y, 1e-300))

@@ -79,6 +79,26 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("a, n, expected", [(-3.0, 5, -0.0), (-200.0, 300, 0.0), (-1.0, 10**9, -0.0)])
+    def test_zero_factor_gives_its_signed_zero(self, a, n, expected):
+        # (-m)_n for m < n: the sign of the m nonzero factors before the zero one
+        value = pochhammer(a, n)
+        assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("a, n", [(0.5, 30_000_000), (-200.5, 300), (-200.0, 150)])
+    def test_overflow_is_numeric_error(self, a, n):
+        with pytest.raises(NumericError, match="overflows"):
+            pochhammer(a, n)
+
+    @pytest.mark.parametrize("a", [0.5, -3.0, -0.5, 1e-300])
+    def test_huge_n_ends_at_once(self, a):
+        start = time.perf_counter()
+        try:
+            pochhammer(a, 10**9)
+        except NumericError:
+            pass
+        assert time.perf_counter() - start < 1.0
+
 
 class TestGauss2F1:
     @given(
@@ -209,6 +229,19 @@ class TestGauss2F1:
     def test_convergent_series_near_one_are_summed(self, a, b, c, z):
         expected = float(mpmath.hyp2f1(a, b, c, z))
         assert gauss_2f1(a, b, c, z) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "a,b,z",
+        [
+            (200.0, 200.0, 0.9),  # a term overflows
+            (200.0, 200.0, np.array([0.1, 0.9])),  # only one element overflows
+            (-1000.0, -1000.0, 0.99),  # terminating: the sum overflows
+            (-1000.0, -1000.0, -0.99),  # terminating and alternating: inf - inf
+        ],
+    )
+    def test_overflow_is_numeric_error(self, a, b, z):
+        with pytest.raises(NumericError, match="overflows"):
+            gauss_2f1(a, b, 1.0, z)
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(pqdslln.specfun, "_MAX_TERMS", 40)
