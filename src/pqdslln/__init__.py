@@ -8,14 +8,10 @@ __version__ = "0.1.0"
 from .borel_cantelli import (
     BracketCheck,
     EventSystem,
-    GfmDependence,
-    ScaledTailRatio,
     epsilon_bracket_check,
     event_prob,
-    event_probs,
     pair_event_prob,
     renyi_lamperti_ratios,
-    scaled_tail_ratio,
 )
 from .conditions import (
     CONVERGES,
@@ -29,15 +25,7 @@ from .conditions import (
     tail_condition,
     verdict_from_terms,
 )
-from .copulas import (
-    FunctionDescriptor,
-    GfmCopula,
-    PerturbationCopula,
-    ThetaSchedule,
-    pqd_grid_check,
-    sample_pairs,
-    theta_admissible_bound,
-)
+from .copulas import GfmCopula, PowerSchedule
 from .errors import (
     DomainError,
     Error,
@@ -62,9 +50,7 @@ from .simulate import (
     MultivariateFgmModel,
     PathReport,
     SlnnRun,
-    count_exceedances,
     replicate_rng,
     run_slln,
-    sample_uniform_paths,
 )
 from .specfun import HypergeometricArgs, gamma, gauss_2f1, pochhammer

@@ -9,10 +9,7 @@ pairwise joint probabilities, the Renyi-Lamperti pair-sum ratio
 
 with the diagonal convention P(A_k n A_k) = P(A_k), the epsilon-bracket
 lower bound that converts joint-survival integrals into joint tail
-probabilities, and the ceiling-scaled tail-ratio chain
-
-    1 <= sum_{k<=n} P{eps X > k^(1/p)} / sum_{k<=n} P{X > k^(1/p)}
-      <= eps^p + eps^p / sum_{k<=n} P{X > k^(1/p)}.
+probabilities.
 
 The dependence term of every pair law is the pair copula's own gap
 (:meth:`GfmCopula.gap`); double sums use cumulative prefix reductions in
@@ -27,55 +24,43 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import GfmCopula, ThetaSchedule, carried_cumsum, power_factor, separable_pair_sums
-from .errors import DomainError, NumericError, ParameterError, UndefinedRatioError
+from .copulas import GfmCopula, PowerSchedule, carried_cumsum, power_factor, separable_pair_sums
+from .errors import DomainError, ParameterError, UndefinedRatioError
 from .marginals import ParetoMarginal
 from .quadrature import adaptive_quad_2d_many
 
 __all__ = [
-    "GfmDependence",
     "EventSystem",
     "BracketCheck",
-    "ScaledTailRatio",
     "event_prob",
-    "event_probs",
     "pair_event_prob",
     "renyi_lamperti_ratios",
     "epsilon_bracket_check",
-    "scaled_tail_ratio",
 ]
 
 _BRACKET_ABS_TOL = 1e-9  # absolute tolerance of the bracket integral, shared by its pieces
 _CHUNK = 1 << 15  # indices per pass of the pair-sum ratio: 256 KB per array, small enough to stay in cache
-
-@dataclass(frozen=True)
-class GfmDependence:
-    """Pairwise power-family dependence with a pair-indexed strength schedule."""
-
-    r: float
-    s: float
-    schedule: ThetaSchedule
-
-    def __post_init__(self):
-        GfmCopula(theta=0.0, r=self.r, s=self.s)  # the family's r, s >= 1 rule
-
-    def copula(self, k: int, j: int) -> GfmCopula:
-        lo, hi = (k, j) if k < j else (j, k)
-        return GfmCopula(theta=self.schedule.theta(lo, hi), r=self.r, s=self.s)
 
 
 @dataclass(frozen=True)
 class EventSystem:
     """Threshold-exceedance event family for one normalising exponent p.
 
-    ``dependence`` is None for independent coordinates.
+    Coordinates k < j are coupled by the power-family copula with strength
+    ``schedule.theta(k, j)`` and exponents r, s; ``schedule`` is None for
+    independent coordinates, which ignore r and s.
     """
 
     p: float
     marginal: ParetoMarginal
-    dependence: GfmDependence | None = None
+    schedule: PowerSchedule | None = None
+    r: float = 1.0
+    s: float = 1.0
 
     def __post_init__(self):
+        if self.schedule is not None:
+            self.schedule.check_window(self.p)
+            GfmCopula(theta=0.0, r=self.r, s=self.s)  # the family's r, s >= 1 rule
         if not 1.0 <= self.p < 2.0:
             raise ParameterError(f"event system requires 1 <= p < 2, got p={self.p!r}")
 
@@ -91,19 +76,12 @@ def event_prob(es: EventSystem, k: int) -> float:
     return float(es.marginal.survival(es.threshold(k)))
 
 
-def event_probs(es: EventSystem, n: int) -> np.ndarray:
-    """Vector of event probabilities for k = 1..n."""
-    if n < 1:
-        raise DomainError(f"event count must be positive, got {n!r}")
-    t = np.arange(1, n + 1, dtype=float) ** (1.0 / es.p)
-    return np.asarray(es.marginal.survival(t), dtype=float)
-
-
 def _pair_copula(es: EventSystem, k: int, j: int) -> GfmCopula:
     """The copula of (X_k, X_j); the independence copula (zero gap) when there is no dependence."""
-    if es.dependence is None:
+    if es.schedule is None:
         return GfmCopula(theta=0.0)
-    return es.dependence.copula(k, j)
+    lo, hi = (k, j) if k < j else (j, k)
+    return GfmCopula(theta=es.schedule.theta(lo, hi), r=es.r, s=es.s)
 
 
 def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
@@ -140,11 +118,10 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
         idx = np.arange(lo + 1, min(lo + _CHUNK, n_max) + 1, dtype=float)
         probs = np.asarray(es.marginal.survival(idx ** (1.0 / es.p)), dtype=float)
         terms = [probs, probs * probs]
-        if es.dependence is not None:
+        if es.schedule is not None:
             # 1 - P(A_k) is the Pareto cdf at the threshold, bit for bit: both share one power
-            h = power_factor(1.0 - probs, es.dependence.r, es.dependence.s)
-            schedule = es.dependence.schedule
-            pairs, k_carry = separable_pair_sums(idx**schedule.mu * h, idx**schedule.nu * h, k_carry)
+            h = power_factor(1.0 - probs, es.r, es.s)
+            pairs, k_carry = separable_pair_sums(idx**es.schedule.mu * h, idx**es.schedule.nu * h, k_carry)
             terms.append(pairs)
         here = (at >= lo) & (at < lo + idx.size)
         for i, term in enumerate(terms):
@@ -207,33 +184,3 @@ def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> Bracke
     quad_error = math.fsum(errors)
     rhs = ((eps - 1.0) / eps) ** 2 * xk * xj * pair_event_prob(es, k, j)
     return BracketCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-9), quad_error=quad_error)
-
-
-class ScaledTailRatio(NamedTuple):
-    ratio: float
-    lower: float
-    upper: float
-
-
-def scaled_tail_ratio(es: EventSystem, eps: float, n: int) -> ScaledTailRatio:
-    """Ratio of scaled to unscaled tail sums together with its sandwich bounds.
-
-    ratio = sum_{k<=n} P{eps X > k^(1/p)} / sum_{k<=n} P{X > k^(1/p)}; the
-    chain gives 1 <= ratio <= eps^p + eps^p / sum_{k<=n} P{X > k^(1/p)}.
-    """
-    if not eps > 1.0:
-        raise DomainError(f"tail-ratio chain requires eps > 1, got {eps!r}")
-    if n < 1:
-        raise DomainError(f"tail-ratio chain requires n >= 1, got {n!r}")
-    t = np.arange(1, n + 1, dtype=float) ** (1.0 / es.p)
-    denom = math.fsum(np.asarray(es.marginal.survival(t), dtype=float))
-    if denom <= 0.0:
-        raise UndefinedRatioError("unscaled tail sum vanishes; the ratio is undefined")
-    numer = math.fsum(np.asarray(es.marginal.survival(t / eps), dtype=float))
-    ratio = numer / denom
-    upper = eps**es.p + eps**es.p / denom
-    if not (1.0 - 1e-12 <= ratio <= upper * (1.0 + 1e-12)):
-        raise NumericError(
-            f"tail-ratio chain violated: ratio={ratio!r} outside [1, {upper!r}]"
-        )
-    return ScaledTailRatio(ratio=ratio, lower=1.0, upper=upper)

@@ -31,9 +31,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .borel_cantelli import EventSystem, GfmDependence, epsilon_bracket_check, renyi_lamperti_ratios
+from .borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lamperti_ratios
 from .conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
-from .copulas import GfmCopula, ThetaSchedule
+from .copulas import GfmCopula, PowerSchedule
 from .errors import DomainError, NumericError, ParameterError
 from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
 from .marginals import ParetoMarginal
@@ -160,17 +160,19 @@ def _n_grid_text(grid: list[int]) -> str:
     return ",".join(map(str, grid))
 
 
+def _series_schedule(params: dict) -> PowerSchedule:
+    """The schedule of ``condition check`` and ``report example``, refused outside its window."""
+    schedule = PowerSchedule(params["mu"], params["nu"])
+    schedule.check_window(params["p"])
+    return schedule
+
+
 def _event_system(params: dict) -> EventSystem:
     """The Pareto event system of ``bc ratio`` and ``bc bracket``."""
     marginal = ParetoMarginal(params["alpha"])
     theta = params["theta_spec"]
-    dependence = None
-    if theta["kind"] != "zero":
-        schedule = ThetaSchedule(mu=theta["mu"], nu=theta["nu"], p=params["p"])
-        if theta["scale"] != 1.0:
-            raise ParameterError("analytic event systems take the schedule as-is; scale is only for 'simulate'")
-        dependence = GfmDependence(r=params["r"], s=params["s"], schedule=schedule)
-    return EventSystem(p=params["p"], marginal=marginal, dependence=dependence)
+    schedule = None if theta["kind"] == "zero" else PowerSchedule(theta["mu"], theta["nu"], theta["scale"])
+    return EventSystem(params["p"], marginal, schedule, params["r"], params["s"])
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +224,7 @@ def _run_g_eval(params: dict):
 
 
 def _run_condition_check(params: dict):
-    schedule = ThetaSchedule(mu=params["mu"], nu=params["nu"], p=params["p"])
+    schedule = _series_schedule(params)
     marginal = ParetoMarginal(params["alpha"])
     kind = params["kind"]
     j_values, terms = condition_terms(
@@ -256,9 +258,8 @@ def _run_simulate_slln(params: dict):
     theta = params["theta_spec"]
     model = None
     if theta["kind"] != "zero":
-        model = MultivariateFgmModel.from_power_schedule(
-            params["n_max"], theta["mu"], theta["nu"], theta["scale"], window=params.get("window")
-        )
+        schedule = PowerSchedule(theta["mu"], theta["nu"], theta["scale"], params.get("window"))
+        model = MultivariateFgmModel.from_power_schedule(params["n_max"], schedule)
     run = SlnnRun(
         p=params["p"],
         marginal=ParetoMarginal(params["alpha"]),
@@ -295,13 +296,13 @@ def _run_simulate_slln(params: dict):
 
 def _run_report_example(params: dict):
     p, mu, nu, r, s, n_terms = (params[k] for k in ("p", "mu", "nu", "r", "s", "N"))
-    schedule = ThetaSchedule(mu=mu, nu=nu, p=p)
+    schedule = _series_schedule(params)
     marginal = ParetoMarginal(params["alpha"])
     window = {
         "lower": 1.0 / p - 1.0,
         "mu": mu,
         "upper": 2.0 / p - 2.0 - nu,
-        "holds": True,  # ThetaSchedule construction enforces it
+        "holds": True,  # check_window enforces it
     }
 
     grid = (1.5, 2.0, 5.0, 20.0)

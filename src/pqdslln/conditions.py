@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import ThetaSchedule, separable_pair_sums
+from .copulas import PowerSchedule, separable_pair_sums
 from .errors import ParameterError
 from .gfun import bracket_limit, g_closed_bracket, g_factor
 from .marginals import ParetoMarginal
@@ -145,7 +145,7 @@ def _weight_exponents(kind: str, p: float) -> tuple[float, float, float]:
 def condition_terms(
     kind: str,
     p: float,
-    schedule: ThetaSchedule,
+    schedule: PowerSchedule,
     r: float,
     s: float,
     marginal: ParetoMarginal,
@@ -154,14 +154,12 @@ def condition_terms(
     """Per-j aggregated terms T_j = sum_{k<j} w(k,j) G(thresholds), j = 2..N.
 
     Returns (j_values, terms).  The factorization G = theta B B is exploited
-    to cache one factor value per index.
+    to cache one factor value per index.  The schedule must pass its
+    :meth:`~PowerSchedule.check_window` at p.
     """
     if kind not in _KINDS:
         raise ParameterError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
-    if not 1.0 <= p < 2.0:
-        raise ParameterError(f"series evaluation requires 1 <= p < 2, got p={p!r}")
-    if schedule.p != p:
-        raise ParameterError(f"schedule was built for p={schedule.p!r}, series evaluation uses p={p!r}")
+    schedule.check_window(p)
     if n_terms < 2:
         raise ParameterError(f"series truncation requires N >= 2, got {n_terms!r}")
     wk, wj, inv_p = _weight_exponents(kind, p)

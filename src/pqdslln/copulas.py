@@ -1,57 +1,37 @@
-"""Bivariate dependence structures, admissibility bounds and pair sampling.
+"""The power-family pair copula and the pair-indexed schedule of its strengths.
 
-Two families are provided.  The power family
+The power family
 
     C(u, v) = u v + theta * u^s v^s (1 - u)^r (1 - v)^r,   0 <= theta <= 1, r, s >= 1
 
 is positively quadrant dependent for every admissible parameter choice
 (the perturbation is a nonnegative product), and reduces to the classical
-bilinear-perturbation copula at r = s = 1.  The generic perturbation family
+bilinear-perturbation copula at r = s = 1.
 
-    C(u, v) = u v + theta * phi(u) psi(v)
-
-is admissible for 0 <= theta <= -1 / min(inf phi' * sup psi', sup phi' * inf psi')
-when phi and psi vanish at 0 and 1.
-
-Pair-indexed dependence strengths theta_{k,j} = k^mu * j^nu live in
-:class:`ThetaSchedule`, whose construction enforces the exponent window
-1/p - 1 < mu < 2/p - 2 - nu that makes the weighted covariance series
-summable, plus the explicit guarantee theta_{k,j} in [0, 1] for all k < j.
+Pair-indexed dependence strengths theta_{k,j} = scale * k^mu * j^nu live in
+:class:`PowerSchedule`, which every command reads.  Its
+:meth:`~PowerSchedule.check_window` enforces, for the analytic commands,
+the exponent window 1/p - 1 < mu < 2/p - 2 - nu that makes the weighted
+covariance series summable, plus the explicit guarantee theta_{k,j} in
+[0, 1] for all k < j; simulation may explore outside it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .marginals import Marginal, _scalar_or_array
+from .errors import ParameterError
+from .marginals import _scalar_or_array
 
-__all__ = [
-    "GfmCopula",
-    "FunctionDescriptor",
-    "PerturbationCopula",
-    "ThetaSchedule",
-    "pqd_grid_check",
-    "theta_admissible_bound",
-    "sample_pairs",
-]
-
-_BISECT_STEPS = 52  # halves [0, 1] down to ~2e-16, well inside the 1e-12 contract
+__all__ = ["GfmCopula", "PowerSchedule"]
 
 
 def power_factor(f, r: float, s: float):
     """The power-family factor f^s (1 - f)^r, in the operand types it is given."""
     return f**s * (1.0 - f) ** r
-
-
-def _cdf_from_gap(copula, u, v):
-    """C(u, v) = u v + gap(u, v), the CDF of either family from its dependence gap."""
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    return _scalar_or_array(np.asarray(uu * vv + copula.gap(uu, vv)))
 
 
 @dataclass(frozen=True)
@@ -77,115 +57,56 @@ class GfmCopula:
         """The dependence gap C(u, v) - u v = theta u^s v^s (1-u)^r (1-v)^r, without cancellation."""
         return _scalar_or_array(np.asarray(self.theta * self.perturbation_factor(u) * self.perturbation_factor(v)))
 
-    cdf = _cdf_from_gap
-
-    def conditional(self, u, v):
-        """Conditional CDF P{V <= v | U = u} = dC/du; a CDF in v for admissible theta."""
+    def cdf(self, u, v):
+        """C(u, v) = u v + gap(u, v)."""
         uu = np.asarray(u, dtype=float)
         vv = np.asarray(v, dtype=float)
-        du = self.s * uu ** (self.s - 1.0) * (1.0 - uu) ** self.r - self.r * uu**self.s * (1.0 - uu) ** (
-            self.r - 1.0
-        )
-        out = vv + self.theta * self.perturbation_factor(vv) * du
-        return _scalar_or_array(np.asarray(out))
+        return _scalar_or_array(np.asarray(uu * vv + self.gap(uu, vv)))
 
 
 @dataclass(frozen=True)
-class FunctionDescriptor:
-    """A perturbation profile on [0, 1] with analytic derivative range.
+class PowerSchedule:
+    """Pair-indexed dependence strengths theta_{k,j} = scale * k^mu * j^nu.
 
-    ``deriv_inf`` and ``deriv_sup`` are the infimum and supremum of the
-    derivative where it exists; they are supplied by the caller because
-    numerical inf/sup estimation is unreliable at kinks.
-    """
-
-    fn: Callable
-    deriv_inf: float
-    deriv_sup: float
-
-
-def theta_admissible_bound(phi: FunctionDescriptor, psi: FunctionDescriptor) -> float:
-    """Largest admissible theta for the perturbation family built from phi, psi."""
-    if not (phi.deriv_inf < 0.0 < phi.deriv_sup):
-        raise DomainError(
-            f"phi derivative range must straddle 0, got [{phi.deriv_inf!r}, {phi.deriv_sup!r}]"
-        )
-    if not (psi.deriv_inf < 0.0 < psi.deriv_sup):
-        raise DomainError(
-            f"psi derivative range must straddle 0, got [{psi.deriv_inf!r}, {psi.deriv_sup!r}]"
-        )
-    return -1.0 / min(phi.deriv_inf * psi.deriv_sup, phi.deriv_sup * psi.deriv_inf)
-
-
-@dataclass(frozen=True)
-class PerturbationCopula:
-    """Generic perturbation copula u v + theta phi(u) psi(v)."""
-
-    theta: float
-    phi: FunctionDescriptor
-    psi: FunctionDescriptor
-
-    def __post_init__(self):
-        for name, desc in (("phi", self.phi), ("psi", self.psi)):
-            for t in (0.0, 1.0):
-                if abs(float(desc.fn(t))) > 1e-12:
-                    raise ParameterError(f"{name} must vanish at 0 and 1, got {name}({t}) = {desc.fn(t)!r}")
-        bound = theta_admissible_bound(self.phi, self.psi)
-        if not 0.0 <= self.theta <= bound + 1e-12:
-            raise ParameterError(
-                f"theta must lie in [0, {bound!r}] for these perturbation profiles, got {self.theta!r}"
-            )
-
-    def gap(self, u, v):
-        """The dependence gap C(u, v) - u v = theta phi(u) psi(v), without cancellation."""
-        uu = np.asarray(u, dtype=float)
-        vv = np.asarray(v, dtype=float)
-        out = self.theta * np.asarray(self.phi.fn(uu), dtype=float) * np.asarray(self.psi.fn(vv), dtype=float)
-        return _scalar_or_array(np.asarray(out))
-
-    cdf = _cdf_from_gap
-
-
-def pqd_grid_check(cdf, m: int) -> bool:
-    """True iff C(u, v) - u v >= -1e-12 on the (m+1) x (m+1) uniform grid."""
-    if m < 2:
-        raise DomainError(f"grid size must be at least 2, got {m!r}")
-    grid = np.linspace(0.0, 1.0, m + 1)
-    uu, vv = np.meshgrid(grid, grid, indexing="ij")
-    try:
-        values = np.asarray(cdf(uu, vv), dtype=float)
-        if values.shape != uu.shape:
-            raise TypeError
-    except TypeError:
-        values = np.array([[float(cdf(a, b)) for b in grid] for a in grid])
-    return bool(np.all(values - uu * vv >= -1e-12))
-
-
-@dataclass(frozen=True)
-class ThetaSchedule:
-    """Pair-indexed dependence strengths theta_{k,j} = k^mu * j^nu.
-
-    Construction enforces the window 1/p - 1 < mu < 2/p - 2 - nu and the
-    resulting guarantee theta_{k,j} in [0, 1] for all 1 <= k < j.
+    ``window`` keeps only the pairs with j - k <= window (None keeps all).
+    Construction needs finite exponents, a finite scale >= 0 and a positive
+    window; the analytic commands add :meth:`check_window`.
     """
 
     mu: float
     nu: float
-    p: float
+    scale: float = 1.0
+    window: int | None = None
 
     def __post_init__(self):
-        if not 1.0 <= self.p < 2.0:
-            raise ParameterError(f"schedule requires 1 <= p < 2, got p={self.p!r}")
-        lo = 1.0 / self.p - 1.0
-        hi = 2.0 / self.p - 2.0 - self.nu
+        if not (math.isfinite(self.mu) and math.isfinite(self.nu) and 0.0 <= self.scale < math.inf):
+            raise ParameterError(
+                f"schedule needs finite mu, nu and scale >= 0, "
+                f"got mu={self.mu!r}, nu={self.nu!r}, scale={self.scale!r}"
+            )
+        if self.window is not None and self.window < 1:
+            raise ParameterError(f"dependence window must be positive, got {self.window!r}")
+
+    def check_window(self, p: float) -> None:
+        """Refuse the schedule unless it is the paper's at exponent p.
+
+        That is 1 <= p < 2, the window 1/p - 1 < mu < 2/p - 2 - nu that makes
+        the weighted covariance series summable, the resulting guarantee
+        theta_{k,j} in [0, 1] for all 1 <= k < j, and scale 1 with no
+        dependence window.
+        """
+        if not 1.0 <= p < 2.0:
+            raise ParameterError(f"schedule requires 1 <= p < 2, got p={p!r}")
+        lo = 1.0 / p - 1.0
+        hi = 2.0 / p - 2.0 - self.nu
         if not self.mu > lo:
             raise ParameterError(
-                f"schedule violates 1/p - 1 < mu: mu={self.mu!r} is not above {lo!r} (p={self.p!r})"
+                f"schedule violates 1/p - 1 < mu: mu={self.mu!r} is not above {lo!r} (p={p!r})"
             )
         if not self.mu < hi:
             raise ParameterError(
                 f"schedule violates mu < 2/p - 2 - nu: mu={self.mu!r} is not below {hi!r} "
-                f"(p={self.p!r}, nu={self.nu!r})"
+                f"(p={p!r}, nu={self.nu!r})"
             )
         # window nonemptiness forces nu < 1/p - 1 <= 0; check the [0, 1]
         # range guarantee explicitly anyway
@@ -196,12 +117,26 @@ class ThetaSchedule:
                 )
         elif self.nu > 0.0:
             raise ParameterError(f"schedule would exceed 1: nu must be <= 0 when mu < 0, got {self.nu!r}")
+        if self.scale != 1.0 or self.window is not None:
+            raise ParameterError("analytic event systems take the schedule as-is; scale is only for 'simulate'")
 
     def theta(self, k: int, j: int) -> float:
-        """theta_{k,j} = k^mu * j^nu for 1 <= k < j."""
+        """theta_{k,j} = scale * k^mu * j^nu for 1 <= k < j (the window is not applied)."""
         if not 1 <= k < j:
             raise ParameterError(f"schedule index requires 1 <= k < j, got k={k!r}, j={j!r}")
-        return float(k) ** self.mu * float(j) ** self.nu
+        return self.scale * float(k) ** self.mu * float(j) ** self.nu
+
+    def theta_sum(self, n: int) -> float:
+        """sum of theta_{k,j} over the pairs 1 <= k < j <= n inside the window; inf or nan on overflow."""
+        if n < 2 or self.scale == 0.0:
+            return 0.0
+        idx = np.arange(1, n + 1, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused by the caller
+            kp = np.concatenate(([0.0], np.cumsum(idx**self.mu)))  # kp[i] = sum_{k <= i} k^mu
+            j = np.arange(2, n + 1)
+            lo = 0 if self.window is None else np.maximum(0, j - 1 - self.window)
+            inner = kp[j - 1] - kp[lo]
+            return self.scale * float(np.dot(idx[1:] ** self.nu, inner))
 
 
 def carried_cumsum(x: np.ndarray, carry: float = 0.0) -> np.ndarray:
@@ -225,32 +160,3 @@ def separable_pair_sums(k_part: np.ndarray, j_part: np.ndarray, carry: float = 0
     """
     prefix = carried_cumsum(k_part, carry)
     return j_part * (prefix - k_part), float(prefix[-1])
-
-
-def _solve_conditional(copula: GfmCopula, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve conditional(u, v) = w for v by bisection, to ~1e-12 in v."""
-    lo = np.zeros_like(w)
-    hi = np.ones_like(w)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(copula.conditional(u, mid)) < w
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    v = 0.5 * (lo + hi)
-    residual = np.max(np.abs(np.asarray(copula.conditional(u, v)) - w))
-    if residual > 1e-9:
-        raise ParameterError(
-            f"conditional inversion failed (residual {residual:.3e}); copula parameters are inadmissible"
-        )
-    return v
-
-
-def sample_pairs(copula: GfmCopula, marginal: Marginal, rng: np.random.Generator, n: int):
-    """Draw n dependent pairs (X, Y) by conditional inversion; returns (n,) arrays."""
-    u = rng.random(n)
-    w = rng.random(n)
-    if copula.theta == 0.0:
-        v = w
-    else:
-        v = _solve_conditional(copula, u, w)
-    return marginal.quantile(u), marginal.quantile(v)

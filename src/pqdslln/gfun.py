@@ -6,8 +6,8 @@ dependence gap is
     delta(x, y) = C(F(x), F(y)) - F(x) F(y),
 
 identical in survival form and CDF form, and the covariance functional is
-its double integral over [-u, u] x [-v, v].  Both shipped copula families
-are C(u, v) = u v + gap(u, v), so delta is evaluated as gap(F(x), F(y)),
+its double integral over [-u, u] x [-v, v].  The power-family copula is
+C(u, v) = u v + gap(u, v), so delta is evaluated as gap(F(x), F(y)),
 free of the cancellation in the difference.  Three routes are provided:
 
 * ``g_numeric``     adaptive product quadrature of delta in y = log x on
@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import GfmCopula, PerturbationCopula, power_factor
+from .copulas import GfmCopula, power_factor
 from .errors import DomainError
-from .marginals import Marginal, ParetoMarginal
+from .marginals import Marginal
 from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
@@ -161,7 +161,7 @@ class DeltaField:
     support.
     """
 
-    copula: GfmCopula | PerturbationCopula
+    copula: GfmCopula
     marginal: Marginal
 
     def delta(self, x, y):

@@ -42,11 +42,12 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .copulas import PowerSchedule
 from .errors import NumericError, ParameterError
 from .marginals import ParetoMarginal
 
@@ -56,9 +57,7 @@ __all__ = [
     "MultivariateFgmModel",
     "SlnnRun",
     "PathReport",
-    "sample_uniform_paths",
     "run_slln",
-    "count_exceedances",
     "replicate_rng",
 ]
 
@@ -86,47 +85,34 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class MultivariateFgmModel:
-    """Joint bilinear-perturbation law with strengths theta_{kj} = scale * k^mu * j^nu.
+    """Joint bilinear-perturbation law on n coordinates with strengths ``schedule.theta(k, j)``.
 
     Build via :meth:`from_power_schedule`, which rescales the strengths to the
     admissibility budget with a warning.
     """
 
     n: int
-    mu: float = 0.0
-    nu: float = 0.0
-    scale: float = 0.0
-    window: int | None = None
-    theta_sum: float = 0.0
-    rescale_factor: float = 1.0
+    schedule: PowerSchedule
+    theta_sum: float
+    rescale_factor: float
 
     @classmethod
-    def from_power_schedule(
-        cls,
-        n: int,
-        mu: float,
-        nu: float,
-        scale: float = 1.0,
-        *,
-        window: int | None = None,
-    ) -> "MultivariateFgmModel":
-        """theta_{kj} = scale * k^mu * j^nu, globally rescaled so sum <= 1.
+    def from_power_schedule(cls, n: int, schedule: PowerSchedule) -> "MultivariateFgmModel":
+        """The model of ``schedule`` over n coordinates, globally rescaled so its strengths sum to <= 1.
 
-        Raises ParameterError when the strengths' sum is not finite, as when
-        k^mu or j^nu overflows double precision.
+        Above ``EXACT_DIMENSION_CAP`` coordinates a schedule without a window
+        gets ``DEFAULT_WINDOW``.  Raises ParameterError when the strengths'
+        sum is not finite, as when k^mu or j^nu overflows double precision.
         """
         if n < 1:
             raise ParameterError(f"model dimension must be positive, got {n!r}")
-        if not (math.isfinite(mu) and math.isfinite(nu) and 0.0 <= scale < math.inf):
-            raise ParameterError(f"schedule needs finite mu, nu and scale >= 0, got mu={mu!r}, nu={nu!r}, scale={scale!r}")
-        if window is None and n > EXACT_DIMENSION_CAP:
-            window = DEFAULT_WINDOW
-        if window is not None and window < 1:
-            raise ParameterError(f"dependence window must be positive, got {window!r}")
-        raw = cls._power_theta_sum(n, mu, nu, scale, window)
+        if schedule.window is None and n > EXACT_DIMENSION_CAP:
+            schedule = replace(schedule, window=DEFAULT_WINDOW)
+        raw = schedule.theta_sum(n)
         if not math.isfinite(raw):
             raise ParameterError(
-                f"pairwise strengths k^mu j^nu overflow double precision at n={n!r}, mu={mu!r}, nu={nu!r}"
+                f"pairwise strengths k^mu j^nu overflow double precision at n={n!r}, "
+                f"mu={schedule.mu!r}, nu={schedule.nu!r}"
             )
         factor = 1.0 if raw <= 1.0 else 1.0 / raw
         if factor < 1.0:
@@ -137,35 +123,10 @@ class MultivariateFgmModel:
             )
         return cls(
             n=n,
-            mu=mu,
-            nu=nu,
-            scale=scale * factor,
-            window=window,
+            schedule=replace(schedule, scale=schedule.scale * factor),
             theta_sum=min(raw, 1.0),
             rescale_factor=factor,
         )
-
-    @staticmethod
-    def _power_theta_sum(n: int, mu: float, nu: float, scale: float, window: int | None) -> float:
-        if n < 2 or scale == 0.0:
-            return 0.0
-        idx = np.arange(1, n + 1, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused by the caller
-            kp = np.concatenate(([0.0], np.cumsum(idx**mu)))  # kp[i] = sum_{k <= i} k^mu
-            j = np.arange(2, n + 1)
-            lo = 0 if window is None else np.maximum(0, j - 1 - window)
-            inner = kp[j - 1] - kp[lo]
-            return scale * float(np.dot(idx[1:] ** nu, inner))
-
-    def theta(self, k: int, j: int) -> float:
-        """Pairwise strength for 1 <= k < j <= n (0 outside the window)."""
-        if not 1 <= k < j <= self.n:
-            raise ParameterError(f"pair index ({k!r}, {j!r}) must satisfy 1 <= k < j <= n")
-        if self.window is not None and j - k > self.window:
-            return 0.0
-        if self.scale == 0.0:
-            return 0.0
-        return self.scale * float(k) ** self.mu * float(j) ** self.nu
 
 
 def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, width: int):
@@ -182,8 +143,8 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
     batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
     buf = np.empty((batch, min(width, n)))
-    window = getattr(model, "window", None)
-    ring = np.zeros((window, batch)) if dependent and window is not None and window < n else None
+    window = model.schedule.window if dependent else None
+    ring = np.zeros((window, batch)) if window is not None and window < n else None
     d, w_run, failed = np.ones(batch), np.zeros(batch), [False] * len(_INVARIANTS)
     invert = _invert_rows if batch <= _SCALAR_ROWS else _invert_columns
     for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
@@ -191,23 +152,24 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
         for row, row_rng in zip(u, rngs):
             row_rng.random(out=row)
         if dependent:
-            invert(model, u, start, d, w_run, ring, failed)
+            invert(model.schedule, u, start, d, w_run, ring, failed)
         for bad, what in zip(failed, _INVARIANTS):
             if bad:
                 raise NumericError(f"conditional {what} (internal normalizer bug)")
         yield start, u
 
 
-def _invert_columns(model, u, start, d, w_run, ring, failed) -> None:
+def _invert_columns(schedule, u, start, d, w_run, ring, failed) -> None:
     """Invert block ``u`` in place one column at a time, each step a numpy operation over the rows.
 
     ``d``, ``w_run`` and ``ring`` are updated in place; ``failed[i]`` is set when invariant i broke.
     """
+    scale, mu, nu = schedule.scale, schedule.mu, schedule.nu
     batch = u.shape[0]
     d_min, a_max, disc_min = np.full(batch, np.inf), np.zeros(batch), np.full(batch, np.inf)
     # invert column j in place: u (1 + a (1 - u)) = w has the stable root 2w / (1 + a + sqrt((1+a)^2 - 4aw))
     for j, m in enumerate(range(start + 1, start + u.shape[1] + 1)):
-        a_m = (model.scale * float(m) ** model.nu) * w_run
+        a_m = (scale * float(m) ** nu) * w_run
         np.minimum(d_min, d, out=d_min)
         a = a_m / d
         np.maximum(a_max, np.abs(a), out=a_max)
@@ -220,7 +182,7 @@ def _invert_columns(model, u, start, d, w_run, ring, failed) -> None:
         u[:, j] = u_m = np.where(np.abs(a) < 1e-14, w, u_m)
         eta = 1.0 - 2.0 * u_m
         d += eta * a_m
-        term = float(m) ** model.mu * eta
+        term = float(m) ** mu * eta
         w_run += term
         if ring is not None:  # its slot holds the term of step m - window, or 0.0
             slot = (m - 1) % len(ring)
@@ -230,7 +192,7 @@ def _invert_columns(model, u, start, d, w_run, ring, failed) -> None:
         failed[i] |= not np.all(ok)  # NaN fails every comparison too
 
 
-def _invert_rows(model, u, start, d, w_run, ring, failed) -> None:
+def _invert_rows(schedule, u, start, d, w_run, ring, failed) -> None:
     """:func:`_invert_columns` one row at a time in Python floats, with the same operations in
     order.
 
@@ -238,12 +200,13 @@ def _invert_rows(model, u, start, d, w_run, ring, failed) -> None:
     the rows share, are made for ``_SCALAR_COLUMNS`` columns at a time, so the route holds few
     Python floats however wide the block.
     """
+    scale, mu, nu = schedule.scale, schedule.mu, schedule.nu
     batch, cols = u.shape
     window = 0 if ring is None else len(ring)
     slope_ok = positive = real_root = True
     for c0 in range(0, cols, _SCALAR_COLUMNS):
         ms = range(start + c0 + 1, start + min(cols, c0 + _SCALAR_COLUMNS) + 1)
-        steps = [(model.scale * float(m) ** model.nu, float(m) ** model.mu) for m in ms]
+        steps = [(scale * float(m) ** nu, float(m) ** mu) for m in ms]
         for row in range(batch):
             path = memoryview(u[row])
             d_r, w_r = float(d[row]), float(w_run[row])
@@ -281,38 +244,6 @@ def _invert_rows(model, u, start, d, w_run, ring, failed) -> None:
                 ring[:, row] = terms
     for i, ok in enumerate((slope_ok, positive, real_root)):
         failed[i] |= not ok
-
-
-def sample_uniform_paths(
-    model: MultivariateFgmModel | None, rng: np.random.Generator | Sequence, batch: int, n: int | None = None
-) -> np.ndarray:
-    """Draw ``batch`` uniform-margin paths of length n from the joint model.
-
-    ``model`` None (or a zero schedule) means independent coordinates.
-    ``rng`` is one Generator, filling the rows one after another, or a
-    sequence of one Generator per row, whose row then depends on its own
-    stream only, bit for bit: the batch size may pick the inversion route,
-    never the row's bytes.
-    Returns a (batch, n) array.
-    """
-    if model is None:
-        if n is None:
-            raise ParameterError("independent sampling needs an explicit length n")
-    else:
-        n = model.n if n is None else n
-        if n > model.n:
-            raise ParameterError(f"requested length {n!r} exceeds model dimension {model.n!r}")
-    rngs = [rng] * batch if isinstance(rng, np.random.Generator) else rng
-    if len(rngs) != batch:
-        raise ParameterError(f"{len(rngs)!r} generators given for a batch of {batch!r} rows")
-    return next(_uniform_blocks(model, rngs, n, max(n, 1)))[1]
-
-
-def count_exceedances(path, p: float) -> np.ndarray:
-    """Cumulative counts E_n = #{k <= n : X_k > k^(1/p)} along one path."""
-    x = np.asarray(path, dtype=float)
-    ks = np.arange(1, x.size + 1, dtype=float)
-    return np.cumsum(x > ks ** (1.0 / p)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -377,10 +308,6 @@ class PathReport:
 
     def mean_exceedances(self) -> np.ndarray:
         return np.mean(self.exceedances, axis=0)
-
-    def tail_max_abs_m(self, last: int = 3) -> float:
-        """Largest |M_n| over the trailing checkpoints, across replicates."""
-        return float(np.max(np.abs(self.m_values[:, -last:])))
 
 
 def _thread_count(model: MultivariateFgmModel | None, replicates: int, n: int) -> int:
@@ -485,7 +412,7 @@ def run_slln(run: SlnnRun) -> PathReport:
         "replicates": run.replicates,
         "n_sampled": n_sampled,
         "dependence": "independent" if model is None or model.theta_sum == 0.0 else "pairwise-pqd",
-        "window": None if model is None else model.window,
+        "window": None if model is None else model.schedule.window,
         "theta_sum": 0.0 if model is None else model.theta_sum,
         "rescale_factor": 1.0 if model is None else model.rescale_factor,
     }

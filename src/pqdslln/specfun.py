@@ -81,7 +81,10 @@ def pochhammer(a: float, n: int) -> float:
     For a nonpositive integer a = -m with m < n the factor a + m is zero, so
     the product is the signed zero (-1)^m * 0.0, returned without a loop.  A
     product that overflows raises NumericError at the factor where it does.
+    A non-finite a raises DomainError.
     """
+    if not math.isfinite(a):
+        raise DomainError(f"pochhammer requires finite a, got {a!r}")
     if n < 0 or n != int(n):
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
     m = _nonpositive_int_order(a)

@@ -13,26 +13,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from pqdslln.borel_cantelli import (
-    EventSystem,
-    GfmDependence,
-    epsilon_bracket_check,
-    renyi_lamperti_ratios,
-    scaled_tail_ratio,
-)
+from pqdslln.borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lamperti_ratios
 from pqdslln.cli import main
 from pqdslln.conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
-from pqdslln.copulas import GfmCopula, ThetaSchedule
+from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
 from pqdslln.marginals import ParetoMarginal
-from pqdslln.simulate import (
-    MultivariateFgmModel,
-    SlnnRun,
-    count_exceedances,
-    replicate_rng,
-    run_slln,
-    sample_uniform_paths,
-)
+from pqdslln.simulate import MultivariateFgmModel, SlnnRun, _uniform_blocks, replicate_rng, run_slln
 
 SEED = 20260810
 RS_GRID = ((1.0, 1.0), (2.0, 1.0), (1.5, 2.0), (3.0, 3.0))
@@ -85,7 +72,8 @@ def test_criterion_03_moment_values():
 
 def test_criterion_04_example_convergence_chain():
     start = time.perf_counter()
-    schedule = ThetaSchedule(mu=0.2, nu=-1.5, p=1.0)  # window check: construction passes
+    schedule = PowerSchedule(mu=0.2, nu=-1.5)
+    schedule.check_window(1.0)
     m = ParetoMarginal(2.0)
     j_values, terms = condition_terms("nec12", 1.0, schedule, 1.0, 1.0, m, 2000)
     assert verdict_from_terms(j_values, terms).verdict == "converges"
@@ -103,7 +91,7 @@ def test_criterion_05_termwise_weight_domination():
     # j^(-2/p) G <= (kj)^(-1/p) G for all 1 <= k < j <= 500: with G >= 0 this
     # is the weight inequality j^(-1/p) <= k^(-1/p); checked on full pair grids
     for p, mu, nu in ((1.0, 0.2, -1.5), (1.5, -0.1, -1.0)):
-        schedule = ThetaSchedule(mu=mu, nu=nu, p=p)
+        PowerSchedule(mu=mu, nu=nu).check_window(p)
         idx = np.arange(1, 501, dtype=float)
         b = np.array([g_closed_bracket(1.0, 1.0, float(k) ** (1.0 / p)) if k > 1 else 0.0 for k in idx])
         theta = np.power.outer(idx**mu, idx**nu)  # theta[k-1, j-1] = k^mu j^nu
@@ -132,11 +120,7 @@ def test_criterion_06_tail_moment_equivalence():
 
 def test_criterion_07_proof_machinery_inequalities():
     m2 = ParetoMarginal(2.0)
-    dependent = EventSystem(
-        p=1.0,
-        marginal=m2,
-        dependence=GfmDependence(r=1.0, s=1.0, schedule=ThetaSchedule(mu=0.2, nu=-1.5, p=1.0)),
-    )
+    dependent = EventSystem(p=1.0, marginal=m2, schedule=PowerSchedule(mu=0.2, nu=-1.5))
     independent = EventSystem(p=1.0, marginal=m2)
     for es in (independent, dependent):
         for k in (2, 4, 9, 16):
@@ -144,13 +128,17 @@ def test_criterion_07_proof_machinery_inequalities():
                 for eps in (1.25, 1.5, 2.0, 4.0):
                     assert epsilon_bracket_check(es, k, j, eps).holds
 
+    # the ceiling-scaled tail-ratio chain
+    # 1 <= sum_{k<=n} P{eps X > k^(1/p)} / sum_{k<=n} P{X > k^(1/p)} <= eps^p + eps^p / sum_{k<=n} P{X > k^(1/p)}
     for alpha in (1.0, 2.0):
         for p in (1.0, 1.5):
-            es = EventSystem(p=p, marginal=ParetoMarginal(alpha))
+            m = ParetoMarginal(alpha)
             for eps in (1.5, 2.0, 3.0):
                 for n in (10**2, 10**4):
-                    out = scaled_tail_ratio(es, eps, n)
-                    assert out.lower <= out.ratio <= out.upper
+                    t = np.arange(1, n + 1, dtype=float) ** (1.0 / p)
+                    denom = math.fsum(m.survival(t))
+                    ratio = math.fsum(m.survival(t / eps)) / denom
+                    assert 1.0 <= ratio <= eps**p + eps**p / denom
 
     harmonic = EventSystem(p=1.0, marginal=ParetoMarginal(1.0))
     n = 10**4
@@ -179,17 +167,17 @@ def test_criterion_08_slln_desk_scale():
     divergent = SlnnRun(
         p=1.0, marginal=ParetoMarginal(1.0), model=None, n_max=2**17, replicates=32, seed=SEED, c=0.0
     )
-    assert run_slln(divergent).tail_max_abs_m(3) > 1.0
+    assert np.max(np.abs(run_slln(divergent).m_values[:, -3:])) > 1.0  # the trailing checkpoints
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     _pass(8, "seeded SLLN demonstration")
 
 
 def test_criterion_09_sampler_fidelity():
-    model = MultivariateFgmModel.from_power_schedule(2, 0.0, 0.0, 1.0)
+    model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, 1.0))
     rng = replicate_rng(SEED, 1)
     n_pairs = 10**5
-    u = sample_uniform_paths(model, rng, n_pairs)
+    u = next(_uniform_blocks(model, [rng] * n_pairs, 2, 2))[1]
     copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
     grid = (1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0, 4.0 / 6.0, 5.0 / 6.0)
     for ua in grid:
@@ -212,7 +200,7 @@ def test_criterion_09_sampler_fidelity():
         finals = np.empty(replicates)
         for rep in range(replicates):
             x = marginal.quantile(replicate_rng(SEED + 2, rep).random(n))
-            finals[rep] = count_exceedances(x, 1.0)[-1]
+            finals[rep] = np.count_nonzero(x > np.arange(1, n + 1, dtype=float))  # E_n at p = 1
         se = float(np.std(finals, ddof=1)) / math.sqrt(replicates)
         assert abs(float(np.mean(finals)) - expected) <= 3.0 * se
     _pass(9, "sampler fidelity")

@@ -10,19 +10,16 @@ import pqdslln.borel_cantelli
 from pqdslln.borel_cantelli import (
     _CHUNK,
     EventSystem,
-    GfmDependence,
     _joint_survival_fn,
     epsilon_bracket_check,
     event_prob,
-    event_probs,
     pair_event_prob,
     renyi_lamperti_ratios,
-    scaled_tail_ratio,
 )
-from pqdslln.copulas import GfmCopula, ThetaSchedule, power_factor
+from pqdslln.copulas import GfmCopula, PowerSchedule, power_factor
 from pqdslln.errors import DomainError, ParameterError
 from pqdslln.marginals import ParetoMarginal
-from pqdslln.copulas import sample_pairs
+from pqdslln.simulate import MultivariateFgmModel, _uniform_blocks
 
 
 def independent(alpha: float, p: float) -> EventSystem:
@@ -30,15 +27,29 @@ def independent(alpha: float, p: float) -> EventSystem:
 
 
 def gfm_system(alpha: float, p: float, mu: float = 0.2, nu: float = -1.5, r: float = 1.0, s: float = 1.0) -> EventSystem:
-    dep = GfmDependence(r=r, s=s, schedule=ThetaSchedule(mu=mu, nu=nu, p=p))
-    return EventSystem(p=p, marginal=ParetoMarginal(alpha), dependence=dep)
+    return EventSystem(p=p, marginal=ParetoMarginal(alpha), schedule=PowerSchedule(mu=mu, nu=nu), r=r, s=s)
 
 
 class TestGfmDependence:
     @pytest.mark.parametrize("r, s", [(0.5, 1.0), (1.0, 0.5), (0.5, 0.5)])
     def test_rejects_exponents_below_one(self, r, s):
         with pytest.raises(ParameterError, match="r >= 1 and s >= 1"):
-            GfmDependence(r=r, s=s, schedule=ThetaSchedule(mu=0.2, nu=-1.5, p=1.0))
+            gfm_system(2.0, 1.0, r=r, s=s)
+        independent_system = EventSystem(p=1.0, marginal=ParetoMarginal(2.0), r=r, s=s)  # no dependence: r, s unused
+        assert independent_system.r == r
+
+    def test_schedule_checks_come_first(self):
+        # the schedule's window, then its scale, then the r, s rule, then the event system's own p
+        with pytest.raises(ParameterError, match="schedule requires 1 <= p < 2"):
+            gfm_system(2.0, 2.5, r=0.5)
+        with pytest.raises(ParameterError, match="1/p - 1 < mu"):
+            EventSystem(1.0, ParetoMarginal(2.0), PowerSchedule(0.0, -1.5, scale=0.5))
+        with pytest.raises(ParameterError, match="scale is only for 'simulate'"):
+            EventSystem(1.0, ParetoMarginal(2.0), PowerSchedule(0.2, -1.5, scale=0.5), r=0.5)
+        with pytest.raises(ParameterError, match="scale is only for 'simulate'"):
+            EventSystem(1.0, ParetoMarginal(2.0), PowerSchedule(0.2, -1.5, window=4))
+        with pytest.raises(ParameterError, match="event system requires 1 <= p < 2"):
+            EventSystem(2.5, ParetoMarginal(2.0), r=0.5)
 
 
 class TestEventProb:
@@ -48,8 +59,9 @@ class TestEventProb:
         assert event_prob(independent(2.0, 1.0), 1) == 1.0
 
     def test_vector_matches_scalar(self):
+        # the pair-sum ratio's vector of P(A_k), the survival at the thresholds k^(1/p)
         es = independent(1.5, 1.3)
-        vec = event_probs(es, 20)
+        vec = es.marginal.survival(np.arange(1, 21, dtype=float) ** (1.0 / es.p))
         for k in range(1, 21):
             assert vec[k - 1] == pytest.approx(event_prob(es, k), rel=1e-14)
 
@@ -73,7 +85,7 @@ class TestPairEventProb:
         # theta_{2,3} = 1 via mu = nu = 0 is outside the schedule window, so
         # use a schedule-free check against the explicit formula instead
         es = gfm_system(2.0, 1.0)
-        theta = es.dependence.schedule.theta(2, 3)
+        theta = es.schedule.theta(2, 3)
         expected = (1.0 / 36.0) + theta * (0.75 * 0.25) * ((8.0 / 9.0) * (1.0 / 9.0))
         assert pair_event_prob(es, 2, 3) == pytest.approx(expected, rel=1e-13)
 
@@ -86,11 +98,12 @@ class TestPairEventProb:
         assert pk * pj + delta == pytest.approx(0.046296296296296294, rel=1e-13)
 
     def test_unit_theta_monte_carlo(self, rng):
-        # sample the exact pair copula and count joint exceedances
+        # sample the joint model at n = 2 with theta = 1, whose bivariate margin is the r = s = 1
+        # copula, and count joint exceedances
         m = ParetoMarginal(2.0)
-        copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
+        model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, 1.0))
         n = 2 * 10**5
-        x, y = sample_pairs(copula, m, rng, n)
+        x, y = m.quantile(next(_uniform_blocks(model, [rng] * n, 2, 2))[1]).T
         target = 0.046296296296296294
         hit = float(np.mean((x > 2.0) & (y > 3.0)))
         se = math.sqrt(target * (1.0 - target) / n)
@@ -99,7 +112,7 @@ class TestPairEventProb:
     def test_linear_in_theta(self):
         es_full = gfm_system(2.0, 1.0)
         m = ParetoMarginal(2.0)
-        theta = es_full.dependence.schedule.theta(4, 9)
+        theta = es_full.schedule.theta(4, 9)
         base = event_prob(es_full, 4) * event_prob(es_full, 9)
         increment = pair_event_prob(es_full, 4, 9) - base
         h4 = m.cdf(4.0) * (1.0 - m.cdf(4.0))
@@ -132,10 +145,10 @@ def _whole_array_ratios(es: EventSystem, ns) -> np.ndarray:
     s1 = np.cumsum(probs)[at]
     s2 = np.cumsum(probs * probs)[at]
     dep = 0.0
-    if es.dependence is not None:
-        h = power_factor(np.asarray(es.marginal.cdf(thresholds), dtype=float), es.dependence.r, es.dependence.s)
-        k_part = idx**es.dependence.schedule.mu * h
-        j_part = idx**es.dependence.schedule.nu * h
+    if es.schedule is not None:
+        h = power_factor(np.asarray(es.marginal.cdf(thresholds), dtype=float), es.r, es.s)
+        k_part = idx**es.schedule.mu * h
+        j_part = idx**es.schedule.nu * h
         dep = 2.0 * np.cumsum(j_part * (np.cumsum(k_part) - k_part))[at]
     return (s1 + s1**2 - s2 + dep) / s1**2
 
@@ -264,7 +277,7 @@ class TestEpsilonBracket:
     def test_integrand_is_cdf_form(self, es):
         # P{X_k > x, X_j > y} = 1 - F(x) - F(y) + C(F(x), F(y)), across the support edge x = 1
         k, j = 4, 9
-        copula = es.dependence.copula(k, j) if es.dependence else GfmCopula(theta=0.0)
+        copula = GfmCopula(es.schedule.theta(k, j), es.r, es.s) if es.schedule else GfmCopula(theta=0.0)
         grid = np.concatenate([np.linspace(0.5, 3.0, 26), [10.0, 1e3, 1e6]])
         x, y = grid[:, None], grid[None, :]
         fx, fy = es.marginal.cdf(x), es.marginal.cdf(y)
@@ -288,31 +301,34 @@ class TestEpsilonBracket:
             epsilon_bracket_check(independent(2.0, 1.2), k, j, 2.0)
 
 
+def tail_ratio_chain(es: EventSystem, eps: float, n: int) -> tuple[float, float]:
+    """sum_{k<=n} P{eps X > k^(1/p)} / sum_{k<=n} P{X > k^(1/p)} and the chain's upper bound.
+
+    The ceiling-scaled tail-ratio chain is 1 <= ratio <= eps^p + eps^p / sum_{k<=n} P{X > k^(1/p)}.
+    """
+    t = np.arange(1, n + 1, dtype=float) ** (1.0 / es.p)
+    denom = math.fsum(es.marginal.survival(t))
+    return math.fsum(es.marginal.survival(t / eps)) / denom, eps**es.p + eps**es.p / denom
+
+
 class TestScaledTailRatio:
     def test_cap_regime(self):
         # n = 1, alpha = 2, p = 1, eps = 2: both sums are capped at 1
-        out = scaled_tail_ratio(independent(2.0, 1.0), 2.0, 1)
-        assert out.ratio == pytest.approx(1.0)
-        assert out.lower == 1.0
-        assert out.ratio <= out.upper
+        ratio, upper = tail_ratio_chain(independent(2.0, 1.0), 2.0, 1)
+        assert ratio == pytest.approx(1.0)
+        assert ratio <= upper
 
     def test_harmonic_value(self):
         # frozen: numerator 2 H_n - 1, denominator H_n at alpha = p = 1
-        out = scaled_tail_ratio(independent(1.0, 1.0), 2.0, 10**4)
-        assert out.ratio == pytest.approx(1.8978299702381416, abs=1e-12)
-        assert out.upper == pytest.approx(2.204340059523717, abs=1e-12)
-        assert out.ratio <= out.upper
+        ratio, upper = tail_ratio_chain(independent(1.0, 1.0), 2.0, 10**4)
+        assert ratio == pytest.approx(1.8978299702381416, abs=1e-12)
+        assert upper == pytest.approx(2.204340059523717, abs=1e-12)
+        assert ratio <= upper
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     @pytest.mark.parametrize("p", [1.0, 1.5])
     @pytest.mark.parametrize("eps", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("n", [10**2, 10**4])
     def test_chain_grid(self, alpha, p, eps, n):
-        out = scaled_tail_ratio(independent(alpha, p), eps, n)
-        assert 1.0 <= out.ratio <= out.upper
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            scaled_tail_ratio(independent(2.0, 1.0), 1.0, 10)
-        with pytest.raises(DomainError):
-            scaled_tail_ratio(independent(2.0, 1.0), 2.0, 0)
+        ratio, upper = tail_ratio_chain(independent(alpha, p), eps, n)
+        assert 1.0 <= ratio <= upper

@@ -25,7 +25,7 @@ import pqdslln.conditions
 import pqdslln.gfun
 from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
-from pqdslln.copulas import ThetaSchedule
+from pqdslln.copulas import PowerSchedule
 from pqdslln.gfun import bracket_limit, g_closed_bracket
 from pqdslln.marginals import ParetoMarginal
 
@@ -269,6 +269,19 @@ class TestBc:
         assert run_cli(["bc", action, *model, *extra], tmp_path) == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["ratio", "bracket"])
+    def test_scaled_schedule_is_refused_after_the_window(self, tmp_path, capsys, action):
+        extra = ["--n-grid", "10,100"] if action == "ratio" else ["--k", "2", "--j", "3", "--eps", "2"]
+        for p, spec, message in (
+            ("1.2", "power:0.1,-1.2,0.5", "analytic event systems take the schedule as-is; scale is only for 'simulate'"),
+            ("2.5", "power:0.1,-1.2", "schedule requires 1 <= p < 2, got p=2.5"),  # the window check comes first
+        ):
+            args = ["bc", action, "--alpha", "2", "--p", p, "--theta-spec", spec, *extra]
+            assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].endswith(f"[parameter] {message}")
+            assert not (tmp_path / "run" / "manifest.json").exists()
+
     @pytest.mark.parametrize("k, j", [(-1, 3), (3, -1), (0, 3)])
     def test_bracket_event_index_below_one_is_parameter_error(self, tmp_path, capsys, k, j):
         args = ["bc", "bracket", "--alpha", "2", "--p", "1.2", "--k", str(k), "--j", str(j), "--eps", "2"]
@@ -387,7 +400,7 @@ class TestManifestRerun:
         ]
         assert main(args) == EXIT_OK
         j_values, terms = pqdslln.conditions.condition_terms(
-            "nec12", 1.0, ThetaSchedule(mu=0.2, nu=-1.5, p=1.0), 1.0, 1.0, ParetoMarginal(2.0), 20000
+            "nec12", 1.0, PowerSchedule(mu=0.2, nu=-1.5), 1.0, 1.0, ParetoMarginal(2.0), 20000
         )
         assert len(j_values) > 4 * pqdslln.cli._CSV_ROWS  # the table spans several write chunks
         expected = csv_module_bytes(["j", "term"], zip(j_values.tolist(), terms.tolist()))

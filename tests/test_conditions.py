@@ -16,7 +16,7 @@ from pqdslln.conditions import (
     tail_condition,
     verdict_from_terms,
 )
-from pqdslln.copulas import GfmCopula, ThetaSchedule
+from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError
 from pqdslln.gfun import DeltaField, bracket_limit, g_numeric
 from pqdslln.marginals import ParetoMarginal
@@ -24,8 +24,8 @@ from pqdslln.marginals import ParetoMarginal
 EXAMPLE = dict(p=1.0, mu=0.2, nu=-1.5, r=1.0, s=1.0)
 
 
-def example_schedule() -> ThetaSchedule:
-    return ThetaSchedule(mu=EXAMPLE["mu"], nu=EXAMPLE["nu"], p=EXAMPLE["p"])
+def example_schedule() -> PowerSchedule:
+    return PowerSchedule(mu=EXAMPLE["mu"], nu=EXAMPLE["nu"])
 
 
 def beta_bracket(r: float, s: float, u: float) -> float:
@@ -118,7 +118,7 @@ class TestConditionSum:
     def test_inside_window_decays_quadratically(self):
         # mu = 0.4, nu = -1.4 sits inside the window, majorant exponent
         # mu + nu - 2/p + 1 = -2: clearly summable
-        sched = ThetaSchedule(mu=0.4, nu=-1.4, p=1.0)
+        sched = PowerSchedule(mu=0.4, nu=-1.4)
         verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 2000))
         assert verdict.verdict == CONVERGES
         assert verdict.fitted_decay_exponent == pytest.approx(-2.0, abs=0.2)
@@ -139,9 +139,13 @@ class TestConditionSum:
         assert np.all(terms >= 0.0)
 
     def test_p_mismatch_rejected(self):
-        sched = ThetaSchedule(mu=0.1, nu=-1.4, p=1.2)
-        with pytest.raises(ParameterError):
+        # inside the window at p = 1.2, outside it at the series' p = 1
+        sched = PowerSchedule(mu=-0.1, nu=-0.9)
+        sched.check_window(1.2)
+        with pytest.raises(ParameterError, match="1/p - 1 < mu"):
             condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 100)
+        with pytest.raises(ParameterError, match="scale is only for 'simulate'"):
+            condition_terms("nec12", 1.2, PowerSchedule(mu=-0.1, nu=-0.9, scale=0.5), 1.0, 1.0, ParetoMarginal(2.0), 100)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
@@ -240,7 +244,7 @@ class TestMajorant:
         ],
     )
     def test_majorant_bounds_every_term_at_the_marginal_alpha(self, p, mu, nu, r, s, alpha):
-        schedule = ThetaSchedule(mu=mu, nu=nu, p=p)
+        schedule = PowerSchedule(mu=mu, nu=nu)
         j_values, terms = condition_terms("nec12", p, schedule, r, s, ParetoMarginal(alpha), 200)
         bound = majorant_sum(p, mu, nu, r, s, 200, alpha)
         assert bound.c_const == bracket_limit(r, s, alpha) ** 2

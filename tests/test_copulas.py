@@ -1,20 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqdslln.copulas import (
-    FunctionDescriptor,
-    GfmCopula,
-    PerturbationCopula,
-    ThetaSchedule,
-    pqd_grid_check,
-    sample_pairs,
-    theta_admissible_bound,
-)
-from pqdslln.errors import DomainError, ParameterError
+from pqdslln import simulate
+from pqdslln.copulas import GfmCopula, PowerSchedule
+from pqdslln.errors import ParameterError
 from pqdslln.marginals import ParetoMarginal
+from pqdslln.simulate import MultivariateFgmModel, _uniform_blocks
 
 THETAS = st.floats(min_value=0.0, max_value=1.0)
 EXPONENTS = st.floats(min_value=1.0, max_value=5.0)
@@ -55,8 +51,8 @@ class TestGfmCdf:
             assert c.cdf(float(u[0, 0]), float(v[0, 0])) == expected[0, 0]
 
     def test_perturbation_cdf_is_product_plus_gap_bit_for_bit(self):
-        phi = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
-        c = PerturbationCopula(theta=0.75, phi=phi, psi=phi)
+        # the bilinear perturbation theta u(1-u) v(1-v) is the r = s = 1 power family
+        c = GfmCopula(theta=0.75)
         u, v = np.random.default_rng(8).random((2, 50))
         expected = u * v + 0.75 * (u * (1.0 - u)) * (v * (1.0 - v))
         assert np.array_equal(c.cdf(u, v).view(np.int64), expected.view(np.int64))
@@ -75,114 +71,100 @@ class TestGfmCdf:
             GfmCopula(theta=0.5, r=0.5, s=1.0)
 
 
+def _grid(m: int):
+    grid = np.linspace(0.0, 1.0, m + 1)
+    return np.meshgrid(grid, grid, indexing="ij")
+
+
+def _pair_draws(theta: float, rng, n_pairs: int):
+    """n_pairs draws of the joint model at n = 2 with theta_12 = theta: its margin is the r = s = 1 copula."""
+    model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, theta))
+    u = next(_uniform_blocks(model, [rng] * n_pairs, 2, 2))[1]
+    return u[:, 0].copy(), u[:, 1].copy()
+
+
 class TestPqdGridCheck:
     def test_power_family_is_pqd(self):
-        assert pqd_grid_check(GfmCopula(theta=0.5, r=1.0, s=1.0).cdf, 100)
+        uu, vv = _grid(100)
+        assert np.all(GfmCopula(theta=0.5, r=1.0, s=1.0).cdf(uu, vv) - uu * vv >= -1e-12)
 
     def test_negative_perturbation_fails(self):
-        cdf = lambda u, v: u * v - 0.5 * u * (1.0 - u) * v * (1.0 - v)
-        assert not pqd_grid_check(cdf, 100)
+        # the family's only negatively dependent members, theta < 0, are refused
+        with pytest.raises(ParameterError):
+            GfmCopula(theta=-0.5, r=1.0, s=1.0)
 
     def test_independence(self):
-        assert pqd_grid_check(lambda u, v: u * v, 37)
+        uu, vv = _grid(37)
+        assert np.array_equal(GfmCopula(theta=0.0).cdf(uu, vv), uu * vv)
 
     @given(THETAS, EXPONENTS, EXPONENTS)
     @settings(max_examples=15)
     def test_every_admissible_copula(self, theta, r, s):
-        assert pqd_grid_check(GfmCopula(theta=theta, r=r, s=s).cdf, 200)
+        uu, vv = _grid(200)
+        assert np.all(GfmCopula(theta=theta, r=r, s=s).cdf(uu, vv) - uu * vv >= -1e-12)
 
     def test_scalar_only_callable(self):
-        def cdf(u, v):
-            if isinstance(u, np.ndarray):
-                raise TypeError("scalars only")
-            return u * v
-
-        assert pqd_grid_check(cdf, 10)
+        # scalar arguments give Python floats equal to the array route, element for element
+        uu, vv = _grid(10)
+        c = GfmCopula(theta=0.5, r=2.0, s=1.5)
+        values = [[c.cdf(float(a), float(b)) for a, b in zip(ur, vr)] for ur, vr in zip(uu, vv)]
+        assert all(type(value) is float for row in values for value in row)
+        assert np.array_equal(np.array(values), c.cdf(uu, vv))
 
 
 class TestAdmissibleBound:
     def test_symmetric_quadratic(self):
-        phi = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
-        assert theta_admissible_bound(phi, phi) == pytest.approx(1.0)
-
-    def test_scaled_quadratic(self):
-        phi = FunctionDescriptor(lambda t: 2.0 * t * (1.0 - t), -2.0, 2.0)
-        assert theta_admissible_bound(phi, phi) == pytest.approx(0.25)
-
-    def test_mixed(self):
-        phi = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
-        psi = FunctionDescriptor(lambda t: 2.0 * t * (1.0 - t), -2.0, 2.0)
-        assert theta_admissible_bound(phi, psi) == pytest.approx(0.5)
-
-    def test_bad_signs(self):
-        good = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
-        bad = FunctionDescriptor(lambda t: t * (1.0 - t), 0.5, 1.0)
-        with pytest.raises(DomainError):
-            theta_admissible_bound(bad, good)
-
-    def test_perturbation_copula_validation(self):
-        phi = FunctionDescriptor(lambda t: t * (1.0 - t), -1.0, 1.0)
-        copula = PerturbationCopula(theta=1.0, phi=phi, psi=phi)
-        assert copula.cdf(0.5, 0.5) == pytest.approx(0.25 + 0.0625)
-        assert pqd_grid_check(copula.cdf, 50)
+        # the bilinear perturbation u(1-u) v(1-v) is admissible up to theta = 1 exactly
+        assert GfmCopula(theta=1.0).cdf(0.5, 0.5) == pytest.approx(0.25 + 0.0625)
         with pytest.raises(ParameterError):
-            PerturbationCopula(theta=1.5, phi=phi, psi=phi)
-        bad = FunctionDescriptor(lambda t: t, -1.0, 1.0)  # does not vanish at 1
-        with pytest.raises(ParameterError):
-            PerturbationCopula(theta=0.5, phi=bad, psi=phi)
+            GfmCopula(theta=math.nextafter(1.0, 2.0))
+
+
+def _invert_second(theta: float, u: float, w: float) -> float:
+    """The joint model's second coordinate (n = 2, theta_12 = theta) given the first is u.
+
+    The sampler inverts the conditional CDF v + theta (1 - 2u) v (1 - v) of the r = s = 1 copula at
+    the coordinate's own uniform w.
+    """
+    block, failed = np.array([[u, w]]), [False] * 3
+    simulate._invert_rows(PowerSchedule(0.0, 0.0, theta), block, 0, np.ones(1), np.zeros(1), None, failed)
+    assert not any(failed) and block[0, 0] == u
+    return float(block[0, 1])
 
 
 class TestConditional:
-    @given(THETAS, EXPONENTS, EXPONENTS, st.floats(min_value=0.01, max_value=0.99), UNIT)
-    def test_theta_zero_and_boundary(self, theta, r, s, u, v):
-        c0 = GfmCopula(theta=0.0, r=r, s=s)
-        assert c0.conditional(u, v) == pytest.approx(v, abs=1e-14)
-        c = GfmCopula(theta=theta, r=r, s=s)
-        assert c.conditional(u, 1.0) == pytest.approx(1.0, abs=1e-14)
-        assert c.conditional(u, 0.0) == pytest.approx(0.0, abs=1e-14)
+    @given(THETAS, st.floats(min_value=0.01, max_value=0.99), UNIT)
+    def test_theta_zero_and_boundary(self, theta, u, w):
+        assert _invert_second(0.0, u, w) == w
+        assert _invert_second(theta, u, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert _invert_second(theta, u, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_point(self):
-        c = GfmCopula(theta=1.0, r=1.0, s=1.0)
-        for v in (0.1, 0.4, 0.9):
-            assert c.conditional(0.5, v) == pytest.approx(v, abs=1e-14)
-
-    @pytest.mark.parametrize("theta,r,s", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (1.0, 1.5, 2.0), (0.25, 3.0, 3.0)])
-    def test_matches_central_difference(self, theta, r, s):
-        c = GfmCopula(theta=theta, r=r, s=s)
-        h = 1e-6
-        grid = np.linspace(0.05, 0.95, 20)
-        for u in grid:
-            for v in grid:
-                numeric = (c.cdf(u + h, v) - c.cdf(u - h, v)) / (2.0 * h)
-                assert c.conditional(u, v) == pytest.approx(numeric, abs=1e-6)
+        for w in (0.1, 0.4, 0.9):
+            assert _invert_second(1.0, 0.5, w) == pytest.approx(w, abs=1e-14)
 
 
 class TestSamplePair:
     def test_independence_path_is_plain_inverse_transform(self):
-        m = ParetoMarginal(2.0)
-        rng1 = np.random.default_rng(7)
-        rng2 = np.random.default_rng(7)
-        x, y = sample_pairs(GfmCopula(theta=0.0), m, rng1, 1000)
-        w1 = rng2.random(1000)
-        w2 = rng2.random(1000)
-        np.testing.assert_array_equal(x, m.quantile(w1))
-        np.testing.assert_array_equal(y, m.quantile(w2))
+        u, v = _pair_draws(0.0, np.random.default_rng(7), 1000)
+        w = np.random.default_rng(7).random((1000, 2))
+        np.testing.assert_array_equal(u, w[:, 0])
+        np.testing.assert_array_equal(v, w[:, 1])
 
     def test_empirical_copula_matches_cdf(self, rng):
-        m = ParetoMarginal(2.0)
         c = GfmCopula(theta=1.0, r=1.0, s=1.0)
         n = 10**5
-        x, y = sample_pairs(c, m, rng, n)
+        u, v = _pair_draws(1.0, rng, n)
         target = c.cdf(0.5, 0.5)  # 0.3125
-        hit = np.mean((m.cdf(x) <= 0.5) & (m.cdf(y) <= 0.5))
+        hit = np.mean((u <= 0.5) & (v <= 0.5))
         se = np.sqrt(target * (1.0 - target) / n)
         assert abs(hit - target) <= 3.0 * se
 
     def test_pqd_sign_of_indicator_covariance(self, rng):
         m = ParetoMarginal(2.0)
-        c = GfmCopula(theta=1.0, r=1.0, s=1.0)
         n = 10**5
-        x, y = sample_pairs(c, m, rng, n)
+        u, v = _pair_draws(1.0, rng, n)
+        x, y = m.quantile(u), m.quantile(v)
         a = (x <= 2.0).astype(float)
         b = (y <= 2.0).astype(float)
         cov = np.mean(a * b) - np.mean(a) * np.mean(b)
@@ -191,43 +173,69 @@ class TestSamplePair:
 
     def test_marginal_fidelity_ks(self, rng):
         m = ParetoMarginal(2.0)
-        x, y = sample_pairs(GfmCopula(theta=0.0), m, rng, 10**5)
-        for coord in (x, y):
-            stat = scipy.stats.kstest(coord, m.cdf).statistic
-            threshold = np.sqrt(-np.log(0.001 / 2.0) / 2.0) / np.sqrt(coord.size)
+        for coord in _pair_draws(1.0, rng, 10**5):
+            x = m.quantile(coord)
+            stat = scipy.stats.kstest(x, m.cdf).statistic
+            threshold = np.sqrt(-np.log(0.001 / 2.0) / 2.0) / np.sqrt(x.size)
             assert stat < threshold
 
     def test_single_pair(self, rng):
-        x, y = sample_pairs(GfmCopula(theta=0.5), ParetoMarginal(2.0), rng, 1)
+        u, v = _pair_draws(0.5, rng, 1)
+        x, y = ParetoMarginal(2.0).quantile(u), ParetoMarginal(2.0).quantile(v)
         assert x.shape == y.shape == (1,)
         assert x[0] >= 1.0 and y[0] >= 1.0
 
-    @given(THETAS, EXPONENTS, EXPONENTS)
+    @given(THETAS)
     @settings(max_examples=10)
-    def test_conditional_inversion_residual(self, theta, r, s):
-        c = GfmCopula(theta=theta, r=r, s=s)
-        rng = np.random.default_rng(11)
-        x, y = sample_pairs(c, ParetoMarginal(2.0), rng, 256)
-        assert np.all(x >= 1.0) and np.all(y >= 1.0)
+    def test_conditional_inversion_residual(self, theta):
+        # the second coordinate solves C_1(u, v) = v + theta (1 - 2u) v (1 - v) = w, its own uniform
+        u, v = _pair_draws(theta, np.random.default_rng(11), 256)
+        w = np.random.default_rng(11).random((256, 2))[:, 1]
+        assert np.max(np.abs(v + theta * (1.0 - 2.0 * u) * v * (1.0 - v) - w)) <= 1e-12
+        assert np.all((0.0 <= v) & (v <= 1.0))
 
 
 class TestThetaSchedule:
     def test_window_rejects_zero_exponents(self):
         with pytest.raises(ParameterError, match="1/p - 1 < mu"):
-            ThetaSchedule(mu=0.0, nu=0.0, p=1.0)
+            PowerSchedule(mu=0.0, nu=0.0).check_window(1.0)
 
     def test_window_rejects_right_violation(self):
         with pytest.raises(ParameterError, match="2/p - 2 - nu"):
-            ThetaSchedule(mu=1.6, nu=-1.5, p=1.0)
+            PowerSchedule(mu=1.6, nu=-1.5).check_window(1.0)
 
     def test_values(self):
-        sched = ThetaSchedule(mu=0.2, nu=-1.5, p=1.0)
+        sched = PowerSchedule(mu=0.2, nu=-1.5)
         # direct power evaluation
         assert sched.theta(2, 3) == pytest.approx(0.22106710149173953, rel=1e-12)
         assert sched.theta(1, 1000) == pytest.approx(3.1622776601683795e-05, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(mu=math.nan, nu=-1.5), "finite mu, nu and scale >= 0"),
+            (dict(mu=0.2, nu=math.inf), "finite mu, nu and scale >= 0"),
+            (dict(mu=0.2, nu=-1.5, scale=-0.5), "finite mu, nu and scale >= 0"),
+            (dict(mu=0.2, nu=-1.5, window=0), "dependence window must be positive"),
+        ],
+    )
+    def test_construction_refusals(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            PowerSchedule(**kwargs)
+
+    def test_analytic_use_takes_the_schedule_as_is(self):
+        for sched in (PowerSchedule(0.2, -1.5, scale=0.5), PowerSchedule(0.2, -1.5, window=8)):
+            with pytest.raises(ParameterError, match="scale is only for 'simulate'"):
+                sched.check_window(1.0)
+
+    def test_unit_scale_keeps_the_bits_of_the_bare_powers(self):
+        sched = PowerSchedule(mu=0.2, nu=-1.5)
+        for k, j in ((1, 2), (2, 3), (17, 1000)):
+            assert sched.theta(k, j) == float(k) ** 0.2 * float(j) ** -1.5
+        assert PowerSchedule(0.2, -1.5, scale=0.25).theta(2, 3) == 0.25 * 2.0**0.2 * 3.0**-1.5
+
     def test_index_validation(self):
-        sched = ThetaSchedule(mu=0.2, nu=-1.5, p=1.0)
+        sched = PowerSchedule(mu=0.2, nu=-1.5)
         with pytest.raises(ParameterError):
             sched.theta(3, 3)
         with pytest.raises(ParameterError):
@@ -239,7 +247,8 @@ class TestThetaSchedule:
         nu = data.draw(st.floats(min_value=-3.0, max_value=1.0 / p - 1.001))
         lo, hi = 1.0 / p - 1.0, 2.0 / p - 2.0 - nu
         mu = data.draw(st.floats(min_value=lo + 1e-6, max_value=hi - 1e-6))
-        sched = ThetaSchedule(mu=mu, nu=nu, p=p)
+        sched = PowerSchedule(mu=mu, nu=nu)
+        sched.check_window(p)
         for k, j in ((1, 2), (2, 3), (1, 10**6), (999, 1000), (3, 50)):
             assert 0.0 <= sched.theta(k, j) <= 1.0
 
@@ -247,5 +256,5 @@ class TestThetaSchedule:
     def test_bounded_by_diagonal_power(self, k, j):
         if k >= j:
             k, j = j - 1, k + 1
-        sched = ThetaSchedule(mu=0.2, nu=-1.5, p=1.0)
+        sched = PowerSchedule(mu=0.2, nu=-1.5)
         assert sched.theta(k, j) <= float(j) ** (sched.mu + sched.nu) + 1e-15

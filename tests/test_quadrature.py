@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import pqdslln.gfun
 import pqdslln.quadrature
-from pqdslln.borel_cantelli import EventSystem, GfmDependence, _joint_survival_fn
-from pqdslln.copulas import GfmCopula, ThetaSchedule
+from pqdslln.borel_cantelli import EventSystem, _joint_survival_fn
+from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError, QuadratureError
 from pqdslln.gfun import DeltaField
 from pqdslln.marginals import ParetoMarginal
@@ -377,8 +377,7 @@ class TestLockstep:
     )
     @settings(max_examples=20)
     def test_joint_survival_integrals(self, p, alpha, kj, edges, in_flight):
-        schedule = ThetaSchedule(mu=1.0 / p - 0.5, nu=-1.5, p=p)
-        es = EventSystem(p=p, marginal=ParetoMarginal(alpha), dependence=GfmDependence(r=1.0, s=1.0, schedule=schedule))
+        es = EventSystem(p=p, marginal=ParetoMarginal(alpha), schedule=PowerSchedule(mu=1.0 / p - 0.5, nu=-1.5))
         f = _joint_survival_fn(es, *kj)
         boxes = [(min(e[:2]), max(e[:2]), min(e[2:]), max(e[2:])) for e in edges]
         with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):

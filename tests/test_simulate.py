@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pqdslln import simulate
-from pqdslln.copulas import GfmCopula
+from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import NumericError, ParameterError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.simulate import (
@@ -22,15 +23,32 @@ from pqdslln.simulate import (
     EXACT_DIMENSION_CAP,
     MultivariateFgmModel,
     SlnnRun,
-    count_exceedances,
     replicate_rng,
     run_slln,
-    sample_uniform_paths,
 )
 
 # aggressive schedules rescale with a warning by design; only
 # test_power_schedule_rescales_with_warning asserts on it
 pytestmark = pytest.mark.filterwarnings("ignore:pairwise strengths sum")
+
+
+def power_model(n, mu, nu, scale=1.0, window=None):
+    return MultivariateFgmModel.from_power_schedule(n, PowerSchedule(mu, nu, scale, window))
+
+
+def sample_paths(model, rng, batch, n=None):
+    """``batch`` uniform paths of n steps (default the model's n) in one sampler block.
+
+    ``rng`` is one Generator, filling the rows one after another, or one Generator per row.
+    """
+    rngs = [rng] * batch if isinstance(rng, np.random.Generator) else rng
+    n = model.n if n is None else n
+    return next(simulate._uniform_blocks(model, rngs, n, n))[1]
+
+
+def count_exceedances(path, p):
+    """Cumulative counts E_n = #{k <= n : X_k > k^(1/p)} along one path."""
+    return np.cumsum(path > np.arange(1, len(path) + 1, dtype=float) ** (1.0 / p))
 
 
 class TestModel:
@@ -39,52 +57,47 @@ class TestModel:
     )
     def test_power_schedule_rejects_non_finite(self, mu, nu, scale):
         with pytest.raises(ParameterError):
-            MultivariateFgmModel.from_power_schedule(64, mu=mu, nu=nu, scale=scale)
+            power_model(64, mu=mu, nu=nu, scale=scale)
 
     @pytest.mark.parametrize("mu, nu", [(200.0, 0.5), (1e8, 0.5), (0.5, 200.0), (0.5, 1e8)])
     @pytest.mark.parametrize("window", [None, 8])
     def test_power_schedule_rejects_overflowing_strengths(self, mu, nu, window):
         with pytest.raises(ParameterError, match="overflow"):
-            MultivariateFgmModel.from_power_schedule(1000, mu=mu, nu=nu, window=window)
+            power_model(1000, mu=mu, nu=nu, window=window)
 
     def test_power_schedule_rescales_with_warning(self):
         with pytest.warns(UserWarning, match="rescaling"):
-            model = MultivariateFgmModel.from_power_schedule(64, mu=0.0, nu=0.0, scale=1.0)
+            model = power_model(64, mu=0.0, nu=0.0, scale=1.0)
         assert model.theta_sum == pytest.approx(1.0)
         assert model.rescale_factor == pytest.approx(1.0 / (64 * 63 / 2))
-        assert model.theta(1, 2) == pytest.approx(model.rescale_factor)
+        assert model.schedule.theta(1, 2) == pytest.approx(model.rescale_factor)
 
     def test_power_schedule_window_auto(self):
-        model = MultivariateFgmModel.from_power_schedule(
+        model = power_model(
             EXACT_DIMENSION_CAP + 1, mu=-0.3, nu=-1.2, scale=0.25
         )
-        assert model.window == DEFAULT_WINDOW
-        assert model.theta(1, DEFAULT_WINDOW + 2) == 0.0
-        small = MultivariateFgmModel.from_power_schedule(256, mu=-0.3, nu=-1.2, scale=0.25)
-        assert small.window is None
+        assert model.schedule.window == DEFAULT_WINDOW
+        small = power_model(256, mu=-0.3, nu=-1.2, scale=0.25)
+        assert small.schedule.window is None
 
     def test_power_theta_sum_matches_direct(self):
-        model = MultivariateFgmModel.from_power_schedule(40, mu=-0.3, nu=-1.2, scale=0.05, window=8)
+        model = power_model(40, mu=-0.3, nu=-1.2, scale=0.05, window=8)
         direct = math.fsum(
-            model.theta(k, j) for j in range(2, 41) for k in range(max(1, j - 8), j)
+            model.schedule.theta(k, j) for j in range(2, 41) for k in range(max(1, j - 8), j)
         )
         assert model.theta_sum == pytest.approx(direct, rel=1e-12)
 
 
 class TestSampler:
     def test_zero_dependence_equals_bulk_uniforms(self):
-        model = MultivariateFgmModel.from_power_schedule(16, 0.0, 0.0, 0.0)
-        u_model = sample_uniform_paths(model, replicate_rng(5, 0), 4)
+        model = power_model(16, 0.0, 0.0, 0.0)
+        u_model = sample_paths(model, replicate_rng(5, 0), 4)
         u_plain = replicate_rng(5, 0).random((4, 16))
         np.testing.assert_array_equal(u_model, u_plain)
 
-    def test_independent_needs_length(self):
-        with pytest.raises(ParameterError):
-            sample_uniform_paths(None, replicate_rng(0, 0), 2)
-
     def test_pairwise_copula_matches_bivariate_family(self, rng):
-        model = MultivariateFgmModel.from_power_schedule(2, 0.0, 0.0, 1.0)
-        u = sample_uniform_paths(model, rng, 10**5)
+        model = power_model(2, 0.0, 0.0, 1.0)
+        u = sample_paths(model, rng, 10**5)
         copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
         target = copula.cdf(0.5, 0.5)
         hit = float(np.mean((u[:, 0] <= 0.5) & (u[:, 1] <= 0.5)))
@@ -93,8 +106,8 @@ class TestSampler:
 
     def test_three_coordinate_pairwise_margins(self, rng):
         theta = 1.0 / 3.0
-        model = MultivariateFgmModel.from_power_schedule(3, 0.0, 0.0, theta)
-        u = sample_uniform_paths(model, rng, 10**5)
+        model = power_model(3, 0.0, 0.0, theta)
+        u = sample_paths(model, rng, 10**5)
         copula = GfmCopula(theta=theta, r=1.0, s=1.0)
         grid = (0.25, 0.5, 0.75)
         n = u.shape[0]
@@ -107,8 +120,8 @@ class TestSampler:
                     assert abs(hit - target) <= 3.0 * se
 
     def test_empirical_pqd_on_grid(self, rng):
-        model = MultivariateFgmModel.from_power_schedule(2, 0.0, 0.0, 1.0)
-        u = sample_uniform_paths(model, rng, 10**5)
+        model = power_model(2, 0.0, 0.0, 1.0)
+        u = sample_paths(model, rng, 10**5)
         n = u.shape[0]
         for ua in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
             for vb in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
@@ -118,8 +131,8 @@ class TestSampler:
 
     def test_margin_fidelity_ks(self, rng):
         m = ParetoMarginal(2.0)
-        model = MultivariateFgmModel.from_power_schedule(3, 0.0, 0.0, 0.5, window=1)  # pairs (1, 2), (2, 3)
-        u = sample_uniform_paths(model, rng, 10**5)
+        model = power_model(3, 0.0, 0.0, 0.5, window=1)  # pairs (1, 2), (2, 3)
+        u = sample_paths(model, rng, 10**5)
         threshold = math.sqrt(-math.log(0.001 / 2.0) / 2.0) / math.sqrt(u.shape[0])
         for col in range(3):
             x = m.quantile(u[:, col])
@@ -128,31 +141,29 @@ class TestSampler:
 
     def test_windowed_sampling_matches_unwindowed_when_window_covers_all(self):
         kwargs = dict(n=48, mu=-0.3, nu=-1.2, scale=0.25)
-        full = MultivariateFgmModel.from_power_schedule(**kwargs)
-        windowed = MultivariateFgmModel.from_power_schedule(**kwargs, window=47)
-        a = sample_uniform_paths(full, replicate_rng(9, 0), 8)
-        b = sample_uniform_paths(windowed, replicate_rng(9, 0), 8)
+        full = power_model(**kwargs)
+        windowed = power_model(**kwargs, window=47)
+        a = sample_paths(full, replicate_rng(9, 0), 8)
+        b = sample_paths(windowed, replicate_rng(9, 0), 8)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_quantile_of_paths_support(self, rng):
-        model = MultivariateFgmModel.from_power_schedule(32, mu=-0.3, nu=-1.2, scale=0.25)
-        x = ParetoMarginal(2.0).quantile(sample_uniform_paths(model, rng, 1))
+        model = power_model(32, mu=-0.3, nu=-1.2, scale=0.25)
+        x = ParetoMarginal(2.0).quantile(sample_paths(model, rng, 1))
         assert x.shape == (1, 32)
         assert np.all(x >= 1.0)
 
     def test_row_generators_match_single_row_draws(self):
-        model = MultivariateFgmModel.from_power_schedule(48, mu=-0.3, nu=-1.2, scale=0.25)
-        rows = sample_uniform_paths(model, [replicate_rng(9, rep) for rep in range(3)], 3)
+        model = power_model(48, mu=-0.3, nu=-1.2, scale=0.25)
+        rows = sample_paths(model, [replicate_rng(9, rep) for rep in range(3)], 3)
         for rep in range(3):
-            np.testing.assert_array_equal(rows[rep], sample_uniform_paths(model, replicate_rng(9, rep), 1)[0])
-        with pytest.raises(ParameterError):
-            sample_uniform_paths(model, [replicate_rng(9, 0)], 2)
+            np.testing.assert_array_equal(rows[rep], sample_paths(model, replicate_rng(9, rep), 1)[0])
 
     def test_inadmissible_model_raises(self):
         # every pair at strength 1: the strengths sum far past the budget of 1
-        model = MultivariateFgmModel(n=64, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0)
+        model = MultivariateFgmModel(n=64, schedule=PowerSchedule(0.0, 0.0), theta_sum=1.0, rescale_factor=1.0)
         with pytest.raises(NumericError):
-            sample_uniform_paths(model, replicate_rng(3, 0), 4)
+            sample_paths(model, replicate_rng(3, 0), 4)
 
 
 class _Reached(Exception):
@@ -163,8 +174,8 @@ class TestRoutes:
     """Small batches step in Python floats, large ones in numpy: the same bytes and errors."""
 
     MODELS = {
-        "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
-        "window": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+        "exact": lambda: power_model(512, mu=-0.3, nu=-1.2, scale=0.25),
+        "window": lambda: power_model(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
     }
 
     @staticmethod
@@ -195,7 +206,7 @@ class TestRoutes:
         rows = data.draw(st.integers(1, simulate._SCALAR_ROWS + 8), label="rows")
         group = data.draw(st.integers(1, rows * n), label="group elements")
         width = max(1, group // rows)  # as run_slln cuts a dependent run's blocks from _GROUP_ELEMENTS
-        model = MultivariateFgmModel.from_power_schedule(n, *schedule, window=window)
+        model = power_model(n, *schedule, window=window)
         outcomes = []
         with pytest.MonkeyPatch.context() as monkeypatch:
             for scalar_rows in (rows, 0):
@@ -208,8 +219,11 @@ class TestRoutes:
     @pytest.mark.parametrize(
         "model",
         [
-            MultivariateFgmModel(n=64, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0),
-            MultivariateFgmModel(n=64, mu=-0.3, nu=-1.2, scale=math.nan, theta_sum=0.5),
+            MultivariateFgmModel(n=64, schedule=PowerSchedule(0.0, 0.0), theta_sum=1.0, rescale_factor=1.0),
+            # PowerSchedule refuses a nan scale; the sampler reads only these four fields
+            MultivariateFgmModel(
+                n=64, schedule=SimpleNamespace(mu=-0.3, nu=-1.2, scale=math.nan, window=None), theta_sum=0.5, rescale_factor=1.0
+            ),
         ],
         ids=["inadmissible", "nan-scale"],
     )
@@ -218,7 +232,7 @@ class TestRoutes:
         for scalar_rows in (4, 0):
             monkeypatch.setattr(simulate, "_SCALAR_ROWS", scalar_rows)
             with pytest.raises(NumericError) as info:
-                sample_uniform_paths(model, replicate_rng(3, 0), 4)
+                sample_paths(model, replicate_rng(3, 0), 4)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -227,7 +241,7 @@ class TestRoutes:
             raise _Reached
 
         monkeypatch.setattr(simulate, "_invert_columns", vectorised)
-        model = MultivariateFgmModel.from_power_schedule(128, mu=-0.3, nu=-1.2, scale=0.25)
+        model = power_model(128, mu=-0.3, nu=-1.2, scale=0.25)
         run = SlnnRun(p=1.2, marginal=ParetoMarginal(2.0), model=model, n_max=128,
                       replicates=simulate._SCALAR_ROWS, seed=1, c=2.0)
         run_slln(run)
@@ -265,8 +279,8 @@ class TestPieces:
 
     MODELS = {
         "independent": lambda: None,
-        "exact": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
-        "window": lambda: MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+        "exact": lambda: power_model(512, mu=-0.3, nu=-1.2, scale=0.25),
+        "window": lambda: power_model(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
     }
 
     @staticmethod
@@ -300,7 +314,7 @@ class TestPieces:
         cpus = len(os.sched_getaffinity(0))
         assert simulate._thread_count(None, 32, 2**17) == min(cpus, 32)
         assert simulate._thread_count(None, 1, 2**18) == 1
-        assert simulate._thread_count(MultivariateFgmModel(n=2**17), 32, 2**17) == min(cpus, 32)  # a zero schedule
+        assert simulate._thread_count(power_model(2**17, 0.0, 0.0, 0.0), 32, 2**17) == min(cpus, 32)  # a zero schedule
         assert simulate._thread_count(self.MODELS["exact"](), 32, 2**17) == 1
         assert simulate._thread_count(None, 2, 2**17 - 1) == 1  # below one block of 2^18 uniforms
 
@@ -415,7 +429,7 @@ class TestRunSlln:
         ns = np.array(cps, dtype=float)
         m_rows, e_rows = [], []
         for rep in range(run.replicates):
-            u = sample_uniform_paths(run.model, replicate_rng(run.seed, rep), 1, cps[-1])[0]
+            u = sample_paths(run.model, replicate_rng(run.seed, rep), 1, cps[-1])[0]
             x = run.marginal.quantile(u)
             m_rows.append((np.cumsum(x)[idx] - ns * run.centering()) / ns ** (1.0 / run.p))
             e_rows.append(count_exceedances(x, run.p)[idx])
@@ -428,11 +442,11 @@ class TestRunSlln:
             "independent": lambda: self.run(n_max=2**17, replicates=3),
             "exact": lambda: self.run(
                 p=1.2, n_max=2**10, replicates=4,
-                model=MultivariateFgmModel.from_power_schedule(2**10, mu=-0.3, nu=-1.2, scale=0.25),
+                model=power_model(2**10, mu=-0.3, nu=-1.2, scale=0.25),
             ),
             "window": lambda: self.run(
                 p=1.2, n_max=2**11, replicates=3,
-                model=MultivariateFgmModel.from_power_schedule(2**11, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+                model=power_model(2**11, mu=-0.3, nu=-1.2, scale=0.25, window=16),
             ),
         }[case]()
         report = run_slln(run)
@@ -454,8 +468,8 @@ class TestRunSlln:
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
         model = {
             "independent": None,
-            "exact": MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25),
-            "window": MultivariateFgmModel.from_power_schedule(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+            "exact": power_model(512, mu=-0.3, nu=-1.2, scale=0.25),
+            "window": power_model(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
         }[case]
         run = self.run(p=1.2, n_max=512, replicates=3, model=model)
         report = run_slln(run)
@@ -468,7 +482,7 @@ class TestRunSlln:
     )
     def test_memory_stays_below_the_path(self, n_max, replicates, dependent):
         # the whole path would take 32 MB; the block of uniforms, inverted in place, takes 2 MB
-        model = MultivariateFgmModel.from_power_schedule(n_max, mu=-0.3, nu=-1.2, scale=0.25) if dependent else None
+        model = power_model(n_max, mu=-0.3, nu=-1.2, scale=0.25) if dependent else None
         run = self.run(p=1.2, n_max=n_max, replicates=replicates, model=model)
         run_slln(self.run(n_max=128, replicates=1))  # what the first call imports stays out of the measure
         tracemalloc.start()
@@ -482,7 +496,7 @@ class TestRunSlln:
     def test_scalar_route_memory_stays_below_the_path(self, monkeypatch):
         # one row: blocks of 2^12 steps; its 2^14 steps as Python floats would take 512 kB
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 1 << 12)
-        model = MultivariateFgmModel.from_power_schedule(2**14, mu=-0.3, nu=-1.2, scale=0.25)
+        model = power_model(2**14, mu=-0.3, nu=-1.2, scale=0.25)
         run = self.run(p=1.2, n_max=2**14, replicates=1, model=model)
         run_slln(run)  # what the first call imports stays out of the measure
         tracemalloc.start()
@@ -494,7 +508,7 @@ class TestRunSlln:
         assert peak < 2**19
 
     def test_inadmissible_model_raises(self):
-        model = MultivariateFgmModel(n=128, mu=0.0, nu=0.0, scale=1.0, theta_sum=1.0)
+        model = MultivariateFgmModel(n=128, schedule=PowerSchedule(0.0, 0.0), theta_sum=1.0, rescale_factor=1.0)
         with pytest.raises(NumericError):
             run_slln(self.run(n_max=128, replicates=3, model=model))
 
@@ -507,7 +521,7 @@ class TestRunSlln:
     def test_divergent_regime(self):
         run = self.run(marginal=ParetoMarginal(1.0), c=0.0, n_max=2**13)
         report = run_slln(run)
-        assert report.tail_max_abs_m(3) > 1.0
+        assert np.max(np.abs(report.m_values[:, -3:])) > 1.0  # the trailing checkpoints
 
     def test_centering_requires_finite_mean(self):
         with pytest.raises(ParameterError):
@@ -521,7 +535,7 @@ class TestRunSlln:
         assert np.all(np.diff(report.exceedances, axis=1) >= 0)
 
     def test_dependent_run_metadata_and_behavior(self):
-        model = MultivariateFgmModel.from_power_schedule(2**13, mu=-0.3, nu=-1.2, scale=0.25)
+        model = power_model(2**13, mu=-0.3, nu=-1.2, scale=0.25)
         run = self.run(p=1.2, model=model, replicates=4)
         report = run_slln(run)
         assert report.metadata["dependence"] == "pairwise-pqd"
@@ -533,9 +547,9 @@ class TestRunSlln:
     def test_exceedance_mean_matches_event_probs_under_dependence(self):
         # dependence changes joint behavior, not expectations
         n = 2**11
-        model = MultivariateFgmModel.from_power_schedule(n, mu=-0.3, nu=-1.2, scale=0.25)
+        model = power_model(n, mu=-0.3, nu=-1.2, scale=0.25)
         rng = replicate_rng(2024, 0)
-        u = sample_uniform_paths(model, rng, 400)
+        u = sample_paths(model, rng, 400)
         m = ParetoMarginal(2.0)
         finals = np.empty(u.shape[0])
         for i in range(u.shape[0]):
@@ -545,6 +559,6 @@ class TestRunSlln:
         assert abs(float(np.mean(finals)) - expected) <= 3.0 * se
 
     def test_model_too_small_rejected(self):
-        model = MultivariateFgmModel.from_power_schedule(256, mu=-0.3, nu=-1.2, scale=0.25)
+        model = power_model(256, mu=-0.3, nu=-1.2, scale=0.25)
         with pytest.raises(ParameterError):
             run_slln(self.run(model=model))

@@ -79,6 +79,13 @@ class TestPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_non_finite_a_is_domain_error(self, a, n):
+        # refused before the empty product or the loop, as gamma refuses a non-finite x
+        with pytest.raises(DomainError, match="finite a"):
+            pochhammer(a, n)
+
     @pytest.mark.parametrize("a, n, expected", [(-3.0, 5, -0.0), (-200.0, 300, 0.0), (-1.0, 10**9, -0.0)])
     def test_zero_factor_gives_its_signed_zero(self, a, n, expected):
         # (-m)_n for m < n: the sign of the m nonzero factors before the zero one
