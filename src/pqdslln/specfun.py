@@ -1,13 +1,14 @@
 """Gamma, Pochhammer and Gauss hypergeometric evaluation on the real line.
 
 Only the parameter ranges needed by the closed-form covariance factor are
-supported: positive gamma arguments, and 2F1 series that either terminate
-(first or second parameter a nonpositive integer) or converge absolutely
-(|z| < 1).  No analytic continuation is attempted; out-of-range arguments
-raise :class:`~pqdslln.errors.DomainError` instead of silently returning
-garbage.  ``gauss_2f1`` takes a scalar or a numpy array z and works
-elementwise; the other functions take scalars.  All functions are pure and
-safe for concurrent use.
+supported: positive gamma arguments, with Gamma(x) finite for x from about
+5.6e-309 to 171.62, and 2F1 series that either terminate (first or second
+parameter a nonpositive integer) or converge absolutely (|z| < 1).  No
+analytic continuation is attempted; out-of-range arguments raise
+:class:`~pqdslln.errors.DomainError` instead of silently returning garbage.
+``gauss_2f1`` takes a scalar or a numpy array z and works elementwise; the
+other functions take scalars.  All functions are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -21,24 +22,6 @@ from .errors import DomainError, NumericError
 
 __all__ = ["gamma", "pochhammer", "gauss_2f1", "HypergeometricArgs"]
 
-# Lanczos rational approximation, g = 7, 9 coefficients.  Relative accuracy
-# is a few ulp over the positive reals, comfortably inside the 1e-12
-# contract on [0.5, 50].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
 # Relative truncation threshold for the 2F1 power series.  Downstream
 # tolerances are 1e-6; this leaves nine orders of margin.
 _SERIES_RTOL = 1e-15
@@ -49,30 +32,18 @@ _PROJECTION_MARGIN = 10.0
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0 via a fixed-coefficient Lanczos sum.
+    """Gamma function for real x > 0, as the standard library's ``math.gamma``.
 
-    Relative error <= 1e-12 on (0, 50]; below 0.5 it is Gamma(x + 1) / x.
     Nonpositive or non-finite arguments raise DomainError; arguments where
-    the result overflows raise NumericError: x above about 142.37, where the
-    Lanczos power overflows, and x below about 5.6e-309, where 1/x does.
+    the result overflows raise NumericError: x above about 171.62, and x
+    below about 5.6e-309.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        value = gamma(x + 1.0) / x
-        if value == math.inf:
-            raise NumericError(f"gamma({x!r}) overflows double precision")
-        return value
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
     try:
-        power = t ** (z + 0.5)
+        return math.gamma(x)
     except OverflowError:
         raise NumericError(f"gamma({x!r}) overflows double precision") from None
-    return _SQRT_TWO_PI * power * math.exp(-t) * acc
 
 
 def pochhammer(a: float, n: int) -> float:

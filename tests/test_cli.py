@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -95,6 +97,7 @@ class TestSpecfunEval:
         [
             ["--fn", "2f1", "--a", "200", "--b", "200", "--c", "1", "--z", "0.9"],
             ["--fn", "pochhammer", "--a", "0.5", "--n", "30000000"],
+            ["--fn", "gamma", "--x", "172"],
         ],
     )
     def test_overflow_is_numeric_error(self, tmp_path, capsys, args):
@@ -197,6 +200,14 @@ class TestGEval:
         expected = np.prod(betainc(2.5, 1.0, f) * beta(2.5, 1.0) / 2.0)
         assert closed == pytest.approx(expected, rel=1e-10)
 
+    def test_large_r_closed_matches_mpmath(self, tmp_path):
+        args = ["g", "eval", "--theta", "1", "--r", "200", "--s", "1", "--u", "3", "--v", "3", "--method", "closed"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        closed = read_json(tmp_path / "result.json")["methods"]["closed"]
+        with mpmath.workdps(40):
+            expected = (mpmath.betainc(2, 199.5, 0, 1 - mpmath.mpf(3) ** -2) / 2) ** 2
+            assert abs(closed - expected) <= 1e-12 * expected
+
 
 class TestConditionCheck:
     def test_nec12_example(self, tmp_path):
@@ -226,11 +237,31 @@ class TestConditionCheck:
         assert code == EXIT_PARAMETER
         assert "1/p - 1 < mu" in capsys.readouterr().err
 
-    def test_gamma_overflow_is_numeric_error(self, tmp_path, capsys):
+    def test_large_r_matches_mpmath(self, tmp_path):
+        # B(inf) = Beta(2, 199.5) / 2 is a double although Gamma(201.5) overflows
         args = ["condition", "check", "--kind", "l1", "--p", "1", "--mu", "0.2", "--nu", "-1.5",
                 "--r", "200", "--N", "20"]
-        assert run_cli(args, tmp_path) == EXIT_NUMERIC
-        assert "[numeric]" in capsys.readouterr().err
+        assert run_cli(args, tmp_path) == EXIT_OK
+        got = [float(line.split(",")[1]) for line in (tmp_path / "terms.csv").read_text().splitlines()[1:]]
+        with mpmath.workdps(40):
+            b = [mpmath.betainc(2, 199.5, 0, 1 - mpmath.mpf(k) ** -2) / 2 for k in range(1, 21)]
+            k_part = [k ** mpmath.mpf(-0.8) * b[k - 1] for k in range(1, 21)]
+            expected = [j ** mpmath.mpf(-2.5) * b[j - 1] * mpmath.fsum(k_part[: j - 1]) for j in range(2, 21)]
+            assert all(abs(x - y) <= 1e-12 * y for x, y in zip(got, expected))
+
+    def test_large_s_terms_match_incomplete_beta(self, tmp_path):
+        # every B here lies far below B(inf), where a complement B(inf) - correction cancels
+        p, n = 1.9, 300
+        args = ["condition", "check", "--kind", "nec12", "--p", str(p), "--mu", "0", "--nu", "-1",
+                "--s", "40", "--N", str(n)]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        got = np.array([float(line.split(",")[1]) for line in (tmp_path / "terms.csv").read_text().splitlines()[1:]])
+        idx = np.arange(1, n + 1, dtype=float)
+        f = -np.expm1(-2.0 * np.log(idx ** (1.0 / p)))
+        b = betainc(41.0, 0.5, f) * beta(41.0, 0.5) / 2.0
+        k_part, j_part = idx ** (-1.0 / p) * b, idx ** (-1.0 / p - 1.0) * b
+        expected = j_part[1:] * np.cumsum(k_part)[:-1]
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 class TestBc:
@@ -666,7 +697,11 @@ class TestClosedFormOnePass:
             monkeypatch.setattr(pqdslln.gfun, name, counting(name))
         args = ["condition", "check", "--kind", kind, "--p", "1.3", "--mu", "0.2", "--nu", "-1.5", "--N", "300"]
         assert run_cli(args, tmp_path) == EXIT_OK
-        assert calls == {"gauss_2f1": 1, "bracket_limit": 1}
+        # one series for each side of x* = (a + 1) / (a + b + 2) that holds a threshold
+        # (a = s + 1 = 2, b = r - 1/alpha = 0.5 at the defaults)
+        f = 1.0 - (np.arange(1, 301) ** (1.0 if kind == "l1" else 1.0 / 1.3)) ** -2.0
+        below = f < 3.0 / 4.5
+        assert calls == {"gauss_2f1": int(below.any()) + int((~below).any()), "bracket_limit": 1}
 
     def test_report_grid_takes_one_bracket_call(self, tmp_path, monkeypatch):
         calls = {"g_closed_form": 0, "g_closed_bracket": 0}
@@ -906,3 +941,10 @@ class TestReadmeExamples:
         monkeypatch.delenv("PQDSLLN_OUTDIR", raising=False)
         for argv in commands:
             assert main(argv) == EXIT_OK, argv
+
+    def test_exit_code_example_exits_3(self, tmp_path, monkeypatch):
+        bullet = next(item for item in README.read_text().split("\n* ") if item.startswith("Exit codes:"))
+        command = re.search(r"`(pqdslln [^`]+)`", bullet).group(1)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PQDSLLN_OUTDIR", raising=False)
+        assert main(shlex.split(command)[1:]) == EXIT_NUMERIC

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta, betainc
 
@@ -42,18 +43,37 @@ def scalar_2f1(a: float, b: float, c: float, z: float) -> float:
     return total
 
 
-def scalar_closed_bracket(r: float, s: float, u: float) -> float:
-    """B(u) one threshold at a time through the scalar series (test oracle)."""
-    if u == 1.0:
-        return 0.0
-    correction = scalar_2f1(-s, r - 0.5, r + 0.5, 1.0 / (u * u)) / ((2.0 * r - 1.0) * u ** (2.0 * r - 1.0))
-    return bracket_limit(r, s) - correction
+def scalar_closed_bracket(r: float, s: float, u: float, alpha: float = 2.0) -> float:
+    """B(u) at one threshold: the side of x* chosen in Python, the scalar series (test oracle).
+
+    The elementwise numpy kernels (log, exp, expm1, log1p, power) run on a
+    one-element array, since numpy's SIMD kernels may differ from libm's in
+    the last bit.
+    """
+    a, b = s + 1.0, r - 1.0 / alpha
+    log_tail = -alpha * np.log(np.array([u]))
+    g = np.exp(log_tail)
+    if g[0] > (b + 1.0) / (a + b + 2.0):  # F < x* = (a + 1) / (a + b + 2)
+        f = -np.expm1(log_tail)
+        value = f**a * g**b / (a * alpha) * scalar_2f1(1.0, a + b, a + 1.0, float(f[0]))
+    else:
+        lead = np.exp(a * np.log1p(-g) + b * log_tail)
+        value = bracket_limit(r, s, alpha) - lead / (b * alpha) * scalar_2f1(1.0, a + b, b + 1.0, float(g[0]))
+    return float(value[0])
 
 
 def incomplete_beta_bracket(r: float, s: float, u, alpha: float):
     """B(u) = (1/alpha) B_F(s+1, r-1/alpha) through scipy's regularized incomplete beta (test oracle)."""
     f = -np.expm1(-alpha * np.log(u))
     return betainc(s + 1.0, r - 1.0 / alpha, f) * beta(s + 1.0, r - 1.0 / alpha) / alpha
+
+
+def mpmath_bracket(r: float, s: float, u: float, alpha: float):
+    """B(u) = (1/alpha) B_F(s+1, r-1/alpha) in 40-digit arithmetic (test oracle)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(s) + 1, mpmath.mpf(r) - 1 / mpmath.mpf(alpha)
+        f = -mpmath.expm1(-mpmath.mpf(alpha) * mpmath.log(mpmath.mpf(u)))
+        return mpmath.betainc(a, b, 0, f) / alpha
 
 
 def counting_field(copula, marginal):
@@ -168,7 +188,7 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             g_closed_bracket(0.5, 1.0, 2.0)
 
-    @pytest.mark.parametrize("r,s", PARAM_GRID)
+    @pytest.mark.parametrize("r,s", [*PARAM_GRID, (1.0, 50.0)])
     def test_monotone_and_nonnegative(self, r, s):
         values = [g_closed_bracket(r, s, u) for u in (1.0, 1.2, 1.5, 2.0, 5.0, 20.0, 1e3)]
         assert all(v >= 0.0 for v in values)
@@ -211,11 +231,14 @@ class TestClosedFormEveryAlpha:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_relative_accuracy_against_incomplete_beta(self, alpha):
         rng = np.random.default_rng(int(alpha * 10))
-        edge = 2.0 ** (1.0 / alpha)  # where the evaluation switches form
+        half = 2.0 ** (1.0 / alpha)  # F = 1/2
         for _ in range(10):
             r, s = rng.uniform(1.0, 3.0, 2)
+            a, b = s + 1.0, r - 1.0 / alpha
+            edge = (1.0 - (a + 1.0) / (a + b + 2.0)) ** (-1.0 / alpha)  # F = x*, where the form switches
             u = np.exp(rng.uniform(math.log1p(1e-9), math.log(1e4), 300))
-            u = np.concatenate([u, [edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12)]])
+            u = np.concatenate([u, [half * (1.0 - 1e-12), half, half * (1.0 + 1e-12)]])
+            u = np.concatenate([u, [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]])
             expected = incomplete_beta_bracket(r, s, u, alpha)
             got = g_closed_bracket(r, s, u, alpha)
             assert np.max(np.abs(got - expected) / expected) <= 1e-10, (r, s)
@@ -233,6 +256,44 @@ class TestClosedFormEveryAlpha:
             for r, s in PARAM_GRID:
                 expected = beta(s + 1.0, r - 1.0 / alpha) / alpha
                 assert bracket_limit(r, s, alpha) == pytest.approx(expected, rel=1e-12)
+
+    @given(
+        st.floats(min_value=1.0, max_value=400.0),
+        st.floats(min_value=1.0, max_value=200.0),
+        st.floats(min_value=1.0, max_value=4.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.booleans(),
+    )
+    def test_relative_contract_against_mpmath(self, s, r, alpha, t, near_switch):
+        # 1e-11 relative wherever B(u) >= 1e-290, up to the support edge and out to u = 1e8
+        assume(r * alpha >= 1.0 + 1e-3)
+        lo, hi = math.log1p(1e-12), math.log(1e8)
+        if near_switch:  # within 10 % of the u where F = x*
+            a, b = s + 1.0, r - 1.0 / alpha
+            log_u = math.log1p(-(a + 1.0) / (a + b + 2.0)) / -alpha + 0.2 * (t - 0.5)
+        else:
+            log_u = lo + t * (hi - lo)
+        u = math.exp(min(max(log_u, lo), hi))
+        expected = mpmath_bracket(r, s, u, alpha)
+        if expected < 1e-290:
+            return
+        assert abs(g_closed_bracket(r, s, u, alpha) - expected) <= 1e-11 * expected, (r, s, u, alpha)
+
+    @given(
+        st.floats(min_value=1.0, max_value=60.0),
+        st.floats(min_value=1.0, max_value=4.0),
+        st.floats(min_value=1.0, max_value=1e4),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.booleans(),
+    )
+    def test_limit_against_mpmath(self, s, alpha, r, offset, at_overflow):
+        # 1e-12 relative up to r = 1e4, with draws on both sides of a + b = 171.62, where Gamma(a + b) overflows
+        if at_overflow:
+            r = 171.62 + offset - (s + 1.0) + 1.0 / alpha
+        assume(r * alpha > 1.0)
+        with mpmath.workdps(40):
+            expected = mpmath.beta(mpmath.mpf(s) + 1, mpmath.mpf(r) - 1 / mpmath.mpf(alpha)) / alpha
+            assert abs(bracket_limit(r, s, alpha) - expected) <= 1e-12 * expected, (r, s, alpha)
 
     def test_overflowing_power_gives_limit(self):
         assert g_closed_bracket(50.0, 1.0, 1e6) == bracket_limit(50.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import mpmath
@@ -55,10 +56,21 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(x)
 
-    @pytest.mark.parametrize("x", [142.5, 200.5, 1e6])
+    @pytest.mark.parametrize("x", [171.7, 200.5, 1e6])
     def test_overflow_is_numeric_error(self, x):
         with pytest.raises(NumericError):
             gamma(x)
+
+    @given(st.floats(min_value=0.0, max_value=172.0, exclude_min=True))
+    def test_against_mpmath_wherever_finite(self, x):
+        # contract: relative error <= 2e-15 wherever Gamma(x) is a finite double
+        with mpmath.workdps(40):
+            expected = mpmath.gamma(mpmath.mpf(x))
+            if expected > sys.float_info.max:
+                with pytest.raises(NumericError):
+                    gamma(x)
+                return
+            assert abs(gamma(x) - expected) <= 2e-15 * expected
 
 
 class TestPochhammer:
