@@ -16,11 +16,10 @@ from .borel_cantelli import (
 from .conditions import (
     CONVERGES,
     DIVERGES,
-    INCONCLUSIVE,
     MajorantBound,
     SeriesVerdict,
-    classify_series,
     condition_terms,
+    decay_exponent,
     majorant_sum,
     tail_condition,
     verdict_from_terms,

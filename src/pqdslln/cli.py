@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lamperti_ratios
-from .conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
+from .conditions import condition_terms, decay_exponent, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, PowerSchedule
 from .errors import DomainError, NumericError, ParameterError
 from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
@@ -226,11 +226,9 @@ def _run_g_eval(params: dict):
 def _run_condition_check(params: dict):
     schedule = _series_schedule(params)
     marginal = ParetoMarginal(params["alpha"])
-    kind = params["kind"]
-    j_values, terms = condition_terms(
-        kind, params["p"], schedule, params["r"], params["s"], marginal, params["N"]
-    )
-    verdict = verdict_from_terms(j_values, terms)
+    kind, p, r = params["kind"], params["p"], params["r"]
+    j_values, terms = condition_terms(kind, p, schedule, r, params["s"], marginal, params["N"])
+    verdict = verdict_from_terms(j_values, terms, decay_exponent(kind, p, schedule, r, marginal))
     result = dict(asdict(verdict), kind=kind)
     tables = {"terms": (["j", "term"], (j_values.tolist(), terms.tolist()))}
     return result, tables, [f"{kind}: {verdict.verdict} (partial sum {verdict.partial_sum:.9g})"]
@@ -320,7 +318,7 @@ def _run_report_example(params: dict):
             g_rows.append((u, v, closed, numeric, diff))
 
     j_values, terms = condition_terms("nec12", p, schedule, r, s, marginal, n_terms)
-    verdict = verdict_from_terms(j_values, terms)
+    verdict = verdict_from_terms(j_values, terms, decay_exponent("nec12", p, schedule, r, marginal))
     majorant = majorant_sum(p, mu, nu, r, s, n_terms, marginal.alpha)
     partial_cum = np.cumsum(terms)
     majorant_cum = majorant.c_const * majorant.inner_sum_factor * np.cumsum(

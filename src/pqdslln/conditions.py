@@ -14,16 +14,16 @@ quadrature per threshold otherwise) plus cumulative products.  Partial sums
 are accumulated with exact (fsum) summation, so they do not depend on the
 order of the terms.
 
-Truncated sums cannot prove convergence; verdicts are an honest
-classification of the fitted decay rate of the per-j aggregated terms over
-the last decade of j, with an explicit inconclusive band around the
-harmonic boundary.
+The verdict does not come from the truncated sum: under the power schedule
+the per-j terms decay like T_j ~ j^e up to log factors, with e fixed by
+(kind, p, mu, nu, r alpha), and the series converges exactly when e < -1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,42 +35,33 @@ from .marginals import ParetoMarginal
 __all__ = [
     "CONVERGES",
     "DIVERGES",
-    "INCONCLUSIVE",
     "SeriesVerdict",
     "MajorantBound",
     "condition_terms",
+    "decay_exponent",
     "verdict_from_terms",
-    "classify_series",
     "majorant_sum",
     "tail_condition",
 ]
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
-INCONCLUSIVE = "inconclusive"
 
 _KINDS = ("cs11", "nec12", "l1")
-
-# Fitted-exponent bands: a series is declared convergent only clearly below
-# the harmonic boundary; at or above the boundary the integral test gives an
-# infinite tail, so it is declared divergent; the gap in between stays
-# inconclusive.
-_CONVERGE_BELOW = -1.05
-_DIVERGE_AT = -1.0 - 1e-9
 
 
 @dataclass(frozen=True)
 class SeriesVerdict:
-    """Partial sum, decay fit and classification of a nonnegative-term series."""
+    """Partial sum, decay exponent and verdict of a nonnegative-term series."""
 
     partial_sum: float
     n_terms: int
-    fitted_decay_exponent: float
+    decay_exponent: float
     tail_estimate: float
     verdict: str
 
     def __post_init__(self):
-        if self.verdict not in (CONVERGES, DIVERGES, INCONCLUSIVE):
+        if self.verdict not in (CONVERGES, DIVERGES):
             raise ParameterError(f"unknown verdict {self.verdict!r}")
         if self.verdict == CONVERGES and not math.isfinite(self.tail_estimate):
             raise ParameterError("a convergent verdict requires a finite tail estimate")
@@ -91,33 +82,6 @@ class MajorantBound:
     tail_bound: float
     exponent: float
     inner_sum_factor: float
-
-
-def classify_series(j_values: np.ndarray, terms: np.ndarray) -> tuple[float, str, float]:
-    """Fit the decay exponent of per-j terms and classify the series.
-
-    Fits log(terms) against log(j) by least squares over the last decade of
-    j (restricted to positive terms), returning (exponent, verdict,
-    tail_estimate).  All-zero terms classify as convergent with zero tail.
-    """
-    j_values = np.asarray(j_values, dtype=float)
-    terms = np.asarray(terms, dtype=float)
-    if np.any(terms < 0.0):
-        raise ParameterError("series classification requires nonnegative terms")
-    if not np.any(terms > 0.0):
-        return math.nan, CONVERGES, 0.0
-    n_max = float(j_values[-1])
-    window = (j_values >= n_max / 10.0) & (terms > 0.0)
-    if int(window.sum()) < 5:
-        return math.nan, INCONCLUSIVE, math.inf
-    slope, _ = np.polyfit(np.log(j_values[window]), np.log(terms[window]), 1)
-    slope = float(slope)
-    if slope < _CONVERGE_BELOW:
-        tail = float(terms[window][-1]) * n_max / (-slope - 1.0)
-        return slope, CONVERGES, tail
-    if slope >= _DIVERGE_AT:
-        return slope, DIVERGES, math.inf
-    return slope, INCONCLUSIVE, math.inf
 
 
 def _factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds: np.ndarray) -> np.ndarray:
@@ -157,12 +121,10 @@ def condition_terms(
     to cache one factor value per index.  The schedule must pass its
     :meth:`~PowerSchedule.check_window` at p.
     """
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown series kind {kind!r}; expected one of {_KINDS}")
-    schedule.check_window(p)
+    schedule.check_window(p)  # first: _weight_exponents divides by p
+    wk, wj, inv_p = _weight_exponents(kind, p)
     if n_terms < 2:
         raise ParameterError(f"series truncation requires N >= 2, got {n_terms!r}")
-    wk, wj, inv_p = _weight_exponents(kind, p)
     idx = np.arange(1, n_terms + 1, dtype=float)
     b = _factor_values(r, s, marginal, idx**inv_p)
     k_part = idx ** (wk + schedule.mu) * b
@@ -171,14 +133,45 @@ def condition_terms(
     return idx[1:].astype(int), terms
 
 
-def verdict_from_terms(j_values: np.ndarray, terms: np.ndarray) -> SeriesVerdict:
-    """Partial sum and decay classification of the (j_values, terms) of :func:`condition_terms`."""
-    partial = math.fsum(terms)
-    exponent, verdict, tail = classify_series(j_values, terms)
+def decay_exponent(kind: str, p: float, schedule: PowerSchedule, r: float, marginal: ParetoMarginal) -> float:
+    """Exponent e with T_j ~ j^e, up to log factors, for the terms of :func:`condition_terms`.
+
+    B(u) tends to B(inf) when r alpha > 1 and grows like u^(1 - r alpha)
+    when r alpha < 1, so B at the j-th threshold grows like j^gamma with
+    gamma = max(0, (1 - r alpha)/p_eff).  The inner sum over k < j of
+    k^(w_k + mu + gamma) then adds max(w_k + mu + gamma + 1, 0).  Log
+    factors (r alpha = 1, or an inner exponent of exactly -1) only make
+    terms larger, so the series converges exactly when e < -1.
+
+    e is summed exactly from the double inputs and rounded to the nearest
+    double, except that an e just below -1 stays below it: a schedule that
+    passes ``check_window(p)`` with r alpha > 1 always gives e < -1.
+    """
+    schedule.check_window(p)
+    if not math.isfinite(r):
+        raise ParameterError(f"decay exponent requires a finite r, got {r!r}")
+    wk, wj, inv_p = (Fraction(w) for w in _weight_exponents(kind, p))
+    gamma = max(0, (1 - Fraction(r) * Fraction(marginal.alpha)) * inv_p)
+    exact = wj + Fraction(schedule.nu) + gamma + max(wk + Fraction(schedule.mu) + gamma + 1, 0)
+    return min(float(exact), math.nextafter(-1.0, -math.inf)) if exact < -1 else float(exact)
+
+
+def verdict_from_terms(j_values: np.ndarray, terms: np.ndarray, exponent: float) -> SeriesVerdict:
+    """Partial sum of the (j_values, terms) of :func:`condition_terms` and the
+    verdict of their :func:`decay_exponent`.
+
+    The series converges iff exponent < -1; its tail estimate is then the
+    integral-test value T_N N/(-exponent - 1), and infinite otherwise.
+    """
+    n_max = int(j_values[-1])
+    if exponent < -1.0:
+        verdict, tail = CONVERGES, float(terms[-1]) * n_max / (-exponent - 1.0)
+    else:
+        verdict, tail = DIVERGES, math.inf
     return SeriesVerdict(
-        partial_sum=partial,
-        n_terms=int(j_values[-1]),
-        fitted_decay_exponent=exponent,
+        partial_sum=math.fsum(terms),
+        n_terms=n_max,
+        decay_exponent=exponent,
         tail_estimate=tail,
         verdict=verdict,
     )
@@ -223,7 +216,7 @@ def majorant_sum(
 def tail_condition(p: float, marginal: ParetoMarginal, n_terms: int) -> SeriesVerdict:
     """Tail sum sum_{k<=N} P{X > k^(1/p)} = sum k^(-alpha/p) with integral-test tail.
 
-    The verdict is analytic, not fitted: the series converges exactly when
+    The verdict is analytic: the series converges exactly when
     alpha/p > 1, which is also exactly when E|X|^p is finite.
     """
     if not 1.0 <= p < 2.0:
@@ -242,7 +235,7 @@ def tail_condition(p: float, marginal: ParetoMarginal, n_terms: int) -> SeriesVe
     return SeriesVerdict(
         partial_sum=partial,
         n_terms=n_terms,
-        fitted_decay_exponent=q,
+        decay_exponent=q,
         tail_estimate=tail,
         verdict=verdict,
     )

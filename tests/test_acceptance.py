@@ -15,7 +15,7 @@ import scipy.stats
 
 from pqdslln.borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lamperti_ratios
 from pqdslln.cli import main
-from pqdslln.conditions import condition_terms, majorant_sum, tail_condition, verdict_from_terms
+from pqdslln.conditions import condition_terms, decay_exponent, majorant_sum, tail_condition, verdict_from_terms
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
 from pqdslln.marginals import ParetoMarginal
@@ -76,7 +76,8 @@ def test_criterion_04_example_convergence_chain():
     schedule.check_window(1.0)
     m = ParetoMarginal(2.0)
     j_values, terms = condition_terms("nec12", 1.0, schedule, 1.0, 1.0, m, 2000)
-    assert verdict_from_terms(j_values, terms).verdict == "converges"
+    exponent = decay_exponent("nec12", 1.0, schedule, 1.0, m)
+    assert verdict_from_terms(j_values, terms, exponent).verdict == "converges"
     bound = majorant_sum(1.0, 0.2, -1.5, 1.0, 1.0, 2000)
     assert bound.c_const == pytest.approx(4.0 / 9.0, rel=1e-12)
     partial_cum = np.cumsum(terms)

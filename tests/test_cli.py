@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -27,6 +28,7 @@ import pqdslln.conditions
 import pqdslln.gfun
 from pqdslln import __version__
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
+from pqdslln.conditions import CONVERGES, DIVERGES, SeriesVerdict
 from pqdslln.copulas import PowerSchedule
 from pqdslln.gfun import bracket_limit, g_closed_bracket
 from pqdslln.marginals import ParetoMarginal
@@ -225,6 +227,29 @@ class TestConditionCheck:
         terms = (tmp_path / "terms.csv").read_text().splitlines()
         assert terms[0] == "j,term"
         assert len(terms) == 500  # header + j = 2..500
+
+    @pytest.mark.parametrize(
+        "args, verdict",
+        [
+            # a least-squares slope over the last decade read -0.992 here; the exponent is -1.0026
+            (["--kind", "cs11", "--p", "1.9", "--mu", "-0.05", "--nu", "-0.9", "--N", "100000"], "converges"),
+            # r alpha = 1: B grows like log u, which leaves the exponent -2.3
+            (["--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "40", "--alpha", "1"], "converges"),
+            # r alpha = 0.3: B grows like u^0.7, which lifts the exponent to -0.9
+            (["--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "40", "--alpha", "0.3"], "diverges"),
+        ],
+    )
+    def test_verdict_follows_the_decay_exponent(self, args, verdict, tmp_path):
+        assert run_cli(["condition", "check", *args, "--format", "json"], tmp_path) == EXIT_OK
+        result = read_json(tmp_path / "result.json")
+        validate(result, "condition_result")
+        assert result["verdict"] == verdict
+        # a divergent tail is infinite, written as null
+        assert (result["tail_estimate"] is not None) == (verdict == "converges")
+
+    def test_schema_matches_the_verdict_type(self):
+        assert set(SCHEMA["$defs"]["verdict"]["enum"]) == {CONVERGES, DIVERGES}
+        assert SCHEMA["$defs"]["series_verdict"]["required"] == [f.name for f in dataclasses.fields(SeriesVerdict)]
 
     def test_window_violation_names_inequality(self, tmp_path, capsys):
         code = run_cli(
@@ -806,7 +831,7 @@ class TestConfigFile:
         assert code == EXIT_OK
         result = read_json(out / "result.json")
         assert result["kind"] == "nec12"
-        assert result["verdict"] in ("converges", "inconclusive")
+        assert result["verdict"] == "converges"
 
     def test_structured_copula_key(self, tmp_path):
         config = tmp_path / "g.cfg"

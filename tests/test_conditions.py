@@ -3,15 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from scipy.special import hyp2f1
 
 import pqdslln.conditions
 from pqdslln.conditions import (
     CONVERGES,
     DIVERGES,
-    INCONCLUSIVE,
     SeriesVerdict,
-    classify_series,
     condition_terms,
+    decay_exponent,
     majorant_sum,
     tail_condition,
     verdict_from_terms,
@@ -26,6 +28,11 @@ EXAMPLE = dict(p=1.0, mu=0.2, nu=-1.5, r=1.0, s=1.0)
 
 def example_schedule() -> PowerSchedule:
     return PowerSchedule(mu=EXAMPLE["mu"], nu=EXAMPLE["nu"])
+
+
+def series_verdict(kind, p, schedule, r, s, marginal, n_terms) -> SeriesVerdict:
+    j_values, terms = condition_terms(kind, p, schedule, r, s, marginal, n_terms)
+    return verdict_from_terms(j_values, terms, decay_exponent(kind, p, schedule, r, marginal))
 
 
 def beta_bracket(r: float, s: float, u: float) -> float:
@@ -59,7 +66,7 @@ class TestConditionSum:
         # scale-free check: a schedule cannot be identically zero, but the
         # k = 1 column of terms always vanishes because the factor at the
         # support edge is 0; N = 2 therefore gives an exactly zero sum
-        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2))
+        verdict = series_verdict("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2)
         assert verdict.partial_sum == 0.0
         assert verdict.verdict == CONVERGES
         assert verdict.tail_estimate == 0.0
@@ -67,15 +74,15 @@ class TestConditionSum:
     @pytest.mark.parametrize("kind", ["cs11", "nec12"])
     def test_brute_force_oracle_small_n(self, kind):
         sched = example_schedule()
-        verdict = verdict_from_terms(*condition_terms(kind, 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 60))
+        verdict = series_verdict(kind, 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 60)
         expected = brute_force_partial(kind, 1.0, sched.mu, sched.nu, 1.0, 1.0, 60)
         assert verdict.partial_sum == pytest.approx(expected, rel=1e-10)
 
     def test_l1_equals_nec12_at_p1(self):
         sched = example_schedule()
         m = ParetoMarginal(2.0)
-        a = verdict_from_terms(*condition_terms("l1", 1.0, sched, 1.0, 1.0, m, 200))
-        b = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 200))
+        a = series_verdict("l1", 1.0, sched, 1.0, 1.0, m, 200)
+        b = series_verdict("nec12", 1.0, sched, 1.0, 1.0, m, 200)
         assert a.partial_sum == pytest.approx(b.partial_sum, rel=1e-12)
 
     def test_small_n_quadrature_cross_route(self):
@@ -91,16 +98,15 @@ class TestConditionSum:
                 g = g_numeric(field, [(float(k), float(j))])[0]
                 total.append((k * j) ** -1.0 * g)
         expected = math.fsum(total)
-        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, n))
+        verdict = series_verdict("nec12", 1.0, sched, 1.0, 1.0, m, n)
         assert verdict.partial_sum == pytest.approx(expected, abs=1e-7)
 
     def test_example_configuration_converges(self):
-        terms = condition_terms("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2000)
-        verdict = verdict_from_terms(*terms)
+        verdict = series_verdict("nec12", 1.0, example_schedule(), 1.0, 1.0, ParetoMarginal(2.0), 2000)
         assert verdict.verdict == CONVERGES
         # frozen from the incomplete-beta brute-force oracle
         assert verdict.partial_sum == pytest.approx(0.0426566684892755, rel=1e-9)
-        assert verdict.fitted_decay_exponent < -1.8
+        assert verdict.decay_exponent == pytest.approx(-2.3, abs=1e-15)
         assert math.isfinite(verdict.tail_estimate)
 
     def test_example_increments_bounded_by_termwise_majorant(self):
@@ -108,8 +114,8 @@ class TestConditionSum:
         # 1/(mu - 1/p + 1) = 5 on top of C; C alone only bounds end to end
         sched = example_schedule()
         m = ParetoMarginal(2.0)
-        s1000 = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 1000)).partial_sum
-        s2000 = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 2000)).partial_sum
+        s1000 = series_verdict("nec12", 1.0, sched, 1.0, 1.0, m, 1000).partial_sum
+        s2000 = series_verdict("nec12", 1.0, sched, 1.0, 1.0, m, 2000).partial_sum
         assert s2000 >= s1000
         c_term = (4.0 / 9.0) / (sched.mu - 1.0 + 1.0)
         tail = math.fsum(float(j) ** -2.3 for j in range(1001, 2001))
@@ -119,15 +125,15 @@ class TestConditionSum:
         # mu = 0.4, nu = -1.4 sits inside the window, majorant exponent
         # mu + nu - 2/p + 1 = -2: clearly summable
         sched = PowerSchedule(mu=0.4, nu=-1.4)
-        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 2000))
+        verdict = series_verdict("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 2000)
         assert verdict.verdict == CONVERGES
-        assert verdict.fitted_decay_exponent == pytest.approx(-2.0, abs=0.2)
+        assert verdict.decay_exponent == pytest.approx(-2.0, abs=1e-15)
 
     def test_partial_sum_nondecreasing_in_n(self):
         sched = example_schedule()
         m = ParetoMarginal(2.0)
         sums = [
-            verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, n)).partial_sum
+            series_verdict("nec12", 1.0, sched, 1.0, 1.0, m, n).partial_sum
             for n in (10, 50, 200, 800)
         ]
         assert all(s >= 0.0 for s in sums)
@@ -146,6 +152,9 @@ class TestConditionSum:
             condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 100)
         with pytest.raises(ParameterError, match="scale is only for 'simulate'"):
             condition_terms("nec12", 1.2, PowerSchedule(mu=-0.1, nu=-0.9, scale=0.5), 1.0, 1.0, ParetoMarginal(2.0), 100)
+        # the window is checked before any weight exponent divides by p
+        with pytest.raises(ParameterError, match="1 <= p < 2"):
+            condition_terms("nec12", 0.0, sched, 1.0, 1.0, ParetoMarginal(2.0), 100)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
@@ -153,7 +162,7 @@ class TestConditionSum:
 
     def test_nonstandard_alpha_uses_quadrature_factors(self):
         sched = example_schedule()
-        verdict = verdict_from_terms(*condition_terms("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(3.0), 40))
+        verdict = series_verdict("nec12", 1.0, sched, 1.0, 1.0, ParetoMarginal(3.0), 40)
         # brute force with quadrature brackets for alpha = 3
         m = ParetoMarginal(3.0)
 
@@ -169,6 +178,69 @@ class TestConditionSum:
             for k in range(1, j)
         )
         assert verdict.partial_sum == pytest.approx(total, rel=1e-8)
+
+
+def oracle_terms(kind: str, p: float, mu: float, nu: float, r: float, s: float, alpha: float, n: int) -> np.ndarray:
+    # T_j for j = 2..n from scipy's 2F1: B(u) = B_F(s + 1, r - 1/alpha)/alpha with
+    # B_F(a, b) = F^a/a 2F1(a, 1 - b; a + 1; F), which holds for b <= 0 too
+    wk, wj, inv_p = {"cs11": (0.0, -2.0 / p, 1.0 / p), "nec12": (-1.0 / p, -1.0 / p, 1.0 / p), "l1": (-1.0, -1.0, 1.0)}[kind]
+    idx = np.arange(1, n + 1, dtype=float)
+    f = -np.expm1(-alpha * inv_p * np.log(idx))
+    a = s + 1.0
+    b = f**a / a * hyp2f1(a, 1.0 - (r - 1.0 / alpha), a + 1.0, f) / alpha
+    inner = np.cumsum(idx ** (wk + mu) * b)
+    return idx[1:] ** (wj + nu) * b[1:] * inner[:-1]
+
+
+class TestDecayExponent:
+    @given(
+        kind=st.sampled_from(["cs11", "nec12", "l1"]),
+        p=st.floats(1.0, 2.0, exclude_max=True),
+        mu=st.floats(-0.5, 1.0),
+        nu=st.floats(-3.0, 0.0),
+        alpha=st.floats(0.5, 4.0),
+        r=st.floats(1.0, 4.0),
+        s=st.floats(1.0, 3.0),
+    )
+    # a double sum of the exponent rounds to exactly -1 here: p is 1 ulp below 2
+    @example(kind="cs11", p=1.9999999999999998, mu=0.0, nu=-1.0, alpha=1.0, r=2.0, s=1.0)
+    def test_every_in_window_series_converges(self, kind, p, mu, nu, alpha, r, s):
+        schedule = PowerSchedule(mu=mu, nu=nu)
+        try:
+            schedule.check_window(p)
+        except ParameterError:
+            assume(False)
+        assume(r * alpha > 1.0)
+        marginal = ParetoMarginal(alpha)
+        assert decay_exponent(kind, p, schedule, r, marginal) < -1.0
+        verdict = series_verdict(kind, p, schedule, r, s, marginal, 50)
+        assert verdict.verdict == CONVERGES
+        assert math.isfinite(verdict.tail_estimate)
+
+    @pytest.mark.parametrize("p, r", [(0.0, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_refuses_p_outside_the_window_and_a_non_finite_r(self, p, r):
+        with pytest.raises(ParameterError):
+            decay_exponent("nec12", p, example_schedule(), r, ParetoMarginal(2.0))
+
+    @pytest.mark.parametrize(
+        "kind, p, mu, nu, alpha",
+        [
+            ("nec12", 1.0, 0.2, -1.5, 0.3),  # r alpha < 1: B grows like u^0.7, e = -0.9
+            ("nec12", 1.0, 0.2, -1.5, 0.5),
+            ("nec12", 1.0, 0.2, -1.5, 1.0),  # r alpha = 1: B grows like log u
+            ("l1", 1.3, -0.1, -0.9, 0.6),
+            ("cs11", 1.9, -0.05, -0.9, 2.0),  # e = -1.0026, beside the harmonic boundary
+        ],
+    )
+    def test_local_slope_approaches_the_exponent(self, kind, p, mu, nu, alpha):
+        exponent = decay_exponent(kind, p, PowerSchedule(mu=mu, nu=nu), 1.0, ParetoMarginal(alpha))
+        terms = oracle_terms(kind, p, mu, nu, 1.0, 1.0, alpha, 2**16)  # terms[j - 2] = T_j
+        errors = [
+            abs(math.log(terms[n - 2] / terms[n // 2 - 2]) / math.log(2.0) - exponent) for n in (2**10, 2**13, 2**16)
+        ]
+        assert errors[0] > errors[1] > errors[2]
+        # a wrong exponent leaves an error that levels off near the distance to the right one
+        assert errors[2] < errors[0] / 1.5
 
 
 class TestFactorRoute:
@@ -255,34 +327,34 @@ class TestMajorant:
 
 
 class TestClassifier:
-    @pytest.mark.parametrize("q", [-3.0, -2.0, -1.5, -1.2, -1.1])
+    """The verdict and integral-test tail of a pure power series j^q, q given."""
+
+    @pytest.mark.parametrize("q", [-3.0, -2.0, -1.5, -1.2, -1.1, -1.02])
     def test_synthetic_convergent(self, q):
-        js = np.arange(2, 10**4 + 1)
-        exponent, verdict, tail = classify_series(js, js.astype(float) ** q)
-        assert verdict == CONVERGES
-        assert exponent == pytest.approx(q, abs=1e-6)
-        assert math.isfinite(tail)
+        n = 10**4
+        js = np.arange(2, n + 1)
+        verdict = verdict_from_terms(js, js.astype(float) ** q, q)
+        assert verdict.verdict == CONVERGES
+        assert verdict.decay_exponent == q
+        # integral test: the Hurwitz tail sum_{j>N} j^q <= N^(q+1)/(-q-1) <= tail + N^q
+        tail = float(mpmath.zeta(-q, n + 1))
+        assert tail <= verdict.tail_estimate <= tail + float(n) ** q
 
     @pytest.mark.parametrize("q", [-1.0, -0.9, -0.5, 0.0])
     def test_synthetic_divergent(self, q):
         js = np.arange(2, 10**4 + 1)
-        exponent, verdict, _ = classify_series(js, js.astype(float) ** q)
-        assert verdict == DIVERGES
-        assert exponent == pytest.approx(q, abs=1e-6)
-
-    def test_synthetic_band_is_inconclusive(self):
-        js = np.arange(2, 10**4 + 1)
-        _, verdict, _ = classify_series(js, js.astype(float) ** -1.02)
-        assert verdict == INCONCLUSIVE
+        verdict = verdict_from_terms(js, js.astype(float) ** q, q)
+        assert verdict.verdict == DIVERGES
+        assert verdict.tail_estimate == math.inf
 
     def test_all_zero(self):
-        js = np.arange(2, 100)
-        exponent, verdict, tail = classify_series(js, np.zeros(js.size))
-        assert verdict == CONVERGES and tail == 0.0 and math.isnan(exponent)
+        js = np.arange(2, 3)
+        verdict = verdict_from_terms(js, np.zeros(js.size), -2.3)
+        assert verdict.verdict == CONVERGES and verdict.tail_estimate == 0.0 and verdict.partial_sum == 0.0
 
     def test_verdict_invariant(self):
         with pytest.raises(ParameterError):
-            SeriesVerdict(partial_sum=1.0, n_terms=10, fitted_decay_exponent=-2.0, tail_estimate=math.inf, verdict=CONVERGES)
+            SeriesVerdict(partial_sum=1.0, n_terms=10, decay_exponent=-2.0, tail_estimate=math.inf, verdict=CONVERGES)
 
 
 class TestTailCondition:
