@@ -9,7 +9,10 @@ pairwise joint probabilities, the Renyi-Lamperti pair-sum ratio
 
 with the diagonal convention P(A_k n A_k) = P(A_k), the epsilon-bracket
 lower bound that converts joint-survival integrals into joint tail
-probabilities.
+probabilities.  The bracket's box integral takes no 2-D quadrature: the
+survival integrates in closed form, and the dependence term is theta
+times a product of differences of the covariance factor B
+(``gfun.factor_values``, closed form where r alpha > 1).
 
 The dependence term of every pair law is the pair copula's own gap
 (:meth:`GfmCopula.gap`); double sums use cumulative prefix reductions in
@@ -26,8 +29,8 @@ import numpy as np
 
 from .copulas import GfmCopula, PowerSchedule, carried_cumsum, power_factor, separable_pair_sums
 from .errors import DomainError, ParameterError, UndefinedRatioError
+from .gfun import factor_values
 from .marginals import ParetoMarginal
-from .quadrature import adaptive_quad_2d_many
 
 __all__ = [
     "EventSystem",
@@ -38,7 +41,6 @@ __all__ = [
     "epsilon_bracket_check",
 ]
 
-_BRACKET_ABS_TOL = 1e-9  # absolute tolerance of the bracket integral, shared by its pieces
 _CHUNK = 1 << 15  # indices per pass of the pair-sum ratio: 256 KB per array, small enough to stay in cache
 
 
@@ -138,27 +140,14 @@ class BracketCheck(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
-    quad_error: float
 
 
-def _joint_survival_fn(es: EventSystem, k: int, j: int):
-    """P{X_k > x, X_j > y} as a broadcastable function of (x, y)."""
-    marginal = es.marginal
-    copula = _pair_copula(es, k, j)
-
-    def fn(x, y):
-        sx = np.asarray(marginal.survival(x))
-        sy = np.asarray(marginal.survival(y))
-        return sx * sy + copula.gap(1.0 - sx, 1.0 - sy)
-
-    return fn
-
-
-def _segments(lo: float, hi: float, cut: float) -> list[tuple[float, float]]:
-    """Split [lo, hi] at an interior kink point."""
-    if lo < cut < hi:
-        return [(lo, cut), (cut, hi)]
-    return [(lo, hi)]
+def _survival_integral(alpha: float, lo: float, hi: float) -> float:
+    """Integral over [lo, hi], hi >= 1, of the Pareto(alpha) survival: 1 below the support edge 1, x^-alpha above it."""
+    edge = max(lo, 1.0)
+    log_ratio = math.log(hi / edge)
+    tail = log_ratio if alpha == 1.0 else edge ** (1.0 - alpha) * -math.expm1((1.0 - alpha) * log_ratio) / (alpha - 1.0)
+    return max(0.0, 1.0 - lo) + tail
 
 
 def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> BracketCheck:
@@ -170,17 +159,23 @@ def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> Bracke
 
     holds is lhs >= rhs - 1e-9; the joint survival dominates the joint tail
     probability on the whole bracket, so the inequality is exact.
+
+    The joint survival is S(x) S(y) + theta f(F(x)) f(F(y)), f(F) =
+    F^s (1 - F)^r, and f(F) vanishes below the support edge 1.  So lhs is
+    exactly the product of the two survival integrals plus theta times the
+    product of the factor differences B(hi) - B(max(lo, 1)) on each axis.
     """
     if k == j:
         raise DomainError("bracket check requires k != j")
     if not eps > 1.0:
         raise DomainError(f"bracket check requires eps > 1, got {eps!r}")
     xk, xj = es.threshold(k), es.threshold(j)
-    fn = _joint_survival_fn(es, k, j)
-    cut = es.marginal.support_min
-    boxes = [(x0, x1, y0, y1) for x0, x1 in _segments(xk / eps, xk, cut) for y0, y1 in _segments(xj / eps, xj, cut)]
-    pieces, errors = adaptive_quad_2d_many(fn, boxes, abs_tol=_BRACKET_ABS_TOL / 4.0)
-    lhs = math.fsum(pieces)
-    quad_error = math.fsum(errors)
+    alpha = es.marginal.alpha
+    lhs = _survival_integral(alpha, xk / eps, xk) * _survival_integral(alpha, xj / eps, xj)
+    theta = _pair_copula(es, k, j).theta
+    if theta > 0.0:
+        edges = [xk, max(xk / eps, 1.0), xj, max(xj / eps, 1.0)]
+        bk_hi, bk_lo, bj_hi, bj_lo = factor_values(es.r, es.s, es.marginal, edges)
+        lhs += theta * (bk_hi - bk_lo) * (bj_hi - bj_lo)
     rhs = ((eps - 1.0) / eps) ** 2 * xk * xj * pair_event_prob(es, k, j)
-    return BracketCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-9), quad_error=quad_error)
+    return BracketCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-9))

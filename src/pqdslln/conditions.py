@@ -29,7 +29,7 @@ import numpy as np
 
 from .copulas import PowerSchedule, separable_pair_sums
 from .errors import ParameterError
-from .gfun import bracket_limit, g_closed_bracket, g_factor
+from .gfun import bracket_limit, factor_values
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -84,17 +84,6 @@ class MajorantBound:
     inner_sum_factor: float
 
 
-def _factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds: np.ndarray) -> np.ndarray:
-    """Covariance factor B at each threshold.
-
-    The closed form serves r alpha > 1; below that B(inf) diverges, so B
-    comes from one quadrature per threshold, refined in lockstep.
-    """
-    if r * marginal.alpha > 1.0:
-        return g_closed_bracket(r, s, thresholds, marginal.alpha)
-    return g_factor(r, s, marginal, thresholds)
-
-
 def _weight_exponents(kind: str, p: float) -> tuple[float, float, float]:
     """(k-exponent, j-exponent, threshold exponent 1/p_eff) for a series kind."""
     if kind == "cs11":
@@ -126,7 +115,7 @@ def condition_terms(
     if n_terms < 2:
         raise ParameterError(f"series truncation requires N >= 2, got {n_terms!r}")
     idx = np.arange(1, n_terms + 1, dtype=float)
-    b = _factor_values(r, s, marginal, idx**inv_p)
+    b = factor_values(r, s, marginal, idx**inv_p)
     k_part = idx ** (wk + schedule.mu) * b
     j_part = idx ** (wj + schedule.nu) * b
     terms = separable_pair_sums(k_part, j_part)[0][1:]

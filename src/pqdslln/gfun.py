@@ -43,7 +43,9 @@ upper incomplete gamma function (0.135 at b = 1, 0.083 at b = 1/2, about
 u -> 1+ and increases to B(inf) as u -> inf, which also furnishes a
 k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
 ``g_closed_bracket`` evaluates B at a scalar or at a whole array of
-thresholds in one pass; ``g_factor`` and ``g_numeric`` take a list of
+thresholds in one pass, and ``factor_values`` is the one route to B for a
+Pareto marginal at any r alpha (the closed form, or quadrature where
+r alpha <= 1); ``g_factor`` and ``g_numeric`` take a list of
 thresholds or (u, v) pairs and refine their quadratures in lockstep, so one
 point is a one-element list.
 """
@@ -57,13 +59,14 @@ import numpy as np
 
 from .copulas import GfmCopula, power_factor
 from .errors import DomainError, NumericError
-from .marginals import Marginal
+from .marginals import Marginal, ParetoMarginal
 from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
 __all__ = [
     "DeltaField",
     "bracket_limit",
+    "factor_values",
     "g_closed_bracket",
     "g_closed_form",
     "g_factor",
@@ -165,6 +168,17 @@ def g_factor(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
     intervals = ((max(-u, marginal.support_min), u) for u in map(float, us))
     values, _ = adaptive_quad_many(integrand, intervals, abs_tol=_FACTOR_ABS_TOL)
     return values
+
+
+def factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds) -> np.ndarray:
+    """Covariance factor B at each threshold u >= 1 of a Pareto marginal, as an array.
+
+    The closed form serves r alpha > 1; below that B(inf) diverges, so B
+    comes from one quadrature per threshold, refined in lockstep.
+    """
+    if r * marginal.alpha > 1.0:
+        return g_closed_bracket(r, s, thresholds, marginal.alpha)
+    return g_factor(r, s, marginal, thresholds)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ supported: positive gamma arguments, with Gamma(x) finite for x from about
 parameter a nonpositive integer) or converge absolutely (|z| < 1).  No
 analytic continuation is attempted; out-of-range arguments raise
 :class:`~pqdslln.errors.DomainError` instead of silently returning garbage.
-``gauss_2f1`` takes a scalar or a numpy array z and works elementwise; the
-other functions take scalars.  All functions are pure and safe for
+``gauss_2f1`` takes a scalar or a numpy array z and works elementwise,
+summing blocks of terms with the bits of a one-term-per-step loop, and
+refuses a series only once its whole term budget is spent; the other
+functions take scalars.  All functions are pure and safe for
 concurrent use.
 """
 
@@ -26,9 +28,14 @@ __all__ = ["gamma", "pochhammer", "gauss_2f1", "HypergeometricArgs"]
 # tolerances are 1e-6; this leaves nine orders of margin.
 _SERIES_RTOL = 1e-15
 _MAX_TERMS = 1_000_000
-# Headroom by which a projected series must miss the truncation test before
-# it is refused early; the projection itself is good to a factor of e^(1/8).
-_PROJECTION_MARGIN = 10.0
+# Terms times live elements summed per block of gauss_2f1.  numpy's 2-D
+# accumulate runs one inner loop per row, so a block pays only while its rows
+# are few and long: above _BLOCK_ROWS live elements (blocks narrower than 16
+# terms) one term per step is faster.  On a 2-core AVX-512 machine, a series
+# still summing after thousands of terms cost 3.5 us per term in steps and
+# 5.0 us in blocks at 400 live elements, 3.5 and 2.9 us at 256.
+_BLOCK_CELLS = 4096
+_BLOCK_ROWS = 256
 
 
 def gamma(x: float) -> float:
@@ -107,27 +114,6 @@ class HypergeometricArgs:
             )
 
 
-def _settled_step(a: float, b: float, c: float) -> int:
-    """A step past which every factor of the term ratio is within 1/64 of 1."""
-    return 64 * math.ceil(max(abs(a), abs(b), abs(c), 1.0)) ** 2
-
-
-def _beyond_budget(a: float, b: float, c: float, k: int, z, term, total):
-    """Which series, at term k >= _settled_step, cannot truncate within _MAX_TERMS terms.
-
-    From term k on, |t_n| = |t_k| |z|^(n-k) (n/k)^kappa with kappa = a+b-c-1,
-    up to a factor within e^(1/8).  On [k, _MAX_TERMS] that projection is
-    smallest at an end, and the running sum stays below
-    |S_k| + |t_k| (N/k)^max(kappa, 0) min(N - k, 1/(1-|z|)).
-    """
-    kappa, n = a + b - c - 1.0, _MAX_TERMS
-    t, mod = np.abs(term), np.abs(z)
-    with np.errstate(divide="ignore", over="ignore"):
-        smallest = t * np.exp(np.minimum(0.0, (n - k) * np.log(mod) + kappa * math.log(n / k)))
-        bound = np.abs(total) + t * np.power(n / k, max(kappa, 0.0)) * np.minimum(n - k, 1.0 / (1.0 - mod))
-    return smallest > _PROJECTION_MARGIN * _SERIES_RTOL * bound
-
-
 def gauss_2f1(a: float, b: float, c: float, z):
     """Gauss hypergeometric sum_{n>=0} (a)_n (b)_n / ((c)_n n!) z^n, elementwise over z.
 
@@ -137,37 +123,51 @@ def gauss_2f1(a: float, b: float, c: float, z):
     sees the same floating-point operations as a scalar call.  A scalar z
     gives a float, an array z an array of its shape.
 
-    A nonterminating series that cannot meet its truncation test within
-    _MAX_TERMS terms raises NumericError: at once, from a projection made at
-    the step _settled_step (a few hundred terms for small parameters), when
-    the projection misses by a wide margin, and otherwise at the budget's end.
-    A sum that overflows double precision raises NumericError too.
+    Live elements are summed in blocks of W terms (W from 16, doubling, with
+    W times the live count at most _BLOCK_CELLS; one term per step while
+    more than _BLOCK_ROWS elements are live): an outer product of term
+    ratios, then running products and running sums along each row, which
+    are the one-term step's operations in its order, so the bits are the
+    step's.  A nonterminating
+    series that does not truncate within _MAX_TERMS terms raises
+    NumericError, as does a sum that overflows double precision.
     """
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
     HypergeometricArgs(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
     m = _terminating_order(a, b)
-    settled = _settled_step(a, b, c)
+    budget = _MAX_TERMS if m is None else m
     out = np.empty(zs.size)
     live = np.arange(zs.size)  # elements still summing, compacted as they converge
     term, total = np.ones(zs.size), np.ones(zs.size)
+    n, width = 0, 16
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is refused below
-        for n in range(_MAX_TERMS if m is None else m):
-            if not live.size:
-                break
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
-            total += term
-            if m is None:
-                done = np.abs(term) <= _SERIES_RTOL * np.abs(total)
-                if done.any():
-                    out[live[done]] = total[done]
-                    keep = ~done
-                    live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
-                if n + 1 == settled and live.size:
-                    hopeless = _beyond_budget(a, b, c, settled, live_z, term, total)
-                    if hopeless.any():
-                        z_bad = float(live_z[np.argmax(hopeless)])
-                        raise NumericError(f"2F1 series cannot converge within {_MAX_TERMS} terms (z={z_bad!r})")
+        while n < budget and live.size:
+            if live.size > _BLOCK_ROWS:
+                step = 1
+                term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
+                total += term
+                done, value = np.abs(term) <= _SERIES_RTOL * np.abs(total), total
+            else:
+                step = min(width, _BLOCK_CELLS // live.size, budget - n)
+                width = 2 * step
+                ns = np.arange(n, n + step, dtype=float)
+                ratios = np.multiply.outer(live_z, (a + ns) * (b + ns) / ((c + ns) * (ns + 1.0)))
+                ratios[:, 0] *= term
+                terms = np.multiply.accumulate(ratios, axis=1)
+                sums = terms.copy()
+                sums[:, 0] += total
+                sums = np.add.accumulate(sums, axis=1)
+                term, total = terms[:, -1], sums[:, -1]
+                passed = np.abs(terms) <= _SERIES_RTOL * np.abs(sums)
+                first = passed.argmax(axis=1)  # each row's first passing term, or 0 where none passes
+                rows = np.arange(live.size)
+                done, value = passed[rows, first], sums[rows, first]
+            n += step
+            if m is None and done.any():
+                out[live[done]] = value[done]
+                keep = ~done
+                live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
     if m is None and live.size:
         raise NumericError(f"2F1 series did not converge within {_MAX_TERMS} terms (z={float(live_z[0])!r})")
     out[live] = total

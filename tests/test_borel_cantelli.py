@@ -1,16 +1,18 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.integrate
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqdslln.borel_cantelli
+import pqdslln.gfun
 from pqdslln.borel_cantelli import (
     _CHUNK,
     EventSystem,
-    _joint_survival_fn,
     epsilon_bracket_check,
     event_prob,
     pair_event_prob,
@@ -271,18 +273,51 @@ class TestEpsilonBracket:
 
     @pytest.mark.parametrize(
         "es",
-        [independent(2.0, 1.0), gfm_system(2.0, 1.0), gfm_system(3.7, 1.3, mu=-0.2, nu=-0.9, r=2.0, s=1.5)],
-        ids=["independent", "gfm", "gfm-r2-s1.5"],
+        [
+            independent(2.0, 1.0),
+            gfm_system(2.0, 1.0),
+            gfm_system(3.7, 1.3, mu=-0.2, nu=-0.9, r=2.0, s=1.5),
+            gfm_system(0.8, 1.2, r=1.0, s=2.5),
+        ],
+        ids=["independent", "gfm", "gfm-r2-s1.5", "gfm-alpha0.8"],
     )
     def test_integrand_is_cdf_form(self, es):
-        # P{X_k > x, X_j > y} = 1 - F(x) - F(y) + C(F(x), F(y)), across the support edge x = 1
-        k, j = 4, 9
-        copula = GfmCopula(es.schedule.theta(k, j), es.r, es.s) if es.schedule else GfmCopula(theta=0.0)
-        grid = np.concatenate([np.linspace(0.5, 3.0, 26), [10.0, 1e3, 1e6]])
-        x, y = grid[:, None], grid[None, :]
-        fx, fy = es.marginal.cdf(x), es.marginal.cdf(y)
-        expected = 1.0 - fx - fy + copula.cdf(fx, fy)
-        np.testing.assert_allclose(_joint_survival_fn(es, k, j)(x, y), expected, rtol=0.0, atol=1e-15)
+        # lhs is the box integral of P{X_k > x, X_j > y} = 1 - F(x) - F(y) + C(F(x), F(y)),
+        # across the support edge x = 1; the last system has r alpha <= 1, where B comes from quadrature
+        for k, j, eps in ((4, 9, 1.5), (1, 3, 2.0), (9, 2, 3.0), (1, 2, 1.05)):
+            lhs = epsilon_bracket_check(es, k, j, eps).lhs
+            assert lhs == pytest.approx(float(mpmath_bracket_lhs(es, k, j, eps)), rel=1e-13, abs=0.0)
+            assert lhs == pytest.approx(cdf_form_box_integral(es, k, j, eps), rel=1e-10, abs=0.0)
+
+    @given(
+        alpha=st.floats(0.5, 4.0),
+        p=st.floats(1.0, 1.9),
+        nu_drop=st.floats(0.01, 2.0),
+        mu_at=st.floats(0.01, 0.99),
+        r=st.floats(1.0, 3.0),
+        s=st.floats(1.0, 3.0),
+        k=st.integers(1, 40),
+        j=st.integers(1, 40),
+        eps=st.floats(1.05, 10.0),
+    )
+    @example(alpha=0.5, p=1.0, nu_drop=0.5, mu_at=0.5, r=1.5, s=1.0, k=1, j=5, eps=2.0)  # r alpha < 1
+    @example(alpha=1.0, p=1.5, nu_drop=0.3, mu_at=0.2, r=1.0, s=2.5, k=7, j=1, eps=1.3)  # r alpha = 1
+    @settings(max_examples=30, deadline=None)
+    def test_matches_mpmath_product_of_integrals(self, alpha, p, nu_drop, mu_at, r, s, k, j, eps):
+        if j == k:
+            j = k + 1
+        nu = 1.0 / p - 1.0 - nu_drop  # the window needs nu < 1/p - 1 < mu < 2/p - 2 - nu
+        mu = (1.0 / p - 1.0) + mu_at * (1.0 / p - 1.0 - nu)
+        es = gfm_system(alpha, p, mu=mu, nu=nu, r=r, s=s)
+        lhs = epsilon_bracket_check(es, k, j, eps).lhs
+        rel = 1e-13
+        if r * alpha <= 1.0:
+            # B comes from quadrature, good to an absolute tol = _FACTOR_ABS_TOL at each edge, so
+            # each difference dB to 2 tol; with theta <= 1 and dB <= I_S, lhs moves by about
+            # 2 tol (I_S,k + I_S,j) at most.  lhs >= I_S,k I_S,j, and alpha <= 1 gives
+            # I_S >= (x - x/eps) S(x) >= 1 - 1/eps, so the relative error is below 4 tol / (1 - 1/eps).
+            rel = 4.0 * pqdslln.gfun._FACTOR_ABS_TOL / (1.0 - 1.0 / eps)
+        assert lhs == pytest.approx(float(mpmath_bracket_lhs(es, k, j, eps)), rel=rel, abs=0.0)
 
     def test_validation(self):
         es = independent(2.0, 1.0)
@@ -293,12 +328,63 @@ class TestEpsilonBracket:
 
     @pytest.mark.parametrize("k, j", [(0, 3), (-1, 3), (3, -1)])
     def test_event_index_is_refused_before_any_quadrature(self, k, j, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("the bracket integral ran")
+        def no_factor(*args, **kwargs):
+            raise AssertionError("the covariance factor was evaluated")
 
-        monkeypatch.setattr(pqdslln.borel_cantelli, "adaptive_quad_2d_many", no_quadrature)
+        monkeypatch.setattr(pqdslln.borel_cantelli, "factor_values", no_factor)
+        es = gfm_system(0.8, 1.2)  # r alpha <= 1: the factor would come from quadrature
+        with pytest.raises(AssertionError, match="factor was evaluated"):
+            epsilon_bracket_check(es, 2, 3, 2.0)
         with pytest.raises(DomainError, match="event index"):
-            epsilon_bracket_check(independent(2.0, 1.2), k, j, 2.0)
+            epsilon_bracket_check(es, k, j, 2.0)
+
+
+def cdf_form_box_integral(es: EventSystem, k: int, j: int, eps: float) -> float:
+    """The bracket's box integral of 1 - F(x) - F(y) + C(F(x), F(y)), by 2-D quadrature split at the support edge."""
+    copula = GfmCopula(es.schedule.theta(min(k, j), max(k, j)), es.r, es.s) if es.schedule else GfmCopula(theta=0.0)
+
+    def joint_survival(y, x):
+        fx, fy = es.marginal.cdf(x), es.marginal.cdf(y)
+        return 1.0 - fx - fy + copula.cdf(fx, fy)
+
+    def pieces(hi):
+        lo = hi / eps
+        return [(lo, 1.0), (1.0, hi)] if lo < 1.0 < hi else [(lo, hi)]
+
+    total = 0.0
+    for x0, x1 in pieces(es.threshold(k)):
+        for y0, y1 in pieces(es.threshold(j)):
+            total += scipy.integrate.dblquad(joint_survival, x0, x1, y0, y1, epsabs=0.0, epsrel=1e-12)[0]
+    return total
+
+
+def mpmath_bracket_lhs(es: EventSystem, k: int, j: int, eps: float):
+    """The bracket's box integral as a product of 1-D integrals in mpmath.
+
+    The joint survival is S(x) S(y) + theta f(x) f(y), f = F^s (1 - F)^r, so
+    the box integral is the survival's integral on each axis times the other,
+    plus theta times the factor's integrals, each split at the support edge.
+    """
+    with mpmath.workdps(30):
+        alpha, r, s = (mpmath.mpf(v) for v in (es.marginal.alpha, es.r, es.s))
+
+        def survival(x):
+            return mpmath.mpf(1) if x <= 1 else x**-alpha
+
+        def factor(x):
+            return mpmath.mpf(0) if x <= 1 else (1 - x**-alpha) ** s * x ** (-alpha * r)
+
+        def integral(fn, hi):
+            lo = hi / eps
+            return mpmath.quad(fn, [lo, 1, hi] if lo < 1 < hi else [lo, hi])
+
+        xk, xj = (mpmath.mpf(i) ** (1 / mpmath.mpf(es.p)) for i in (k, j))
+        lhs = integral(survival, xk) * integral(survival, xj)
+        if es.schedule is not None:
+            lo, hi = sorted((k, j))
+            theta = mpmath.mpf(lo) ** es.schedule.mu * mpmath.mpf(hi) ** es.schedule.nu
+            lhs += theta * integral(factor, xk) * integral(factor, xj)
+        return +lhs
 
 
 def tail_ratio_chain(es: EventSystem, eps: float, n: int) -> tuple[float, float]:

@@ -27,6 +27,7 @@ import pqdslln.cli
 import pqdslln.conditions
 import pqdslln.gfun
 from pqdslln import __version__
+from pqdslln.borel_cantelli import BracketCheck
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
 from pqdslln.conditions import CONVERGES, DIVERGES, SeriesVerdict
 from pqdslln.copulas import PowerSchedule
@@ -108,6 +109,16 @@ class TestSpecfunEval:
             assert run_cli(["specfun", "eval", *args], tmp_path / "run") == EXIT_NUMERIC
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "[numeric]" in err[0] and "overflows" in err[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_2f1_past_its_term_budget_fails_within_a_second(self, tmp_path, capsys):
+        # the series' terms shrink too slowly to truncate within the 10^6-term budget
+        args = ["specfun", "eval", "--fn", "2f1", "--a", "3.7", "--b", "3", "--c", "0.9999999", "--z", "0.9999999"]
+        start = time.perf_counter()
+        assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[numeric]" in err[0]
         assert not (tmp_path / "run" / "manifest.json").exists()
 
 
@@ -356,6 +367,14 @@ class TestBc:
         validate(result, "bc_bracket_result")
         assert result["holds"] is True
         assert result["lhs"] == pytest.approx(1.0 / 6.0, abs=1e-8)
+
+    def test_bracket_schema_is_the_echoed_parameters_and_the_check(self, tmp_path):
+        required = SCHEMA["$defs"]["bc_bracket_result"]["required"]
+        assert required == ["p", "alpha", "k", "j", "eps", *BracketCheck._fields]
+        assert sorted(SCHEMA["$defs"]["bc_bracket_result"]["properties"]) == sorted(required)
+        args = ["bc", "bracket", "--alpha", "1.5", "--p", "1.2", "--theta-spec", "power:0.1,-1.2", "--k", "3", "--j", "7", "--eps", "2"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert sorted(read_json(tmp_path / "result.json")) == sorted(required)
 
 
 class TestSimulateSlln:

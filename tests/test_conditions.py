@@ -7,7 +7,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
-import pqdslln.conditions
+import pqdslln.gfun
 from pqdslln.conditions import (
     CONVERGES,
     DIVERGES,
@@ -249,13 +249,13 @@ class TestFactorRoute:
     )
     def test_quadrature_only_where_the_closed_form_diverges(self, alpha, r, quadratures, monkeypatch):
         integrals = []  # one threshold per factor integral handed to the batched route
-        original = pqdslln.conditions.g_factor
+        original = pqdslln.gfun.g_factor
 
         def counting(r, s, marginal, us):
             integrals.extend(us)
             return original(r, s, marginal, us)
 
-        monkeypatch.setattr(pqdslln.conditions, "g_factor", counting)
+        monkeypatch.setattr(pqdslln.gfun, "g_factor", counting)
         condition_terms("nec12", 1.0, example_schedule(), r, 1.0, ParetoMarginal(alpha), 30)
         assert len(integrals) == quadratures
 

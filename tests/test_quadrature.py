@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import pqdslln.gfun
 import pqdslln.quadrature
-from pqdslln.borel_cantelli import EventSystem, _joint_survival_fn
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError, QuadratureError
 from pqdslln.gfun import DeltaField
@@ -377,8 +376,14 @@ class TestLockstep:
     )
     @settings(max_examples=20)
     def test_joint_survival_integrals(self, p, alpha, kj, edges, in_flight):
-        es = EventSystem(p=p, marginal=ParetoMarginal(alpha), schedule=PowerSchedule(mu=1.0 / p - 0.5, nu=-1.5))
-        f = _joint_survival_fn(es, *kj)
+        marginal = ParetoMarginal(alpha)
+        copula = GfmCopula(PowerSchedule(mu=1.0 / p - 0.5, nu=-1.5).theta(min(kj), max(kj)))
+
+        def f(x, y):
+            # the joint survival P{X_k > x, X_j > y} of a Pareto pair under the power-family copula
+            sx, sy = marginal.survival(x), marginal.survival(y)
+            return sx * sy + copula.gap(1.0 - sx, 1.0 - sy)
+
         boxes = [(min(e[:2]), max(e[:2]), min(e[2:]), max(e[2:])) for e in edges]
         with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
             batched = _batched(adaptive_quad_2d_many, f, boxes, abs_tol=2.5e-10)

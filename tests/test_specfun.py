@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import pqdslln.specfun
 from pqdslln.errors import DomainError, NumericError
-from pqdslln.specfun import HypergeometricArgs, gamma, gauss_2f1, pochhammer
+from pqdslln.specfun import HypergeometricArgs, _terminating_order, gamma, gauss_2f1, pochhammer
 
 
 class TestGamma:
@@ -230,7 +231,7 @@ class TestGauss2F1:
 
     @pytest.mark.parametrize("z", [0.9999999999, -0.9999999999, np.array([0.5, 0.9999999999])])
     def test_hopeless_series_fails_fast(self, z):
-        # summed to the 1e6-term budget this took 12.5 s before raising
+        # the whole 1e6-term budget, summed in blocks of terms, takes about 10 ms
         start = time.perf_counter()
         with pytest.raises(NumericError):
             gauss_2f1(1.0, 1.0, 2.0, z)
@@ -239,10 +240,10 @@ class TestGauss2F1:
     @pytest.mark.parametrize(
         "a,b,c,z",
         [
-            (1.0, 1.0, 2.0, 0.99),  # ~3,000 terms, past the projection step
+            (1.0, 1.0, 2.0, 0.99),  # ~3,000 terms
             (0.5, 0.5, 100.0, 0.9999999999),  # |z| near 1, but the terms fall like n^-100
             (2.5, -1.5, 1.2, 0.999),  # kappa < 0 with a sign change in the early terms
-            (-3.0, 1.5, 2.0, 0.9999999999),  # terminating: never projected
+            (-3.0, 1.5, 2.0, 0.9999999999),  # terminating: four terms
         ],
     )
     def test_convergent_series_near_one_are_summed(self, a, b, c, z):
@@ -268,3 +269,73 @@ class TestGauss2F1:
         for z in (0.99, np.array([0.1, 0.99, 0.2])):
             with pytest.raises(NumericError):
                 gauss_2f1(1.0, 1.0, 2.0, z)
+
+
+def per_term_2f1(a: float, b: float, c: float, z):
+    """The one-term-per-step sum that gauss_2f1 blocks: the reference for its bits and its refusals."""
+    zs = np.asarray(z, dtype=float)
+    live_z = zs.ravel()
+    HypergeometricArgs(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
+    m = _terminating_order(a, b)
+    budget = pqdslln.specfun._MAX_TERMS
+    out = np.empty(zs.size)
+    live = np.arange(zs.size)
+    term, total = np.ones(zs.size), np.ones(zs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(budget if m is None else m):
+            if not live.size:
+                break
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
+            total += term
+            if m is None:
+                done = np.abs(term) <= 1e-15 * np.abs(total)
+                if done.any():
+                    out[live[done]] = total[done]
+                    keep = ~done
+                    live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
+    if m is None and live.size:
+        raise NumericError(f"2F1 series did not converge within {budget} terms (z={float(live_z[0])!r})")
+    out[live] = total
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NumericError(f"2F1 series overflows double precision (z={float(zs.ravel()[np.argmin(finite)])!r})")
+    out = out.reshape(zs.shape)
+    return out if out.ndim else float(out)
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the refusal's type and message."""
+    try:
+        value = fn(*args)
+    except NumericError as exc:
+        return "NumericError", str(exc)
+    return np.asarray(value).tobytes(), type(value)
+
+
+@st.composite
+def _series(draw):
+    """(a, b, c, z) of a terminating, a general or a covariance-factor series, z an array of 0 to 5,000 elements."""
+    kind = draw(st.sampled_from(["terminating", "general", "below x*", "above x*"]))
+    if kind in ("below x*", "above x*"):
+        # the two series of g_closed_bracket: (1, a+b; a+1) at F < x* and (1, a+b; b+1) at 1 - F <= 1 - x*
+        a = draw(st.floats(1.0, 6.0)) + 1.0
+        b = draw(st.floats(0.01, 6.0))
+        x_star = (a + 1.0) / (a + b + 2.0)
+        params, z_max = ((1.0, a + b, a + 1.0), x_star) if kind == "below x*" else ((1.0, a + b, b + 1.0), 1.0 - x_star)
+    else:
+        first = -float(draw(st.integers(0, 8))) if kind == "terminating" else draw(st.floats(-5.0, 5.0))
+        params = (first, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.2, 8.0)))
+        z_max = 3.0 if kind == "terminating" else draw(st.sampled_from([0.5, 0.9, 0.99]))
+    size = draw(st.sampled_from([0, 1, 2, 5, 100, 255, 257, 4096, 5000]))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-z_max, z_max, size)
+    return (*params, z)
+
+
+class TestBlockedSum:
+    @given(series=_series(), budget=st.sampled_from([40, pqdslln.specfun._MAX_TERMS]))
+    def test_bits_and_refusals_are_the_per_term_loops(self, series, budget):
+        # a budget of 40 terms makes slow series run out of it, in a block or at a one-term step
+        a, b, c, z = series
+        with mock.patch.object(pqdslln.specfun, "_MAX_TERMS", budget):
+            assert _outcome(gauss_2f1, a, b, c, z) == _outcome(per_term_2f1, a, b, c, z)
+
