@@ -8,8 +8,8 @@ The output directory cannot affect results and is kept out of the
 manifest; ``--workers`` is accepted and ignored.  ``_COMMANDS`` declares
 every subcommand's flags once.  A flat key=value config file (``--config
 FILE`` or ``--config=FILE``) may supply defaults; explicit flags win.  A CSV
-table is a header row and columns of Python ints and floats: an int is
-written in decimal, a float as its repr().
+table is a header row and int64 and float64 columns: an int is written in
+decimal, a float as its repr().
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
 Verdicts are data, not errors: a "diverges" result still exits 0.
@@ -82,23 +82,34 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
-# rows formatted and written at a time: bounds the text held in memory
-_CSV_ROWS = 1 << 10
+# tables of fewer rows are formatted by str(), one cell at a time, which is
+# faster there: between other requests numpy's fixed cost per chunk breaks
+# even near 900 rows; longer ones by numpy, this many rows at a time
+_CSV_NUMPY_ROWS = 1 << 10
+_CSV_ROWS = 1 << 13
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write a table given as equal-length columns (lists or tuples) of Python ints and floats.
+    """Write a table given as equal-length 1-D int64 and float64 arrays.
 
     The bytes are those of ``csv.writer(handle, lineterminator="\\n")`` on the
-    same rows: the header line, then one line per row with its cells joined
-    by commas, an int in decimal and a float as its repr(), every line ended
-    by ``\\n``.  No cell is quoted, so a cell must be a number, never a str.
+    same rows of Python ints and floats: the header line, then one line per
+    row with its cells joined by commas, an int in decimal and a float as
+    its repr(), every line ended by ``\\n``.  No cell is quoted.  A short
+    table takes its cells from str(), a long one from ``_csvtext``: the
+    same bytes.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_ROWS):
-            cells = [list(map(str, column[start:start + _CSV_ROWS])) for column in columns]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    n_rows = len(columns[0])
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        if n_rows >= _CSV_NUMPY_ROWS:
+            from . import _csvtext  # loaded on first use: a run that writes no long table skips it
+
+            for start in range(0, n_rows, _CSV_ROWS):
+                handle.write(_csvtext.rows_bytes([column[start : start + _CSV_ROWS] for column in columns]))
+        elif n_rows:
+            cells = [map(str, column.tolist()) for column in columns]
+            handle.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
 # --------------------------------------------------------------------------
@@ -177,7 +188,7 @@ def _event_system(params: dict) -> EventSystem:
 
 # --------------------------------------------------------------------------
 # subcommand handlers: params dict -> (result dict, {csv name: (header,
-# columns)}, stdout lines); table cells are Python ints and floats
+# columns)}, stdout lines); table columns are int64 and float64 arrays
 # --------------------------------------------------------------------------
 
 
@@ -230,7 +241,7 @@ def _run_condition_check(params: dict):
     j_values, terms = condition_terms(kind, p, schedule, r, params["s"], marginal, params["N"])
     verdict = verdict_from_terms(j_values, terms, decay_exponent(kind, p, schedule, r, marginal))
     result = dict(asdict(verdict), kind=kind)
-    tables = {"terms": (["j", "term"], (j_values.tolist(), terms.tolist()))}
+    tables = {"terms": (["j", "term"], (j_values, terms))}
     return result, tables, [f"{kind}: {verdict.verdict} (partial sum {verdict.partial_sum:.9g})"]
 
 
@@ -241,7 +252,7 @@ def _run_bc_ratio(params: dict):
     running_min = np.minimum.accumulate(ratios)
     result = {k: params[k] for k in ("p", "alpha", "n_grid")}
     result.update(final_ratio=float(ratios[-1]), running_min=float(running_min[-1]))
-    tables = {"ratio": (["n", "ratio", "running_min"], (grid, ratios.tolist(), running_min.tolist()))}
+    tables = {"ratio": (["n", "ratio", "running_min"], (np.array(grid), ratios, running_min))}
     return result, tables, [f"ratio at n={grid[-1]}: {ratios[-1]:.9g} (running min {running_min[-1]:.9g})"]
 
 
@@ -278,10 +289,10 @@ def _run_simulate_slln(params: dict):
         "metadata": report.metadata,
     }
     columns = (
-        np.repeat(np.arange(run.replicates), len(checkpoints)).tolist(),
-        checkpoints * run.replicates,
-        report.m_values.ravel().tolist(),
-        report.exceedances.ravel().tolist(),
+        np.repeat(np.arange(run.replicates), len(checkpoints)),
+        np.tile(checkpoints, run.replicates),
+        report.m_values.ravel(),
+        report.exceedances.ravel(),
     )
     tables = {"paths": (["replicate", "checkpoint_n", "m_n", "e_n"], columns)}
     lines = [
@@ -343,8 +354,8 @@ def _run_report_example(params: dict):
         dependence_label="pairwise PQD",
     )
     tables = {
-        "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], tuple(zip(*g_rows))),
-        "terms": (["j", "term"], (j_values.tolist(), terms.tolist())),
+        "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], tuple(np.array(g_rows).T)),
+        "terms": (["j", "term"], (j_values, terms)),
     }
     lines = [
         f"window holds: {window['lower']:.6g} < mu={mu} < {window['upper']:.6g}",

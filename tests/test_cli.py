@@ -23,6 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import beta, betainc
 
+import pqdslln._csvtext
 import pqdslln.cli
 import pqdslln.conditions
 import pqdslln.gfun
@@ -477,7 +478,7 @@ class TestManifestRerun:
         j_values, terms = pqdslln.conditions.condition_terms(
             "nec12", 1.0, PowerSchedule(mu=0.2, nu=-1.5), 1.0, 1.0, ParetoMarginal(2.0), 20000
         )
-        assert len(j_values) > 4 * pqdslln.cli._CSV_ROWS  # the table spans several write chunks
+        assert len(j_values) > 2 * pqdslln.cli._CSV_ROWS  # the table spans several write chunks
         expected = csv_module_bytes(["j", "term"], zip(j_values.tolist(), terms.tolist()))
         assert (first / "terms.csv").read_bytes() == expected
         assert main(["rerun", "--manifest", str(first / "manifest.json"), "--outdir", str(second)]) == EXIT_OK
@@ -785,8 +786,9 @@ class TestTableCells:
         ],
     )
     def test_cells_are_python_scalars(self, argv):
-        # the writer's bytes are the csv module's only for Python ints and floats:
-        # a str cell would go unquoted, a numpy scalar formats through numpy
+        # every column is a 1-D int64 or float64 array: the str route writes the
+        # cells of its .tolist(), Python ints and floats, and the numpy route
+        # reads these two dtypes; a str cell would go unquoted
         subcommand = " ".join(argv[:2])
         handler, flags = pqdslln.cli._COMMANDS[subcommand]
         params = pqdslln.cli._parameters(flags, pqdslln.cli._build_parser().parse_args(argv))
@@ -794,10 +796,10 @@ class TestTableCells:
         assert tables
         for header, columns in tables.values():
             assert len(columns) == len(header)
-            lengths = {len(column) for column in columns}
-            assert len(lengths) == 1 and lengths != {0}, lengths
+            shapes = {column.shape for column in columns}
+            assert len(shapes) == 1 and shapes != {(0,)}, shapes
             for column in columns:
-                assert all(type(cell) in (int, float) for cell in column), column
+                assert column.ndim == 1 and column.dtype in (np.int64, np.float64), column.dtype
 
 
 # the float repr switches to exponent notation at 1e16 and below 1e-4
@@ -812,10 +814,45 @@ INT_PATTERN = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8)
 FLOAT_PATTERN = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), min_size=1, max_size=8)
 
 
+# every power of two, every power of ten and its two neighbours, the
+# subnormals t * 2^-1074 for t <= 1000, and the largest double, all signed
+FLOAT_EDGES = np.array(
+    [
+        *(math.ldexp(1.0, k) for k in range(-1074, 1024)),
+        *(x for k in range(-323, 309) for v in [float(f"1e{k}")] for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))),
+        *np.arange(1, 1001, dtype=np.uint64).view(np.float64).tolist(),
+        sys.float_info.max,
+        1e23,
+        2.0**53 + 2,
+        2.0**50 + 0.25,  # halfway between the 17-digit 1125899906842624.2 and .3: the even one
+        2.0**50 + 0.75,
+    ]
+)
+FLOAT_EDGES = np.concatenate([FLOAT_EDGES, -FLOAT_EDGES, [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]])
+INT_EDGES = np.array([0, 1, -1, 9, 10, -10, 99, 100, 2**53 + 1, 10**18, -(10**18), 2**63 - 1, -(2**63)], dtype=np.int64)
+
+
+def numpy_cells(column: np.ndarray) -> list[str]:
+    """The text the writer's numpy route gives each cell of a one-column table."""
+    return pqdslln._csvtext.rows_bytes([column]).tobytes().decode().split("\n")[:-1]
+
+
 class TestCsvWriter:
+    # both sides of the switch from str() to numpy and of a numpy write chunk,
+    # and sizes in between
     @pytest.mark.parametrize(
         "n_rows",
-        [0, 1, pqdslln.cli._CSV_ROWS - 1, pqdslln.cli._CSV_ROWS, pqdslln.cli._CSV_ROWS + 1, 3 * pqdslln.cli._CSV_ROWS + 7],
+        [
+            0,
+            1,
+            512,
+            pqdslln.cli._CSV_NUMPY_ROWS - 1,
+            pqdslln.cli._CSV_NUMPY_ROWS,
+            pqdslln.cli._CSV_NUMPY_ROWS + 1,
+            3079,
+            pqdslln.cli._CSV_ROWS,
+            pqdslln.cli._CSV_ROWS + 1,
+        ],
     )
     @given(patterns=st.lists(st.one_of(INT_PATTERN, FLOAT_PATTERN), min_size=1, max_size=5))
     def test_bytes_match_csv_module(self, n_rows, patterns):
@@ -823,8 +860,21 @@ class TestCsvWriter:
         header = [f"c{i}" for i in range(len(columns))]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.csv"
-            pqdslln.cli._write_csv(path, header, columns)
+            pqdslln.cli._write_csv(path, header, [np.array(column) for column in columns])
             assert path.read_bytes() == csv_module_bytes(header, zip(*columns))
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_float_text_is_repr(self, bits):
+        floats = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert numpy_cells(floats) == [repr(x) for x in floats.tolist()]
+
+    def test_float_text_is_repr_at_edges(self):
+        got = numpy_cells(FLOAT_EDGES)
+        assert len(got) == len(FLOAT_EDGES)
+        assert [(x, text) for x, text in zip(FLOAT_EDGES.tolist(), got) if text != repr(x)] == []
+
+    def test_int_text_is_str_at_edges(self):
+        assert numpy_cells(INT_EDGES) == [str(n) for n in INT_EDGES.tolist()]
 
 
 class TestConfigFile:
