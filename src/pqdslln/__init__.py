@@ -36,6 +36,7 @@ from .errors import (
 from .gfun import (
     DeltaField,
     bracket_limit,
+    factor_differences,
     factor_values,
     g_closed_bracket,
     g_closed_form,

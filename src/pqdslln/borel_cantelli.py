@@ -12,7 +12,7 @@ lower bound that converts joint-survival integrals into joint tail
 probabilities.  The bracket's box integral takes no 2-D quadrature: the
 survival integrates in closed form, and the dependence term is theta
 times a product of differences of the covariance factor B
-(``gfun.factor_values``, closed form where r alpha > 1).
+(``gfun.factor_differences``, closed form where r alpha > 1).
 
 The dependence term of every pair law is the pair copula's own gap
 (:meth:`GfmCopula.gap`); double sums use cumulative prefix reductions in
@@ -29,7 +29,7 @@ import numpy as np
 
 from .copulas import GfmCopula, PowerSchedule, carried_cumsum, power_factor, separable_pair_sums
 from .errors import DomainError, ParameterError, UndefinedRatioError
-from .gfun import factor_values
+from .gfun import factor_differences
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -174,8 +174,8 @@ def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> Bracke
     lhs = _survival_integral(alpha, xk / eps, xk) * _survival_integral(alpha, xj / eps, xj)
     theta = _pair_copula(es, k, j).theta
     if theta > 0.0:
-        edges = [xk, max(xk / eps, 1.0), xj, max(xj / eps, 1.0)]
-        bk_hi, bk_lo, bj_hi, bj_lo = factor_values(es.r, es.s, es.marginal, edges)
-        lhs += theta * (bk_hi - bk_lo) * (bj_hi - bj_lo)
+        los = [max(xk / eps, 1.0), max(xj / eps, 1.0)]
+        dbk, dbj = factor_differences(es.r, es.s, es.marginal, [xk, xj], los)
+        lhs += theta * dbk * dbj
     rhs = ((eps - 1.0) / eps) ** 2 * xk * xj * pair_event_prob(es, k, j)
     return BracketCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-9))

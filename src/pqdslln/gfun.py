@@ -45,9 +45,11 @@ k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
 ``g_closed_bracket`` evaluates B at a scalar or at a whole array of
 thresholds in one pass, and ``factor_values`` is the one route to B for a
 Pareto marginal at any r alpha (the closed form, or quadrature where
-r alpha <= 1); ``g_factor`` and ``g_numeric`` take a list of
-thresholds or (u, v) pairs and refine their quadratures in lockstep, so one
-point is a one-element list.
+r alpha <= 1).  ``factor_differences`` takes B(hi) - B(lo) over brackets
+from the same evaluations; where both edges lie above x* it subtracts the
+two tails, so B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
+a list of thresholds or (u, v) pairs and refine their quadratures in
+lockstep, so one point is a one-element list.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .specfun import gamma, gauss_2f1
 __all__ = [
     "DeltaField",
     "bracket_limit",
+    "factor_differences",
     "factor_values",
     "g_closed_bracket",
     "g_closed_form",
@@ -119,6 +122,30 @@ def bracket_limit(r: float, s: float, alpha: float = 2.0) -> float:
     return _beta(s + 1.0, r - 1.0 / alpha) / alpha
 
 
+def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(above, part) at thresholds ``us`` >= 1: B(u) = part where F(u) < x*, B(inf) - part above it.
+
+    One Gauss hypergeometric sum per side of x* that has thresholds.
+    """
+    if not np.all(us >= 1.0):
+        raise DomainError(f"closed-form factor requires u >= 1, got {float(np.min(us))!r}")
+    a, b = s + 1.0, r - 1.0 / alpha
+    log_tail = -alpha * np.log(us)  # log(1 - F)
+    g = np.exp(log_tail)
+    below = g > (b + 1.0) / (a + b + 2.0)  # F < x*
+    above = ~below
+    part = np.empty(us.shape)
+    if below.any():
+        f = -np.expm1(log_tail[below])
+        part[below] = f**a * g[below] ** b / (a * alpha) * gauss_2f1(1.0, a + b, a + 1.0, f)
+    if above.any():
+        # F^a as exp(a log1p(-g)): F rounded near 1 would carry a times its rounding error into F^a
+        tail = g[above]
+        lead = np.exp(a * np.log1p(-tail) + b * log_tail[above])
+        part[above] = lead / (b * alpha) * gauss_2f1(1.0, a + b, b + 1.0, tail)
+    return above, part
+
+
 def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
     """Closed-form factor B(u) for the Pareto(alpha) marginal, u >= 1, r alpha > 1.
 
@@ -127,24 +154,9 @@ def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
     a float or an array of the same shape.
     """
     limit = bracket_limit(r, s, alpha)
-    us = np.asarray(u, dtype=float)
-    if not np.all(us >= 1.0):
-        raise DomainError(f"closed-form factor requires u >= 1, got {float(np.min(us))!r}")
-    a, b = s + 1.0, r - 1.0 / alpha
-    log_tail = -alpha * np.log(us)  # log(1 - F)
-    g = np.exp(log_tail)
-    below = g > (b + 1.0) / (a + b + 2.0)  # F < x*
-    above = ~below
-    out = np.empty(us.shape)
-    if below.any():
-        f = -np.expm1(log_tail[below])
-        out[below] = f**a * g[below] ** b / (a * alpha) * gauss_2f1(1.0, a + b, a + 1.0, f)
-    if above.any():
-        # F^a as exp(a log1p(-g)): F rounded near 1 would carry a times its rounding error into F^a
-        tail = g[above]
-        lead = np.exp(a * np.log1p(-tail) + b * log_tail[above])
-        out[above] = limit - lead / (b * alpha) * gauss_2f1(1.0, a + b, b + 1.0, tail)
-    return out if out.ndim else float(out)
+    above, part = _closed_parts(r, s, np.asarray(u, dtype=float), alpha)
+    part[above] = limit - part[above]
+    return part if part.ndim else float(part)
 
 
 def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: float = 2.0) -> float:
@@ -179,6 +191,26 @@ def factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds) -> n
     if r * marginal.alpha > 1.0:
         return g_closed_bracket(r, s, thresholds, marginal.alpha)
     return g_factor(r, s, marginal, thresholds)
+
+
+def factor_differences(r: float, s: float, marginal: ParetoMarginal, his, los) -> np.ndarray:
+    """B(hi) - B(lo) over each bracket [lo, hi] of thresholds >= 1 of a Pareto marginal, as an array.
+
+    Every edge is evaluated once, as in :func:`factor_values`.  Where the closed form puts both
+    edges of a bracket above x*, B = B(inf) - part there, and the difference is taken of the
+    parts, part(lo) - part(hi): B(inf) then cancels exactly, instead of leaving the rounding of
+    two values of B near it.
+    """
+    edges = np.array([*his, *los], dtype=float)
+    count = len(his)
+    if r * marginal.alpha <= 1.0:
+        values = factor_values(r, s, marginal, edges)
+        return values[:count] - values[count:]
+    limit = bracket_limit(r, s, marginal.alpha)
+    above, part = _closed_parts(r, s, edges, marginal.alpha)
+    values = np.where(above, limit - part, part)
+    tails = above[:count] & above[count:]
+    return np.where(tails, part[count:] - part[:count], values[:count] - values[count:])
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,13 @@ Randomness comes from the counter-based Philox generator keyed by
 each row drawing from its own stream.  An independent run that fills a
 block is cut into pieces of contiguous replicates, a few per usable CPU, and
 one thread per CPU samples them, each taking the next piece when it has
-finished its last, since every stage of its block pipeline is a numpy call
-that releases the GIL; a CPU that runs slower than the others then samples
-fewer pieces instead of holding the run up.  A dependent run is one piece.
+finished its last; a CPU that runs slower than the others then samples
+fewer pieces instead of holding the run up.  The threads run at once
+because every stage of a piece's block pipeline is a numpy call that
+releases the GIL: the Philox fill, the quantile, and each row's running
+sum, a 1-D accumulate that numpy runs without the GIL only when it writes
+into another array, so it goes into a spare row of the block.  A
+dependent run is one piece.
 A batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one
 row at a time in Python floats, a larger one a column at a time in numpy;
 both make the same correctly rounded operations in the same order.  So a
@@ -129,10 +133,11 @@ class MultivariateFgmModel:
         )
 
 
-def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, width: int):
+def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, width: int, buf=None):
     """Yield (start, u), the rows' paths in column blocks of at most ``width`` steps.
 
-    Row i draws from ``rngs[i]``, and each block overwrites the last.  The normalizer D and the
+    Row i draws from ``rngs[i]``, and each block overwrites the last, in ``buf`` when it is given
+    (one row per stream, at least ``min(width, n)`` columns).  The normalizer D and the
     telescoped inner sum, with a ring of its last ``window`` terms k^mu * eta_k, carry over.  A
     batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one row at a time in
     Python floats (:func:`_invert_rows`), a larger one a column at a time in numpy
@@ -142,7 +147,7 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
     """
     batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
-    buf = np.empty((batch, min(width, n)))
+    buf = np.empty((batch, min(width, n))) if buf is None else buf
     window = model.schedule.window if dependent else None
     ring = np.zeros((window, batch)) if window is not None and window < n else None
     d, w_run, failed = np.ones(batch), np.zeros(batch), [False] * len(_INVARIANTS)
@@ -314,9 +319,10 @@ def _thread_count(model: MultivariateFgmModel | None, replicates: int, n: int) -
     """Threads that sample a run of ``replicates`` paths of n steps.
 
     One per usable CPU, at most one per replicate, for an independent run that fills at least one
-    block of ``_GROUP_ELEMENTS`` uniforms: its block pipeline is numpy calls that release the GIL.
-    A dependent run stays on the caller's thread, since its inversion steps in Python and holds
-    the GIL.
+    block of ``_GROUP_ELEMENTS`` uniforms: its block pipeline is numpy calls that release the GIL,
+    the running sums among them, since each is a 1-D accumulate into another array (numpy holds
+    the GIL for one that writes over its input).  A dependent run stays on the caller's thread,
+    since its inversion steps in Python and holds the GIL.
     """
     if (model is not None and model.theta_sum != 0.0) or replicates * n < _GROUP_ELEMENTS:
         return 1
@@ -327,24 +333,29 @@ def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
     """Sample replicates ``rows`` of ``run`` and write their rows of the checkpoint matrices.
 
     Each row draws from its own stream and carries its running sum and hit count across blocks
-    in sequential order.  Each block's quantiles overwrite its uniforms.
+    in sequential order.  Each block's quantiles overwrite its uniforms, which fill rows 1.. of a
+    buffer with one spare row; the running sums of row r + 1 go to row r.
     """
     cps = run.checkpoints()
     ns = np.array(cps)
     rngs = [replicate_rng(run.seed, rep) for rep in rows]
     s_out, e_out = s_matrix[rows.start : rows.stop], e_matrix[rows.start : rows.stop]
-    hit_buf = np.empty((len(rows), min(width, len(thresholds))), dtype=bool)
+    buf = np.empty((len(rows) + 1, min(width, len(thresholds))))
+    hit_buf = np.empty((len(rows), buf.shape[1]), dtype=bool)
     s_run, e_run = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
-    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), width):
+    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), width, buf[1:]):
         stop = start + u.shape[1]
         x = run.marginal.quantile(u, out=u)
         hits = np.greater(x, thresholds[start:stop], out=hit_buf[:, : u.shape[1]])
         x[:, 0] += s_run  # continue each row's sum in sequential order
-        for row in x:  # row by row: numpy releases the GIL in a 1-D accumulate, not in a 2-D one
-            row.cumsum(out=row)
-        s_run[:] = x[:, -1]
+        sums = buf[:-1, : u.shape[1]]
+        # row by row into the row above: numpy releases the GIL in a 1-D accumulate only when its
+        # output is another array, and never in a 2-D one
+        for row, out in zip(x, sums):
+            np.add.accumulate(row, out=out)
+        s_run[:] = sums[:, -1]
         for i in np.flatnonzero((start < ns) & (ns <= stop)):
-            s_out[:, i] = x[:, cps[i] - 1 - start]
+            s_out[:, i] = sums[:, cps[i] - 1 - start]
             e_out[:, i] = e_run + np.count_nonzero(hits[:, : cps[i] - start], axis=1)
         e_run += np.count_nonzero(hits, axis=1)
 
@@ -352,15 +363,15 @@ def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
 def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
-    Replicates are sampled in column blocks of at most 2^18 uniforms in all.  An
-    independent run that fills a block is cut into pieces of contiguous replicates,
-    ``_PIECES_PER_THREAD`` per usable CPU, and one thread per CPU samples them, each
-    taking the next piece when it has finished its last, so that a thread whose CPU
-    runs slower takes fewer.  A dependent run is one piece on the caller's thread, whose
-    few replicates step through the recurrence in Python floats,
-    many in numpy, with the same bytes.  Each row draws from its own counter-based
-    stream and carries its running sum and hit count across blocks in sequential order,
-    so its results depend neither on the blocks, nor on the pieces, nor on the threads.
+    Replicates are sampled in column blocks of at most 2^18 values in all, each piece's spare
+    row of running sums included.  An independent run that fills a block is cut into pieces
+    of contiguous replicates, ``_PIECES_PER_THREAD`` per usable CPU, and one thread per CPU
+    samples them, each taking the next piece when it has finished its last, so that a thread
+    whose CPU runs slower takes fewer.  A dependent run is one piece on the caller's thread,
+    whose few replicates step through the recurrence in Python floats, many in numpy, with
+    the same bytes.  Each row draws from its own counter-based stream and carries its running
+    sum and hit count across blocks in sequential order, so its results depend neither on the
+    blocks, nor on the pieces, nor on the threads.
     """
     c = run.centering()
     cps = run.checkpoints()
@@ -374,7 +385,8 @@ def run_slln(run: SlnnRun) -> PathReport:
     s_matrix, e_matrix = np.empty((run.replicates, len(cps))), np.empty((run.replicates, len(cps)), dtype=np.int64)
     count = _thread_count(run.model, run.replicates, n_sampled)
     rows = run.replicates if count == 1 else max(1, run.replicates // (_PIECES_PER_THREAD * count))
-    width = max(1, _GROUP_ELEMENTS // (count * rows))  # the blocks in flight hold _GROUP_ELEMENTS
+    # the blocks in flight, each with its spare row, hold _GROUP_ELEMENTS
+    width = max(1, _GROUP_ELEMENTS // (count * (rows + 1)))
     # shared by the threads: next() on a range iterator is one step under the GIL, so each piece
     # goes to exactly one thread, the first to be free
     pieces = iter(range(0, run.replicates, rows))

@@ -302,6 +302,8 @@ class TestEpsilonBracket:
     )
     @example(alpha=0.5, p=1.0, nu_drop=0.5, mu_at=0.5, r=1.5, s=1.0, k=1, j=5, eps=2.0)  # r alpha < 1
     @example(alpha=1.0, p=1.5, nu_drop=0.3, mu_at=0.2, r=1.0, s=2.5, k=7, j=1, eps=1.3)  # r alpha = 1
+    # both j-edges above x*: B(30) - B(27.43) is 1.09e-4 from two values of B near 0.2996
+    @example(alpha=2.998856678703731, p=1.0, nu_drop=0.25, mu_at=0.5, r=1.0, s=1.0, k=2, j=30, eps=1.09375)
     @settings(max_examples=30, deadline=None)
     def test_matches_mpmath_product_of_integrals(self, alpha, p, nu_drop, mu_at, r, s, k, j, eps):
         if j == k:
@@ -331,7 +333,7 @@ class TestEpsilonBracket:
         def no_factor(*args, **kwargs):
             raise AssertionError("the covariance factor was evaluated")
 
-        monkeypatch.setattr(pqdslln.borel_cantelli, "factor_values", no_factor)
+        monkeypatch.setattr(pqdslln.borel_cantelli, "factor_differences", no_factor)
         es = gfm_system(0.8, 1.2)  # r alpha <= 1: the factor would come from quadrature
         with pytest.raises(AssertionError, match="factor was evaluated"):
             epsilon_bracket_check(es, 2, 3, 2.0)

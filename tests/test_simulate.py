@@ -293,7 +293,8 @@ class TestPieces:
     def force_threads(monkeypatch, count):
         monkeypatch.setattr(simulate, "_thread_count", lambda model, replicates, n: min(count, replicates))
 
-    # blocks of 1 or 37 columns (cap 111 over 3 rows) end between checkpoints and inside the window;
+    # blocks of 1 column, or of 3 to 55 (cap 111 over the rows in flight and their spare rows), end
+    # between checkpoints and inside the window;
     # 1 piece per thread cuts 33 replicates 11/11/11 over 3 threads, 4 per thread cuts them 2/2/.../1
     @pytest.mark.parametrize("cap", [1, 111])
     @pytest.mark.parametrize("replicates", [1, 2, 3, 33])
@@ -438,7 +439,7 @@ class TestRunSlln:
     @pytest.mark.parametrize("case", ["independent", "exact", "window"])
     def test_rows_do_not_depend_on_grouping(self, case):
         run = {
-            # 2^17 steps: 3 replicates share two blocks of 2^18 // 3 and 43691 columns
+            # 2^17 steps: 3 replicates share two blocks of 2^18 // 4 columns, the spare row taking a quarter
             "independent": lambda: self.run(n_max=2**17, replicates=3),
             "exact": lambda: self.run(
                 p=1.2, n_max=2**10, replicates=4,
@@ -455,7 +456,7 @@ class TestRunSlln:
         np.testing.assert_array_equal(report.exceedances, e_rows)
 
     def test_more_replicates_keep_leading_rows(self):
-        # a run of 3 splits its path into blocks at column 87381, a run of 4 at column 65536
+        # on one CPU a run of 3 splits its path into blocks at column 65536, a run of 4 at column 52428
         fewer = run_slln(self.run(n_max=2**17, replicates=3))
         more = run_slln(self.run(n_max=2**17, replicates=4))
         np.testing.assert_array_equal(more.m_values[:3], fewer.m_values)
@@ -464,7 +465,8 @@ class TestRunSlln:
     @pytest.mark.parametrize("cap", [1, 3 * 37])
     @pytest.mark.parametrize("case", ["independent", "exact", "window"])
     def test_rows_match_across_block_boundaries(self, case, cap, monkeypatch):
-        # blocks of 1 or 37 columns end between checkpoints and inside the 16-step window
+        # blocks of 1 or 27 columns (cap 111 over 3 rows and the spare row) end between checkpoints
+        # and inside the 16-step window
         monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", cap)
         model = {
             "independent": None,
@@ -481,7 +483,8 @@ class TestRunSlln:
         "n_max,replicates,dependent", [(2**17, 32, False), (2**12, 1024, True)], ids=["independent", "exact"]
     )
     def test_memory_stays_below_the_path(self, n_max, replicates, dependent):
-        # the whole path would take 32 MB; the block of uniforms, inverted in place, takes 2 MB
+        # the whole path would take 32 MB; the blocks of uniforms, inverted in place, and the spare
+        # row of running sums each has take 2 MB
         model = power_model(n_max, mu=-0.3, nu=-1.2, scale=0.25) if dependent else None
         run = self.run(p=1.2, n_max=n_max, replicates=replicates, model=model)
         run_slln(self.run(n_max=128, replicates=1))  # what the first call imports stays out of the measure
@@ -492,6 +495,41 @@ class TestRunSlln:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("case", ["independent", "exact", "window"])
+    def test_running_sums_never_overwrite_their_input(self, case, monkeypatch):
+        # numpy holds the GIL for a 1-D accumulate whose output is its input, so the sampling
+        # threads would queue for it; blocks of 27 columns over two threads, each call checked
+        overlaps = []
+
+        def checked(accumulate):
+            def call(a, *args, **kwargs):
+                out = kwargs.get("out", args[2] if len(args) > 2 else None)  # (axis, dtype, out)
+                out = out[0] if isinstance(out, tuple) else out
+                overlaps.append(out is not None and np.shares_memory(a, out))
+                return accumulate(a, *args, **kwargs)
+
+            return call
+
+        class Spy:
+            def __init__(self, target, **replaced):
+                self.__dict__.update(replaced)
+                self.target = target
+
+            def __getattr__(self, name):
+                return getattr(self.target, name)
+
+        spy = Spy(np, cumsum=checked(np.cumsum), add=Spy(np.add, accumulate=checked(np.add.accumulate)))
+        monkeypatch.setattr(simulate, "np", spy)
+        monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 111)
+        monkeypatch.setattr(simulate, "_thread_count", lambda model, replicates, n: min(2, replicates))
+        model = {
+            "independent": None,
+            "exact": power_model(512, mu=-0.3, nu=-1.2, scale=0.25),
+            "window": power_model(512, mu=-0.3, nu=-1.2, scale=0.25, window=16),
+        }[case]
+        run_slln(self.run(p=1.2, n_max=512, replicates=3, model=model))
+        assert len(overlaps) >= 3 * 512 // 27 and not any(overlaps)
 
     def test_scalar_route_memory_stays_below_the_path(self, monkeypatch):
         # one row: blocks of 2^12 steps; its 2^14 steps as Python floats would take 512 kB
