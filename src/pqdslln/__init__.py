@@ -37,13 +37,12 @@ from .gfun import (
     DeltaField,
     bracket_limit,
     factor_differences,
-    factor_values,
     g_closed_bracket,
     g_closed_form,
     g_factor,
     g_numeric,
 )
-from .marginals import Marginal, ParetoMarginal
+from .marginals import ParetoMarginal
 from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
 from .simulate import (
     DEFAULT_WINDOW,

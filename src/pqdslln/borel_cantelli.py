@@ -11,8 +11,8 @@ with the diagonal convention P(A_k n A_k) = P(A_k), the epsilon-bracket
 lower bound that converts joint-survival integrals into joint tail
 probabilities.  The bracket's box integral takes no 2-D quadrature: the
 survival integrates in closed form, and the dependence term is theta
-times a product of differences of the covariance factor B
-(``gfun.factor_differences``, closed form where r alpha > 1).
+times a product of differences of the covariance factor B, in closed
+form at every r alpha (``gfun.factor_differences``).
 
 The dependence term of every pair law is the pair copula's own gap
 (:meth:`GfmCopula.gap`); double sums use cumulative prefix reductions in

@@ -9,8 +9,8 @@ weight and the thresholds fed to the covariance functional G:
 
 With a power schedule theta_{k,j} = k^mu j^nu the functional factorizes as
 G = theta * B(k') * B(j'), so the double sum reduces to B at the N
-thresholds (one array pass of the closed form when r alpha > 1, one
-quadrature per threshold otherwise) plus cumulative products.  Partial sums
+thresholds (one array pass of the closed form, at every r alpha) plus
+cumulative products.  Partial sums
 are accumulated with exact (fsum) summation, so they do not depend on the
 order of the terms.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .copulas import PowerSchedule, separable_pair_sums
 from .errors import ParameterError
-from .gfun import bracket_limit, factor_values
+from .gfun import bracket_limit, g_closed_bracket
 from .marginals import ParetoMarginal
 
 __all__ = [
@@ -74,7 +74,8 @@ class MajorantBound:
     The term bound is T_j <= c_const * inner_sum_factor * j^exponent, and the
     full-series bound c_const * inner_sum_factor * (partial_sum + tail_bound).
     The tail bound is infinite when the majorant exponent is at or above -1,
-    the inner-sum factor when mu - 1/p + 1 <= 0.
+    the inner-sum factor when mu - 1/p + 1 <= 0, and c_const when
+    r alpha <= 1, where B(inf) diverges.
     """
 
     c_const: float
@@ -115,7 +116,7 @@ def condition_terms(
     if n_terms < 2:
         raise ParameterError(f"series truncation requires N >= 2, got {n_terms!r}")
     idx = np.arange(1, n_terms + 1, dtype=float)
-    b = factor_values(r, s, marginal, idx**inv_p)
+    b = g_closed_bracket(r, s, idx**inv_p, marginal.alpha)
     k_part = idx ** (wk + schedule.mu) * b
     j_part = idx ** (wj + schedule.nu) * b
     terms = separable_pair_sums(k_part, j_part)[0][1:]
@@ -173,7 +174,7 @@ def majorant_sum(
     1/(mu - 1/p + 1), and the power majorant sum_{j=2}^N j^(mu+nu-2/p+1).
 
     Their product dominates the nec12 partial sum at every truncation N: each
-    factor B is bounded by its limit, theta_{k,j} = k^mu j^nu, and the
+    factor B is bounded by its limit (infinite when r alpha <= 1, and C with it), theta_{k,j} = k^mu j^nu, and the
     integral test gives sum_{k<j} k^(mu-1/p) <= j^(mu-1/p+1) / (mu-1/p+1)
     when mu - 1/p + 1 > 0; otherwise the inner sum is not bounded by that
     power and the factor is infinite.  Exponents are taken as given (no

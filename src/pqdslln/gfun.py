@@ -8,46 +8,56 @@ dependence gap is
 identical in survival form and CDF form, and the covariance functional is
 its double integral over [-u, u] x [-v, v].  The power-family copula is
 C(u, v) = u v + gap(u, v), so delta is evaluated as gap(F(x), F(y)),
-free of the cancellation in the difference.  Three routes are provided:
+free of the cancellation in the difference.  Three routes are provided,
+all for the Pareto(alpha) marginal, whose support starts at 1:
 
 * ``g_numeric``     adaptive product quadrature of delta in y = log x on
                     both axes (the oracle: it integrates the copula's own
-                    gap, never the closed form; needs a marginal with
-                    positive support, where the substitution puts the
+                    gap, never the closed form; the substitution puts the
                     mass near the support edge and the far tail on a
                     comparable scale),
-* ``g_factor``      the separable factor integral(support..u) F^s (1-F)^r dx,
-                    valid because the power-family gap factorizes,
-* ``g_closed_form`` the closed form for a Pareto(alpha) marginal,
+* ``g_factor``      the separable factor integral(1..u) F^s (1-F)^r dx by
+                    quadrature, valid because the power-family gap factorizes,
+* ``g_closed_form`` the closed form
 
     G(u, v) = theta * B(u) * B(v),
     B(u) = (1/alpha) * B_{F(u)}(s+1, r-1/alpha),
 
-an incomplete beta function (substitute t = F(x)), finite as u -> inf
-exactly when r alpha > 1.  Writing a = s + 1 and b = r - 1/alpha, it is
-evaluated with one positive-term Gauss hypergeometric sum H (DLMF 8.17.8,
-applied to B_F(a, b) and to its mirror B_{1-F}(b, a)) on either side of
-the symmetry point x* = (a + 1) / (a + b + 2):
+an incomplete beta function (substitute t = F(x)), finite at every u and
+every r alpha; its limit B(inf) = Beta(s+1, r-1/alpha) / alpha is finite
+exactly when r alpha > 1 (``bracket_limit`` is inf otherwise).  Write
+a = s + 1, b = r - 1/alpha and g = 1 - F = u^-alpha, with F and g both
+taken from one log u, so g is never formed by subtraction.  B is split at
+h = 1 - x*, where x* = (a + 1) / (a + b + 2) is the symmetry point of the
+positive-term sums below (b is replaced by max(b, 0) there):
 
-    B(u) = F^a (1-F)^b / (a alpha) * H(1, a+b; a+1; F)           where F < x*,
-    B(u) = B(inf) - F^a (1-F)^b / (b alpha) * H(1, a+b; b+1; 1-F) where F >= x*,
-    B(inf) = Beta(a, b) / alpha,
+    B(u) = F^a g^b / (a alpha) * H(1, a+b; a+1; F)              where g > h,
+    B(u) = B(inf) - F^a g^b / (b alpha) * H(1, a+b; b+1; g)     where g <= h, b >= 1/64,
+    B(u) = B(u_h) + (1/alpha) sum_n c_n (h^t - g^t) / t         where g <= h, b < 1/64,
 
-with F = 1 - u^-alpha and 1 - F = u^-alpha both taken from one log u, so
-1 - F is never formed by subtraction.  Both series sum positive terms whose
-ratio stays below max(z, (a+b)/(a+b+2)) < 1 at an argument z on their side
-of x*, so below x* B keeps its relative accuracy up to the support edge.
-Above x* the difference keeps B(u) >= Q(b, b+1) B(inf), Q the regularized
-upper incomplete gamma function (0.135 at b = 1, 0.083 at b = 1/2, about
-0.22 b for small b), so it loses little unless b << 1.  B(u) -> 0 as
-u -> 1+ and increases to B(inf) as u -> inf, which also furnishes a
-k,j-independent bound G <= theta * B(inf)^2 used by the series majorant.
-``g_closed_bracket`` evaluates B at a scalar or at a whole array of
-thresholds in one pass, and ``factor_values`` is the one route to B for a
-Pareto marginal at any r alpha (the closed form, or quadrature where
-r alpha <= 1).  ``factor_differences`` takes B(hi) - B(lo) over brackets
-from the same evaluations; where both edges lie above x* it subtracts the
-two tails, so B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
+with H the Gauss hypergeometric sum (DLMF 8.17.8, applied to B_F(a, b) and
+to its mirror B_g(b, a)), u_h the threshold where g = h, c_n = (1-a)_n / n!
+the binomial coefficients of (1 - w)^(a-1) and t = n + b.  The first form
+holds for every real b; its terms' ratio stays below max(F, (a+b)/(a+b+2))
+< 1 in size, so it keeps its relative accuracy up to the support edge.
+The mirror form keeps B(u) >= Q(b, b+1) B(inf), Q the regularized upper
+incomplete gamma function (about 0.22 b for small b), so its difference
+loses digits as b -> 0: 3.7e-12 relative at b = 1e-3 and 2.8e-6 at
+b = 1e-9, against 40-digit values over s <= 400 and u <= 1e8.  The strip
+sum integrates (1 - w)^(a-1) w^(b-1) over [g, h] term by term, each term
+as -h^t expm1(t log(g/h)) / t (log(h/g) at t = 0): it is uniform through
+b = 0, -1, -2, ..., needs no Beta function, sums terms whose ratio tends
+to h < 0.26, and stops after s + 1 terms for integer s.  Both forms hold
+about 4e-13 at b = 1/64, the switch.
+
+B(u) -> 0 as u -> 1+ and increases to B(inf) as u -> inf, which also
+furnishes a k,j-independent bound G <= theta * B(inf)^2 used by the series
+majorant.  ``g_closed_bracket`` evaluates B at a scalar or at a whole
+array of thresholds in one pass; it is the one route to B of ``condition
+check`` and ``report example``.  ``factor_differences`` takes B(hi) - B(lo)
+over brackets from the same evaluations; where both edges lie above the
+split it sums the strip between them, or subtracts the two mirror tails,
+so B(u_h) or B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
 a list of thresholds or (u, v) pairs and refine their quadratures in
 lockstep, so one point is a one-element list.
 """
@@ -61,7 +71,7 @@ import numpy as np
 
 from .copulas import GfmCopula, power_factor
 from .errors import DomainError, NumericError
-from .marginals import Marginal, ParetoMarginal
+from .marginals import ParetoMarginal
 from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
@@ -69,7 +79,6 @@ __all__ = [
     "DeltaField",
     "bracket_limit",
     "factor_differences",
-    "factor_values",
     "g_closed_bracket",
     "g_closed_form",
     "g_factor",
@@ -77,6 +86,10 @@ __all__ = [
 ]
 
 _FACTOR_ABS_TOL = 1e-10  # absolute tolerance of the separable factor quadrature
+# Above the split, the mirror form B(inf) - part serves b >= _MIRROR_MIN_B and the strip sum
+# serves smaller b: where the mirror form's error overtakes the strip sum's (see the module text).
+_MIRROR_MIN_B = 1.0 / 64.0
+_STRIP_RTOL = 1e-17  # a strip sum stops at its first term below this share of its running sum
 
 
 def _validate_rs(r: float, s: float) -> None:
@@ -114,48 +127,83 @@ def _beta(x: float, y: float) -> float:
 def bracket_limit(r: float, s: float, alpha: float = 2.0) -> float:
     """Limit B(inf) = Beta(s+1, r-1/alpha) / alpha of the closed-form factor.
 
-    Raises DomainError when r alpha <= 1, where the factor diverges.
+    It is math.inf when r alpha <= 1, where the factor diverges.  Raises
+    DomainError unless alpha > 0.
     """
     _validate_rs(r, s)
-    if not alpha * r > 1.0:
-        raise DomainError(f"closed-form factor requires r * alpha > 1, got r={r!r}, alpha={alpha!r}")
-    return _beta(s + 1.0, r - 1.0 / alpha) / alpha
+    if not alpha > 0.0:
+        raise DomainError(f"closed-form factor requires alpha > 0, got {alpha!r}")
+    b = r - 1.0 / alpha
+    return _beta(s + 1.0, b) / alpha if b > 0.0 else math.inf
 
 
-def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """(above, part) at thresholds ``us`` >= 1: B(u) = part where F(u) < x*, B(inf) - part above it.
+def _below_split(a: float, b: float, f, g, alpha: float):
+    """B = F^a g^b / (a alpha) * 2F1(1, a+b; a+1; F) at F = f, 1 - F = g; the form for g > h."""
+    return f**a * g**b / (a * alpha) * gauss_2f1(1.0, a + b, a + 1.0, f)
 
-    One Gauss hypergeometric sum per side of x* that has thresholds.
+
+def _strip(a: float, b: float, log_small, log_large, alpha: float):
+    """(1/alpha) * integral over [e^log_small, e^log_large] of (1 - w)^(a-1) w^(b-1) dw, for log_small <= log_large.
+
+    That is B(u1) - B(u2) for the thresholds u1 >= u2 whose values of 1 - F are the two edges.
+    Summed as sum_n c_n (G^t - g^t) / t, c_n = (1-a)_n / n!, t = n + b, with each term
+    -G^t expm1(t log(g/G)) / t (log(G/g) at t = 0), until a term drops below _STRIP_RTOL of its
+    running sum everywhere, or c_n vanishes (after s + 1 terms for integer s = a - 1).
     """
+    gap = log_small - log_large
+    total = np.zeros(np.shape(gap))
+    coef, n = 1.0, 0
+    while True:
+        t = n + b
+        term = coef * (-gap if t == 0.0 else np.exp(t * log_large) * np.expm1(t * gap) / -t)
+        total += term
+        n += 1
+        coef *= (n - a) / n
+        if coef == 0.0 or not np.any(np.abs(term) > _STRIP_RTOL * np.abs(total)):
+            return total / alpha
+
+
+def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(above, part, base) at thresholds ``us`` >= 1: B(u) = part below the split, base + part above it.
+
+    Above the split, base is B(inf) and part the negated mirror tail where b >= _MIRROR_MIN_B,
+    and base is B(u_h) and part the strip sum from u_h to u below that.  One Gauss
+    hypergeometric sum per side of the split that has thresholds, and one more for B(u_h).
+    """
+    limit = bracket_limit(r, s, alpha)
     if not np.all(us >= 1.0):
         raise DomainError(f"closed-form factor requires u >= 1, got {float(np.min(us))!r}")
     a, b = s + 1.0, r - 1.0 / alpha
+    lift = max(b, 0.0)
+    h = (lift + 1.0) / (a + lift + 2.0)  # 1 - x*
     log_tail = -alpha * np.log(us)  # log(1 - F)
     g = np.exp(log_tail)
-    below = g > (b + 1.0) / (a + b + 2.0)  # F < x*
+    below = g > h
     above = ~below
     part = np.empty(us.shape)
     if below.any():
-        f = -np.expm1(log_tail[below])
-        part[below] = f**a * g[below] ** b / (a * alpha) * gauss_2f1(1.0, a + b, a + 1.0, f)
-    if above.any():
+        part[below] = _below_split(a, b, -np.expm1(log_tail[below]), g[below], alpha)
+    if not above.any():
+        return above, part, limit
+    if b >= _MIRROR_MIN_B:
         # F^a as exp(a log1p(-g)): F rounded near 1 would carry a times its rounding error into F^a
         tail = g[above]
         lead = np.exp(a * np.log1p(-tail) + b * log_tail[above])
-        part[above] = lead / (b * alpha) * gauss_2f1(1.0, a + b, b + 1.0, tail)
-    return above, part
+        part[above] = -(lead / (b * alpha) * gauss_2f1(1.0, a + b, b + 1.0, tail))
+        return above, part, limit
+    part[above] = _strip(a, b, log_tail[above], math.log(h), alpha)
+    return above, part, _below_split(a, b, (a + 1.0) / (a + lift + 2.0), h, alpha)
 
 
 def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
-    """Closed-form factor B(u) for the Pareto(alpha) marginal, u >= 1, r alpha > 1.
+    """Closed-form factor B(u) for the Pareto(alpha) marginal, u >= 1, at any r alpha.
 
     Equals integral(1..u) (1 - x^-alpha)^s x^(-alpha r) dx; returns exactly
     0 at the support edge u = 1.  Accepts a scalar or an array u and returns
     a float or an array of the same shape.
     """
-    limit = bracket_limit(r, s, alpha)
-    above, part = _closed_parts(r, s, np.asarray(u, dtype=float), alpha)
-    part[above] = limit - part[above]
+    above, part, base = _closed_parts(r, s, np.asarray(u, dtype=float), alpha)
+    part[above] += base
     return part if part.ndim else float(part)
 
 
@@ -166,8 +214,8 @@ def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: f
     return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
 
 
-def g_factor(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
-    """Separable factor integral(max(-u, support)..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
+def g_factor(r: float, s: float, marginal: ParetoMarginal, us) -> np.ndarray:
+    """Separable factor integral(1..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
 
     The integrals are refined in lockstep (:func:`adaptive_quad_many`), each
     to the bits it gets alone.
@@ -177,40 +225,30 @@ def g_factor(r: float, s: float, marginal: Marginal, us) -> np.ndarray:
     def integrand(x):
         return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
 
-    intervals = ((max(-u, marginal.support_min), u) for u in map(float, us))
-    values, _ = adaptive_quad_many(integrand, intervals, abs_tol=_FACTOR_ABS_TOL)
+    values, _ = adaptive_quad_many(integrand, ((1.0, u) for u in map(float, us)), abs_tol=_FACTOR_ABS_TOL)
     return values
-
-
-def factor_values(r: float, s: float, marginal: ParetoMarginal, thresholds) -> np.ndarray:
-    """Covariance factor B at each threshold u >= 1 of a Pareto marginal, as an array.
-
-    The closed form serves r alpha > 1; below that B(inf) diverges, so B
-    comes from one quadrature per threshold, refined in lockstep.
-    """
-    if r * marginal.alpha > 1.0:
-        return g_closed_bracket(r, s, thresholds, marginal.alpha)
-    return g_factor(r, s, marginal, thresholds)
 
 
 def factor_differences(r: float, s: float, marginal: ParetoMarginal, his, los) -> np.ndarray:
     """B(hi) - B(lo) over each bracket [lo, hi] of thresholds >= 1 of a Pareto marginal, as an array.
 
-    Every edge is evaluated once, as in :func:`factor_values`.  Where the closed form puts both
-    edges of a bracket above x*, B = B(inf) - part there, and the difference is taken of the
-    parts, part(lo) - part(hi): B(inf) then cancels exactly, instead of leaving the rounding of
-    two values of B near it.
+    Every edge is evaluated once, as in :func:`g_closed_bracket`.  Where both edges of a bracket
+    lie above the split, the difference is taken without the base that B shares there: as the
+    strip sum between the two edges, or as the difference of the two mirror tails.  B(u_h) or
+    B(inf) then cancels exactly, instead of leaving the rounding of two values of B near it.
     """
     edges = np.array([*his, *los], dtype=float)
     count = len(his)
-    if r * marginal.alpha <= 1.0:
-        values = factor_values(r, s, marginal, edges)
-        return values[:count] - values[count:]
-    limit = bracket_limit(r, s, marginal.alpha)
-    above, part = _closed_parts(r, s, edges, marginal.alpha)
-    values = np.where(above, limit - part, part)
+    alpha = marginal.alpha
+    above, part, base = _closed_parts(r, s, edges, alpha)
+    values = np.where(above, base + part, part)
     tails = above[:count] & above[count:]
-    return np.where(tails, part[count:] - part[:count], values[:count] - values[count:])
+    diffs = np.where(tails, part[:count] - part[count:], values[:count] - values[count:])
+    b = r - 1.0 / alpha
+    if b < _MIRROR_MIN_B and tails.any():
+        log_tail = -alpha * np.log(edges)
+        diffs[tails] = _strip(s + 1.0, b, log_tail[:count][tails], log_tail[count:][tails], alpha)
+    return diffs
 
 
 @dataclass(frozen=True)
@@ -225,7 +263,7 @@ class DeltaField:
     """
 
     copula: GfmCopula
-    marginal: Marginal
+    marginal: ParetoMarginal
 
     def delta(self, x, y):
         return self.copula.gap(self.marginal.cdf(x), self.marginal.cdf(y))
@@ -234,30 +272,24 @@ class DeltaField:
 def g_numeric(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndarray:
     """Covariance functional at each (u, v), by adaptive product quadrature of the gap field in log x.
 
-    Integrates delta over [support, u] x [support, v] (empty, giving 0, when
-    u or v is at or below the support's infimum) after substituting
-    y = log x on both axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over
-    [log support, log u] x [log support, log v].  The truncation at the
-    support is exact because delta vanishes below it.  Requires a marginal
-    with positive support (DomainError otherwise).  The integrals are refined
-    in lockstep (:func:`adaptive_quad_2d_many`), each to the bits it gets
-    alone.  Raises the QuadratureError (carrying the best estimate and
-    bound) of the first pair whose integral fails.
+    Integrates delta over [1, u] x [1, v] (empty, giving 0, when u or v is
+    at or below the support edge 1) after substituting y = log x on both
+    axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over [0, log u] x [0, log v].
+    The truncation at the support edge is exact because delta vanishes below
+    it.  The integrals are refined in lockstep (:func:`adaptive_quad_2d_many`),
+    each to the bits it gets alone.  Raises the QuadratureError (carrying the
+    best estimate and bound) of the first pair whose integral fails.
     """
     pairs = list(pairs)
     for u, v in pairs:
         if not (u > 0.0 and v > 0.0):
             raise DomainError(f"integration half-widths must be positive, got u={u!r}, v={v!r}")
-    lo = field.marginal.support_min
-    if not lo > 0.0:
-        raise DomainError(f"log-space quadrature needs a marginal with positive support, got support_min={lo!r}")
     spec = spec or QuadSpec()
 
     def integrand(y1, y2):
         x1, x2 = np.exp(y1), np.exp(y2)
         return field.delta(x1, x2) * (x1 * x2)
 
-    log_lo = math.log(lo)
-    boxes = [(log_lo, math.log(u), log_lo, math.log(v)) for u, v in pairs]
+    boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in pairs]
     values, _ = adaptive_quad_2d_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
     return values

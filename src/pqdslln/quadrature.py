@@ -12,10 +12,10 @@ one-region call).  Each round pops the worst splittable
 panel of every integral still short of its tolerance and evaluates all their
 children in one integrand call per rule.  Each integral keeps its own heap,
 so it makes the same pops and splits, and gets the same bits, as it would
-alone; it is finalized, and its panels dropped, as soon as it converges.  At
-most ``_IN_FLIGHT`` integrals are refined at once, which bounds the panels
-held in memory.  When integrals fail, the error of the lowest-index one is
-raised, as integrating them one after another would.
+alone; it is finalized, and its panels dropped, as soon as it converges.
+Every integral is admitted in the first round.  When integrals fail, the
+error of the lowest-index one is raised, as integrating them one after
+another would.
 
 Integrands must accept numpy arrays and evaluate elementwise, assuming no
 shape: a 1D integrand gets a (k, n) node array and a 2D one a (k, n, 1) x
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -41,8 +40,6 @@ __all__ = ["QuadSpec", "adaptive_quad_2d_many", "adaptive_quad_many"]
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
-
-_IN_FLIGHT = 256  # integrals a batched entry refines at once; bounds the panels held in memory
 
 
 @dataclass(frozen=True)
@@ -162,16 +159,18 @@ def _refine(
     ``evaluate`` maps a list of panel bounds to their (bounds, value, error)
     triples with one integrand call per rule; ``split`` maps a panel's bounds
     to its children's bounds, or None when it is too narrow to split.  A
-    region given as None is empty and integrates to (0.0, 0.0).  Regions are
-    read as integrals are admitted, so an iterator of them is never held
-    whole.
+    region given as None is empty and integrates to (0.0, 0.0).
     """
-    values, bounds = array("d"), array("d")
-    active: dict[int, _Integral] = {}  # index -> panels; each round re-inserts in index order
-    pending = enumerate(regions)
+    regions = list(regions)
+    values, bounds = np.zeros(len(regions)), np.zeros(len(regions))
+    active = {i: _Integral() for i, region in enumerate(regions) if region is not None}  # index order
+    batch = [(i, [regions[i]]) for i in active]  # (index, bounds of the panels to evaluate for it)
     failed = None  # (index, error) of the lowest-index integral that failed
-    while True:
-        batch = []  # (index, bounds of the panels to evaluate for it)
+    while batch:
+        panels = iter(evaluate([panel for _, group in batch for panel in group]))
+        for i, group in batch:
+            active[i].push([next(panels) for _ in group])
+        batch = []
         for i in list(active):
             integral = active.pop(i)
             if failed is not None and i > failed[0]:
@@ -188,24 +187,9 @@ def _refine(
                 values[i], bounds[i] = value, bound
             except QuadratureError as exc:
                 failed = (i, exc)
-        while failed is None and len(active) < _IN_FLIGHT:
-            item = next(pending, None)
-            if item is None:
-                break
-            i, region = item
-            values.append(0.0)
-            bounds.append(0.0)
-            if region is not None:
-                active[i] = _Integral()
-                batch.append((i, [region]))
-        if not batch:
-            break
-        panels = iter(evaluate([panel for _, group in batch for panel in group]))
-        for i, group in batch:
-            active[i].push([next(panels) for _ in group])
     if failed is not None:
         raise failed[1]
-    return np.array(values), np.array(bounds)
+    return values, bounds
 
 
 def adaptive_quad_many(

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqdslln.borel_cantelli
-import pqdslln.gfun
 from pqdslln.borel_cantelli import (
     _CHUNK,
     EventSystem,
@@ -283,7 +282,7 @@ class TestEpsilonBracket:
     )
     def test_integrand_is_cdf_form(self, es):
         # lhs is the box integral of P{X_k > x, X_j > y} = 1 - F(x) - F(y) + C(F(x), F(y)),
-        # across the support edge x = 1; the last system has r alpha <= 1, where B comes from quadrature
+        # across the support edge x = 1; the last system has r alpha <= 1, where B(inf) diverges
         for k, j, eps in ((4, 9, 1.5), (1, 3, 2.0), (9, 2, 3.0), (1, 2, 1.05)):
             lhs = epsilon_bracket_check(es, k, j, eps).lhs
             assert lhs == pytest.approx(float(mpmath_bracket_lhs(es, k, j, eps)), rel=1e-13, abs=0.0)
@@ -312,14 +311,7 @@ class TestEpsilonBracket:
         mu = (1.0 / p - 1.0) + mu_at * (1.0 / p - 1.0 - nu)
         es = gfm_system(alpha, p, mu=mu, nu=nu, r=r, s=s)
         lhs = epsilon_bracket_check(es, k, j, eps).lhs
-        rel = 1e-13
-        if r * alpha <= 1.0:
-            # B comes from quadrature, good to an absolute tol = _FACTOR_ABS_TOL at each edge, so
-            # each difference dB to 2 tol; with theta <= 1 and dB <= I_S, lhs moves by about
-            # 2 tol (I_S,k + I_S,j) at most.  lhs >= I_S,k I_S,j, and alpha <= 1 gives
-            # I_S >= (x - x/eps) S(x) >= 1 - 1/eps, so the relative error is below 4 tol / (1 - 1/eps).
-            rel = 4.0 * pqdslln.gfun._FACTOR_ABS_TOL / (1.0 - 1.0 / eps)
-        assert lhs == pytest.approx(float(mpmath_bracket_lhs(es, k, j, eps)), rel=rel, abs=0.0)
+        assert lhs == pytest.approx(float(mpmath_bracket_lhs(es, k, j, eps)), rel=1e-13, abs=0.0)
 
     def test_validation(self):
         es = independent(2.0, 1.0)
@@ -334,7 +326,7 @@ class TestEpsilonBracket:
             raise AssertionError("the covariance factor was evaluated")
 
         monkeypatch.setattr(pqdslln.borel_cantelli, "factor_differences", no_factor)
-        es = gfm_system(0.8, 1.2)  # r alpha <= 1: the factor would come from quadrature
+        es = gfm_system(0.8, 1.2)  # r alpha <= 1, where B(inf) diverges
         with pytest.raises(AssertionError, match="factor was evaluated"):
             epsilon_bracket_check(es, 2, 3, 2.0)
         with pytest.raises(DomainError, match="event index"):

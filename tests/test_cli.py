@@ -27,6 +27,7 @@ import pqdslln._csvtext
 import pqdslln.cli
 import pqdslln.conditions
 import pqdslln.gfun
+import pqdslln.quadrature
 from pqdslln import __version__
 from pqdslln.borel_cantelli import BracketCheck
 from pqdslln.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARAMETER, main
@@ -440,10 +441,14 @@ class TestReportExample:
         assert run_cli(args, tmp_path) == EXIT_OK
         assert read_json(tmp_path / "result.json")["g_oracle_max_discrepancy"] <= 1e-6
 
-    def test_divergent_closed_form_is_parameter_error(self, tmp_path, capsys):
-        args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", "1", "--N", "200"]
-        assert run_cli(args, tmp_path) == EXIT_PARAMETER
-        assert "[parameter]" in capsys.readouterr().err
+    def test_divergent_limit_gives_null_majorant(self, tmp_path):
+        # r alpha = 1: B(u) is finite but B(inf) diverges, so the majorant's constant is infinite, written as null
+        args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", "1", "--r", "1", "--N", "200"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        result = read_json(tmp_path / "result.json")
+        validate(result, "example_report")
+        assert result["majorant"]["c_const"] is None
+        assert result["g_oracle_max_discrepancy"] <= 1e-6
 
 
 class TestManifestRerun:
@@ -722,6 +727,30 @@ class TestSeriesComputedOnce:
         monkeypatch.setattr(pqdslln.cli, "condition_terms", counting)
         assert run_cli(args, tmp_path) == EXIT_OK
         assert len(calls) == 1
+
+
+class TestNoQuadratureOnProductionPaths:
+    """``condition check`` and ``bc bracket`` take the factor B in closed form at every r alpha."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])  # r alpha = 0.5 and 1 at r = 1: b = -1 and b = 0
+    def test_commands_answer_without_quadrature(self, alpha, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a production path integrated by quadrature")
+
+        for name in ("adaptive_quad_many", "adaptive_quad_2d_many"):
+            original = getattr(pqdslln.quadrature, name)
+            for module in [m for n, m in sys.modules.items() if n.startswith("pqdslln")]:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, refuse)
+        series = ["--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", str(alpha), "--N", "300"]
+        for kind in ("cs11", "nec12", "l1"):
+            assert run_cli(["condition", "check", "--kind", kind, *series], tmp_path / kind) == EXIT_OK
+        system = ["--alpha", str(alpha), "--p", "1", "--theta-spec", "power:0.2,-1.5"]
+        # brackets across the split, and with both edges above it
+        for k, j, eps in ((3, 7, 1.5), (30, 40, 1.1), (1, 2, 3.0)):
+            args = ["bc", "bracket", *system, "--k", str(k), "--j", str(j), "--eps", str(eps)]
+            assert run_cli(args, tmp_path / f"bc-{k}-{j}") == EXIT_OK
 
 
 class TestClosedFormOnePass:

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
-import pqdslln.gfun
 from pqdslln.conditions import (
     CONVERGES,
     DIVERGES,
@@ -241,23 +240,6 @@ class TestDecayExponent:
         assert errors[0] > errors[1] > errors[2]
         # a wrong exponent leaves an error that levels off near the distance to the right one
         assert errors[2] < errors[0] / 1.5
-
-
-class TestFactorRoute:
-    @pytest.mark.parametrize(
-        "alpha,r,quadratures", [(2.0, 1.0, 0), (2.5, 1.0, 0), (1.5, 1.0, 0), (1.0, 1.0, 30), (0.5, 1.5, 30)]
-    )
-    def test_quadrature_only_where_the_closed_form_diverges(self, alpha, r, quadratures, monkeypatch):
-        integrals = []  # one threshold per factor integral handed to the batched route
-        original = pqdslln.gfun.g_factor
-
-        def counting(r, s, marginal, us):
-            integrals.extend(us)
-            return original(r, s, marginal, us)
-
-        monkeypatch.setattr(pqdslln.gfun, "g_factor", counting)
-        condition_terms("nec12", 1.0, example_schedule(), r, 1.0, ParetoMarginal(alpha), 30)
-        assert len(integrals) == quadratures
 
 
 class TestTermwiseWeightComparison:

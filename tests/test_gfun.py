@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta, betainc
 
@@ -18,7 +18,7 @@ from pqdslln.gfun import (
     g_factor,
     g_numeric,
 )
-from pqdslln.marginals import Marginal, ParetoMarginal
+from pqdslln.marginals import ParetoMarginal
 from pqdslln.quadrature import QuadSpec
 
 PARAM_GRID = [(1.0, 1.0), (2.0, 1.0), (1.5, 2.0), (3.0, 3.0)]
@@ -69,11 +69,11 @@ def incomplete_beta_bracket(r: float, s: float, u, alpha: float):
 
 
 def mpmath_bracket(r: float, s: float, u: float, alpha: float):
-    """B(u) = (1/alpha) B_F(s+1, r-1/alpha) in 40-digit arithmetic (test oracle)."""
+    """B(u) = (1/alpha) B_F(s+1, r-1/alpha) in 40-digit arithmetic, its real part (test oracle)."""
     with mpmath.workdps(40):
         a, b = mpmath.mpf(s) + 1, mpmath.mpf(r) - 1 / mpmath.mpf(alpha)
         f = -mpmath.expm1(-mpmath.mpf(alpha) * mpmath.log(mpmath.mpf(u)))
-        return mpmath.betainc(a, b, 0, f) / alpha
+        return mpmath.re(mpmath.betainc(a, b, 0, f)) / alpha
 
 
 def counting_field(copula, marginal):
@@ -100,19 +100,6 @@ class ProfileCopula:
 
     def gap(self, u, v):
         return np.asarray(self.profile(np.asarray(u, dtype=float))) * np.asarray(self.profile(np.asarray(v, dtype=float)))
-
-
-class SymmetricMarginal(Marginal):
-    """Uniform law on [-1, 1]: a support reaching below 0."""
-
-    def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) + 1.0) / 2.0, 0.0, 1.0)
-
-    def quantile(self, u):
-        return 2.0 * np.asarray(u, dtype=float) - 1.0
-
-    def abs_moment(self, p):
-        return 1.0 / (p + 1.0)
 
 
 class TestDelta:
@@ -259,18 +246,33 @@ class TestClosedFormEveryAlpha:
 
     @given(
         st.floats(min_value=1.0, max_value=400.0),
-        st.floats(min_value=1.0, max_value=200.0),
-        st.floats(min_value=1.0, max_value=4.0),
+        st.floats(min_value=-3.0, max_value=50.0),
+        st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=1.0),
         st.booleans(),
     )
-    def test_relative_contract_against_mpmath(self, s, r, alpha, t, near_switch):
-        # 1e-11 relative wherever B(u) >= 1e-290, up to the support edge and out to u = 1e8
-        assume(r * alpha >= 1.0 + 1e-3)
+    # the poles of the mirror form's terms, and b just off them
+    @example(s=2.5, b=-2.0, lift=1.0, t=0.9, near_switch=False)
+    @example(s=1.0, b=-1.0, lift=0.5, t=0.7, near_switch=False)
+    @example(s=7.3, b=0.0, lift=1.0, t=0.8, near_switch=False)
+    @example(s=3.0, b=1e-9, lift=1.0, t=0.9, near_switch=False)
+    @example(s=3.0, b=-1e-9, lift=1.0, t=0.9, near_switch=False)
+    @example(s=40.5, b=1e-7, lift=1.0, t=0.6, near_switch=False)
+    @example(s=40.5, b=-1e-7, lift=0.7, t=0.4, near_switch=True)
+    @example(s=5.5, b=-1.0 + 1e-9, lift=1.0, t=1.0, near_switch=False)
+    @example(s=5.5, b=-2.0 - 1e-7, lift=1.0, t=1.0, near_switch=False)
+    # r alpha - 1 = 1e-7 and 1e-4 at r = 1, alpha = 1 / (1 - b)
+    @example(s=2.0, b=1.0 - 1.0 / (1.0 + 1e-7), lift=1.0, t=0.95, near_switch=False)
+    @example(s=2.0, b=1.0 - 1.0 / (1.0 + 1e-4), lift=1.0, t=0.95, near_switch=False)
+    def test_relative_contract_against_mpmath(self, s, b, lift, t, near_switch):
+        # 1e-11 relative wherever B(u) >= 1e-290, at every r alpha, up to the support edge and out to u = 1e8;
+        # alpha runs over [1/4, 1] of its largest value with r = b + 1/alpha >= 1
+        alpha = (4.0 if b >= 0.75 else 1.0 / (1.0 - b)) * (0.25 + 0.75 * lift)
+        r = max(1.0, b + 1.0 / alpha)
         lo, hi = math.log1p(1e-12), math.log(1e8)
-        if near_switch:  # within 10 % of the u where F = x*
-            a, b = s + 1.0, r - 1.0 / alpha
-            log_u = math.log1p(-(a + 1.0) / (a + b + 2.0)) / -alpha + 0.2 * (t - 0.5)
+        if near_switch:  # within 10 % of the u where 1 - F = h = 1 - x*(max(b, 0)), the split
+            a, lifted = s + 1.0, max(r - 1.0 / alpha, 0.0)
+            log_u = math.log((lifted + 1.0) / (a + lifted + 2.0)) / -alpha + 0.2 * (t - 0.5)
         else:
             log_u = lo + t * (hi - lo)
         u = math.exp(min(max(log_u, lo), hi))
@@ -303,12 +305,19 @@ class TestClosedFormEveryAlpha:
 
     @pytest.mark.parametrize("r,alpha", [(1.0, 1.0), (1.0, 0.5), (2.0, 0.5), (1.0, math.nan)])
     def test_divergent_limit_is_domain_error(self, r, alpha):
-        with pytest.raises(DomainError):
-            bracket_limit(r, 1.0, alpha)
-        with pytest.raises(DomainError):
-            g_closed_bracket(r, 1.0, 2.0, alpha)
-        with pytest.raises(DomainError):
-            g_closed_form(1.0, r, 1.0, 2.0, 2.0, alpha)
+        # only a NaN alpha is refused; at r alpha <= 1 the limit is infinite and B(u) finite
+        if math.isnan(alpha):
+            with pytest.raises(DomainError):
+                bracket_limit(r, 1.0, alpha)
+            with pytest.raises(DomainError):
+                g_closed_bracket(r, 1.0, 2.0, alpha)
+            with pytest.raises(DomainError):
+                g_closed_form(1.0, r, 1.0, 2.0, 2.0, alpha)
+            return
+        assert bracket_limit(r, 1.0, alpha) == math.inf
+        expected = mpmath_bracket(r, 1.0, 2.0, alpha)
+        assert g_closed_bracket(r, 1.0, 2.0, alpha) == pytest.approx(expected, rel=1e-13)
+        assert g_closed_form(1.0, r, 1.0, 2.0, 2.0, alpha) == pytest.approx(expected**2, rel=1e-13)
 
 
 class TestOracleEquivalence:
@@ -351,14 +360,6 @@ class TestOracleEquivalence:
         field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(2.0))
         with pytest.raises(DomainError):
             g_numeric(field, [(-1.0, 2.0)])
-
-    @pytest.mark.parametrize("support_min", [-math.inf, -1.0, 0.0])
-    def test_numeric_needs_positive_support(self, support_min):
-        # the log-x substitution needs support_min > 0
-        marginal = SymmetricMarginal()
-        marginal.support_min = support_min
-        with pytest.raises(DomainError):
-            g_numeric(DeltaField(GfmCopula(theta=1.0), marginal), [(0.5, 0.5)])
 
     def test_numeric_handles_perturbation_family(self):
         # phi = psi = t(1-t) is the r = s = 1 power family, so the generic

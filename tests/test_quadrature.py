@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqdslln.gfun
-import pqdslln.quadrature
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError, QuadratureError
 from pqdslln.gfun import DeltaField
@@ -328,9 +327,6 @@ def _batched(many, f, regions, **kwargs):
     return _bits(zip(values, bounds))
 
 
-_WINDOWS = st.sampled_from([1, 2, 3, pqdslln.quadrature._IN_FLIGHT])  # small windows admit integrals mid-batch
-
-
 class TestLockstep:
     """Integrals refined in lockstep keep the bits each gets alone."""
 
@@ -339,15 +335,13 @@ class TestLockstep:
         r=st.floats(1.0, 3.0),
         s=st.floats(1.0, 3.0),
         us=st.lists(st.floats(0.5, 1e3), min_size=1, max_size=8),
-        in_flight=_WINDOWS,
     )
     @settings(max_examples=30)
-    def test_factor_integrals(self, alpha, r, s, us, in_flight):
+    def test_factor_integrals(self, alpha, r, s, us):
         marginal = ParetoMarginal(alpha)
         f = _integrand_of("adaptive_quad_many", lambda: pqdslln.gfun.g_factor(r, s, marginal, [2.0]))
-        intervals = [(max(-u, marginal.support_min), u) for u in us]
-        with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
-            batched = _batched(adaptive_quad_many, f, intervals)
+        intervals = [(1.0, u) for u in us]
+        batched = _batched(adaptive_quad_many, f, intervals)
         assert batched == _bits(_alone_1d(f, a, b) for a, b in intervals)
 
     @given(
@@ -356,15 +350,13 @@ class TestLockstep:
         s=st.sampled_from([1.0, 2.0, 3.0]),
         alpha=st.sampled_from([1.5, 2.0, 3.7]),
         uv=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(0.5, 50.0)), min_size=1, max_size=5),
-        in_flight=_WINDOWS,
     )
     @settings(max_examples=20)
-    def test_gap_integrals(self, theta, r, s, alpha, uv, in_flight):
+    def test_gap_integrals(self, theta, r, s, alpha, uv):
         field = DeltaField(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(alpha))
         f = _integrand_of("adaptive_quad_2d_many", lambda: pqdslln.gfun.g_numeric(field, [(2.0, 2.0)]))
         boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in uv]
-        with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
-            batched = _batched(adaptive_quad_2d_many, f, boxes)
+        batched = _batched(adaptive_quad_2d_many, f, boxes)
         assert batched == _bits(_alone_2d(f, *box) for box in boxes)
 
     @given(
@@ -372,10 +364,9 @@ class TestLockstep:
         alpha=st.sampled_from([1.0, 2.0, 3.0]),
         kj=st.tuples(st.integers(1, 50), st.integers(1, 50)).filter(lambda kj: kj[0] != kj[1]),
         edges=st.lists(st.lists(st.floats(1.0, 20.0), min_size=4, max_size=4), min_size=1, max_size=4),
-        in_flight=_WINDOWS,
     )
     @settings(max_examples=20)
-    def test_joint_survival_integrals(self, p, alpha, kj, edges, in_flight):
+    def test_joint_survival_integrals(self, p, alpha, kj, edges):
         marginal = ParetoMarginal(alpha)
         copula = GfmCopula(PowerSchedule(mu=1.0 / p - 0.5, nu=-1.5).theta(min(kj), max(kj)))
 
@@ -385,8 +376,7 @@ class TestLockstep:
             return sx * sy + copula.gap(1.0 - sx, 1.0 - sy)
 
         boxes = [(min(e[:2]), max(e[:2]), min(e[2:]), max(e[2:])) for e in edges]
-        with mock.patch.object(pqdslln.quadrature, "_IN_FLIGHT", in_flight):
-            batched = _batched(adaptive_quad_2d_many, f, boxes, abs_tol=2.5e-10)
+        batched = _batched(adaptive_quad_2d_many, f, boxes, abs_tol=2.5e-10)
         assert batched == _bits(_alone_2d(f, *box, abs_tol=2.5e-10) for box in boxes)
 
     def test_one_integrand_call_per_rule_per_round(self):

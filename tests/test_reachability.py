@@ -7,8 +7,7 @@ code objects was entered: a function's own code, or for a class any method
 in its body, dataclass- and namedtuple-generated ones included.  Code that
 several classes share (namedtuple's ``_asdict``, say) counts for none of
 them.  Library surface that no command reaches fails here instead of
-lingering; the abstract ``Marginal`` interface is exempt, since only its
-implementation runs.
+lingering.
 """
 
 import collections
@@ -21,9 +20,6 @@ import threading
 import pqdslln
 from pqdslln.cli import EXIT_OK, main
 from test_golden import CASES
-
-EXEMPT = {"marginals.Marginal"}
-
 
 def _method_codes(cls) -> set:
     codes = set()
@@ -67,5 +63,5 @@ def test_every_public_name_is_entered_by_a_golden_command(tmp_path):
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    unreached = sorted(name for name, codes in _public_code().items() if name not in EXEMPT and not codes & entered)
+    unreached = sorted(name for name, codes in _public_code().items() if not codes & entered)
     assert not unreached, f"no golden command enters {unreached}"

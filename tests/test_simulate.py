@@ -455,10 +455,20 @@ class TestRunSlln:
         np.testing.assert_array_equal(report.m_values, m_rows)
         np.testing.assert_array_equal(report.exceedances, e_rows)
 
-    def test_more_replicates_keep_leading_rows(self):
+    def test_more_replicates_keep_leading_rows(self, monkeypatch):
         # on one CPU a run of 3 splits its path into blocks at column 65536, a run of 4 at column 52428
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0})
+        widths = []
+        sample_piece = simulate._sample_piece
+
+        def recording(run, rows, width, *args):
+            widths.append(width)
+            sample_piece(run, rows, width, *args)
+
+        monkeypatch.setattr(simulate, "_sample_piece", recording)
         fewer = run_slln(self.run(n_max=2**17, replicates=3))
         more = run_slln(self.run(n_max=2**17, replicates=4))
+        assert widths == [65536, 52428]
         np.testing.assert_array_equal(more.m_values[:3], fewer.m_values)
         np.testing.assert_array_equal(more.exceedances[:3], fewer.exceedances)
 
