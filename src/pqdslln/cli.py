@@ -214,6 +214,8 @@ def _run_specfun_eval(params: dict):
 def _run_g_eval(params: dict):
     echo = {k: params[k] for k in ("theta", "r", "s", "u", "v")}
     theta, r, s, u, v = echo.values()
+    if not (u >= 1.0 and v >= 1.0):  # the Pareto support starts at 1, whatever the --method
+        raise ParameterError(f"g eval needs u >= 1 and v >= 1, got u={u!r}, v={v!r}")
     method = params["method"]
     marginal = ParetoMarginal(2.0)
     spec = QuadSpec(abs_tol=params["quad_tol"], max_panels=params["max_panels"])

@@ -58,8 +58,9 @@ check`` and ``report example``.  ``factor_differences`` takes B(hi) - B(lo)
 over brackets from the same evaluations; where both edges lie above the
 split it sums the strip between them, or subtracts the two mirror tails,
 so B(u_h) or B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
-a list of thresholds or (u, v) pairs and refine their quadratures in
-lockstep, so one point is a one-element list.
+a list of thresholds or (u, v) pairs and refine their intervals or boxes
+in lockstep through the one quadrature entry, ``adaptive_quad_many``, so
+one point is a one-element list.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import numpy as np
 from .copulas import GfmCopula, power_factor
 from .errors import DomainError, NumericError
 from .marginals import ParetoMarginal
-from .quadrature import QuadSpec, adaptive_quad_2d_many, adaptive_quad_many
+from .quadrature import QuadSpec, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
 __all__ = [
@@ -217,8 +218,8 @@ def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: f
 def g_factor(r: float, s: float, marginal: ParetoMarginal, us) -> np.ndarray:
     """Separable factor integral(1..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
 
-    The integrals are refined in lockstep (:func:`adaptive_quad_many`), each
-    to the bits it gets alone.
+    The intervals [1, u] are refined in lockstep (:func:`adaptive_quad_many`),
+    each to the bits it gets alone; a non-finite u raises ParameterError.
     """
     _validate_rs(r, s)
 
@@ -276,9 +277,10 @@ def g_numeric(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndar
     at or below the support edge 1) after substituting y = log x on both
     axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over [0, log u] x [0, log v].
     The truncation at the support edge is exact because delta vanishes below
-    it.  The integrals are refined in lockstep (:func:`adaptive_quad_2d_many`),
-    each to the bits it gets alone.  Raises the QuadratureError (carrying the
-    best estimate and bound) of the first pair whose integral fails.
+    it.  The boxes are refined in lockstep (:func:`adaptive_quad_many`), each
+    to the bits it gets alone; an infinite u or v raises ParameterError.
+    Raises the QuadratureError (carrying the best estimate and bound) of the
+    first pair whose integral fails.
     """
     pairs = list(pairs)
     for u, v in pairs:
@@ -291,5 +293,5 @@ def g_numeric(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndar
         return field.delta(x1, x2) * (x1 * x2)
 
     boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in pairs]
-    values, _ = adaptive_quad_2d_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
+    values, _ = adaptive_quad_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
     return values

@@ -1,24 +1,24 @@
-"""Panel-adaptive Gauss-Legendre quadrature in one and two dimensions.
+"""Panel-adaptive Gauss-Legendre quadrature over 1-D intervals and 2-D boxes.
 
-Each panel carries an embedded error estimate |GL15 - GL7|.  The panel with
-the worst estimate is split dyadically (2D panels split on both axes) until
-the summed estimate meets the absolute tolerance or the panel budget is
-exhausted, in which case :class:`~pqdslln.errors.QuadratureError` is raised
-carrying the best estimate and its error bound.
+A region is (a, b) or (ax, bx, ay, by).  Each panel carries an embedded error
+estimate |GL15 - GL7| of its tensor-product rule.  The panel with the worst
+estimate is split dyadically on every axis until the summed estimate meets
+the absolute tolerance or the panel budget is exhausted, in which case
+:class:`~pqdslln.errors.QuadratureError` is raised carrying the best
+estimate and its error bound.
 
-Several integrals of one integrand are refined in lockstep
-(``adaptive_quad_many``, ``adaptive_quad_2d_many``; one integral is a
-one-region call).  Each round pops the worst splittable
-panel of every integral still short of its tolerance and evaluates all their
-children in one integrand call per rule.  Each integral keeps its own heap,
-so it makes the same pops and splits, and gets the same bits, as it would
-alone; it is finalized, and its panels dropped, as soon as it converges.
-Every integral is admitted in the first round.  When integrals fail, the
-error of the lowest-index one is raised, as integrating them one after
-another would.
+Several integrals of one integrand are refined in lockstep by
+``adaptive_quad_many``; one integral is a one-region call.  Each round pops
+the worst splittable panel of every integral still short of its tolerance
+and evaluates all their children in one integrand call per rule.  Each
+integral keeps its own heap, so it makes the same pops and splits, and gets
+the same bits, as it would alone; it is finalized, and its panels dropped,
+as soon as it converges.  Every integral is admitted in the first round.
+When integrals fail, the error of the lowest-index one is raised, as
+integrating them one after another would.
 
 Integrands must accept numpy arrays and evaluate elementwise, assuming no
-shape: a 1D integrand gets a (k, n) node array and a 2D one a (k, n, 1) x
+shape: a 1-D integrand gets a (k, n) node array and a 2-D one a (k, n, 1) x
 array and a (k, 1, n) y array, with k panels of n nodes each (n = 7 or 15).
 The whole procedure is deterministic: refinement order is a pure function of
 the inputs, and each final value is the exactly rounded (fsum) sum over its
@@ -27,8 +27,10 @@ panels.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -36,10 +38,13 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 
-__all__ = ["QuadSpec", "adaptive_quad_2d_many", "adaptive_quad_many"]
+__all__ = ["QuadSpec", "adaptive_quad_many"]
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
+# per dimension, the index that lays the (k, n) nodes of axis i along axis i of
+# the k panels' stacked (k, n, ..., n) grids
+_AXES = {1: (np.s_[:],), 2: (np.s_[:, :, None], np.s_[:, None, :])}
 
 
 @dataclass(frozen=True)
@@ -54,50 +59,41 @@ class QuadSpec:
             raise ParameterError(f"quadrature needs a finite abs_tol > 0 and max_panels >= 1, got {self}")
 
 
-def _panels_1d(f: Callable, panels: list[tuple[float, float]]) -> list:
-    """(bounds, value, |GL15 - GL7|) of each panel (a, b), from one integrand call per rule."""
-    a, b = np.array(panels).T
-    h = 0.5 * (b - a)
-    m, hh = (0.5 * (a + b))[:, None], h[:, None]
-    lo = h * np.vecdot(np.asarray(f(m + hh * _X7), dtype=float), _W7)
-    hi = h * np.vecdot(np.asarray(f(m + hh * _X15), dtype=float), _W15)
-    return list(zip(panels, hi.tolist(), np.abs(hi - lo).tolist()))
+def _panels(f: Callable, panels: list[tuple[float, ...]]) -> list:
+    """(bounds, value, |GL15 - GL7|) of each panel, from one integrand call per rule.
 
-
-def _panels_2d(f: Callable, panels: list[tuple[float, float, float, float]]) -> list:
-    """(bounds, value, |GL15 - GL7|) of each panel (ax, bx, ay, by), from one integrand call per rule.
-
-    The nodes of panel i are x[i] (a column) and y[i] (a row): x has shape
-    (k, n, 1) and y (k, 1, n), so f returns k stacked n x n grids.  Each is
-    reduced with the bits of a single panel's W @ g @ W: np.vecdot keeps
-    them, where (W @ f) @ W does not for k > 1.
+    The panels are all (a, b) or all (ax, bx, ay, by).  Each is reduced with
+    the bits of a single panel's h * (W . g) in 1-D and (hx * hy) * (W @ g @ W)
+    in 2-D: np.vecdot keeps them, where (W @ g) @ W does not for k > 1.
     """
-    ax, bx, ay, by = np.array(panels).T
-    hx, hy = 0.5 * (bx - ax), 0.5 * (by - ay)
-    mx, my, sx, sy = (v[:, None, None] for v in (0.5 * (bx + ax), 0.5 * (by + ay), hx, hy))
-    f7 = np.asarray(f(mx + sx * _X7[:, None], my + sy * _X7), dtype=float)
-    f15 = np.asarray(f(mx + sx * _X15[:, None], my + sy * _X15), dtype=float)
-    lo = hx * hy * np.vecdot(_W7 @ f7, _W7)
-    hi = hx * hy * np.vecdot(_W15 @ f15, _W15)
-    return list(zip(panels, hi.tolist(), np.abs(hi - lo).tolist()))
+    edges = np.array(panels).T[:, :, None]  # one (k, 1) column per edge
+    lo, hi = edges[0::2], edges[1::2]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    width = functools.reduce(operator.mul, half[:, :, 0])  # h, or hx * hy
+    axes = _AXES[len(mid)]
+    sums = []
+    for x, w in ((_X7, _W7), (_X15, _W15)):
+        # mid + half * x holds each axis's (k, n) nodes; f gets them laid along their axes
+        g = np.asarray(f(*map(operator.getitem, mid + half * x, axes)), dtype=float)
+        for _ in axes[1:]:  # contract every grid axis but the last with W
+            g = w @ g
+        sums.append(width * np.vecdot(g, w))
+    gl7, gl15 = sums
+    return list(zip(panels, gl15.tolist(), np.abs(gl15 - gl7).tolist()))
 
 
-def _split_1d(bounds):
-    """The two halves of (a, b), or None when the panel is too narrow to split."""
-    lo, hi = bounds
-    mid = 0.5 * (lo + hi)
-    if mid <= lo or mid >= hi:
-        return None
-    return [(lo, mid), (mid, hi)]
+def _split(bounds: tuple[float, ...]):
+    """The children of a panel, halved on every axis with the x-halves outer.
 
-
-def _split_2d(bounds):
-    """The four quarters of (ax, bx, ay, by), or None when the panel is too narrow to split."""
-    x0, x1, y0, y1 = bounds
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    if xm <= x0 or xm >= x1 or ym <= y0 or ym >= y1:
-        return None
-    return [(cx0, cx1, cy0, cy1) for cx0, cx1 in ((x0, xm), (xm, x1)) for cy0, cy1 in ((y0, ym), (ym, y1))]
+    None when the panel is too narrow to split on some axis.
+    """
+    children, edges = [()], iter(bounds)
+    for lo, hi in zip(edges, edges):  # (lo, hi) of each axis in turn
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return None
+        children = [child + half for child in children for half in ((lo, mid), (mid, hi))]
+    return children
 
 
 class _Integral:
@@ -125,7 +121,7 @@ class _Integral:
         bound = math.fsum([err for _, err in self.done] + [-entry[0] for entry in self.heap])
         return value, bound
 
-    def next_split(self, split: Callable, abs_tol: float, max_panels: int, what: str):
+    def next_split(self, abs_tol: float, max_panels: int):
         """Children bounds of the worst splittable panel, or None once refinement stops.
 
         Refinement stops when the error total meets abs_tol or no panel is
@@ -136,13 +132,13 @@ class _Integral:
             if len(self.heap) + len(self.done) >= max_panels:
                 estimate, bound = self.sums()
                 raise QuadratureError(
-                    f"{what}: panel budget {max_panels} exhausted (error bound {bound:.3e} > {abs_tol:.3e})",
+                    f"adaptive_quad_many: panel budget {max_panels} exhausted (error bound {bound:.3e} > {abs_tol:.3e})",
                     estimate,
                     bound,
                 )
             neg_err, _, bounds, val = heapq.heappop(self.heap)
             err = -neg_err
-            children = split(bounds)
+            children = _split(bounds)
             if children is None:
                 self.done.append((val, err))
                 continue
@@ -151,23 +147,40 @@ class _Integral:
         return None
 
 
-def _refine(
-    evaluate: Callable, split: Callable, regions: Iterable, abs_tol: float, max_panels: int, what: str
+def adaptive_quad_many(
+    f: Callable,
+    regions: Iterable[tuple[float, ...]],
+    *,
+    abs_tol: float,
+    max_panels: int = QuadSpec.max_panels,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error bounds) of the integrals over the regions, refined in lockstep.
+    """(values, error_bounds) of the integrals of f over the regions, refined in lockstep.
 
-    ``evaluate`` maps a list of panel bounds to their (bounds, value, error)
-    triples with one integrand call per rule; ``split`` maps a panel's bounds
-    to its children's bounds, or None when it is too narrow to split.  A
-    region given as None is empty and integrates to (0.0, 0.0).
+    The regions are all intervals (a, b) or all boxes (ax, bx, ay, by).
+    Both results are float arrays in region order; an empty region (b <= a
+    on some axis) gives 0.0 and 0.0.  f is called with a (k, n) array of
+    nodes in 1-D, and with x nodes of shape (k, n, 1) and y nodes of shape
+    (k, 1, n) in 2-D, panel i's in row i, and must return the values
+    elementwise in the (broadcast) shape of its arguments.  Raises
+    ParameterError before any evaluation for an abs_tol or max_panels that
+    QuadSpec refuses, for regions of mixed or other lengths, and for a
+    non-finite edge.
     """
-    regions = list(regions)
+    QuadSpec(abs_tol, max_panels)
+    regions = [tuple(map(float, region)) for region in regions]
+    for region in regions:
+        if len(region) not in (2, 4) or len(region) != len(regions[0]):
+            raise ParameterError(f"regions must be all (a, b) or all (ax, bx, ay, by), got {region}")
+        if not all(map(math.isfinite, region)):
+            raise ParameterError(f"region edges must be finite, got {region}")
     values, bounds = np.zeros(len(regions)), np.zeros(len(regions))
-    active = {i: _Integral() for i, region in enumerate(regions) if region is not None}  # index order
+    active = {  # index order; an empty region keeps its 0.0 and 0.0
+        i: _Integral() for i, region in enumerate(regions) if all(map(operator.lt, region[::2], region[1::2]))
+    }
     batch = [(i, [regions[i]]) for i in active]  # (index, bounds of the panels to evaluate for it)
     failed = None  # (index, error) of the lowest-index integral that failed
     while batch:
-        panels = iter(evaluate([panel for _, group in batch for panel in group]))
+        panels = iter(_panels(f, [panel for _, group in batch for panel in group]))
         for i, group in batch:
             active[i].push([next(panels) for _ in group])
         batch = []
@@ -176,70 +189,17 @@ def _refine(
             if failed is not None and i > failed[0]:
                 continue  # its result is not needed: a lower-index integral failed
             try:
-                children = integral.next_split(split, abs_tol, max_panels, what)
+                children = integral.next_split(abs_tol, max_panels)
                 if children is not None:
                     active[i] = integral
                     batch.append((i, children))
                     continue
                 value, bound = integral.sums()
                 if bound > abs_tol:
-                    raise QuadratureError(f"{what}: could not reach tolerance {abs_tol:.3e}", value, bound)
+                    raise QuadratureError(f"adaptive_quad_many: could not reach tolerance {abs_tol:.3e}", value, bound)
                 values[i], bounds[i] = value, bound
             except QuadratureError as exc:
                 failed = (i, exc)
     if failed is not None:
         raise failed[1]
     return values, bounds
-
-
-def adaptive_quad_many(
-    f: Callable,
-    intervals: Iterable[tuple[float, float]],
-    *,
-    abs_tol: float = 1e-10,
-    max_panels: int = QuadSpec.max_panels,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error_bounds) of the integrals of f over the intervals (a, b), refined in lockstep.
-
-    Both are float arrays in interval order; an empty interval (b <= a)
-    gives 0.0 and 0.0.  f is called with a (k, n) array of nodes, row i
-    holding panel i's nodes, and must return the values elementwise in the
-    same shape.  Raises ParameterError at once for an abs_tol or max_panels
-    that QuadSpec refuses.
-    """
-    QuadSpec(abs_tol, max_panels)
-    return _refine(
-        lambda panels: _panels_1d(f, panels),
-        _split_1d,
-        ((a, b) if b > a else None for a, b in intervals),
-        abs_tol,
-        max_panels,
-        "adaptive_quad_many",
-    )
-
-
-def adaptive_quad_2d_many(
-    f: Callable,
-    boxes: Iterable[tuple[float, float, float, float]],
-    *,
-    abs_tol: float = QuadSpec.abs_tol,
-    max_panels: int = QuadSpec.max_panels,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error_bounds) of the integrals of f over the boxes (ax, bx, ay, by), refined in lockstep.
-
-    Both are float arrays in box order; an empty box gives 0.0 and 0.0.  f
-    is called with x nodes of shape (k, n, 1) and y nodes of shape
-    (k, 1, n), panel i's in x[i] and y[i], and must return the values
-    elementwise in their broadcast shape (k, n, n).  Raises ParameterError
-    at once for an abs_tol or max_panels that QuadSpec refuses.
-    """
-    QuadSpec(abs_tol, max_panels)
-    return _refine(
-        lambda panels: _panels_2d(f, panels),
-        _split_2d,
-        ((ax, bx, ay, by) if bx > ax and by > ay else None for ax, bx, ay, by in boxes),
-        abs_tol,
-        max_panels,
-        "adaptive_quad_2d_many",
-    )
-

@@ -206,6 +206,21 @@ class TestGEval:
         assert "[parameter]" in capsys.readouterr().err
         assert not (tmp_path / "run" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("method", ["closed", "numeric", "factor", "all"])
+    @pytest.mark.parametrize("u, v", [("0.5", "3"), ("3", repr(math.nextafter(1.0, 0.0)))])
+    def test_threshold_below_support_is_refused(self, tmp_path, capsys, method, u, v):
+        args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", u, "--v", v, "--method", method]
+        assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[parameter] g eval needs u >= 1 and v >= 1" in err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("method", ["closed", "numeric", "factor", "all"])
+    def test_support_edge_gives_zero(self, tmp_path, method):
+        args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "1", "--v", "3", "--method", method]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert set(read_json(tmp_path / "result.json")["methods"].values()) == {0.0}
+
     def test_closed_form_near_support_edge(self, tmp_path):
         args = ["g", "eval", "--theta", "1", "--r", "1.5", "--s", "1.5", "--u", "1.00000001", "--v", "2",
                 "--method", "closed"]
@@ -737,12 +752,11 @@ class TestNoQuadratureOnProductionPaths:
         def refuse(*args, **kwargs):
             raise AssertionError("a production path integrated by quadrature")
 
-        for name in ("adaptive_quad_many", "adaptive_quad_2d_many"):
-            original = getattr(pqdslln.quadrature, name)
-            for module in [m for n, m in sys.modules.items() if n.startswith("pqdslln")]:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, refuse)
+        original = pqdslln.quadrature.adaptive_quad_many
+        for module in [m for n, m in sys.modules.items() if n.startswith("pqdslln")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
         series = ["--p", "1", "--mu", "0.2", "--nu", "-1.5", "--alpha", str(alpha), "--N", "300"]
         for kind in ("cs11", "nec12", "l1"):
             assert run_cli(["condition", "check", "--kind", kind, *series], tmp_path / kind) == EXIT_OK

@@ -9,7 +9,7 @@ from scipy.special import beta, betainc
 
 import pqdslln.specfun
 from pqdslln.copulas import GfmCopula
-from pqdslln.errors import DomainError
+from pqdslln.errors import DomainError, ParameterError
 from pqdslln.gfun import (
     DeltaField,
     bracket_limit,
@@ -150,6 +150,11 @@ class TestGFactor:
         m = ParetoMarginal(2.0)
         assert bracket_limit(1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-13)
         assert g_factor(1.0, 1.0, m, [1e5])[0] == pytest.approx(2.0 / 3.0, abs=1e-4)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_threshold_is_parameter_error(self, u):
+        with pytest.raises(ParameterError, match="finite"):
+            g_factor(1.0, 1.0, ParetoMarginal(2.0), [2.0, u])
 
 
 class TestClosedForm:
@@ -330,6 +335,12 @@ class TestOracleEquivalence:
             closed = g_closed_form(theta, r, s, u, v)
             numeric = g_numeric(field, [(u, v)])[0]
             assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
+
+    @pytest.mark.parametrize("uv", [(2.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_threshold_is_parameter_error(self, uv):
+        field = DeltaField(GfmCopula(theta=1.0, r=1.0, s=1.0), ParetoMarginal(2.0))
+        with pytest.raises(ParameterError, match="finite"):
+            g_numeric(field, [(2.0, 2.0), uv])
 
     def test_r2_s1_example(self):
         m = ParetoMarginal(2.0)

@@ -19,22 +19,20 @@ from pqdslln.quadrature import (
     _X7,
     _X15,
     QuadSpec,
-    _panels_1d,
-    _panels_2d,
-    adaptive_quad_2d_many,
+    _panels,
     adaptive_quad_many,
 )
 
 
-def _quad(f, a, b, **kwargs):
+def _quad(f, a, b, abs_tol=1e-10, **kwargs):
     """(value, bound) of one integral over [a, b]: a one-interval batch."""
-    (value,), (bound,) = adaptive_quad_many(f, [(a, b)], **kwargs)
+    (value,), (bound,) = adaptive_quad_many(f, [(a, b)], abs_tol=abs_tol, **kwargs)
     return value, bound
 
 
-def _quad_2d(f, ax, bx, ay, by, **kwargs):
+def _quad_2d(f, ax, bx, ay, by, abs_tol=QuadSpec.abs_tol, **kwargs):
     """(value, bound) of one integral over [ax, bx] x [ay, by]: a one-box batch."""
-    (value,), (bound,) = adaptive_quad_2d_many(f, [(ax, bx, ay, by)], **kwargs)
+    (value,), (bound,) = adaptive_quad_many(f, [(ax, bx, ay, by)], abs_tol=abs_tol, **kwargs)
     return value, bound
 
 
@@ -68,6 +66,55 @@ def test_quadrature_keywords_are_refused_before_any_evaluation(kwargs):
     with pytest.raises(ParameterError):
         _quad_2d(root_2d, 0.0, 1.0, 0.0, 1.0, **kwargs)
     assert calls == []
+
+
+def _counting(calls):
+    """An integrand of any dimension that records each call."""
+
+    def f(*nodes):
+        calls.append(nodes)
+        return np.ones(np.broadcast_shapes(*(x.shape for x in nodes)))
+
+    return f
+
+
+@pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "regions",
+    [
+        lambda e: [(0.0, e)],
+        lambda e: [(e, 1.0)],
+        lambda e: [(0.0, 1.0), (0.5, e)],
+        lambda e: [(0.0, 1.0, e, 1.0)],
+        lambda e: [(0.0, e, 0.0, 1.0)],
+        lambda e: [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, e)],
+    ],
+)
+def test_non_finite_edges_are_refused_before_any_evaluation(edge, regions):
+    calls = []
+    with pytest.raises(ParameterError, match="finite"):
+        adaptive_quad_many(_counting(calls), regions(edge), abs_tol=1e-10)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "regions",
+    [
+        [(0.0, 1.0), (0.0, 1.0, 0.0, 1.0)],
+        [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0)],
+        [(0.0, 1.0, 2.0)],
+        [(0.0,)],
+        [()],
+        [(0.0, 1.0), (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)],
+    ],
+)
+def test_regions_of_mixed_or_other_lengths_are_refused_before_any_evaluation(regions):
+    calls = []
+    with pytest.raises(ParameterError):
+        adaptive_quad_many(_counting(calls), regions, abs_tol=1e-10)
+    assert calls == []
+    values, bounds = adaptive_quad_many(_counting(calls), [], abs_tol=1e-10)
+    assert values.shape == bounds.shape == (0,) and calls == []
 
 
 # The one-panel evaluators that the batched ones replaced, kept as the oracle
@@ -120,7 +167,7 @@ class TestBatchedPanels:
             panels = _random_panels(rng, k, 1)
             for f in integrands:
                 expected = [(bounds, *_panel_1d(f, *bounds)) for bounds in panels]
-                assert _panel_bits(_panels_1d(f, panels)) == _panel_bits(expected)
+                assert _panel_bits(_panels(f, panels)) == _panel_bits(expected)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_2d_matches_one_panel_at_a_time(self, seed):
@@ -134,7 +181,7 @@ class TestBatchedPanels:
             panels = _random_panels(rng, k, 2)
             for f in integrands:
                 expected = [(bounds, *_panel_2d(f, *bounds)) for bounds in panels]
-                assert _panel_bits(_panels_2d(f, panels)) == _panel_bits(expected)
+                assert _panel_bits(_panels(f, panels)) == _panel_bits(expected)
 
 
 class TestIntegrandCalls:
@@ -298,12 +345,12 @@ def _alone_2d(f, ax, bx, ay, by, abs_tol=QuadSpec.abs_tol, max_panels=QuadSpec.m
     if not (bx > ax and by > ay):
         return 0.0, 0.0
     return _quad_alone(
-        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, max_panels, "adaptive_quad_2d_many"
+        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, max_panels, "adaptive_quad_many"
     )
 
 
-def _integrand_of(name, call):
-    """The integrand that a gfun entry hands to its batched quadrature ``name``."""
+def _integrand_of(call):
+    """The integrand that a gfun entry hands to the batched quadrature."""
     seen = []
 
     def capture(f, regions, **kwargs):
@@ -311,7 +358,7 @@ def _integrand_of(name, call):
         zeros = np.zeros(len(list(regions)))
         return zeros, zeros
 
-    with mock.patch.object(pqdslln.gfun, name, capture):
+    with mock.patch.object(pqdslln.gfun, "adaptive_quad_many", capture):
         call()
     return seen[0]
 
@@ -321,9 +368,9 @@ def _bits(pairs):
     return [(float(value).hex(), float(bound).hex()) for value, bound in pairs]
 
 
-def _batched(many, f, regions, **kwargs):
-    """The (value, bound) pairs of a batched entry, as the bits of each."""
-    values, bounds = many(f, regions, **kwargs)
+def _batched(f, regions, **kwargs):
+    """The (value, bound) pairs of a batched call, as the bits of each."""
+    values, bounds = adaptive_quad_many(f, regions, **kwargs)
     return _bits(zip(values, bounds))
 
 
@@ -339,9 +386,9 @@ class TestLockstep:
     @settings(max_examples=30)
     def test_factor_integrals(self, alpha, r, s, us):
         marginal = ParetoMarginal(alpha)
-        f = _integrand_of("adaptive_quad_many", lambda: pqdslln.gfun.g_factor(r, s, marginal, [2.0]))
+        f = _integrand_of(lambda: pqdslln.gfun.g_factor(r, s, marginal, [2.0]))
         intervals = [(1.0, u) for u in us]
-        batched = _batched(adaptive_quad_many, f, intervals)
+        batched = _batched(f, intervals, abs_tol=1e-10)
         assert batched == _bits(_alone_1d(f, a, b) for a, b in intervals)
 
     @given(
@@ -354,9 +401,9 @@ class TestLockstep:
     @settings(max_examples=20)
     def test_gap_integrals(self, theta, r, s, alpha, uv):
         field = DeltaField(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(alpha))
-        f = _integrand_of("adaptive_quad_2d_many", lambda: pqdslln.gfun.g_numeric(field, [(2.0, 2.0)]))
+        f = _integrand_of(lambda: pqdslln.gfun.g_numeric(field, [(2.0, 2.0)]))
         boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in uv]
-        batched = _batched(adaptive_quad_2d_many, f, boxes)
+        batched = _batched(f, boxes, abs_tol=QuadSpec.abs_tol)
         assert batched == _bits(_alone_2d(f, *box) for box in boxes)
 
     @given(
@@ -376,7 +423,7 @@ class TestLockstep:
             return sx * sy + copula.gap(1.0 - sx, 1.0 - sy)
 
         boxes = [(min(e[:2]), max(e[:2]), min(e[2:]), max(e[2:])) for e in edges]
-        batched = _batched(adaptive_quad_2d_many, f, boxes, abs_tol=2.5e-10)
+        batched = _batched(f, boxes, abs_tol=2.5e-10)
         assert batched == _bits(_alone_2d(f, *box, abs_tol=2.5e-10) for box in boxes)
 
     def test_one_integrand_call_per_rule_per_round(self):
@@ -389,7 +436,7 @@ class TestLockstep:
         _quad_2d(fn, 0.0, 1.0, 0.0, 1.0, abs_tol=1e-6)
         alone = list(shapes)
         shapes.clear()
-        adaptive_quad_2d_many(fn, [(0.0, 1.0, 0.0, 1.0)] * 3, abs_tol=1e-6)
+        adaptive_quad_many(fn, [(0.0, 1.0, 0.0, 1.0)] * 3, abs_tol=1e-6)
         assert shapes == [((3 * a[0], *a[1:]), (3 * b[0], *b[1:])) for a, b in alone]
 
     def test_empty_regions_cost_nothing(self):
@@ -399,8 +446,8 @@ class TestLockstep:
             calls.append(x.shape)
             return x
 
-        assert _batched(adaptive_quad_many, fn, [(2.0, 2.0), (3.0, 1.0)]) == _bits([(0.0, 0.0)] * 2)
-        assert _batched(adaptive_quad_many, fn, []) == []
+        assert _batched(fn, [(2.0, 2.0), (3.0, 1.0)], abs_tol=1e-10) == _bits([(0.0, 0.0)] * 2)
+        assert _batched(fn, [], abs_tol=1e-10) == []
         assert calls == []
 
 
@@ -427,7 +474,7 @@ class TestLockstepErrors:
         boxes = [(1.0, 2.0, 1.0, 2.0), (0.0, 1.0, 0.0, 1.0), (0.0, 0.5, 0.0, 0.5)]
         kwargs = dict(abs_tol=1e-9, max_panels=40)
         expected = self._raised(lambda: _alone_2d(spike, 0.0, 1.0, 0.0, 1.0, **kwargs))
-        assert self._raised(lambda: adaptive_quad_2d_many(spike, boxes, **kwargs)) == expected
+        assert self._raised(lambda: adaptive_quad_many(spike, boxes, **kwargs)) == expected
 
     def test_lowest_index_wins_though_a_later_one_fails_first(self):
         # (1, 1 + ulp) cannot be split, and its GL7 and GL15 sums of the
