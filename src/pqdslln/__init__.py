@@ -31,7 +31,6 @@ from .errors import (
     NumericError,
     ParameterError,
     QuadratureError,
-    UndefinedRatioError,
 )
 from .gfun import (
     DeltaField,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .copulas import GfmCopula, PowerSchedule, carried_cumsum, power_factor, separable_pair_sums
-from .errors import DomainError, ParameterError, UndefinedRatioError
+from .errors import DomainError, ParameterError
 from .gfun import factor_differences
 from .marginals import ParetoMarginal
 
@@ -130,9 +130,7 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
             run = carried_cumsum(term, carry[i])
             carry[i] = run[-1]
             sums[i, here] = run[at[here] - lo]
-    s1, s2, pair_sums = sums
-    if np.any(s1 <= 0.0):
-        raise UndefinedRatioError("all event probabilities vanish; the pair-sum ratio is undefined")
+    s1, s2, pair_sums = sums  # s1 >= P(A_1) = 1: the first threshold is 1^(1/p) = 1, the support edge
     return (s1 + s1**2 - s2 + 2.0 * pair_sums) / s1**2
 
 

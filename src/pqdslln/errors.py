@@ -31,6 +31,3 @@ class QuadratureError(NumericError):
         self.estimate = estimate
         self.error_bound = error_bound
 
-
-class UndefinedRatioError(NumericError):
-    """A ratio diagnostic was requested where its denominator vanishes."""

@@ -98,6 +98,12 @@ def _validate_rs(r: float, s: float) -> None:
         raise DomainError(f"power-family exponents require r >= 1 and s >= 1, got r={r!r}, s={s!r}")
 
 
+def _check_support(us: np.ndarray) -> None:
+    """Raise DomainError unless every threshold in ``us`` is >= 1, the support edge (NaN is not)."""
+    if not np.all(us >= 1.0):
+        raise DomainError(f"thresholds must be >= 1 (the Pareto support edge), got {float(np.min(us))!r}")
+
+
 def _stirling_remainder(z: float) -> float:
     """omega(z) = lnGamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 to four terms (DLMF 5.11.1), for z > 85."""
     w = 1.0 / (z * z)
@@ -172,8 +178,7 @@ def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.
     hypergeometric sum per side of the split that has thresholds, and one more for B(u_h).
     """
     limit = bracket_limit(r, s, alpha)
-    if not np.all(us >= 1.0):
-        raise DomainError(f"closed-form factor requires u >= 1, got {float(np.min(us))!r}")
+    _check_support(us)
     a, b = s + 1.0, r - 1.0 / alpha
     lift = max(b, 0.0)
     h = (lift + 1.0) / (a + lift + 2.0)  # 1 - x*
@@ -219,14 +224,17 @@ def g_factor(r: float, s: float, marginal: ParetoMarginal, us) -> np.ndarray:
     """Separable factor integral(1..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
 
     The intervals [1, u] are refined in lockstep (:func:`adaptive_quad_many`),
-    each to the bits it gets alone; a non-finite u raises ParameterError.
+    each to the bits it gets alone.  A finite u below 1 raises DomainError, a
+    non-finite u ParameterError.
     """
     _validate_rs(r, s)
+    us = np.asarray(us, dtype=float)
+    _check_support(us[np.isfinite(us)])
 
     def integrand(x):
         return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
 
-    values, _ = adaptive_quad_many(integrand, ((1.0, u) for u in map(float, us)), abs_tol=_FACTOR_ABS_TOL)
+    values, _ = adaptive_quad_many(integrand, ((1.0, u) for u in us.tolist()), abs_tol=_FACTOR_ABS_TOL)
     return values
 
 
@@ -274,18 +282,16 @@ def g_numeric(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndar
     """Covariance functional at each (u, v), by adaptive product quadrature of the gap field in log x.
 
     Integrates delta over [1, u] x [1, v] (empty, giving 0, when u or v is
-    at or below the support edge 1) after substituting y = log x on both
-    axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over [0, log u] x [0, log v].
-    The truncation at the support edge is exact because delta vanishes below
-    it.  The boxes are refined in lockstep (:func:`adaptive_quad_many`), each
-    to the bits it gets alone; an infinite u or v raises ParameterError.
-    Raises the QuadratureError (carrying the best estimate and bound) of the
-    first pair whose integral fails.
+    the support edge 1) after substituting y = log x on both axes, i.e.
+    delta(e^y1, e^y2) e^(y1 + y2) over [0, log u] x [0, log v].  The
+    truncation at the support edge is exact because delta vanishes below it.
+    The boxes are refined in lockstep (:func:`adaptive_quad_many`), each to
+    the bits it gets alone.  A u or v below 1, -inf or NaN raises
+    DomainError, +inf ParameterError.  Raises the QuadratureError (carrying
+    the best estimate and bound) of the first pair whose integral fails.
     """
     pairs = list(pairs)
-    for u, v in pairs:
-        if not (u > 0.0 and v > 0.0):
-            raise DomainError(f"integration half-widths must be positive, got u={u!r}, v={v!r}")
+    _check_support(np.array(pairs, dtype=float))
     spec = spec or QuadSpec()
 
     def integrand(y1, y2):

@@ -25,14 +25,15 @@ Randomness comes from the counter-based Philox generator keyed by
 (seed, replicate).  A run makes one blocked pass for all its replicates,
 each row drawing from its own stream.  An independent run that fills a
 block is cut into pieces of contiguous replicates, a few per usable CPU, and
-one thread per CPU samples them, each taking the next piece when it has
-finished its last; a CPU that runs slower than the others then samples
-fewer pieces instead of holding the run up.  The threads run at once
-because every stage of a piece's block pipeline is a numpy call that
+the standard thread pool (``concurrent.futures.ThreadPoolExecutor``, loaded
+on a process's first threaded run), one thread per CPU, samples them; each
+idle thread takes the next piece, so a CPU that runs slower than the others
+samples fewer pieces instead of holding the run up.  The threads run at
+once because every stage of a piece's block pipeline is a numpy call that
 releases the GIL: the Philox fill, the quantile, and each row's running
 sum, a 1-D accumulate that numpy runs without the GIL only when it writes
-into another array, so it goes into a spare row of the block.  A
-dependent run is one piece.
+into another array, so it goes into a spare row of the block.  Any other
+run, every dependent one among them, is one piece on the caller's thread.
 A batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one
 row at a time in Python floats, a larger one a column at a time in numpy;
 both make the same correctly rounded operations in the same order.  So a
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -318,11 +318,12 @@ class PathReport:
 def _thread_count(model: MultivariateFgmModel | None, replicates: int, n: int) -> int:
     """Threads that sample a run of ``replicates`` paths of n steps.
 
-    One per usable CPU, at most one per replicate, for an independent run that fills at least one
-    block of ``_GROUP_ELEMENTS`` uniforms: its block pipeline is numpy calls that release the GIL,
-    the running sums among them, since each is a 1-D accumulate into another array (numpy holds
-    the GIL for one that writes over its input).  A dependent run stays on the caller's thread,
-    since its inversion steps in Python and holds the GIL.
+    One pool thread per usable CPU, at most one per replicate, for an independent run that fills
+    at least one block of ``_GROUP_ELEMENTS`` uniforms: its block pipeline is numpy calls that
+    release the GIL, the running sums among them, since each is a 1-D accumulate into another
+    array (numpy holds the GIL for one that writes over its input).  With a count of 1 no pool
+    starts: a dependent run stays on the caller's thread, since its inversion steps in Python
+    and holds the GIL.
     """
     if (model is not None and model.theta_sum != 0.0) or replicates * n < _GROUP_ELEMENTS:
         return 1
@@ -365,13 +366,15 @@ def run_slln(run: SlnnRun) -> PathReport:
 
     Replicates are sampled in column blocks of at most 2^18 values in all, each piece's spare
     row of running sums included.  An independent run that fills a block is cut into pieces
-    of contiguous replicates, ``_PIECES_PER_THREAD`` per usable CPU, and one thread per CPU
-    samples them, each taking the next piece when it has finished its last, so that a thread
-    whose CPU runs slower takes fewer.  A dependent run is one piece on the caller's thread,
-    whose few replicates step through the recurrence in Python floats, many in numpy, with
-    the same bytes.  Each row draws from its own counter-based stream and carries its running
-    sum and hit count across blocks in sequential order, so its results depend neither on the
-    blocks, nor on the pieces, nor on the threads.
+    of contiguous replicates, ``_PIECES_PER_THREAD`` per usable CPU, and a thread pool with one
+    thread per CPU samples them, each idle thread taking the next piece, so that a thread whose
+    CPU runs slower takes fewer; when a piece fails, the pieces not yet started are cancelled
+    and the error of the first failed piece is raised.  A run with one thread, every dependent
+    run among them, is one piece on the caller's thread; a few dependent replicates step
+    through the recurrence in Python floats, many in numpy, with the same bytes.  Each row
+    draws from its own counter-based stream and carries its running sum and hit count across
+    blocks in sequential order, so its results depend neither on the blocks, nor on the
+    pieces, nor on the threads.
     """
     c = run.centering()
     cps = run.checkpoints()
@@ -387,33 +390,19 @@ def run_slln(run: SlnnRun) -> PathReport:
     rows = run.replicates if count == 1 else max(1, run.replicates // (_PIECES_PER_THREAD * count))
     # the blocks in flight, each with its spare row, hold _GROUP_ELEMENTS
     width = max(1, _GROUP_ELEMENTS // (count * (rows + 1)))
-    # shared by the threads: next() on a range iterator is one step under the GIL, so each piece
-    # goes to exactly one thread, the first to be free
-    pieces = iter(range(0, run.replicates, rows))
-    errors: dict = {}
 
-    def sample() -> None:
-        for first in pieces:
-            if errors:  # another piece failed: the run is lost
-                return
-            piece = range(first, min(first + rows, run.replicates))
-            try:
-                _sample_piece(run, piece, width, thresholds, s_matrix, e_matrix)
-            except BaseException as exc:  # re-raised below, once every thread has joined
-                errors[first] = exc
-                return
+    def sample(first: int) -> None:
+        _sample_piece(run, range(first, min(first + rows, run.replicates)), width, thresholds, s_matrix, e_matrix)
 
-    threads = [threading.Thread(target=sample) for _ in range(1, count)]
-    try:
-        for thread in threads:
-            thread.start()
-        sample()
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[min(errors)]
+    if count == 1:
+        sample(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded on a process's first threaded run
+
+        # each piece goes to the first free thread; map raises the first failure in piece order,
+        # once the pieces not yet started are cancelled, and leaving the pool joins its threads
+        with ThreadPoolExecutor(count) as pool:
+            list(pool.map(sample, range(0, run.replicates, rows)))
     m_matrix = (s_matrix - ns * c) / ns ** (1.0 / run.p)
     model = run.model
     metadata = {

@@ -138,7 +138,9 @@ class TestDelta:
 class TestGFactor:
     def test_empty_range(self):
         m = ParetoMarginal(2.0)
-        assert g_factor(1.0, 1.0, m, [1.0, 0.5]).tolist() == [0.0, 0.0]
+        assert g_factor(1.0, 1.0, m, [1.0]).tolist() == [0.0]
+        with pytest.raises(DomainError, match="support edge"):  # below the support, as the closed form
+            g_factor(1.0, 1.0, m, [1.0, 0.5])
 
     def test_closed_antiderivative_r1s1(self):
         m = ParetoMarginal(2.0)
@@ -369,8 +371,10 @@ class TestOracleEquivalence:
 
     def test_numeric_domain(self):
         field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(2.0))
-        with pytest.raises(DomainError):
-            g_numeric(field, [(-1.0, 2.0)])
+        # every threshold below the support edge 1 is refused, as by the closed form, not integrated as empty
+        for uv in ((-1.0, 2.0), (0.5, 3.0), (3.0, math.nextafter(1.0, 0.0))):
+            with pytest.raises(DomainError, match="support edge"):
+                g_numeric(field, [(2.0, 2.0), uv])
 
     def test_numeric_handles_perturbation_family(self):
         # phi = psi = t(1-t) is the r = s = 1 power family, so the generic

@@ -64,6 +64,11 @@ CASES = {
         "simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2,0.25",
         "--n-max", "8192", "--replicates", "40", "--window", "16", "--seed", "13", "--c", "2",
     ],
+    # 64 replicates exceed the sampler's scalar-row limit, so its numpy route runs
+    "simulate-exact-many": [
+        "simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2,0.25",
+        "--n-max", "256", "--replicates", "64", "--seed", "23", "--c", "2",
+    ],
     "simulate-independent-blocks": [
         "simulate", "slln", "--p", "1.5", "--alpha", "1.5", "--n-max", "16384", "--replicates", "40", "--seed", "17",
     ],

@@ -337,23 +337,22 @@ class TestPieces:
 
     def test_a_stalled_thread_holds_up_one_piece_only(self, monkeypatch):
         self.force_threads(monkeypatch, 2)
-        real, caller, taken = simulate._sample_piece, threading.current_thread(), {"caller": 0, "worker": 0}
+        real, owners, sampled = simulate._sample_piece, {}, []
         others_done = threading.Event()
 
         def traced(run, rows, *args):
-            if threading.current_thread() is caller:
-                real(run, rows, *args)
-                taken["caller"] += 1
-                if taken["caller"] == 7:  # all eight pieces but the worker's first
-                    others_done.set()
-            else:
-                taken["worker"] += 1
-                assert others_done.wait(timeout=30)  # stalls until the caller has sampled the rest
-                real(run, rows, *args)
+            owners[rows.start] = threading.current_thread()
+            if rows.start == 0:  # whichever thread takes the first piece stalls on it
+                assert others_done.wait(timeout=30)  # until the other seven pieces are sampled
+            real(run, rows, *args)
+            sampled.append(rows.start)
+            if len(sampled) == 7:
+                others_done.set()
 
         monkeypatch.setattr(simulate, "_sample_piece", traced)
         report = run_slln(self.run(8))  # 4 pieces per thread: eight one-replicate pieces
-        assert taken["worker"] <= 1 and taken["caller"] + taken["worker"] == 8
+        assert sorted(owners) == list(range(8))
+        assert list(owners.values()).count(owners[0]) == 1  # the stalled thread took its first piece only
         monkeypatch.setattr(simulate, "_sample_piece", real)
         assert report.m_values.tobytes() == run_slln(self.run(8)).m_values.tobytes()
 
