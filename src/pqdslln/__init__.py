@@ -33,11 +33,9 @@ from .errors import (
     QuadratureError,
 )
 from .gfun import (
-    DeltaField,
     bracket_limit,
     factor_differences,
     g_closed_bracket,
-    g_closed_form,
     g_factor,
     g_numeric,
 )

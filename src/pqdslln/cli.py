@@ -35,7 +35,7 @@ from .borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lamperti_r
 from .conditions import condition_terms, decay_exponent, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, PowerSchedule
 from .errors import DomainError, NumericError, ParameterError
-from .gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
+from .gfun import g_closed_bracket, g_factor, g_numeric
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec
 from .simulate import MultivariateFgmModel, SlnnRun, run_slln
@@ -222,9 +222,10 @@ def _run_g_eval(params: dict):
     copula = GfmCopula(theta=theta, r=r, s=s)  # refuses theta outside [0, 1] whatever the --method
     methods: dict[str, float] = {}
     if method in ("closed", "all"):
-        methods["closed"] = g_closed_form(copula.theta, r, s, u, v)
+        alpha = marginal.alpha
+        methods["closed"] = copula.theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
     if method in ("numeric", "all"):
-        methods["numeric"] = float(g_numeric(DeltaField(copula, marginal), [(u, v)], spec)[0])
+        methods["numeric"] = float(g_numeric(copula, marginal, [(u, v)], spec)[0])
     if method in ("factor", "all"):
         bu, bv = g_factor(r, s, marginal, (u, v)).tolist()
         methods["factor"] = copula.theta * bu * bv
@@ -317,9 +318,9 @@ def _run_report_example(params: dict):
     }
 
     grid = (1.5, 2.0, 5.0, 20.0)
-    field = DeltaField(GfmCopula(theta=1.0, r=r, s=s), marginal)
+    copula = GfmCopula(theta=1.0, r=r, s=s)
     bracket = g_closed_bracket(r, s, grid, marginal.alpha).tolist()
-    numerics = iter(g_numeric(field, [(u, v) for u in grid for v in grid]).tolist())
+    numerics = iter(g_numeric(copula, marginal, [(u, v) for u in grid for v in grid]).tolist())
     g_rows = []
     max_disc = 0.0
     for u, bu in zip(grid, bracket):

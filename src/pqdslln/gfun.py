@@ -1,4 +1,4 @@
-"""The covariance functional of a dependent pair and its pointwise gap.
+"""The covariance functional of a dependent pair, by closed form and two oracles.
 
 For a pair coupled by copula C with common marginal F the pointwise
 dependence gap is
@@ -11,14 +11,16 @@ C(u, v) = u v + gap(u, v), so delta is evaluated as gap(F(x), F(y)),
 free of the cancellation in the difference.  Three routes are provided,
 all for the Pareto(alpha) marginal, whose support starts at 1:
 
-* ``g_numeric``     adaptive product quadrature of delta in y = log x on
-                    both axes (the oracle: it integrates the copula's own
-                    gap, never the closed form; the substitution puts the
-                    mass near the support edge and the far tail on a
-                    comparable scale),
-* ``g_factor``      the separable factor integral(1..u) F^s (1-F)^r dx by
-                    quadrature, valid because the power-family gap factorizes,
-* ``g_closed_form`` the closed form
+* ``g_numeric``        adaptive product quadrature of the copula's gap
+                       gap(F(x), F(y)) in y = log x on both axes (the
+                       oracle: it integrates whatever gap its copula
+                       holds, never the closed form; the substitution puts
+                       the mass near the support edge and the far tail on
+                       a comparable scale),
+* ``g_factor``         the separable factor integral(1..u) F^s (1-F)^r dx
+                       by quadrature, valid because the power-family gap
+                       factorizes,
+* ``g_closed_bracket`` the closed-form factor B, from which
 
     G(u, v) = theta * B(u) * B(v),
     B(u) = (1/alpha) * B_{F(u)}(s+1, r-1/alpha),
@@ -60,13 +62,16 @@ split it sums the strip between them, or subtracts the two mirror tails,
 so B(u_h) or B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
 a list of thresholds or (u, v) pairs and refine their intervals or boxes
 in lockstep through the one quadrature entry, ``adaptive_quad_many``, so
-one point is a one-element list.
+one point is a one-element list.  Every route takes exactly the finite
+thresholds u >= 1 and raises DomainError for any other (NaN, +-inf, or
+below the support edge), through one check; B(inf) has its one entry,
+``bracket_limit``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -77,11 +82,9 @@ from .quadrature import QuadSpec, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
 __all__ = [
-    "DeltaField",
     "bracket_limit",
     "factor_differences",
     "g_closed_bracket",
-    "g_closed_form",
     "g_factor",
     "g_numeric",
 ]
@@ -91,6 +94,7 @@ _FACTOR_ABS_TOL = 1e-10  # absolute tolerance of the separable factor quadrature
 # serves smaller b: where the mirror form's error overtakes the strip sum's (see the module text).
 _MIRROR_MIN_B = 1.0 / 64.0
 _STRIP_RTOL = 1e-17  # a strip sum stops at its first term below this share of its running sum
+_LOG_MAX = math.log(sys.float_info.max)  # the 2-D oracle refuses a pair with log u + log v at or past it
 
 
 def _validate_rs(r: float, s: float) -> None:
@@ -99,9 +103,11 @@ def _validate_rs(r: float, s: float) -> None:
 
 
 def _check_support(us: np.ndarray) -> None:
-    """Raise DomainError unless every threshold in ``us`` is >= 1, the support edge (NaN is not)."""
-    if not np.all(us >= 1.0):
-        raise DomainError(f"thresholds must be >= 1 (the Pareto support edge), got {float(np.min(us))!r}")
+    """Raise DomainError unless every threshold in ``us`` is finite and >= 1, the support edge."""
+    usable = (us >= 1.0) & (us < math.inf)  # False at NaN
+    if not usable.all():
+        bad = float(us[~usable].flat[0])
+        raise DomainError(f"thresholds must be finite and >= 1 (the Pareto support edge), got {bad!r}")
 
 
 def _stirling_remainder(z: float) -> float:
@@ -202,34 +208,28 @@ def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.
 
 
 def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
-    """Closed-form factor B(u) for the Pareto(alpha) marginal, u >= 1, at any r alpha.
+    """Closed-form factor B(u) for the Pareto(alpha) marginal, at any r alpha.
 
     Equals integral(1..u) (1 - x^-alpha)^s x^(-alpha r) dx; returns exactly
     0 at the support edge u = 1.  Accepts a scalar or an array u and returns
-    a float or an array of the same shape.
+    a float or an array of the same shape.  A u that is not finite and >= 1
+    raises DomainError; B(inf) is :func:`bracket_limit`.
     """
     above, part, base = _closed_parts(r, s, np.asarray(u, dtype=float), alpha)
     part[above] += base
     return part if part.ndim else float(part)
 
 
-def g_closed_form(theta: float, r: float, s: float, u: float, v: float, alpha: float = 2.0) -> float:
-    """Closed-form covariance functional theta * B(u) * B(v) (Pareto(alpha) marginal)."""
-    if not 0.0 <= theta <= 1.0:
-        raise DomainError(f"dependence strength must lie in [0, 1], got {theta!r}")
-    return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
-
-
 def g_factor(r: float, s: float, marginal: ParetoMarginal, us) -> np.ndarray:
     """Separable factor integral(1..u) F(x)^s (1 - F(x))^r dx at each u, by quadrature.
 
     The intervals [1, u] are refined in lockstep (:func:`adaptive_quad_many`),
-    each to the bits it gets alone.  A finite u below 1 raises DomainError, a
-    non-finite u ParameterError.
+    each to the bits it gets alone.  A u that is not finite and >= 1 raises
+    DomainError.
     """
     _validate_rs(r, s)
     us = np.asarray(us, dtype=float)
-    _check_support(us[np.isfinite(us)])
+    _check_support(us)
 
     def integrand(x):
         return power_factor(np.asarray(marginal.cdf(x), dtype=float), r, s)
@@ -260,44 +260,33 @@ def factor_differences(r: float, s: float, marginal: ParetoMarginal, his, los) -
     return diffs
 
 
-@dataclass(frozen=True)
-class DeltaField:
-    """Pointwise dependence gap of a copula-coupled pair with common marginal.
+def g_numeric(copula: GfmCopula, marginal: ParetoMarginal, pairs, spec: QuadSpec | None = None) -> np.ndarray:
+    """Covariance functional at each (u, v), by adaptive product quadrature of the copula's gap in log x.
 
-    delta(x, y) = gap(F(x), F(y)) is taken from the copula's own gap, never
-    as C(F(x), F(y)) - F(x) F(y), so it keeps its relative accuracy where
-    the gap is far below F(x) F(y).  It is >= 0 everywhere when the copula
-    is PQD, and vanishes whenever either argument is below the marginal's
-    support.
-    """
-
-    copula: GfmCopula
-    marginal: ParetoMarginal
-
-    def delta(self, x, y):
-        return self.copula.gap(self.marginal.cdf(x), self.marginal.cdf(y))
-
-
-def g_numeric(field: DeltaField, pairs, spec: QuadSpec | None = None) -> np.ndarray:
-    """Covariance functional at each (u, v), by adaptive product quadrature of the gap field in log x.
-
-    Integrates delta over [1, u] x [1, v] (empty, giving 0, when u or v is
-    the support edge 1) after substituting y = log x on both axes, i.e.
-    delta(e^y1, e^y2) e^(y1 + y2) over [0, log u] x [0, log v].  The
-    truncation at the support edge is exact because delta vanishes below it.
-    The boxes are refined in lockstep (:func:`adaptive_quad_many`), each to
-    the bits it gets alone.  A u or v below 1, -inf or NaN raises
-    DomainError, +inf ParameterError.  Raises the QuadratureError (carrying
-    the best estimate and bound) of the first pair whose integral fails.
+    Integrates delta(x1, x2) = copula.gap(F(x1), F(x2)) over [1, u] x [1, v]
+    (empty, giving 0, when u or v is the support edge 1) after substituting
+    y = log x on both axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over
+    [0, log u] x [0, log v].  The truncation at the support edge is exact
+    because delta vanishes below it.  The boxes are refined in lockstep
+    (:func:`adaptive_quad_many`), each to the bits it gets alone.  A u or v
+    that is not finite and >= 1 raises DomainError.  A pair with
+    log u + log v at or past the log of the largest double raises
+    NumericError before any evaluation: the Jacobian e^(y1 + y2) would
+    overflow there while the gap underflows to 0.  Raises the
+    QuadratureError (carrying the best estimate and bound) of the first pair
+    whose integral fails.
     """
     pairs = list(pairs)
     _check_support(np.array(pairs, dtype=float))
     spec = spec or QuadSpec()
+    boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in pairs]
+    for (u, v), (_, log_u, _, log_v) in zip(pairs, boxes):
+        if log_u + log_v >= _LOG_MAX:
+            raise NumericError(f"u*v overflows a double at u={u!r}, v={v!r}, so the 2-D oracle cannot integrate there")
 
     def integrand(y1, y2):
         x1, x2 = np.exp(y1), np.exp(y2)
-        return field.delta(x1, x2) * (x1 * x2)
+        return copula.gap(marginal.cdf(x1), marginal.cdf(x2)) * (x1 * x2)
 
-    boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in pairs]
     values, _ = adaptive_quad_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
     return values

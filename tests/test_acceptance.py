@@ -17,7 +17,7 @@ from pqdslln.borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lam
 from pqdslln.cli import main
 from pqdslln.conditions import condition_terms, decay_exponent, majorant_sum, tail_condition, verdict_from_terms
 from pqdslln.copulas import GfmCopula, PowerSchedule
-from pqdslln.gfun import DeltaField, g_closed_bracket, g_closed_form, g_factor, g_numeric
+from pqdslln.gfun import g_closed_bracket, g_factor, g_numeric
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.simulate import MultivariateFgmModel, SlnnRun, _uniform_blocks, replicate_rng, run_slln
 
@@ -35,11 +35,11 @@ def test_criterion_01_closed_form_oracle_equivalence():
     m = ParetoMarginal(2.0)
     for r, s in RS_GRID:
         for theta in (0.25, 1.0):
-            field = DeltaField(GfmCopula(theta=theta, r=r, s=s), m)
-            numerics = iter(g_numeric(field, [(u, v) for u in UV_GRID for v in UV_GRID]))
+            copula = GfmCopula(theta=theta, r=r, s=s)
+            numerics = iter(g_numeric(copula, m, [(u, v) for u in UV_GRID for v in UV_GRID]))
             for u in UV_GRID:
                 for v in UV_GRID:
-                    closed = g_closed_form(theta, r, s, u, v)
+                    closed = theta * g_closed_bracket(r, s, u) * g_closed_bracket(r, s, v)
                     numeric = next(numerics)
                     assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
     elapsed = time.perf_counter() - start

@@ -19,7 +19,7 @@ from pqdslln.conditions import (
 )
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError
-from pqdslln.gfun import DeltaField, bracket_limit, g_numeric
+from pqdslln.gfun import bracket_limit, g_numeric
 from pqdslln.marginals import ParetoMarginal
 
 EXAMPLE = dict(p=1.0, mu=0.2, nu=-1.5, r=1.0, s=1.0)
@@ -93,8 +93,7 @@ class TestConditionSum:
         for j in range(2, n + 1):
             for k in range(1, j):
                 theta = sched.theta(k, j)
-                field = DeltaField(GfmCopula(theta=theta, r=1.0, s=1.0), m)
-                g = g_numeric(field, [(float(k), float(j))])[0]
+                g = g_numeric(GfmCopula(theta=theta, r=1.0, s=1.0), m, [(float(k), float(j))])[0]
                 total.append((k * j) ** -1.0 * g)
         expected = math.fsum(total)
         verdict = series_verdict("nec12", 1.0, sched, 1.0, 1.0, m, n)

@@ -9,12 +9,11 @@ from scipy.special import beta, betainc
 
 import pqdslln.specfun
 from pqdslln.copulas import GfmCopula
-from pqdslln.errors import DomainError, ParameterError
+from pqdslln.errors import DomainError, NumericError
 from pqdslln.gfun import (
-    DeltaField,
     bracket_limit,
+    factor_differences,
     g_closed_bracket,
-    g_closed_form,
     g_factor,
     g_numeric,
 )
@@ -76,22 +75,32 @@ def mpmath_bracket(r: float, s: float, u: float, alpha: float):
         return mpmath.re(mpmath.betainc(a, b, 0, f)) / alpha
 
 
-def counting_field(copula, marginal):
-    """A DeltaField that tallies the integrand nodes it is evaluated at, and the tally."""
+def closed_g(theta: float, r: float, s: float, u: float, v: float, alpha: float = 2.0) -> float:
+    """G(u, v) = theta * B(u) * B(v) from the closed-form factor, the product `g eval` forms."""
+    return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
+
+
+def delta(copula, marginal, x, y):
+    """The pointwise dependence gap gap(F(x), F(y)) that ``g_numeric`` integrates."""
+    return copula.gap(marginal.cdf(x), marginal.cdf(y))
+
+
+def counting_copula(theta: float, r: float = 1.0, s: float = 1.0):
+    """A power-family copula that tallies the integrand nodes its gap is evaluated at, and the tally."""
     nodes = []
 
-    class CountingField(DeltaField):
-        def delta(self, x, y):
-            nodes.append(np.broadcast(x, y).size)
-            return super().delta(x, y)
+    class CountingCopula(GfmCopula):
+        def gap(self, u, v):
+            nodes.append(np.broadcast(u, v).size)
+            return super().gap(u, v)
 
-    return CountingField(copula, marginal), nodes
+    return CountingCopula(theta, r, s), nodes
 
 
 class ProfileCopula:
     """The perturbation copula u v + phi(u) phi(v), given by its gap alone.
 
-    ``g_numeric`` integrates whatever gap its field holds, never the power
+    ``g_numeric`` integrates whatever gap its copula holds, never the power
     family's closed form, so this copula checks it from outside the family's code.
     """
 
@@ -104,19 +113,19 @@ class ProfileCopula:
 
 class TestDelta:
     def test_zero_for_independence(self):
-        field = DeltaField(GfmCopula(theta=0.0), ParetoMarginal(2.0))
+        copula, m = GfmCopula(theta=0.0), ParetoMarginal(2.0)
         for x, y in ((1.5, 2.0), (3.0, 10.0)):
-            assert field.delta(x, y) == 0.0
+            assert delta(copula, m, x, y) == 0.0
 
     def test_zero_below_support(self):
-        field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(2.0))
-        assert field.delta(0.5, 3.0) == 0.0
-        assert field.delta(3.0, 0.99) == 0.0
+        copula, m = GfmCopula(theta=1.0), ParetoMarginal(2.0)
+        assert delta(copula, m, 0.5, 3.0) == 0.0
+        assert delta(copula, m, 3.0, 0.99) == 0.0
 
     def test_direct_substitution(self):
-        field = DeltaField(GfmCopula(theta=0.5, r=1.0, s=1.0), ParetoMarginal(2.0))
+        copula = GfmCopula(theta=0.5, r=1.0, s=1.0)
         x = math.sqrt(2.0)  # F(x) = 0.5
-        assert field.delta(x, x) == pytest.approx(0.5 * 0.25 * 0.25, rel=1e-12)
+        assert delta(copula, ParetoMarginal(2.0), x, x) == pytest.approx(0.5 * 0.25 * 0.25, rel=1e-12)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -126,13 +135,12 @@ class TestDelta:
         st.floats(min_value=1.0, max_value=50.0),
     )
     def test_nonnegative_for_pqd(self, theta, r, s, x, y):
-        field = DeltaField(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(2.0))
-        assert field.delta(x, y) >= -1e-15
+        assert delta(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(2.0), x, y) >= -1e-15
 
     def test_perturbation_copula_field(self):
-        field = DeltaField(ProfileCopula(lambda t: t * (1.0 - t)), ParetoMarginal(2.0))
+        copula = ProfileCopula(lambda t: t * (1.0 - t))
         x = math.sqrt(2.0)
-        assert field.delta(x, x) == pytest.approx(0.25 * 0.25, rel=1e-12)
+        assert delta(copula, ParetoMarginal(2.0), x, x) == pytest.approx(0.25 * 0.25, rel=1e-12)
 
 
 class TestGFactor:
@@ -155,16 +163,16 @@ class TestGFactor:
 
     @pytest.mark.parametrize("u", [math.nan, math.inf])
     def test_non_finite_threshold_is_parameter_error(self, u):
-        with pytest.raises(ParameterError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             g_factor(1.0, 1.0, ParetoMarginal(2.0), [2.0, u])
 
 
 class TestClosedForm:
     def test_zero_theta(self):
-        assert g_closed_form(0.0, 1.0, 1.0, 2.0, 2.0) == 0.0
+        assert closed_g(0.0, 1.0, 1.0, 2.0, 2.0) == 0.0
 
     def test_r1s1_value(self):
-        value = g_closed_form(0.5, 1.0, 1.0, 2.0, 2.0)
+        value = closed_g(0.5, 1.0, 1.0, 2.0, 2.0)
         assert value == pytest.approx(0.5 * (5.0 / 24.0) ** 2, rel=1e-12)
 
     def test_bracket_equals_antiderivative_r1s1(self):
@@ -177,8 +185,6 @@ class TestClosedForm:
     def test_domain(self):
         with pytest.raises(DomainError):
             g_closed_bracket(1.0, 1.0, 0.8)
-        with pytest.raises(DomainError):
-            g_closed_form(1.5, 1.0, 1.0, 2.0, 2.0)
         with pytest.raises(DomainError):
             g_closed_bracket(0.5, 1.0, 2.0)
 
@@ -318,13 +324,11 @@ class TestClosedFormEveryAlpha:
                 bracket_limit(r, 1.0, alpha)
             with pytest.raises(DomainError):
                 g_closed_bracket(r, 1.0, 2.0, alpha)
-            with pytest.raises(DomainError):
-                g_closed_form(1.0, r, 1.0, 2.0, 2.0, alpha)
             return
         assert bracket_limit(r, 1.0, alpha) == math.inf
         expected = mpmath_bracket(r, 1.0, 2.0, alpha)
         assert g_closed_bracket(r, 1.0, 2.0, alpha) == pytest.approx(expected, rel=1e-13)
-        assert g_closed_form(1.0, r, 1.0, 2.0, 2.0, alpha) == pytest.approx(expected**2, rel=1e-13)
+        assert closed_g(1.0, r, 1.0, 2.0, 2.0, alpha) == pytest.approx(expected**2, rel=1e-13)
 
 
 class TestOracleEquivalence:
@@ -332,23 +336,23 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("theta", [0.25, 1.0])
     def test_closed_vs_numeric_spot(self, r, s, theta):
         m = ParetoMarginal(2.0)
-        field = DeltaField(GfmCopula(theta=theta, r=r, s=s), m)
+        copula = GfmCopula(theta=theta, r=r, s=s)
         for u, v in ((1.5, 2.0), (5.0, 20.0)):
-            closed = g_closed_form(theta, r, s, u, v)
-            numeric = g_numeric(field, [(u, v)])[0]
+            closed = closed_g(theta, r, s, u, v)
+            numeric = g_numeric(copula, m, [(u, v)])[0]
             assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
     @pytest.mark.parametrize("uv", [(2.0, math.inf), (math.inf, math.inf)])
     def test_infinite_threshold_is_parameter_error(self, uv):
-        field = DeltaField(GfmCopula(theta=1.0, r=1.0, s=1.0), ParetoMarginal(2.0))
-        with pytest.raises(ParameterError, match="finite"):
-            g_numeric(field, [(2.0, 2.0), uv])
+        copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
+        with pytest.raises(DomainError, match="finite"):
+            g_numeric(copula, ParetoMarginal(2.0), [(2.0, 2.0), uv])
 
     def test_r2_s1_example(self):
         m = ParetoMarginal(2.0)
-        field = DeltaField(GfmCopula(theta=1.0, r=2.0, s=1.0), m)
-        closed = g_closed_form(1.0, 2.0, 1.0, 3.0, 3.0)
-        numeric = g_numeric(field, [(3.0, 3.0)])[0]
+        copula = GfmCopula(theta=1.0, r=2.0, s=1.0)
+        closed = closed_g(1.0, 2.0, 1.0, 3.0, 3.0)
+        numeric = g_numeric(copula, m, [(3.0, 3.0)])[0]
         assert abs(closed - numeric) <= 1e-6
 
     @pytest.mark.parametrize("r,s", PARAM_GRID)
@@ -358,30 +362,29 @@ class TestOracleEquivalence:
         for theta in (0.25, 1.0):
             for u in UV_GRID:
                 for v in (1.5, 20.0):
-                    closed = g_closed_form(theta, r, s, u, v)
+                    closed = closed_g(theta, r, s, u, v)
                     factored = theta * factors[u] * factors[v]
                     assert abs(closed - factored) <= 1e-8
 
     def test_numeric_trivial_cases(self):
         m = ParetoMarginal(2.0)
-        field = DeltaField(GfmCopula(theta=1.0, r=1.0, s=1.0), m)
-        assert g_numeric(field, [(1.0, 5.0)])[0] == 0.0  # x-range collapses at the support edge
-        zero_field = DeltaField(GfmCopula(theta=0.0), m)
-        assert g_numeric(zero_field, [(2.0, 2.0)])[0] == pytest.approx(0.0, abs=1e-12)
+        copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
+        assert g_numeric(copula, m, [(1.0, 5.0)])[0] == 0.0  # x-range collapses at the support edge
+        assert g_numeric(GfmCopula(theta=0.0), m, [(2.0, 2.0)])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_numeric_domain(self):
-        field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(2.0))
+        copula = GfmCopula(theta=1.0)
         # every threshold below the support edge 1 is refused, as by the closed form, not integrated as empty
         for uv in ((-1.0, 2.0), (0.5, 3.0), (3.0, math.nextafter(1.0, 0.0))):
             with pytest.raises(DomainError, match="support edge"):
-                g_numeric(field, [(2.0, 2.0), uv])
+                g_numeric(copula, ParetoMarginal(2.0), [(2.0, 2.0), uv])
 
     def test_numeric_handles_perturbation_family(self):
         # phi = psi = t(1-t) is the r = s = 1 power family, so the generic
         # oracle must agree with the closed form
-        field = DeltaField(ProfileCopula(lambda t: t * (1.0 - t)), ParetoMarginal(2.0))
-        value = g_numeric(field, [(2.0, 3.0)])[0]
-        assert value == pytest.approx(g_closed_form(1.0, 1.0, 1.0, 2.0, 3.0), abs=1e-8)
+        copula = ProfileCopula(lambda t: t * (1.0 - t))
+        value = g_numeric(copula, ParetoMarginal(2.0), [(2.0, 3.0)])[0]
+        assert value == pytest.approx(closed_g(1.0, 1.0, 1.0, 2.0, 3.0), abs=1e-8)
 
     @given(
         st.floats(min_value=1.0, max_value=3.0),
@@ -393,10 +396,52 @@ class TestOracleEquivalence:
     def test_closed_vs_numeric_property(self, r, s, u, v):
         theta = 1.0
         m = ParetoMarginal(2.0)
-        field = DeltaField(GfmCopula(theta=theta, r=r, s=s), m)
-        closed = g_closed_form(theta, r, s, u, v)
-        numeric = g_numeric(field, [(u, v)])[0]
+        copula = GfmCopula(theta=theta, r=r, s=s)
+        closed = closed_g(theta, r, s, u, v)
+        numeric = g_numeric(copula, m, [(u, v)])[0]
         assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
+
+    @pytest.mark.parametrize("uv", [(1e155, 1e155), (3.2e72, 1.8e296)])
+    def test_overflowing_jacobian_is_numeric_error(self, uv):
+        # u v past the largest double: x1 x2 would be inf where the gap has underflowed to 0
+        copula, nodes = counting_copula(theta=1.0)
+        with pytest.raises(NumericError, match="overflows"):
+            g_numeric(copula, ParetoMarginal(2.0), [(2.0, 2.0), uv])
+        assert nodes == []  # refused before any evaluation
+
+    def test_largest_pair_below_overflow_answers(self):
+        value = g_numeric(GfmCopula(theta=1.0), ParetoMarginal(2.0), [(1e154, 1e154)])[0]
+        # 0.444444435900116 here: 4/9 less the tail lost where F rounds to 1 (ROADMAP item 7)
+        assert value == pytest.approx(4.0 / 9.0, rel=1e-7)
+
+
+def _route_values(route: str, u: float):
+    """The values one route to B or G gives with threshold ``u`` in its second place, or its error."""
+    m = ParetoMarginal(2.0)
+    if route == "g_closed_bracket":
+        return g_closed_bracket(1.0, 1.0, np.array([2.0, u]))
+    if route == "factor_differences":
+        return factor_differences(1.0, 1.0, m, [2.0, u], [1.0, u])
+    if route == "g_factor":
+        return g_factor(1.0, 1.0, m, [2.0, u])
+    return g_numeric(GfmCopula(theta=1.0), m, [(2.0, 2.0), (u, 2.0)])
+
+
+ROUTES = ["g_closed_bracket", "factor_differences", "g_factor", "g_numeric"]
+
+
+class TestThresholdRule:
+    """Every route to B and G takes exactly the finite thresholds >= 1, through one check."""
+
+    @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf, 0.5, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_refused_threshold_is_domain_error(self, route, u):
+        with pytest.raises(DomainError, match="finite.*support edge"):
+            _route_values(route, u)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_support_edge_gives_zero(self, route):
+        assert _route_values(route, 1.0)[1] == 0.0
 
 
 class TestLogSpaceQuadrature:
@@ -417,7 +462,7 @@ class TestLogSpaceQuadrature:
             copula = ProfileCopula(lambda t: t**s * (1.0 - t) ** r)
         else:
             copula = GfmCopula(theta=1.0, r=r, s=s)
-        numeric = g_numeric(DeltaField(copula, ParetoMarginal(alpha)), [(u, v)])[0]
+        numeric = g_numeric(copula, ParetoMarginal(alpha), [(u, v)])[0]
         expected = float(incomplete_beta_bracket(r, s, u, alpha) * incomplete_beta_bracket(r, s, v, alpha))
         # the quadrature is asked for QuadSpec().abs_tol absolute; relative 1e-6 above that
         assert abs(numeric - expected) <= max(1e-6 * expected, QuadSpec().abs_tol), (u, v)
@@ -425,18 +470,18 @@ class TestLogSpaceQuadrature:
     def test_far_peak_is_found(self):
         # in x the peak near 1 sits in one of 3000 units of width and the first panel misses it
         expected = float(incomplete_beta_bracket(3.0, 3.0, 3000.0, 2.0) ** 2)
-        numeric = g_numeric(DeltaField(GfmCopula(theta=1.0, r=3.0, s=3.0), ParetoMarginal(2.0)), [(3000.0, 3000.0)])[0]
+        numeric = g_numeric(GfmCopula(theta=1.0, r=3.0, s=3.0), ParetoMarginal(2.0), [(3000.0, 3000.0)])[0]
         assert numeric == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.7])
     def test_far_thresholds(self, alpha):
-        field = DeltaField(GfmCopula(theta=1.0), ParetoMarginal(alpha))
+        copula = GfmCopula(theta=1.0)
         expected = float(incomplete_beta_bracket(1.0, 1.0, 1e6, alpha) ** 2)
-        assert g_numeric(field, [(1e6, 1e6)])[0] == pytest.approx(expected, rel=1e-9)
+        assert g_numeric(copula, ParetoMarginal(alpha), [(1e6, 1e6)])[0] == pytest.approx(expected, rel=1e-9)
 
     def test_node_count_stays_small(self):
         # a slowdown guard without timing: 16.6 M nodes when this row was integrated in x
-        field, nodes = counting_field(GfmCopula(theta=1.0), ParetoMarginal(2.0))
-        value = g_numeric(field, [(1e4, 1e4)])[0]
-        assert value == pytest.approx(g_closed_form(1.0, 1.0, 1.0, 1e4, 1e4), abs=1e-9)
+        copula, nodes = counting_copula(theta=1.0)
+        value = g_numeric(copula, ParetoMarginal(2.0), [(1e4, 1e4)])[0]
+        assert value == pytest.approx(closed_g(1.0, 1.0, 1.0, 1e4, 1e4), abs=1e-9)
         assert sum(nodes) < 50_000

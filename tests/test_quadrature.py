@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import pqdslln.gfun
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError, QuadratureError
-from pqdslln.gfun import DeltaField
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.quadrature import (
     _W7,
@@ -400,8 +399,8 @@ class TestLockstep:
     )
     @settings(max_examples=20)
     def test_gap_integrals(self, theta, r, s, alpha, uv):
-        field = DeltaField(GfmCopula(theta=theta, r=r, s=s), ParetoMarginal(alpha))
-        f = _integrand_of(lambda: pqdslln.gfun.g_numeric(field, [(2.0, 2.0)]))
+        copula = GfmCopula(theta=theta, r=r, s=s)
+        f = _integrand_of(lambda: pqdslln.gfun.g_numeric(copula, ParetoMarginal(alpha), [(2.0, 2.0)]))
         boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in uv]
         batched = _batched(f, boxes, abs_tol=QuadSpec.abs_tol)
         assert batched == _bits(_alone_2d(f, *box) for box in boxes)
