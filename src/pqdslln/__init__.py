@@ -25,13 +25,7 @@ from .conditions import (
     verdict_from_terms,
 )
 from .copulas import GfmCopula, PowerSchedule
-from .errors import (
-    DomainError,
-    Error,
-    NumericError,
-    ParameterError,
-    QuadratureError,
-)
+from .errors import Error, NumericError, ParameterError, QuadratureError
 from .gfun import (
     bracket_limit,
     factor_differences,
@@ -50,4 +44,4 @@ from .simulate import (
     replicate_rng,
     run_slln,
 )
-from .specfun import HypergeometricArgs, gamma, gauss_2f1, pochhammer
+from .specfun import gamma, gauss_2f1, pochhammer

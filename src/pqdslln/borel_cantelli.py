@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import GfmCopula, PowerSchedule, carried_cumsum, power_factor, separable_pair_sums
-from .errors import DomainError, ParameterError
+from .copulas import GfmCopula, PowerSchedule, carried_cumsum, check_p, check_rs, power_factor, separable_pair_sums
+from .errors import ParameterError
 from .gfun import factor_differences
 from .marginals import ParetoMarginal
 
@@ -60,16 +60,15 @@ class EventSystem:
     s: float = 1.0
 
     def __post_init__(self):
+        check_p(self.p)
         if self.schedule is not None:
             self.schedule.check_window(self.p)
-            GfmCopula(theta=0.0, r=self.r, s=self.s)  # the family's r, s >= 1 rule
-        if not 1.0 <= self.p < 2.0:
-            raise ParameterError(f"event system requires 1 <= p < 2, got p={self.p!r}")
+            check_rs(self.r, self.s)
 
     def threshold(self, k: int) -> float:
-        """The threshold k^(1/p) of the event A_k; raises DomainError for k < 1."""
+        """The threshold k^(1/p) of the event A_k; raises ParameterError for k < 1."""
         if k < 1:
-            raise DomainError(f"event index must be a positive integer, got {k!r}")
+            raise ParameterError(f"event index must be a positive integer, got {k!r}")
         return float(k) ** (1.0 / self.p)
 
 
@@ -94,7 +93,7 @@ def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
     least the product for any nonnegative dependence strength.
     """
     if k == j:
-        raise DomainError("pair events require k != j")
+        raise ParameterError("pair events require k != j")
     gap = _pair_copula(es, k, j).gap(es.marginal.cdf(es.threshold(k)), es.marginal.cdf(es.threshold(j)))
     return event_prob(es, k) * event_prob(es, j) + gap
 
@@ -110,7 +109,7 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
     """
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0 or np.any(ns < 1):
-        raise DomainError("ratio grid must contain positive integers")
+        raise ParameterError("ratio grid must contain positive integers")
     at = ns - 1
     sums = np.zeros((3, ns.size))  # sum P(A_k), sum P(A_k)^2 and sum over pairs k < j, at each n
     carry = [0.0, 0.0, 0.0]
@@ -164,9 +163,9 @@ def epsilon_bracket_check(es: EventSystem, k: int, j: int, eps: float) -> Bracke
     product of the factor differences B(hi) - B(max(lo, 1)) on each axis.
     """
     if k == j:
-        raise DomainError("bracket check requires k != j")
+        raise ParameterError("bracket check requires k != j")
     if not eps > 1.0:
-        raise DomainError(f"bracket check requires eps > 1, got {eps!r}")
+        raise ParameterError(f"bracket check requires eps > 1, got {eps!r}")
     xk, xj = es.threshold(k), es.threshold(j)
     alpha = es.marginal.alpha
     lhs = _survival_integral(alpha, xk / eps, xk) * _survival_integral(alpha, xj / eps, xj)

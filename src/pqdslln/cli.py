@@ -34,7 +34,7 @@ from . import __version__
 from .borel_cantelli import EventSystem, epsilon_bracket_check, renyi_lamperti_ratios
 from .conditions import condition_terms, decay_exponent, majorant_sum, tail_condition, verdict_from_terms
 from .copulas import GfmCopula, PowerSchedule
-from .errors import DomainError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .gfun import g_closed_bracket, g_factor, g_numeric
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec
@@ -222,8 +222,7 @@ def _run_g_eval(params: dict):
     copula = GfmCopula(theta=theta, r=r, s=s)  # refuses theta outside [0, 1] whatever the --method
     methods: dict[str, float] = {}
     if method in ("closed", "all"):
-        alpha = marginal.alpha
-        methods["closed"] = copula.theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
+        methods["closed"] = copula.theta * g_closed_bracket(r, s, marginal, u) * g_closed_bracket(r, s, marginal, v)
     if method in ("numeric", "all"):
         methods["numeric"] = float(g_numeric(copula, marginal, [(u, v)], spec)[0])
     if method in ("factor", "all"):
@@ -319,7 +318,7 @@ def _run_report_example(params: dict):
 
     grid = (1.5, 2.0, 5.0, 20.0)
     copula = GfmCopula(theta=1.0, r=r, s=s)
-    bracket = g_closed_bracket(r, s, grid, marginal.alpha).tolist()
+    bracket = g_closed_bracket(r, s, marginal, grid).tolist()
     numerics = iter(g_numeric(copula, marginal, [(u, v) for u in grid for v in grid]).tolist())
     g_rows = []
     max_disc = 0.0
@@ -333,7 +332,7 @@ def _run_report_example(params: dict):
 
     j_values, terms = condition_terms("nec12", p, schedule, r, s, marginal, n_terms)
     verdict = verdict_from_terms(j_values, terms, decay_exponent("nec12", p, schedule, r, marginal))
-    majorant = majorant_sum(p, mu, nu, r, s, n_terms, marginal.alpha)
+    majorant = majorant_sum(p, mu, nu, r, s, marginal, n_terms)
     partial_cum = np.cumsum(terms)
     majorant_cum = majorant.c_const * majorant.inner_sum_factor * np.cumsum(
         j_values.astype(float) ** majorant.exponent
@@ -665,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
         if json.dumps(config.parameters, sort_keys=True) != json.dumps(manifest["parameters"], sort_keys=True):
             raise ParameterError(f"manifest {ns.manifest} holds parameters that its flags do not give back")
         return dispatch(config)
-    except (ParameterError, DomainError) as exc:
+    except ParameterError as exc:
         print(f"{_TOOL}: error: [parameter] {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except NumericError as exc:

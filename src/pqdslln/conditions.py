@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .copulas import PowerSchedule, separable_pair_sums
+from .copulas import PowerSchedule, check_p, separable_pair_sums
 from .errors import ParameterError
 from .gfun import bracket_limit, g_closed_bracket
 from .marginals import ParetoMarginal
@@ -116,7 +116,7 @@ def condition_terms(
     if n_terms < 2:
         raise ParameterError(f"series truncation requires N >= 2, got {n_terms!r}")
     idx = np.arange(1, n_terms + 1, dtype=float)
-    b = g_closed_bracket(r, s, idx**inv_p, marginal.alpha)
+    b = g_closed_bracket(r, s, marginal, idx**inv_p)
     k_part = idx ** (wk + schedule.mu) * b
     j_part = idx ** (wj + schedule.nu) * b
     terms = separable_pair_sums(k_part, j_part)[0][1:]
@@ -168,7 +168,7 @@ def verdict_from_terms(j_values: np.ndarray, terms: np.ndarray, exponent: float)
 
 
 def majorant_sum(
-    p: float, mu: float, nu: float, r: float, s: float, n_terms: int, alpha: float = 2.0
+    p: float, mu: float, nu: float, r: float, s: float, marginal: ParetoMarginal, n_terms: int
 ) -> MajorantBound:
     """Constant C = B(inf)^2 at the Pareto(alpha) marginal, the inner-sum factor
     1/(mu - 1/p + 1), and the power majorant sum_{j=2}^N j^(mu+nu-2/p+1).
@@ -181,11 +181,10 @@ def majorant_sum(
     window check) so out-of-window schedules can be diagnosed: at or above
     the harmonic exponent -1 the tail bound is flagged infinite.
     """
-    if not 1.0 <= p < 2.0:
-        raise ParameterError(f"majorant requires 1 <= p < 2, got p={p!r}")
+    check_p(p)
     if n_terms < 2:
         raise ParameterError(f"majorant truncation requires N >= 2, got {n_terms!r}")
-    c_const = bracket_limit(r, s, alpha) ** 2
+    c_const = bracket_limit(r, s, marginal) ** 2
     inner = mu - 1.0 / p + 1.0
     exponent = mu + nu - 2.0 / p + 1.0
     js = np.arange(2, n_terms + 1, dtype=float)
@@ -209,8 +208,7 @@ def tail_condition(p: float, marginal: ParetoMarginal, n_terms: int) -> SeriesVe
     The verdict is analytic: the series converges exactly when
     alpha/p > 1, which is also exactly when E|X|^p is finite.
     """
-    if not 1.0 <= p < 2.0:
-        raise ParameterError(f"tail condition requires 1 <= p < 2, got p={p!r}")
+    check_p(p)
     if n_terms < 1:
         raise ParameterError(f"tail truncation requires N >= 1, got {n_terms!r}")
     q = -marginal.alpha / p

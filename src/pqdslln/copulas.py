@@ -14,6 +14,10 @@ Pair-indexed dependence strengths theta_{k,j} = scale * k^mu * j^nu live in
 the exponent window 1/p - 1 < mu < 2/p - 2 - nu that makes the weighted
 covariance series summable, plus the explicit guarantee theta_{k,j} in
 [0, 1] for all k < j; simulation may explore outside it.
+
+Two input rules have their one owner here: :func:`check_p` (the paper's
+normalisation n^(1/p) with 1 <= p < 2) and :func:`check_rs` (the family's
+r, s >= 1), which every entry taking p or (r, s) calls.
 """
 
 from __future__ import annotations
@@ -34,6 +38,18 @@ def power_factor(f, r: float, s: float):
     return f**s * (1.0 - f) ** r
 
 
+def check_p(p: float) -> None:
+    """Refuse a normalising exponent p outside the paper's 1 <= p < 2."""
+    if not 1.0 <= p < 2.0:
+        raise ParameterError(f"normalising exponent requires 1 <= p < 2, got p={p!r}")
+
+
+def check_rs(r: float, s: float) -> None:
+    """Refuse power-family exponents unless r >= 1 and s >= 1."""
+    if not (r >= 1.0 and s >= 1.0):
+        raise ParameterError(f"power-family copula requires r >= 1 and s >= 1, got r={r!r}, s={s!r}")
+
+
 @dataclass(frozen=True)
 class GfmCopula:
     """Power-family copula u v + theta u^s v^s (1-u)^r (1-v)^r."""
@@ -45,8 +61,7 @@ class GfmCopula:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ParameterError(f"power-family copula requires 0 <= theta <= 1, got {self.theta!r}")
-        if not (self.r >= 1.0 and self.s >= 1.0):
-            raise ParameterError(f"power-family copula requires r >= 1 and s >= 1, got r={self.r!r}, s={self.s!r}")
+        check_rs(self.r, self.s)
 
     def perturbation_factor(self, u):
         """The separable factor u^s (1 - u)^r of the dependence perturbation."""
@@ -95,8 +110,7 @@ class PowerSchedule:
         theta_{k,j} in [0, 1] for all 1 <= k < j, and scale 1 with no
         dependence window.
         """
-        if not 1.0 <= p < 2.0:
-            raise ParameterError(f"schedule requires 1 <= p < 2, got p={p!r}")
+        check_p(p)
         lo = 1.0 / p - 1.0
         hi = 2.0 / p - 2.0 - self.nu
         if not self.mu > lo:
@@ -124,7 +138,10 @@ class PowerSchedule:
         """theta_{k,j} = scale * k^mu * j^nu for 1 <= k < j (the window is not applied)."""
         if not 1 <= k < j:
             raise ParameterError(f"schedule index requires 1 <= k < j, got k={k!r}, j={j!r}")
-        return self.scale * float(k) ** self.mu * float(j) ** self.nu
+        try:
+            return self.scale * float(k) ** self.mu * float(j) ** self.nu
+        except OverflowError:  # k^mu alone overflows a double, where theta itself need not
+            return self.scale * math.exp(self.mu * math.log(k) + self.nu * math.log(j))
 
     def theta_sum(self, n: int) -> float:
         """sum of theta_{k,j} over the pairs 1 <= k < j <= n inside the window; inf or nan on overflow."""

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one error per command-line exit code,
+ParameterError for every refused input (2) and NumericError, QuadratureError among them, for a
+computation that cannot meet its accuracy contract (3)."""
 
 from __future__ import annotations
 
@@ -7,12 +9,8 @@ class Error(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(Error, ValueError):
-    """An argument lies outside a function's mathematical domain."""
-
-
 class ParameterError(Error, ValueError):
-    """A model or run parameter violates its admissibility constraints."""
+    """An argument lies outside its function's domain or a model's admissibility constraints."""
 
 
 class NumericError(Error, ArithmeticError):
@@ -30,4 +28,3 @@ class QuadratureError(NumericError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-

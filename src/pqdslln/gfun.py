@@ -62,10 +62,12 @@ split it sums the strip between them, or subtracts the two mirror tails,
 so B(u_h) or B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
 a list of thresholds or (u, v) pairs and refine their intervals or boxes
 in lockstep through the one quadrature entry, ``adaptive_quad_many``, so
-one point is a one-element list.  Every route takes exactly the finite
-thresholds u >= 1 and raises DomainError for any other (NaN, +-inf, or
-below the support edge), through one check; B(inf) has its one entry,
-``bracket_limit``.
+one point is a one-element list.  Every route takes the marginal as a
+``ParetoMarginal``, which owns the rule alpha > 0, and exactly the finite
+thresholds u >= 1; it raises ParameterError for any other (NaN, +-inf, or
+below the support edge), through one check.  B(inf) has its one entry,
+``bracket_limit``.  B(1) = 0 exactly on every side of the split: u = 1
+takes the first form even where h rounds to 1 (b past about 3e16).
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ import sys
 
 import numpy as np
 
-from .copulas import GfmCopula, power_factor
-from .errors import DomainError, NumericError
+from .copulas import GfmCopula, check_rs, power_factor
+from .errors import NumericError, ParameterError
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec, adaptive_quad_many
 from .specfun import gamma, gauss_2f1
@@ -97,17 +99,12 @@ _STRIP_RTOL = 1e-17  # a strip sum stops at its first term below this share of i
 _LOG_MAX = math.log(sys.float_info.max)  # the 2-D oracle refuses a pair with log u + log v at or past it
 
 
-def _validate_rs(r: float, s: float) -> None:
-    if not (r >= 1.0 and s >= 1.0):
-        raise DomainError(f"power-family exponents require r >= 1 and s >= 1, got r={r!r}, s={s!r}")
-
-
 def _check_support(us: np.ndarray) -> None:
-    """Raise DomainError unless every threshold in ``us`` is finite and >= 1, the support edge."""
+    """Raise ParameterError unless every threshold in ``us`` is finite and >= 1, the support edge."""
     usable = (us >= 1.0) & (us < math.inf)  # False at NaN
     if not usable.all():
         bad = float(us[~usable].flat[0])
-        raise DomainError(f"thresholds must be finite and >= 1 (the Pareto support edge), got {bad!r}")
+        raise ParameterError(f"thresholds must be finite and >= 1 (the Pareto support edge), got {bad!r}")
 
 
 def _stirling_remainder(z: float) -> float:
@@ -137,15 +134,13 @@ def _beta(x: float, y: float) -> float:
     return gamma(lo) * ratio * math.exp(-carry * math.log(total - 0.5))
 
 
-def bracket_limit(r: float, s: float, alpha: float = 2.0) -> float:
-    """Limit B(inf) = Beta(s+1, r-1/alpha) / alpha of the closed-form factor.
+def bracket_limit(r: float, s: float, marginal: ParetoMarginal) -> float:
+    """Limit B(inf) = Beta(s+1, r-1/alpha) / alpha of the closed-form factor for a Pareto(alpha) marginal.
 
-    It is math.inf when r alpha <= 1, where the factor diverges.  Raises
-    DomainError unless alpha > 0.
+    It is math.inf when r alpha <= 1, where the factor diverges.
     """
-    _validate_rs(r, s)
-    if not alpha > 0.0:
-        raise DomainError(f"closed-form factor requires alpha > 0, got {alpha!r}")
+    check_rs(r, s)
+    alpha = marginal.alpha
     b = r - 1.0 / alpha
     return _beta(s + 1.0, b) / alpha if b > 0.0 else math.inf
 
@@ -176,21 +171,22 @@ def _strip(a: float, b: float, log_small, log_large, alpha: float):
             return total / alpha
 
 
-def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _closed_parts(r: float, s: float, marginal: ParetoMarginal, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(above, part, base) at thresholds ``us`` >= 1: B(u) = part below the split, base + part above it.
 
     Above the split, base is B(inf) and part the negated mirror tail where b >= _MIRROR_MIN_B,
     and base is B(u_h) and part the strip sum from u_h to u below that.  One Gauss
     hypergeometric sum per side of the split that has thresholds, and one more for B(u_h).
     """
-    limit = bracket_limit(r, s, alpha)
+    limit = bracket_limit(r, s, marginal)
     _check_support(us)
+    alpha = marginal.alpha
     a, b = s + 1.0, r - 1.0 / alpha
     lift = max(b, 0.0)
     h = (lift + 1.0) / (a + lift + 2.0)  # 1 - x*
     log_tail = -alpha * np.log(us)  # log(1 - F)
     g = np.exp(log_tail)
-    below = g > h
+    below = (g > h) | (g == 1.0)  # u = 1 gives 0 here even where h rounds to 1
     above = ~below
     part = np.empty(us.shape)
     if below.any():
@@ -207,15 +203,15 @@ def _closed_parts(r: float, s: float, us: np.ndarray, alpha: float) -> tuple[np.
     return above, part, _below_split(a, b, (a + 1.0) / (a + lift + 2.0), h, alpha)
 
 
-def g_closed_bracket(r: float, s: float, u, alpha: float = 2.0):
-    """Closed-form factor B(u) for the Pareto(alpha) marginal, at any r alpha.
+def g_closed_bracket(r: float, s: float, marginal: ParetoMarginal, u):
+    """Closed-form factor B(u) for a Pareto(alpha) marginal, at any r alpha.
 
     Equals integral(1..u) (1 - x^-alpha)^s x^(-alpha r) dx; returns exactly
     0 at the support edge u = 1.  Accepts a scalar or an array u and returns
     a float or an array of the same shape.  A u that is not finite and >= 1
-    raises DomainError; B(inf) is :func:`bracket_limit`.
+    raises ParameterError; B(inf) is :func:`bracket_limit`.
     """
-    above, part, base = _closed_parts(r, s, np.asarray(u, dtype=float), alpha)
+    above, part, base = _closed_parts(r, s, marginal, np.asarray(u, dtype=float))
     part[above] += base
     return part if part.ndim else float(part)
 
@@ -225,9 +221,9 @@ def g_factor(r: float, s: float, marginal: ParetoMarginal, us) -> np.ndarray:
 
     The intervals [1, u] are refined in lockstep (:func:`adaptive_quad_many`),
     each to the bits it gets alone.  A u that is not finite and >= 1 raises
-    DomainError.
+    ParameterError.
     """
-    _validate_rs(r, s)
+    check_rs(r, s)
     us = np.asarray(us, dtype=float)
     _check_support(us)
 
@@ -248,11 +244,11 @@ def factor_differences(r: float, s: float, marginal: ParetoMarginal, his, los) -
     """
     edges = np.array([*his, *los], dtype=float)
     count = len(his)
-    alpha = marginal.alpha
-    above, part, base = _closed_parts(r, s, edges, alpha)
+    above, part, base = _closed_parts(r, s, marginal, edges)
     values = np.where(above, base + part, part)
     tails = above[:count] & above[count:]
     diffs = np.where(tails, part[:count] - part[count:], values[:count] - values[count:])
+    alpha = marginal.alpha
     b = r - 1.0 / alpha
     if b < _MIRROR_MIN_B and tails.any():
         log_tail = -alpha * np.log(edges)
@@ -269,7 +265,7 @@ def g_numeric(copula: GfmCopula, marginal: ParetoMarginal, pairs, spec: QuadSpec
     [0, log u] x [0, log v].  The truncation at the support edge is exact
     because delta vanishes below it.  The boxes are refined in lockstep
     (:func:`adaptive_quad_many`), each to the bits it gets alone.  A u or v
-    that is not finite and >= 1 raises DomainError.  A pair with
+    that is not finite and >= 1 raises ParameterError.  A pair with
     log u + log v at or past the log of the largest double raises
     NumericError before any evaluation: the Jacobian e^(y1 + y2) would
     overflow there while the gap underflows to 0.  Raises the

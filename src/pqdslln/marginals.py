@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = ["ParetoMarginal"]
 
@@ -59,7 +59,7 @@ class ParetoMarginal:
         """
         arr = np.asarray(u, dtype=float)
         if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):  # NaN fails both comparisons
-            raise DomainError("quantile argument must lie in [0, 1)")
+            raise ParameterError("quantile argument must lie in [0, 1)")
         if out is None:
             out = np.empty(arr.shape)
         np.subtract(1.0, arr, out=out)
@@ -68,7 +68,7 @@ class ParetoMarginal:
     def abs_moment(self, p: float) -> float:
         """E|X|^p, or math.inf when the moment does not exist."""
         if not p > 0.0:
-            raise DomainError(f"moment order must be positive, got {p!r}")
+            raise ParameterError(f"moment order must be positive, got {p!r}")
         if p < self.alpha:
             return self.alpha / (self.alpha - p)
         return math.inf

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .copulas import PowerSchedule
+from .copulas import PowerSchedule, check_p
 from .errors import NumericError, ParameterError
 from .marginals import ParetoMarginal
 
@@ -269,8 +269,7 @@ class SlnnRun:
     c: float | None = None
 
     def __post_init__(self):
-        if not 1.0 <= self.p < 2.0:
-            raise ParameterError(f"run requires 1 <= p < 2, got p={self.p!r}")
+        check_p(self.p)
         if self.n_max < 128:
             raise ParameterError(f"run requires n_max >= 128 (first dyadic checkpoint), got {self.n_max!r}")
         if self.replicates < 1:

@@ -5,7 +5,7 @@ supported: positive gamma arguments, with Gamma(x) finite for x from about
 5.6e-309 to 171.62, and 2F1 series that either terminate (first or second
 parameter a nonpositive integer) or converge absolutely (|z| < 1).  No
 analytic continuation is attempted; out-of-range arguments raise
-:class:`~pqdslln.errors.DomainError` instead of silently returning garbage.
+:class:`~pqdslln.errors.ParameterError` instead of silently returning garbage.
 ``gauss_2f1`` takes a scalar or a numpy array z and works elementwise,
 summing blocks of terms with the bits of a one-term-per-step loop, and
 refuses a series only once its whole term budget is spent; the other
@@ -16,13 +16,12 @@ concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import NumericError, ParameterError
 
-__all__ = ["gamma", "pochhammer", "gauss_2f1", "HypergeometricArgs"]
+__all__ = ["gamma", "pochhammer", "gauss_2f1"]
 
 # Relative truncation threshold for the 2F1 power series.  Downstream
 # tolerances are 1e-6; this leaves nine orders of margin.
@@ -41,12 +40,12 @@ _BLOCK_ROWS = 256
 def gamma(x: float) -> float:
     """Gamma function for real x > 0, as the standard library's ``math.gamma``.
 
-    Nonpositive or non-finite arguments raise DomainError; arguments where
+    Nonpositive or non-finite arguments raise ParameterError; arguments where
     the result overflows raise NumericError: x above about 171.62, and x
     below about 5.6e-309.
     """
     if not 0.0 < x < math.inf:
-        raise DomainError(f"gamma requires finite x > 0, got {x!r}")
+        raise ParameterError(f"gamma requires finite x > 0, got {x!r}")
     try:
         return math.gamma(x)
     except OverflowError:
@@ -59,12 +58,12 @@ def pochhammer(a: float, n: int) -> float:
     For a nonpositive integer a = -m with m < n the factor a + m is zero, so
     the product is the signed zero (-1)^m * 0.0, returned without a loop.  A
     product that overflows raises NumericError at the factor where it does.
-    A non-finite a raises DomainError.
+    A non-finite a raises ParameterError.
     """
     if not math.isfinite(a):
-        raise DomainError(f"pochhammer requires finite a, got {a!r}")
+        raise ParameterError(f"pochhammer requires finite a, got {a!r}")
     if n < 0 or n != int(n):
-        raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
+        raise ParameterError(f"pochhammer requires a nonnegative integer n, got {n!r}")
     m = _nonpositive_int_order(a)
     if m is not None and m < n:
         return (-1.0) ** m * 0.0
@@ -89,29 +88,15 @@ def _terminating_order(a: float, b: float) -> int | None:
     return min(orders) if orders else None
 
 
-@dataclass(frozen=True)
-class HypergeometricArgs:
-    """Validated argument bundle for the Gauss hypergeometric series.
-
-    Invariants: every argument is finite, c is not zero or a negative integer, and
-    either |z| < 1 or the series terminates because a (or b) is a
-    nonpositive integer.
-    """
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.a, self.b, self.c, self.z)):
-            raise DomainError(f"2F1 arguments must be finite, got a={self.a!r}, b={self.b!r}, c={self.c!r}, z={self.z!r}")
-        if _nonpositive_int_order(self.c) is not None:
-            raise DomainError(f"2F1 parameter c must not be zero or a negative integer, got {self.c!r}")
-        if abs(self.z) >= 1.0 and _terminating_order(self.a, self.b) is None:
-            raise DomainError(
-                f"2F1 series does not terminate and |z| >= 1 is outside the supported range, got z={self.z!r}"
-            )
+def _check_2f1_args(a: float, b: float, c: float, z: float) -> None:
+    """Refuse 2F1 arguments unless all are finite, c is not zero or a negative integer, and
+    either |z| < 1 or the series terminates because a (or b) is a nonpositive integer."""
+    if not all(math.isfinite(x) for x in (a, b, c, z)):
+        raise ParameterError(f"2F1 arguments must be finite, got a={a!r}, b={b!r}, c={c!r}, z={z!r}")
+    if _nonpositive_int_order(c) is not None:
+        raise ParameterError(f"2F1 parameter c must not be zero or a negative integer, got {c!r}")
+    if abs(z) >= 1.0 and _terminating_order(a, b) is None:
+        raise ParameterError(f"2F1 series does not terminate and |z| >= 1 is outside the supported range, got z={z!r}")
 
 
 def gauss_2f1(a: float, b: float, c: float, z):
@@ -134,7 +119,7 @@ def gauss_2f1(a: float, b: float, c: float, z):
     """
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
-    HypergeometricArgs(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
+    _check_2f1_args(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
     m = _terminating_order(a, b)
     budget = _MAX_TERMS if m is None else m
     out = np.empty(zs.size)

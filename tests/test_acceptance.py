@@ -39,7 +39,7 @@ def test_criterion_01_closed_form_oracle_equivalence():
             numerics = iter(g_numeric(copula, m, [(u, v) for u in UV_GRID for v in UV_GRID]))
             for u in UV_GRID:
                 for v in UV_GRID:
-                    closed = theta * g_closed_bracket(r, s, u) * g_closed_bracket(r, s, v)
+                    closed = theta * g_closed_bracket(r, s, m, u) * g_closed_bracket(r, s, m, v)
                     numeric = next(numerics)
                     assert abs(closed - numeric) <= 1e-6 * max(1.0, abs(numeric))
     elapsed = time.perf_counter() - start
@@ -53,7 +53,7 @@ def test_criterion_02_r1s1_symbolic_check():
     for u, factor in zip(us, g_factor(1.0, 1.0, m, us)):
         exact = 2.0 / 3.0 - 1.0 / u + 1.0 / (3.0 * u**3)
         assert abs(factor - exact) <= 1e-10
-        assert abs(g_closed_bracket(1.0, 1.0, u) - exact) <= 1e-10
+        assert abs(g_closed_bracket(1.0, 1.0, m, u) - exact) <= 1e-10
     _pass(2, "r=s=1 symbolic factor")
 
 
@@ -78,7 +78,7 @@ def test_criterion_04_example_convergence_chain():
     j_values, terms = condition_terms("nec12", 1.0, schedule, 1.0, 1.0, m, 2000)
     exponent = decay_exponent("nec12", 1.0, schedule, 1.0, m)
     assert verdict_from_terms(j_values, terms, exponent).verdict == "converges"
-    bound = majorant_sum(1.0, 0.2, -1.5, 1.0, 1.0, 2000)
+    bound = majorant_sum(1.0, 0.2, -1.5, 1.0, 1.0, m, 2000)
     assert bound.c_const == pytest.approx(4.0 / 9.0, rel=1e-12)
     partial_cum = np.cumsum(terms)
     majorant_cum = bound.c_const * np.cumsum(j_values.astype(float) ** bound.exponent)
@@ -94,7 +94,7 @@ def test_criterion_05_termwise_weight_domination():
     for p, mu, nu in ((1.0, 0.2, -1.5), (1.5, -0.1, -1.0)):
         PowerSchedule(mu=mu, nu=nu).check_window(p)
         idx = np.arange(1, 501, dtype=float)
-        b = np.array([g_closed_bracket(1.0, 1.0, float(k) ** (1.0 / p)) if k > 1 else 0.0 for k in idx])
+        b = np.array([g_closed_bracket(1.0, 1.0, ParetoMarginal(2.0), float(k) ** (1.0 / p)) if k > 1 else 0.0 for k in idx])
         theta = np.power.outer(idx**mu, idx**nu)  # theta[k-1, j-1] = k^mu j^nu
         g = theta * np.outer(b, b)
         k_col = idx[:, None]

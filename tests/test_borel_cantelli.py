@@ -18,7 +18,7 @@ from pqdslln.borel_cantelli import (
     renyi_lamperti_ratios,
 )
 from pqdslln.copulas import GfmCopula, PowerSchedule, power_factor
-from pqdslln.errors import DomainError, ParameterError
+from pqdslln.errors import ParameterError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.simulate import MultivariateFgmModel, _uniform_blocks
 
@@ -40,8 +40,8 @@ class TestGfmDependence:
         assert independent_system.r == r
 
     def test_schedule_checks_come_first(self):
-        # the schedule's window, then its scale, then the r, s rule, then the event system's own p
-        with pytest.raises(ParameterError, match="schedule requires 1 <= p < 2"):
+        # p first (the event system and its schedule share one rule), then the window, the scale and the r, s rule
+        with pytest.raises(ParameterError, match="normalising exponent requires 1 <= p < 2"):
             gfm_system(2.0, 2.5, r=0.5)
         with pytest.raises(ParameterError, match="1/p - 1 < mu"):
             EventSystem(1.0, ParetoMarginal(2.0), PowerSchedule(0.0, -1.5, scale=0.5))
@@ -49,7 +49,7 @@ class TestGfmDependence:
             EventSystem(1.0, ParetoMarginal(2.0), PowerSchedule(0.2, -1.5, scale=0.5), r=0.5)
         with pytest.raises(ParameterError, match="scale is only for 'simulate'"):
             EventSystem(1.0, ParetoMarginal(2.0), PowerSchedule(0.2, -1.5, window=4))
-        with pytest.raises(ParameterError, match="event system requires 1 <= p < 2"):
+        with pytest.raises(ParameterError, match="normalising exponent requires 1 <= p < 2"):
             EventSystem(2.5, ParetoMarginal(2.0), r=0.5)
 
 
@@ -69,9 +69,9 @@ class TestEventProb:
     def test_validation(self):
         es = independent(2.0, 1.2)
         for k, j in ((0, 3), (-1, 3), (3, -1)):
-            with pytest.raises(DomainError, match="event index"):
+            with pytest.raises(ParameterError, match="event index"):
                 event_prob(es, min(k, j))
-            with pytest.raises(DomainError, match="event index"):
+            with pytest.raises(ParameterError, match="event index"):
                 pair_event_prob(es, k, j)
         with pytest.raises(ParameterError):
             EventSystem(p=2.5, marginal=ParetoMarginal(2.0))
@@ -125,7 +125,7 @@ class TestPairEventProb:
         assert pair_event_prob(es, 5, 2) == pytest.approx(pair_event_prob(es, 2, 5), rel=1e-14)
 
     def test_rejects_diagonal(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             pair_event_prob(independent(2.0, 1.0), 3, 3)
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=200))
@@ -315,9 +315,9 @@ class TestEpsilonBracket:
 
     def test_validation(self):
         es = independent(2.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             epsilon_bracket_check(es, 2, 2, 1.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             epsilon_bracket_check(es, 2, 3, 1.0)
 
     @pytest.mark.parametrize("k, j", [(0, 3), (-1, 3), (3, -1)])
@@ -329,7 +329,7 @@ class TestEpsilonBracket:
         es = gfm_system(0.8, 1.2)  # r alpha <= 1, where B(inf) diverges
         with pytest.raises(AssertionError, match="factor was evaluated"):
             epsilon_bracket_check(es, 2, 3, 2.0)
-        with pytest.raises(DomainError, match="event index"):
+        with pytest.raises(ParameterError, match="event index"):
             epsilon_bracket_check(es, k, j, 2.0)
 
 

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import beta, betainc
 
 import pqdslln._csvtext
 import pqdslln.cli
@@ -36,6 +35,8 @@ from pqdslln.conditions import CONVERGES, DIVERGES, SeriesVerdict
 from pqdslln.copulas import PowerSchedule
 from pqdslln.gfun import bracket_limit, g_closed_bracket
 from pqdslln.marginals import ParetoMarginal
+
+from bracket_oracles import incomplete_beta_bracket, mpmath_bracket
 
 README = Path(__file__).parents[1] / "README.md"
 SCHEMA = json.loads(
@@ -197,7 +198,7 @@ class TestGEval:
                 "--method", "closed"]
         assert run_cli(args, tmp_path) == EXIT_OK
         closed = read_json(tmp_path / "result.json")["methods"]["closed"]
-        assert closed == bracket_limit(50.0, 1.0) * g_closed_bracket(50.0, 1.0, 2.0)
+        assert closed == bracket_limit(50.0, 1.0, ParetoMarginal(2.0)) * g_closed_bracket(50.0, 1.0, ParetoMarginal(2.0), 2.0)
 
     @pytest.mark.parametrize("method", ["closed", "numeric", "factor", "all"])
     @pytest.mark.parametrize("theta", ["-1", "2"])
@@ -274,8 +275,7 @@ class TestGEval:
                 "--method", "closed"]
         assert run_cli(args, tmp_path) == EXIT_OK
         closed = read_json(tmp_path / "result.json")["methods"]["closed"]
-        f = -np.expm1(-2.0 * np.log([1.00000001, 2.0]))
-        expected = np.prod(betainc(2.5, 1.0, f) * beta(2.5, 1.0) / 2.0)
+        expected = np.prod(incomplete_beta_bracket(1.5, 1.5, np.array([1.00000001, 2.0]), 2.0))
         assert closed == pytest.approx(expected, rel=1e-10)
 
     def test_large_r_closed_matches_mpmath(self, tmp_path):
@@ -283,7 +283,7 @@ class TestGEval:
         assert run_cli(args, tmp_path) == EXIT_OK
         closed = read_json(tmp_path / "result.json")["methods"]["closed"]
         with mpmath.workdps(40):
-            expected = (mpmath.betainc(2, 199.5, 0, 1 - mpmath.mpf(3) ** -2) / 2) ** 2
+            expected = mpmath_bracket(200.0, 1.0, 3.0, 2.0) ** 2
             assert abs(closed - expected) <= 1e-12 * expected
 
 
@@ -345,7 +345,7 @@ class TestConditionCheck:
         assert run_cli(args, tmp_path) == EXIT_OK
         got = [float(line.split(",")[1]) for line in (tmp_path / "terms.csv").read_text().splitlines()[1:]]
         with mpmath.workdps(40):
-            b = [mpmath.betainc(2, 199.5, 0, 1 - mpmath.mpf(k) ** -2) / 2 for k in range(1, 21)]
+            b = [mpmath_bracket(200.0, 1.0, k, 2.0) for k in range(1, 21)]
             k_part = [k ** mpmath.mpf(-0.8) * b[k - 1] for k in range(1, 21)]
             expected = [j ** mpmath.mpf(-2.5) * b[j - 1] * mpmath.fsum(k_part[: j - 1]) for j in range(2, 21)]
             assert all(abs(x - y) <= 1e-12 * y for x, y in zip(got, expected))
@@ -358,8 +358,7 @@ class TestConditionCheck:
         assert run_cli(args, tmp_path) == EXIT_OK
         got = np.array([float(line.split(",")[1]) for line in (tmp_path / "terms.csv").read_text().splitlines()[1:]])
         idx = np.arange(1, n + 1, dtype=float)
-        f = -np.expm1(-2.0 * np.log(idx ** (1.0 / p)))
-        b = betainc(41.0, 0.5, f) * beta(41.0, 0.5) / 2.0
+        b = incomplete_beta_bracket(1.0, 40.0, idx ** (1.0 / p), 2.0)
         k_part, j_part = idx ** (-1.0 / p) * b, idx ** (-1.0 / p - 1.0) * b
         expected = j_part[1:] * np.cumsum(k_part)[:-1]
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
@@ -406,7 +405,7 @@ class TestBc:
         extra = ["--n-grid", "10,100"] if action == "ratio" else ["--k", "2", "--j", "3", "--eps", "2"]
         for p, spec, message in (
             ("1.2", "power:0.1,-1.2,0.5", "analytic event systems take the schedule as-is; scale is only for 'simulate'"),
-            ("2.5", "power:0.1,-1.2", "schedule requires 1 <= p < 2, got p=2.5"),  # the window check comes first
+            ("2.5", "power:0.1,-1.2", "normalising exponent requires 1 <= p < 2, got p=2.5"),  # the window check comes first
         ):
             args = ["bc", action, "--alpha", "2", "--p", p, "--theta-spec", spec, *extra]
             assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
@@ -496,7 +495,7 @@ class TestReportExample:
         assert "majorant bound holds at every checkpoint: True" in capsys.readouterr().out
         result = read_json(tmp_path / "result.json")
         validate(result, "example_report")
-        assert result["majorant"]["c_const"] == bracket_limit(1.0, 1.0, 1.2) ** 2
+        assert result["majorant"]["c_const"] == bracket_limit(1.0, 1.0, ParetoMarginal(1.2)) ** 2
         assert result["majorant_bound_holds_at_every_checkpoint"] is True
 
     def test_closed_column_follows_alpha(self, tmp_path):
@@ -768,6 +767,37 @@ class TestNegativeExponentValues:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
         assert f'"mu": {float(mu)!r}'.encode() in outputs[0]["manifest.json"]
+
+
+class TestFarParameters:
+    """In-range parameters far from the worked example answer quietly, with no overflow warning."""
+
+    @pytest.mark.parametrize("r", ["1e17", "1e300"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "5"],
+            ["condition", "check", "--kind", "l1", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "5"],
+            ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "5"],
+            ["bc", "bracket", "--alpha", "2", "--p", "1", "--theta-spec", "power:0.2,-1.5", "--k", "1", "--j", "3",
+             "--eps", "2"],
+        ],
+        ids=["nec12", "l1", "report", "bracket"],
+    )
+    def test_huge_r_meets_the_support_edge(self, tmp_path, command, r):
+        # b = r - 1/alpha past about 3e16 rounds the closed form's split point to 1, where the threshold 1 lies
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*command, "--r", r], tmp_path) == EXIT_OK
+
+    @pytest.mark.parametrize("spec, k, j", [("power:999999.9999999999,-1000000.0", "1000", "2"), ("power:1100,-1100.5", "2", "3")])
+    def test_overflowing_power_of_k_in_the_window(self, tmp_path, spec, k, j):
+        # k^mu alone passes the largest double, theta_{k,j} does not
+        args = ["bc", "bracket", "--alpha", "2", "--p", "1", f"--theta-spec={spec}", "--k", k, "--j", j, "--eps", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args, tmp_path) == EXIT_OK
+        assert read_json(tmp_path / "result.json")["holds"] is True
 
 
 class TestSeriesComputedOnce:

@@ -253,7 +253,7 @@ class TestTermwiseWeightComparison:
 
 class TestMajorant:
     def test_constant_r1s1(self):
-        bound = majorant_sum(1.0, 0.2, -1.5, 1.0, 1.0, 1000)
+        bound = majorant_sum(1.0, 0.2, -1.5, 1.0, 1.0, ParetoMarginal(2.0), 1000)
         assert bound.c_const == pytest.approx(4.0 / 9.0, rel=1e-12)
         # Sum_{j=2}^{1000} j^-2.3, frozen from exact summation; consistent
         # with zeta(2.3) - 1 = 0.432417... minus the integral-test tail
@@ -264,7 +264,7 @@ class TestMajorant:
     def test_tail_flag_infinite_at_harmonic(self):
         # mu = 2/p - 2 - nu is the excluded window edge; the majorant helper
         # still evaluates there and flags the harmonic tail as infinite
-        bound = majorant_sum(1.0, 0.5, -0.5, 1.0, 1.0, 100)
+        bound = majorant_sum(1.0, 0.5, -0.5, 1.0, 1.0, ParetoMarginal(2.0), 100)
         assert bound.exponent == pytest.approx(-1.0)
         assert bound.tail_bound == math.inf
         assert math.isfinite(bound.partial_sum)
@@ -273,20 +273,20 @@ class TestMajorant:
         sched = example_schedule()
         m = ParetoMarginal(2.0)
         j_values, terms = condition_terms("nec12", 1.0, sched, 1.0, 1.0, m, 2000)
-        bound = majorant_sum(1.0, sched.mu, sched.nu, 1.0, 1.0, 2000)
+        bound = majorant_sum(1.0, sched.mu, sched.nu, 1.0, 1.0, m, 2000)
         partial_cum = np.cumsum(terms)
         majorant_cum = bound.c_const * np.cumsum(j_values.astype(float) ** bound.exponent)
         assert np.all(partial_cum <= majorant_cum + 1e-15)
 
     def test_out_of_window_exponent_still_evaluates(self):
-        bound = majorant_sum(1.0, -0.5, -1.5, 1.0, 1.0, 100)
+        bound = majorant_sum(1.0, -0.5, -1.5, 1.0, 1.0, ParetoMarginal(2.0), 100)
         assert bound.exponent == pytest.approx(-3.0)
         assert math.isfinite(bound.tail_bound)
 
     @pytest.mark.parametrize("mu", [-0.5, 0.0])
     def test_inner_sum_factor_infinite_without_a_power_bound(self, mu):
         # mu - 1/p + 1 <= 0: sum_{k<j} k^(mu-1/p) is not bounded by j^(mu-1/p+1)/(mu-1/p+1)
-        assert majorant_sum(1.0, mu, -1.5, 1.0, 1.0, 100).inner_sum_factor == math.inf
+        assert majorant_sum(1.0, mu, -1.5, 1.0, 1.0, ParetoMarginal(2.0), 100).inner_sum_factor == math.inf
 
     @pytest.mark.parametrize(
         "p, mu, nu, r, s, alpha",
@@ -299,8 +299,8 @@ class TestMajorant:
     def test_majorant_bounds_every_term_at_the_marginal_alpha(self, p, mu, nu, r, s, alpha):
         schedule = PowerSchedule(mu=mu, nu=nu)
         j_values, terms = condition_terms("nec12", p, schedule, r, s, ParetoMarginal(alpha), 200)
-        bound = majorant_sum(p, mu, nu, r, s, 200, alpha)
-        assert bound.c_const == bracket_limit(r, s, alpha) ** 2
+        bound = majorant_sum(p, mu, nu, r, s, ParetoMarginal(alpha), 200)
+        assert bound.c_const == bracket_limit(r, s, ParetoMarginal(alpha)) ** 2
         assert bound.inner_sum_factor == pytest.approx(1.0 / (mu - 1.0 / p + 1.0), rel=1e-12)
         majorant_terms = bound.c_const * bound.inner_sum_factor * j_values.astype(float) ** bound.exponent
         assert np.all(terms <= majorant_terms)

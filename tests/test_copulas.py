@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqdslln import simulate
+from pqdslln.borel_cantelli import EventSystem
+from pqdslln.conditions import majorant_sum, tail_condition
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError
+from pqdslln.gfun import bracket_limit, factor_differences, g_closed_bracket, g_factor
 from pqdslln.marginals import ParetoMarginal
-from pqdslln.simulate import MultivariateFgmModel, _uniform_blocks
+from pqdslln.simulate import MultivariateFgmModel, SlnnRun, _uniform_blocks
 
 THETAS = st.floats(min_value=0.0, max_value=1.0)
 EXPONENTS = st.floats(min_value=1.0, max_value=5.0)
@@ -234,6 +238,15 @@ class TestThetaSchedule:
             assert sched.theta(k, j) == float(k) ** 0.2 * float(j) ** -1.5
         assert PowerSchedule(0.2, -1.5, scale=0.25).theta(2, 3) == 0.25 * 2.0**0.2 * 3.0**-1.5
 
+    @pytest.mark.parametrize("mu, nu, k, j", [(999999.9999999999, -1e6, 2, 1000), (1100.0, -1100.5, 2, 3)])
+    def test_overflowing_power_of_k_gives_theta(self, mu, nu, k, j):
+        # k^mu alone passes the largest double; theta = k^mu j^nu lies in [0, 1]
+        sched = PowerSchedule(mu=mu, nu=nu)
+        sched.check_window(1.0)
+        with mpmath.workdps(40):
+            expected = float(mpmath.mpf(k) ** mu * mpmath.mpf(j) ** nu)  # 0.0 at the first, 1.2e-194 at the second
+        assert sched.theta(k, j) == pytest.approx(expected, rel=1e-12)
+
     def test_index_validation(self):
         sched = PowerSchedule(mu=0.2, nu=-1.5)
         with pytest.raises(ParameterError):
@@ -258,3 +271,43 @@ class TestThetaSchedule:
             k, j = j - 1, k + 1
         sched = PowerSchedule(mu=0.2, nu=-1.5)
         assert sched.theta(k, j) <= float(j) ** (sched.mu + sched.nu) + 1e-15
+
+
+P_RULE = "normalising exponent requires 1 <= p < 2, got p=2.0"
+RS_RULE = "power-family copula requires r >= 1 and s >= 1, got r=0.5, s=1.0"
+ALPHA_RULE = "Pareto tail index must be positive, got 0.0"
+PARETO_2 = ParetoMarginal(2.0)
+WINDOWED = PowerSchedule(mu=0.2, nu=-1.5)
+
+# every public entry taking p, (r, s) or a marginal, refused at p = 2, r = 0.5 or alpha = 0
+RULE_REFUSALS = {
+    "check_window-p": (lambda: WINDOWED.check_window(2.0), P_RULE),
+    "EventSystem-p": (lambda: EventSystem(2.0, PARETO_2, WINDOWED), P_RULE),
+    "EventSystem-rs": (lambda: EventSystem(1.0, PARETO_2, WINDOWED, r=0.5), RS_RULE),
+    "EventSystem-alpha": (lambda: EventSystem(1.0, ParetoMarginal(0.0), WINDOWED), ALPHA_RULE),
+    "SlnnRun-p": (lambda: SlnnRun(2.0, PARETO_2, None, n_max=128, replicates=1, seed=0), P_RULE),
+    "SlnnRun-alpha": (lambda: SlnnRun(1.0, ParetoMarginal(0.0), None, n_max=128, replicates=1, seed=0), ALPHA_RULE),
+    "majorant_sum-p": (lambda: majorant_sum(2.0, 0.2, -1.5, 1.0, 1.0, PARETO_2, 10), P_RULE),
+    "majorant_sum-rs": (lambda: majorant_sum(1.0, 0.2, -1.5, 0.5, 1.0, PARETO_2, 10), RS_RULE),
+    "majorant_sum-alpha": (lambda: majorant_sum(1.0, 0.2, -1.5, 1.0, 1.0, ParetoMarginal(0.0), 10), ALPHA_RULE),
+    "tail_condition-p": (lambda: tail_condition(2.0, PARETO_2, 10), P_RULE),
+    "tail_condition-alpha": (lambda: tail_condition(1.0, ParetoMarginal(0.0), 10), ALPHA_RULE),
+    "GfmCopula-rs": (lambda: GfmCopula(theta=0.5, r=0.5), RS_RULE),
+    "bracket_limit-rs": (lambda: bracket_limit(0.5, 1.0, PARETO_2), RS_RULE),
+    "bracket_limit-alpha": (lambda: bracket_limit(1.0, 1.0, ParetoMarginal(0.0)), ALPHA_RULE),
+    "g_closed_bracket-rs": (lambda: g_closed_bracket(0.5, 1.0, PARETO_2, 2.0), RS_RULE),
+    "g_closed_bracket-alpha": (lambda: g_closed_bracket(1.0, 1.0, ParetoMarginal(0.0), 2.0), ALPHA_RULE),
+    "g_factor-rs": (lambda: g_factor(0.5, 1.0, PARETO_2, [2.0]), RS_RULE),
+    "g_factor-alpha": (lambda: g_factor(1.0, 1.0, ParetoMarginal(0.0), [2.0]), ALPHA_RULE),
+    "factor_differences-rs": (lambda: factor_differences(0.5, 1.0, PARETO_2, [2.0], [1.0]), RS_RULE),
+    "factor_differences-alpha": (lambda: factor_differences(1.0, 1.0, ParetoMarginal(0.0), [2.0], [1.0]), ALPHA_RULE),
+    "ParetoMarginal-alpha": (lambda: ParetoMarginal(0.0), ALPHA_RULE),
+}
+
+
+@pytest.mark.parametrize("entry", RULE_REFUSALS)
+def test_input_rule_has_one_error_and_one_message(entry):
+    call, message = RULE_REFUSALS[entry]
+    with pytest.raises(ParameterError) as refusal:
+        call()
+    assert str(refusal.value) == message

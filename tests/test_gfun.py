@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import beta, betainc
+from scipy.special import beta
 
 import pqdslln.specfun
 from pqdslln.copulas import GfmCopula
-from pqdslln.errors import DomainError, NumericError
+from pqdslln.errors import NumericError, ParameterError
 from pqdslln.gfun import (
     bracket_limit,
     factor_differences,
@@ -20,9 +20,12 @@ from pqdslln.gfun import (
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.quadrature import QuadSpec
 
+from bracket_oracles import incomplete_beta_bracket, mpmath_bracket
+
 PARAM_GRID = [(1.0, 1.0), (2.0, 1.0), (1.5, 2.0), (3.0, 3.0)]
 UV_GRID = [1.5, 2.0, 5.0, 20.0]
 ALPHA_GRID = [1.1, 1.5, 2.0, 2.5, 3.7, 6.0]
+PARETO_2 = ParetoMarginal(2.0)  # the reference law of the worked configuration
 
 
 def closed_bracket_r1s1(u: float) -> float:
@@ -57,27 +60,13 @@ def scalar_closed_bracket(r: float, s: float, u: float, alpha: float = 2.0) -> f
         value = f**a * g**b / (a * alpha) * scalar_2f1(1.0, a + b, a + 1.0, float(f[0]))
     else:
         lead = np.exp(a * np.log1p(-g) + b * log_tail)
-        value = bracket_limit(r, s, alpha) - lead / (b * alpha) * scalar_2f1(1.0, a + b, b + 1.0, float(g[0]))
+        value = bracket_limit(r, s, ParetoMarginal(alpha)) - lead / (b * alpha) * scalar_2f1(1.0, a + b, b + 1.0, float(g[0]))
     return float(value[0])
-
-
-def incomplete_beta_bracket(r: float, s: float, u, alpha: float):
-    """B(u) = (1/alpha) B_F(s+1, r-1/alpha) through scipy's regularized incomplete beta (test oracle)."""
-    f = -np.expm1(-alpha * np.log(u))
-    return betainc(s + 1.0, r - 1.0 / alpha, f) * beta(s + 1.0, r - 1.0 / alpha) / alpha
-
-
-def mpmath_bracket(r: float, s: float, u: float, alpha: float):
-    """B(u) = (1/alpha) B_F(s+1, r-1/alpha) in 40-digit arithmetic, its real part (test oracle)."""
-    with mpmath.workdps(40):
-        a, b = mpmath.mpf(s) + 1, mpmath.mpf(r) - 1 / mpmath.mpf(alpha)
-        f = -mpmath.expm1(-mpmath.mpf(alpha) * mpmath.log(mpmath.mpf(u)))
-        return mpmath.re(mpmath.betainc(a, b, 0, f)) / alpha
 
 
 def closed_g(theta: float, r: float, s: float, u: float, v: float, alpha: float = 2.0) -> float:
     """G(u, v) = theta * B(u) * B(v) from the closed-form factor, the product `g eval` forms."""
-    return theta * g_closed_bracket(r, s, u, alpha) * g_closed_bracket(r, s, v, alpha)
+    return theta * g_closed_bracket(r, s, ParetoMarginal(alpha), u) * g_closed_bracket(r, s, ParetoMarginal(alpha), v)
 
 
 def delta(copula, marginal, x, y):
@@ -147,7 +136,7 @@ class TestGFactor:
     def test_empty_range(self):
         m = ParetoMarginal(2.0)
         assert g_factor(1.0, 1.0, m, [1.0]).tolist() == [0.0]
-        with pytest.raises(DomainError, match="support edge"):  # below the support, as the closed form
+        with pytest.raises(ParameterError, match="support edge"):  # below the support, as the closed form
             g_factor(1.0, 1.0, m, [1.0, 0.5])
 
     def test_closed_antiderivative_r1s1(self):
@@ -158,12 +147,12 @@ class TestGFactor:
 
     def test_limit_matches_bracket_limit(self):
         m = ParetoMarginal(2.0)
-        assert bracket_limit(1.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-13)
+        assert bracket_limit(1.0, 1.0, PARETO_2) == pytest.approx(2.0 / 3.0, rel=1e-13)
         assert g_factor(1.0, 1.0, m, [1e5])[0] == pytest.approx(2.0 / 3.0, abs=1e-4)
 
     @pytest.mark.parametrize("u", [math.nan, math.inf])
     def test_non_finite_threshold_is_parameter_error(self, u):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             g_factor(1.0, 1.0, ParetoMarginal(2.0), [2.0, u])
 
 
@@ -177,20 +166,31 @@ class TestClosedForm:
 
     def test_bracket_equals_antiderivative_r1s1(self):
         for u in (1.1, 2.0, 10.0, 1e3):
-            assert g_closed_bracket(1.0, 1.0, u) == pytest.approx(closed_bracket_r1s1(u), abs=1e-10)
+            assert g_closed_bracket(1.0, 1.0, PARETO_2, u) == pytest.approx(closed_bracket_r1s1(u), abs=1e-10)
 
     def test_bracket_at_support_edge(self):
-        assert g_closed_bracket(1.5, 2.0, 1.0) == 0.0
+        assert g_closed_bracket(1.5, 2.0, PARETO_2, 1.0) == 0.0
+
+    @pytest.mark.parametrize("r", [1e17, 1e300])
+    def test_support_edge_at_huge_r(self, r):
+        # b = r - 1/alpha past about 3e16 rounds the split point h to 1, so 1 - F = 1 at u = 1 meets it
+        with mpmath.workdps(40):
+            limit = float(1 / (2 * mpmath.mpf(r) - 1) - 1 / (2 * mpmath.mpf(r) + 1))  # B(inf) at s = 1, alpha = 2
+        assert g_closed_bracket(r, 1.0, PARETO_2, 1.0) == 0.0
+        values = g_closed_bracket(r, 1.0, PARETO_2, np.array([1.0, 2.0, 1e10]))
+        assert values[0] == 0.0
+        assert values[1:].tolist() == pytest.approx([limit, limit], rel=1e-12)  # x^-2r has all but vanished by u = 2
+        assert factor_differences(r, 1.0, PARETO_2, [2.0], [1.0])[0] == pytest.approx(limit, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            g_closed_bracket(1.0, 1.0, 0.8)
-        with pytest.raises(DomainError):
-            g_closed_bracket(0.5, 1.0, 2.0)
+        with pytest.raises(ParameterError):
+            g_closed_bracket(1.0, 1.0, PARETO_2, 0.8)
+        with pytest.raises(ParameterError):
+            g_closed_bracket(0.5, 1.0, PARETO_2, 2.0)
 
     @pytest.mark.parametrize("r,s", [*PARAM_GRID, (1.0, 50.0)])
     def test_monotone_and_nonnegative(self, r, s):
-        values = [g_closed_bracket(r, s, u) for u in (1.0, 1.2, 1.5, 2.0, 5.0, 20.0, 1e3)]
+        values = [g_closed_bracket(r, s, PARETO_2, u) for u in (1.0, 1.2, 1.5, 2.0, 5.0, 20.0, 1e3)]
         assert all(v >= 0.0 for v in values)
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -203,28 +203,28 @@ class TestClosedForm:
             n = 2 if case < 3 else int(np.exp(rng.uniform(math.log(2.0), math.log(3000.0))))
             u = np.arange(1, n + 1, dtype=float) ** (1.0 / p)  # u[0] == 1, the support edge
             expected = np.array([scalar_closed_bracket(r, s, float(x)) for x in u])
-            got = g_closed_bracket(r, s, u)
+            got = g_closed_bracket(r, s, PARETO_2, u)
             assert got[0] == 0.0
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (r, s, p, n)
 
     def test_scalar_and_zero_dim_give_float(self):
         for u in (2.5, np.float64(2.5), np.array(2.5)):
-            value = g_closed_bracket(1.5, 2.5, u)
+            value = g_closed_bracket(1.5, 2.5, PARETO_2, u)
             assert type(value) is float
             assert value == scalar_closed_bracket(1.5, 2.5, 2.5)
-        assert type(g_closed_bracket(1.5, 2.5, np.array(1.0))) is float
+        assert type(g_closed_bracket(1.5, 2.5, PARETO_2, np.array(1.0))) is float
 
     def test_array_shape_and_domain(self):
         u = np.array([[1.0, 2.0], [3.0, 40.0]])
-        assert g_closed_bracket(2.0, 3.0, u).shape == (2, 2)
-        with pytest.raises(DomainError):
-            g_closed_bracket(1.0, 1.0, np.array([2.0, 0.8]))
+        assert g_closed_bracket(2.0, 3.0, PARETO_2, u).shape == (2, 2)
+        with pytest.raises(ParameterError):
+            g_closed_bracket(1.0, 1.0, PARETO_2, np.array([2.0, 0.8]))
 
     @pytest.mark.parametrize("r,s", PARAM_GRID)
     def test_asymptote(self, r, s):
         # at r = 1 the correction is 1/u - 1/(3u^3), i.e. 1e-6 minus an
         # unrepresentable 3e-19 at u = 1e6; allow float-level headroom
-        assert g_closed_bracket(r, s, 1e6) == pytest.approx(bracket_limit(r, s), abs=1.01e-6)
+        assert g_closed_bracket(r, s, PARETO_2, 1e6) == pytest.approx(bracket_limit(r, s, PARETO_2), abs=1.01e-6)
 
 
 class TestClosedFormEveryAlpha:
@@ -240,7 +240,7 @@ class TestClosedFormEveryAlpha:
             u = np.concatenate([u, [half * (1.0 - 1e-12), half, half * (1.0 + 1e-12)]])
             u = np.concatenate([u, [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]])
             expected = incomplete_beta_bracket(r, s, u, alpha)
-            got = g_closed_bracket(r, s, u, alpha)
+            got = g_closed_bracket(r, s, ParetoMarginal(alpha), u)
             assert np.max(np.abs(got - expected) / expected) <= 1e-10, (r, s)
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
@@ -249,13 +249,13 @@ class TestClosedFormEveryAlpha:
         for r, s in ((1.0, 1.0), (1.5, 1.5), (3.0, 3.0)):
             for u in (1.0 + 1e-12, 1e6):
                 expected = incomplete_beta_bracket(r, s, u, alpha)
-                assert g_closed_bracket(r, s, u, alpha) == pytest.approx(expected, rel=1e-10)
+                assert g_closed_bracket(r, s, ParetoMarginal(alpha), u) == pytest.approx(expected, rel=1e-10)
 
     def test_limit_is_the_incomplete_beta_limit(self):
         for alpha in ALPHA_GRID:
             for r, s in PARAM_GRID:
                 expected = beta(s + 1.0, r - 1.0 / alpha) / alpha
-                assert bracket_limit(r, s, alpha) == pytest.approx(expected, rel=1e-12)
+                assert bracket_limit(r, s, ParetoMarginal(alpha)) == pytest.approx(expected, rel=1e-12)
 
     @given(
         st.floats(min_value=1.0, max_value=400.0),
@@ -292,7 +292,7 @@ class TestClosedFormEveryAlpha:
         expected = mpmath_bracket(r, s, u, alpha)
         if expected < 1e-290:
             return
-        assert abs(g_closed_bracket(r, s, u, alpha) - expected) <= 1e-11 * expected, (r, s, u, alpha)
+        assert abs(g_closed_bracket(r, s, ParetoMarginal(alpha), u) - expected) <= 1e-11 * expected, (r, s, u, alpha)
 
     @given(
         st.floats(min_value=1.0, max_value=60.0),
@@ -308,26 +308,26 @@ class TestClosedFormEveryAlpha:
         assume(r * alpha > 1.0)
         with mpmath.workdps(40):
             expected = mpmath.beta(mpmath.mpf(s) + 1, mpmath.mpf(r) - 1 / mpmath.mpf(alpha)) / alpha
-            assert abs(bracket_limit(r, s, alpha) - expected) <= 1e-12 * expected, (r, s, alpha)
+            assert abs(bracket_limit(r, s, ParetoMarginal(alpha)) - expected) <= 1e-12 * expected, (r, s, alpha)
 
     def test_overflowing_power_gives_limit(self):
-        assert g_closed_bracket(50.0, 1.0, 1e6) == bracket_limit(50.0, 1.0)
-        values = g_closed_bracket(50.0, 1.0, np.array([2.0, 1e6, 1e300]), 1.5)
-        assert values[1] == values[2] == bracket_limit(50.0, 1.0, 1.5)
+        assert g_closed_bracket(50.0, 1.0, PARETO_2, 1e6) == bracket_limit(50.0, 1.0, PARETO_2)
+        values = g_closed_bracket(50.0, 1.0, ParetoMarginal(1.5), np.array([2.0, 1e6, 1e300]))
+        assert values[1] == values[2] == bracket_limit(50.0, 1.0, ParetoMarginal(1.5))
         assert values[0] == pytest.approx(incomplete_beta_bracket(50.0, 1.0, 2.0, 1.5), rel=1e-10)
 
     @pytest.mark.parametrize("r,alpha", [(1.0, 1.0), (1.0, 0.5), (2.0, 0.5), (1.0, math.nan)])
     def test_divergent_limit_is_domain_error(self, r, alpha):
         # only a NaN alpha is refused; at r alpha <= 1 the limit is infinite and B(u) finite
         if math.isnan(alpha):
-            with pytest.raises(DomainError):
-                bracket_limit(r, 1.0, alpha)
-            with pytest.raises(DomainError):
-                g_closed_bracket(r, 1.0, 2.0, alpha)
+            with pytest.raises(ParameterError):
+                bracket_limit(r, 1.0, ParetoMarginal(alpha))
+            with pytest.raises(ParameterError):
+                g_closed_bracket(r, 1.0, ParetoMarginal(alpha), 2.0)
             return
-        assert bracket_limit(r, 1.0, alpha) == math.inf
+        assert bracket_limit(r, 1.0, ParetoMarginal(alpha)) == math.inf
         expected = mpmath_bracket(r, 1.0, 2.0, alpha)
-        assert g_closed_bracket(r, 1.0, 2.0, alpha) == pytest.approx(expected, rel=1e-13)
+        assert g_closed_bracket(r, 1.0, ParetoMarginal(alpha), 2.0) == pytest.approx(expected, rel=1e-13)
         assert closed_g(1.0, r, 1.0, 2.0, 2.0, alpha) == pytest.approx(expected**2, rel=1e-13)
 
 
@@ -345,7 +345,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("uv", [(2.0, math.inf), (math.inf, math.inf)])
     def test_infinite_threshold_is_parameter_error(self, uv):
         copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ParameterError, match="finite"):
             g_numeric(copula, ParetoMarginal(2.0), [(2.0, 2.0), uv])
 
     def test_r2_s1_example(self):
@@ -376,7 +376,7 @@ class TestOracleEquivalence:
         copula = GfmCopula(theta=1.0)
         # every threshold below the support edge 1 is refused, as by the closed form, not integrated as empty
         for uv in ((-1.0, 2.0), (0.5, 3.0), (3.0, math.nextafter(1.0, 0.0))):
-            with pytest.raises(DomainError, match="support edge"):
+            with pytest.raises(ParameterError, match="support edge"):
                 g_numeric(copula, ParetoMarginal(2.0), [(2.0, 2.0), uv])
 
     def test_numeric_handles_perturbation_family(self):
@@ -419,7 +419,7 @@ def _route_values(route: str, u: float):
     """The values one route to B or G gives with threshold ``u`` in its second place, or its error."""
     m = ParetoMarginal(2.0)
     if route == "g_closed_bracket":
-        return g_closed_bracket(1.0, 1.0, np.array([2.0, u]))
+        return g_closed_bracket(1.0, 1.0, PARETO_2, np.array([2.0, u]))
     if route == "factor_differences":
         return factor_differences(1.0, 1.0, m, [2.0, u], [1.0, u])
     if route == "g_factor":
@@ -436,7 +436,7 @@ class TestThresholdRule:
     @pytest.mark.parametrize("u", [math.nan, -math.inf, math.inf, 0.5, math.nextafter(1.0, 0.0)])
     @pytest.mark.parametrize("route", ROUTES)
     def test_refused_threshold_is_domain_error(self, route, u):
-        with pytest.raises(DomainError, match="finite.*support edge"):
+        with pytest.raises(ParameterError, match="finite.*support edge"):
             _route_values(route, u)
 
     @pytest.mark.parametrize("route", ROUTES)

@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pqdslln.specfun
-from pqdslln.errors import DomainError, NumericError
-from pqdslln.specfun import HypergeometricArgs, _terminating_order, gamma, gauss_2f1, pochhammer
+from pqdslln.errors import NumericError, ParameterError
+from pqdslln.specfun import _check_2f1_args, _terminating_order, gamma, gauss_2f1, pochhammer
 
 
 class TestGamma:
@@ -54,7 +54,7 @@ class TestGamma:
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_domain(self, x):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gamma(x)
 
     @pytest.mark.parametrize("x", [171.7, 200.5, 1e6])
@@ -89,14 +89,14 @@ class TestPochhammer:
         assert pochhammer(a, n) == pytest.approx(gamma(a + n) / gamma(a), rel=1e-10)
 
     def test_negative_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             pochhammer(1.0, -1)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("n", [0, 3])
     def test_non_finite_a_is_domain_error(self, a, n):
         # refused before the empty product or the loop, as gamma refuses a non-finite x
-        with pytest.raises(DomainError, match="finite a"):
+        with pytest.raises(ParameterError, match="finite a"):
             pochhammer(a, n)
 
     @pytest.mark.parametrize("a, n, expected", [(-3.0, 5, -0.0), (-200.0, 300, 0.0), (-1.0, 10**9, -0.0)])
@@ -171,27 +171,27 @@ class TestGauss2F1:
         assert gauss_2f1(a, b, c, z) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(1.0, 1.0, 0.0, 0.5)  # c = 0
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(1.0, 1.0, -2.0, 0.5)  # c negative integer
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(1.1, 1.0, 2.0, 1.0)  # |z| >= 1 without termination
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(0.5, 0.5, 1.5, -1.5)
 
     @pytest.mark.parametrize("args", [(1.5, 1.0, 2.0, math.nan), (math.nan, 1.0, 2.0, 0.5), (-2.0, 1.0, 3.0, math.nan)])
     def test_nan_is_domain_error(self, args):
         # a NaN series never meets the truncation test; refuse it before summing
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(*args)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(*args[:3], np.array([0.25, args[3], 0.5]))
 
     @pytest.mark.parametrize("args", [(math.inf, 1.0, 2.0, 0.5), (1.0, 1.0, -math.inf, 0.5), (-2.0, 1.0, 3.0, math.inf)])
     def test_infinite_argument_is_domain_error(self, args):
         # math.floor and math.ceil of an infinite parameter would raise OverflowError
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(*args)
 
     def test_terminating_allows_large_z(self):
@@ -201,10 +201,10 @@ class TestGauss2F1:
         assert value == pytest.approx(expected, rel=1e-14)
 
     def test_args_bundle(self):
-        HypergeometricArgs(a=-1.0, b=0.5, c=1.5, z=0.25)
+        _check_2f1_args(-1.0, 0.5, 1.5, 0.25)
         assert gauss_2f1(-1.0, 0.5, 1.5, 0.25) == pytest.approx(1.0 - 0.25 / 3.0, abs=1e-14)
-        with pytest.raises(DomainError):
-            HypergeometricArgs(a=0.5, b=0.5, c=1.5, z=1.0)
+        with pytest.raises(ParameterError):
+            _check_2f1_args(0.5, 0.5, 1.5, 1.0)
 
     @pytest.mark.parametrize("a,b,c", [(-3.0, 0.5, 1.5), (-1.7, 1.3, 2.3), (1.0, 1.0, 2.0)])
     def test_array_matches_scalar_calls(self, a, b, c):
@@ -225,7 +225,7 @@ class TestGauss2F1:
         assert got.shape == (0, 3)
 
     def test_array_domain_uses_largest_modulus(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             gauss_2f1(1.1, 1.0, 2.0, np.array([0.5, -1.0]))
         assert gauss_2f1(-2.0, 1.0, 3.0, np.array([0.5, 2.0]))[1] == gauss_2f1(-2.0, 1.0, 3.0, 2.0)
 
@@ -275,7 +275,7 @@ def per_term_2f1(a: float, b: float, c: float, z):
     """The one-term-per-step sum that gauss_2f1 blocks: the reference for its bits and its refusals."""
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
-    HypergeometricArgs(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
+    _check_2f1_args(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
     m = _terminating_order(a, b)
     budget = pqdslln.specfun._MAX_TERMS
     out = np.empty(zs.size)
