@@ -39,7 +39,6 @@ from .gfun import g_closed_bracket, g_factor, g_numeric
 from .marginals import ParetoMarginal
 from .quadrature import QuadSpec
 from .simulate import MultivariateFgmModel, SlnnRun, run_slln
-from .specfun import gamma, gauss_2f1, pochhammer
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -192,25 +191,6 @@ def _event_system(params: dict) -> EventSystem:
 # --------------------------------------------------------------------------
 
 
-# function name -> (function, the parameters it takes in order)
-_SPECFUN = {
-    "gamma": (gamma, ("x",)),
-    "pochhammer": (pochhammer, ("a", "n")),
-    "2f1": (gauss_2f1, ("a", "b", "c", "z")),
-}
-
-
-def _run_specfun_eval(params: dict):
-    fn = params["fn"]
-    function, names = _SPECFUN[fn]
-    missing = [f"--{name}" for name in names if name not in params]
-    if missing:
-        raise ParameterError(f"--fn {fn} needs {' '.join(missing)}")
-    args = {name: params[name] for name in names}
-    value = function(*args.values())
-    return dict(args, fn=fn, value=value), {}, [f"{value:.15g}"]
-
-
 def _run_g_eval(params: dict):
     echo = {k: params[k] for k in ("theta", "r", "s", "u", "v")}
     theta, r, s, u, v = echo.values()
@@ -334,9 +314,10 @@ def _run_report_example(params: dict):
     verdict = verdict_from_terms(j_values, terms, decay_exponent("nec12", p, schedule, r, marginal))
     majorant = majorant_sum(p, mu, nu, r, s, marginal, n_terms)
     partial_cum = np.cumsum(terms)
-    majorant_cum = majorant.c_const * majorant.inner_sum_factor * np.cumsum(
-        j_values.astype(float) ** majorant.exponent
-    )
+    scale = majorant.c_const * majorant.inner_sum_factor
+    powers = np.cumsum(j_values.astype(float) ** majorant.exponent)
+    # an infinite scale makes the majorant +inf at every checkpoint, also where the powers underflow to 0
+    majorant_cum = np.full_like(partial_cum, math.inf) if math.isinf(scale) else scale * powers
     bound_holds = bool(np.all(partial_cum <= majorant_cum + 1e-12))
 
     tail = tail_condition(p, marginal, n_terms)
@@ -399,14 +380,6 @@ _EVENT_SYSTEM = (
 # Every subcommand's handler and flags, declared once: the argparse tree and
 # the manifest parameters (every flag whose value is not None) come from here.
 _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
-    "specfun eval": (
-        _run_specfun_eval,
-        (
-            _Flag("fn", str, required=True, choices=("gamma", "pochhammer", "2f1")),
-            *(_Flag(name) for name in ("x", "a", "b", "c", "z")),
-            _Flag("n", int),
-        ),
-    ),
     "g eval": (
         _run_g_eval,
         (
@@ -444,7 +417,6 @@ _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
 }
 
 _GROUP_HELP = {
-    "specfun": "special-function debugging",
     "g": "covariance functional",
     "condition": "series conditions",
     "bc": "Borel-Cantelli diagnostics",

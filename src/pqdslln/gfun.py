@@ -29,9 +29,11 @@ an incomplete beta function (substitute t = F(x)), finite at every u and
 every r alpha; its limit B(inf) = Beta(s+1, r-1/alpha) / alpha is finite
 exactly when r alpha > 1 (``bracket_limit`` is inf otherwise).  Write
 a = s + 1, b = r - 1/alpha and g = 1 - F = u^-alpha, with F and g both
-taken from one log u, so g is never formed by subtraction.  B is split at
-h = 1 - x*, where x* = (a + 1) / (a + b + 2) is the symmetry point of the
-positive-term sums below (b is replaced by max(b, 0) there):
+taken from one log u, so g is never formed by subtraction, and g^b taken
+as exp(b log g), so that at small alpha, where |b| ~ 1/alpha, the rounding
+of g near 1 is not raised to the power b.  B is split at h = 1 - x*,
+where x* = (a + 1) / (a + b + 2) is the symmetry point of the positive-term
+sums below (b is replaced by max(b, 0) there):
 
     B(u) = F^a g^b / (a alpha) * H(1, a+b; a+1; F)              where g > h,
     B(u) = B(inf) - F^a g^b / (b alpha) * H(1, a+b; b+1; g)     where g <= h, b >= 1/64,
@@ -145,9 +147,12 @@ def bracket_limit(r: float, s: float, marginal: ParetoMarginal) -> float:
     return _beta(s + 1.0, b) / alpha if b > 0.0 else math.inf
 
 
-def _below_split(a: float, b: float, f, g, alpha: float):
-    """B = F^a g^b / (a alpha) * 2F1(1, a+b; a+1; F) at F = f, 1 - F = g; the form for g > h."""
-    return f**a * g**b / (a * alpha) * gauss_2f1(1.0, a + b, a + 1.0, f)
+def _below_split(a: float, b: float, f, log_g, alpha: float):
+    """B = F^a g^b / (a alpha) * 2F1(1, a+b; a+1; F) at F = f, log(1 - F) = log_g; the form for g > h.
+
+    g^b is exp(b log g): g rounded near 1 would carry |b| times its rounding error into g^b.
+    """
+    return f**a * np.exp(b * log_g) / (a * alpha) * gauss_2f1(1.0, a + b, a + 1.0, f)
 
 
 def _strip(a: float, b: float, log_small, log_large, alpha: float):
@@ -190,7 +195,7 @@ def _closed_parts(r: float, s: float, marginal: ParetoMarginal, us: np.ndarray) 
     above = ~below
     part = np.empty(us.shape)
     if below.any():
-        part[below] = _below_split(a, b, -np.expm1(log_tail[below]), g[below], alpha)
+        part[below] = _below_split(a, b, -np.expm1(log_tail[below]), log_tail[below], alpha)
     if not above.any():
         return above, part, limit
     if b >= _MIRROR_MIN_B:
@@ -200,7 +205,7 @@ def _closed_parts(r: float, s: float, marginal: ParetoMarginal, us: np.ndarray) 
         part[above] = -(lead / (b * alpha) * gauss_2f1(1.0, a + b, b + 1.0, tail))
         return above, part, limit
     part[above] = _strip(a, b, log_tail[above], math.log(h), alpha)
-    return above, part, _below_split(a, b, (a + 1.0) / (a + lift + 2.0), h, alpha)
+    return above, part, _below_split(a, b, (a + 1.0) / (a + lift + 2.0), math.log(h), alpha)
 
 
 def g_closed_bracket(r: float, s: float, marginal: ParetoMarginal, u):

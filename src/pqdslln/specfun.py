@@ -1,16 +1,14 @@
-"""Gamma, Pochhammer and Gauss hypergeometric evaluation on the real line.
+"""Gamma and Gauss hypergeometric evaluation on the real line.
 
 Only the parameter ranges needed by the closed-form covariance factor are
 supported: positive gamma arguments, with Gamma(x) finite for x from about
-5.6e-309 to 171.62, and 2F1 series that either terminate (first or second
-parameter a nonpositive integer) or converge absolutely (|z| < 1).  No
-analytic continuation is attempted; out-of-range arguments raise
+5.6e-309 to 171.62, and 2F1 power series at |z| < 1.  No analytic
+continuation is attempted; out-of-range arguments raise
 :class:`~pqdslln.errors.ParameterError` instead of silently returning garbage.
 ``gauss_2f1`` takes a scalar or a numpy array z and works elementwise,
 summing blocks of terms with the bits of a one-term-per-step loop, and
-refuses a series only once its whole term budget is spent; the other
-functions take scalars.  All functions are pure and safe for
-concurrent use.
+refuses a series only once its whole term budget is spent; ``gamma`` takes
+a scalar.  Both functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-__all__ = ["gamma", "pochhammer", "gauss_2f1"]
+__all__ = ["gamma", "gauss_2f1"]
 
 # Relative truncation threshold for the 2F1 power series.  Downstream
 # tolerances are 1e-6; this leaves nine orders of margin.
@@ -52,89 +50,50 @@ def gamma(x: float) -> float:
         raise NumericError(f"gamma({x!r}) overflows double precision") from None
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1.
-
-    For a nonpositive integer a = -m with m < n the factor a + m is zero, so
-    the product is the signed zero (-1)^m * 0.0, returned without a loop.  A
-    product that overflows raises NumericError at the factor where it does.
-    A non-finite a raises ParameterError.
-    """
-    if not math.isfinite(a):
-        raise ParameterError(f"pochhammer requires finite a, got {a!r}")
-    if n < 0 or n != int(n):
-        raise ParameterError(f"pochhammer requires a nonnegative integer n, got {n!r}")
-    m = _nonpositive_int_order(a)
-    if m is not None and m < n:
-        return (-1.0) ** m * 0.0
-    out = 1.0
-    for i in range(int(n)):
-        out *= a + i
-        if math.isinf(out):
-            raise NumericError(f"pochhammer({a!r}, {n!r}) overflows double precision")
-    return out
-
-
-def _nonpositive_int_order(x: float) -> int | None:
-    """Return m >= 0 such that x == -m, or None if x is not a nonpositive integer."""
-    if x <= 0.0 and x == math.floor(x):
-        return int(-x)
-    return None
-
-
-def _terminating_order(a: float, b: float) -> int | None:
-    """Smallest series-terminating order induced by a or b, if any."""
-    orders = [m for m in (_nonpositive_int_order(a), _nonpositive_int_order(b)) if m is not None]
-    return min(orders) if orders else None
-
-
 def _check_2f1_args(a: float, b: float, c: float, z: float) -> None:
-    """Refuse 2F1 arguments unless all are finite, c is not zero or a negative integer, and
-    either |z| < 1 or the series terminates because a (or b) is a nonpositive integer."""
+    """Refuse 2F1 arguments unless all are finite, c is not zero or a negative integer, and |z| < 1."""
     if not all(math.isfinite(x) for x in (a, b, c, z)):
         raise ParameterError(f"2F1 arguments must be finite, got a={a!r}, b={b!r}, c={c!r}, z={z!r}")
-    if _nonpositive_int_order(c) is not None:
+    if c <= 0.0 and c == math.floor(c):
         raise ParameterError(f"2F1 parameter c must not be zero or a negative integer, got {c!r}")
-    if abs(z) >= 1.0 and _terminating_order(a, b) is None:
-        raise ParameterError(f"2F1 series does not terminate and |z| >= 1 is outside the supported range, got z={z!r}")
+    if abs(z) >= 1.0:
+        raise ParameterError(f"2F1 power series needs |z| < 1, got z={z!r}")
 
 
 def gauss_2f1(a: float, b: float, c: float, z):
     """Gauss hypergeometric sum_{n>=0} (a)_n (b)_n / ((c)_n n!) z^n, elementwise over z.
 
-    Terminating series (a or b a nonpositive integer -m) are summed over
-    exactly m + 1 terms; otherwise each element's series is truncated once
-    its running term drops below 1e-15 times its running sum.  Every element
-    sees the same floating-point operations as a scalar call.  A scalar z
-    gives a float, an array z an array of its shape.
+    Only |z| < 1 is accepted.  Each element's series is truncated once its
+    running term drops below 1e-15 times its running sum, so a series that
+    terminates (a or b a nonpositive integer) stops at its first zero term
+    at the latest.  Every element sees the same floating-point operations as
+    a scalar call.  A scalar z gives a float, an array z an array of its
+    shape.
 
     Live elements are summed in blocks of W terms (W from 16, doubling, with
     W times the live count at most _BLOCK_CELLS; one term per step while
     more than _BLOCK_ROWS elements are live): an outer product of term
     ratios, then running products and running sums along each row, which
     are the one-term step's operations in its order, so the bits are the
-    step's.  A nonterminating
-    series that does not truncate within _MAX_TERMS terms raises
-    NumericError, as does a sum that overflows double precision.
+    step's.  A series that does not truncate within _MAX_TERMS terms
+    raises NumericError, as does a sum that overflows double precision.
     """
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
     _check_2f1_args(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
-    m = _terminating_order(a, b)
-    budget = _MAX_TERMS if m is None else m
     out = np.empty(zs.size)
     live = np.arange(zs.size)  # elements still summing, compacted as they converge
     term, total = np.ones(zs.size), np.ones(zs.size)
     n, width = 0, 16
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is refused below
-        while n < budget and live.size:
+        while n < _MAX_TERMS and live.size:
             if live.size > _BLOCK_ROWS:
                 step = 1
                 term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
                 total += term
                 done, value = np.abs(term) <= _SERIES_RTOL * np.abs(total), total
             else:
-                step = min(width, _BLOCK_CELLS // live.size, budget - n)
+                step = min(width, _BLOCK_CELLS // live.size, _MAX_TERMS - n)
                 width = 2 * step
                 ns = np.arange(n, n + step, dtype=float)
                 ratios = np.multiply.outer(live_z, (a + ns) * (b + ns) / ((c + ns) * (ns + 1.0)))
@@ -149,13 +108,12 @@ def gauss_2f1(a: float, b: float, c: float, z):
                 rows = np.arange(live.size)
                 done, value = passed[rows, first], sums[rows, first]
             n += step
-            if m is None and done.any():
+            if done.any():
                 out[live[done]] = value[done]
                 keep = ~done
                 live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
-    if m is None and live.size:
+    if live.size:
         raise NumericError(f"2F1 series did not converge within {_MAX_TERMS} terms (z={float(live_z[0])!r})")
-    out[live] = total
     finite = np.isfinite(out)
     if not finite.all():
         raise NumericError(f"2F1 series overflows double precision (z={float(zs.ravel()[np.argmin(finite)])!r})")

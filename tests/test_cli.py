@@ -35,6 +35,7 @@ from pqdslln.conditions import CONVERGES, DIVERGES, SeriesVerdict
 from pqdslln.copulas import PowerSchedule
 from pqdslln.gfun import bracket_limit, g_closed_bracket
 from pqdslln.marginals import ParetoMarginal
+from pqdslln.quadrature import QuadSpec
 
 from bracket_oracles import incomplete_beta_bracket, mpmath_bracket
 
@@ -56,6 +57,17 @@ def run_cli(args, outdir: Path) -> int:
     return main([*args, "--outdir", str(outdir)])
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pqdslln.cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+# a cheap run: B(3) = 28/81 at r = s = 1 and alpha = 2, so G(3, 3) = (28/81)^2 = 0.11949397957628410...
+G_CLOSED = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "3", "--v", "3", "--method", "closed"]
+
+
 def csv_module_bytes(header, rows) -> bytes:
     """The bytes the standard csv module writes for a header and rows: the reference for every CSV table."""
     handle = io.StringIO(newline="")
@@ -65,68 +77,13 @@ def csv_module_bytes(header, rows) -> bytes:
     return handle.getvalue().encode()
 
 
-class TestSpecfunEval:
-    def test_gamma_prints_value(self, tmp_path, capsys):
-        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "5"], tmp_path) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "24"
-        validate(read_json(tmp_path / "result.json"), "specfun_result")
+class TestGEval:
+    def test_closed_prints_fifteen_digits(self, tmp_path, capsys):
+        assert run_cli(G_CLOSED, tmp_path) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "closed: 0.119493979576284"
+        validate(read_json(tmp_path / "result.json"), "g_eval_result")
         validate(read_json(tmp_path / "manifest.json"), "manifest")
 
-    def test_gamma_of_a_tiny_argument(self, tmp_path, capsys):
-        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "1e-200"], tmp_path / "ok") == EXIT_OK
-        assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(1e200, rel=1e-12)
-        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "5e-309"], tmp_path / "over") == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert "[numeric]" in err and len(err.strip().splitlines()) == 1
-        assert not (tmp_path / "over" / "manifest.json").exists()
-
-    def test_2f1_fifteen_digits(self, tmp_path, capsys):
-        code = run_cli(
-            ["specfun", "eval", "--fn", "2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5"],
-            tmp_path,
-        )
-        assert code == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[0] == "1.38629436111989"
-
-    def test_domain_error_exit_code(self, tmp_path, capsys):
-        code = run_cli(["specfun", "eval", "--fn", "gamma", "--x", "-1"], tmp_path)
-        assert code == EXIT_PARAMETER
-        assert "[parameter]" in capsys.readouterr().err
-
-    def test_missing_argument_is_parameter_error(self, tmp_path, capsys):
-        code = run_cli(["specfun", "eval", "--fn", "2f1", "--a", "1", "--c", "2"], tmp_path)
-        assert code == EXIT_PARAMETER
-        assert "--fn 2f1 needs --b --z" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["--fn", "2f1", "--a", "200", "--b", "200", "--c", "1", "--z", "0.9"],
-            ["--fn", "pochhammer", "--a", "0.5", "--n", "30000000"],
-            ["--fn", "gamma", "--x", "172"],
-        ],
-    )
-    def test_overflow_is_numeric_error(self, tmp_path, capsys, args):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no overflow warning before the refusal
-            assert run_cli(["specfun", "eval", *args], tmp_path / "run") == EXIT_NUMERIC
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "[numeric]" in err[0] and "overflows" in err[0]
-        assert not (tmp_path / "run" / "manifest.json").exists()
-
-    def test_2f1_past_its_term_budget_fails_within_a_second(self, tmp_path, capsys):
-        # the series' terms shrink too slowly to truncate within the 10^6-term budget
-        args = ["specfun", "eval", "--fn", "2f1", "--a", "3.7", "--b", "3", "--c", "0.9999999", "--z", "0.9999999"]
-        start = time.perf_counter()
-        assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "[numeric]" in err[0]
-        assert not (tmp_path / "run" / "manifest.json").exists()
-
-
-class TestGEval:
     def test_zero_theta_all_methods(self, tmp_path, capsys):
         code = run_cli(
             ["g", "eval", "--theta", "0", "--r", "1", "--s", "1", "--u", "2", "--v", "2"],
@@ -512,6 +469,16 @@ class TestReportExample:
         assert result["majorant"]["c_const"] is None
         assert result["g_oracle_max_discrepancy"] <= 1e-6
 
+    def test_infinite_majorant_holds_where_its_powers_underflow(self, tmp_path, capsys):
+        # r alpha = 1 makes c_const = B(inf)^2 infinite while j^exponent underflows to 0 at nu = -1e6:
+        # the majorant is +inf at every checkpoint, not inf * 0 = nan
+        args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu=-1e6", "--alpha", "1", "--N", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(args, tmp_path) == EXIT_OK
+        assert "majorant bound holds at every checkpoint: True" in capsys.readouterr().out
+        assert read_json(tmp_path / "result.json")["majorant_bound_holds_at_every_checkpoint"] is True
+
 
 class TestManifestRerun:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -557,8 +524,7 @@ class TestRerunRefusals:
     @pytest.fixture
     def manifest(self, tmp_path):
         run = tmp_path / "run"
-        args = ["specfun", "eval", "--fn", "gamma", "--x", "5", "--outdir", str(run)]
-        assert main(args) == EXIT_OK
+        assert main([*G_CLOSED, "--outdir", str(run)]) == EXIT_OK
         return run / "manifest.json"
 
     def rerun(self, path: Path, tmp_path: Path) -> int:
@@ -581,13 +547,12 @@ class TestRerunRefusals:
             "{not json",
             "\xff\xfe",
             "[1, 2]",
-            '{"tool": "pqdslln", "version": "%s", "parameters": {"fn": "gamma", "x": 5.0}}' % __version__,
-            '{"tool": "pqdslln", "version": "%s", "subcommand": "specfun eval"}' % __version__,
-            '{"tool": "pqdslln", "version": "%s", "subcommand": "specfun eval", "parameters": {"x": 5.0}}'
-            % __version__,
+            '{"tool": "pqdslln", "version": "%s", "parameters": {"theta": 1.0, "u": 2.0}}' % __version__,
+            '{"tool": "pqdslln", "version": "%s", "subcommand": "g eval"}' % __version__,
+            '{"tool": "pqdslln", "version": "%s", "subcommand": "g eval", "parameters": {"u": 2.0}}' % __version__,
             '{"tool": "pqdslln", "version": "%s", "subcommand": "rerun", "parameters": {}}' % __version__,
         ],
-        ids=["missing", "not-json", "not-utf8", "not-object", "no-subcommand", "no-parameters", "lacks-fn", "rerun"],
+        ids=["missing", "not-json", "not-utf8", "not-object", "no-subcommand", "no-parameters", "lacks-required", "rerun"],
     )
     def test_unusable_manifest_is_parameter_error(self, tmp_path, capsys, text):
         path = tmp_path / "manifest.json"
@@ -699,17 +664,17 @@ class TestNonFiniteValues:
         [
             ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "inf", "--v", "2", "--method", "closed"],
             ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--s", "inf"],
-            ["specfun", "eval", "--fn", "2f1", "--a", "inf", "--b", "1", "--c", "2", "--z", "0.5"],
+            ["g", "eval", "--theta", "1", "--r", "inf", "--s", "1", "--u", "2", "--v", "2", "--method", "closed"],
             ["simulate", "slln", "--p", "1", "--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "nan"],
             ["bc", "bracket", "--alpha", "2", "--p", "1", "--k", "2", "--j", "3", "--eps", "inf"],
-            ["specfun", "eval", "--fn", "gamma", "--x", "inf"],
+            ["g", "eval", "--theta", "nan", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--method", "closed"],
             ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--quad-tol", "nan"],
             [*SLLN, "--theta-spec", "power:-0.3,-1.2,nan"],
             [*SLLN, "--theta-spec", "power:-0.3,-1.2,inf"],
             [*SLLN, "--theta-spec", "power:nan,-1.2"],
         ],
         ids=[
-            "g-u-inf", "condition-s-inf", "2f1-a-inf", "slln-c-nan", "bracket-eps-inf", "gamma-x-inf",
+            "g-u-inf", "condition-s-inf", "g-r-inf", "slln-c-nan", "bracket-eps-inf", "g-theta-nan",
             "quad-tol-nan", "theta-scale-nan", "theta-scale-inf", "theta-mu-nan",
         ],
     )
@@ -789,6 +754,35 @@ class TestFarParameters:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli([*command, "--r", r], tmp_path) == EXIT_OK
+
+    @staticmethod
+    def tiny_alpha_sum(alpha: str, outdir: Path) -> float:
+        """The nec12 partial sum at N = 5, from a child interpreter with RuntimeWarnings fatal.
+
+        Below alpha ~ 1e-16, r - 1/alpha is an integer-valued double, which the 2F1 sum once read as a
+        terminating order of about 1/alpha terms: the child's timeout turns such a hang into a failure.
+        """
+        argv = ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "5"]
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pqdslln.cli", *argv, "--alpha", alpha,
+             "--outdir", str(outdir)],
+            env=child_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        return read_json(outdir / "result.json")["partial_sum"]
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-20"])
+    def test_tiny_alpha_matches_mpmath(self, tmp_path, alpha):
+        got = self.tiny_alpha_sum(alpha, tmp_path)
+        with mpmath.workdps(40):
+            b = [mpmath_bracket(1.0, 1.0, k, float(alpha)) for k in range(1, 6)]
+            k_part = [k ** mpmath.mpf(-0.8) * b[k - 1] for k in range(1, 6)]
+            expected = mpmath.fsum(j ** mpmath.mpf(-2.5) * b[j - 1] * mpmath.fsum(k_part[: j - 1]) for j in range(2, 6))
+            assert abs(got - expected) <= 1e-12 * expected
+
+    def test_alpha_1e300_rounds_to_zero(self, tmp_path):
+        # the true sum, about 1.9e-601, lies far below the smallest subnormal double
+        assert self.tiny_alpha_sum("1e-300", tmp_path) == 0.0
 
     @pytest.mark.parametrize("spec, k, j", [("power:999999.9999999999,-1000000.0", "1000", "2"), ("power:1100,-1100.5", "2", "3")])
     def test_overflowing_power_of_k_in_the_window(self, tmp_path, spec, k, j):
@@ -1001,15 +995,15 @@ class TestCsvWriter:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("# base settings\nfn = gamma\nx = 5\n")
+        config.write_text("# base settings\ntheta = 1\nr = 1\ns = 1\nu = 2\nv = 2\nmethod = closed\n")
         a = tmp_path / "a"
-        code = main(["specfun", "eval", "--config", str(config), "--outdir", str(a)])
+        code = main(["g", "eval", "--config", str(config), "--outdir", str(a)])
         assert code == EXIT_OK
-        assert read_json(a / "result.json")["value"] == pytest.approx(24.0, rel=1e-13)
+        assert read_json(a / "result.json")["methods"]["closed"] == pytest.approx((5.0 / 24.0) ** 2, rel=1e-13)
         b = tmp_path / "b"
-        code = main(["specfun", "eval", "--config", str(config), "--x", "6", "--outdir", str(b)])
+        code = main(["g", "eval", "--config", str(config), "--u", "3", "--outdir", str(b)])
         assert code == EXIT_OK
-        assert read_json(b / "result.json")["value"] == pytest.approx(120.0, rel=1e-13)
+        assert read_json(b / "result.json")["methods"]["closed"] == pytest.approx(5.0 / 24.0 * 28.0 / 81.0, rel=1e-13)
 
     def test_structured_config_keys(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -1034,14 +1028,14 @@ class TestConfigFile:
 
     def test_requests_in_one_process_match_separate_runs(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("fn = gamma\nx = 5\n")
+        config.write_text("theta = 1\nr = 1\ns = 1\nu = 2\nv = 2\nmethod = closed\nquad_tol = 1e-6\n")
         commands = [
-            ["specfun", "eval", "--config", str(config)],
-            ["specfun", "eval", "--fn", "pochhammer", "--a", "3", "--n", "2"],  # inherits no config value
+            ["g", "eval", "--config", str(config)],
+            # inherits no config value
+            ["g", "eval", "--theta", "0.5", "--r", "1.5", "--s", "2.5", "--u", "7", "--v", "1.5", "--method", "closed"],
             ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "50"],
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(pqdslln.cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        env = child_env()
         for i, argv in enumerate(commands):
             assert run_cli(argv, tmp_path / f"same{i}") == EXIT_OK
         assert pqdslln.cli._build_parser() is pqdslln.cli._build_parser()
@@ -1056,10 +1050,10 @@ class TestConfigFile:
             assert names == sorted(path.name for path in (tmp_path / f"same{i}").iterdir())
             for name in names:
                 assert (tmp_path / f"same{i}" / name).read_bytes() == (separate / name).read_bytes(), (argv, name)
-        assert "x" not in read_json(tmp_path / "same1" / "manifest.json")["parameters"]
+        assert read_json(tmp_path / "same1" / "manifest.json")["parameters"]["quad_tol"] == QuadSpec.abs_tol
 
     def test_missing_config_is_parameter_error(self, tmp_path, capsys):
-        code = main(["specfun", "eval", "--fn", "gamma", "--x", "1", "--config", str(tmp_path / "nope.cfg")])
+        code = main([*G_CLOSED, "--config", str(tmp_path / "nope.cfg")])
         assert code == EXIT_PARAMETER
 
     def test_equals_spelling_matches_space_spelling(self, tmp_path):
@@ -1075,17 +1069,17 @@ class TestConfigFile:
     @pytest.mark.parametrize("spelling", ["--conf", "--co"])
     def test_abbreviated_config_is_refused(self, tmp_path, capsys, spelling):
         config = tmp_path / "a.cfg"
-        config.write_text("x = 5\n")
-        code = run_cli(["specfun", "eval", "--fn", "gamma", "--x", "1", spelling, str(config)], tmp_path / "run")
+        config.write_text("u = 5\n")
+        code = run_cli([*G_CLOSED, spelling, str(config)], tmp_path / "run")
         assert code == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
         assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_config_naming_a_config_is_refused(self, tmp_path, capsys):
         inner, outer = tmp_path / "inner.cfg", tmp_path / "outer.cfg"
-        inner.write_text("x = 5\n")
-        outer.write_text(f"fn = gamma\nx = 1\nconfig = {inner}\n")
-        assert run_cli(["specfun", "eval", "--config", str(outer)], tmp_path / "run") == EXIT_PARAMETER
+        inner.write_text("u = 5\n")
+        outer.write_text(f"theta = 1\nr = 1\ns = 1\nu = 2\nv = 2\nmethod = closed\nconfig = {inner}\n")
+        assert run_cli(["g", "eval", "--config", str(outer)], tmp_path / "run") == EXIT_PARAMETER
         assert "[parameter]" in capsys.readouterr().err
         assert not (tmp_path / "run" / "manifest.json").exists()
 
@@ -1094,7 +1088,7 @@ class TestConfigFile:
     def test_unreadable_config_writes_no_manifest(self, tmp_path, capsys, equals, name):
         path = tmp_path / name
         spelling = [f"--config={path}"] if equals else ["--config", str(path)]
-        assert run_cli(["specfun", "eval", "--fn", "gamma", "--x", "1", *spelling], tmp_path / "run") == EXIT_PARAMETER
+        assert run_cli([*G_CLOSED, *spelling], tmp_path / "run") == EXIT_PARAMETER
         assert "[parameter] cannot read config file" in capsys.readouterr().err
         assert not (tmp_path / "run" / "manifest.json").exists()
 
@@ -1108,9 +1102,9 @@ class TestConfigFile:
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PQDSLLN_OUTDIR", str(tmp_path / "envbase"))
-        code = main(["specfun", "eval", "--fn", "gamma", "--x", "2"])
+        code = main(G_CLOSED)
         assert code == EXIT_OK
-        assert (tmp_path / "envbase" / "specfun-eval" / "result.json").exists()
+        assert (tmp_path / "envbase" / "g-eval" / "result.json").exists()
 
     def test_format_json_only(self, tmp_path):
         code = run_cli(
@@ -1151,7 +1145,7 @@ class TestReadmeExamples:
         block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         lines = block.replace("\\\n", " ").splitlines()
         commands = [shlex.split(line)[1:] for line in lines if line.startswith("pqdslln ")]
-        assert len(commands) == 12
+        assert len(commands) == 10
         monkeypatch.chdir(tmp_path)  # the rerun example reads runs/condition-check/manifest.json
         monkeypatch.delenv("PQDSLLN_OUTDIR", raising=False)
         for argv in commands:

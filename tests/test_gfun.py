@@ -35,12 +35,11 @@ def closed_bracket_r1s1(u: float) -> float:
 
 def scalar_2f1(a: float, b: float, c: float, z: float) -> float:
     """The 2F1 series one z at a time, as a Python-float loop (test oracle)."""
-    m = int(-a) if a <= 0.0 and a == math.floor(a) else None
     total = term = 1.0
-    for n in range(m if m is not None else 1_000_000):
+    for n in range(1_000_000):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if m is None and abs(term) <= 1e-15 * abs(total):
+        if abs(term) <= 1e-15 * abs(total):
             break
     return total
 
@@ -57,7 +56,7 @@ def scalar_closed_bracket(r: float, s: float, u: float, alpha: float = 2.0) -> f
     g = np.exp(log_tail)
     if g[0] > (b + 1.0) / (a + b + 2.0):  # F < x* = (a + 1) / (a + b + 2)
         f = -np.expm1(log_tail)
-        value = f**a * g**b / (a * alpha) * scalar_2f1(1.0, a + b, a + 1.0, float(f[0]))
+        value = f**a * np.exp(b * log_tail) / (a * alpha) * scalar_2f1(1.0, a + b, a + 1.0, float(f[0]))
     else:
         lead = np.exp(a * np.log1p(-g) + b * log_tail)
         value = bracket_limit(r, s, ParetoMarginal(alpha)) - lead / (b * alpha) * scalar_2f1(1.0, a + b, b + 1.0, float(g[0]))
@@ -292,6 +291,20 @@ class TestClosedFormEveryAlpha:
         expected = mpmath_bracket(r, s, u, alpha)
         if expected < 1e-290:
             return
+        assert abs(g_closed_bracket(r, s, ParetoMarginal(alpha), u) - expected) <= 1e-11 * expected, (r, s, u, alpha)
+
+    @given(
+        st.floats(min_value=math.log(1e-12), max_value=math.log(1e-2)).map(math.exp),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.floats(min_value=0.0, max_value=math.log(1e6), exclude_min=True).map(math.exp),
+    )
+    # g = u^-alpha rounds near 1 at small alpha, and g**b once carried |b| ~ 1/alpha times that rounding
+    @example(alpha=1e-6, r=1.5, s=1.0, u=1.5)
+    @example(alpha=1e-8, r=1.5, s=1.0, u=3.0)
+    def test_small_alpha_relative_contract_against_mpmath(self, alpha, r, s, u):
+        # the contract of test_relative_contract_against_mpmath at b = r - 1/alpha down to -1e12
+        expected = mpmath_bracket(r, s, u, alpha)
         assert abs(g_closed_bracket(r, s, ParetoMarginal(alpha), u) - expected) <= 1e-11 * expected, (r, s, u, alpha)
 
     @given(

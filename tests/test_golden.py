@@ -27,9 +27,6 @@ GOLDEN = Path(__file__).parent / "golden"
 _SERIES = ["--p", "1", "--mu", "0.2", "--nu", "-1.5"]
 
 CASES = {
-    "specfun-gamma": ["specfun", "eval", "--fn", "gamma", "--x", "0.5"],
-    "specfun-pochhammer": ["specfun", "eval", "--fn", "pochhammer", "--a", "0.5", "--n", "4"],
-    "specfun-2f1": ["specfun", "eval", "--fn", "2f1", "--a", "-1", "--b", "0.5", "--c", "1.5", "--z", "0.25"],
     "g-eval-all": ["g", "eval", "--theta", "1", "--r", "2", "--s", "1", "--u", "3", "--v", "3"],
     "g-eval-closed": ["g", "eval", "--theta", "0.5", "--r", "1.5", "--s", "2.5", "--u", "7", "--v", "1.5", "--method", "closed"],
     "condition-cs11": ["condition", "check", "--kind", "cs11", *_SERIES, "--N", "300"],

@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 import pqdslln.specfun
 from pqdslln.errors import NumericError, ParameterError
-from pqdslln.specfun import _check_2f1_args, _terminating_order, gamma, gauss_2f1, pochhammer
+from pqdslln.specfun import _check_2f1_args, gamma, gauss_2f1
 
 
 class TestGamma:
@@ -74,52 +77,6 @@ class TestGamma:
             assert abs(gamma(x) - expected) <= 2e-15 * expected
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-
-    def test_small(self):
-        assert pochhammer(3.0, 2) == 12.0
-
-    def test_zero_factor(self):
-        assert pochhammer(-1.0, 2) == 0.0
-
-    @given(st.floats(min_value=0.1, max_value=20.0), st.integers(min_value=0, max_value=20))
-    def test_gamma_ratio(self, a, n):
-        assert pochhammer(a, n) == pytest.approx(gamma(a + n) / gamma(a), rel=1e-10)
-
-    def test_negative_n(self):
-        with pytest.raises(ParameterError):
-            pochhammer(1.0, -1)
-
-    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_non_finite_a_is_domain_error(self, a, n):
-        # refused before the empty product or the loop, as gamma refuses a non-finite x
-        with pytest.raises(ParameterError, match="finite a"):
-            pochhammer(a, n)
-
-    @pytest.mark.parametrize("a, n, expected", [(-3.0, 5, -0.0), (-200.0, 300, 0.0), (-1.0, 10**9, -0.0)])
-    def test_zero_factor_gives_its_signed_zero(self, a, n, expected):
-        # (-m)_n for m < n: the sign of the m nonzero factors before the zero one
-        value = pochhammer(a, n)
-        assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, expected)
-
-    @pytest.mark.parametrize("a, n", [(0.5, 30_000_000), (-200.5, 300), (-200.0, 150)])
-    def test_overflow_is_numeric_error(self, a, n):
-        with pytest.raises(NumericError, match="overflows"):
-            pochhammer(a, n)
-
-    @pytest.mark.parametrize("a", [0.5, -3.0, -0.5, 1e-300])
-    def test_huge_n_ends_at_once(self, a):
-        start = time.perf_counter()
-        try:
-            pochhammer(a, 10**9)
-        except NumericError:
-            pass
-        assert time.perf_counter() - start < 1.0
-
-
 class TestGauss2F1:
     @given(
         st.floats(min_value=-5.0, max_value=5.0),
@@ -151,12 +108,12 @@ class TestGauss2F1:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     def test_terminating_is_polynomial(self, m):
-        # degree-m polynomial: interpolating m+2 samples reproduces it
+        # degree-m polynomial: interpolating m+2 samples reproduces it, within |z| < 1
         a, b, c = -float(m), 1.3, 2.7
-        xs = np.linspace(-2.0, 2.0, m + 2)
+        xs = np.linspace(-0.9, 0.9, m + 2)
         ys = [gauss_2f1(a, b, c, float(x)) for x in xs]
         coeffs = np.polynomial.polynomial.polyfit(xs, ys, m)
-        for z in np.linspace(-3.0, 3.0, 7):
+        for z in np.linspace(-0.95, 0.95, 7):
             interp = float(np.polynomial.polynomial.polyval(z, coeffs))
             assert gauss_2f1(a, b, c, float(z)) == pytest.approx(interp, rel=1e-12, abs=1e-12)
 
@@ -176,9 +133,11 @@ class TestGauss2F1:
         with pytest.raises(ParameterError):
             gauss_2f1(1.0, 1.0, -2.0, 0.5)  # c negative integer
         with pytest.raises(ParameterError):
-            gauss_2f1(1.1, 1.0, 2.0, 1.0)  # |z| >= 1 without termination
+            gauss_2f1(1.1, 1.0, 2.0, 1.0)  # |z| >= 1
         with pytest.raises(ParameterError):
             gauss_2f1(0.5, 0.5, 1.5, -1.5)
+        with pytest.raises(ParameterError):
+            gauss_2f1(-2.0, 1.0, 3.0, 2.0)  # |z| >= 1 although the series terminates
 
     @pytest.mark.parametrize("args", [(1.5, 1.0, 2.0, math.nan), (math.nan, 1.0, 2.0, 0.5), (-2.0, 1.0, 3.0, math.nan)])
     def test_nan_is_domain_error(self, args):
@@ -193,12 +152,6 @@ class TestGauss2F1:
         # math.floor and math.ceil of an infinite parameter would raise OverflowError
         with pytest.raises(ParameterError):
             gauss_2f1(*args)
-
-    def test_terminating_allows_large_z(self):
-        # a = -2 terminates, so |z| >= 1 is fine
-        value = gauss_2f1(-2.0, 1.0, 3.0, 2.0)
-        expected = 1.0 + (-2.0 * 1.0 / 3.0) * 2.0 + ((-2.0) * (-1.0) * 1.0 * 2.0 / (3.0 * 4.0)) * 4.0 / 2.0
-        assert value == pytest.approx(expected, rel=1e-14)
 
     def test_args_bundle(self):
         _check_2f1_args(-1.0, 0.5, 1.5, 0.25)
@@ -227,7 +180,8 @@ class TestGauss2F1:
     def test_array_domain_uses_largest_modulus(self):
         with pytest.raises(ParameterError):
             gauss_2f1(1.1, 1.0, 2.0, np.array([0.5, -1.0]))
-        assert gauss_2f1(-2.0, 1.0, 3.0, np.array([0.5, 2.0]))[1] == gauss_2f1(-2.0, 1.0, 3.0, 2.0)
+        with pytest.raises(ParameterError):
+            gauss_2f1(-2.0, 1.0, 3.0, np.array([0.5, 2.0]))
 
     @pytest.mark.parametrize("z", [0.9999999999, -0.9999999999, np.array([0.5, 0.9999999999])])
     def test_hopeless_series_fails_fast(self, z):
@@ -237,13 +191,26 @@ class TestGauss2F1:
             gauss_2f1(1.0, 1.0, 2.0, z)
         assert time.perf_counter() - start < 0.5
 
+    def test_integer_valued_order_past_the_budget_truncates(self):
+        # every double of magnitude >= 2^53 is an integer, so b = -1e20 once read as a terminating
+        # order of 1e20 terms; a child process lets a hang fail by its timeout
+        code = "from pqdslln.specfun import gauss_2f1; print(repr(gauss_2f1(1.0, -1e20, 3.0, 1e-20)))"
+        env = dict(os.environ)
+        src = str(Path(pqdslln.specfun.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        with mpmath.workdps(40):
+            expected = mpmath.hyp2f1(1, -mpmath.mpf(1e20), 3, mpmath.mpf(1e-20))
+            assert abs(float(done.stdout) - expected) <= 1e-13 * expected
+
     @pytest.mark.parametrize(
         "a,b,c,z",
         [
             (1.0, 1.0, 2.0, 0.99),  # ~3,000 terms
             (0.5, 0.5, 100.0, 0.9999999999),  # |z| near 1, but the terms fall like n^-100
             (2.5, -1.5, 1.2, 0.999),  # kappa < 0 with a sign change in the early terms
-            (-3.0, 1.5, 2.0, 0.9999999999),  # terminating: four terms
+            (-3.0, 1.5, 2.0, 0.9999999999),  # terminating: stops at its first zero term
         ],
     )
     def test_convergent_series_near_one_are_summed(self, a, b, c, z):
@@ -276,26 +243,23 @@ def per_term_2f1(a: float, b: float, c: float, z):
     zs = np.asarray(z, dtype=float)
     live_z = zs.ravel()
     _check_2f1_args(a, b, c, float(live_z[np.argmax(np.abs(live_z))]) if live_z.size else 0.0)
-    m = _terminating_order(a, b)
     budget = pqdslln.specfun._MAX_TERMS
     out = np.empty(zs.size)
     live = np.arange(zs.size)
     term, total = np.ones(zs.size), np.ones(zs.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(budget if m is None else m):
+        for n in range(budget):
             if not live.size:
                 break
             term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * live_z
             total += term
-            if m is None:
-                done = np.abs(term) <= 1e-15 * np.abs(total)
-                if done.any():
-                    out[live[done]] = total[done]
-                    keep = ~done
-                    live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
-    if m is None and live.size:
+            done = np.abs(term) <= 1e-15 * np.abs(total)
+            if done.any():
+                out[live[done]] = total[done]
+                keep = ~done
+                live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
+    if live.size:
         raise NumericError(f"2F1 series did not converge within {budget} terms (z={float(live_z[0])!r})")
-    out[live] = total
     finite = np.isfinite(out)
     if not finite.all():
         raise NumericError(f"2F1 series overflows double precision (z={float(zs.ravel()[np.argmin(finite)])!r})")
@@ -325,7 +289,7 @@ def _series(draw):
     else:
         first = -float(draw(st.integers(0, 8))) if kind == "terminating" else draw(st.floats(-5.0, 5.0))
         params = (first, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.2, 8.0)))
-        z_max = 3.0 if kind == "terminating" else draw(st.sampled_from([0.5, 0.9, 0.99]))
+        z_max = draw(st.sampled_from([0.5, 0.9, 0.99]))
     size = draw(st.sampled_from([0, 1, 2, 5, 100, 255, 257, 4096, 5000]))
     z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-z_max, z_max, size)
     return (*params, z)
