@@ -78,11 +78,17 @@ def csv_module_bytes(header, rows) -> bytes:
 
 
 class TestGEval:
+    def test_closed_prints_value(self, tmp_path, capsys):
+        assert run_cli(G_CLOSED, tmp_path) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()[0]
+        result = read_json(tmp_path / "result.json")
+        validate(result, "g_eval_result")
+        validate(read_json(tmp_path / "manifest.json"), "manifest")
+        assert printed == f"closed: {result['methods']['closed']:.15g}"
+
     def test_closed_prints_fifteen_digits(self, tmp_path, capsys):
         assert run_cli(G_CLOSED, tmp_path) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == "closed: 0.119493979576284"
-        validate(read_json(tmp_path / "result.json"), "g_eval_result")
-        validate(read_json(tmp_path / "manifest.json"), "manifest")
 
     def test_zero_theta_all_methods(self, tmp_path, capsys):
         code = run_cli(
