@@ -34,7 +34,7 @@ from .gfun import (
     g_numeric,
 )
 from .marginals import ParetoMarginal
-from .quadrature import QuadSpec, adaptive_quad_many
+from .quadrature import adaptive_quad_many
 from .simulate import (
     DEFAULT_WINDOW,
     EXACT_DIMENSION_CAP,

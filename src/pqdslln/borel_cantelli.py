@@ -122,7 +122,7 @@ def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
         if es.schedule is not None:
             # 1 - P(A_k) is the Pareto cdf at the threshold, bit for bit: both share one power
             h = power_factor(1.0 - probs, es.r, es.s)
-            pairs, k_carry = separable_pair_sums(idx**es.schedule.mu * h, idx**es.schedule.nu * h, k_carry)
+            pairs, k_carry = separable_pair_sums(idx, h, es.schedule.mu, es.schedule.nu, k_carry)
             terms.append(pairs)
         here = (at >= lo) & (at < lo + idx.size)
         for i, term in enumerate(terms):

@@ -6,10 +6,9 @@ the fully resolved, result-affecting parameter set plus the tool version;
 once parsing its parameters as flags has given them back unchanged.
 The output directory cannot affect results and is kept out of the
 manifest; ``--workers`` is accepted and ignored.  ``_COMMANDS`` declares
-every subcommand's flags once.  A flat key=value config file (``--config
-FILE`` or ``--config=FILE``) may supply defaults; explicit flags win.  A CSV
-table is a header row and int64 and float64 columns: an int is written in
-decimal, a float as its repr().
+every subcommand's flags once, and the argparse tree built from it is the
+only parser.  A CSV table is a header row and int64 and float64 columns:
+an int is written in decimal, a float as its repr().
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
 Verdicts are data, not errors: a "diverges" result still exits 0.
@@ -37,7 +36,6 @@ from .copulas import GfmCopula, PowerSchedule
 from .errors import NumericError, ParameterError
 from .gfun import g_closed_bracket, g_factor, g_numeric
 from .marginals import ParetoMarginal
-from .quadrature import QuadSpec
 from .simulate import MultivariateFgmModel, SlnnRun, run_slln
 
 EXIT_OK = 0
@@ -194,17 +192,14 @@ def _event_system(params: dict) -> EventSystem:
 def _run_g_eval(params: dict):
     echo = {k: params[k] for k in ("theta", "r", "s", "u", "v")}
     theta, r, s, u, v = echo.values()
-    if not (u >= 1.0 and v >= 1.0):  # the Pareto support starts at 1, whatever the --method
-        raise ParameterError(f"g eval needs u >= 1 and v >= 1, got u={u!r}, v={v!r}")
     method = params["method"]
     marginal = ParetoMarginal(2.0)
-    spec = QuadSpec(abs_tol=params["quad_tol"], max_panels=params["max_panels"])
     copula = GfmCopula(theta=theta, r=r, s=s)  # refuses theta outside [0, 1] whatever the --method
     methods: dict[str, float] = {}
     if method in ("closed", "all"):
         methods["closed"] = copula.theta * g_closed_bracket(r, s, marginal, u) * g_closed_bracket(r, s, marginal, v)
     if method in ("numeric", "all"):
-        methods["numeric"] = float(g_numeric(copula, marginal, [(u, v)], spec)[0])
+        methods["numeric"] = float(g_numeric(copula, marginal, [(u, v)])[0])
     if method in ("factor", "all"):
         bu, bv = g_factor(r, s, marginal, (u, v)).tolist()
         methods["factor"] = copula.theta * bu * bv
@@ -385,8 +380,6 @@ _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
         (
             *(_Flag(name, required=True) for name in ("theta", "r", "s", "u", "v")),
             _Flag("method", str, default="all", choices=("closed", "numeric", "factor", "all")),
-            _Flag("quad_tol", default=QuadSpec.abs_tol),
-            _Flag("max_panels", int, default=QuadSpec.max_panels),
         ),
     ),
     "condition check": (
@@ -568,63 +561,11 @@ def _default_outdir(subcommand: str) -> Path:
     return base / subcommand.replace(" ", "-")
 
 
-# structured config spellings: key -> (head, the flags its arguments set)
-_STRUCTURED_CONFIG = {
-    "marginal": ("pareto", ("alpha",)),
-    "copula": ("gfm", ("theta", "r", "s")),
-    "schedule": ("power", ("mu", "nu")),
-}
-
-
-def _config_flags(key: str, value: str) -> list[str]:
-    """Flags for one config line; structured spellings such as power(mu, nu) expand."""
-    if key not in _STRUCTURED_CONFIG:
-        return [f"--{key.replace('_', '-')}", value]
-    head, names = _STRUCTURED_CONFIG[key]
-    parts = [part.strip() for part in value[len(head) + 1 : -1].split(",")]
-    if not (value.startswith(head + "(") and value.endswith(")") and len(parts) == len(names)):
-        raise ParameterError(f"{key} must be '{head}({', '.join(names)})', got {value!r}")
-    return [token for name, part in zip(names, parts) for token in (f"--{name}", part)]
-
-
-@functools.cache
-def _config_parser() -> argparse.ArgumentParser:
-    """The one declaration of --config: takes FILE or =FILE, never an abbreviation, so "--c 2" stays a flag."""
-    parser = _Parser(prog=_TOOL, add_help=False, allow_abbrev=False)
-    parser.add_argument("--config", type=Path)
-    return parser
-
-
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed right after the subcommand, before the user's flags.
-
-    Argparse keeps the last occurrence of a flag, so explicit flags win.
-    """
-    ns, rest = _config_parser().parse_known_args(argv)
-    if ns.config is None:
-        return argv
-    try:
-        text = ns.config.read_text()
-    except (OSError, ValueError) as exc:
-        raise ParameterError(f"cannot read config file {ns.config}: {exc}") from exc
-    flags: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{ns.config}:{lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flags.extend(_config_flags(key, value))
-    n_sub = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
-    return rest[:n_sub] + flags + rest[n_sub:]
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         try:
-            ns = _parse(_apply_config_file(argv))
+            ns = _parse(argv)
         except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
         if ns.group != "rerun":
@@ -645,7 +586,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run main() as a program; a reader that closes stdout early does not turn a run into a failure."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # every file was written before the first print; devnull spares the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

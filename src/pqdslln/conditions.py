@@ -109,7 +109,8 @@ def condition_terms(
 
     Returns (j_values, terms).  The factorization G = theta B B is exploited
     to cache one factor value per index.  The schedule must pass its
-    :meth:`~PowerSchedule.check_window` at p.
+    :meth:`~PowerSchedule.check_window` at p.  Raises NumericError where a
+    power k^(w_k + mu) overflows a double (see separable_pair_sums).
     """
     schedule.check_window(p)  # first: _weight_exponents divides by p
     wk, wj, inv_p = _weight_exponents(kind, p)
@@ -117,9 +118,7 @@ def condition_terms(
         raise ParameterError(f"series truncation requires N >= 2, got {n_terms!r}")
     idx = np.arange(1, n_terms + 1, dtype=float)
     b = g_closed_bracket(r, s, marginal, idx**inv_p)
-    k_part = idx ** (wk + schedule.mu) * b
-    j_part = idx ** (wj + schedule.nu) * b
-    terms = separable_pair_sums(k_part, j_part)[0][1:]
+    terms = separable_pair_sums(idx, b, wk + schedule.mu, wj + schedule.nu)[0][1:]
     return idx[1:].astype(int), terms
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .marginals import _scalar_or_array
 
 __all__ = ["GfmCopula", "PowerSchedule"]
@@ -168,12 +168,20 @@ def carried_cumsum(x: np.ndarray, carry: float = 0.0) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def separable_pair_sums(k_part: np.ndarray, j_part: np.ndarray, carry: float = 0.0) -> tuple[np.ndarray, float]:
-    """j_part[j] * (carry + sum_{k<j} k_part[k]) for every index j, and the carry for the next chunk.
+def separable_pair_sums(
+    idx: np.ndarray, weight: np.ndarray, k_power: float, j_power: float, carry: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """j^j_power w_j * (carry + sum_{k<j} k^k_power w_k) at every index j of ``idx``, and the carry for the next chunk.
 
     A separable pair weight such as the power schedule k^mu j^nu turns a
     double sum over k < j into this single pass of exclusive prefix sums.
-    ``carry`` is the sum of k_part over earlier chunks (see carried_cumsum).
+    ``carry`` is the sum of the k-parts over earlier chunks (see
+    carried_cumsum).  Raises NumericError, with no overflow warning, where
+    that running sum is not finite: where some k^k_power overflows a double.
     """
-    prefix = carried_cumsum(k_part, carry)
-    return j_part * (prefix - k_part), float(prefix[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below: inf, or inf * 0 where the weight is 0
+        k_part = idx**k_power * weight
+        prefix = carried_cumsum(k_part, carry)
+    if not math.isfinite(prefix[-1]):
+        raise NumericError(f"pair sums overflow a double: the running sum of k^{k_power!r} w_k to k = {idx[-1]:.0f} is not finite")
+    return idx**j_power * weight * (prefix - k_part), float(prefix[-1])

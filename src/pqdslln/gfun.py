@@ -63,13 +63,14 @@ over brackets from the same evaluations; where both edges lie above the
 split it sums the strip between them, or subtracts the two mirror tails,
 so B(u_h) or B(inf) cancels exactly.  ``g_factor`` and ``g_numeric`` take
 a list of thresholds or (u, v) pairs and refine their intervals or boxes
-in lockstep through the one quadrature entry, ``adaptive_quad_many``, so
-one point is a one-element list.  Every route takes the marginal as a
-``ParetoMarginal``, which owns the rule alpha > 0, and exactly the finite
-thresholds u >= 1; it raises ParameterError for any other (NaN, +-inf, or
-below the support edge), through one check.  B(inf) has its one entry,
-``bracket_limit``.  B(1) = 0 exactly on every side of the split: u = 1
-takes the first form even where h rounds to 1 (b past about 3e16).
+in lockstep, each oracle to one fixed absolute tolerance, through the one
+quadrature entry, ``adaptive_quad_many``, so one point is a one-element list.
+Every route takes the marginal as a ``ParetoMarginal``, which owns the rule
+alpha > 0, and exactly the finite thresholds u >= 1; it raises
+ParameterError for any other (NaN, +-inf, or below the support edge),
+through one check.  B(inf) has its one entry, ``bracket_limit``.  B(1) = 0
+exactly on every side of the split: u = 1 takes the first form even where
+h rounds to 1 (b past about 3e16).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import numpy as np
 from .copulas import GfmCopula, check_rs, power_factor
 from .errors import NumericError, ParameterError
 from .marginals import ParetoMarginal
-from .quadrature import QuadSpec, adaptive_quad_many
+from .quadrature import adaptive_quad_many
 from .specfun import gamma, gauss_2f1
 
 __all__ = [
@@ -94,6 +95,7 @@ __all__ = [
 ]
 
 _FACTOR_ABS_TOL = 1e-10  # absolute tolerance of the separable factor quadrature
+_NUMERIC_ABS_TOL = 1e-9  # absolute tolerance of the 2-D oracle's quadrature
 # Above the split, the mirror form B(inf) - part serves b >= _MIRROR_MIN_B and the strip sum
 # serves smaller b: where the mirror form's error overtakes the strip sum's (see the module text).
 _MIRROR_MIN_B = 1.0 / 64.0
@@ -261,17 +263,17 @@ def factor_differences(r: float, s: float, marginal: ParetoMarginal, his, los) -
     return diffs
 
 
-def g_numeric(copula: GfmCopula, marginal: ParetoMarginal, pairs, spec: QuadSpec | None = None) -> np.ndarray:
+def g_numeric(copula: GfmCopula, marginal: ParetoMarginal, pairs) -> np.ndarray:
     """Covariance functional at each (u, v), by adaptive product quadrature of the copula's gap in log x.
 
     Integrates delta(x1, x2) = copula.gap(F(x1), F(x2)) over [1, u] x [1, v]
     (empty, giving 0, when u or v is the support edge 1) after substituting
     y = log x on both axes, i.e. delta(e^y1, e^y2) e^(y1 + y2) over
     [0, log u] x [0, log v].  The truncation at the support edge is exact
-    because delta vanishes below it.  The boxes are refined in lockstep
-    (:func:`adaptive_quad_many`), each to the bits it gets alone.  A u or v
-    that is not finite and >= 1 raises ParameterError.  A pair with
-    log u + log v at or past the log of the largest double raises
+    because delta vanishes below it.  The boxes are refined in lockstep to
+    _NUMERIC_ABS_TOL (:func:`adaptive_quad_many`), each to the bits it gets
+    alone.  A u or v that is not finite and >= 1 raises ParameterError.  A
+    pair with log u + log v at or past the log of the largest double raises
     NumericError before any evaluation: the Jacobian e^(y1 + y2) would
     overflow there while the gap underflows to 0.  Raises the
     QuadratureError (carrying the best estimate and bound) of the first pair
@@ -279,7 +281,6 @@ def g_numeric(copula: GfmCopula, marginal: ParetoMarginal, pairs, spec: QuadSpec
     """
     pairs = list(pairs)
     _check_support(np.array(pairs, dtype=float))
-    spec = spec or QuadSpec()
     boxes = [(0.0, math.log(u), 0.0, math.log(v)) for u, v in pairs]
     for (u, v), (_, log_u, _, log_v) in zip(pairs, boxes):
         if log_u + log_v >= _LOG_MAX:
@@ -289,5 +290,5 @@ def g_numeric(copula: GfmCopula, marginal: ParetoMarginal, pairs, spec: QuadSpec
         x1, x2 = np.exp(y1), np.exp(y2)
         return copula.gap(marginal.cdf(x1), marginal.cdf(x2)) * (x1 * x2)
 
-    values, _ = adaptive_quad_many(integrand, boxes, abs_tol=spec.abs_tol, max_panels=spec.max_panels)
+    values, _ = adaptive_quad_many(integrand, boxes, abs_tol=_NUMERIC_ABS_TOL)
     return values

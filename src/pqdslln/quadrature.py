@@ -31,32 +31,20 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
 
-__all__ = ["QuadSpec", "adaptive_quad_many"]
+__all__ = ["adaptive_quad_many"]
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
 # per dimension, the index that lays the (k, n) nodes of axis i along axis i of
 # the k panels' stacked (k, n, ..., n) grids
 _AXES = {1: (np.s_[:],), 2: (np.s_[:, :, None], np.s_[:, None, :])}
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Accuracy budget for an adaptive integration."""
-
-    abs_tol: float = 1e-9
-    max_panels: int = 1 << 16
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0 and self.max_panels >= 1):
-            raise ParameterError(f"quadrature needs a finite abs_tol > 0 and max_panels >= 1, got {self}")
+_MAX_PANELS = 1 << 16  # the default panel budget of one integral
 
 
 def _panels(f: Callable, panels: list[tuple[float, ...]]) -> list:
@@ -152,7 +140,7 @@ def adaptive_quad_many(
     regions: Iterable[tuple[float, ...]],
     *,
     abs_tol: float,
-    max_panels: int = QuadSpec.max_panels,
+    max_panels: int = _MAX_PANELS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, error_bounds) of the integrals of f over the regions, refined in lockstep.
 
@@ -162,11 +150,14 @@ def adaptive_quad_many(
     nodes in 1-D, and with x nodes of shape (k, n, 1) and y nodes of shape
     (k, 1, n) in 2-D, panel i's in row i, and must return the values
     elementwise in the (broadcast) shape of its arguments.  Raises
-    ParameterError before any evaluation for an abs_tol or max_panels that
-    QuadSpec refuses, for regions of mixed or other lengths, and for a
+    ParameterError before any evaluation for an abs_tol that is not finite
+    and > 0, a max_panels below 1, regions of mixed or other lengths, and a
     non-finite edge.
     """
-    QuadSpec(abs_tol, max_panels)
+    if not (math.isfinite(abs_tol) and abs_tol > 0.0 and max_panels >= 1):
+        raise ParameterError(
+            f"quadrature needs a finite abs_tol > 0 and max_panels >= 1, got abs_tol={abs_tol!r}, max_panels={max_panels!r}"
+        )
     regions = [tuple(map(float, region)) for region in regions]
     for region in regions:
         if len(region) not in (2, 4) or len(region) != len(regions[0]):

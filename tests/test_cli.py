@@ -35,7 +35,6 @@ from pqdslln.conditions import CONVERGES, DIVERGES, SeriesVerdict
 from pqdslln.copulas import PowerSchedule
 from pqdslln.gfun import bracket_limit, g_closed_bracket
 from pqdslln.marginals import ParetoMarginal
-from pqdslln.quadrature import QuadSpec
 
 from bracket_oracles import incomplete_beta_bracket, mpmath_bracket
 
@@ -125,35 +124,18 @@ class TestGEval:
         methods = read_json(tmp_path / "result.json")["methods"]
         assert methods["numeric"] == pytest.approx(methods["closed"], rel=rel, abs=abs_)
 
-    def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        code = run_cli(
-            [
-                "g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "20", "--v", "20",
-                "--method", "numeric", "--quad-tol", "1e-14", "--max-panels", "2",
-            ],
-            tmp_path,
-        )
-        assert code == EXIT_NUMERIC
-        assert "[numeric]" in capsys.readouterr().err
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a QuadratureError reaches the command line as exit 3: a 2-panel budget cannot meet 1e-14
+        original = pqdslln.gfun.adaptive_quad_many
 
-    @pytest.mark.parametrize(
-        "method, u, flag, value",
-        [
-            ("numeric", "2", "--quad-tol", "0"),
-            ("numeric", "2", "--quad-tol", "-1"),
-            ("numeric", "2", "--max-panels", "-5"),
-            ("numeric", "1e4", "--max-panels", "-5"),
-            ("numeric", "2", "--max-panels", "0"),
-            ("closed", "2", "--quad-tol", "0"),
-            ("factor", "2", "--max-panels", "-5"),
-        ],
-    )
-    def test_unusable_quadrature_budget_is_parameter_error(self, tmp_path, capsys, method, u, flag, value):
-        args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", u, "--v", u, "--method", method, flag, value]
-        start = time.perf_counter()
-        assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
-        assert time.perf_counter() - start < 1.0
-        assert "[parameter]" in capsys.readouterr().err
+        def starved(f, regions, *, abs_tol):
+            return original(f, regions, abs_tol=1e-14, max_panels=2)
+
+        monkeypatch.setattr(pqdslln.gfun, "adaptive_quad_many", starved)
+        args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "20", "--v", "20", "--method", "numeric"]
+        assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[numeric] adaptive_quad_many: panel budget 2 exhausted" in err
         assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_overflowing_power_gives_limit(self, tmp_path):
@@ -177,7 +159,7 @@ class TestGEval:
         args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", u, "--v", v, "--method", method]
         assert run_cli(args, tmp_path / "run") == EXIT_PARAMETER
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "[parameter] g eval needs u >= 1 and v >= 1" in err
+        assert err.count("\n") == 1 and "[parameter] thresholds must be finite and >= 1" in err
         assert not (tmp_path / "run" / "manifest.json").exists()
 
     @pytest.mark.parametrize("method", ["closed", "numeric", "factor", "all"])
@@ -614,6 +596,16 @@ class TestRerunRefusals:
         assert err.count("\n") == 1
         assert f"[parameter] manifest {run / 'manifest.json'}: condition check: unrecognized arguments: --bogus=1" in err
 
+    def test_manifest_with_a_quadrature_budget_is_parameter_error(self, manifest, tmp_path, capsys):
+        # a g eval manifest as written while g eval took --quad-tol and --max-panels
+        doc = read_json(manifest)
+        doc["parameters"].update(max_panels=65536, quad_tol=1e-9)
+        manifest.write_text(json.dumps(doc))
+        assert self.rerun(manifest, tmp_path) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "g eval: unrecognized arguments: --max-panels=65536 --quad-tol=1e-09" in err
+        assert not (tmp_path / "replay").exists()
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -674,14 +666,13 @@ class TestNonFiniteValues:
             ["simulate", "slln", "--p", "1", "--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "nan"],
             ["bc", "bracket", "--alpha", "2", "--p", "1", "--k", "2", "--j", "3", "--eps", "inf"],
             ["g", "eval", "--theta", "nan", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--method", "closed"],
-            ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--quad-tol", "nan"],
             [*SLLN, "--theta-spec", "power:-0.3,-1.2,nan"],
             [*SLLN, "--theta-spec", "power:-0.3,-1.2,inf"],
             [*SLLN, "--theta-spec", "power:nan,-1.2"],
         ],
         ids=[
             "g-u-inf", "condition-s-inf", "g-r-inf", "slln-c-nan", "bracket-eps-inf", "g-theta-nan",
-            "quad-tol-nan", "theta-scale-nan", "theta-scale-inf", "theta-mu-nan",
+            "theta-scale-nan", "theta-scale-inf", "theta-mu-nan",
         ],
     )
     def test_flag_is_parameter_error(self, args, tmp_path, capsys):
@@ -798,6 +789,27 @@ class TestFarParameters:
             warnings.simplefilter("error")
             assert run_cli(args, tmp_path) == EXIT_OK
         assert read_json(tmp_path / "result.json")["holds"] is True
+
+
+class TestOverflowingPairSums:
+    """Where the running sum of k^c w_k in a pair sum overflows a double, the run exits 3, with no overflow warning."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bc", "ratio", "--alpha", "2", "--p", "1", "--theta-spec=power:999999,-1000000", "--n-grid", "10,100"],
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "999999", "--nu=-1e6", "--N", "5"],
+            ["report", "example", "--p", "1", "--mu", "1000", "--nu=-1e6", "--N", "20"],
+        ],
+        ids=["bc-ratio", "condition", "report"],
+    )
+    def test_is_numeric_error(self, args, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[numeric] pair sums overflow a double" in err[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 class TestSeriesComputedOnce:
@@ -999,45 +1011,12 @@ class TestCsvWriter:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults_flags_win(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("# base settings\ntheta = 1\nr = 1\ns = 1\nu = 2\nv = 2\nmethod = closed\n")
-        a = tmp_path / "a"
-        code = main(["g", "eval", "--config", str(config), "--outdir", str(a)])
-        assert code == EXIT_OK
-        assert read_json(a / "result.json")["methods"]["closed"] == pytest.approx((5.0 / 24.0) ** 2, rel=1e-13)
-        b = tmp_path / "b"
-        code = main(["g", "eval", "--config", str(config), "--u", "3", "--outdir", str(b)])
-        assert code == EXIT_OK
-        assert read_json(b / "result.json")["methods"]["closed"] == pytest.approx(5.0 / 24.0 * 28.0 / 81.0, rel=1e-13)
-
-    def test_structured_config_keys(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            "kind = nec12\np = 1\nschedule = power(0.2, -1.5)\nmarginal = pareto(2.0)\nN = 64\n"
-        )
-        out = tmp_path / "out"
-        code = main(["condition", "check", "--config", str(config), "--outdir", str(out)])
-        assert code == EXIT_OK
-        result = read_json(out / "result.json")
-        assert result["kind"] == "nec12"
-        assert result["verdict"] == "converges"
-
-    def test_structured_copula_key(self, tmp_path):
-        config = tmp_path / "g.cfg"
-        config.write_text("copula = gfm(0.5, 1, 1)\nu = 2\nv = 2\nmethod = closed\n")
-        out = tmp_path / "out"
-        code = main(["g", "eval", "--config", str(config), "--outdir", str(out)])
-        assert code == EXIT_OK
-        result = read_json(out / "result.json")
-        assert result["methods"]["closed"] == pytest.approx(0.5 * (5.0 / 24.0) ** 2, rel=1e-12)
+    """The run configuration besides the model: one process serving many requests, outdir and format."""
 
     def test_requests_in_one_process_match_separate_runs(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("theta = 1\nr = 1\ns = 1\nu = 2\nv = 2\nmethod = closed\nquad_tol = 1e-6\n")
         commands = [
-            ["g", "eval", "--config", str(config)],
-            # inherits no config value
+            ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "2", "--v", "2", "--method", "all"],
+            # inherits no value of the request before it
             ["g", "eval", "--theta", "0.5", "--r", "1.5", "--s", "2.5", "--u", "7", "--v", "1.5", "--method", "closed"],
             ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "50"],
         ]
@@ -1056,55 +1035,9 @@ class TestConfigFile:
             assert names == sorted(path.name for path in (tmp_path / f"same{i}").iterdir())
             for name in names:
                 assert (tmp_path / f"same{i}" / name).read_bytes() == (separate / name).read_bytes(), (argv, name)
-        assert read_json(tmp_path / "same1" / "manifest.json")["parameters"]["quad_tol"] == QuadSpec.abs_tol
-
-    def test_missing_config_is_parameter_error(self, tmp_path, capsys):
-        code = main([*G_CLOSED, "--config", str(tmp_path / "nope.cfg")])
-        assert code == EXIT_PARAMETER
-
-    def test_equals_spelling_matches_space_spelling(self, tmp_path):
-        config = tmp_path / "a.cfg"
-        config.write_text("alpha = 1.5\nN = 300\n")
-        argv = ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu", "-1.5"]
-        assert run_cli([*argv, "--config", str(config)], tmp_path / "space") == EXIT_OK
-        assert run_cli([*argv, f"--config={config}"], tmp_path / "equals") == EXIT_OK
-        space = read_json(tmp_path / "space" / "manifest.json")["parameters"]
-        assert read_json(tmp_path / "equals" / "manifest.json")["parameters"] == space
-        assert (space["alpha"], space["N"]) == (1.5, 300)
-
-    @pytest.mark.parametrize("spelling", ["--conf", "--co"])
-    def test_abbreviated_config_is_refused(self, tmp_path, capsys, spelling):
-        config = tmp_path / "a.cfg"
-        config.write_text("u = 5\n")
-        code = run_cli([*G_CLOSED, spelling, str(config)], tmp_path / "run")
-        assert code == EXIT_PARAMETER
-        assert "[parameter]" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "manifest.json").exists()
-
-    def test_config_naming_a_config_is_refused(self, tmp_path, capsys):
-        inner, outer = tmp_path / "inner.cfg", tmp_path / "outer.cfg"
-        inner.write_text("u = 5\n")
-        outer.write_text(f"theta = 1\nr = 1\ns = 1\nu = 2\nv = 2\nmethod = closed\nconfig = {inner}\n")
-        assert run_cli(["g", "eval", "--config", str(outer)], tmp_path / "run") == EXIT_PARAMETER
-        assert "[parameter]" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "manifest.json").exists()
-
-    @pytest.mark.parametrize("equals", [True, False])
-    @pytest.mark.parametrize("name", ["missing.cfg", "."])
-    def test_unreadable_config_writes_no_manifest(self, tmp_path, capsys, equals, name):
-        path = tmp_path / name
-        spelling = [f"--config={path}"] if equals else ["--config", str(path)]
-        assert run_cli([*G_CLOSED, *spelling], tmp_path / "run") == EXIT_PARAMETER
-        assert "[parameter] cannot read config file" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "manifest.json").exists()
-
-    def test_c_flag_next_to_config_stays_c(self, tmp_path):
-        config = tmp_path / "s.cfg"
-        config.write_text("c = 1\nseed = 3\n")
-        argv = ["simulate", "slln", "--p", "1", "--alpha", "2", "--n-max", "128", "--replicates", "1", "--c", "2"]
-        assert run_cli([*argv, "--config", str(config)], tmp_path) == EXIT_OK
-        params = read_json(tmp_path / "manifest.json")["parameters"]
-        assert (params["c"], params["seed"]) == (2.0, 3)
+        assert read_json(tmp_path / "same1" / "manifest.json")["parameters"] == {
+            "theta": 0.5, "r": 1.5, "s": 2.5, "u": 7.0, "v": 1.5, "method": "closed"
+        }
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PQDSLLN_OUTDIR", str(tmp_path / "envbase"))
@@ -1144,6 +1077,27 @@ class TestUsage:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "pqdslln" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--config", "a.cfg"), ("--quad-tol", "1e-9"), ("--max-panels", "2")])
+    def test_retired_flag_is_unrecognized(self, tmp_path, capsys, monkeypatch, flag, value):
+        # no command reads a config file, and g eval keeps one quadrature tolerance and panel budget
+        monkeypatch.chdir(tmp_path)
+        Path("a.cfg").write_text("u = 5\n")
+        assert run_cli([*G_CLOSED, flag, value], tmp_path / "run") == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"[parameter] g eval: unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    def test_closed_stdout_is_not_a_failure(self, tmp_path):
+        # the reader goes away before the first line: every file is written by then
+        child = subprocess.Popen(
+            [sys.executable, "-m", "pqdslln.cli", *G_CLOSED, "--outdir", str(tmp_path)],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=30), err) == (EXIT_OK, b"")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.json", "result.json"]
 
 
 class TestReadmeExamples:

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta
 
+import pqdslln.gfun
 import pqdslln.specfun
 from pqdslln.copulas import GfmCopula
 from pqdslln.errors import NumericError, ParameterError
@@ -18,7 +19,6 @@ from pqdslln.gfun import (
     g_numeric,
 )
 from pqdslln.marginals import ParetoMarginal
-from pqdslln.quadrature import QuadSpec
 
 from bracket_oracles import incomplete_beta_bracket, mpmath_bracket
 
@@ -307,6 +307,15 @@ class TestClosedFormEveryAlpha:
         expected = mpmath_bracket(r, s, u, alpha)
         assert abs(g_closed_bracket(r, s, ParetoMarginal(alpha), u) - expected) <= 1e-11 * expected, (r, s, u, alpha)
 
+    @pytest.mark.parametrize("alpha", [1e-60, 1e-300])
+    def test_mpmath_oracle_keeps_r_at_tiny_alpha(self, alpha):
+        # B(2) at r = s = 1 is the integral of x^-alpha - x^-2alpha over [1, 2], about alpha (2 log 2 - 1);
+        # in 40 digits b = r - 1/alpha lost r once 1/alpha passed about 1e40
+        with mpmath.workdps(360):
+            a, log2 = mpmath.mpf(alpha), mpmath.log(2)
+            expected = mpmath.expm1((1 - a) * log2) / (1 - a) - mpmath.expm1((1 - 2 * a) * log2) / (1 - 2 * a)
+            assert abs(mpmath_bracket(1.0, 1.0, 2.0, alpha) - expected) <= 1e-12 * expected
+
     @given(
         st.floats(min_value=1.0, max_value=60.0),
         st.floats(min_value=1.0, max_value=4.0),
@@ -477,8 +486,8 @@ class TestLogSpaceQuadrature:
             copula = GfmCopula(theta=1.0, r=r, s=s)
         numeric = g_numeric(copula, ParetoMarginal(alpha), [(u, v)])[0]
         expected = float(incomplete_beta_bracket(r, s, u, alpha) * incomplete_beta_bracket(r, s, v, alpha))
-        # the quadrature is asked for QuadSpec().abs_tol absolute; relative 1e-6 above that
-        assert abs(numeric - expected) <= max(1e-6 * expected, QuadSpec().abs_tol), (u, v)
+        # the quadrature is asked for _NUMERIC_ABS_TOL absolute; relative 1e-6 above that
+        assert abs(numeric - expected) <= max(1e-6 * expected, pqdslln.gfun._NUMERIC_ABS_TOL), (u, v)
 
     def test_far_peak_is_found(self):
         # in x the peak near 1 sits in one of 3000 units of width and the first panel misses it
