@@ -44,4 +44,4 @@ from .simulate import (
     replicate_rng,
     run_slln,
 )
-from .specfun import gamma, gauss_2f1
+from .specfun import gamma

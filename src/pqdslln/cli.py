@@ -197,7 +197,8 @@ def _run_g_eval(params: dict):
     copula = GfmCopula(theta=theta, r=r, s=s)  # refuses theta outside [0, 1] whatever the --method
     methods: dict[str, float] = {}
     if method in ("closed", "all"):
-        methods["closed"] = copula.theta * g_closed_bracket(r, s, marginal, u) * g_closed_bracket(r, s, marginal, v)
+        bu, bv = g_closed_bracket(r, s, marginal, (u, v)).tolist()
+        methods["closed"] = copula.theta * bu * bv
     if method in ("numeric", "all"):
         methods["numeric"] = float(g_numeric(copula, marginal, [(u, v)])[0])
     if method in ("factor", "all"):

@@ -27,7 +27,7 @@ def _scalar_or_array(out: np.ndarray):
 
 @dataclass(frozen=True)
 class ParetoMarginal:
-    """Pareto law on (1, inf) with tail index alpha > 0.
+    """Pareto law on (1, inf) with a finite tail index alpha > 0 whose reciprocal is finite (alpha >= about 5.6e-309).
 
     cdf(x) = P{X <= x} = 1 - x^(-alpha) for x >= 1, survival(x) = P{X > x}
     = x^(-alpha), and E|X|^p = alpha / (alpha - p) for p < alpha (infinite
@@ -37,8 +37,8 @@ class ParetoMarginal:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ParameterError(f"Pareto tail index must be positive, got {self.alpha!r}")
+        if not 0.0 < self.alpha < math.inf or 1.0 / self.alpha == math.inf:
+            raise ParameterError(f"Pareto tail index must be finite and positive, with 1/alpha finite, got {self.alpha!r}")
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -51,7 +51,7 @@ class ParetoMarginal:
         return _scalar_or_array(out)
 
     def quantile(self, u, out=None):
-        """Inverse CDF on [0, 1).
+        """Inverse CDF on [0, 1); +inf, the correctly rounded value, where it passes the largest double.
 
         With ``out``, a float64 array of u's shape that is ``u`` itself or does not overlap it,
         the values are written into ``out`` and ``out`` is returned: a caller can invert a block
@@ -63,7 +63,8 @@ class ParetoMarginal:
         if out is None:
             out = np.empty(arr.shape)
         np.subtract(1.0, arr, out=out)
-        return _scalar_or_array(np.power(out, -1.0 / self.alpha, out=out))
+        with np.errstate(over="ignore"):
+            return _scalar_or_array(np.power(out, -1.0 / self.alpha, out=out))
 
     def abs_moment(self, p: float) -> float:
         """E|X|^p, or math.inf when the moment does not exist."""

@@ -334,7 +334,8 @@ def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
 
     Each row draws from its own stream and carries its running sum and hit count across blocks
     in sequential order.  Each block's quantiles overwrite its uniforms, which fill rows 1.. of a
-    buffer with one spare row; the running sums of row r + 1 go to row r.
+    buffer with one spare row; the running sums of row r + 1 go to row r.  A running sum that
+    passes the largest double (a sample may be +inf) raises NumericError.
     """
     cps = run.checkpoints()
     ns = np.array(cps)
@@ -350,10 +351,15 @@ def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
         x[:, 0] += s_run  # continue each row's sum in sequential order
         sums = buf[:-1, : u.shape[1]]
         # row by row into the row above: numpy releases the GIL in a 1-D accumulate only when its
-        # output is another array, and never in a 2-D one
-        for row, out in zip(x, sums):
-            np.add.accumulate(row, out=out)
+        # output is another array, and never in a 2-D one; a sum that overflows is refused below
+        with np.errstate(over="ignore"):
+            for row, out in zip(x, sums):
+                np.add.accumulate(row, out=out)
         s_run[:] = sums[:, -1]
+        finite = np.isfinite(s_run)
+        if not finite.all():
+            rep = rows.start + int(np.argmin(finite))
+            raise NumericError(f"replicate {rep}'s running sum overflows double precision within its first {stop} steps")
         for i in np.flatnonzero((start < ns) & (ns <= stop)):
             s_out[:, i] = sums[:, cps[i] - 1 - start]
             e_out[:, i] = e_run + np.count_nonzero(hits[:, : cps[i] - start], axis=1)

@@ -781,6 +781,32 @@ class TestFarParameters:
         # the true sum, about 1.9e-601, lies far below the smallest subnormal double
         assert self.tiny_alpha_sum("1e-300", tmp_path) == 0.0
 
+    @pytest.mark.parametrize(
+        "command, series_key",
+        [
+            (["condition", "check", "--kind", "cs11", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--N", "10"], None),
+            (["report", "example", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--N", "10"], "series"),
+        ],
+        ids=["cs11", "report"],
+    )
+    def test_huge_alpha_answers(self, tmp_path, command, series_key):
+        # alpha log u passes the largest double beyond u = e, where g = u^-alpha is 0 and F is 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*command, "--alpha", "1e308"], tmp_path) == EXIT_OK
+        result = read_json(tmp_path / "result.json")
+        assert (result[series_key] if series_key else result)["partial_sum"] == 0.0
+
+    @pytest.mark.parametrize("r, s", [("1e308", "1"), ("1", "1e308")])
+    def test_g_eval_near_the_largest_double(self, tmp_path, r, s):
+        # B is about 1/(2 r^2) or below, far under the smallest subnormal double; the series' term
+        # ratio once formed (1 + n)(b + n), which overflowed and spent the whole term budget
+        args = ["g", "eval", "--theta", "1", "--r", r, "--s", s, "--u", "2", "--v", "3", "--method", "closed"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args, tmp_path) == EXIT_OK
+        assert read_json(tmp_path / "result.json")["methods"]["closed"] == 0.0
+
     @pytest.mark.parametrize("spec, k, j", [("power:999999.9999999999,-1000000.0", "1000", "2"), ("power:1100,-1100.5", "2", "3")])
     def test_overflowing_power_of_k_in_the_window(self, tmp_path, spec, k, j):
         # k^mu alone passes the largest double, theta_{k,j} does not
@@ -809,6 +835,21 @@ class TestOverflowingPairSums:
             assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "[numeric] pair sums overflow a double" in err[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+class TestOverflowingSamples:
+    """Where a replicate's running sum passes the largest double, the run exits 3, with no overflow warning."""
+
+    @pytest.mark.parametrize("alpha", ["0.01", "1e-300"])
+    def test_is_numeric_error(self, alpha, tmp_path, capsys):
+        # a Pareto(0.01) sample passes the largest double once 1 - U < 1e-3.08, so within 1024 draws
+        args = ["simulate", "slln", "--p", "1", "--alpha", alpha, "--n-max", "1024", "--replicates", "4", "--c", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[numeric] replicate 0's running sum overflows double precision" in err[0]
         assert not (tmp_path / "run" / "manifest.json").exists()
 
 
@@ -857,47 +898,47 @@ class TestNoQuadratureOnProductionPaths:
             assert run_cli(args, tmp_path / f"bc-{k}-{j}") == EXIT_OK
 
 
+def count_calls(monkeypatch, names, modules=(pqdslln.gfun,)) -> dict:
+    """Wrap each function in ``names`` where ``modules`` hold it, and return the tally of its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return original(*a, **k)
+
+        return wrapper
+
+    for name in names:
+        wrapper = counting(name, getattr(pqdslln.gfun, name))
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestClosedFormOnePass:
     @pytest.mark.parametrize("kind", ["cs11", "nec12", "l1"])
     def test_one_series_and_one_limit_per_check(self, kind, tmp_path, monkeypatch):
-        calls = {"gauss_2f1": 0, "bracket_limit": 0}
-
-        def counting(name):
-            original = getattr(pqdslln.gfun, name)
-
-            def wrapper(*a, **k):
-                calls[name] += 1
-                return original(*a, **k)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(pqdslln.gfun, name, counting(name))
+        calls = count_calls(monkeypatch, ["_hyp_series", "bracket_limit"])
         args = ["condition", "check", "--kind", kind, "--p", "1.3", "--mu", "0.2", "--nu", "-1.5", "--N", "300"]
         assert run_cli(args, tmp_path) == EXIT_OK
         # one series for each side of x* = (a + 1) / (a + b + 2) that holds a threshold
         # (a = s + 1 = 2, b = r - 1/alpha = 0.5 at the defaults)
         f = 1.0 - (np.arange(1, 301) ** (1.0 if kind == "l1" else 1.0 / 1.3)) ** -2.0
         below = f < 3.0 / 4.5
-        assert calls == {"gauss_2f1": int(below.any()) + int((~below).any()), "bracket_limit": 1}
+        assert calls == {"_hyp_series": int(below.any()) + int((~below).any()), "bracket_limit": 1}
+
+    @pytest.mark.parametrize("u, v, series", [(1.5, 1.2, 1), (1.5, 3.0, 2), (3.0, 5.0, 1)])
+    def test_g_eval_takes_one_limit_and_one_series_per_side(self, u, v, series, tmp_path, monkeypatch):
+        # r = s = 1 at alpha = 2: the split x* = 3/4.5 lies at u = sqrt(3)
+        calls = count_calls(monkeypatch, ["_hyp_series", "bracket_limit"])
+        args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", str(u), "--v", str(v), "--method", "closed"]
+        assert run_cli(args, tmp_path) == EXIT_OK
+        assert calls == {"_hyp_series": series, "bracket_limit": 1}
 
     def test_report_grid_takes_one_bracket_call(self, tmp_path, monkeypatch):
-        calls = {"g_closed_bracket": 0}
-
-        def counting(name):
-            original = getattr(pqdslln.gfun, name)
-
-            def wrapper(*a, **k):
-                calls[name] += 1
-                return original(*a, **k)
-
-            return wrapper
-
-        for name in calls:
-            wrapper = counting(name)
-            for module in (pqdslln.gfun, pqdslln.conditions, pqdslln.cli):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapper)
+        calls = count_calls(monkeypatch, ["g_closed_bracket"], (pqdslln.gfun, pqdslln.conditions, pqdslln.cli))
         args = ["report", "example", "--p", "1", "--mu", "0.2", "--nu", "-1.5", "--N", "100"]
         assert run_cli(args, tmp_path) == EXIT_OK
         # one call for the series, one for the 4 x 4 G grid

@@ -275,7 +275,7 @@ class TestThetaSchedule:
 
 P_RULE = "normalising exponent requires 1 <= p < 2, got p=2.0"
 RS_RULE = "power-family copula requires r >= 1 and s >= 1, got r=0.5, s=1.0"
-ALPHA_RULE = "Pareto tail index must be positive, got 0.0"
+ALPHA_RULE = "Pareto tail index must be finite and positive, with 1/alpha finite, got 0.0"
 PARETO_2 = ParetoMarginal(2.0)
 WINDOWED = PowerSchedule(mu=0.2, nu=-1.5)
 

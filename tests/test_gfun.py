@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,10 +14,10 @@ from hypothesis import strategies as st
 from scipy.special import beta
 
 import pqdslln.gfun
-import pqdslln.specfun
 from pqdslln.copulas import GfmCopula
 from pqdslln.errors import NumericError, ParameterError
 from pqdslln.gfun import (
+    _hyp_series,
     bracket_limit,
     factor_differences,
     g_closed_bracket,
@@ -33,11 +39,11 @@ def closed_bracket_r1s1(u: float) -> float:
     return 2.0 / 3.0 - 1.0 / u + 1.0 / (3.0 * u**3)
 
 
-def scalar_2f1(a: float, b: float, c: float, z: float) -> float:
-    """The 2F1 series one z at a time, as a Python-float loop (test oracle)."""
+def scalar_2f1(b: float, c: float, z: float) -> float:
+    """The series 2F1(1, b; c; z) one z at a time, as a Python-float loop (test oracle)."""
     total = term = 1.0
     for n in range(1_000_000):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        term *= (b + n) / (c + n) * z
         total += term
         if abs(term) <= 1e-15 * abs(total):
             break
@@ -56,10 +62,10 @@ def scalar_closed_bracket(r: float, s: float, u: float, alpha: float = 2.0) -> f
     g = np.exp(log_tail)
     if g[0] > (b + 1.0) / (a + b + 2.0):  # F < x* = (a + 1) / (a + b + 2)
         f = -np.expm1(log_tail)
-        value = f**a * np.exp(b * log_tail) / (a * alpha) * scalar_2f1(1.0, a + b, a + 1.0, float(f[0]))
+        value = f**a * np.exp(b * log_tail) / (a * alpha) * scalar_2f1(a + b, a + 1.0, float(f[0]))
     else:
         lead = np.exp(a * np.log1p(-g) + b * log_tail)
-        value = bracket_limit(r, s, ParetoMarginal(alpha)) - lead / (b * alpha) * scalar_2f1(1.0, a + b, b + 1.0, float(g[0]))
+        value = bracket_limit(r, s, ParetoMarginal(alpha)) - lead / (b * alpha) * scalar_2f1(a + b, b + 1.0, float(g[0]))
     return float(value[0])
 
 
@@ -244,7 +250,7 @@ class TestClosedFormEveryAlpha:
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_series_stays_short(self, alpha, monkeypatch):
-        monkeypatch.setattr(pqdslln.specfun, "_MAX_TERMS", 100)
+        monkeypatch.setattr(pqdslln.gfun, "_MAX_TERMS", 100)
         for r, s in ((1.0, 1.0), (1.5, 1.5), (3.0, 3.0)):
             for u in (1.0 + 1e-12, 1e6):
                 expected = incomplete_beta_bracket(r, s, u, alpha)
@@ -337,6 +343,12 @@ class TestClosedFormEveryAlpha:
         values = g_closed_bracket(50.0, 1.0, ParetoMarginal(1.5), np.array([2.0, 1e6, 1e300]))
         assert values[1] == values[2] == bracket_limit(50.0, 1.0, ParetoMarginal(1.5))
         assert values[0] == pytest.approx(incomplete_beta_bracket(50.0, 1.0, 2.0, 1.5), rel=1e-10)
+
+    def test_huge_alpha_gives_zero_then_the_limit(self):
+        # alpha log u overflows to inf beyond u = e, where g = u^-alpha is 0 and F is 1
+        marginal = ParetoMarginal(1e308)
+        limit = bracket_limit(1.0, 1.0, marginal)
+        assert g_closed_bracket(1.0, 1.0, marginal, [1.0, 2.0, 10.0]).tolist() == [0.0, limit, limit]
 
     @pytest.mark.parametrize("r,alpha", [(1.0, 1.0), (1.0, 0.5), (2.0, 0.5), (1.0, math.nan)])
     def test_divergent_limit_is_domain_error(self, r, alpha):
@@ -507,3 +519,192 @@ class TestLogSpaceQuadrature:
         value = g_numeric(copula, ParetoMarginal(2.0), [(1e4, 1e4)])[0]
         assert value == pytest.approx(closed_g(1.0, 1.0, 1.0, 1e4, 1e4), abs=1e-9)
         assert sum(nodes) < 50_000
+
+
+class TestHypSeries:
+    """The series H = 2F1(1, b; c; z) that both forms of B sum."""
+
+    @given(st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=0.3, max_value=6.0))
+    def test_z_zero(self, b, c):
+        assert _hyp_series(b, c, 0.0) == 1.0
+
+    @given(st.floats(min_value=0.0, max_value=0.99))
+    def test_two_term_polynomial(self, z):
+        # (1, -1; 3): single correction term (-1)/3 z
+        assert _hyp_series(-1.0, 3.0, z) == pytest.approx(1.0 - z / 3.0, abs=1e-14)
+
+    def test_log_identity(self):
+        # 2F1(1, 1; 2; z) = -log(1 - z) / z
+        assert _hyp_series(1.0, 2.0, 0.5) == pytest.approx(1.3862943611198906, rel=1e-13)
+        for z in (0.1, 0.9):
+            assert _hyp_series(1.0, 2.0, z) == pytest.approx(-math.log1p(-z) / z, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    def test_terminating_is_polynomial(self, m):
+        # b = -m: a degree-m polynomial, so interpolating m+2 samples reproduces it
+        b, c = -float(m), 2.7
+        xs = np.linspace(0.0, 0.9, m + 2)
+        ys = [_hyp_series(b, c, float(x)) for x in xs]
+        coeffs = np.polynomial.polynomial.polyfit(xs, ys, m)
+        for z in np.linspace(0.0, 0.95, 7):
+            interp = float(np.polynomial.polynomial.polyval(z, coeffs))
+            assert _hyp_series(b, c, float(z)) == pytest.approx(interp, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("b,c", [(-3.0, 1.5), (1.3, 2.3), (1.0, 2.0)])
+    def test_array_matches_scalar_calls(self, b, c):
+        z = np.random.default_rng(3).uniform(0.0, 0.95, size=(7, 11))
+        z[0, 0] = 0.0
+        got = _hyp_series(b, c, z)
+        expected = np.array([_hyp_series(b, c, float(v)) for v in z.ravel()]).reshape(z.shape)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_scalar_gives_float(self):
+        assert type(_hyp_series(1.0, 2.0, 0.5)) is float
+        assert type(_hyp_series(-2.0, 3.0, np.array(0.5))) is float
+
+    @pytest.mark.parametrize("b", [-2.0, 1.5])
+    def test_empty_array(self, b):
+        assert _hyp_series(b, 2.0, np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("z", [0.9999999999, 0.999999999999, np.array([0.5, 0.9999999999])])
+    def test_hopeless_series_fails_fast(self, z):
+        # the whole 1e6-term budget, summed in blocks of terms while at most 256 elements are live,
+        # takes about 10 ms
+        start = time.perf_counter()
+        with pytest.raises(NumericError):
+            _hyp_series(1.0, 2.0, z)
+        assert time.perf_counter() - start < 0.5
+
+    def test_integer_valued_order_past_the_budget_truncates(self):
+        # every double of magnitude >= 2^53 is an integer, so b = -1e20 once read as a terminating
+        # order of 1e20 terms; a child process lets a hang fail by its timeout
+        code = "from pqdslln.gfun import _hyp_series; print(repr(_hyp_series(-1e20, 3.0, 1e-20)))"
+        env = dict(os.environ)
+        src = str(Path(pqdslln.gfun.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        with mpmath.workdps(40):
+            expected = mpmath.hyp2f1(1, -mpmath.mpf(1e20), 3, mpmath.mpf(1e-20))
+            assert abs(float(done.stdout) - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize(
+        "b,c,z",
+        [
+            (1.0, 2.0, 0.99),  # ~3,000 terms
+            (0.5, 100.0, 0.9999999999),  # z near 1, but the terms fall like n^-99.5
+            (-1.5, 1.2, 0.999),  # a sign change in the early terms
+            (-3.0, 2.0, 0.9999999999),  # terminating: stops at its first zero term
+        ],
+    )
+    def test_convergent_series_near_one_are_summed(self, b, c, z):
+        expected = float(mpmath.hyp2f1(1.0, b, c, z))
+        assert _hyp_series(b, c, z) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "b,z",
+        [
+            (2000.0, 0.9),  # a term overflows
+            (2000.0, np.array([0.1, 0.9])),  # only one element overflows
+            (-3000.0, 0.99),  # terminating and alternating: inf - inf
+            (-3000.0, np.array([0.5, 0.99])),  # both elements overflow
+        ],
+    )
+    def test_overflow_is_numeric_error(self, b, z):
+        with pytest.raises(NumericError, match="overflows"):
+            _hyp_series(b, 1.0, z)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(pqdslln.gfun, "_MAX_TERMS", 40)
+        assert _hyp_series(1.0, 2.0, 0.1) == pytest.approx(-math.log1p(-0.1) / 0.1, rel=1e-14)
+        for z in (0.99, np.array([0.1, 0.99, 0.2])):
+            with pytest.raises(NumericError):
+                _hyp_series(1.0, 2.0, z)
+
+    @given(
+        st.floats(min_value=0.3, max_value=6.0),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.floats(min_value=1.0, max_value=3.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.booleans(),
+    )
+    def test_against_mpmath_where_b_sums_it(self, alpha, r, s, t, above):
+        # the (b, c, z) of the two forms of B: (a+b, a+1, F) with F < x* = 1 - h, and the mirror
+        # form's (a+b, b+1, g) with g <= h at b >= 1/64
+        a, b = s + 1.0, r - 1.0 / alpha
+        lift = max(b, 0.0)
+        h = (lift + 1.0) / (a + lift + 2.0)
+        if above:
+            assume(b >= 1.0 / 64.0)
+            params, z = (a + b, b + 1.0), t * h
+        else:
+            params, z = (a + b, a + 1.0), t * (1.0 - h) * (1.0 - 2.0**-52)
+        with mpmath.workdps(40):
+            expected = mpmath.hyp2f1(1, mpmath.mpf(params[0]), mpmath.mpf(params[1]), mpmath.mpf(z))
+            assert abs(_hyp_series(*params, z) - expected) <= 1e-13 * expected, (params, z)
+
+
+def per_term_2f1(b: float, c: float, z):
+    """The one-term-per-step sum that _hyp_series blocks: the reference for its bits and its refusals."""
+    zs = np.asarray(z, dtype=float)
+    live_z = zs.ravel()
+    budget = pqdslln.gfun._MAX_TERMS
+    out = np.empty(zs.size)
+    live = np.arange(zs.size)
+    term, total = np.ones(zs.size), np.ones(zs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(budget):
+            if not live.size:
+                break
+            term *= (b + n) / (c + n) * live_z
+            total += term
+            done = np.abs(term) <= 1e-15 * np.abs(total)
+            if done.any():
+                out[live[done]] = total[done]
+                keep = ~done
+                live, live_z, term, total = live[keep], live_z[keep], term[keep], total[keep]
+    if live.size:
+        raise NumericError(f"2F1 series did not converge within {budget} terms (z={float(live_z[0])!r})")
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise NumericError(f"2F1 series overflows double precision (z={float(zs.ravel()[np.argmin(finite)])!r})")
+    out = out.reshape(zs.shape)
+    return out if out.ndim else float(out)
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the refusal's type and message."""
+    try:
+        value = fn(*args)
+    except NumericError as exc:
+        return "NumericError", str(exc)
+    return np.asarray(value).tobytes(), type(value)
+
+
+@st.composite
+def _series(draw):
+    """(b, c, z) of a terminating, a general or a covariance-factor series, z an array of 0 to 5,000 elements."""
+    kind = draw(st.sampled_from(["terminating", "general", "below x*", "above x*"]))
+    if kind in ("below x*", "above x*"):
+        # the two series of g_closed_bracket: (a+b; a+1) at F < x* and (a+b; b+1) at 1 - F <= 1 - x*
+        a = draw(st.floats(1.0, 6.0)) + 1.0
+        b = draw(st.floats(0.01, 6.0))
+        x_star = (a + 1.0) / (a + b + 2.0)
+        params, z_max = ((a + b, a + 1.0), x_star) if kind == "below x*" else ((a + b, b + 1.0), 1.0 - x_star)
+    else:
+        first = -float(draw(st.integers(0, 8))) if kind == "terminating" else draw(st.floats(-5.0, 5.0))
+        params = (first, draw(st.floats(0.2, 8.0)))
+        z_max = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    size = draw(st.sampled_from([0, 1, 2, 5, 100, 255, 257, 4096, 5000]))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, z_max, size)
+    return (*params, z)
+
+
+class TestBlockedSum:
+    @given(series=_series(), budget=st.sampled_from([40, pqdslln.gfun._MAX_TERMS]))
+    def test_bits_and_refusals_are_the_per_term_loops(self, series, budget):
+        # a budget of 40 terms makes slow series run out of it, in a block or at a one-term step
+        b, c, z = series
+        with mock.patch.object(pqdslln.gfun, "_MAX_TERMS", budget):
+            assert _outcome(_hyp_series, b, c, z) == _outcome(per_term_2f1, b, c, z)

@@ -81,6 +81,19 @@ class TestCdfQuantile:
         with pytest.raises(ParameterError):
             ParetoMarginal(0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, 5e-324, 5e-309])
+    def test_alpha_or_its_reciprocal_infinite_is_parameter_error(self, alpha):
+        # alpha = inf makes -alpha log 1 nan; below about 5.6e-309, b = r - 1/alpha is -inf
+        with pytest.raises(ParameterError, match="finite and positive, with 1/alpha finite"):
+            ParetoMarginal(alpha)
+        assert ParetoMarginal(6e-309).alpha == 6e-309
+
+    def test_quantile_past_the_largest_double_is_inf(self):
+        # (1 - u)^(-1/alpha) overflows quietly to +inf, the correctly rounded sample
+        out = ParetoMarginal(0.01).quantile(np.array([0.5, 0.9999]))
+        assert out[0] == pytest.approx(2.0**100, rel=1e-12)
+        assert out[1] == math.inf
+
 
 class TestTailProb:
     """P{X > k^(1/p)} of a Pareto marginal, read as the event probability P(A_k)."""
