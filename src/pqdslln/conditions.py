@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -136,6 +135,8 @@ def decay_exponent(kind: str, p: float, schedule: PowerSchedule, r: float, margi
     double, except that an e just below -1 stays below it: a schedule that
     passes ``check_window(p)`` with r alpha > 1 always gives e < -1.
     """
+    from fractions import Fraction  # loaded on first use: a process that checks no series skips it
+
     schedule.check_window(p)
     if not math.isfinite(r):
         raise ParameterError(f"decay exponent requires a finite r, got {r!r}")

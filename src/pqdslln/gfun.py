@@ -72,7 +72,8 @@ ParameterError for any other (NaN, +-inf, or below the support edge),
 through one check.  B(inf) has its one entry, ``bracket_limit``.  B(1) = 0
 exactly on every side of the split: u = 1 takes the first form even where
 h rounds to 1 (b past about 3e16).  Where alpha log u or b log g passes the
-largest double, it is taken as its limit -inf (g = 0, or g^b = 0), quietly.
+largest double, it is taken as its limit -inf (g = 0, or g^b = 0), quietly.  Where B(inf)
+underflows to 0, as when r and s both near the largest double, every B(u) is 0 with no sum.
 """
 
 from __future__ import annotations
@@ -145,8 +146,12 @@ def _beta(x: float, y: float) -> float:
     try:
         ratio = gamma(hi) / gamma(total)
     except NumericError:
+        try:
+            log_lo = math.lgamma(lo)
+        except OverflowError:  # lo past about 2.5e305: Beta <= Beta(lo, lo) < 4^(1 - lo) underflowed long before
+            return 0.0
         log_ratio = lo - (hi - 0.5) * math.log1p(lo / hi) - lo * math.log(total)
-        return math.exp(math.lgamma(lo) + log_ratio + _stirling_remainder(hi) - _stirling_remainder(total))
+        return math.exp(log_lo + log_ratio + _stirling_remainder(hi) - _stirling_remainder(total))
     carry = lo - (total - hi)  # lo + hi - total, exactly
     return gamma(lo) * ratio * math.exp(-carry * math.log(total - 0.5))
 
@@ -257,6 +262,7 @@ def _closed_parts(r: float, s: float, marginal: ParetoMarginal, us: np.ndarray) 
     Above the split, base is B(inf) and part the negated mirror tail where b >= _MIRROR_MIN_B,
     and base is B(u_h) and part the strip sum from u_h to u below that.  One Gauss
     hypergeometric sum per side of the split that has thresholds, and one more for B(u_h).
+    Where B(inf) underflows to 0, every part is 0 and none lies above the split.
     """
     limit = bracket_limit(r, s, marginal)
     _check_support(us)
@@ -266,6 +272,8 @@ def _closed_parts(r: float, s: float, marginal: ParetoMarginal, us: np.ndarray) 
     h = (lift + 1.0) / (a + lift + 2.0)  # 1 - x*
     with np.errstate(over="ignore"):  # -inf past the largest double: g = 0 and F = 1
         log_tail = -alpha * np.log(us)  # log(1 - F)
+    if limit == 0.0:  # 0 <= B(u) <= B(inf), which underflows: so does every B(u)
+        return np.zeros(us.shape, dtype=bool), np.zeros(us.shape), limit, log_tail
     g = np.exp(log_tail)
     below = (g > h) | (g == 1.0)  # u = 1 gives 0 here even where h rounds to 1
     above = ~below

@@ -22,7 +22,8 @@ shape: a 1-D integrand gets a (k, n) node array and a 2-D one a (k, n, 1) x
 array and a (k, 1, n) y array, with k panels of n nodes each (n = 7 or 15).
 The whole procedure is deterministic: refinement order is a pure function of
 the inputs, and each final value is the exactly rounded (fsum) sum over its
-panels.
+panels.  The 7- and 15-node rules are made on a process's first integral and
+kept, so a process that never integrates loads no ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,22 @@ from .errors import ParameterError, QuadratureError
 
 __all__ = ["adaptive_quad_many"]
 
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
 # per dimension, the index that lays the (k, n) nodes of axis i along axis i of
 # the k panels' stacked (k, n, ..., n) grids
 _AXES = {1: (np.s_[:],), 2: (np.s_[:, :, None], np.s_[:, None, :])}
 _MAX_PANELS = 1 << 16  # the default panel budget of one integral
+
+
+@functools.cache
+def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-node Gauss-Legendre rule on [-1, 1], made on a process's first use.
+
+    numpy.polynomial, and the LAPACK eigen-solve behind its nodes, load only in a process that
+    integrates.  Every caller shares the two arrays, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _panels(f: Callable, panels: list[tuple[float, ...]]) -> list:
@@ -60,7 +71,7 @@ def _panels(f: Callable, panels: list[tuple[float, ...]]) -> list:
     width = functools.reduce(operator.mul, half[:, :, 0])  # h, or hx * hy
     axes = _AXES[len(mid)]
     sums = []
-    for x, w in ((_X7, _W7), (_X15, _W15)):
+    for x, w in (_rule(7), _rule(15)):
         # mid + half * x holds each axis's (k, n) nodes; f gets them laid along their axes
         g = np.asarray(f(*map(operator.getitem, mid + half * x, axes)), dtype=float)
         for _ in axes[1:]:  # contract every grid axis but the last with W

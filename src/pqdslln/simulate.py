@@ -28,11 +28,14 @@ block is cut into pieces of contiguous replicates, a few per usable CPU, and
 the standard thread pool (``concurrent.futures.ThreadPoolExecutor``, loaded
 on a process's first threaded run), one thread per CPU, samples them; each
 idle thread takes the next piece, so a CPU that runs slower than the others
-samples fewer pieces instead of holding the run up.  The threads run at
-once because every stage of a piece's block pipeline is a numpy call that
-releases the GIL: the Philox fill, the quantile, and each row's running
-sum, a 1-D accumulate that numpy runs without the GIL only when it writes
-into another array, so it goes into a spare row of the block.  Any other
+samples fewer pieces instead of holding the run up.  The calling thread
+allocates one block per pool thread, and each piece borrows one from a
+``queue.SimpleQueue`` and returns it when it ends, so the pool threads make
+no large allocation.  The threads run at once because every stage of a
+piece's block pipeline is a numpy call that releases the GIL: the Philox
+fill, the quantile, and each row's running sum, a 1-D accumulate that numpy
+runs without the GIL only when it writes into another array, so it goes
+into a spare row of the block.  Any other
 run, every dependent one among them, is one piece on the caller's thread.
 A batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one
 row at a time in Python floats, a larger one a column at a time in numpy;
@@ -329,22 +332,24 @@ def _thread_count(model: MultivariateFgmModel | None, replicates: int, n: int) -
     return min(len(os.sched_getaffinity(0)), replicates)
 
 
-def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e_matrix) -> None:
+def _sample_piece(run: SlnnRun, rows: range, buf: np.ndarray, hit_buf: np.ndarray, thresholds, s_matrix, e_matrix) -> None:
     """Sample replicates ``rows`` of ``run`` and write their rows of the checkpoint matrices.
 
     Each row draws from its own stream and carries its running sum and hit count across blocks
-    in sequential order.  Each block's quantiles overwrite its uniforms, which fill rows 1.. of a
-    buffer with one spare row; the running sums of row r + 1 go to row r.  A running sum that
-    passes the largest double (a sample may be +inf) raises NumericError.
+    in sequential order.  The piece allocates no block: it samples in ``buf``, a float64 array
+    of at least ``len(rows) + 1`` rows whose width is the block's, and ``hit_buf``, a bool array
+    of at least ``len(rows)`` rows of that width, and leaves their contents undefined.  Each
+    block's quantiles overwrite its uniforms, which fill rows 1.. of ``buf``, the spare row 0
+    taking no uniforms; the running sums of row r + 1 go to row r.  A running sum that passes
+    the largest double (a sample may be +inf) raises NumericError.
     """
     cps = run.checkpoints()
     ns = np.array(cps)
     rngs = [replicate_rng(run.seed, rep) for rep in rows]
     s_out, e_out = s_matrix[rows.start : rows.stop], e_matrix[rows.start : rows.stop]
-    buf = np.empty((len(rows) + 1, min(width, len(thresholds))))
-    hit_buf = np.empty((len(rows), buf.shape[1]), dtype=bool)
+    buf, hit_buf = buf[: len(rows) + 1], hit_buf[: len(rows)]
     s_run, e_run = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
-    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), width, buf[1:]):
+    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), buf.shape[1], buf[1:]):
         stop = start + u.shape[1]
         x = run.marginal.quantile(u, out=u)
         hits = np.greater(x, thresholds[start:stop], out=hit_buf[:, : u.shape[1]])
@@ -369,13 +374,17 @@ def _sample_piece(run: SlnnRun, rows: range, width: int, thresholds, s_matrix, e
 def run_slln(run: SlnnRun) -> PathReport:
     """Execute a seeded SLLN run; deterministic given the seed.
 
-    Replicates are sampled in column blocks of at most 2^18 values in all, each piece's spare
-    row of running sums included.  An independent run that fills a block is cut into pieces
-    of contiguous replicates, ``_PIECES_PER_THREAD`` per usable CPU, and a thread pool with one
-    thread per CPU samples them, each idle thread taking the next piece, so that a thread whose
-    CPU runs slower takes fewer; when a piece fails, the pieces not yet started are cancelled
-    and the error of the first failed piece is raised.  A run with one thread, every dependent
-    run among them, is one piece on the caller's thread; a few dependent replicates step
+    Replicates are sampled in column blocks of at most ``_GROUP_ELEMENTS`` = 2^18 values in all,
+    each block's spare row of running sums included, and these blocks, with their hit masks,
+    are the whole block memory of a run.  An independent run that fills a block is cut into
+    pieces of contiguous replicates, ``_PIECES_PER_THREAD`` per usable CPU, and a thread pool
+    with one thread per CPU samples them, each idle thread taking the next piece, so that a
+    thread whose CPU runs slower takes fewer; when a piece fails, the pieces not yet started
+    are cancelled and the error of the first failed piece is raised.  This thread allocates one
+    block per pool thread, and each piece borrows one from a ``queue.SimpleQueue`` and returns
+    it in a ``finally``, so the pool threads allocate no block.  A run with one thread, every
+    dependent run among them, is one piece on the caller's thread with one block, and loads
+    neither ``concurrent.futures`` nor ``queue``; a few dependent replicates step
     through the recurrence in Python floats, many in numpy, with the same bytes.  Each row
     draws from its own counter-based stream and carries its running sum and hit count across
     blocks in sequential order, so its results depend neither on the blocks, nor on the
@@ -393,16 +402,26 @@ def run_slln(run: SlnnRun) -> PathReport:
     s_matrix, e_matrix = np.empty((run.replicates, len(cps))), np.empty((run.replicates, len(cps)), dtype=np.int64)
     count = _thread_count(run.model, run.replicates, n_sampled)
     rows = run.replicates if count == 1 else max(1, run.replicates // (_PIECES_PER_THREAD * count))
-    # the blocks in flight, each with its spare row, hold _GROUP_ELEMENTS
-    width = max(1, _GROUP_ELEMENTS // (count * (rows + 1)))
-
-    def sample(first: int) -> None:
-        _sample_piece(run, range(first, min(first + rows, run.replicates)), width, thresholds, s_matrix, e_matrix)
-
+    # the blocks, one per thread and each with its spare row, hold _GROUP_ELEMENTS
+    width = min(max(1, _GROUP_ELEMENTS // (count * (rows + 1))), n_sampled)
+    blocks = [(np.empty((rows + 1, width)), np.empty((rows, width), dtype=bool)) for _ in range(count)]
     if count == 1:
-        sample(0)
+        _sample_piece(run, range(run.replicates), *blocks[0], thresholds, s_matrix, e_matrix)
     else:
         from concurrent.futures import ThreadPoolExecutor  # loaded on a process's first threaded run
+        from queue import SimpleQueue
+
+        free = SimpleQueue()  # the blocks, made on this thread, so the pool's threads allocate none
+        for block in blocks:
+            free.put(block)
+
+        def sample(first: int) -> None:
+            block = free.get()  # never waits: at most count pieces run at once
+            try:
+                piece = range(first, min(first + rows, run.replicates))
+                _sample_piece(run, piece, *block, thresholds, s_matrix, e_matrix)
+            finally:
+                free.put(block)
 
         # each piece goes to the first free thread; map raises the first failure in piece order,
         # once the pieces not yet started are cancelled, and leaving the pool joins its threads

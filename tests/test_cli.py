@@ -807,6 +807,40 @@ class TestFarParameters:
             assert run_cli(args, tmp_path) == EXIT_OK
         assert read_json(tmp_path / "result.json")["methods"]["closed"] == 0.0
 
+    @pytest.mark.parametrize(
+        "rs, uv",
+        [("1e308", ("2", "3")), ("1e308", ("1", "1e300")), ("5e307", ("2", "3"))],
+        ids=["1e308", "1e308-edge", "5e307"],
+    )
+    def test_g_eval_with_both_exponents_near_the_largest_double(self, tmp_path, rs, uv):
+        # B(inf) = Beta(s + 1, r - 1/alpha) / alpha underflows; lgamma(s + 1) once overflowed, and past
+        # r = s ~ 9e307 so does a + b, where the series at u = 1 spent its whole term budget
+        args = ["g", "eval", "--theta", "1", "--r", rs, "--s", rs, "--u", uv[0], "--v", uv[1], "--method", "closed"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args, tmp_path) == EXIT_OK
+        assert read_json(tmp_path / "result.json")["methods"]["closed"] == 0.0
+
+    def test_condition_check_with_both_exponents_near_the_largest_double(self, tmp_path):
+        args = ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--r", "1e308",
+                "--s", "1e308", "--N", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(args, tmp_path) == EXIT_OK
+        assert read_json(tmp_path / "result.json")["partial_sum"] == 0.0
+
+    def test_bracket_with_both_exponents_near_the_largest_double(self, tmp_path):
+        # the theta term, theta times the product of two factor differences, is 0: lhs is the
+        # product of the survival integrals alone, as under the zero schedule
+        args = ["bc", "bracket", "--alpha", "2", "--p", "1", "--r", "1e308", "--s", "1e308", "--k", "2", "--j", "3",
+                "--eps", "1.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*args, "--theta-spec=power:0.2,-1.5"], tmp_path / "power") == EXIT_OK
+        assert run_cli([*args, "--theta-spec=zero"], tmp_path / "zero") == EXIT_OK
+        got, independent = (read_json(tmp_path / name / "result.json") for name in ("power", "zero"))
+        assert got["lhs"] == independent["lhs"] and got["holds"] is True
+
     @pytest.mark.parametrize("spec, k, j", [("power:999999.9999999999,-1000000.0", "1000", "2"), ("power:1100,-1100.5", "2", "3")])
     def test_overflowing_power_of_k_in_the_window(self, tmp_path, spec, k, j):
         # k^mu alone passes the largest double, theta_{k,j} does not

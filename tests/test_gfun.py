@@ -187,6 +187,18 @@ class TestClosedForm:
         assert values[1:].tolist() == pytest.approx([limit, limit], rel=1e-12)  # x^-2r has all but vanished by u = 2
         assert factor_differences(r, 1.0, PARETO_2, [2.0], [1.0])[0] == pytest.approx(limit, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1e305, 1e306, 1e307, 5e307, 9e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("s", [1e305, 1e306, 1e307, 5e307, 9e307, 1e308, 1.7e308])
+    def test_both_exponents_near_the_largest_double(self, r, s):
+        # B(inf) = Beta(s + 1, r - 1/alpha) / 2 lies far below the smallest subnormal double, so every
+        # B(u) <= B(inf) rounds to 0; lgamma of the smaller argument overflows past about 2.5e305, and
+        # a + b = s + 1 + r - 1/alpha past the largest double
+        us = np.array([1.0, 2.0, 3.0, 1e300])
+        assert bracket_limit(r, s, PARETO_2) == 0.0
+        assert g_closed_bracket(r, s, PARETO_2, us).tolist() == [0.0] * 4
+        assert g_closed_bracket(r, s, PARETO_2, 1.0) == 0.0
+        assert factor_differences(r, s, PARETO_2, [3.0, 1e300], [1.0, 2.0]).tolist() == [0.0, 0.0]
+
     def test_domain(self):
         with pytest.raises(ParameterError):
             g_closed_bracket(1.0, 1.0, PARETO_2, 0.8)

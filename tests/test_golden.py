@@ -15,11 +15,14 @@ delete its directory first.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pqdslln.cli
 from pqdslln.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,6 +98,27 @@ def test_rerun_replays_golden_bytes(case, tmp_path):
 def test_command_line_reproduces_golden_bytes(case, tmp_path):
     assert main([*CASES[case], "--outdir", str(tmp_path)]) == EXIT_OK
     _assert_same_files(GOLDEN / case, tmp_path)
+
+
+def test_rules_load_on_the_first_integral(tmp_path):
+    # a process that never integrates loads neither numpy.polynomial nor fractions; g eval's
+    # oracles make the Gauss-Legendre rules on first use, with the captured bytes
+    code = (
+        "import json, sys, pqdslln.cli\n"
+        "loaded = lambda: sorted({'numpy.polynomial', 'fractions'} & set(sys.modules))\n"
+        "before = loaded()\n"
+        "status = pqdslln.cli.main([*json.loads(sys.argv[1]), '--outdir', sys.argv[2]])\n"
+        "print(json.dumps([before, status, loaded()]))"
+    )
+    src = str(Path(pqdslln.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(CASES["g-eval-all"]), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], EXIT_OK, ["numpy.polynomial"]]
+    _assert_same_files(GOLDEN / "g-eval-all", tmp_path)
 
 
 if __name__ == "__main__":

@@ -14,13 +14,13 @@ from pqdslln.errors import ParameterError, QuadratureError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.quadrature import (
     _MAX_PANELS,
-    _W7,
-    _W15,
-    _X7,
-    _X15,
     _panels,
+    _rule,
     adaptive_quad_many,
 )
+
+_X7, _W7 = _rule(7)
+_X15, _W15 = _rule(15)
 
 
 def _quad(f, a, b, abs_tol=1e-10, **kwargs):

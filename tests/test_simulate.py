@@ -395,6 +395,47 @@ class TestPieces:
             run_slln(self.run(6))
         assert threading.active_count() == baseline
 
+    def test_pieces_borrow_the_callers_blocks(self, monkeypatch):
+        # 4 pieces per thread: eight one-replicate pieces share the 2 blocks the caller allocated
+        self.force_threads(monkeypatch, 2)
+        real, empty = simulate._sample_piece, np.empty
+        blocks, allocating = set(), set()
+
+        def traced(run, rows, buf, hit_buf, *args):
+            blocks.add((id(buf), id(hit_buf)))
+            real(run, rows, buf, hit_buf, *args)
+
+        def recording_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.size >= 512:  # a block row of the 512-step path, or more: not np.ones(rows) and the like
+                allocating.add(threading.get_ident())
+            return out
+
+        monkeypatch.setattr(simulate, "_sample_piece", traced)
+        monkeypatch.setattr(np, "empty", recording_empty)
+        report = run_slln(self.run(8))
+        monkeypatch.undo()
+        assert 1 <= len(blocks) <= 2
+        assert allocating == {threading.get_ident()}  # no pool thread allocates a block
+        assert report.m_values.tobytes() == run_slln(self.run(8)).m_values.tobytes()
+
+    def test_one_thread_run_starts_no_pool(self, tmp_path):
+        # a dependent run, and an independent one below a block, is one piece on the caller's thread
+        src = Path(simulate.__file__).parents[1]
+        argv = ["simulate", "slln", "--p", "1.2", "--alpha", "2", "--n-max", "512", "--replicates", "8", "--c", "2"]
+        code = (
+            "import sys, pqdslln.cli\n"
+            "for spec in ('power:-0.3,-1.2,0.25', 'zero'):\n"
+            f"    assert pqdslln.cli.main([*{argv!r}, '--theta-spec', spec, '--outdir', sys.argv[1] + spec]) == 0\n"
+            "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code, f"{tmp_path}/"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_cli_import_does_not_load_concurrent_futures(self):
         src = Path(simulate.__file__).parents[1]
         code = "import sys, pqdslln.cli; print('concurrent.futures' in sys.modules)"
@@ -460,9 +501,9 @@ class TestRunSlln:
         widths = []
         sample_piece = simulate._sample_piece
 
-        def recording(run, rows, width, *args):
-            widths.append(width)
-            sample_piece(run, rows, width, *args)
+        def recording(run, rows, buf, *args):
+            widths.append(buf.shape[1])
+            sample_piece(run, rows, buf, *args)
 
         monkeypatch.setattr(simulate, "_sample_piece", recording)
         fewer = run_slln(self.run(n_max=2**17, replicates=3))
