@@ -37,11 +37,9 @@ fill, the quantile, and each row's running sum, a 1-D accumulate that numpy
 runs without the GIL only when it writes into another array, so it goes
 into a spare row of the block.  Any other
 run, every dependent one among them, is one piece on the caller's thread.
-A batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one
-row at a time in Python floats, a larger one a column at a time in numpy;
-both make the same correctly rounded operations in the same order.  So a
-row's path depends neither on the blocking, nor on the pieces or threads,
-nor on the rows sampled with it.
+A dependent block steps through the recurrence one row at a time in Python
+floats.  So a row's path depends neither on the blocking, nor on the pieces
+or threads, nor on the rows sampled with it.
 """
 
 from __future__ import annotations
@@ -75,10 +73,7 @@ _GROUP_ELEMENTS = 1 << 18
 # Pieces of replicates per thread in a threaded run: enough that a thread whose CPU runs slower
 # hands pieces to the others instead of holding the run up.
 _PIECES_PER_THREAD = 4
-# Batches of at most this many rows step in Python floats, larger ones in numpy: the measured
-# crossover, where a numpy step over one column costs as much as this many scalar steps.
-_SCALAR_ROWS = 56
-_SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the scalar route holds as Python floats at once
+_SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the inversion holds as Python floats at once
 _INVARIANTS = ("slope left [-1, 1]", "normalizer became nonpositive", "inversion discriminant went negative")
 
 _MASK64 = (1 << 64) - 1
@@ -141,72 +136,34 @@ def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, 
 
     Row i draws from ``rngs[i]``, and each block overwrites the last, in ``buf`` when it is given
     (one row per stream, at least ``min(width, n)`` columns).  The normalizer D and the
-    telescoped inner sum, with a ring of its last ``window`` terms k^mu * eta_k, carry over.  A
-    batch of at most ``_SCALAR_ROWS`` rows steps through the recurrence one row at a time in
-    Python floats (:func:`_invert_rows`), a larger one a column at a time in numpy
-    (:func:`_invert_columns`).  Both routes make the same correctly rounded float operations in
-    the same order, so a row's bytes do not depend on the route.  The running invariants are
-    checked before every yield.
+    telescoped inner sum, with a ring of its last ``window`` terms k^mu * eta_k, carry over, and
+    :func:`_invert_rows` steps each row of a dependent block through the recurrence on its own,
+    so a row's bytes depend neither on the block widths nor on the rows sampled with it.
     """
     batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
     buf = np.empty((batch, min(width, n))) if buf is None else buf
     window = model.schedule.window if dependent else None
     ring = np.zeros((window, batch)) if window is not None and window < n else None
-    d, w_run, failed = np.ones(batch), np.zeros(batch), [False] * len(_INVARIANTS)
-    invert = _invert_rows if batch <= _SCALAR_ROWS else _invert_columns
+    d, w_run = np.ones(batch), np.zeros(batch)
     for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
         u = buf[:, : n - start]
         for row, row_rng in zip(u, rngs):
             row_rng.random(out=row)
         if dependent:
-            invert(model.schedule, u, start, d, w_run, ring, failed)
-        for bad, what in zip(failed, _INVARIANTS):
-            if bad:
-                raise NumericError(f"conditional {what} (internal normalizer bug)")
+            _invert_rows(model.schedule, u, start, d, w_run, ring)
         yield start, u
 
 
-def _invert_columns(schedule, u, start, d, w_run, ring, failed) -> None:
-    """Invert block ``u`` in place one column at a time, each step a numpy operation over the rows.
+def _invert_rows(schedule, u, start, d, w_run, ring) -> None:
+    """Invert block ``u``, whose first column is step ``start + 1``, in place one row at a time.
 
-    ``d``, ``w_run`` and ``ring`` are updated in place; ``failed[i]`` is set when invariant i broke.
-    """
-    scale, mu, nu = schedule.scale, schedule.mu, schedule.nu
-    batch = u.shape[0]
-    d_min, a_max, disc_min = np.full(batch, np.inf), np.zeros(batch), np.full(batch, np.inf)
-    # invert column j in place: u (1 + a (1 - u)) = w has the stable root 2w / (1 + a + sqrt((1+a)^2 - 4aw))
-    for j, m in enumerate(range(start + 1, start + u.shape[1] + 1)):
-        a_m = (scale * float(m) ** nu) * w_run
-        np.minimum(d_min, d, out=d_min)
-        a = a_m / d
-        np.maximum(a_max, np.abs(a), out=a_max)
-        a = np.clip(a, -1.0, 1.0)
-        w = u[:, j]
-        disc = (1.0 + a) ** 2 - 4.0 * a * w
-        np.minimum(disc_min, disc, out=disc_min)
-        denom = 1.0 + a + np.sqrt(np.maximum(disc, 0.0))
-        u_m = np.divide(2.0 * w, denom, out=np.zeros_like(w), where=denom > 0.0)
-        u[:, j] = u_m = np.where(np.abs(a) < 1e-14, w, u_m)
-        eta = 1.0 - 2.0 * u_m
-        d += eta * a_m
-        term = float(m) ** mu * eta
-        w_run += term
-        if ring is not None:  # its slot holds the term of step m - window, or 0.0
-            slot = (m - 1) % len(ring)
-            w_run -= ring[slot]
-            ring[slot] = term
-    for i, ok in enumerate((a_max <= 1.0 + 1e-9, d_min > 0.0, disc_min >= -1e-12)):
-        failed[i] |= not np.all(ok)  # NaN fails every comparison too
-
-
-def _invert_rows(schedule, u, start, d, w_run, ring, failed) -> None:
-    """:func:`_invert_columns` one row at a time in Python floats, with the same operations in
-    order.
-
-    Rows are read and written through a memoryview of ``u``, and the per-step coefficients, which
-    the rows share, are made for ``_SCALAR_COLUMNS`` columns at a time, so the route holds few
-    Python floats however wide the block.
+    Step m takes the stable root 2w / (1 + a + sqrt((1 + a)^2 - 4aw)) of u (1 + a (1 - u)) = w
+    at the slope a = A_m / D clipped to [-1, 1].  ``d``, ``w_run`` and ``ring`` carry the rows'
+    normalizers and inner sums to the next block, in place.  Rows are read and written through
+    a memoryview of ``u`` in Python floats, and the per-step coefficients, which the rows share,
+    are made for ``_SCALAR_COLUMNS`` columns at a time.  At the end of the block the first
+    broken invariant, in the order of ``_INVARIANTS``, raises NumericError.
     """
     scale, mu, nu = schedule.scale, schedule.mu, schedule.nu
     batch, cols = u.shape
@@ -224,7 +181,7 @@ def _invert_rows(schedule, u, start, d, w_run, ring, failed) -> None:
                 a_m = coeff * w_r
                 if not d_r > 0.0:
                     positive = False
-                a = a_m / d_r if d_r else math.nan  # numpy's a_m / 0 is inf or nan: a broken slope either way
+                a = a_m / d_r if d_r else math.nan  # a zero normalizer breaks the slope too
                 if not -1.0 <= a <= 1.0:
                     if not -1.0 - 1e-9 <= a <= 1.0 + 1e-9:
                         slope_ok = False
@@ -250,8 +207,9 @@ def _invert_rows(schedule, u, start, d, w_run, ring, failed) -> None:
             d[row], w_run[row] = d_r, w_r
             if window:
                 ring[:, row] = terms
-    for i, ok in enumerate((slope_ok, positive, real_root)):
-        failed[i] |= not ok
+    for ok, what in zip((slope_ok, positive, real_root), _INVARIANTS):
+        if not ok:
+            raise NumericError(f"conditional {what} (internal normalizer bug)")
 
 
 @dataclass(frozen=True)
@@ -384,11 +342,11 @@ def run_slln(run: SlnnRun) -> PathReport:
     block per pool thread, and each piece borrows one from a ``queue.SimpleQueue`` and returns
     it in a ``finally``, so the pool threads allocate no block.  A run with one thread, every
     dependent run among them, is one piece on the caller's thread with one block, and loads
-    neither ``concurrent.futures`` nor ``queue``; a few dependent replicates step
-    through the recurrence in Python floats, many in numpy, with the same bytes.  Each row
-    draws from its own counter-based stream and carries its running sum and hit count across
-    blocks in sequential order, so its results depend neither on the blocks, nor on the
-    pieces, nor on the threads.
+    neither ``concurrent.futures`` nor ``queue``; its dependent replicates step through the
+    recurrence one at a time in Python floats.  Each row draws from its own counter-based
+    stream and carries its running sum and hit count across blocks in sequential order, so its
+    results depend neither on the blocks, nor on the pieces, nor on the threads.  An M_n that
+    is not finite, as where n*c passes the largest double, raises NumericError.
     """
     c = run.centering()
     cps = run.checkpoints()
@@ -427,7 +385,12 @@ def run_slln(run: SlnnRun) -> PathReport:
         # once the pieces not yet started are cancelled, and leaving the pool joins its threads
         with ThreadPoolExecutor(count) as pool:
             list(pool.map(sample, range(0, run.replicates, rows)))
-    m_matrix = (s_matrix - ns * c) / ns ** (1.0 / run.p)
+    with np.errstate(over="ignore", invalid="ignore"):  # an M_n that is not finite is refused below
+        m_matrix = (s_matrix - ns * c) / ns ** (1.0 / run.p)
+    finite = np.isfinite(m_matrix)
+    if not finite.all():
+        rep, i = np.argwhere(~finite)[0]
+        raise NumericError(f"replicate {rep}'s centred sum S_n - n*c overflows double precision at n={cps[i]}")
     model = run.model
     metadata = {
         "p": run.p,

@@ -873,17 +873,31 @@ class TestOverflowingPairSums:
 
 
 class TestOverflowingSamples:
-    """Where a replicate's running sum passes the largest double, the run exits 3, with no overflow warning."""
+    """Where a replicate's running sum or centred sum passes the largest double, the run exits 3, with no
+    overflow warning."""
 
-    @pytest.mark.parametrize("alpha", ["0.01", "1e-300"])
-    def test_is_numeric_error(self, alpha, tmp_path, capsys):
-        # a Pareto(0.01) sample passes the largest double once 1 - U < 1e-3.08, so within 1024 draws
-        args = ["simulate", "slln", "--p", "1", "--alpha", alpha, "--n-max", "1024", "--replicates", "4", "--c", "2"]
+    SUM = "[numeric] replicate 0's running sum overflows double precision"
+    CENTRED = "[numeric] replicate 0's centred sum S_n - n*c overflows double precision at n="
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # a Pareto(0.01) sample passes the largest double once 1 - U < 1e-3.08, so within 1024 draws
+            (["--alpha", "0.01", "--n-max", "1024", "--replicates", "4", "--c", "2"], SUM),
+            (["--alpha", "1e-300", "--n-max", "1024", "--replicates", "4", "--c", "2"], SUM),
+            # n*c overflows at the first checkpoint, though M_n = S_n/n - c is finite at p = 1
+            (["--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "1e307"], CENTRED + "128"),
+            (["--alpha", "2", "--n-max", "131072", "--replicates", "2", "--c", "1e304"], CENTRED + "32768"),
+            (["--alpha", "2", "--n-max", "256", "--replicates", "2", "--c", "-1e308"], CENTRED + "128"),
+        ],
+        ids=["0.01", "1e-300", "c-1e307", "c-1e304", "c-minus-1e308"],
+    )
+    def test_is_numeric_error(self, args, message, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
+            assert run_cli(["simulate", "slln", "--p", "1", *args], tmp_path / "run") == EXIT_NUMERIC
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "[numeric] replicate 0's running sum overflows double precision" in err[0]
+        assert len(err) == 1 and message in err[0]
         assert not (tmp_path / "run" / "manifest.json").exists()
 
 

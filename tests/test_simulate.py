@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -166,12 +165,12 @@ class TestSampler:
             sample_paths(model, replicate_rng(3, 0), 4)
 
 
-class _Reached(Exception):
-    pass
-
-
 class TestRoutes:
-    """Small batches step in Python floats, large ones in numpy: the same bytes and errors."""
+    """Each row of a batch, sampled in blocks of any width, is its single-row, whole-width path.
+
+    The sampler inverts one row at a time, so neither the rows sampled with a row nor the block
+    widths may change its bytes, or whether the run raises.
+    """
 
     MODELS = {
         "exact": lambda: power_model(512, mu=-0.3, nu=-1.2, scale=0.25),
@@ -179,20 +178,23 @@ class TestRoutes:
     }
 
     @staticmethod
-    def path(model, rows, width, scalar_rows, monkeypatch):
-        monkeypatch.setattr(simulate, "_SCALAR_ROWS", scalar_rows)
-        rngs = [replicate_rng(4, rep) for rep in range(rows)]
+    def path(model, reps, width):
+        """The paths of replicates ``reps``, sampled together in blocks of ``width`` columns."""
+        rngs = [replicate_rng(4, rep) for rep in reps]
         return np.hstack([u.copy() for _, u in simulate._uniform_blocks(model, rngs, model.n, width)])
 
-    # blocks of 1 or 37 columns end inside the 16-step window
-    @pytest.mark.parametrize("width", [1, 37])
-    @pytest.mark.parametrize("rows", [1, 2, 32, simulate._SCALAR_ROWS + 1])
+    def alone(self, model, rows):
+        """The paths of replicates 0..rows-1, each sampled on its own in one whole-width block."""
+        return np.vstack([self.path(model, [rep], model.n) for rep in range(rows)])
+
+    # blocks of 1 or 37 columns end inside the 16-step window; 512 columns are the whole path
+    @pytest.mark.parametrize("width", [1, 37, 512])
+    @pytest.mark.parametrize("rows", [1, 2, 32, 57, 64])
     @pytest.mark.parametrize("case", ["exact", "window"])
-    def test_routes_agree_bit_for_bit(self, case, rows, width, monkeypatch):
+    def test_routes_agree_bit_for_bit(self, case, rows, width):
         model = self.MODELS[case]()
-        scalar = self.path(model, rows, width, rows, monkeypatch)
-        vector = self.path(model, rows, width, 0, monkeypatch)
-        assert scalar.shape == (rows, 512) and scalar.tobytes() == vector.tobytes()
+        batch = self.path(model, range(rows), width)
+        assert batch.shape == (rows, 512) and batch.tobytes() == self.alone(model, rows).tobytes()
 
     @given(
         schedule=st.tuples(st.floats(-3.0, 2.0), st.floats(-3.0, 2.0), st.floats(0.0, 4.0)),
@@ -200,20 +202,19 @@ class TestRoutes:
         data=st.data(),
     )
     def test_routes_agree_on_drawn_schedules(self, schedule, n, data):
-        # rescaled to the budget where the strengths exceed it; row counts on both sides of
-        # _SCALAR_ROWS, each forced through both routes
+        # rescaled to the budget where the strengths exceed it
         window = data.draw(st.none() | st.integers(1, n), label="window")
-        rows = data.draw(st.integers(1, simulate._SCALAR_ROWS + 8), label="rows")
+        rows = data.draw(st.integers(1, 64), label="rows")
         group = data.draw(st.integers(1, rows * n), label="group elements")
         width = max(1, group // rows)  # as run_slln cuts a dependent run's blocks from _GROUP_ELEMENTS
         model = power_model(n, *schedule, window=window)
         outcomes = []
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            for scalar_rows in (rows, 0):
-                try:
-                    outcomes.append(self.path(model, rows, width, scalar_rows, monkeypatch).tobytes())
-                except NumericError as exc:
-                    outcomes.append(str(exc))
+        # a batch raises when any of its rows breaks an invariant, and that row raises on its own
+        for sample in (lambda: self.path(model, range(rows), width), lambda: self.alone(model, rows)):
+            try:
+                outcomes.append(sample().tobytes())
+            except NumericError:
+                outcomes.append("raises")
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize(
@@ -227,26 +228,11 @@ class TestRoutes:
         ],
         ids=["inadmissible", "nan-scale"],
     )
-    def test_routes_raise_the_same_error(self, model, monkeypatch):
-        messages = []
-        for scalar_rows in (4, 0):
-            monkeypatch.setattr(simulate, "_SCALAR_ROWS", scalar_rows)
+    def test_routes_raise_the_same_error(self, model):
+        for rows in (4, 64):
             with pytest.raises(NumericError) as info:
-                sample_paths(model, replicate_rng(3, 0), 4)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-
-    def test_route_follows_the_batch_size(self, monkeypatch):
-        def vectorised(*args):
-            raise _Reached
-
-        monkeypatch.setattr(simulate, "_invert_columns", vectorised)
-        model = power_model(128, mu=-0.3, nu=-1.2, scale=0.25)
-        run = SlnnRun(p=1.2, marginal=ParetoMarginal(2.0), model=model, n_max=128,
-                      replicates=simulate._SCALAR_ROWS, seed=1, c=2.0)
-        run_slln(run)
-        with pytest.raises(_Reached):
-            run_slln(dataclasses.replace(run, replicates=simulate._SCALAR_ROWS + 1))
+                sample_paths(model, replicate_rng(3, 0), rows)
+            assert str(info.value) == "conditional slope left [-1, 1] (internal normalizer bug)"
 
 
 class TestCountExceedances:
@@ -530,11 +516,15 @@ class TestRunSlln:
         np.testing.assert_array_equal(report.exceedances, e_rows)
 
     @pytest.mark.parametrize(
-        "n_max,replicates,dependent", [(2**17, 32, False), (2**12, 1024, True)], ids=["independent", "exact"]
+        "n_max,replicates,dependent,group,limit",
+        [(2**17, 32, False, 1 << 18, 4 * 2**20), (2**11, 64, True, 1 << 12, 2**18)],
+        ids=["independent", "exact"],
     )
-    def test_memory_stays_below_the_path(self, n_max, replicates, dependent):
-        # the whole path would take 32 MB; the blocks of uniforms, inverted in place, and the spare
-        # row of running sums each has take 2 MB
+    def test_memory_stays_below_the_path(self, n_max, replicates, dependent, group, limit, monkeypatch):
+        # the whole path would take 32 MB (1 MB dependent); the blocks of uniforms, inverted in
+        # place, and the spare row of running sums each has take 2 MB (32 kB); the dependent run
+        # steps in Python floats, whose every allocation tracemalloc traces, hence its small path
+        monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", group)
         model = power_model(n_max, mu=-0.3, nu=-1.2, scale=0.25) if dependent else None
         run = self.run(p=1.2, n_max=n_max, replicates=replicates, model=model)
         run_slln(self.run(n_max=128, replicates=1))  # what the first call imports stays out of the measure
@@ -544,7 +534,7 @@ class TestRunSlln:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < limit
 
     @pytest.mark.parametrize("case", ["independent", "exact", "window"])
     def test_running_sums_never_overwrite_their_input(self, case, monkeypatch):
