@@ -10,7 +10,8 @@ every subcommand's flags once, and the argparse tree built from it is the
 only parser.  A CSV table is a header row and int64 and float64 columns:
 an int is written in decimal, a float as its repr().
 
-Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure.
+Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure (a size
+too large to allocate among them).
 Verdicts are data, not errors: a "diverges" result still exits 0.
 """
 
@@ -23,6 +24,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -581,13 +583,17 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"{_TOOL}: error: [parameter] {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except NumericError as exc:
+    except (NumericError, MemoryError) as exc:  # a size too large to allocate is a numeric failure
         print(f"{_TOOL}: error: [numeric] {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 
 def entrypoint() -> None:
-    """Run main() as a program; a reader that closes stdout early does not turn a run into a failure."""
+    """Run main() as a program; a reader that closes stdout early does not turn a run into a failure.
+
+    A warning prints as one line, ``pqdslln: warning: <message>``.
+    """
+    warnings.formatwarning = lambda message, *_: f"{_TOOL}: warning: {message}\n"
     try:
         code = main()
         sys.stdout.flush()

@@ -43,7 +43,7 @@ __all__ = ["adaptive_quad_many"]
 # per dimension, the index that lays the (k, n) nodes of axis i along axis i of
 # the k panels' stacked (k, n, ..., n) grids
 _AXES = {1: (np.s_[:],), 2: (np.s_[:, :, None], np.s_[:, None, :])}
-_MAX_PANELS = 1 << 16  # the default panel budget of one integral
+_MAX_PANELS = 1 << 16  # the panel budget of one integral
 
 
 @functools.cache
@@ -120,18 +120,18 @@ class _Integral:
         bound = math.fsum([err for _, err in self.done] + [-entry[0] for entry in self.heap])
         return value, bound
 
-    def next_split(self, abs_tol: float, max_panels: int):
+    def next_split(self, abs_tol: float):
         """Children bounds of the worst splittable panel, or None once refinement stops.
 
         Refinement stops when the error total meets abs_tol or no panel is
-        left to split.  Raises QuadratureError when the panel budget is
-        exhausted first.
+        left to split.  Raises QuadratureError when the panel budget
+        ``_MAX_PANELS`` is exhausted first.
         """
         while self.err_total > abs_tol and self.heap:
-            if len(self.heap) + len(self.done) >= max_panels:
+            if len(self.heap) + len(self.done) >= _MAX_PANELS:
                 estimate, bound = self.sums()
                 raise QuadratureError(
-                    f"adaptive_quad_many: panel budget {max_panels} exhausted (error bound {bound:.3e} > {abs_tol:.3e})",
+                    f"adaptive_quad_many: panel budget {_MAX_PANELS} exhausted (error bound {bound:.3e} > {abs_tol:.3e})",
                     estimate,
                     bound,
                 )
@@ -151,7 +151,6 @@ def adaptive_quad_many(
     regions: Iterable[tuple[float, ...]],
     *,
     abs_tol: float,
-    max_panels: int = _MAX_PANELS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, error_bounds) of the integrals of f over the regions, refined in lockstep.
 
@@ -162,13 +161,12 @@ def adaptive_quad_many(
     (k, 1, n) in 2-D, panel i's in row i, and must return the values
     elementwise in the (broadcast) shape of its arguments.  Raises
     ParameterError before any evaluation for an abs_tol that is not finite
-    and > 0, a max_panels below 1, regions of mixed or other lengths, and a
-    non-finite edge.
+    and > 0, regions of mixed or other lengths, and a non-finite edge; and
+    QuadratureError when an integral spends its ``_MAX_PANELS`` panels or
+    cannot reach abs_tol.
     """
-    if not (math.isfinite(abs_tol) and abs_tol > 0.0 and max_panels >= 1):
-        raise ParameterError(
-            f"quadrature needs a finite abs_tol > 0 and max_panels >= 1, got abs_tol={abs_tol!r}, max_panels={max_panels!r}"
-        )
+    if not (math.isfinite(abs_tol) and abs_tol > 0.0):
+        raise ParameterError(f"quadrature needs a finite abs_tol > 0, got abs_tol={abs_tol!r}")
     regions = [tuple(map(float, region)) for region in regions]
     for region in regions:
         if len(region) not in (2, 4) or len(region) != len(regions[0]):
@@ -191,7 +189,7 @@ def adaptive_quad_many(
             if failed is not None and i > failed[0]:
                 continue  # its result is not needed: a lower-index integral failed
             try:
-                children = integral.next_split(abs_tol, max_panels)
+                children = integral.next_split(abs_tol)
                 if children is not None:
                     active[i] = integral
                     batch.append((i, children))

@@ -35,11 +35,11 @@ no large allocation.  The threads run at once because every stage of a
 piece's block pipeline is a numpy call that releases the GIL: the Philox
 fill, the quantile, and each row's running sum, a 1-D accumulate that numpy
 runs without the GIL only when it writes into another array, so it goes
-into a spare row of the block.  Any other
-run, every dependent one among them, is one piece on the caller's thread.
-A dependent block steps through the recurrence one row at a time in Python
-floats.  So a row's path depends neither on the blocking, nor on the pieces
-or threads, nor on the rows sampled with it.
+into a spare row of the block.  Any other run, every dependent one among
+them, is one piece on the caller's thread.  A dependent row steps through
+the recurrence alone, its normalizer, inner sum and window ring in Python
+floats, so its path depends on neither the blocking, pieces, threads nor
+other rows; the step that breaks an invariant raises NumericError.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ _GROUP_ELEMENTS = 1 << 18
 # hands pieces to the others instead of holding the run up.
 _PIECES_PER_THREAD = 4
 _SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the inversion holds as Python floats at once
-_INVARIANTS = ("slope left [-1, 1]", "normalizer became nonpositive", "inversion discriminant went negative")
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,85 +130,73 @@ class MultivariateFgmModel:
         )
 
 
-def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, width: int, buf=None):
-    """Yield (start, u), the rows' paths in column blocks of at most ``width`` steps.
+def _uniform_blocks(model: MultivariateFgmModel | None, rngs: Sequence, n: int, buf: np.ndarray):
+    """Yield (start, u), the rows' paths in column blocks as wide as ``buf``.
 
-    Row i draws from ``rngs[i]``, and each block overwrites the last, in ``buf`` when it is given
-    (one row per stream, at least ``min(width, n)`` columns).  The normalizer D and the
-    telescoped inner sum, with a ring of its last ``window`` terms k^mu * eta_k, carry over, and
-    :func:`_invert_rows` steps each row of a dependent block through the recurrence on its own,
-    so a row's bytes depend neither on the block widths nor on the rows sampled with it.
+    Row i draws from ``rngs[i]``, and each block overwrites the last in ``buf``, one row per
+    stream and at most n columns.  A dependent row carries its state across blocks in Python
+    floats: the normalizer D, the telescoped inner sum and, for a window shorter than the path,
+    a ring list of its last ``window`` terms k^mu * eta_k.  :func:`_invert_rows` steps each row
+    on its own, so its bytes depend on neither the block widths nor the rows sampled with it.
     """
-    batch = len(rngs)
     dependent = model is not None and model.theta_sum != 0.0
-    buf = np.empty((batch, min(width, n))) if buf is None else buf
-    window = model.schedule.window if dependent else None
-    ring = np.zeros((window, batch)) if window is not None and window < n else None
-    d, w_run = np.ones(batch), np.zeros(batch)
-    for start in range(0, max(n, 1), width):  # a path of length 0 is one empty block
+    if dependent:
+        window = model.schedule.window
+        states = [[1.0, 0.0, [0.0] * window if window is not None and window < n else None] for _ in rngs]
+    for start in range(0, n, buf.shape[1]):
         u = buf[:, : n - start]
         for row, row_rng in zip(u, rngs):
             row_rng.random(out=row)
         if dependent:
-            _invert_rows(model.schedule, u, start, d, w_run, ring)
+            for c0 in range(0, u.shape[1], _SCALAR_COLUMNS):
+                _invert_rows(model.schedule, u[:, c0 : c0 + _SCALAR_COLUMNS], start + c0, states)
         yield start, u
 
 
-def _invert_rows(schedule, u, start, d, w_run, ring) -> None:
+def _invert_rows(schedule, u, start, states) -> None:
     """Invert block ``u``, whose first column is step ``start + 1``, in place one row at a time.
 
     Step m takes the stable root 2w / (1 + a + sqrt((1 + a)^2 - 4aw)) of u (1 + a (1 - u)) = w
-    at the slope a = A_m / D clipped to [-1, 1].  ``d``, ``w_run`` and ``ring`` carry the rows'
-    normalizers and inner sums to the next block, in place.  Rows are read and written through
-    a memoryview of ``u`` in Python floats, and the per-step coefficients, which the rows share,
-    are made for ``_SCALAR_COLUMNS`` columns at a time.  At the end of the block the first
-    broken invariant, in the order of ``_INVARIANTS``, raises NumericError.
+    at the slope a = A_m / D clipped to [-1, 1].  ``states[i]`` is row i's [D, inner sum, ring
+    list or None], updated in place.  The per-step coefficients, which the rows share, are made
+    once, and each row is read and written through a memoryview in Python floats.  A step that
+    finds a nonpositive normalizer, a slope outside [-1, 1] or a negative discriminant raises
+    NumericError, leaving the rest of the block raw.
     """
     scale, mu, nu = schedule.scale, schedule.mu, schedule.nu
-    batch, cols = u.shape
-    window = 0 if ring is None else len(ring)
-    slope_ok = positive = real_root = True
-    for c0 in range(0, cols, _SCALAR_COLUMNS):
-        ms = range(start + c0 + 1, start + min(cols, c0 + _SCALAR_COLUMNS) + 1)
-        steps = [(scale * float(m) ** nu, float(m) ** mu) for m in ms]
-        for row in range(batch):
-            path = memoryview(u[row])
-            d_r, w_r = float(d[row]), float(w_run[row])
-            terms = ring[:, row].tolist() if window else None
-            slot = (ms.start - 1) % window if window else 0
-            for j, (coeff, power) in enumerate(steps, c0):  # scale * m^nu, m^mu
-                a_m = coeff * w_r
-                if not d_r > 0.0:
-                    positive = False
-                a = a_m / d_r if d_r else math.nan  # a zero normalizer breaks the slope too
-                if not -1.0 <= a <= 1.0:
-                    if not -1.0 - 1e-9 <= a <= 1.0 + 1e-9:
-                        slope_ok = False
-                    a = 1.0 if a > 1.0 else -1.0 if a < -1.0 else a
-                w = path[j]
-                if -1e-14 < a < 1e-14:  # the root is w; the discriminant is about 1
-                    u_m = w
-                else:
-                    b = 1.0 + a
-                    disc = b * b - 4.0 * a * w
-                    if not disc >= -1e-12:
-                        real_root = False
-                    denom = b + (math.sqrt(disc) if disc > 0.0 else 0.0)
-                    path[j] = u_m = 2.0 * w / denom if denom > 0.0 else 0.0
-                eta = 1.0 - 2.0 * u_m
-                d_r = d_r + eta * a_m
-                term = power * eta
-                w_r = w_r + term
-                if window:
-                    w_r = w_r - terms[slot]
-                    terms[slot] = term
-                    slot = slot + 1 if slot + 1 < window else 0
-            d[row], w_run[row] = d_r, w_r
+    steps = [(scale * float(m) ** nu, float(m) ** mu) for m in range(start + 1, start + u.shape[1] + 1)]
+    for row, state in zip(u, states):
+        path = memoryview(row)
+        d_r, w_r, terms = state
+        window, slot = (len(terms), start % len(terms)) if terms else (0, 0)
+        for j, (coeff, power) in enumerate(steps):  # scale * m^nu, m^mu
+            a_m = coeff * w_r
+            if not d_r > 0.0:
+                raise NumericError("conditional normalizer became nonpositive (internal normalizer bug)")
+            a = a_m / d_r
+            if not -1.0 <= a <= 1.0:
+                if not -1.0 - 1e-9 <= a <= 1.0 + 1e-9:
+                    raise NumericError("conditional slope left [-1, 1] (internal normalizer bug)")
+                a = 1.0 if a > 1.0 else -1.0
+            w = path[j]
+            if -1e-14 < a < 1e-14:  # the root is w; the discriminant is about 1
+                u_m = w
+            else:
+                b = 1.0 + a
+                disc = b * b - 4.0 * a * w
+                if not disc >= -1e-12:
+                    raise NumericError("conditional inversion discriminant went negative (internal normalizer bug)")
+                denom = b + (math.sqrt(disc) if disc > 0.0 else 0.0)
+                path[j] = u_m = 2.0 * w / denom if denom > 0.0 else 0.0
+            eta = 1.0 - 2.0 * u_m
+            d_r = d_r + eta * a_m
+            term = power * eta
+            w_r = w_r + term
             if window:
-                ring[:, row] = terms
-    for ok, what in zip((slope_ok, positive, real_root), _INVARIANTS):
-        if not ok:
-            raise NumericError(f"conditional {what} (internal normalizer bug)")
+                w_r = w_r - terms[slot]
+                terms[slot] = term
+                slot = slot + 1 if slot + 1 < window else 0
+        state[0], state[1] = d_r, w_r
 
 
 @dataclass(frozen=True)
@@ -307,7 +294,7 @@ def _sample_piece(run: SlnnRun, rows: range, buf: np.ndarray, hit_buf: np.ndarra
     s_out, e_out = s_matrix[rows.start : rows.stop], e_matrix[rows.start : rows.stop]
     buf, hit_buf = buf[: len(rows) + 1], hit_buf[: len(rows)]
     s_run, e_run = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
-    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), buf.shape[1], buf[1:]):
+    for start, u in _uniform_blocks(run.model, rngs, len(thresholds), buf[1:]):
         stop = start + u.shape[1]
         x = run.marginal.quantile(u, out=u)
         hits = np.greater(x, thresholds[start:stop], out=hit_buf[:, : u.shape[1]])
@@ -343,10 +330,11 @@ def run_slln(run: SlnnRun) -> PathReport:
     it in a ``finally``, so the pool threads allocate no block.  A run with one thread, every
     dependent run among them, is one piece on the caller's thread with one block, and loads
     neither ``concurrent.futures`` nor ``queue``; its dependent replicates step through the
-    recurrence one at a time in Python floats.  Each row draws from its own counter-based
-    stream and carries its running sum and hit count across blocks in sequential order, so its
-    results depend neither on the blocks, nor on the pieces, nor on the threads.  An M_n that
-    is not finite, as where n*c passes the largest double, raises NumericError.
+    recurrence one at a time in Python floats, raising NumericError at a step that breaks an
+    invariant.  Each row draws from its own counter-based stream and carries its running sum and
+    hit count across blocks in sequential order, so its results depend neither on the blocks,
+    nor on the pieces, nor on the threads.  An M_n that is not finite, as where n*c passes the
+    largest double, raises NumericError.
     """
     c = run.centering()
     cps = run.checkpoints()

@@ -178,7 +178,7 @@ def test_criterion_09_sampler_fidelity():
     model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, 1.0))
     rng = replicate_rng(SEED, 1)
     n_pairs = 10**5
-    u = next(_uniform_blocks(model, [rng] * n_pairs, 2, 2))[1]
+    u = next(_uniform_blocks(model, [rng] * n_pairs, 2, np.empty((n_pairs, 2))))[1]
     copula = GfmCopula(theta=1.0, r=1.0, s=1.0)
     grid = (1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0, 4.0 / 6.0, 5.0 / 6.0)
     for ua in grid:

@@ -104,7 +104,7 @@ class TestPairEventProb:
         m = ParetoMarginal(2.0)
         model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, 1.0))
         n = 2 * 10**5
-        x, y = m.quantile(next(_uniform_blocks(model, [rng] * n, 2, 2))[1]).T
+        x, y = m.quantile(next(_uniform_blocks(model, [rng] * n, 2, np.empty((n, 2))))[1]).T
         target = 0.046296296296296294
         hit = float(np.mean((x > 2.0) & (y > 3.0)))
         se = math.sqrt(target * (1.0 - target) / n)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -129,9 +130,10 @@ class TestGEval:
         original = pqdslln.gfun.adaptive_quad_many
 
         def starved(f, regions, *, abs_tol):
-            return original(f, regions, abs_tol=1e-14, max_panels=2)
+            return original(f, regions, abs_tol=1e-14)
 
         monkeypatch.setattr(pqdslln.gfun, "adaptive_quad_many", starved)
+        monkeypatch.setattr(pqdslln.quadrature, "_MAX_PANELS", 2)
         args = ["g", "eval", "--theta", "1", "--r", "1", "--s", "1", "--u", "20", "--v", "20", "--method", "numeric"]
         assert run_cli(args, tmp_path / "run") == EXIT_NUMERIC
         err = capsys.readouterr().err
@@ -901,6 +903,32 @@ class TestOverflowingSamples:
         assert not (tmp_path / "run" / "manifest.json").exists()
 
 
+class TestSizesTooLargeToAllocate:
+    """A size whose arrays cannot be allocated exits 3 with one [numeric] line and no manifest."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--N", "1000000000000000"],
+            ["simulate", "slln", "--p", "1", "--alpha", "2", "--n-max", "1000000000000000", "--replicates", "2", "--c", "2"],
+            ["bc", "ratio", "--alpha", "2", "--p", "1", "--n-grid", "log:10:1000000000000"],
+        ],
+        ids=["condition", "simulate", "bc-ratio"],
+    )
+    def test_is_numeric_error(self, args, tmp_path):
+        # an 8 GiB address space refuses the TiB arrays at once, whatever the host's overcommit policy
+        limit = 1 << 33
+        done = subprocess.run(
+            [sys.executable, "-m", "pqdslln.cli", *args, "--outdir", str(tmp_path / "run")],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == EXIT_NUMERIC, done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("pqdslln: error: [numeric] Unable to allocate"), done.stderr
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 class TestSeriesComputedOnce:
     @pytest.mark.parametrize(
         "args",
@@ -1187,6 +1215,17 @@ class TestUsage:
         err = child.stderr.read()
         assert (child.wait(timeout=30), err) == (EXIT_OK, b"")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.json", "result.json"]
+
+    def test_warning_is_one_line(self, tmp_path):
+        # the strengths of this schedule sum past 1 at n = 256, so the model is rescaled with a warning
+        argv = ["simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2,0.25",
+                "--n-max", "256", "--replicates", "2", "--c", "2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "pqdslln.cli", *argv, "--outdir", str(tmp_path)],
+            env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr.startswith("pqdslln: warning: pairwise strengths sum to ") and done.stderr.count("\n") == 1
 
 
 class TestReadmeExamples:

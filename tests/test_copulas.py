@@ -83,7 +83,7 @@ def _grid(m: int):
 def _pair_draws(theta: float, rng, n_pairs: int):
     """n_pairs draws of the joint model at n = 2 with theta_12 = theta: its margin is the r = s = 1 copula."""
     model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, theta))
-    u = next(_uniform_blocks(model, [rng] * n_pairs, 2, 2))[1]
+    u = next(_uniform_blocks(model, [rng] * n_pairs, 2, np.empty((n_pairs, 2))))[1]
     return u[:, 0].copy(), u[:, 1].copy()
 
 
@@ -131,7 +131,7 @@ def _invert_second(theta: float, u: float, w: float) -> float:
     the coordinate's own uniform w; a broken sampler invariant raises NumericError.
     """
     block = np.array([[u, w]])
-    simulate._invert_rows(PowerSchedule(0.0, 0.0, theta), block, 0, np.ones(1), np.zeros(1), None)
+    simulate._invert_rows(PowerSchedule(0.0, 0.0, theta), block, 0, [[1.0, 0.0, None]])
     assert block[0, 0] == u
     return float(block[0, 1])
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqdslln.gfun
+import pqdslln.quadrature
 from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError, QuadratureError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.quadrature import (
-    _MAX_PANELS,
     _panels,
     _rule,
     adaptive_quad_many,
@@ -37,8 +37,7 @@ def _quad_2d(f, ax, bx, ay, by, abs_tol=pqdslln.gfun._NUMERIC_ABS_TOL, **kwargs)
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"abs_tol": 0.0}, {"abs_tol": -1.0}, {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"max_panels": 0},
-     {"max_panels": -5}],
+    [{"abs_tol": 0.0}, {"abs_tol": -1.0}, {"abs_tol": math.nan}, {"abs_tol": math.inf}],
 )
 def test_quadrature_keywords_are_refused_before_any_evaluation(kwargs):
     calls = []
@@ -230,11 +229,12 @@ class TestAdaptiveQuad:
         assert _quad(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
         assert _quad(lambda x: x, 3.0, 2.0) == (0.0, 0.0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # integrable endpoint singularity: every split leaves a hard panel
         spike = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300))
+        monkeypatch.setattr(pqdslln.quadrature, "_MAX_PANELS", 8)
         with pytest.raises(QuadratureError) as excinfo:
-            _quad(spike, 0.0, 1.0, abs_tol=1e-12, max_panels=8)
+            _quad(spike, 0.0, 1.0, abs_tol=1e-12)
         assert excinfo.value.estimate == pytest.approx(2.0, rel=0.5)
         assert excinfo.value.error_bound > 1e-12
 
@@ -291,7 +291,8 @@ def _quarters(bounds):
     return [(a, b, c, d) for a, b in ((x0, xm), (xm, x1)) for c, d in ((y0, ym), (ym, y1))]
 
 
-def _quad_alone(panel, split, region, abs_tol, max_panels, what):
+def _quad_alone(panel, split, region, abs_tol, what):
+    max_panels = pqdslln.quadrature._MAX_PANELS  # as a test may have set it
     heap, done = [], []
     val, err = panel(*region)
     heapq.heappush(heap, (-err, 0, region, val, err))
@@ -323,19 +324,19 @@ def _quad_alone(panel, split, region, abs_tol, max_panels, what):
     return value, bound
 
 
-def _alone_1d(f, a, b, abs_tol=1e-10, max_panels=_MAX_PANELS):
+def _alone_1d(f, a, b, abs_tol=1e-10):
     if not b > a:
         return 0.0, 0.0
     return _quad_alone(
-        lambda *bounds: _panel_1d(f, *bounds), _halves, (a, b), abs_tol, max_panels, "adaptive_quad_many"
+        lambda *bounds: _panel_1d(f, *bounds), _halves, (a, b), abs_tol, "adaptive_quad_many"
     )
 
 
-def _alone_2d(f, ax, bx, ay, by, abs_tol=pqdslln.gfun._NUMERIC_ABS_TOL, max_panels=_MAX_PANELS):
+def _alone_2d(f, ax, bx, ay, by, abs_tol=pqdslln.gfun._NUMERIC_ABS_TOL):
     if not (bx > ax and by > ay):
         return 0.0, 0.0
     return _quad_alone(
-        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, max_panels, "adaptive_quad_many"
+        lambda *bounds: _panel_2d(f, *bounds), _quarters, (ax, bx, ay, by), abs_tol, "adaptive_quad_many"
     )
 
 
@@ -451,28 +452,31 @@ class TestLockstepErrors:
         exc = excinfo.value
         return str(exc), exc.estimate, exc.error_bound
 
-    def test_budget_exhausted_mid_batch_1d(self):
+    def test_budget_exhausted_mid_batch_1d(self, monkeypatch):
         spike = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300))
         intervals = [(1.0, 2.0), (0.0, 1.0), (2.0, 3.0), (0.0, 0.5)]
-        kwargs = dict(abs_tol=1e-12, max_panels=8)
+        monkeypatch.setattr(pqdslln.quadrature, "_MAX_PANELS", 8)
+        kwargs = dict(abs_tol=1e-12)
         expected = self._raised(lambda: _alone_1d(spike, 0.0, 1.0, **kwargs))
         assert "panel budget 8 exhausted" in expected[0]
         assert self._raised(lambda: adaptive_quad_many(spike, intervals, **kwargs)) == expected
 
-    def test_budget_exhausted_mid_batch_2d(self):
+    def test_budget_exhausted_mid_batch_2d(self, monkeypatch):
         spike = lambda x, y: 1.0 / np.sqrt(np.maximum(x * y, 1e-300))
         boxes = [(1.0, 2.0, 1.0, 2.0), (0.0, 1.0, 0.0, 1.0), (0.0, 0.5, 0.0, 0.5)]
-        kwargs = dict(abs_tol=1e-9, max_panels=40)
+        monkeypatch.setattr(pqdslln.quadrature, "_MAX_PANELS", 40)
+        kwargs = dict(abs_tol=1e-9)
         expected = self._raised(lambda: _alone_2d(spike, 0.0, 1.0, 0.0, 1.0, **kwargs))
         assert self._raised(lambda: adaptive_quad_many(spike, boxes, **kwargs)) == expected
 
-    def test_lowest_index_wins_though_a_later_one_fails_first(self):
+    def test_lowest_index_wins_though_a_later_one_fails_first(self, monkeypatch):
         # (1, 1 + ulp) cannot be split, and its GL7 and GL15 sums of the
         # spike at 1 differ, so it fails in its first round; (0, 1) fails
         # only once its budget is spent, some rounds later
         top = math.nextafter(1.0, 2.0)
         f = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300)) + 1e30 * (x == 1.0)
-        kwargs = dict(abs_tol=1e-12, max_panels=8)
+        monkeypatch.setattr(pqdslln.quadrature, "_MAX_PANELS", 8)
+        kwargs = dict(abs_tol=1e-12)
         budget = self._raised(lambda: _alone_1d(f, 0.0, 1.0, **kwargs))
         narrow = self._raised(lambda: _alone_1d(f, 1.0, top, **kwargs))
         assert "panel budget" in budget[0] and "could not reach tolerance" in narrow[0]

@@ -42,7 +42,7 @@ def sample_paths(model, rng, batch, n=None):
     """
     rngs = [rng] * batch if isinstance(rng, np.random.Generator) else rng
     n = model.n if n is None else n
-    return next(simulate._uniform_blocks(model, rngs, n, n))[1]
+    return next(simulate._uniform_blocks(model, rngs, n, np.empty((len(rngs), n))))[1]
 
 
 def count_exceedances(path, p):
@@ -181,7 +181,8 @@ class TestRoutes:
     def path(model, reps, width):
         """The paths of replicates ``reps``, sampled together in blocks of ``width`` columns."""
         rngs = [replicate_rng(4, rep) for rep in reps]
-        return np.hstack([u.copy() for _, u in simulate._uniform_blocks(model, rngs, model.n, width)])
+        buf = np.empty((len(rngs), min(width, model.n)))
+        return np.hstack([u.copy() for _, u in simulate._uniform_blocks(model, rngs, model.n, buf)])
 
     def alone(self, model, rows):
         """The paths of replicates 0..rows-1, each sampled on its own in one whole-width block."""
@@ -233,6 +234,30 @@ class TestRoutes:
             with pytest.raises(NumericError) as info:
                 sample_paths(model, replicate_rng(3, 0), rows)
             assert str(info.value) == "conditional slope left [-1, 1] (internal normalizer bug)"
+
+    def test_raise_leaves_the_rest_of_the_block_raw(self):
+        # every pair at strength 1: the slope leaves [-1, 1] at some column k of the 64
+        schedule, raw = PowerSchedule(0.0, 0.0), replicate_rng(3, 0).random((1, 64))
+
+        def invert(width):
+            block = raw[:, :width].copy()
+            simulate._invert_rows(schedule, block, 0, [[1.0, 0.0, None]])
+            return block
+
+        def breaks(width):
+            try:
+                invert(width)
+            except NumericError:
+                return True
+            return False
+
+        k = next(width for width in range(1, 65) if breaks(width)) - 1  # the column where the slope breaks
+        assert 1 < k < 63
+        block = raw.copy()
+        with pytest.raises(NumericError, match="slope left"):
+            simulate._invert_rows(schedule, block, 0, [[1.0, 0.0, None]])
+        assert block[0, k:].tobytes() == raw[0, k:].tobytes()
+        assert block[0, :k].tobytes() == invert(k)[0].tobytes()
 
 
 class TestCountExceedances:
