@@ -10,8 +10,8 @@ every subcommand's flags once, and the argparse tree built from it is the
 only parser.  A CSV table is a header row and int64 and float64 columns:
 an int is written in decimal, a float as its repr().
 
-Exit codes: 0 success, 2 parameter/usage error, 3 numeric failure (a size
-too large to allocate among them).
+Exit codes: 0 success, 2 parameter/usage error (an integer size past 2^53
+among them), 3 numeric failure (a size too large to allocate among them).
 Verdicts are data, not errors: a "diverges" result still exits 0.
 """
 
@@ -25,7 +25,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -46,16 +46,6 @@ EXIT_NUMERIC = 3
 
 OUTDIR_ENV = "PQDSLLN_OUTDIR"
 _TOOL = "pqdslln"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run description: what to compute and where to put it."""
-
-    subcommand: str
-    parameters: dict
-    outdir: Path
-    fmt: str = "both"
 
 
 # --------------------------------------------------------------------------
@@ -141,25 +131,33 @@ def _theta_spec_text(theta: dict) -> str:
     return "zero" if theta == {"kind": "zero"} else "power:{mu},{nu},{scale}".format_map(theta)
 
 
+def _size(text: str) -> int:
+    """An integer flag's value, refused past 2^53: the largest integer that every double holds exactly."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or abs(value) > 1 << 53:
+        raise argparse.ArgumentTypeError(f"must be an integer no larger than 2^53 in magnitude, got {text!r}")
+    return value
+
+
 def _parse_n_grid(spec: str) -> list[int]:
     """Parse 'log:<max>:<points>' or a comma list of sizes into an n grid."""
     spec = spec.strip()
-    if spec.startswith("log:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"log grid must be 'log:<max>:<points>', got {spec!r}")
-        try:
-            n_max, points = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ParameterError(f"log grid must be 'log:<max>:<points>', got {spec!r}") from exc
-        if n_max < 1 or points < 1:
-            raise ParameterError(f"log grid needs positive max and point count, got {spec!r}")
-        raw = np.unique(np.geomspace(1, n_max, points).astype(int))
-        return [int(v) for v in raw]
     try:
-        values = sorted({int(tok) for tok in spec.split(",") if tok.strip()})
-    except ValueError as exc:
-        raise ParameterError(f"n grid must be integers, got {spec!r}") from exc
+        if spec.startswith("log:"):
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise ParameterError(f"log grid must be 'log:<max>:<points>', got {spec!r}")
+            n_max, points = _size(parts[1]), _size(parts[2])
+            if n_max < 1 or points < 1:
+                raise ParameterError(f"log grid needs positive max and point count, got {spec!r}")
+            raw = np.unique(np.geomspace(1, n_max, points).astype(int))
+            return [int(v) for v in raw]
+        values = sorted({_size(tok) for tok in spec.split(",") if tok.strip()})
+    except argparse.ArgumentTypeError as exc:
+        raise ParameterError(f"n grid: each size {exc}") from exc
     if not values or values[0] < 1:
         raise ParameterError(f"n grid must contain positive integers, got {spec!r}")
     return values
@@ -259,13 +257,14 @@ def _run_simulate_slln(params: dict):
         c=params.get("c"),
     )
     report = run_slln(run)
-    median_abs_m, max_abs_m = report.median_abs_m().tolist(), report.max_abs_m().tolist()
+    abs_m = np.abs(report.m_values)
+    median_abs_m, max_abs_m = np.median(abs_m, axis=0).tolist(), np.max(abs_m, axis=0).tolist()
     checkpoints = list(report.checkpoints)
     result = {
         "checkpoints": checkpoints,
         "median_abs_m": median_abs_m,
         "max_abs_m": max_abs_m,
-        "mean_exceedances": report.mean_exceedances().tolist(),
+        "mean_exceedances": np.mean(report.exceedances, axis=0).tolist(),
         "metadata": report.metadata,
     }
     columns = (
@@ -294,19 +293,14 @@ def _run_report_example(params: dict):
         "holds": True,  # check_window enforces it
     }
 
-    grid = (1.5, 2.0, 5.0, 20.0)
+    grid = np.array([1.5, 2.0, 5.0, 20.0])
+    us, vs = np.repeat(grid, len(grid)), np.tile(grid, len(grid))  # the 4x4 table's (u, v), row by row
     copula = GfmCopula(theta=1.0, r=r, s=s)
-    bracket = g_closed_bracket(r, s, marginal, grid).tolist()
-    numerics = iter(g_numeric(copula, marginal, [(u, v) for u in grid for v in grid]).tolist())
-    g_rows = []
-    max_disc = 0.0
-    for u, bu in zip(grid, bracket):
-        for v, bv in zip(grid, bracket):
-            closed = bu * bv  # G = theta B(u) B(v) at theta = 1
-            numeric = next(numerics)
-            diff = abs(closed - numeric)
-            max_disc = max(max_disc, diff)
-            g_rows.append((u, v, closed, numeric, diff))
+    bracket = g_closed_bracket(r, s, marginal, grid)
+    closed = np.outer(bracket, bracket).ravel()  # G = theta B(u) B(v) at theta = 1
+    numeric = g_numeric(copula, marginal, zip(us.tolist(), vs.tolist()))
+    diff = np.abs(closed - numeric)
+    max_disc = float(diff.max())
 
     j_values, terms = condition_terms("nec12", p, schedule, r, s, marginal, n_terms)
     verdict = verdict_from_terms(j_values, terms, decay_exponent("nec12", p, schedule, r, marginal))
@@ -335,7 +329,7 @@ def _run_report_example(params: dict):
         dependence_label="pairwise PQD",
     )
     tables = {
-        "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], tuple(np.array(g_rows).T)),
+        "gtable": (["u", "v", "g_closed", "g_numeric", "abs_diff"], (us, vs, closed, numeric, diff)),
         "terms": (["j", "term"], (j_values, terms)),
     }
     lines = [
@@ -365,7 +359,7 @@ _SERIES_MODEL = (
     _Flag("r", default=1.0),
     _Flag("s", default=1.0),
     _Flag("alpha", default=2.0),
-    _Flag("N", int, default=2000),
+    _Flag("N", _size, default=2000),
 )
 _EVENT_SYSTEM = (
     _Flag("alpha", required=True),
@@ -395,18 +389,18 @@ _COMMANDS: dict[str, tuple[Callable, tuple[_Flag, ...]]] = {
     ),
     "bc bracket": (
         _run_bc_bracket,
-        (*_EVENT_SYSTEM, _Flag("k", int, required=True), _Flag("j", int, required=True), _Flag("eps", required=True)),
+        (*_EVENT_SYSTEM, _Flag("k", _size, required=True), _Flag("j", _size, required=True), _Flag("eps", required=True)),
     ),
     "simulate slln": (
         _run_simulate_slln,
         (
             *(_Flag(name, required=True) for name in ("p", "alpha")),
             _THETA_SPEC,
-            _Flag("n_max", int, required=True),
-            _Flag("replicates", int, default=32),
+            _Flag("n_max", _size, required=True),
+            _Flag("replicates", _size, default=32),
             _Flag("seed", int, default=0),
             _Flag("c"),
-            _Flag("window", int),
+            _Flag("window", _size),
         ),
     ),
     "report example": (_run_report_example, _SERIES_MODEL),
@@ -421,31 +415,31 @@ _GROUP_HELP = {
 }
 
 
-def dispatch(config: RunConfig) -> int:
+def dispatch(subcommand: str, parameters: dict, outdir: Path, fmt: str) -> int:
     """Execute a run whose parameters came from the flag parser: compute, write artifacts, write the manifest."""
-    result, tables, lines = _COMMANDS[config.subcommand][0](config.parameters)
+    result, tables, lines = _COMMANDS[subcommand][0](parameters)
 
-    config.outdir.mkdir(parents=True, exist_ok=True)
+    outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    if config.fmt in ("json", "both"):
-        _write_json(config.outdir / "result.json", result)
+    if fmt in ("json", "both"):
+        _write_json(outdir / "result.json", result)
         outputs.append("result.json")
-    if config.fmt in ("csv", "both"):
+    if fmt in ("csv", "both"):
         for name, (header, columns) in tables.items():
-            _write_csv(config.outdir / f"{name}.csv", header, columns)
+            _write_csv(outdir / f"{name}.csv", header, columns)
             outputs.append(f"{name}.csv")
     manifest = {
         "tool": _TOOL,
         "version": __version__,
-        "subcommand": config.subcommand,
-        "format": config.fmt,
-        "parameters": config.parameters,
+        "subcommand": subcommand,
+        "format": fmt,
+        "parameters": parameters,
         "outputs": sorted(outputs),
     }
-    _write_json(config.outdir / "manifest.json", manifest)
+    _write_json(outdir / "manifest.json", manifest)
     for line in lines:
         print(line)
-    print(f"wrote {config.outdir}")
+    print(f"wrote {outdir}")
     return EXIT_OK
 
 
@@ -514,10 +508,10 @@ def _parameters(flags: tuple[_Flag, ...], ns: argparse.Namespace) -> dict:
     return params
 
 
-def _run_config(ns: argparse.Namespace, outdir: Path | None) -> RunConfig:
+def _request(ns: argparse.Namespace) -> tuple[str, dict]:
+    """The subcommand and parameters of a parsed command line."""
     subcommand = f"{ns.group} {ns.action}"
-    params = _parameters(_COMMANDS[subcommand][1], ns)
-    return RunConfig(subcommand, params, outdir or _default_outdir(subcommand), ns.format)
+    return subcommand, _parameters(_COMMANDS[subcommand][1], ns)
 
 
 def _read_manifest(path: Path) -> dict:
@@ -559,11 +553,6 @@ def _parse(argv: list[str], source: str = "") -> argparse.Namespace:
     return ns
 
 
-def _default_outdir(subcommand: str) -> Path:
-    base = Path(os.environ.get(OUTDIR_ENV, "runs"))
-    return base / subcommand.replace(" ", "-")
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -571,15 +560,17 @@ def main(argv: list[str] | None = None) -> int:
             ns = _parse(argv)
         except SystemExit as exc:  # --help, --version
             return int(exc.code or 0)
-        if ns.group != "rerun":
-            return dispatch(_run_config(ns, ns.outdir))
+        outdir, manifest = ns.outdir, None
+        if ns.group == "rerun":
+            path, manifest = ns.manifest, _read_manifest(ns.manifest)
+            ns = _parse(_replay_argv(manifest), f"manifest {path}: ")
+        subcommand, params = _request(ns)
         # a manifest replays only if parsing its own parameters as flags gives them back;
         # json text tells 1, 1.0 and true apart, where == would not
-        manifest = _read_manifest(ns.manifest)
-        config = _run_config(_parse(_replay_argv(manifest), f"manifest {ns.manifest}: "), ns.outdir)
-        if json.dumps(config.parameters, sort_keys=True) != json.dumps(manifest["parameters"], sort_keys=True):
-            raise ParameterError(f"manifest {ns.manifest} holds parameters that its flags do not give back")
-        return dispatch(config)
+        if manifest is not None and json.dumps(params, sort_keys=True) != json.dumps(manifest["parameters"], sort_keys=True):
+            raise ParameterError(f"manifest {path} holds parameters that its flags do not give back")
+        outdir = outdir or Path(os.environ.get(OUTDIR_ENV, "runs")) / subcommand.replace(" ", "-")
+        return dispatch(subcommand, params, outdir, ns.format)
     except ParameterError as exc:
         print(f"{_TOOL}: error: [parameter] {exc}", file=sys.stderr)
         return EXIT_PARAMETER

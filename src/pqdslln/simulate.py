@@ -15,11 +15,12 @@ Sampling is sequential conditional inversion: given the first m - 1
 coordinates, the conditional density of u_m is 1 + eta_m * A_m / D_{m-1}
 with eta_i = 1 - 2 u_i, A_m = sum_{k<m} theta_{km} eta_k, and the running
 normalizer D_m = D_{m-1} + eta_m A_m.  The conditional CDF is an explicitly
-invertible quadratic, so every draw consumes exactly one uniform.  The inner
-sum telescopes, A_m = scale * m^nu * sum_{k<m} k^mu eta_k, giving O(n)
-sampling; long sequences (above the exact-model dimension cap 4096)
-truncate dependence to a sliding index window, which is recorded in the
-report metadata.
+invertible quadratic, so every draw consumes exactly one uniform; one root
+formula inverts it at every slope a = A_m / D_{m-1}, giving the uniform
+itself at a = 0.  The inner sum telescopes, A_m = scale * m^nu *
+sum_{k<m} k^mu eta_k, giving O(n) sampling; long sequences (above the
+exact-model dimension cap 4096) truncate dependence to a sliding index
+window, which is recorded in the report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
 (seed, replicate).  A run makes one blocked pass for all its replicates,
@@ -157,11 +158,11 @@ def _invert_rows(schedule, u, start, states) -> None:
     """Invert block ``u``, whose first column is step ``start + 1``, in place one row at a time.
 
     Step m takes the stable root 2w / (1 + a + sqrt((1 + a)^2 - 4aw)) of u (1 + a (1 - u)) = w
-    at the slope a = A_m / D clipped to [-1, 1].  ``states[i]`` is row i's [D, inner sum, ring
-    list or None], updated in place.  The per-step coefficients, which the rows share, are made
-    once, and each row is read and written through a memoryview in Python floats.  A step that
-    finds a nonpositive normalizer, a slope outside [-1, 1] or a negative discriminant raises
-    NumericError, leaving the rest of the block raw.
+    at the slope a = A_m / D clipped to [-1, 1], however small: at a = 0 it is w exactly.
+    ``states[i]`` is row i's [D, inner sum, ring list or None], updated in place.  The per-step
+    coefficients, which the rows share, are made once, and each row is read and written through
+    a memoryview in Python floats.  A step that finds a nonpositive normalizer, a slope outside
+    [-1, 1] or a negative discriminant raises NumericError, leaving the rest of the block raw.
     """
     scale, mu, nu = schedule.scale, schedule.mu, schedule.nu
     steps = [(scale * float(m) ** nu, float(m) ** mu) for m in range(start + 1, start + u.shape[1] + 1)]
@@ -179,15 +180,12 @@ def _invert_rows(schedule, u, start, states) -> None:
                     raise NumericError("conditional slope left [-1, 1] (internal normalizer bug)")
                 a = 1.0 if a > 1.0 else -1.0
             w = path[j]
-            if -1e-14 < a < 1e-14:  # the root is w; the discriminant is about 1
-                u_m = w
-            else:
-                b = 1.0 + a
-                disc = b * b - 4.0 * a * w
-                if not disc >= -1e-12:
-                    raise NumericError("conditional inversion discriminant went negative (internal normalizer bug)")
-                denom = b + (math.sqrt(disc) if disc > 0.0 else 0.0)
-                path[j] = u_m = 2.0 * w / denom if denom > 0.0 else 0.0
+            b = 1.0 + a
+            disc = b * b - 4.0 * a * w
+            if not disc >= -1e-12:
+                raise NumericError("conditional inversion discriminant went negative (internal normalizer bug)")
+            denom = b + (math.sqrt(disc) if disc > 0.0 else 0.0)
+            path[j] = u_m = 2.0 * w / denom if denom > 0.0 else 0.0
             eta = 1.0 - 2.0 * u_m
             d_r = d_r + eta * a_m
             term = power * eta
@@ -240,7 +238,7 @@ class SlnnRun:
 
 @dataclass(frozen=True, eq=False)
 class PathReport:
-    """Per-replicate checkpointed diagnostics of one SLLN run.
+    """Record of one SLLN run's per-replicate checkpointed diagnostics; callers reduce them.
 
     ``m_values[rep, i]`` is M_n = (S_n - n c) / n^(1/p) at the i-th dyadic
     checkpoint; ``exceedances[rep, i]`` is the cumulative count of
@@ -251,15 +249,6 @@ class PathReport:
     m_values: np.ndarray
     exceedances: np.ndarray
     metadata: dict
-
-    def median_abs_m(self) -> np.ndarray:
-        return np.median(np.abs(self.m_values), axis=0)
-
-    def max_abs_m(self) -> np.ndarray:
-        return np.max(np.abs(self.m_values), axis=0)
-
-    def mean_exceedances(self) -> np.ndarray:
-        return np.mean(self.exceedances, axis=0)
 
 
 def _thread_count(model: MultivariateFgmModel | None, replicates: int, n: int) -> int:

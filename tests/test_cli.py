@@ -642,9 +642,19 @@ class TestReplayRoundTrip:
         replayed = self.replay(recorded, key, value)
         assert type(replayed) is float and replayed.hex() == value.hex()
 
-    @given(grid=st.lists(st.integers(1, 2**62), min_size=1, max_size=20, unique=True).map(sorted))
+    @given(grid=st.lists(st.integers(1, 2**53), min_size=1, max_size=20, unique=True).map(sorted))
     def test_sorted_n_grid(self, recorded, grid):
         assert self.replay(recorded, "n_grid", grid) == grid
+
+    def test_n_grid_past_2_to_53_is_refused(self, recorded, tmp_path, capsys):
+        doc = json.loads(recorded)
+        doc["parameters"]["n_grid"] = [1, 2**53 + 1]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert main(["rerun", "--manifest", str(path), "--outdir", str(tmp_path / "replay")]) == EXIT_PARAMETER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pqdslln: error: [parameter] n grid: ")
+        assert not (tmp_path / "replay").exists()
 
     @given(
         theta=st.just({"kind": "zero"})
@@ -927,6 +937,42 @@ class TestSizesTooLargeToAllocate:
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("pqdslln: error: [numeric] Unable to allocate"), done.stderr
         assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+class TestSizesPastTwoTo53:
+    """An integer size past 2^53, the largest integer that every double holds exactly, exits 2."""
+
+    BIG = str(10**400)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bc", "bracket", "--alpha", "2", "--p", "1", "--k", BIG, "--j", "3", "--eps", "2", "--theta-spec=power:0.2,-1.5"],
+            ["bc", "bracket", "--alpha", "2", "--p", "1", "--k", "3", "--j", BIG, "--eps", "2", "--theta-spec=power:0.2,-1.5"],
+            ["bc", "ratio", "--alpha", "2", "--p", "1", "--n-grid", f"10,{BIG}"],
+            ["bc", "ratio", "--alpha", "2", "--p", "1", "--n-grid", f"10,{2**53 + 1}"],
+            ["bc", "ratio", "--alpha", "2", "--p", "1", "--n-grid", "log:100000000000000000000:3"],
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--N", "9223372036854775808"],
+            ["condition", "check", "--kind", "nec12", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--N", "10000000000000000000"],
+            ["report", "example", "--p", "1", "--mu", "0.2", "--nu=-1.5", "--N", str(2**53 + 1)],
+            ["simulate", "slln", "--p", "1", "--alpha", "2", "--c", "2", "--n-max", "100000000000000000000"],
+            ["simulate", "slln", "--p", "1", "--alpha", "2", "--c", "2", "--n-max", "1024", "--replicates", "1000000000000000000"],
+            [
+                "simulate", "slln", "--p", "1", "--alpha", "2", "--c", "2", "--n-max", "1024",
+                "--window", BIG, "--theta-spec=power:-0.3,-1.2",
+            ],
+        ],
+        ids=[
+            "bracket-k", "bracket-j", "ratio-list", "ratio-list-2^53+1", "ratio-log-max", "condition-2^63",
+            "condition-1e19", "report-2^53+1", "slln-n-max", "slln-replicates", "slln-window",
+        ],
+    )
+    def test_is_parameter_error(self, args, tmp_path, capsys):
+        assert main([*args, "--outdir", str(tmp_path / "run")]) == EXIT_PARAMETER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pqdslln: error: [parameter] "), err
+        assert "2^53" in err[0]
+        assert not (tmp_path / "run").exists()
 
 
 class TestSeriesComputedOnce:

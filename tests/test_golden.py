@@ -64,7 +64,7 @@ CASES = {
         "simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2,0.25",
         "--n-max", "8192", "--replicates", "40", "--window", "16", "--seed", "13", "--c", "2",
     ],
-    # 64 replicates exceed the sampler's scalar-row limit, so its numpy route runs
+    # 64 dependent rows in one sampler block, each stepping through the recurrence on its own
     "simulate-exact-many": [
         "simulate", "slln", "--p", "1.2", "--alpha", "2", "--theta-spec", "power:-0.3,-1.2,0.25",
         "--n-max", "256", "--replicates", "64", "--seed", "23", "--c", "2",

@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -163,6 +164,40 @@ class TestSampler:
         model = MultivariateFgmModel(n=64, schedule=PowerSchedule(0.0, 0.0), theta_sum=1.0, rescale_factor=1.0)
         with pytest.raises(NumericError):
             sample_paths(model, replicate_rng(3, 0), 4)
+
+    @pytest.mark.parametrize(
+        "n, scale, window, tiny_slopes",
+        [(256, 1e-13, None, True), (512, 1e-12, 16, True), (256, 0.25, None, False), (512, 0.25, 16, False)],
+        ids=["exact-tiny", "window-tiny", "exact-golden", "window-golden"],
+    )
+    def test_each_step_is_the_root_to_4_ulp(self, n, scale, window, tiny_slopes):
+        # recompute every step in 50 digits from the row's raw uniforms and its own earlier outputs:
+        # D, A_m, the clipped slope a and the root of u (1 + a (1 - u)) = w; tiny scales put many
+        # slopes in [1e-15, 1e-14], where u = w alone would be tens of ulp off
+        model = power_model(n, -0.3, -1.2, scale, window)
+        rows = 4
+        rngs = [replicate_rng(5, rep) for rep in range(rows)]
+        blocks = [u.copy() for _, u in simulate._uniform_blocks(model, rngs, n, np.empty((rows, 100)))]
+        paths = np.concatenate(blocks, axis=1)
+        tiny = 0
+        with mpmath.workdps(50):
+            rescaled = mpmath.mpf(model.schedule.scale)
+            for rep, path in enumerate(paths.tolist()):
+                raw = replicate_rng(5, rep).random(n).tolist()
+                d, inner, terms = mpmath.mpf(1), mpmath.mpf(0), []
+                for m, (w, u) in enumerate(zip(raw, path), start=1):
+                    a_m = rescaled * mpmath.mpf(m) ** model.schedule.nu * inner
+                    a = min(max(a_m / d, -1), 1)
+                    tiny += 1e-15 <= abs(a) <= 1e-14
+                    root = 2 * w / (1 + a + mpmath.sqrt((1 + a) ** 2 - 4 * a * w))
+                    assert abs(u - root) <= 4 * math.ulp(float(root)), (rep, m, float(a))
+                    eta = 1 - 2 * mpmath.mpf(u)
+                    d += eta * a_m
+                    terms.append(mpmath.mpf(m) ** model.schedule.mu * eta)
+                    inner += terms[-1]
+                    if window is not None:
+                        inner -= terms[-1 - window] if len(terms) > window else 0
+        assert tiny >= 20 or not tiny_slopes, tiny
 
 
 class TestRoutes:
@@ -617,9 +652,9 @@ class TestRunSlln:
 
     def test_convergent_regime(self):
         report = run_slln(self.run(n_max=2**15, replicates=16))
-        med = report.median_abs_m()
+        med = np.median(np.abs(report.m_values), axis=0)
         assert med[-1] < med[list(report.checkpoints).index(1024)]
-        assert report.max_abs_m()[-1] < 0.5
+        assert np.max(np.abs(report.m_values), axis=0)[-1] < 0.5
 
     def test_divergent_regime(self):
         run = self.run(marginal=ParetoMarginal(1.0), c=0.0, n_max=2**13)
@@ -644,7 +679,7 @@ class TestRunSlln:
         assert report.metadata["dependence"] == "pairwise-pqd"
         assert report.metadata["window"] == DEFAULT_WINDOW
         assert report.metadata["rescale_factor"] <= 1.0
-        med = report.median_abs_m()
+        med = np.median(np.abs(report.m_values), axis=0)
         assert med[-1] < med[0]
 
     def test_exceedance_mean_matches_event_probs_under_dependence(self):
