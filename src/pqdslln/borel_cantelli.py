@@ -15,8 +15,10 @@ times a product of differences of the covariance factor B, in closed
 form at every r alpha (``gfun.factor_differences``).
 
 The dependence term of every pair law is the pair copula's own gap
-(:meth:`GfmCopula.gap`); double sums use cumulative prefix reductions in
-fixed index order.
+(:meth:`GfmCopula.gap`).  The ratio's sums take one pass of cumulative
+prefix reductions, in fixed index order, over the head k <= 2^15 only; past
+it they add Euler-Maclaurin tails (DLMF 2.10.1) whose integrals use the
+15-node Gauss-Legendre rule, so their cost does not grow with n.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import GfmCopula, PowerSchedule, carried_cumsum, check_p, check_rs, power_factor, separable_pair_sums
-from .errors import ParameterError
+from .copulas import GfmCopula, PowerSchedule, check_p, check_rs, power_factor, separable_pair_sums
+from .errors import NumericError, ParameterError
 from .gfun import factor_differences
 from .marginals import ParetoMarginal
+from .quadrature import GL15
 
 __all__ = [
     "EventSystem",
@@ -41,7 +44,7 @@ __all__ = [
     "epsilon_bracket_check",
 ]
 
-_CHUNK = 1 << 15  # indices per pass of the pair-sum ratio: 256 KB per array, small enough to stay in cache
+_HEAD = 1 << 15  # the pair-sum ratio sums terms one by one up to here, and by Euler-Maclaurin tails beyond
 
 
 @dataclass(frozen=True)
@@ -101,36 +104,137 @@ def pair_event_prob(es: EventSystem, k: int, j: int) -> float:
 def renyi_lamperti_ratios(es: EventSystem, ns) -> np.ndarray:
     """Pair-sum ratio at each requested n (diagonal terms enter as P(A_k)).
 
-    For the power schedule the dependent part of the double sum is separable,
-    so the whole grid costs one pass of cumulative sums up to max(ns).  The
-    pass runs over chunks of _CHUNK indices, carrying each running sum from
-    chunk to chunk, so it holds a fixed number of chunk-length arrays however
-    large n is, and every sum keeps the bits of one pass over the whole range.
+    The ratio is (s1 + s1^2 - s2 + 2 pairs) / s1^2, from the sums that
+    ``_pair_sums`` gives at each n.  Head: up to n = _HEAD = 2^15 they are
+    running sums of the float terms, with the bits of one cumsum over 1..n.
+    Tails: past it each sum is the head's total plus an Euler-Maclaurin tail,
+    at a cost that does not grow with n.  Accuracy: the sums past the head
+    were within 2e-14 of exact sums of float terms in every system tried
+    (s = 1000 and alpha/p from 0.01 to 3.5 among them), the head's terms to
+    2^15 and beyond it terms whose 1 - F is the survival P itself: there
+    the head's subtraction 1 - F keeps few digits of a small P.
     """
     ns = np.asarray(ns, dtype=int)
     if ns.size == 0 or np.any(ns < 1):
         raise ParameterError("ratio grid must contain positive integers")
-    at = ns - 1
-    sums = np.zeros((3, ns.size))  # sum P(A_k), sum P(A_k)^2 and sum over pairs k < j, at each n
-    carry = [0.0, 0.0, 0.0]
-    k_carry = 0.0
-    n_max = int(ns.max())
-    for lo in range(0, n_max, _CHUNK):
-        idx = np.arange(lo + 1, min(lo + _CHUNK, n_max) + 1, dtype=float)
-        probs = np.asarray(es.marginal.survival(idx ** (1.0 / es.p)), dtype=float)
-        terms = [probs, probs * probs]
+    s1, s2, pairs = _pair_sums(es, ns)  # s1 >= P(A_1) = 1: the first threshold is 1^(1/p) = 1, the support edge
+    return (s1 + s1**2 - s2 + 2.0 * pairs) / s1**2
+
+
+def _pair_sums(es: EventSystem, ns: np.ndarray) -> np.ndarray:
+    """(3, len(ns)) rows: sum P(A_k), sum P(A_k)^2 and the dependent pair sum over k < j, at each n.
+
+    The head, k <= min(max(ns), _HEAD), is one pass of cumulative sums; the
+    dependent part of the pair sum is separable for the power schedule, a_k b_j
+    with a_k = k^mu h_k, b_j = j^nu h_j and h = F^s (1 - F)^r at the threshold.
+    Past the head, with H = _HEAD and A(H) the head's sum of a_k,
+
+        pairs(n) = pairs(H) + A(H) sum_{H<j<=n} b_j + sum_{H<k<j<=n} a_k b_j,
+
+    and each sum is the head's total plus the tails of ``_tails``.  Raises
+    NumericError where a sum of the k-parts or a tail overflows a double.
+    """
+    idx = np.arange(1, min(int(ns.max()), _HEAD) + 1, dtype=float)
+    probs = np.asarray(es.marginal.survival(idx ** (1.0 / es.p)), dtype=float)
+    at = np.minimum(ns, idx.size) - 1
+    sums = np.zeros((3, ns.size))
+    sums[0] = np.cumsum(probs)[at]  # each running sum is dropped once read: the head holds few arrays at once
+    sums[1] = np.cumsum(probs * probs)[at]
+    pair_terms, a_head = np.zeros(0), 0.0
+    if es.schedule is not None:
+        # 1 - P(A_k) is the Pareto cdf at the threshold, bit for bit: both share one power
+        h = power_factor(1.0 - probs, es.r, es.s)
+        pair_terms, a_head = separable_pair_sums(idx, h, es.schedule.mu, es.schedule.nu)
+        sums[2] = np.cumsum(pair_terms)[at]
+    far = ns > _HEAD
+    if far.any():
+        t1, t12, tb, tn = _tails(es, ns[far])
+        # the head's totals as pairwise sums: a running sum of its 2^15 terms can be 2e-13 off
+        sums[0, far] = probs.sum() + t1
+        sums[1, far] = sums[0, far] - ((probs * (1.0 - probs)).sum() + t12)  # s1 - s2 without cancellation
+        sums[2, far] = pair_terms.sum() + a_head * tb + tn
+        if not np.all(np.isfinite(sums[2, far])):
+            raise NumericError(f"pair sums overflow a double: a tail past k = {_HEAD} is not finite")
+    return sums
+
+
+def _tails(es: EventSystem, ns: np.ndarray) -> list[np.ndarray]:
+    """Euler-Maclaurin sums over _HEAD < k <= n, at each n > _HEAD of ns, of P, P (1 - P), b, and a_k b_j over k < j.
+
+    With P(x) = x^(-alpha/p) and the a, b of ``_pair_sums`` extended to real
+    x (F = 1 - P and P each computed without cancellation), each sum of f over
+    m = _HEAD + 1 <= k <= n is (DLMF 2.10.1, one B_2 term)
+
+        int_m^n f(x) dx + (f(m) + f(n)) / 2 + (f'(n) - f'(m)) / 12,
+
+    with f'(x) = f(x) (d log f / d log x) / x in closed form.  The nested sum
+    is that of G(y) = b(y) F_a(y - 1), where F_a is a's own such sum from m,
+    and F_a(y - 1) = F_a(y) - a(y).  Integrals are 15-node Gauss-Legendre sums
+    over unit panels in u = log(x / m) from 0, one set up to max(ns) for every
+    n, each n ending on its own partial panel; F_a at each node of G is the
+    same rule over the node's own piece of its panel.  The independent system
+    has zero b and pair tails.
+    """
+    nodes, weights = GL15
+    c = es.marginal.alpha / es.p
+    m = _HEAD + 1.0
+    t0 = math.log(m)
+    ends = np.log1p((ns - m) / m)  # log(n / m), where log n - log m would cancel for n near m
+    whole = np.floor(ends).astype(int)  # full panels below each n
+    panel = np.concatenate([np.arange(whole.max()), whole])  # the full panels, then each n's partial one
+    lo = panel.astype(float)
+    hi = np.concatenate([lo[: -ns.size] + 1.0, ends])
+
+    def terms(u, x):
+        """P, P (1 - P), b and a at x = m e^u, and their derivatives in x."""
+        t = t0 + u
+        survival, cdf = np.exp(-c * t), -np.expm1(-c * t)  # P and F = 1 - P, neither rounded by a subtraction
+        values = [survival, survival * cdf]
+        slopes = [-c, c * (survival - cdf) / cdf]  # d log / d log x
         if es.schedule is not None:
-            # 1 - P(A_k) is the Pareto cdf at the threshold, bit for bit: both share one power
-            h = power_factor(1.0 - probs, es.r, es.s)
-            pairs, k_carry = separable_pair_sums(idx, h, es.schedule.mu, es.schedule.nu, k_carry)
-            terms.append(pairs)
-        here = (at >= lo) & (at < lo + idx.size)
-        for i, term in enumerate(terms):
-            run = carried_cumsum(term, carry[i])
-            carry[i] = run[-1]
-            sums[i, here] = run[at[here] - lo]
-    s1, s2, pair_sums = sums  # s1 >= P(A_1) = 1: the first threshold is 1^(1/p) = 1, the support edge
-    return (s1 + s1**2 - s2 + 2.0 * pair_sums) / s1**2
+            h = power_factor(cdf, es.r, es.s, survival)
+            dh = c * (es.s * survival / cdf - es.r)
+            values += [x**es.schedule.nu * h, x**es.schedule.mu * h]
+            slopes += [es.schedule.nu + dh, es.schedule.mu + dh]
+        return values, [np.where(v == 0.0, 0.0, v * d / x) for v, d in zip(values, slopes)]
+
+    def rule(lo, hi):
+        """The nodes u of each interval [lo, hi] and their x = m e^u, and the intervals' half-widths."""
+        half = 0.5 * (hi - lo)
+        u = 0.5 * (hi + lo)[..., None] + half[..., None] * nodes
+        return u, m * np.exp(u), half
+
+    def integral(v, x, half):
+        """The integral in x of the values v at the nodes x of a rule: dx = x du."""
+        return (v * x) @ weights * half
+
+    def starts(panels):
+        """The integral from m to the start of every full panel, from the integrals over all the panels."""
+        return np.concatenate([[0.0], np.cumsum(panels[: -ns.size])])
+
+    with np.errstate(all="ignore"):  # overflow and 0 * inf are refused by the caller
+        u, x, half = rule(lo, hi)
+        f, df = terms(u, x)
+        ints = [integral(v, x, half) for v in f]
+        f_end, df_end = terms(np.r_[0.0, ends], np.r_[m, ns])  # at m, then at each n
+        tails = [  # the full panels below each n, then its partial one, then the end corrections
+            starts(i)[whole] + i[-ns.size :] + 0.5 * (e[0] + e[1:]) + (de[1:] - de[0]) / 12.0
+            for i, e, de in zip(ints, f_end, df_end)
+        ]
+        if es.schedule is None:
+            return tails + [np.zeros(ns.size)] * 2
+        b, a, da = f[2], f[3], df[3]
+        b_m, a_m, da_m = f_end[2][0], f_end[3][0], df_end[3][0]
+        b_n, a_n, db_n, da_n = f_end[2][1:], f_end[3][1:], df_end[2][1:], df_end[3][1:]
+        # G(y) = b(y) (F_a(y) - a(y)) at every node y, with a's integral from m to y
+        u_sub, x_sub, half_sub = rule(lo[:, None], u)
+        a_to_y = starts(ints[3])[panel][:, None] + integral(terms(u_sub, x_sub)[0][3], x_sub, half_sub)
+        g = integral(b * (a_to_y + 0.5 * (a_m - a) + (da - da_m) / 12.0), x, half)
+        # G(m) = 0, and G'(y) = b'(y) (F_a(y) - a(y)) + b(y) (a(y) - a'(y) / 2), F_a' being a + a'/2 to O(a'')
+        fa_n = tails[3] - a_n
+        dg = db_n * fa_n + b_n * (a_n - 0.5 * da_n) - b_m * (a_m - 0.5 * da_m)
+        nested = starts(g)[whole] + g[-ns.size :] + 0.5 * b_n * fa_n + dg / 12.0
+    return tails[:3] + [nested]
 
 
 class BracketCheck(NamedTuple):

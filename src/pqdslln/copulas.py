@@ -33,9 +33,13 @@ from .marginals import _scalar_or_array
 __all__ = ["GfmCopula", "PowerSchedule"]
 
 
-def power_factor(f, r: float, s: float):
-    """The power-family factor f^s (1 - f)^r, in the operand types it is given."""
-    return f**s * (1.0 - f) ** r
+def power_factor(f, r: float, s: float, complement=None):
+    """The power-family factor f^s (1 - f)^r, in the operand types it is given.
+
+    ``complement`` is 1 - f where the caller holds it without the rounding of
+    a subtraction, as a survival beside its cdf; by default it is 1 - f.
+    """
+    return f**s * (1.0 - f if complement is None else complement) ** r
 
 
 def check_p(p: float) -> None:
@@ -156,32 +160,17 @@ class PowerSchedule:
             return self.scale * float(np.dot(idx[1:] ** self.nu, inner))
 
 
-def carried_cumsum(x: np.ndarray, carry: float = 0.0) -> np.ndarray:
-    """Running sums of x that continue from carry, the last running sum of the chunks before x.
-
-    Adding carry to the first element before the pass makes the same
-    additions, in the same order, as one cumsum over the whole array, so a
-    chunk's running sums keep the whole array's bits.
-    """
-    out = np.array(x, dtype=float)
-    out[0] += carry
-    return np.cumsum(out, out=out)
-
-
-def separable_pair_sums(
-    idx: np.ndarray, weight: np.ndarray, k_power: float, j_power: float, carry: float = 0.0
-) -> tuple[np.ndarray, float]:
-    """j^j_power w_j * (carry + sum_{k<j} k^k_power w_k) at every index j of ``idx``, and the carry for the next chunk.
+def separable_pair_sums(idx: np.ndarray, weight: np.ndarray, k_power: float, j_power: float) -> tuple[np.ndarray, float]:
+    """j^j_power w_j * sum_{k<j} k^k_power w_k at every index j of ``idx``, and the running sum of every k-part.
 
     A separable pair weight such as the power schedule k^mu j^nu turns a
     double sum over k < j into this single pass of exclusive prefix sums.
-    ``carry`` is the sum of the k-parts over earlier chunks (see
-    carried_cumsum).  Raises NumericError, with no overflow warning, where
-    that running sum is not finite: where some k^k_power overflows a double.
+    Raises NumericError, with no overflow warning, where that running sum is
+    not finite: where some k^k_power overflows a double.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below: inf, or inf * 0 where the weight is 0
         k_part = idx**k_power * weight
-        prefix = carried_cumsum(k_part, carry)
+        prefix = np.cumsum(k_part)
     if not math.isfinite(prefix[-1]):
         raise NumericError(f"pair sums overflow a double: the running sum of k^{k_power!r} w_k to k = {idx[-1]:.0f} is not finite")
     return idx**j_power * weight * (prefix - k_part), float(prefix[-1])

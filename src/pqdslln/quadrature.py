@@ -22,8 +22,8 @@ shape: a 1-D integrand gets a (k, n) node array and a 2-D one a (k, n, 1) x
 array and a (k, 1, n) y array, with k panels of n nodes each (n = 7 or 15).
 The whole procedure is deterministic: refinement order is a pure function of
 the inputs, and each final value is the exactly rounded (fsum) sum over its
-panels.  The 7- and 15-node rules are made on a process's first integral and
-kept, so a process that never integrates loads no ``numpy.polynomial``.
+panels.  The 7- and 15-node rules are literals (``GL7``, ``GL15``), so no
+process loads ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -46,16 +46,40 @@ _AXES = {1: (np.s_[:],), 2: (np.s_[:, :, None], np.s_[:, None, :])}
 _MAX_PANELS = 1 << 16  # the panel budget of one integral
 
 
-@functools.cache
-def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the n-node Gauss-Legendre rule on [-1, 1], made on a process's first use.
+def _frozen(*values: float) -> np.ndarray:
+    """A read-only float array of the values."""
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
 
-    numpy.polynomial, and the LAPACK eigen-solve behind its nodes, load only in a process that
-    integrates.  Every caller shares the two arrays, so they are read-only.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+
+# The 7- and 15-node Gauss-Legendre rules on [-1, 1] as (nodes, weights): the doubles that
+# numpy.polynomial.legendre.leggauss returns, written out so that no process loads
+# numpy.polynomial or the LAPACK eigen-solve behind it.  Every caller shares the arrays.
+GL7 = (
+    _frozen(
+        -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+        0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+    ),
+    _frozen(
+        0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+        0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+    ),
+)
+GL15 = (
+    _frozen(
+        -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+        -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+        0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+        0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+    ),
+    _frozen(
+        0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+        0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+        0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+        0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+    ),
+)
 
 
 def _panels(f: Callable, panels: list[tuple[float, ...]]) -> list:
@@ -71,7 +95,7 @@ def _panels(f: Callable, panels: list[tuple[float, ...]]) -> list:
     width = functools.reduce(operator.mul, half[:, :, 0])  # h, or hx * hy
     axes = _AXES[len(mid)]
     sums = []
-    for x, w in (_rule(7), _rule(15)):
+    for x, w in (GL7, GL15):
         # mid + half * x holds each axis's (k, n) nodes; f gets them laid along their axes
         g = np.asarray(f(*map(operator.getitem, mid + half * x, axes)), dtype=float)
         for _ in axes[1:]:  # contract every grid axis but the last with W

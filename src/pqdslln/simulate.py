@@ -23,7 +23,8 @@ exact-model dimension cap 4096) truncate dependence to a sliding index
 window, which is recorded in the report metadata.
 
 Randomness comes from the counter-based Philox generator keyed by
-(seed, replicate).  A run makes one blocked pass for all its replicates,
+(seed, replicate), handed to it through a seed sequence so that no stream
+draws OS entropy.  A run makes one blocked pass for all its replicates,
 each row drawing from its own stream.  An independent run that fills a
 block is cut into pieces of contiguous replicates, a few per usable CPU, and
 the standard thread pool (``concurrent.futures.ThreadPoolExecutor``, loaded
@@ -45,6 +46,7 @@ other rows; the step that breaks an invariant raises NumericError.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -79,10 +81,29 @@ _SCALAR_COLUMNS = 1 << 10  # columns whose coefficients the inversion holds as P
 _MASK64 = (1 << 64) - 1
 
 
+@functools.cache
+def _philox_key() -> type:
+    """The seed sequence whose state is a given Philox key, made on first use: only a sampling process loads numpy.random.
+
+    ``Philox(key=...)`` also draws 128 bits of OS entropy through ``SeedSequence()``
+    and discards them; handed this sequence, Philox takes its key from
+    ``generate_state(2, uint64)`` and starts the same stream.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PhiloxKey
+
+
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """Counter-based stream keyed by (seed, replicate); independent per replicate."""
     key = np.array([int(seed) & _MASK64, int(replicate) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import pqdslln.borel_cantelli
 from pqdslln.borel_cantelli import (
-    _CHUNK,
+    _HEAD,
     EventSystem,
+    _pair_sums,
+    _tails,
     epsilon_bracket_check,
     event_prob,
     pair_event_prob,
@@ -138,7 +140,7 @@ class TestPairEventProb:
 
 
 def _whole_array_ratios(es: EventSystem, ns) -> np.ndarray:
-    """The pair-sum ratio from running sums over the whole range 1..max(ns), the oracle of the chunked pass."""
+    """The pair-sum ratio from running sums over the whole range 1..max(ns), the oracle of the head's pass."""
     at = np.asarray(ns, dtype=int) - 1
     idx = np.arange(1, int(at.max()) + 2, dtype=float)
     thresholds = idx ** (1.0 / es.p)
@@ -152,6 +154,37 @@ def _whole_array_ratios(es: EventSystem, ns) -> np.ndarray:
         j_part = idx**es.schedule.nu * h
         dep = 2.0 * np.cumsum(j_part * (np.cumsum(k_part) - k_part))[at]
     return (s1 + s1**2 - s2 + dep) / s1**2
+
+
+def _float_terms(es: EventSystem, n: int):
+    """P(A_k), a_k and b_k for k = 1..n as float64: the head's terms, and past _HEAD the tails' terms.
+
+    The tails take 1 - F in h = F^s (1 - F)^r as the survival P(A_k) itself, where the head's
+    1 - F by subtraction keeps few digits of a small P(A_k).
+    """
+    idx = np.arange(1, n + 1, dtype=float)
+    probs = np.asarray(es.marginal.survival(idx ** (1.0 / es.p)), dtype=float)
+    if es.schedule is None:
+        return probs, np.zeros(n), np.zeros(n)
+    far = idx > _HEAD
+    h = power_factor(1.0 - probs, es.r, es.s)
+    h[far] = power_factor(1.0 - probs[far], es.r, es.s, probs[far])
+    return probs, idx**es.schedule.mu * h, idx**es.schedule.nu * h
+
+
+def _long_double_sums(es: EventSystem, ns) -> np.ndarray:
+    """sum P(A_k), sum P(A_k)^2 and the pair sum at each n, from ``_float_terms`` summed in long double."""
+    at = np.asarray(ns, dtype=int) - 1
+    probs, a, b = (v.astype(np.longdouble) for v in _float_terms(es, int(at.max()) + 1))
+    return np.array([np.cumsum(probs)[at], np.cumsum(probs * probs)[at], np.cumsum(b * (np.cumsum(a) - a))[at]])
+
+
+def _long_double_tails(es: EventSystem, ns) -> np.ndarray:
+    """sum P, sum P (1 - P), sum b and sum a_k b_j over k < j, each over _HEAD < k <= n, as ``_long_double_sums``."""
+    at = np.asarray(ns, dtype=int) - _HEAD - 1
+    probs, a, b = (v[_HEAD:].astype(np.longdouble) for v in _float_terms(es, int(at.max()) + _HEAD + 1))
+    sums = [probs, probs * (1 - probs), b, b * (np.cumsum(a) - a)]
+    return np.array([np.cumsum(v)[at] for v in sums])
 
 
 @st.composite
@@ -168,18 +201,72 @@ def _event_systems(draw):
     return gfm_system(alpha, p, mu=mu, nu=nu, r=r, s=s)
 
 
-# largest n from one to four chunks, at chunk edges and off them
-_CHUNK_EDGES = [k * _CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [4 * _CHUNK - 1, 4 * _CHUNK]
-_N_MAX = st.one_of(st.sampled_from(_CHUNK_EDGES), st.integers(min_value=1, max_value=4 * _CHUNK))
+# largest n up to four heads, at multiples of the head and off them
+_HEAD_EDGES = [k * _HEAD + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [4 * _HEAD - 1, 4 * _HEAD]
+_N_MAX = st.one_of(st.sampled_from(_HEAD_EDGES), st.integers(min_value=1, max_value=4 * _HEAD))
+
+
+@st.composite
+def _grids(draw):
+    """A grid in any order whose largest n is drawn from _N_MAX."""
+    n_max = draw(_N_MAX)
+    grid = draw(st.lists(st.integers(min_value=1, max_value=n_max), max_size=8)) + [n_max]
+    return draw(st.permutations(grid))
+
+
+# systems past the reach of the hypothesis draws, each to hold under -W error::RuntimeWarning
+_EXTREMES = {
+    "alpha/p=1e-3": gfm_system(1e-3, 1.0),
+    "alpha/p=1e3": gfm_system(1e3, 1.0),
+    "s=1e3": gfm_system(2.0, 1.0, s=1e3),
+    "r=1e300": gfm_system(2.0, 1.0, r=1e300),
+    "mu-above-1/p-1": gfm_system(2.0, 1.0, mu=math.nextafter(0.0, 1.0)),
+    "mu-below-2/p-2-nu": gfm_system(2.0, 1.0, mu=math.nextafter(1.5, 0.0)),
+}
 
 
 class TestRenyiLampertiRatio:
-    @given(_event_systems(), _N_MAX, st.data())
+    @given(_event_systems(), _grids())
     @settings(max_examples=60, deadline=None)
-    def test_chunks_keep_the_bits_of_the_whole_array(self, es, n_max, data):
-        grid = data.draw(st.lists(st.integers(min_value=1, max_value=n_max), max_size=8)) + [n_max]
-        grid = data.draw(st.permutations(grid))
-        assert renyi_lamperti_ratios(es, grid).tobytes() == _whole_array_ratios(es, grid).tobytes()
+    def test_head_keeps_the_bits_of_the_whole_array(self, es, grid):
+        # every n <= 2^15 reads the running sums of the head's one pass, whatever larger n share the grid
+        head = np.array(grid) <= _HEAD
+        if head.any():
+            ratios = renyi_lamperti_ratios(es, grid)[head]
+            assert ratios.tobytes() == _whole_array_ratios(es, np.array(grid)[head]).tobytes()
+
+    @given(_event_systems(), _grids())
+    @example(gfm_system(3.68, 1.04, mu=0.646, nu=-1.688, r=2.66, s=1.02), [40000])  # running head sums: 2.3e-13 off
+    @settings(max_examples=60, deadline=None)
+    def test_tails_hold_the_sums_to_1e_13(self, es, grid):
+        # past 2^15, each sum and the ratio are within 1e-13 of the long-double sums of the same float terms
+        far = np.array(grid) > _HEAD
+        if not far.any():
+            return
+        far_grid = np.array(grid)[far]
+        got = _pair_sums(es, far_grid)
+        want = _long_double_sums(es, far_grid)
+        np.testing.assert_allclose(got, want.astype(float), rtol=1e-13, atol=0.0)
+        s1, s2, pairs = want
+        ratio = (s1 + s1**2 - s2 + 2 * pairs) / s1**2
+        np.testing.assert_allclose(renyi_lamperti_ratios(es, far_grid), ratio.astype(float), rtol=1e-13, atol=0.0)
+
+    @given(_event_systems(), _grids())
+    @settings(max_examples=60, deadline=None)
+    def test_each_tail_to_1e_13(self, es, grid):
+        # each Euler-Maclaurin tail alone, the nested pair sum included, where a share too small
+        # to move the whole sums could hide an error
+        far = np.array([n for n in grid if n > _HEAD], dtype=int)
+        if far.size:
+            got = np.array(_tails(es, far))
+            np.testing.assert_allclose(got, _long_double_tails(es, far).astype(float), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("es", _EXTREMES.values(), ids=_EXTREMES.keys())
+    def test_extreme_systems_are_finite_and_at_least_one(self, es):
+        ratios = renyi_lamperti_ratios(es, [1, 10, _HEAD, _HEAD + 1, 10**6, 2**53])
+        assert np.all(np.isfinite(_pair_sums(es, np.array([_HEAD + 1, 10**6, 2**53]))))
+        assert np.all(np.isfinite(ratios)) and np.all(ratios >= 1.0)
 
     @given(
         st.floats(min_value=0.5, max_value=4.0),
@@ -188,13 +275,13 @@ class TestRenyiLampertiRatio:
     )
     @settings(max_examples=100, deadline=None)
     def test_one_minus_survival_is_the_cdf(self, alpha, p, low):
-        # the chunked pass takes F = 1 - P(A_k) in place of a second power pass through cdf
+        # the head's pass takes F = 1 - P(A_k) in place of a second power pass through cdf
         marginal = ParetoMarginal(alpha)
         t = np.concatenate([np.arange(1, 5001, dtype=float) ** (1.0 / p), low, [1.0]])
         assert np.asarray(marginal.cdf(t)).tobytes() == (1.0 - np.asarray(marginal.survival(t))).tobytes()
 
     def test_memory_does_not_grow_with_n(self):
-        # running sums over the whole range 1..2^20 would hold 40 MB; the chunks hold about 2.5 MB
+        # running sums over the whole range 1..2^20 would hold 40 MB; the head's pass holds about 2.5 MB
         es = gfm_system(2.0, 1.0)
         renyi_lamperti_ratios(es, [100])  # what the first call imports stays out of the measure
         tracemalloc.start()

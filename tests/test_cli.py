@@ -975,6 +975,18 @@ class TestSizesPastTwoTo53:
         assert not (tmp_path / "run").exists()
 
 
+class TestRatioAtTwoTo53:
+    """The largest accepted size, n = 2^53, answers in well under 2 s: past 2^15 the ratio visits no index."""
+
+    @pytest.mark.parametrize("theta", [[], ["--theta-spec=power:0.2,-1.5"]], ids=["independent", "power"])
+    def test_answers_quickly(self, theta, tmp_path):
+        start = time.perf_counter()
+        assert main(["bc", "ratio", "--alpha", "2", "--p", "1", "--n-grid", f"10,{2**53}", *theta, "--outdir", str(tmp_path)]) == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        final = json.loads((tmp_path / "result.json").read_text())["final_ratio"]
+        assert math.isfinite(final) and final >= 1.0
+
+
 class TestSeriesComputedOnce:
     @pytest.mark.parametrize(
         "args",

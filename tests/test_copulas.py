@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pqdslln import simulate
 from pqdslln.borel_cantelli import EventSystem
 from pqdslln.conditions import majorant_sum, tail_condition
-from pqdslln.copulas import GfmCopula, PowerSchedule
+from pqdslln.copulas import GfmCopula, PowerSchedule, power_factor
 from pqdslln.errors import ParameterError
 from pqdslln.gfun import bracket_limit, factor_differences, g_closed_bracket, g_factor
 from pqdslln.marginals import ParetoMarginal
@@ -85,6 +85,16 @@ def _pair_draws(theta: float, rng, n_pairs: int):
     model = MultivariateFgmModel.from_power_schedule(2, PowerSchedule(0.0, 0.0, theta))
     u = next(_uniform_blocks(model, [rng] * n_pairs, 2, np.empty((n_pairs, 2))))[1]
     return u[:, 0].copy(), u[:, 1].copy()
+
+
+def test_power_factor_takes_an_exact_complement():
+    # at a survival of 1e-12, 1 - F by subtraction keeps about 4 digits; the survival itself keeps them all
+    survival = 1e-12
+    f = 1.0 - survival
+    exact = f**3 * survival**2
+    assert abs(power_factor(f, 2.0, 3.0, survival) / exact - 1.0) < 1e-15
+    assert abs(power_factor(f, 2.0, 3.0) / exact - 1.0) > 1e-5
+    assert power_factor(f, 2.0, 3.0) == f**3 * (1.0 - f) ** 2.0
 
 
 class TestPqdGridCheck:

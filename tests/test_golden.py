@@ -100,9 +100,17 @@ def test_command_line_reproduces_golden_bytes(case, tmp_path):
     _assert_same_files(GOLDEN / case, tmp_path)
 
 
-def test_rules_load_on_the_first_integral(tmp_path):
-    # a process that never integrates loads neither numpy.polynomial nor fractions; g eval's
-    # oracles make the Gauss-Legendre rules on first use, with the captured bytes
+@pytest.mark.parametrize(
+    "args",
+    [
+        CASES["g-eval-all"],
+        ["bc", "ratio", "--alpha", "2", "--p", "1", "--theta-spec=power:0.2,-1.5", "--n-grid", "10,100000"],
+    ],
+    ids=["g-eval-all", "bc-ratio-past-2^15"],
+)
+def test_no_command_loads_numpy_polynomial(args, tmp_path):
+    # the Gauss-Legendre rules are literals: g eval's oracles and the ratio's tails integrate
+    # with them, and neither numpy.polynomial (with its LAPACK eigen-solve) nor fractions loads
     code = (
         "import json, sys, pqdslln.cli\n"
         "loaded = lambda: sorted({'numpy.polynomial', 'fractions'} & set(sys.modules))\n"
@@ -113,12 +121,13 @@ def test_rules_load_on_the_first_integral(tmp_path):
     src = str(Path(pqdslln.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(CASES["g-eval-all"]), str(tmp_path)],
+        [sys.executable, "-c", code, json.dumps(args), str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[], EXIT_OK, ["numpy.polynomial"]]
-    _assert_same_files(GOLDEN / "g-eval-all", tmp_path)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], EXIT_OK, []]
+    if args == CASES["g-eval-all"]:
+        _assert_same_files(GOLDEN / "g-eval-all", tmp_path)
 
 
 if __name__ == "__main__":

@@ -14,13 +14,22 @@ from pqdslln.copulas import GfmCopula, PowerSchedule
 from pqdslln.errors import ParameterError, QuadratureError
 from pqdslln.marginals import ParetoMarginal
 from pqdslln.quadrature import (
+    GL7,
+    GL15,
     _panels,
-    _rule,
     adaptive_quad_many,
 )
 
-_X7, _W7 = _rule(7)
-_X15, _W15 = _rule(15)
+_X7, _W7 = GL7
+_X15, _W15 = GL15
+
+
+@pytest.mark.parametrize("n, rule", [(7, GL7), (15, GL15)])
+def test_rules_are_the_doubles_of_leggauss(n, rule):
+    # the literals are numpy's own nodes and weights, bit for bit; the arrays are shared, so read-only
+    for literal, made in zip(rule, np.polynomial.legendre.leggauss(n)):
+        assert literal.dtype == np.float64 and literal.tobytes() == made.tobytes()
+        assert not literal.flags.writeable
 
 
 def _quad(f, a, b, abs_tol=1e-10, **kwargs):

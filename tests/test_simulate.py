@@ -88,6 +88,14 @@ class TestModel:
         assert model.theta_sum == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("replicate", [0, 2**63, 2**64 - 1])
+def test_replicate_stream_is_philox_keyed_by_seed_and_replicate(seed, replicate):
+    # the key reaches Philox through a seed sequence, with no OS entropy drawn; the stream is Philox(key=...)'s
+    keyed = np.random.Generator(np.random.Philox(key=np.array([seed, replicate], dtype=np.uint64)))
+    assert replicate_rng(seed, replicate).random(10**4).tobytes() == keyed.random(10**4).tobytes()
+
+
 class TestSampler:
     def test_zero_dependence_equals_bulk_uniforms(self):
         model = power_model(16, 0.0, 0.0, 0.0)
